@@ -54,10 +54,9 @@ __all__ = [
 def clear_caches() -> None:
     """Release every process-wide simulation memo.
 
-    Three live today: the compiled FirstHit PLAs
-    (:func:`repro.core.pla.shared_k1_pla`), the broadcast-time hit
-    schedules (:mod:`repro.pva.schedule`), and the structure-of-arrays
-    broadcast tables (:func:`repro.pva.soa.broadcast_schedules`).  All
+    Two live today: the compiled FirstHit PLAs
+    (:func:`repro.core.pla.shared_k1_pla`) and the broadcast-time hit
+    schedules (:func:`repro.pva.schedule.broadcast_schedules`).  Both
     are pure value caches — dropping them can never change results, only
     cost the next call a recompute — so this is safe at any point.  The
     experiment engine calls it when a worker pool shuts down, bounding
@@ -65,11 +64,9 @@ def clear_caches() -> None:
     """
     from repro.core.pla import shared_k1_pla
     from repro.pva.schedule import clear_schedule_cache
-    from repro.pva.soa import clear_soa_cache
 
     shared_k1_pla.cache_clear()
     clear_schedule_cache()
-    clear_soa_cache()
 
 
 @dataclass(frozen=True)

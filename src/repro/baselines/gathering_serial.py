@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 from repro.baselines.serial_core import SerialCommandEngine
 from repro.params import SystemParams
 from repro.sdram.device import DeviceStats
-from repro.sim.events import time_skip_enabled
 from repro.sim.kernel import SimKernel
 from repro.sim.runner import Watchdog
 from repro.sim.stats import BusStats, RunResult
@@ -117,7 +116,7 @@ class GatheringSerialSDRAM:
         watchdog = Watchdog(len(commands), system=self.name)
         engine = SerialCommandEngine(self, commands)
         kernel = SimKernel(
-            watchdog=watchdog, time_skip=time_skip_enabled(self.params)
+            watchdog=watchdog, time_skip=self.params.sim_mode == "fast"
         )
         kernel.register(engine)
         exit_cycle = kernel.run(engine.done)

@@ -1,43 +1,33 @@
 """Wall-clock benchmark harness for the simulation core.
 
-``python -m repro bench`` times every registered memory system twice
-over the same workload — once with the reference tick loop
-(``sim_mode="tick"``) and once with the default fast path
-(``sim_mode="precompute"``: the event-driven skip loop plus
-broadcast-time hit schedules; the report's ``skip_*`` keys, kept for
-metric continuity) — and reports simulated-cycles-per-second for each
-mode plus the fast-vs-tick wall-clock speedup.  The workload is the
+``python -m repro bench`` times every registered memory system under
+both simulation backends over the same workload — ``sim_mode=
+"reference"`` (the object graph on the tick loop) and the default
+``sim_mode="fast"`` — and reports simulated cycles per second for each
+plus the reference-over-fast wall-clock speedup.  The workload is the
 stride-19 slice of the section-6.2 evaluation grid (every kernel x
-every alignment), the densest bank-conflict case in the paper and the
-headline configuration tracked in ``BENCH_sim.json``.
+every alignment), the densest bank-conflict case in the paper, plus a
+sparse scenario: a finite-rate processor (``issue_interval``) that
+leaves idle gaps between commands.
 
 Every report carries the resolved canonical config document
-(``config``/``config_key``, from :meth:`GenParams.to_dict`) and the
-harness verifies each section ran that identical configuration (modulo
-the section's declared ``sim_mode``, and ``issue_interval`` for the
-sparse scenario) before publishing numbers.
+(``config``/``config_key``, from :meth:`GenParams.to_dict`).
 
-The harness also cross-checks correctness for free: both modes must
-report identical total cycle counts, or the run aborts — a benchmark of
-a wrong simulator is worthless.
+The harness also cross-checks correctness for free: both backends must
+report identical total cycle counts and per-component attribution
+ledgers, or the run aborts — a benchmark of a wrong simulator is
+worthless.
 
 Methodology notes:
 
 * traces are built outside the timed region; the timer covers system
-  construction plus simulation, the same work either run loop does;
+  construction plus simulation, the same work either backend does;
 * each (system, mode) measurement is repeated ``repeats`` times and the
   **best** wall time is kept (the usual minimum-of-N noise filter);
-* the ``REPRO_TIME_SKIP`` and ``REPRO_SIM_MODE`` environment overrides
-  are suspended for the duration so the modes really are what they
-  claim to be.
-
-Two kinds of baseline appear in the report.  *Measured* rates come from
-this run, on this machine.  *Recorded* rates are constants frozen into
-this module from the ``BENCH_sim.json`` of the run that preceded an
-optimization layer — the denominators CI gates hold speedups against.
-Both are reported side by side so a stale recorded constant is visible
-as a recorded-vs-measured gap instead of silently inflating (or
-deflating) ``speedup_vs_baseline`` on faster or slower hardware.
+* the ``REPRO_SIM_MODE`` environment override is suspended for the
+  duration so the backends really are what they claim to be;
+* every speedup is a ratio of two timings from the same run, so it
+  tracks the simulator rather than the host's speed.
 """
 
 from __future__ import annotations
@@ -55,7 +45,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.grid import EVAL_KERNELS
 from repro.kernels import ALIGNMENTS, build_trace, kernel_by_name
 from repro.params import ENV_SIM_MODE, SystemParams
-from repro.sim.events import ENV_TOGGLE
 
 __all__ = [
     "HEADLINE_STRIDE",
@@ -68,44 +57,11 @@ __all__ = [
 #: The grid slice the benchmark times: the paper's worst-case stride.
 HEADLINE_STRIDE = 19
 
-#: pva-sdram dense stride-19 tick rate (cycles/second) recorded in
-#: BENCH_sim.json immediately before the hit-schedule precompute layer
-#: landed.  Reported next to the measured rate so host drift stays
-#: visible; every ``--min-*-speedup`` CI gate holds against rates
-#: measured in the same run instead (recorded constants made the gates
-#: fail on slower shared runners with nothing actually regressed).
-BASELINE_TICK_CYCLES_PER_SECOND = 18099.8
-
-#: pva-sdram dense stride-19 cycles/second recorded in BENCH_sim.json
-#: immediately before the structure-of-arrays bank automaton landed —
-#: reported for drift visibility, as above.  (ROADMAP.md quotes the
-#: same figure as "~38.6k cycles/sec".)
-BASELINE_DENSE_CYCLES_PER_SECOND = 38600.0
-
-#: pva-sdram dense stride-19 ``soa_cycles_per_second`` recorded in
-#: BENCH_sim.json immediately before the closed-form window backend
-#: landed — the recorded denominator the window section reports next to
-#: its measured-SoA speedup (the ``--min-window-speedup`` gate holds
-#: against the *measured* SoA rate of the same run, so it survives
-#: hardware changes; the recorded constant makes drift visible).
-BASELINE_SOA_CYCLES_PER_SECOND = 66195.1
-
 #: ``--quick`` workload (CI smoke): two kernels, one alignment.
 QUICK_KERNELS = ("copy", "saxpy")
 
-
-def _assert_same_config(base: SystemParams, params: SystemParams, section: str) -> None:
-    """Cross-check: ``params`` must be ``base`` with at most a different
-    ``sim_mode`` — every bench section times the same machine."""
-    want = base.to_dict()
-    got = params.to_dict()
-    want.pop("sim_mode")
-    got.pop("sim_mode")
-    if got != want:
-        raise ConfigurationError(
-            f"bench section {section!r} ran a different machine config "
-            "than the report header — refusing to publish numbers for it"
-        )
+#: Front-end throttle of the sparse scenario (cycles between issues).
+SPARSE_ISSUE_INTERVAL = 256
 
 
 def _cases(quick: bool):
@@ -188,6 +144,54 @@ def _time_mode(
     return {"cycles": cycles, "seconds": best, "attribution": attribution}
 
 
+def _compare(
+    label: str,
+    system: str,
+    base: SystemParams,
+    traces: List,
+    repeats: int,
+    profile_dir: Optional[str],
+    section: str,
+) -> Dict:
+    """Time ``traces`` on ``system`` under both backends; raise unless
+    they agree on total cycles and the attribution ledger."""
+    timed = {}
+    for mode in ("reference", "fast"):
+        params = replace(base, sim_mode=mode)
+        timed[mode] = _time_mode(
+            system, params, traces, repeats,
+            profile_dir=profile_dir, section=f"{section}{mode}",
+        )
+    reference, fast = timed["reference"], timed["fast"]
+    if reference["cycles"] != fast["cycles"]:
+        raise ConfigurationError(
+            f"{label}: the reference and fast backends disagree on total "
+            f"cycles ({reference['cycles']} vs {fast['cycles']}) — the "
+            "fast backend is broken; refusing to benchmark it"
+        )
+    if reference["attribution"] != fast["attribution"]:
+        raise ConfigurationError(
+            f"{label}: the reference and fast backends disagree on the "
+            "per-component attribution ledger"
+        )
+    return timed
+
+
+def _rate(cycles: int, seconds: float) -> float:
+    return round(cycles / seconds, 1) if seconds > 0 else 0.0
+
+
+def _ratio(numerator: float, denominator: float) -> float:
+    return round(numerator / denominator, 3) if denominator > 0 else 0.0
+
+
+def _ledger(attribution: Dict) -> Dict:
+    return {
+        component: dict(buckets)
+        for component, buckets in sorted(attribution.items())
+    }
+
+
 def run_bench(
     *,
     elements: int = 1024,
@@ -198,15 +202,17 @@ def run_bench(
     params: Optional[SystemParams] = None,
     profile: Optional[str] = None,
 ) -> Dict:
-    """Benchmark tick vs skip on the stride-``stride`` grid slice.
+    """Benchmark the reference backend against the fast one on the
+    stride-``stride`` grid slice and the sparse scenario.
 
     Returns the ``BENCH_sim.json`` document: per-system wall seconds,
-    simulated cycles and cycles/second for both run loops, the summed
-    per-component busy/stalled/idle attribution of the workload, plus
-    the aggregate slice ("grid") totals and the headline ``speedup``.
-    Raises :class:`~repro.errors.ConfigurationError` if the two modes
-    disagree on any system's total cycle count or attribution ledger,
-    or if any run's ledger fails to sum to its cycle count.
+    simulated cycles and cycles/second under both backends, the summed
+    per-component busy/stalled/idle attribution of the workload, the
+    aggregate slice ("grid") totals, the headline ``speedup``
+    (reference seconds over fast seconds), and the ``sparse`` section.
+    Raises :class:`~repro.errors.ConfigurationError` if the two backends
+    disagree on any total cycle count or attribution ledger, or if any
+    run's ledger fails to sum to its cycle count.
     """
     names = tuple(systems) if systems else available_systems()
     unknown = set(names) - set(available_systems())
@@ -214,22 +220,13 @@ def run_bench(
         raise ConfigurationError(f"unknown system(s): {sorted(unknown)}")
     cases = _cases(quick)
 
-    # Suspend the environment overrides *before* building any params —
-    # a forced global mode must not warp the backend matrix each
-    # section claims to time.
-    saved_env = os.environ.pop(ENV_TOGGLE, None)
+    # Suspend the environment override *before* building any params — a
+    # forced global mode must not warp what each section claims to time.
     saved_mode_env = os.environ.pop(ENV_SIM_MODE, None)
     try:
         base = params or SystemParams()
-        tick_params = replace(base, sim_mode="tick")
-        skip_params = replace(base, sim_mode="precompute")
-        for section, section_params in (
-            ("tick", tick_params),
-            ("skip", skip_params),
-        ):
-            _assert_same_config(base, section_params, section)
         report: Dict = {
-            "benchmark": "tick-vs-skip",
+            "benchmark": "reference-vs-fast",
             "stride": stride,
             "elements": elements,
             "repeats": max(1, repeats),
@@ -241,364 +238,85 @@ def run_bench(
             "systems": {},
         }
 
-        tick_total = 0.0
-        skip_total = 0.0
+        totals = {"reference": 0.0, "fast": 0.0}
         for name in names:
-            traces_tick = [
+            traces = [
                 build_trace(
                     kernel_by_name(kernel),
                     stride=stride,
-                    params=tick_params,
+                    params=base,
                     elements=elements,
                     alignment=alignment,
                 )
                 for kernel, alignment in cases
             ]
-            traces_skip = [
-                build_trace(
-                    kernel_by_name(kernel),
-                    stride=stride,
-                    params=skip_params,
-                    elements=elements,
-                    alignment=alignment,
-                )
-                for kernel, alignment in cases
-            ]
-            tick = _time_mode(
-                name, tick_params, traces_tick, repeats,
-                profile_dir=profile, section="tick",
-            )
-            skip = _time_mode(
-                name, skip_params, traces_skip, repeats,
-                profile_dir=profile, section="skip",
-            )
-            if tick["cycles"] != skip["cycles"]:
-                raise ConfigurationError(
-                    f"{name}: tick and skip disagree on total cycles "
-                    f"({tick['cycles']} vs {skip['cycles']}) — the "
-                    "time-skip engine is broken; refusing to benchmark it"
-                )
-            if tick["attribution"] != skip["attribution"]:
-                raise ConfigurationError(
-                    f"{name}: tick and skip disagree on the per-component "
-                    "attribution ledger — cycle attribution must be "
-                    "independent of the run-loop mode"
-                )
-            tick_total += tick["seconds"]
-            skip_total += skip["seconds"]
+            timed = _compare(name, name, base, traces, repeats, profile, "")
+            reference, fast = timed["reference"], timed["fast"]
+            totals["reference"] += reference["seconds"]
+            totals["fast"] += fast["seconds"]
             report["systems"][name] = {
-                "simulated_cycles": tick["cycles"],
-                "tick_seconds": round(tick["seconds"], 4),
-                "skip_seconds": round(skip["seconds"], 4),
-                "tick_cycles_per_second": round(
-                    tick["cycles"] / tick["seconds"], 1
-                )
-                if tick["seconds"] > 0
-                else 0.0,
-                "skip_cycles_per_second": round(
-                    skip["cycles"] / skip["seconds"], 1
-                )
-                if skip["seconds"] > 0
-                else 0.0,
-                "speedup": round(tick["seconds"] / skip["seconds"], 3)
-                if skip["seconds"] > 0
-                else 0.0,
-                "attribution": {
-                    component: dict(buckets)
-                    for component, buckets in sorted(
-                        tick["attribution"].items()
-                    )
-                },
+                "simulated_cycles": reference["cycles"],
+                "reference_seconds": round(reference["seconds"], 4),
+                "fast_seconds": round(fast["seconds"], 4),
+                "reference_cycles_per_second": _rate(
+                    reference["cycles"], reference["seconds"]
+                ),
+                "fast_cycles_per_second": _rate(fast["cycles"], fast["seconds"]),
+                "speedup": _ratio(reference["seconds"], fast["seconds"]),
+                "attribution": _ledger(reference["attribution"]),
             }
         report["grid"] = {
-            "tick_seconds": round(tick_total, 4),
-            "skip_seconds": round(skip_total, 4),
+            "reference_seconds": round(totals["reference"], 4),
+            "fast_seconds": round(totals["fast"], 4),
         }
-        report["speedup"] = (
-            round(tick_total / skip_total, 3) if skip_total > 0 else 0.0
-        )
+        report["speedup"] = _ratio(totals["reference"], totals["fast"])
 
-        # Secondary scenario: a finite-rate processor (issue_interval)
-        # leaves real idle gaps between commands — the regime next-event
-        # skipping exists for.  The dense slice above is bus-limited
-        # (events on most cycles), so its ratio is Amdahl-capped; here
-        # tick cost grows with simulated cycles while skip cost stays
-        # proportional to events.
-        sparse_interval = 256
-        sparse_cases = _cases(True)  # the quick kernels x one alignment
-        sparse_tick = 0.0
-        sparse_skip = 0.0
+        # Sparse scenario: a finite-rate processor (issue_interval)
+        # leaves real idle gaps between commands.  The dense slice above
+        # is bus-limited (events on most cycles); here the reference
+        # tick loop's cost grows with simulated cycles while the fast
+        # backend's stays proportional to events.
+        sparse_base = replace(base, issue_interval=SPARSE_ISSUE_INTERVAL)
+        sparse_traces = [
+            build_trace(
+                kernel_by_name(kernel),
+                stride=stride,
+                params=sparse_base,
+                elements=elements,
+                alignment=alignment,
+            )
+            for kernel, alignment in _cases(True)
+        ]
+        sparse = {"reference": 0.0, "fast": 0.0}
         sparse_cycles = 0
+        sparse_ledger: Dict[str, Dict[str, int]] = {}
         for name in ("pva-sdram", "pva-sram"):
             if name not in names:
                 continue
-            s_tick_params = replace(tick_params, issue_interval=sparse_interval)
-            s_skip_params = replace(skip_params, issue_interval=sparse_interval)
-            traces = [
-                build_trace(
-                    kernel_by_name(kernel),
-                    stride=stride,
-                    params=s_tick_params,
-                    elements=elements,
-                    alignment=alignment,
-                )
-                for kernel, alignment in sparse_cases
-            ]
-            tick = _time_mode(
-                name, s_tick_params, traces, repeats,
-                profile_dir=profile, section="sparse-tick",
+            timed = _compare(
+                f"{name} (issue_interval={SPARSE_ISSUE_INTERVAL})",
+                name, sparse_base, sparse_traces, repeats, profile, "sparse-",
             )
-            skip = _time_mode(
-                name, s_skip_params, traces, repeats,
-                profile_dir=profile, section="sparse-skip",
-            )
-            if tick["cycles"] != skip["cycles"]:
-                raise ConfigurationError(
-                    f"{name} (issue_interval={sparse_interval}): tick and "
-                    f"skip disagree on total cycles ({tick['cycles']} vs "
-                    f"{skip['cycles']})"
+            sparse["reference"] += timed["reference"]["seconds"]
+            sparse["fast"] += timed["fast"]["seconds"]
+            sparse_cycles += timed["reference"]["cycles"]
+            for component, buckets in timed["reference"]["attribution"].items():
+                entry = sparse_ledger.setdefault(
+                    component, {"busy": 0, "stalled": 0, "idle": 0}
                 )
-            if tick["attribution"] != skip["attribution"]:
-                raise ConfigurationError(
-                    f"{name} (issue_interval={sparse_interval}): tick and "
-                    "skip disagree on the per-component attribution ledger"
-                )
-            sparse_tick += tick["seconds"]
-            sparse_skip += skip["seconds"]
-            sparse_cycles += tick["cycles"]
-        if sparse_skip > 0:
+                for bucket in entry:
+                    entry[bucket] += buckets[bucket]
+        if sparse["fast"] > 0:
             report["sparse"] = {
-                "issue_interval": sparse_interval,
+                "issue_interval": SPARSE_ISSUE_INTERVAL,
                 "simulated_cycles": sparse_cycles,
-                "tick_seconds": round(sparse_tick, 4),
-                "skip_seconds": round(sparse_skip, 4),
-                "speedup": round(sparse_tick / sparse_skip, 3),
-            }
-
-        # Tertiary scenario: the broadcast-time hit-schedule precompute
-        # (repro.pva.schedule) against the incremental FirstHit/NextHit
-        # expansion it replaces — sim_mode="precompute" vs
-        # sim_mode="skip", both on the event-driven loop, on the
-        # headline pva-sdram system.  The two paths must agree on
-        # cycles *and* the attribution ledger — the precompute layer is
-        # a pure representation change.
-        if "pva-sdram" in names:
-            pre_params = replace(base, sim_mode="precompute")
-            inc_params = replace(base, sim_mode="skip")
-            _assert_same_config(base, pre_params, "precompute")
-            _assert_same_config(base, inc_params, "incremental")
-            traces = [
-                build_trace(
-                    kernel_by_name(kernel),
-                    stride=stride,
-                    params=pre_params,
-                    elements=elements,
-                    alignment=alignment,
-                )
-                for kernel, alignment in cases
-            ]
-            pre = _time_mode(
-                "pva-sdram", pre_params, traces, repeats,
-                profile_dir=profile, section="precompute",
-            )
-            inc = _time_mode(
-                "pva-sdram", inc_params, traces, repeats,
-                profile_dir=profile, section="incremental",
-            )
-            if pre["cycles"] != inc["cycles"]:
-                raise ConfigurationError(
-                    "pva-sdram: precomputed and incremental expansion "
-                    f"disagree on total cycles ({pre['cycles']} vs "
-                    f"{inc['cycles']}) — the hit-schedule table is broken; "
-                    "refusing to benchmark it"
-                )
-            if pre["attribution"] != inc["attribution"]:
-                raise ConfigurationError(
-                    "pva-sdram: precomputed and incremental expansion "
-                    "disagree on the per-component attribution ledger"
-                )
-            pre_rate = (
-                pre["cycles"] / pre["seconds"] if pre["seconds"] > 0 else 0.0
-            )
-            report["precompute"] = {
-                "system": "pva-sdram",
-                "simulated_cycles": pre["cycles"],
-                "precompute_seconds": round(pre["seconds"], 4),
-                "incremental_seconds": round(inc["seconds"], 4),
-                "precompute_cycles_per_second": round(pre_rate, 1),
-                "incremental_cycles_per_second": round(
-                    inc["cycles"] / inc["seconds"], 1
-                )
-                if inc["seconds"] > 0
-                else 0.0,
-                "speedup": round(inc["seconds"] / pre["seconds"], 3)
-                if pre["seconds"] > 0
-                else 0.0,
-                # Recorded vs measured baseline, side by side: the
-                # recorded constant (the pre-precompute-era tick rate)
-                # keeps host drift visible across runs; the CI gate
-                # (``--min-precompute-speedup``) holds against the
-                # same-run ``speedup`` instead, so it gates the
-                # algorithmic win rather than runner speed.
-                "baseline_tick_cycles_per_second": (
-                    BASELINE_TICK_CYCLES_PER_SECOND
-                ),
-                "measured_incremental_cycles_per_second": round(
-                    inc["cycles"] / inc["seconds"], 1
-                )
-                if inc["seconds"] > 0
-                else 0.0,
-                "speedup_vs_baseline": round(
-                    pre_rate / BASELINE_TICK_CYCLES_PER_SECOND, 3
-                ),
-            }
-
-        # Quaternary scenario: the structure-of-arrays bank automaton
-        # (sim_mode="soa") against the same dense slice.  The main
-        # section's pva-sdram entry already cross-checked tick against
-        # skip; here the SoA run must reproduce the *tick* loop's cycle
-        # count and per-component attribution ledger exactly — three
-        # backends, one answer.
-        if "pva-sdram" in names:
-            soa_params = replace(base, sim_mode="soa")
-            _assert_same_config(base, soa_params, "soa")
-            traces = [
-                build_trace(
-                    kernel_by_name(kernel),
-                    stride=stride,
-                    params=soa_params,
-                    elements=elements,
-                    alignment=alignment,
-                )
-                for kernel, alignment in cases
-            ]
-            soa = _time_mode(
-                "pva-sdram", soa_params, traces, repeats,
-                profile_dir=profile, section="soa",
-            )
-            dense = report["systems"]["pva-sdram"]
-            if soa["cycles"] != dense["simulated_cycles"]:
-                raise ConfigurationError(
-                    "pva-sdram: sim_mode='soa' disagrees with the tick "
-                    f"loop on total cycles ({soa['cycles']} vs "
-                    f"{dense['simulated_cycles']}) — the bank automaton "
-                    "is broken; refusing to benchmark it"
-                )
-            if soa["attribution"] != dense["attribution"]:
-                raise ConfigurationError(
-                    "pva-sdram: sim_mode='soa' disagrees with the tick "
-                    "loop on the per-component attribution ledger"
-                )
-            soa_rate = (
-                soa["cycles"] / soa["seconds"] if soa["seconds"] > 0 else 0.0
-            )
-            measured_pre = dense["skip_cycles_per_second"]
-            report["soa"] = {
-                "system": "pva-sdram",
-                "simulated_cycles": soa["cycles"],
-                "soa_seconds": round(soa["seconds"], 4),
-                "soa_cycles_per_second": round(soa_rate, 1),
-                # Recorded vs measured baseline, as in the precompute
-                # section: the recorded dense rate keeps host drift
-                # visible; the CI gate (``--min-soa-speedup``) holds
-                # against the measured precompute rate of the same run
-                # (the dense slice's skip timing).
-                "baseline_recorded_cycles_per_second": (
-                    BASELINE_DENSE_CYCLES_PER_SECOND
-                ),
-                "baseline_measured_cycles_per_second": measured_pre,
-                "speedup_vs_recorded_baseline": round(
-                    soa_rate / BASELINE_DENSE_CYCLES_PER_SECOND, 3
-                ),
-                "speedup_vs_measured_precompute": round(
-                    soa_rate / measured_pre, 3
-                )
-                if measured_pre > 0
-                else 0.0,
-                "attribution": {
-                    component: dict(buckets)
-                    for component, buckets in sorted(
-                        soa["attribution"].items()
-                    )
-                },
-            }
-
-        # Quinary scenario: the closed-form window backend
-        # (sim_mode="window") against the same dense slice.  Like the
-        # SoA section it must reproduce the tick loop's cycle count and
-        # attribution ledger exactly; its headline figure is the
-        # speedup over the *measured* SoA rate of this very run (the
-        # backend it replaces at the top of the ladder), with the
-        # recorded pre-window SoA rate published beside it.
-        if "pva-sdram" in names and "soa" in report:
-            window_params = replace(base, sim_mode="window")
-            _assert_same_config(base, window_params, "window")
-            traces = [
-                build_trace(
-                    kernel_by_name(kernel),
-                    stride=stride,
-                    params=window_params,
-                    elements=elements,
-                    alignment=alignment,
-                )
-                for kernel, alignment in cases
-            ]
-            window = _time_mode(
-                "pva-sdram", window_params, traces, repeats,
-                profile_dir=profile, section="window",
-            )
-            dense = report["systems"]["pva-sdram"]
-            if window["cycles"] != dense["simulated_cycles"]:
-                raise ConfigurationError(
-                    "pva-sdram: sim_mode='window' disagrees with the tick "
-                    f"loop on total cycles ({window['cycles']} vs "
-                    f"{dense['simulated_cycles']}) — the closed-form "
-                    "resolution is broken; refusing to benchmark it"
-                )
-            if window["attribution"] != dense["attribution"]:
-                raise ConfigurationError(
-                    "pva-sdram: sim_mode='window' disagrees with the tick "
-                    "loop on the per-component attribution ledger"
-                )
-            window_rate = (
-                window["cycles"] / window["seconds"]
-                if window["seconds"] > 0
-                else 0.0
-            )
-            measured_soa = report["soa"]["soa_cycles_per_second"]
-            report["window"] = {
-                "system": "pva-sdram",
-                "simulated_cycles": window["cycles"],
-                "window_seconds": round(window["seconds"], 4),
-                "window_cycles_per_second": round(window_rate, 1),
-                # Recorded vs measured, as in the other sections: the
-                # recorded constant is the pre-window SoA rate frozen
-                # from BENCH_sim.json; the measured denominator is the
-                # SoA backend timed moments ago in this same run, which
-                # is what the CI gate holds the speedup against.
-                "baseline_recorded_soa_cycles_per_second": (
-                    BASELINE_SOA_CYCLES_PER_SECOND
-                ),
-                "baseline_measured_soa_cycles_per_second": measured_soa,
-                "speedup_vs_recorded_soa": round(
-                    window_rate / BASELINE_SOA_CYCLES_PER_SECOND, 3
-                ),
-                "speedup_vs_measured_soa": round(
-                    window_rate / measured_soa, 3
-                )
-                if measured_soa > 0
-                else 0.0,
-                "attribution": {
-                    component: dict(buckets)
-                    for component, buckets in sorted(
-                        window["attribution"].items()
-                    )
-                },
+                "reference_seconds": round(sparse["reference"], 4),
+                "fast_seconds": round(sparse["fast"], 4),
+                "speedup": _ratio(sparse["reference"], sparse["fast"]),
+                "attribution": _ledger(sparse_ledger),
             }
         return report
     finally:
-        if saved_env is not None:
-            os.environ[ENV_TOGGLE] = saved_env
         if saved_mode_env is not None:
             os.environ[ENV_SIM_MODE] = saved_mode_env
 
@@ -613,9 +331,9 @@ def format_bench(report: Dict) -> str:
             (
                 name,
                 entry["simulated_cycles"],
-                f"{entry['tick_seconds']:.2f}",
-                f"{entry['skip_seconds']:.2f}",
-                f"{entry['skip_cycles_per_second'] / 1000.0:.0f}k",
+                f"{entry['reference_seconds']:.2f}",
+                f"{entry['fast_seconds']:.2f}",
+                f"{entry['fast_cycles_per_second'] / 1000.0:.0f}k",
                 f"{entry['speedup']:.2f}x",
             )
         )
@@ -623,9 +341,9 @@ def format_bench(report: Dict) -> str:
         (
             "system",
             "sim cycles",
-            "tick s",
-            "skip s",
-            "skip cyc/s",
+            "reference s",
+            "fast s",
+            "fast cyc/s",
             "speedup",
         ),
         rows,
@@ -633,8 +351,8 @@ def format_bench(report: Dict) -> str:
     summary = (
         f"stride-{report['stride']} slice ({report['elements']} elements, "
         f"best of {report['repeats']}): "
-        f"tick {report['grid']['tick_seconds']:.2f}s, "
-        f"skip {report['grid']['skip_seconds']:.2f}s — "
+        f"reference {report['grid']['reference_seconds']:.2f}s, "
+        f"fast {report['grid']['fast_seconds']:.2f}s — "
         f"speedup {report['speedup']:.2f}x"
     )
     sparse = report.get("sparse")
@@ -642,51 +360,9 @@ def format_bench(report: Dict) -> str:
         summary += (
             f"\nthrottled front end (issue_interval="
             f"{sparse['issue_interval']}): "
-            f"tick {sparse['tick_seconds']:.2f}s, "
-            f"skip {sparse['skip_seconds']:.2f}s — "
+            f"reference {sparse['reference_seconds']:.2f}s, "
+            f"fast {sparse['fast_seconds']:.2f}s — "
             f"speedup {sparse['speedup']:.2f}x"
-        )
-    pre = report.get("precompute")
-    if pre:
-        summary += (
-            f"\nhit-schedule precompute ({pre['system']}, skip loop): "
-            f"precomputed {pre['precompute_seconds']:.2f}s "
-            f"({pre['precompute_cycles_per_second'] / 1000.0:.0f}k cyc/s), "
-            f"incremental {pre['incremental_seconds']:.2f}s — "
-            f"speedup {pre['speedup']:.2f}x vs incremental, "
-            f"{pre['speedup_vs_baseline']:.2f}x vs recorded tick baseline "
-            f"({pre['baseline_tick_cycles_per_second'] / 1000.0:.1f}k "
-            f"recorded, "
-            f"{pre['measured_incremental_cycles_per_second'] / 1000.0:.1f}k "
-            f"measured incremental)"
-        )
-    soa = report.get("soa")
-    if soa:
-        summary += (
-            f"\nSoA bank automaton ({soa['system']}): "
-            f"{soa['soa_seconds']:.2f}s "
-            f"({soa['soa_cycles_per_second'] / 1000.0:.0f}k cyc/s) — "
-            f"{soa['speedup_vs_recorded_baseline']:.2f}x vs recorded "
-            f"baseline "
-            f"({soa['baseline_recorded_cycles_per_second'] / 1000.0:.1f}k "
-            f"recorded, "
-            f"{soa['baseline_measured_cycles_per_second'] / 1000.0:.1f}k "
-            f"measured precompute), "
-            f"{soa['speedup_vs_measured_precompute']:.2f}x vs measured "
-            f"precompute"
-        )
-    window = report.get("window")
-    if window:
-        summary += (
-            f"\nclosed-form window backend ({window['system']}): "
-            f"{window['window_seconds']:.2f}s "
-            f"({window['window_cycles_per_second'] / 1000.0:.0f}k cyc/s) — "
-            f"{window['speedup_vs_measured_soa']:.2f}x vs measured SoA "
-            f"({window['baseline_measured_soa_cycles_per_second'] / 1000.0:.1f}k"
-            f" measured, "
-            f"{window['baseline_recorded_soa_cycles_per_second'] / 1000.0:.1f}k"
-            f" recorded), "
-            f"{window['speedup_vs_recorded_soa']:.2f}x vs recorded SoA"
         )
     return f"{table}\n{summary}"
 
@@ -704,24 +380,13 @@ def history_record(report: Dict) -> Dict:
     }
     dense = report["systems"].get("pva-sdram")
     if dense:
-        record["tick_cycles_per_second"] = dense["tick_cycles_per_second"]
-        record["skip_cycles_per_second"] = dense["skip_cycles_per_second"]
-    pre = report.get("precompute")
-    if pre:
-        record["precompute_cycles_per_second"] = pre[
-            "precompute_cycles_per_second"
+        record["reference_cycles_per_second"] = dense[
+            "reference_cycles_per_second"
         ]
-    soa = report.get("soa")
-    if soa:
-        record["soa_cycles_per_second"] = soa["soa_cycles_per_second"]
-    window = report.get("window")
-    if window:
-        record["window_cycles_per_second"] = window[
-            "window_cycles_per_second"
-        ]
-        record["window_speedup_vs_measured_soa"] = window[
-            "speedup_vs_measured_soa"
-        ]
+        record["fast_cycles_per_second"] = dense["fast_cycles_per_second"]
+    sparse = report.get("sparse")
+    if sparse:
+        record["sparse_speedup"] = sparse["speedup"]
     return record
 
 
@@ -759,66 +424,10 @@ def main(args: argparse.Namespace) -> int:
             print(f"appended {history}", file=sys.stderr)
     if args.min_speedup is not None and report["speedup"] < args.min_speedup:
         print(
-            f"error: speedup {report['speedup']:.3f}x below required "
-            f"{args.min_speedup:.3f}x",
+            f"error: fast backend speedup {report['speedup']:.3f}x over "
+            f"the reference backend, measured in the same run, is below "
+            f"the required {args.min_speedup:.3f}x",
             file=sys.stderr,
         )
         return 1
-    min_pre = getattr(args, "min_precompute_speedup", None)
-    if min_pre is not None:
-        pre = report.get("precompute")
-        if pre is None:
-            print(
-                "error: --min-precompute-speedup given but the workload "
-                "did not include the pva-sdram precompute section",
-                file=sys.stderr,
-            )
-            return 1
-        if pre["speedup"] < min_pre:
-            print(
-                f"error: precompute tick rate "
-                f"{pre['precompute_cycles_per_second']:.0f} cyc/s is only "
-                f"{pre['speedup']:.3f}x the incremental rate measured in "
-                f"the same run; required {min_pre:.3f}x",
-                file=sys.stderr,
-            )
-            return 1
-    min_soa = getattr(args, "min_soa_speedup", None)
-    if min_soa is not None:
-        soa = report.get("soa")
-        if soa is None:
-            print(
-                "error: --min-soa-speedup given but the workload did not "
-                "include the pva-sdram SoA section",
-                file=sys.stderr,
-            )
-            return 1
-        if soa["speedup_vs_measured_precompute"] < min_soa:
-            print(
-                f"error: SoA rate {soa['soa_cycles_per_second']:.0f} cyc/s "
-                f"is only {soa['speedup_vs_measured_precompute']:.3f}x the "
-                f"precompute rate measured in the same run; required "
-                f"{min_soa:.3f}x",
-                file=sys.stderr,
-            )
-            return 1
-    min_window = getattr(args, "min_window_speedup", None)
-    if min_window is not None:
-        window = report.get("window")
-        if window is None:
-            print(
-                "error: --min-window-speedup given but the workload did "
-                "not include the pva-sdram window section",
-                file=sys.stderr,
-            )
-            return 1
-        if window["speedup_vs_measured_soa"] < min_window:
-            print(
-                f"error: window rate "
-                f"{window['window_cycles_per_second']:.0f} cyc/s is only "
-                f"{window['speedup_vs_measured_soa']:.3f}x the measured "
-                f"SoA rate in the same run; required {min_window:.3f}x",
-                file=sys.stderr,
-            )
-            return 1
     return 0

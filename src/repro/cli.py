@@ -18,8 +18,8 @@ Subcommands
 ``complexity``
     Print the Table 1 complexity comparison.
 ``bench``
-    Time the reference tick loop against the event-driven
-    cycle-skipping loop on the stride-19 grid slice and write
+    Time the reference backend against the fast one on the stride-19
+    grid slice and a throttled-front-end scenario and write
     ``BENCH_sim.json`` (``--quick`` for the CI smoke workload).
 ``faults-smoke``
     Prove failure containment end to end: run a pool batch with a
@@ -310,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser = sub.add_parser(
         "bench",
         help=(
-            "time the reference tick loop against the event-driven "
-            "cycle-skipping loop on the stride-19 grid slice"
+            "time the reference backend against the fast one on the "
+            "stride-19 grid slice"
         ),
     )
     bench_parser.add_argument(
@@ -344,39 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="X",
-        help="exit non-zero unless skip is at least X times faster",
-    )
-    bench_parser.add_argument(
-        "--min-precompute-speedup",
-        type=float,
-        default=None,
-        metavar="X",
         help=(
-            "exit non-zero unless the hit-schedule precompute path's "
-            "dense-slice tick rate is at least X times the incremental "
-            "expansion rate measured in the same run"
-        ),
-    )
-    bench_parser.add_argument(
-        "--min-soa-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "exit non-zero unless the structure-of-arrays bank "
-            "automaton's dense-slice rate is at least X times the "
-            "precompute rate measured in the same run"
-        ),
-    )
-    bench_parser.add_argument(
-        "--min-window-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "exit non-zero unless the closed-form window backend's "
-            "dense-slice rate is at least X times the SoA rate "
-            "measured in the same run"
+            "exit non-zero unless the fast backend is at least X times "
+            "faster than the reference backend timed in the same run"
         ),
     )
     bench_parser.add_argument(

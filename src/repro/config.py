@@ -10,7 +10,7 @@ parameters* idiom).  It composes
 * the bank-controller microarchitecture knobs (vector contexts, FIFO
   depth, bypass paths, FirstHit-Calculate latency),
 * the scheduler's ``row_policy``, and
-* the ``sim_mode`` backend selector,
+* the ``sim_mode`` backend selector (``"reference"`` or ``"fast"``),
 
 and owns the **canonical serialization**: :meth:`GenParams.to_dict` /
 :meth:`GenParams.from_dict` round-trip exactly, and
@@ -38,7 +38,7 @@ cache line staged to the CPU splits evenly across channels —
 occupancy per channel.  Because every vector broadcast addresses all
 banks and the staging split is uniform, the channels advance in
 lock-step and one bus timeline models all of them; this is what keeps
-every ``sim_mode`` backend bit-identical for multi-channel configs.
+both ``sim_mode`` backends bit-identical for multi-channel configs.
 """
 
 from __future__ import annotations
@@ -70,31 +70,33 @@ __all__ = [
 #: the engine cache schema).  v4: GenParams/Topology introduction —
 #: nested device/topology documents, ``sram`` timing and channel/rank
 #: geometry join the schema; the legacy ``time_skip``/``precompute``
-#: aliases leave it.  v5: ``"window"`` joins the ``sim_mode`` ladder —
-#: cached result documents record the producing mode, so the enum
-#: widening must invalidate them.
-CONFIG_SCHEMA_VERSION = 5
+#: aliases leave it.  v5: ``"window"`` joins the ``sim_mode`` ladder.
+#: v6: the ladder collapses to ``"reference"``/``"fast"`` (default
+#: ``"fast"``) — every stored mode label changes meaning.
+CONFIG_SCHEMA_VERSION = 6
 
-#: The five simulation backends, from slowest/most-literal to fastest.
-#: Each mode is bit-exact with the others (``RunResult`` equality is
-#: held by the differential suites); they differ only in how the
+#: The two simulation backends.  Both are bit-exact with each other
+#: (``RunResult`` equality is held by the differential suites
+#: ``tests/sim/test_*_equivalence.py``); they differ only in how the
 #: machine is stepped:
 #:
-#: * ``"tick"`` — reference loop, every component ticked every cycle.
-#: * ``"skip"`` — next-event time skipping, incremental FirstHit expansion.
-#: * ``"precompute"`` — time skipping + broadcast-time hit schedules.
-#: * ``"soa"`` — precompute + the structure-of-arrays bank automaton:
-#:   all banks stepped as flat-array operations (:mod:`repro.pva.soa`).
-#: * ``"window"`` — soa + closed-form broadcast-window resolution:
-#:   whole per-bank service chains charged arithmetically from the
-#:   precomputed hit schedules instead of event-stepped
-#:   (:mod:`repro.pva.window`).
-SIM_MODES = ("tick", "skip", "precompute", "soa", "window")
+#: * ``"reference"`` — the paper's hardware modelled literally: the
+#:   bank-controller object graph, live FirstHit/NextHit expansion, and
+#:   the tick loop that visits every cycle.
+#: * ``"fast"`` (the default) — the next-event skip loop with the
+#:   closed-form window automaton (:mod:`repro.pva.window`), which picks
+#:   its internal path from the run itself: window chains it cannot
+#:   price fall back chain by chain to the structure-of-arrays walk
+#:   (:mod:`repro.pva.soa`); ``capture_data`` runs take the SoA
+#:   automaton; runs no automaton can take (an attached command log, a
+#:   device other than SDRAM/SRAM, banks that are not idle) run the
+#:   object graph on the skip loop.
+SIM_MODES = ("reference", "fast")
 
-#: Environment variable overriding ``sim_mode`` at construction time
-#: (mirrors ``REPRO_TIME_SKIP`` for the run loop): any of
-#: :data:`SIM_MODES` forces that backend for every config object built
-#: while it is set; empty or ``auto`` defers to the configuration.
+#: Environment variable overriding ``sim_mode`` at construction time:
+#: either of :data:`SIM_MODES` forces that backend for every config
+#: object built while it is set; empty or ``auto`` defers to the
+#: configuration.
 ENV_SIM_MODE = "REPRO_SIM_MODE"
 
 #: Valid scheduler row-management policies.  Kept in lock-step with
@@ -117,9 +119,13 @@ def log2_exact(value: int, what: str = "value") -> int:
 
 
 def canonical_sim_mode(mode: str) -> str:
-    """Validate ``mode`` against :data:`SIM_MODES` and apply the
+    """Validate ``mode`` against :data:`SIM_MODES`, then apply the
     ``REPRO_SIM_MODE`` environment override (which, when set to a mode
     name, wins wholesale)."""
+    if mode not in SIM_MODES:
+        raise ConfigurationError(
+            f"sim_mode must be one of {SIM_MODES}, got {mode!r}"
+        )
     env = os.environ.get(ENV_SIM_MODE)
     if env is not None:
         env = env.strip().lower()
@@ -130,10 +136,6 @@ def canonical_sim_mode(mode: str) -> str:
                     f"(or empty/'auto'), got {env!r}"
                 )
             return env
-    if mode not in SIM_MODES:
-        raise ConfigurationError(
-            f"sim_mode must be one of {SIM_MODES}, got {mode!r}"
-        )
     return mode
 
 
@@ -330,7 +332,7 @@ class GenParams:
     #: Simulation backend — one of :data:`SIM_MODES`.  Always stores the
     #: concrete label (the ``REPRO_SIM_MODE`` environment variable, when
     #: set to a mode name, overrides it wholesale at construction).
-    sim_mode: str = "precompute"
+    sim_mode: str = "fast"
 
     def __post_init__(self) -> None:
         if not isinstance(self.topology, Topology):
@@ -421,18 +423,6 @@ class GenParams:
     def max_vector_length(self) -> int:
         """Longest vector one bus command may carry (one cache line)."""
         return self.cache_line_words
-
-    @property
-    def uses_time_skip(self) -> bool:
-        """Whether this mode runs the next-event skip loop (every mode
-        except the reference ``tick`` loop)."""
-        return self.sim_mode != "tick"
-
-    @property
-    def uses_precompute(self) -> bool:
-        """Whether this mode expands broadcast-time hit schedules
-        (:mod:`repro.pva.schedule`)."""
-        return self.sim_mode in ("precompute", "soa", "window")
 
     # ---------------------------------------------------- serialization
 

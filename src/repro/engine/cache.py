@@ -50,8 +50,9 @@ __all__ = ["ResultCache", "SCHEMA_VERSION"]
 #: ``sram`` timing join the identity) and documents carry
 #: ``config``/``config_key``.  Version 5: ``sim_mode="window"`` joins
 #: the ladder — documents record the producing mode, so widening the
-#: enum invalidates stored entries.
-SCHEMA_VERSION = 5
+#: enum invalidates stored entries.  Version 6: the ladder collapses to
+#: ``"reference"``/``"fast"``, so every recorded mode label changes.
+SCHEMA_VERSION = 6
 
 
 def _valid_document(document) -> bool:

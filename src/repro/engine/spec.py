@@ -52,6 +52,7 @@ __all__ = [
 #: topology/sdram/sram sub-documents, channel/rank geometry and ``sram``
 #: timing join the identity; the legacy boolean aliases leave it — and
 #: cached documents carry ``config``/``config_key``.
+#: Versions 5 and 6 follow the config schema's ``sim_mode`` changes.
 CACHE_SCHEMA_VERSION = CONFIG_SCHEMA_VERSION
 
 

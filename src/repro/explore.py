@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.model import pva_lower_bound
@@ -279,10 +279,6 @@ def run_explore(
                 survivors.append(candidate)
         if not survivors:
             continue
-        # Survivors simulate under the fastest backend on the ladder;
-        # sim_mode does not enter the config key, so each record still
-        # names the *design* (candidate.params), and ineligible runs
-        # fall back to the object backends with identical cycle counts.
         points = [
             ExperimentPoint(
                 system=spec.system,
@@ -292,7 +288,7 @@ def run_explore(
                     alignment=spec.alignment,
                     elements=candidate.elements,
                 ),
-                params=replace(candidate.params, sim_mode="window"),
+                params=candidate.params,
             )
             for candidate in survivors
         ]

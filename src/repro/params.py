@@ -16,10 +16,9 @@ Both classes are frozen; experiments derive variants with
 
 from __future__ import annotations
 
-import warnings
 from functools import cached_property
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from repro.config import (
     CONFIG_SCHEMA_VERSION,
@@ -50,12 +49,6 @@ __all__ = [
     "is_power_of_two",
     "log2_exact",
 ]
-
-_DEPRECATED_ALIAS_MESSAGE = (
-    "SystemParams(time_skip=..., precompute=...) is deprecated; pass "
-    "sim_mode='tick' | 'skip' | 'precompute' | 'soa' | 'window' instead"
-)
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -101,21 +94,12 @@ class SystemParams:
     #: 0 models the paper's infinitely fast CPU (section 6.2); larger
     #: values model a processor that produces commands at a finite rate.
     issue_interval: int = 0
-    #: Deprecated boolean alias for ``sim_mode`` (run-loop aspect).
-    #: Passing a bool emits a :class:`DeprecationWarning` and maps onto a
-    #: mode label; after construction the field is always ``None``.
-    time_skip: Optional[bool] = None
-    #: Deprecated boolean alias for ``sim_mode`` (hit-schedule aspect).
-    #: Same contract as ``time_skip``.
-    precompute: Optional[bool] = None
     #: Which simulation backend steps the machine — one of
-    #: :data:`SIM_MODES`; ``None`` means the default (``"precompute"``).
-    #: After construction the field always holds the concrete label, so
-    #: it is stable under :func:`dataclasses.replace` round-trips and
-    #: participates in hashing/equality like any other field.  The
+    #: :data:`SIM_MODES` (``"reference"`` or the default ``"fast"``).  The
     #: ``REPRO_SIM_MODE`` environment variable, when set to a mode name,
-    #: overrides this field wholesale.
-    sim_mode: Optional[str] = None
+    #: overrides this field wholesale; after construction the field
+    #: always holds the concrete label.
+    sim_mode: str = "fast"
     #: Memory channels; the bank-select bits of a word address are
     #: channel-interleaved (see :class:`repro.config.Topology`).
     num_channels: int = 1
@@ -125,7 +109,9 @@ class SystemParams:
     sram: SRAMTiming = field(default_factory=SRAMTiming)
 
     def __post_init__(self) -> None:
-        self._resolve_sim_mode()
+        # The frozen-dataclass write goes through object.__setattr__
+        # (standard __post_init__ idiom).
+        object.__setattr__(self, "sim_mode", canonical_sim_mode(self.sim_mode))
         if not is_power_of_two(self.num_banks):
             raise ConfigurationError(
                 f"num_banks must be a power of two, got {self.num_banks}"
@@ -150,65 +136,6 @@ class SystemParams:
         # validation is the single source of truth for every remaining
         # cross-field rule.
         self.gen
-
-    def _resolve_sim_mode(self) -> None:
-        """Fold the deprecated ``time_skip``/``precompute`` aliases into
-        a concrete ``sim_mode`` label.
-
-        * Booleans alone (``sim_mode=None``) warn and map onto the mode
-          ladder: loop off -> ``"tick"``; schedules off -> ``"skip"``;
-          both on -> ``"precompute"``.
-        * Booleans *plus* an explicit ``sim_mode`` are a contradiction
-          and raise (the old silent alias-precedence rule is gone).
-        * After resolution both aliases are reset to ``None`` so
-          equality, hashing and :func:`dataclasses.replace` round-trips
-          see only the label.
-
-        The ``REPRO_SIM_MODE`` environment variable, when set to a mode
-        name, overrides the result wholesale.  The frozen-dataclass
-        writes go through ``object.__setattr__`` (standard
-        ``__post_init__`` idiom).
-        """
-        mode = self.sim_mode
-        if mode is not None and mode not in SIM_MODES:
-            raise ConfigurationError(
-                f"sim_mode must be one of {SIM_MODES}, got {mode!r}"
-            )
-        aliased = False
-        for alias in ("time_skip", "precompute"):
-            value = getattr(self, alias)
-            if value is None:
-                continue
-            if not isinstance(value, bool):
-                raise ConfigurationError(
-                    f"{alias} must be a bool or None, got {value!r}"
-                )
-            aliased = True
-        if aliased:
-            warnings.warn(
-                _DEPRECATED_ALIAS_MESSAGE, DeprecationWarning, stacklevel=4
-            )
-            if mode is not None:
-                raise ConfigurationError(
-                    "pass either sim_mode or the legacy time_skip/"
-                    "precompute booleans, not both "
-                    f"(got sim_mode={mode!r}, time_skip={self.time_skip!r}, "
-                    f"precompute={self.precompute!r})"
-                )
-            time_skip = True if self.time_skip is None else self.time_skip
-            precompute = True if self.precompute is None else self.precompute
-            if not time_skip:
-                mode = "tick"
-            elif not precompute:
-                mode = "skip"
-            else:
-                mode = "precompute"
-        elif mode is None:
-            mode = "precompute"
-        mode = canonical_sim_mode(mode)
-        object.__setattr__(self, "time_skip", None)
-        object.__setattr__(self, "precompute", None)
-        object.__setattr__(self, "sim_mode", mode)
 
     @cached_property
     def gen(self) -> GenParams:
@@ -242,18 +169,6 @@ class SystemParams:
     def max_vector_length(self) -> int:
         """Longest vector one bus command may carry (one cache line)."""
         return self.cache_line_words
-
-    @property
-    def uses_time_skip(self) -> bool:
-        """Whether this mode runs the next-event skip loop (every mode
-        except the reference ``tick`` loop)."""
-        return self.sim_mode != "tick"
-
-    @property
-    def uses_precompute(self) -> bool:
-        """Whether this mode expands broadcast-time hit schedules
-        (:mod:`repro.pva.schedule`)."""
-        return self.sim_mode in ("precompute", "soa", "window")
 
     def with_banks(self, num_banks: int) -> "SystemParams":
         """A copy of these parameters with a different bank count."""

@@ -22,7 +22,11 @@ from repro.errors import CapacityError
 from repro.params import SystemParams
 from repro.pva.fhp import FirstHitCalculator, FirstHitPredictor
 from repro.pva.request import BCRequest
-from repro.pva.schedule import pairs_schedule, stride_schedule
+
+# The schedule builders stay importable from here, where the benchmark's
+# tracer (perfbench/trace.py) looks them up; the bank controllers
+# themselves expand FirstHit/NextHit live.
+from repro.pva.schedule import pairs_schedule, stride_schedule  # noqa: F401
 from repro.pva.scheduler import AccessScheduler, IssuedColumn
 from repro.pva.staging import ReadStagingUnit, WriteStagingUnit
 from repro.sim.events import HORIZON
@@ -45,9 +49,7 @@ class BankController:
         "read_staging",
         "write_staging",
         "time_skip",
-        "fast_gating",
         "acted",
-        "_geom",
         "_skip_until",
         "_check_refresh",
     )
@@ -65,21 +67,10 @@ class BankController:
         #: Set by the front end when the time-skip run loop is active;
         #: gates the per-bank stall cache below.
         self.time_skip = False
-        #: The PR's tick-mode fast path: reuse the quiet/stall gating the
-        #: skip loop already proves cycle-exact, even under plain ticking.
-        self.fast_gating = params.uses_precompute
         #: Did the last tick() change any state (refresh, dequeue, row or
         #: column operation)?  The system component reads this instead of
         #: diffing operation counters.
         self.acted = False
-        #: Geometry descriptor handed to the hit-schedule precompute;
-        #: ``None`` (unknown device, or precompute disabled) keeps every
-        #: request on the incremental expansion path.
-        self._geom = (
-            getattr(device, "schedule_geometry", None)
-            if params.uses_precompute
-            else None
-        )
         #: Refresh is consulted per tick only when the device actually
         #: schedules refreshes (None-ness of next_refresh_cycle is fixed
         #: at construction).
@@ -117,27 +108,8 @@ class BankController:
 
         Returns this bank's element count for the transaction.
         """
-        if self._geom is not None:
-            # Broadcast-time precompute: the full hit table, memoized on
-            # the vector/geometry value, replaces the FHP subvector
-            # entirely (both evaluate theorem 4.3 — the equivalence is
-            # fuzzed by tests/pva/test_schedule.py).  The vector context
-            # runs on the table's cursor, so the incremental sub/step
-            # fields stay unused.
-            schedule = stride_schedule(
-                vector.base,
-                vector.stride,
-                vector.length,
-                self.bank,
-                self.params.num_banks,
-                self._geom,
-            )
-            sub = None
-            expected = 0 if schedule is None else schedule.count
-        else:
-            schedule = None
-            sub = self.fhp.predict(vector)
-            expected = 0 if sub is None else sub.count
+        sub = self.fhp.predict(vector)
+        expected = 0 if sub is None else sub.count
         if is_write:
             self.write_staging.open(txn_id, expected)
         else:
@@ -161,23 +133,16 @@ class BankController:
         else:
             # FHC multiply-add path; arrival is the RQF-write cycle.
             ready_cycle = self.fhc.schedule(cycle + 1, idle)
-        if schedule is not None:
-            local_first = schedule.local_words[0]
-            local_step = 0  # cursor mode never reads the step
-        else:
-            local_first = self.fhp.local_address(sub.first_address)
-            local_step = self.fhp.local_step(sub)
         req = BCRequest(
             txn_id=txn_id,
             vector=vector,
             is_write=is_write,
             sub=sub,
-            local_first=local_first,
-            local_step=local_step,
+            local_first=self.fhp.local_address(sub.first_address),
+            local_step=self.fhp.local_step(sub),
             acc=True,
             ready_cycle=ready_cycle,
             write_line=write_line,
-            schedule=schedule,
         )
         self.rqf.append(req)
         self._skip_until = 0
@@ -264,11 +229,6 @@ class BankController:
                 ready_cycle=ready_cycle,
                 write_line=write_line,
                 explicit=pairs,
-                schedule=(
-                    pairs_schedule(pairs, self._geom)
-                    if self._geom is not None
-                    else None
-                ),
             )
         )
         self._skip_until = 0
@@ -375,7 +335,7 @@ class BankController:
             self.acted = True
         else:
             self.acted = False
-            if self.time_skip or self.fast_gating:
+            if self.time_skip:
                 # An unproductive cycle: cache how long time alone keeps
                 # it so (next_event_cycle stores the bound in
                 # _skip_until), letting the front end skip the next

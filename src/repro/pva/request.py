@@ -11,13 +11,10 @@ bypass paths of section 5.2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.subvector import SubVector
 from repro.types import Vector
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.pva.schedule import BankSchedule
 
 __all__ = ["BCRequest"]
 
@@ -49,15 +46,9 @@ class BCRequest:
     #: element order.  ``None`` for base-stride requests, which the vector
     #: context expands arithmetically instead.
     explicit: Optional[Tuple[Tuple[int, int], ...]] = None
-    #: Broadcast-time hit-schedule table (:mod:`repro.pva.schedule`):
-    #: indices, local words and decoded device coordinates precomputed as
-    #: flat arrays.  ``None`` selects the incremental expansion path.
-    schedule: Optional["BankSchedule"] = None
 
     @property
     def count(self) -> int:
-        if self.schedule is not None:
-            return self.schedule.count
         if self.explicit is not None:
             return len(self.explicit)
         return self.sub.count

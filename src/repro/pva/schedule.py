@@ -21,46 +21,51 @@ command, precomputed at broadcast time as flat integer tuples:
   hit the same (internal bank, row) as element ``j``?  This is exactly
   the ``bank_morehit_predict`` self-term of the ManageRow heuristic.
 
-The vector contexts then *consume a cursor* into the table instead of
-recomputing decode per element per cycle, and the access scheduler's
-predict lines read plain ints instead of calling ``device.locate``.
+The fast backend's bank automaton (:mod:`repro.pva.soa`) then consumes
+a cursor into the table instead of expanding and decoding each element
+live, as the reference backend's vector contexts do.
 
 **Cycle-exactness.**  The table is a pure function of
 ``(base, stride, length, bank, num_banks, geometry)`` and reproduces the
 incremental ``first_hit``/``next_hit`` walk value for value (the
 property suite in ``tests/pva/test_schedule.py`` fuzzes this over
 geometries and all paper alignments).  Nothing about *when* operations
-issue changes — only how their addresses are obtained — so the
-differential tick-vs-skip suite holds bit-identical.
+issue changes — only how their addresses are obtained.
 
-**Memoization.**  Schedules are memoized with the same content-key
-discipline as the engine's result cache: the key is the full value tuple
-above, never an object identity, and the cached value is immutable
-(tuples only), so two vectors can share a table but can never alias
-mutable state.  The memo is LRU-bounded (long-lived engine workers sweep
-thousands of distinct vectors) and hooked into
-:func:`repro.api.clear_caches`.
+**Memoization.**  :func:`stride_schedule` is the uncached closed form.
+:func:`broadcast_schedules` — all banks' tables for one command — is
+the one memo, keyed with the same content-key discipline as the
+engine's result cache: the key is the full value tuple, never an object
+identity, and the cached value is immutable (tuples only), so two
+vectors can share a table but can never alias mutable state.  The memo
+is LRU-bounded in schedules (long-lived engine workers sweep thousands
+of distinct vectors) and hooked into :func:`repro.api.clear_caches`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.decode import decompose_stride
 
 __all__ = [
     "BankSchedule",
+    "broadcast_schedules",
     "stride_schedule",
     "pairs_schedule",
     "schedule_cache_info",
     "clear_schedule_cache",
 ]
 
-#: LRU bound on the memoized stride-schedule table.  Sized for the full
-#: evaluation grid (kernels x strides x alignments x banks) with room to
-#: spare; the point is boundedness, not a tight fit.
+#: Bound on the broadcast memo, counted in per-bank schedules: it holds
+#: at most ``SCHEDULE_CACHE_SIZE // num_banks`` broadcasts (256 at the
+#: prototype's 16 banks).  The point is boundedness, not a tight fit.
 SCHEDULE_CACHE_SIZE = 4096
+
+#: ``schedule_cache_info()`` result, shaped like ``lru_cache``'s.
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 #: Geometry descriptor kinds (see ``schedule_geometry`` on the devices).
 _GEOM_ROTATED = "rot"
@@ -178,7 +183,6 @@ def _stride_pattern(stride: int, num_banks: int) -> Tuple[int, int, int, int]:
     return decomp.s, decomp.delta, decomp.k1, decomp.bank_bits
 
 
-@lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
 def stride_schedule(
     base: int,
     stride: int,
@@ -191,8 +195,9 @@ def stride_schedule(
     over ``num_banks`` word-interleaved banks, or ``None`` for no hit.
 
     Pure closed-form evaluation of theorems 4.3/4.4 — value-identical to
-    the incremental ``first_hit``/``next_hit`` walk and to the FHP/VC
-    expansion path it replaces.
+    the incremental ``first_hit``/``next_hit`` walk of the FHP/VC
+    expansion path.  Uncached: :func:`broadcast_schedules` memoizes
+    whole broadcasts instead.
     """
     s, delta, k1, bank_bits = _stride_pattern(stride, num_banks)
     b0 = base & (num_banks - 1)
@@ -236,12 +241,54 @@ def pairs_schedule(
     return BankSchedule(indices, local_words, ibanks, rows, next_same_row)
 
 
-def schedule_cache_info():
-    """The stride-schedule memo's ``lru_cache`` statistics."""
-    return stride_schedule.cache_info()
+#: The broadcast memo: key -> per-bank tables, least recently used
+#: first (a dict keeps insertion order; a hit re-inserts its entry).
+_memo: Dict[Tuple, Tuple[Optional[BankSchedule], ...]] = {}
+#: [hits, misses, schedules held].
+_memo_stats: List[int] = [0, 0, 0]
+
+
+def broadcast_schedules(
+    base: int,
+    stride: int,
+    length: int,
+    num_banks: int,
+    geometry: Tuple,
+) -> Tuple[Optional[BankSchedule], ...]:
+    """All banks' hit tables for one vector command, as a tuple indexed
+    by bank number (``None`` where the bank owns no element).
+
+    One memo probe per broadcast instead of ``num_banks``.  An entry
+    weighs ``num_banks`` schedules; least recently used entries are
+    evicted while the memo holds more than :data:`SCHEDULE_CACHE_SIZE`.
+    """
+    key = (base, stride, length, num_banks, geometry)
+    tables = _memo.pop(key, None)
+    if tables is not None:
+        _memo[key] = tables
+        _memo_stats[0] += 1
+        return tables
+    _memo_stats[1] += 1
+    tables = tuple(
+        stride_schedule(base, stride, length, bank, num_banks, geometry)
+        for bank in range(num_banks)
+    )
+    _memo[key] = tables
+    _memo_stats[2] += num_banks
+    while _memo_stats[2] > SCHEDULE_CACHE_SIZE:
+        _memo_stats[2] -= len(_memo.pop(next(iter(_memo))))
+    return tables
+
+
+def schedule_cache_info() -> CacheInfo:
+    """The broadcast memo's statistics; ``maxsize`` and ``currsize``
+    count per-bank schedules."""
+    hits, misses, held = _memo_stats
+    return CacheInfo(hits, misses, SCHEDULE_CACHE_SIZE, held)
 
 
 def clear_schedule_cache() -> None:
     """Drop every memoized schedule (see :func:`repro.api.clear_caches`)."""
-    stride_schedule.cache_clear()
+    _memo.clear()
+    _memo_stats[:] = [0, 0, 0]
     _stride_pattern.cache_clear()

@@ -24,11 +24,7 @@ The scheduling heuristics implemented here are the paper's:
   consecutive vector requests.
 
 Every predict line needs the (internal bank, row) coordinates of each
-context's current address.  Contexts running on a precomputed hit
-schedule (:mod:`repro.pva.schedule`) expose them as plain ints
-(``vc.cur_ib``/``vc.cur_row``); incremental contexts fall back to
-``device.locate``.  Both paths see identical values, so every decision
-below is independent of the expansion mode.
+context's current address, decoded live with ``device.locate``.
 """
 
 from __future__ import annotations
@@ -134,14 +130,8 @@ class AccessScheduler:
         for vc in self.window:
             if vc is exclude or vc.remaining == 0:
                 continue
-            ib = vc.cur_ib
-            if ib is None:
-                loc = self.device.locate(vc.local_addr)
-                ib = loc.internal_bank
-                row = loc.row
-            else:
-                row = vc.cur_row
-            if ib == internal_bank and row == open_row:
+            loc = self.device.locate(vc.local_addr)
+            if loc.internal_bank == internal_bank and loc.row == open_row:
                 return True
         return False
 
@@ -151,29 +141,16 @@ class AccessScheduler:
         """``bank_morehit_predict``: will some context access (ib, row)
         after the operation now issuing?  Considers every other context's
         current address and the issuing context's own next address."""
-        if exclude.cur_ib is not None:
-            # (internal_bank, row) is always the excluded context's own
-            # current coordinates here, so its next-address term is the
-            # precomputed row-transition marker.
-            if exclude.remaining > 1 and exclude.next_hits_same_row:
+        next_addr = exclude.next_local_addr
+        if next_addr is not None:
+            loc = self.device.locate(next_addr)
+            if loc.internal_bank == internal_bank and loc.row == row:
                 return True
-        else:
-            next_addr = exclude.next_local_addr
-            if next_addr is not None:
-                loc = self.device.locate(next_addr)
-                if loc.internal_bank == internal_bank and loc.row == row:
-                    return True
         for vc in self.window:
             if vc is exclude or vc.remaining == 0:
                 continue
-            ib = vc.cur_ib
-            if ib is None:
-                loc = self.device.locate(vc.local_addr)
-                ib = loc.internal_bank
-                vc_row = loc.row
-            else:
-                vc_row = vc.cur_row
-            if ib == internal_bank and vc_row == row:
+            loc = self.device.locate(vc.local_addr)
+            if loc.internal_bank == internal_bank and loc.row == row:
                 return True
         return False
 
@@ -183,14 +160,8 @@ class AccessScheduler:
         for vc in self.window:
             if vc.remaining == 0:
                 continue
-            ib = vc.cur_ib
-            if ib is None:
-                loc = self.device.locate(vc.local_addr)
-                ib = loc.internal_bank
-                vc_row = loc.row
-            else:
-                vc_row = vc.cur_row
-            if ib == internal_bank and vc_row != row:
+            loc = self.device.locate(vc.local_addr)
+            if loc.internal_bank == internal_bank and loc.row != row:
                 return True
         return False
 
@@ -248,13 +219,9 @@ class AccessScheduler:
             for position, vc in enumerate(self.window):
                 if vc.remaining == 0:
                     continue
-                ib = vc.cur_ib
-                if ib is None:
-                    loc = device.locate(vc.local_addr)
-                    ib = loc.internal_bank
-                    row = loc.row
-                else:
-                    row = vc.cur_row
+                loc = device.locate(vc.local_addr)
+                ib = loc.internal_bank
+                row = loc.row
                 open_row = banks[ib].open_row
                 if open_row == row:
                     continue
@@ -276,13 +243,7 @@ class AccessScheduler:
                 matches = last_was_write is None or vc.is_write == last_was_write
                 if not matches and position != 0:
                     break
-                ib = vc.cur_ib
-                if ib is None:
-                    ready = device.column_ready_at(vc.local_addr, vc.is_write)
-                else:
-                    ready = device.column_ready_at_coords(
-                        ib, vc.cur_row, vc.is_write
-                    )
+                ready = device.column_ready_at(vc.local_addr, vc.is_write)
                 if ready < bound:
                     bound = ready
                 if not matches:
@@ -312,13 +273,9 @@ class AccessScheduler:
         for position, vc in enumerate(self.window):
             if vc.remaining == 0:
                 continue
-            ib = vc.cur_ib
-            if ib is None:
-                loc = device.locate(vc.local_addr)
-                ib = loc.internal_bank
-                row = loc.row
-            else:
-                row = vc.cur_row
+            loc = device.locate(vc.local_addr)
+            ib = loc.internal_bank
+            row = loc.row
             bank = banks[ib]
             open_row = bank.open_row
             if open_row == row:
@@ -337,10 +294,7 @@ class AccessScheduler:
                 if bank.can_activate(cycle):
                     if not vc.issued_any:
                         self._note_first_operation(vc, ib)
-                    if vc.cur_ib is None:
-                        device.activate(vc.local_addr, cycle)
-                    else:
-                        device.activate_at(ib, row, cycle)
+                    device.activate(vc.local_addr, cycle)
                     self._last_row_seen[ib] = row
                     self._activated_since_column[ib] = True
                     self.activates += 1
@@ -360,12 +314,7 @@ class AccessScheduler:
                 # A polarity reversal is pending in an older context;
                 # younger contexts may not overtake it.
                 break
-            ib = vc.cur_ib
-            if ib is None:
-                can = device.can_column(vc.local_addr, cycle, vc.is_write)
-            else:
-                can = device.can_column_at(ib, vc.cur_row, cycle, vc.is_write)
-            if can:
+            if device.can_column(vc.local_addr, cycle, vc.is_write):
                 return self._issue_column(vc, cycle)
             if not matches:
                 # The oldest context needs a reversal but cannot issue
@@ -375,13 +324,9 @@ class AccessScheduler:
         return None
 
     def _issue_column(self, vc: VectorContext, cycle: int) -> IssuedColumn:
-        ib = vc.cur_ib
-        if ib is None:
-            loc = self.device.locate(vc.local_addr)
-            ib = loc.internal_bank
-            row = loc.row
-        else:
-            row = vc.cur_row
+        loc = self.device.locate(vc.local_addr)
+        ib = loc.internal_bank
+        row = loc.row
         if not vc.issued_any:
             self._note_first_operation(vc, ib)
         auto_precharge = (
@@ -427,15 +372,10 @@ class AccessScheduler:
         continues the row last used in its internal bank."""
         if vc.issued_any:
             return
-        sched = vc.req.schedule
-        if sched is not None:
-            first_ib = sched.ibanks[0]
-            first_row = sched.rows[0]
-        else:
-            first_loc = self.device.locate(vc.req.local_first)
-            first_ib = first_loc.internal_bank
-            first_row = first_loc.row
-        row_continues = self._last_row_seen[first_ib] == first_row
+        first_loc = self.device.locate(vc.req.local_first)
+        row_continues = (
+            self._last_row_seen[first_loc.internal_bank] == first_loc.row
+        )
         self.policy.note_first_operation(internal_bank, row_continues)
         vc.issued_any = True
 
@@ -446,21 +386,9 @@ class AccessScheduler:
         row_hit = not self._activated_since_column[internal_bank]
         self._activated_since_column[internal_bank] = False
         self.policy.observe_access(internal_bank, row_hit)
-        more_hits = self._more_hits_predicted(internal_bank, row, exclude=vc)
-        last_of_request = vc.remaining == 1
-        if not last_of_request and not more_hits and vc.cur_ib is None:
-            # Incremental path only: decode the issuing context's next
-            # address for the self-term.  (Schedule-cursor contexts had
-            # their precomputed row-transition marker folded in by
-            # _more_hits_predicted already.)
-            next_addr = vc.next_local_addr
-            if next_addr is not None:
-                loc = self.device.locate(next_addr)
-                if loc.internal_bank == internal_bank and loc.row == row:
-                    more_hits = True
         return self.policy.decide(
             internal_bank=internal_bank,
-            last_of_request=last_of_request,
-            more_hits=more_hits,
+            last_of_request=vc.remaining == 1,
+            more_hits=self._more_hits_predicted(internal_bank, row, exclude=vc),
             close_predicted=self._close_predicted(internal_bank, row),
         )

@@ -1,20 +1,19 @@
-"""The structure-of-arrays bank automaton (``sim_mode="soa"``).
+"""The structure-of-arrays bank automaton: the fast backend's walk.
 
-The precompute backend (PR 5) already resolves *what* every bank does at
-broadcast time — the full per-bank hit schedule of
-:mod:`repro.pva.schedule`.  What remained per-cycle was the *object
-graph*: sixteen ``BankController``/``InternalBank``/``Restimer`` trees,
-each ticked through the kernel's component dispatch.  This module
-collapses all of them into one table-driven automaton:
+At broadcast time every bank's work is already resolved — the full
+per-bank hit schedule of :mod:`repro.pva.schedule`.  What the reference
+backend still steps per cycle is the *object graph*: sixteen
+``BankController``/``InternalBank``/``Restimer`` trees, each ticked
+through the kernel's component dispatch.  This module collapses all of
+them into one table-driven automaton:
 
 * restimer deadlines (activate/column/precharge ready-at), open rows,
   refresh deadlines, FHC occupancy and next-event cycles live in flat
   ``array('q')`` parallel arrays indexed by ``bank`` (or
   ``bank * internal_banks + ib``);
-* vector contexts are small mutable lists (schedule-cursor state only —
-  ``sim_mode="soa"`` forces ``precompute=True``, so every request
-  carries a :class:`~repro.pva.schedule.BankSchedule` and the
-  incremental ``device.locate`` fallbacks are never needed);
+* vector contexts are small mutable lists (schedule-cursor state only:
+  every request carries a :class:`~repro.pva.schedule.BankSchedule`, so
+  no ``device.locate`` decode is ever needed);
 * one kernel component (:class:`SoaBankAutomaton`) speaks for all
   sixteen ``bank-*`` attribution-ledger entries via the kernel's
   self-accounting protocol, and advances the kernel's skip bound with a
@@ -71,8 +70,8 @@ pins down):
 
 The only object-model statistic intentionally *not* reproduced is
 ``AccessScheduler.idle_cycles`` — it counts visited-but-unproductive
-ticks, is run-loop dependent even between the tick and skip modes, and
-is not part of :class:`~repro.sim.stats.RunResult`.
+ticks, differs between the tick and skip loops, and is not part of
+:class:`~repro.sim.stats.RunResult`.
 
 On any exit from :meth:`PVAMemorySystem.run` the automaton writes the
 array state back into the object graph (:meth:`writeback`), so device
@@ -92,7 +91,13 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CapacityError, ProtocolError
-from repro.pva.schedule import BankSchedule, pairs_schedule, stride_schedule
+from repro.pva.schedule import (  # stride_schedule: see soa_cache_info
+    BankSchedule,
+    broadcast_schedules,
+    pairs_schedule,
+    schedule_cache_info,
+    stride_schedule,  # noqa: F401
+)
 from repro.pva.rowpolicy import PaperPolicy
 from repro.sdram.device import SDRAMDevice
 from repro.sim.events import HORIZON
@@ -106,8 +111,6 @@ except Exception:  # pragma: no cover - numpy is optional
 
 __all__ = [
     "SoaBankAutomaton",
-    "broadcast_schedules",
-    "clear_soa_cache",
     "numpy_bound_enabled",
     "soa_cache_info",
     "soa_eligible",
@@ -134,11 +137,6 @@ def numpy_bound_enabled(num_banks: int) -> bool:
         and num_banks >= _NUMPY_MIN_BANKS
         and array("q").itemsize == 8
     )
-
-#: Memo bound for the all-banks schedule tuples (one entry per distinct
-#: broadcast vector; the per-bank tables underneath share the
-#: stride_schedule LRU with the object backend).
-_BROADCAST_CACHE_SIZE = 1024
 
 # Vector-context slot layout: a context is a flat mutable list, the
 # SoA replacement for repro.pva.vector_context.VectorContext.  Slots
@@ -168,37 +166,12 @@ R_LINE = 3
 R_SCHED = 4  # BankSchedule
 
 
-@lru_cache(maxsize=_BROADCAST_CACHE_SIZE)
-def broadcast_schedules(
-    base: int,
-    stride: int,
-    length: int,
-    num_banks: int,
-    geometry: Tuple,
-) -> Tuple[Optional[BankSchedule], ...]:
-    """All banks' hit tables for one vector command, as a tuple indexed
-    by bank number (``None`` where the bank owns no element).
-
-    One memo probe per broadcast instead of ``num_banks``; the tables
-    themselves come from (and are shared with) the
-    :func:`~repro.pva.schedule.stride_schedule` LRU, so the two backends
-    can never disagree about a schedule's contents.
-    """
-    return tuple(
-        stride_schedule(base, stride, length, bank, num_banks, geometry)
-        for bank in range(num_banks)
-    )
-
-
 def soa_cache_info():
-    """The broadcast-schedule memo's ``lru_cache`` statistics."""
-    return broadcast_schedules.cache_info()
-
-
-def clear_soa_cache() -> None:
-    """Drop the broadcast-schedule memo (see
-    :func:`repro.api.clear_caches`)."""
-    broadcast_schedules.cache_clear()
+    """Statistics of the schedule memo this automaton's broadcasts read
+    (the same memo :func:`repro.pva.schedule.schedule_cache_info`
+    reports).  This function and the ``stride_schedule`` name stay here
+    because the benchmark (perfbench/) looks them up in this module."""
+    return schedule_cache_info()
 
 
 def soa_eligible(banks) -> bool:
@@ -206,27 +179,25 @@ def soa_eligible(banks) -> bool:
 
     Conservative: the automaton mirrors exactly the
     :class:`~repro.sdram.device.SDRAMDevice` /
-    :class:`~repro.sram.device.SRAMDevice` models (homogeneously), with
-    no command log attached, precomputed schedules available, and every
-    bank idle (a fresh system, or one whose previous run completed).
-    Anything else silently falls back to the object backend — same
-    results, object speed.
+    :class:`~repro.sram.device.SRAMDevice` models (homogeneously, one
+    schedule geometry), with no command log attached, and every bank
+    idle (a fresh system, or one whose previous run completed).
+    Anything else falls back to the object graph on the skip loop —
+    same results, object speed.
     """
     if not banks:
         return False
     device_type = type(banks[0].device)
     if device_type is not SDRAMDevice and device_type is not SRAMDevice:
         return False
-    geometry = banks[0]._geom
-    if geometry is None:
-        return False
+    geometry = banks[0].device.schedule_geometry
     for index, bank in enumerate(banks):
         device = bank.device
         if type(device) is not device_type:
             return False
         if device.log is not None:
             return False
-        if bank._geom != geometry:
+        if device.schedule_geometry != geometry:
             return False
         if bank.bank != index:
             return False
@@ -282,7 +253,7 @@ class SoaBankAutomaton:
         self.num_banks = params.num_banks
         self.bank_bits = params.bank_bits
         self._pla = banks[0].fhp.pla
-        self._geom = banks[0]._geom
+        self._geom = device0.schedule_geometry
 
         nu = n * self.nib
         # -- per-internal-bank state (index u = bank * nib + ib) -------
@@ -985,9 +956,9 @@ class SoaBankAutomaton:
     def _decide_ap(
         self, b: int, vc: list, internal_bank: int, row: int, win: list
     ) -> bool:
-        """AccessScheduler._decide_auto_precharge (the ManageRow lines)
-        — cursor mode only, so the self-term is the precomputed
-        row-transition marker."""
+        """AccessScheduler._decide_auto_precharge (the ManageRow lines);
+        the self-term is the precomputed row-transition marker instead of
+        a live decode of the next address."""
         asc = self.asc[b]
         row_hit = not asc[internal_bank]
         asc[internal_bank] = False

@@ -35,7 +35,7 @@ from repro.pva.bank_controller import BankController
 from repro.pva.soa import SoaBankAutomaton, soa_eligible
 from repro.pva.window import WindowBankAutomaton, window_eligible
 from repro.sdram.device import DeviceStats, SDRAMDevice
-from repro.sim.events import HORIZON, time_skip_enabled
+from repro.sim.events import HORIZON
 from repro.sim.kernel import PassiveComponent, SimKernel
 from repro.sim.runner import Watchdog
 from repro.sim.stats import BusStats, RunResult
@@ -321,8 +321,6 @@ class _BankComponent:
         self.front = front
         self.time_skip = time_skip
         self.name = f"bank-{bank.bank}"
-        #: Both gate inputs are constant for the run; fold them once.
-        self._gated = time_skip or bank.fast_gating
         #: Whether idle_at's refresh probe can ever fire (the None-ness
         #: of next_refresh_cycle never changes mid-run).
         self._no_refresh = (
@@ -332,7 +330,7 @@ class _BankComponent:
 
     def tick(self, cycle: int) -> bool:
         bank = self.bank
-        if self._gated:
+        if self.time_skip:
             # Inlined bank.quiet_at(cycle) — this is the hottest probe
             # in the simulator.
             if cycle < bank._skip_until:
@@ -482,8 +480,8 @@ class PVAMemorySystem:
             if self.interleave is None
             else None
         )
-        #: Live structure-of-arrays backend during a sim_mode="soa" run
-        #: (broadcasts route to it instead of the bank controllers).
+        #: Live bank automaton during a fast run (broadcasts route to it
+        #: instead of the bank controllers).
         self._soa: Optional[SoaBankAutomaton] = None
         self.banks: List[BankController] = [
             BankController(
@@ -579,42 +577,37 @@ class PVAMemorySystem:
                 )
         bus = VectorBus(self.params)
         watchdog = Watchdog(len(commands), system=self.name)
-        #: Fast path: jump idle gaps via next-event lower bounds instead
-        #: of ticking through them.  Cycle-exact with the reference loop
-        #: — skipped cycles are exactly the iterations that change no
-        #: state (see repro.sim.events).
-        time_skip = time_skip_enabled(self.params)
+        #: The fast backend jumps idle gaps via next-event lower bounds
+        #: instead of ticking through them.  Cycle-exact with the
+        #: reference loop — skipped cycles are exactly the iterations
+        #: that change no state (see repro.sim.events).
+        fast = self.params.sim_mode == "fast"
         for bank in self.banks:
-            bank.time_skip = time_skip
+            bank.time_skip = fast
 
         front = _FrontEnd(self, commands, bus, capture_data)
-        kernel = SimKernel(watchdog=watchdog, time_skip=time_skip)
+        kernel = SimKernel(watchdog=watchdog, time_skip=fast)
         kernel.register(front)
         kernel.register(_BusComponent(bus))
-        #: Array backends: all sixteen bank controllers stepped as one
-        #: flat automaton (repro.pva.soa), with sim_mode="window" adding
-        #: the closed-form chain resolution on top (repro.pva.window).
-        #: capture_data runs take the SoA automaton even under "window"
-        #: (the ISSUE contract: silent, bit-exact fallback), and any
-        #: ineligible run (attached command logs, exotic devices, dirty
-        #: bank state) falls back to the object components — same
-        #: results, object speed.
-        mode = self.params.sim_mode
-        if (
-            mode == "window"
-            and not capture_data
-            and window_eligible(self.banks)
-        ):
+        #: The fast backend steps all bank controllers as one flat
+        #: automaton, picking its path from the run: the closed-form
+        #: window automaton (repro.pva.window, itself falling back to the
+        #: SoA walk chain by chain), the SoA automaton for capture_data
+        #: runs (repro.pva.soa), and — for runs no automaton can take
+        #: (attached command logs, other devices, busy banks) — the
+        #: object components on the skip loop: same results, object
+        #: speed.  The reference backend always ticks the object graph.
+        if fast and not capture_data and window_eligible(self.banks):
             self._soa = WindowBankAutomaton(
                 self.banks, front, bus, self.params, kernel
             )
             kernel.register(self._soa)
-        elif mode in ("soa", "window") and soa_eligible(self.banks):
+        elif fast and soa_eligible(self.banks):
             self._soa = SoaBankAutomaton(self.banks, front, bus, self.params)
             kernel.register(self._soa)
         else:
             for bank in self.banks:
-                kernel.register(_BankComponent(bank, front, time_skip))
+                kernel.register(_BankComponent(bank, front, fast))
         kernel.register(_CompletionUnit(front))
         try:
             exit_cycle = kernel.run(front.done)

@@ -1,22 +1,14 @@
 """Vector Contexts (VCs): the access scheduler's in-flight request slots.
 
-Each VC holds one vector request whose accesses are ready to issue.  Two
-expansion modes exist, selected by the request:
-
-* **Schedule cursor** (the fast path): the request carries a
-  precomputed :class:`~repro.pva.schedule.BankSchedule` and the VC is a
-  cursor into its flat arrays — current local word, vector index and
-  decoded ``(internal bank, row)`` coordinates are plain tuple reads.
-* **Incremental** (the reference path, and the only option for devices
-  without a known geometry): expand the address sequence with a
-  shift-and-add (start at the FirstHit address, repeatedly add
-  ``S << (m - s)``; section 4.2, steps 6-7), or walk an explicit
-  ``(local_word, index)`` list.
-
-Both modes produce the identical address/index sequence; the property
-suite in ``tests/pva/test_schedule.py`` fuzzes the equivalence.  The
-window holds up to four VCs in the prototype; arbitration, row
-prediction and the polarity rule live in :mod:`repro.pva.scheduler`.
+Each VC holds one vector request whose accesses are ready to issue, and
+expands its address sequence live: a shift-and-add for base-stride
+requests (start at the FirstHit address, repeatedly add ``S << (m -
+s)``; section 4.2, steps 6-7), or a walk over an explicit
+``(local_word, index)`` list.  The property suite in
+``tests/pva/test_schedule.py`` fuzzes this walk against the closed-form
+hit tables the fast backend uses.  The window holds up to four VCs in
+the prototype; arbitration, row prediction and the polarity rule live in
+:mod:`repro.pva.scheduler`.
 """
 
 from __future__ import annotations
@@ -39,8 +31,6 @@ class VectorContext:
         "remaining",
         "issued_any",
         "entered_cycle",
-        "cur_ib",
-        "cur_row",
         "_pos",
     )
 
@@ -50,25 +40,12 @@ class VectorContext:
         #: rule, so a plain slot beats a delegating property.
         self.is_write = req.is_write
         self._pos = 0
-        sched = req.schedule
-        if sched is not None:
-            self.local_addr = sched.local_words[0]
-            self.index = sched.indices[0]
-            #: Decoded device coordinates of the current element (fast
-            #: path only; ``None`` flags the incremental mode to the
-            #: scheduler, which falls back to ``device.locate``).
-            self.cur_ib: Optional[int] = sched.ibanks[0]
-            self.cur_row: Optional[int] = sched.rows[0]
-            self.remaining = sched.count
+        if req.explicit is not None:
+            self.local_addr, self.index = req.explicit[0]
         else:
-            self.cur_ib = None
-            self.cur_row = None
-            if req.explicit is not None:
-                self.local_addr, self.index = req.explicit[0]
-            else:
-                self.local_addr = req.local_first
-                self.index = req.sub.first_index
-            self.remaining = req.count
+            self.local_addr = req.local_first
+            self.index = req.sub.first_index
+        self.remaining = req.count
         #: Has the very first operation for this request been issued?
         #: (drives the autoprecharge predictor update, section 5.2.2).
         self.issued_any = False
@@ -84,19 +61,9 @@ class VectorContext:
         the row-management heuristic to decide auto-precharge."""
         if self.remaining <= 1:
             return None
-        sched = self.req.schedule
-        if sched is not None:
-            return sched.local_words[self._pos + 1]
         if self.req.explicit is not None:
             return self.req.explicit[self._pos + 1][0]
         return self.local_addr + self.req.local_step
-
-    @property
-    def next_hits_same_row(self) -> bool:
-        """Row-transition marker: does the next owned element hit the
-        same (internal bank, row) as the current one?  Fast path only —
-        precomputed at broadcast time, ``False`` on the last element."""
-        return self.req.schedule.next_same_row[self._pos]
 
     def write_value(self) -> int:
         """Datum for the current element of a scattered write, pulled from
@@ -107,21 +74,10 @@ class VectorContext:
         return line[self.index]
 
     def advance(self) -> None:
-        """Step to the next owned element: a cursor bump on the
-        precomputed table, a shift-and-add for incremental base-stride
+        """Step to the next owned element: a shift-and-add for base-stride
         requests, a list walk for explicit scatter/gather."""
         self.remaining -= 1
         self.issued_any = True
-        sched = self.req.schedule
-        if sched is not None:
-            pos = self._pos + 1
-            self._pos = pos
-            if self.remaining > 0:
-                self.local_addr = sched.local_words[pos]
-                self.index = sched.indices[pos]
-                self.cur_ib = sched.ibanks[pos]
-                self.cur_row = sched.rows[pos]
-            return
         if self.req.explicit is not None:
             self._pos += 1
             if self.remaining > 0:

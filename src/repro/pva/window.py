@@ -1,7 +1,7 @@
-"""Closed-form broadcast-window resolution (``sim_mode="window"``).
+"""Closed-form broadcast-window resolution: the fast backend's default path.
 
-The SoA automaton (:mod:`repro.pva.soa`, ``sim_mode="soa"``) made bank
-events *cheap*; this backend removes them.  Between broadcasts a bank's
+The SoA automaton (:mod:`repro.pva.soa`) made bank events *cheap*; this
+automaton removes them.  Between broadcasts a bank's
 service timeline is fully determined by its precomputed
 :class:`~repro.pva.schedule.BankSchedule` and the live restimer
 deadlines: the schedule's ``run_starts``/``run_lengths`` segments say
@@ -85,8 +85,8 @@ delegation-heavy regimes pay the walk's cost and little else.
 Write–read bus turnarounds are not
 a fallback case — the pin-polarity penalty only ever applies to the
 first column of a chain (a context is uniformly read or write), where
-it is charged exactly.  ``capture_data`` runs fall back to the SoA/
-object backends at system level (:meth:`PVAMemorySystem.run`).
+it is charged exactly.  ``capture_data`` runs take the SoA automaton
+at system level (:meth:`PVAMemorySystem.run`).
 
 **Exactness argument.**  Within a chain the only external actors are
 FIFO dequeues, whose probe cycles are computed exactly (above), and
@@ -106,8 +106,8 @@ Every rejection condition corresponds to a case where the event walk
 would genuinely interleave another actor into the chain; rejecting
 mutates nothing, so the fallback replays the identical state.  The
 differential suite (``tests/sim/test_window_equivalence.py``) pins
-cycles *and* attribution ledgers against the tick/skip/precompute/soa
-backends.
+cycles, attribution ledgers and memory images against the reference
+backend.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ _STREAK_PERIOD = 8
 
 
 def window_eligible(banks) -> bool:
-    """May this run use the closed-form window backend?
+    """May this run use the closed-form window automaton?
 
     Structurally identical to :func:`~repro.pva.soa.soa_eligible` — the
     closed form's extra conditions (refresh deadlines inside a chain,
@@ -172,7 +172,8 @@ class WindowBankAutomaton(SoaBankAutomaton):
     Construction, broadcasts, writeback and the ledger finalization are
     inherited unchanged; only the per-bank batch stepping is overridden
     to try the arithmetic resolution first.  Needs the owning
-    :class:`~repro.sim.kernel.SimKernel` to deposit bulk ledger deltas.
+    :class:`~repro.sim.kernel.SimKernel` to deposit bulk ledger deltas;
+    :meth:`writeback` drops that reference again.
     """
 
     def __init__(self, banks, front, bus, params, kernel):
@@ -186,6 +187,14 @@ class WindowBankAutomaton(SoaBankAutomaton):
         # away; the walk is bit-exact either way, so the predictor can
         # only shift where time is spent, never what happens.
         self._fb_streak = [0] * params.num_banks
+
+    def writeback(self) -> None:
+        """Restore the object graph (see the base class), and drop the
+        kernel: it holds this automaton as a component, so keeping it
+        would leave the run's whole system graph to the cyclic garbage
+        collector."""
+        self._kernel = None
+        super().writeback()
 
     # ------------------------------------------------------------- #
     # Batch stepping

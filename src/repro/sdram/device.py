@@ -158,15 +158,6 @@ class SDRAMDevice:
             cycle, loc.row
         ) and self.data_pins_ready(cycle, is_write)
 
-    def can_column_at(
-        self, internal_bank: int, row: int, cycle: int, is_write: bool
-    ) -> bool:
-        """:meth:`can_column` with the coordinates already decoded (the
-        precomputed-schedule fast path)."""
-        return self.banks[internal_bank].can_column(
-            cycle, row
-        ) and self.data_pins_ready(cycle, is_write)
-
     def can_activate(self, local_word: int, cycle: int) -> bool:
         loc = self.locate(local_word)
         return self.banks[loc.internal_bank].can_activate(cycle)
@@ -207,15 +198,8 @@ class SDRAMDevice:
         when the word's row is not open — opening it takes an activate,
         which is itself an observable event."""
         loc = self.locate(local_word)
-        return self.column_ready_at_coords(loc.internal_bank, loc.row, is_write)
-
-    def column_ready_at_coords(
-        self, internal_bank: int, row: int, is_write: bool
-    ) -> int:
-        """:meth:`column_ready_at` with the coordinates already decoded
-        (the precomputed-schedule fast path)."""
-        bank = self.banks[internal_bank]
-        if bank.open_row != row:
+        bank = self.banks[loc.internal_bank]
+        if bank.open_row != loc.row:
             return HORIZON
         ready = bank.column_ready_at
         pins = self.pins_ready_at(is_write)
@@ -256,19 +240,14 @@ class SDRAMDevice:
 
     def activate(self, local_word: int, cycle: int) -> None:
         loc = self.locate(local_word)
-        self.activate_at(loc.internal_bank, loc.row, cycle)
-
-    def activate_at(self, internal_bank: int, row: int, cycle: int) -> None:
-        """:meth:`activate` with the coordinates already decoded (the
-        precomputed-schedule fast path)."""
-        self.banks[internal_bank].activate(row, cycle)
+        self.banks[loc.internal_bank].activate(loc.row, cycle)
         if self.log is not None:
             self.log.record(
                 CommandEvent(
                     cycle=cycle,
                     command=SDRAMCommand.ACTIVATE,
-                    internal_bank=internal_bank,
-                    row=row,
+                    internal_bank=loc.internal_bank,
+                    row=loc.row,
                 )
             )
 
@@ -319,7 +298,7 @@ class SDRAMDevice:
         value: Optional[int] = None,
     ) -> Tuple[int, Optional[int]]:
         """:meth:`column` with the coordinates already decoded (the
-        precomputed-schedule fast path); ``local_word`` still keys the
+        scheduler decodes once per issue); ``local_word`` still keys the
         functional storage array."""
         if not self.data_pins_ready(cycle, is_write):
             raise SchedulingError(

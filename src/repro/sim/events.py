@@ -24,39 +24,17 @@ The contract every bound must honour:
   can only be re-enabled by another component's action.
 
 Because skipped cycles are exactly the iterations in which the reference
-tick loop performs no state change, the fast path is cycle-exact with
-``SystemParams(sim_mode="tick")`` — the differential suite in
-``tests/sim/test_time_skip_equivalence.py`` holds the two loops to
-byte-identical :class:`~repro.sim.stats.RunResult`\\ s.
+tick loop performs no state change, ``sim_mode="fast"`` (which runs the
+skip loop) is cycle-exact with ``sim_mode="reference"`` (which ticks
+every cycle) — the differential suites
+``tests/sim/test_*_equivalence.py`` hold the two to byte-identical
+:class:`~repro.sim.stats.RunResult`\\ s.
 """
 
 from __future__ import annotations
 
-import os
-
-__all__ = ["HORIZON", "time_skip_enabled"]
+__all__ = ["HORIZON"]
 
 #: Sentinel "infinitely far" cycle: no self-timed event pending.  An int
 #: (not ``float('inf')``) so arithmetic on simulated cycles stays exact.
 HORIZON = 1 << 62
-
-#: Environment variable overriding the run-loop aspect of
-#: :attr:`SystemParams.sim_mode`:
-#: ``0``/``off``/``false``/``no`` forces the reference tick loop,
-#: any other non-empty value (except ``auto``) forces the fast path.
-ENV_TOGGLE = "REPRO_TIME_SKIP"
-
-_FALSY = ("0", "off", "false", "no")
-
-
-def time_skip_enabled(params) -> bool:
-    """Resolve the effective run-loop mode for ``params``.
-
-    The :data:`ENV_TOGGLE` environment variable wins over the parameter
-    when set (and not ``auto``/empty), so a whole experiment tree can be
-    forced onto either loop without touching configuration objects.
-    """
-    env = os.environ.get(ENV_TOGGLE)
-    if env is not None and env != "" and env.lower() != "auto":
-        return env.lower() not in _FALSY
-    return params.uses_time_skip

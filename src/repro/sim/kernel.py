@@ -125,9 +125,9 @@ class SimKernel:
         The run's :class:`~repro.sim.runner.Watchdog`; checked once per
         loop iteration, and its cycle limit caps every time-skip jump.
     time_skip:
-        Resolved run-loop mode (see
-        :func:`repro.sim.events.time_skip_enabled`).  False ticks every
-        cycle — the reference loop; True enables the next-event jump.
+        Run-loop mode.  False ticks every cycle — the reference loop of
+        ``sim_mode="reference"``; True enables the next-event jump
+        (``sim_mode="fast"``).
     """
 
     def __init__(self, *, watchdog: Watchdog, time_skip: bool = True):

@@ -88,12 +88,6 @@ class SRAMDevice:
     def can_column(self, local_word: int, cycle: int, is_write: bool) -> bool:
         return self.data_pins_ready(cycle, is_write)
 
-    def can_column_at(
-        self, internal_bank: int, row: int, cycle: int, is_write: bool
-    ) -> bool:
-        """Coordinate fast path — the pins are the only constraint."""
-        return self.data_pins_ready(cycle, is_write)
-
     def can_activate(self, local_word: int, cycle: int) -> bool:
         return False  # nothing to activate
 
@@ -118,12 +112,6 @@ class SRAMDevice:
     def column_ready_at(self, local_word: int, is_write: bool) -> int:
         """Earliest cycle an access to ``local_word`` could become legal
         by time alone (no rows: the pins are the only restriction)."""
-        return self.pins_ready_at(is_write)
-
-    def column_ready_at_coords(
-        self, internal_bank: int, row: int, is_write: bool
-    ) -> int:
-        """Coordinate fast path — identical to :meth:`column_ready_at`."""
         return self.pins_ready_at(is_write)
 
     def next_event_cycle(self, cycle: int) -> int:
@@ -189,7 +177,8 @@ class SRAMDevice:
         auto_precharge: bool = False,
         value: Optional[int] = None,
     ) -> Tuple[int, Optional[int]]:
-        """Coordinate fast path — the SRAM ignores the coordinates."""
+        """:meth:`column` for pre-decoded coordinates, which the SRAM
+        ignores."""
         return self.column(
             local_word, cycle, is_write, auto_precharge=auto_precharge, value=value
         )

@@ -85,13 +85,12 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(system_params())
     def test_replace_is_stable(self, params):
-        # No-op replace re-validates to the same object; the folded-away
-        # alias fields never resurface.
+        # No-op replace re-validates to the same object.
         again = replace(params)
         assert again == params
-        assert again.time_skip is None and again.precompute is None
         flipped = replace(
-            params, sim_mode="tick" if params.sim_mode != "tick" else "soa"
+            params,
+            sim_mode="reference" if params.sim_mode == "fast" else "fast",
         )
         assert replace(flipped, sim_mode=params.sim_mode) == params
 

@@ -12,9 +12,9 @@ from repro.engine.spec import CACHE_SCHEMA_VERSION
 from repro.params import SystemParams
 
 #: sha256 of the prototype's canonical sorted-key JSON document under
-#: schema version 5.
+#: schema version 6.
 PROTOTYPE_CONFIG_KEY = (
-    "579fd57ba0f724f281d1ac21661858bfbf17de785170020ee63dd680562cccff"
+    "4c61434a24e1b4747af429ecde7f646264f98648e74336059f76a47bb63a163c"
 )
 
 
@@ -23,10 +23,10 @@ def test_prototype_config_key_is_pinned(monkeypatch):
     assert SystemParams().config_key() == PROTOTYPE_CONFIG_KEY
 
 
-def test_schema_version_is_five(monkeypatch):
+def test_schema_version_is_six(monkeypatch):
     monkeypatch.delenv(ENV_SIM_MODE, raising=False)
-    assert CONFIG_SCHEMA_VERSION == 5
-    assert SystemParams().to_dict()["schema_version"] == 5
+    assert CONFIG_SCHEMA_VERSION == 6
+    assert SystemParams().to_dict()["schema_version"] == 6
 
 
 def test_engine_cache_schema_tracks_config_schema():

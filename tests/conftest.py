@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.params import SDRAMTiming, SystemParams
+# The differential harness asserts outside a test module; rewrite it so
+# its checks survive ``python -O`` like the test modules' own.
+pytest.register_assert_rewrite("tests.sim.differential")
+
+from repro.params import SDRAMTiming, SystemParams  # noqa: E402
 
 
 @pytest.fixture

@@ -110,9 +110,9 @@ def test_key_changes_with_sim_mode():
             ),
             "s",
         )
-        for mode in ("tick", "skip", "precompute", "soa", "window")
+        for mode in ("reference", "fast")
     }
-    assert len(keys) == 5
+    assert len(keys) == 2
 
 
 def test_default_salt_carries_version_and_schema():

@@ -537,12 +537,21 @@ class TestKeyboardInterrupt:
             text=True,
             env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
         )
+        def committed_entries():
+            # ``put`` writes ``.tmp-*.json`` beside the entry and renames
+            # it into place; the temp file is not a landed result.
+            return [
+                path
+                for path in cache_dir.glob("*/*.json")
+                if not path.name.startswith(".")
+            ]
+
         try:
             # Wait for the fast point's result to land in the cache,
             # proof the batch is mid-flight with completed work.
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                if list(cache_dir.glob("*/*.json")):
+                if committed_entries():
                     break
                 time.sleep(0.05)
             else:
@@ -557,4 +566,4 @@ class TestKeyboardInterrupt:
         assert child.returncode == 42, (stdout, stderr)
         assert "INTERRUPTED-CLEANLY" in stdout
         assert "Traceback" not in stderr  # workers stayed silent
-        assert list(cache_dir.glob("*/*.json"))  # completed work kept
+        assert committed_entries()  # completed work kept

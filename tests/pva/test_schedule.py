@@ -1,17 +1,18 @@
-"""The broadcast-time hit-schedule precompute layer (repro.pva.schedule).
+"""The broadcast-time hit-schedule layer (repro.pva.schedule).
 
 Three obligations:
 
-* **Equivalence** — the precomputed table is value-identical to the
-  incremental ``first_hit``/``next_hit``/``bank_subvector`` walk it
-  replaces, over fuzzed geometries (banks 2..64, odd/even/power-of-two
-  strides, all five paper alignments).  The closed forms of theorems
-  4.3/4.4 are the spec; the schedule must never disagree with them.
+* **Equivalence** — the closed-form table the fast backend reads is
+  value-identical to the incremental ``first_hit``/``next_hit``/
+  ``bank_subvector`` walk the reference backend expands live, over
+  fuzzed geometries (banks 2..64, odd/even/power-of-two strides, all
+  five paper alignments).  The closed forms of theorems 4.3/4.4 are the
+  spec; the schedule must never disagree with them.
 * **Decode correctness** — per-element device coordinates and the
   row-transition markers match ``device.locate`` exactly.
-* **Memo hygiene** — memoized schedules are immutable and never alias
-  mutable state between vectors; the memo is LRU-bounded and cleared by
-  ``repro.api.clear_caches``.
+* **Memo hygiene** — memoized broadcast tables are immutable and never
+  alias mutable state between vectors; the memo is LRU-bounded in
+  schedules and cleared by ``repro.api.clear_caches``.
 """
 
 import random
@@ -22,9 +23,10 @@ from repro.api import clear_caches
 from repro.core.firsthit import bank_subvector, first_hit, next_hit
 from repro.core.pla import shared_k1_pla
 from repro.kernels import ALIGNMENTS
-from repro.params import SDRAMTiming, SystemParams
+from repro.params import SIM_MODES, SDRAMTiming, SystemParams
 from repro.pva.schedule import (
     SCHEDULE_CACHE_SIZE,
+    broadcast_schedules,
     clear_schedule_cache,
     pairs_schedule,
     schedule_cache_info,
@@ -183,9 +185,14 @@ def test_pairs_schedule_decodes_pairs_in_order():
 
 def test_memoized_schedules_are_immutable_and_unaliased():
     geometry = _device_for(16).schedule_geometry
-    first = stride_schedule(0, 19, 32, 3, 16, geometry)
-    again = stride_schedule(0, 19, 32, 3, 16, geometry)
-    assert again is first  # memo hit
+    tables = broadcast_schedules(0, 19, 32, 16, geometry)
+    assert broadcast_schedules(0, 19, 32, 16, geometry) is tables  # hit
+    first = tables[3]
+    direct = stride_schedule(0, 19, 32, 3, 16, geometry)
+    assert (first.indices, first.local_words) == (
+        direct.indices,
+        direct.local_words,
+    )
     # Every field is a flat tuple — nothing a consumer could mutate.
     for field in ("indices", "local_words", "ibanks", "rows",
                   "next_same_row"):
@@ -194,18 +201,27 @@ def test_memoized_schedules_are_immutable_and_unaliased():
         first.extra = 1  # __slots__: no dict to scribble on
     # A different vector never shares identity with another's tuples
     # unless the values are equal (tuples are immutable either way).
-    other = stride_schedule(16, 19, 32, 3, 16, geometry)
+    other = broadcast_schedules(16, 19, 32, 16, geometry)[3]
     assert other.local_words != first.local_words
 
 
 def test_schedule_cache_is_lru_bounded_and_clearable():
     clear_schedule_cache()
-    geometry = _device_for(16).schedule_geometry
-    for base in range(SCHEDULE_CACHE_SIZE + 64):
-        stride_schedule(base, 1, 4, 0, 16, geometry)
-    info = schedule_cache_info()
-    assert info.maxsize == SCHEDULE_CACHE_SIZE
-    assert info.currsize <= SCHEDULE_CACHE_SIZE
+    for num_banks in (16, 4):
+        geometry = _device_for(num_banks).schedule_geometry
+        for base in range(SCHEDULE_CACHE_SIZE // num_banks + 8):
+            broadcast_schedules(base, 1, 4, num_banks, geometry)
+        info = schedule_cache_info()
+        assert info.maxsize == SCHEDULE_CACHE_SIZE
+        # The bound counts schedules: 256 broadcasts at 16 banks.
+        assert SCHEDULE_CACHE_SIZE - num_banks < info.currsize
+        assert info.currsize <= SCHEDULE_CACHE_SIZE
+    # The oldest broadcast was evicted, the newest is still held.
+    hits = schedule_cache_info().hits
+    broadcast_schedules(SCHEDULE_CACHE_SIZE // 4 + 7, 1, 4, 4, geometry)
+    assert schedule_cache_info().hits == hits + 1
+    broadcast_schedules(0, 1, 4, 16, _device_for(16).schedule_geometry)
+    assert schedule_cache_info().hits == hits + 1
     clear_caches()
     assert schedule_cache_info().currsize == 0
 
@@ -233,34 +249,30 @@ def test_degenerate_stride_hits_base_bank_only():
         assert hits[5].indices == tuple(range(7))
 
 
-def test_precompute_toggle_is_cycle_exact(monkeypatch):
-    """sim_mode="precompute" and sim_mode="skip" must produce
-    bit-identical RunResults (cycles, latencies, device stats and
-    attribution) — the schedule is a representation change, not a timing
-    change.  The ``REPRO_TIME_SKIP`` toggle forces each pairing onto
-    both run loops (the schedules are loop-agnostic)."""
+def test_precompute_toggle_is_cycle_exact():
+    """Toggling schedule precomputation is cycle-exact: the fast backend
+    reads the closed-form tables, the reference backend expands
+    FirstHit/NextHit live, and both give bit-identical RunResults
+    (cycles, latencies, device stats and attribution) — the schedule is
+    a representation change, not a timing change."""
     from repro.kernels import alignment_by_name, build_trace, kernel_by_name
     from repro.pva.system import PVAMemorySystem
-    from repro.sim.events import ENV_TOGGLE
 
-    for loop_env in ("0", "1"):
-        monkeypatch.setenv(ENV_TOGGLE, loop_env)
-        for kernel, alignment in (("copy", "aligned"),
-                                  ("saxpy", "row-conflict")):
-            for stride in (1, 8, 19):
-                results = []
-                for sim_mode in ("precompute", "skip"):
-                    params = SystemParams(sim_mode=sim_mode)
-                    trace = build_trace(
-                        kernel_by_name(kernel),
-                        stride=stride,
-                        params=params,
-                        elements=128,
-                        alignment=alignment_by_name(alignment),
-                    )
-                    results.append(PVAMemorySystem(params).run(trace))
-                fast, reference = results
-                assert fast.cycles == reference.cycles
-                assert fast.command_latencies == reference.command_latencies
-                assert fast.device == reference.device
-                assert fast.attribution == reference.attribution
+    for kernel, alignment in (("copy", "aligned"), ("saxpy", "row-conflict")):
+        for stride in (1, 8, 19):
+            results = []
+            for sim_mode in SIM_MODES:
+                params = SystemParams(sim_mode=sim_mode)
+                trace = build_trace(
+                    kernel_by_name(kernel),
+                    stride=stride,
+                    params=params,
+                    elements=128,
+                    alignment=alignment_by_name(alignment),
+                )
+                results.append(PVAMemorySystem(params).run(trace))
+            reference, fast = results
+            assert fast.cycles == reference.cycles
+            assert fast.command_latencies == reference.command_latencies
+            assert fast.device == reference.device
+            assert fast.attribution == reference.attribution

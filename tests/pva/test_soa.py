@@ -1,7 +1,7 @@
 """Unit tests for the structure-of-arrays bank automaton internals.
 
 The differential suite (tests/sim/test_soa_equivalence.py) proves the
-backend end-to-end; these tests pin the pieces in isolation — the
+SoA path end-to-end; these tests pin the pieces in isolation — the
 min-reduction next-event bound, the broadcast memo's lifecycle and
 immutability, eligibility gating, and the queueing math on degenerate
 element patterns (stride-0/1 equivalents, single bank, non-power-of-two
@@ -12,21 +12,19 @@ from types import SimpleNamespace
 
 from repro.api import build_system, clear_caches
 from repro.params import SystemParams
-from repro.pva.schedule import pairs_schedule
-from repro.pva.soa import (
-    SoaBankAutomaton,
+from repro.pva.schedule import (
     broadcast_schedules,
-    clear_soa_cache,
-    soa_cache_info,
-    soa_eligible,
+    clear_schedule_cache,
+    pairs_schedule,
 )
+from repro.pva.soa import SoaBankAutomaton, soa_cache_info, soa_eligible
 from repro.sim.events import HORIZON
 
 
 def _automaton(params=None, banks=None):
     """A fresh automaton over a just-built pva-sdram system's banks
     (optionally a subset — the automaton accepts any bank count)."""
-    params = params or SystemParams(sim_mode="soa")
+    params = params or SystemParams(sim_mode="fast")
     system = build_system("pva-sdram", params)
     front = SimpleNamespace(
         outstanding={}, commands=(), next_cmd=0, next_issue_allowed=0
@@ -69,7 +67,7 @@ class TestNextEventBound:
     def test_idle_fresh_system_bound_is_refresh_deadline(self):
         from dataclasses import replace
 
-        base = SystemParams(sim_mode="soa")
+        base = SystemParams(sim_mode="fast")
         quiet = _automaton(base)
         # No refresh configured: nothing can ever self-wake.
         assert quiet.next_event_cycle(0) == HORIZON
@@ -122,10 +120,10 @@ class TestQueueMath:
 
 class TestBroadcastMemo:
     def test_memo_returns_shared_tuple(self):
-        clear_soa_cache()
+        clear_schedule_cache()
         params = SystemParams()
         system = build_system("pva-sdram", params)
-        geometry = system.banks[0]._geom
+        geometry = system.banks[0].device.schedule_geometry
         first = broadcast_schedules(0, 19, 64, params.num_banks, geometry)
         again = broadcast_schedules(0, 19, 64, params.num_banks, geometry)
         assert first is again
@@ -136,8 +134,8 @@ class TestBroadcastMemo:
         from repro.kernels import build_trace, kernel_by_name
         from repro.api import simulate
 
-        clear_soa_cache()
-        params = SystemParams(sim_mode="soa")
+        clear_schedule_cache()
+        params = SystemParams(sim_mode="fast")
         trace = build_trace(
             kernel_by_name("copy"), stride=19, elements=64, params=params
         )
@@ -146,7 +144,7 @@ class TestBroadcastMemo:
         # Snapshot every cached schedule's contents, run again, compare:
         # the automaton must treat the shared tables as read-only.
         system = build_system("pva-sdram", params)
-        geometry = system.banks[0]._geom
+        geometry = system.banks[0].device.schedule_geometry
         vector = trace[0].vector
         schedules = broadcast_schedules(
             vector.base,
@@ -178,7 +176,8 @@ class TestBroadcastMemo:
     def test_clear_caches_drops_soa_memo(self):
         params = SystemParams()
         system = build_system("pva-sdram", params)
-        broadcast_schedules(0, 5, 16, params.num_banks, system.banks[0]._geom)
+        geometry = system.banks[0].device.schedule_geometry
+        broadcast_schedules(0, 5, 16, params.num_banks, geometry)
         assert soa_cache_info().currsize >= 1
         clear_caches()
         assert soa_cache_info().currsize == 0
@@ -199,11 +198,11 @@ class TestEligibility:
         assert not soa_eligible(system.banks)
 
     def test_ineligible_run_still_works_via_fallback(self):
-        # sim_mode="soa" with a command log attached silently falls back
-        # to the object backend — same results, object speed.
+        # sim_mode="fast" with a command log attached falls back to the
+        # object graph on the skip loop — same results, object speed.
         from repro.kernels import build_trace, kernel_by_name
 
-        params = SystemParams(sim_mode="soa")
+        params = SystemParams(sim_mode="fast")
         system = build_system("pva-sdram", params)
         logs = system.attach_command_logs()
         trace = build_trace(

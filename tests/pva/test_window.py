@@ -1,7 +1,7 @@
-"""Unit tests for the closed-form window backend's pieces.
+"""Unit tests for the closed-form window automaton's pieces.
 
 The differential suite (tests/sim/test_window_equivalence.py) proves
-the backend end-to-end; these tests pin the pieces in isolation — the
+the window path end-to-end; these tests pin the pieces in isolation — the
 eligibility gate, the same-row run segmentation the arithmetic charges
 off, the shared numpy-bound decision cache, the kernel's bulk ledger
 deposit API (and its error paths), and the system-level selection rule
@@ -35,7 +35,7 @@ class TestEligibility:
         assert not window_eligible([])
 
     def test_fresh_pva_sdram_banks_eligible(self):
-        system = build_system("pva-sdram", SystemParams(sim_mode="window"))
+        system = build_system("pva-sdram", SystemParams(sim_mode="fast"))
         assert window_eligible(system.banks)
 
     def test_exotic_device_ineligible(self):
@@ -45,7 +45,7 @@ class TestEligibility:
     def test_matches_soa_gate(self):
         # The closed form's *extra* conditions are dynamic (per-chain
         # fallback), so the static gate is exactly the SoA gate.
-        system = build_system("pva-sdram", SystemParams(sim_mode="window"))
+        system = build_system("pva-sdram", SystemParams(sim_mode="fast"))
         for banks in ([], system.banks, system.banks[:3]):
             assert window_eligible(banks) == soa_eligible(banks)
 
@@ -56,7 +56,7 @@ class TestRunSegmentation:
     next_same_row markers."""
 
     def _schedule(self, pairs):
-        params = SystemParams(sim_mode="window")
+        params = SystemParams(sim_mode="fast")
         system = build_system("pva-sdram", params)
         automaton = WindowBankAutomaton(
             system.banks,
@@ -188,7 +188,7 @@ class TestBulkAccount:
 
 
 class TestBackendSelection:
-    """sim_mode="window" uses the closed form only for non-capturing
+    """sim_mode="fast" uses the closed form only for non-capturing
     eligible runs; capture_data silently takes the SoA automaton (the
     data movement path is identical, so results cannot diverge)."""
 
@@ -214,7 +214,7 @@ class TestBackendSelection:
 
         monkeypatch.setattr(system_module, "WindowBankAutomaton", SpyWindow)
         monkeypatch.setattr(system_module, "SoaBankAutomaton", SpySoa)
-        system = build_system("pva-sdram", SystemParams(sim_mode="window"))
+        system = build_system("pva-sdram", SystemParams(sim_mode="fast"))
         system.run(self.TRACE, capture_data=capture_data)
         return chosen
 
@@ -225,7 +225,7 @@ class TestBackendSelection:
         assert self._chosen(monkeypatch, capture_data=True) == ["soa"]
 
     def test_fallback_matches_window_cycles(self):
-        params = SystemParams(sim_mode="window")
+        params = SystemParams(sim_mode="fast")
         a = build_system("pva-sdram", params).run(
             self.TRACE, capture_data=True
         )
@@ -251,9 +251,32 @@ class TestChainResolution:
             return outcome
 
         monkeypatch.setattr(WindowBankAutomaton, "_resolve", spy)
-        params = SystemParams(sim_mode="window")
+        params = SystemParams(sim_mode="fast")
         trace = build_trace(
             kernel_by_name("copy"), stride=19, elements=256, params=params
         )
         build_system("pva-sdram", params).run(trace)
         assert 0 in resolved  # _RESOLVED commits happened
+
+
+class TestNoReferenceCycles:
+    def test_fast_run_leaves_nothing_for_the_cyclic_gc(self):
+        """Every fast run's system graph (banks, devices, front end,
+        automaton) is freed by reference counting: the window automaton
+        drops its kernel back-reference at writeback."""
+        import gc
+
+        params = SystemParams(sim_mode="fast")
+        trace = build_trace(
+            kernel_by_name("copy"), stride=19, elements=128, params=params
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            for capture_data in (False, True):
+                build_system("pva-sdram", params).run(
+                    trace, capture_data=capture_data
+                )
+                assert gc.collect() == 0, capture_data
+        finally:
+            gc.enable()

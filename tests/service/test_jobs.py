@@ -104,7 +104,9 @@ class TestSpecPoints:
     def test_params_document_configures_every_point(self):
         from repro.params import SystemParams
 
-        params = SystemParams(num_banks=8, num_channels=2, sim_mode="soa")
+        params = SystemParams(
+            num_banks=8, num_channels=2, sim_mode="reference"
+        )
         points = spec_points(
             JobSpec(
                 kind="grid",

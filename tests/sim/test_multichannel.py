@@ -1,10 +1,10 @@
 """Multi-channel topologies across every backend and baseline.
 
 The topology generalization (channel-interleaved word addressing, line
-transfers split evenly across channels) must behave identically in all
-four ``sim_mode`` backends — they share one bus-occupancy model — and
-the analytic formulas must keep predicting the serial baselines
-exactly.
+transfers split evenly across channels) must behave identically in both
+``sim_mode`` backends and on every internal path of the fast one — they
+share one bus-occupancy model — and the analytic formulas must keep
+predicting the serial baselines exactly.
 """
 
 from dataclasses import replace
@@ -18,7 +18,9 @@ from repro.analysis.model import (
 )
 from repro.api import simulate
 from repro.kernels import ALIGNMENTS, build_trace, kernel_by_name
-from repro.params import SIM_MODES, SystemParams
+from repro.params import ENV_SIM_MODE, SIM_MODES, SystemParams
+
+from .differential import assert_equivalent, spy_on_bank_paths
 
 MULTI_CHANNEL_PARAMS = (
     SystemParams(num_channels=2),
@@ -40,18 +42,18 @@ def _trace(params, kernel="saxpy", stride=19, elements=128):
 class TestBackendAgreement:
     @pytest.mark.parametrize("base", MULTI_CHANNEL_PARAMS)
     @pytest.mark.parametrize("system", ("pva-sdram", "pva-sram"))
-    def test_all_four_modes_bit_identical(self, base, system):
+    def test_all_four_modes_bit_identical(self, base, system, monkeypatch):
+        """All four ways a PVA run executes agree: the reference tick
+        loop, and fast's window automaton, SoA automaton
+        (``capture_data``) and object graph on the skip loop (command
+        log attached)."""
+        monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+        paths = spy_on_bank_paths(monkeypatch)
         trace = _trace(base)
-        results = {
-            mode: simulate(
-                trace, replace(base, sim_mode=mode), system=system
-            )
-            for mode in SIM_MODES
-        }
-        reference = results["tick"]
+        (reference,) = assert_equivalent(paths, system, base, trace)
         assert reference.cycles > 0
-        for mode, result in results.items():
-            assert result == reference, mode
+        assert_equivalent(paths, system, base, trace, capture_data=True)
+        assert_equivalent(paths, system, base, trace, logs=True)
 
     @pytest.mark.parametrize("stride", (1, 4, 19))
     @pytest.mark.parametrize("alignment", ALIGNMENTS)

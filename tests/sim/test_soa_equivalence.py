@@ -1,211 +1,103 @@
-"""Differential suite: ``sim_mode="soa"`` vs ``sim_mode="precompute"``.
+"""Differential suite, SoA path: ``sim_mode="fast"`` on ``capture_data``
+runs, which its structure-of-arrays automaton takes, against
+``sim_mode="reference"``.
 
-The structure-of-arrays bank automaton (:mod:`repro.pva.soa`) is a pure
-representation change: it must reproduce the object backend's
+The SoA automaton (:mod:`repro.pva.soa`) is a pure representation
+change: it must reproduce the reference's
 :class:`~repro.sim.stats.RunResult` bit for bit — total cycles, captured
 data payloads, per-bank statistics and the per-component attribution
-ledger — on every workload either can run.  These tests sweep the
-paper's strides/alignments, fuzzed geometries/timings, both run loops,
-and back-to-back runs on one system object (state carry through
-``writeback``).
+ledger — and leave the same memory image.  These tests sweep the
+paper's strides and alignments, fuzzed geometries and timings, both run
+loops, and back-to-back runs on one system object (state carry through
+``writeback``).  The harness lives in :mod:`tests.sim.differential`.
 """
 
+from __future__ import annotations
+
 import random
-from dataclasses import replace
 
 import pytest
 
-from repro.api import build_system, simulate
-from repro.kernels import ALIGNMENTS, KERNELS, build_trace, kernel_by_name
-from repro.params import SystemParams
-from repro.types import AccessType, ExplicitCommand, Vector, VectorCommand
+from repro.kernels import ALIGNMENTS, KERNELS
+from repro.params import ENV_SIM_MODE, SystemParams
 
-PVA_SYSTEMS = ("pva-sdram", "pva-sram")
+from .differential import (
+    PVA_SYSTEMS,
+    SCATTER_GATHER,
+    WRITE_HEAVY,
+    RunLoopSpy,
+    assert_equivalent,
+    kernel_trace,
+    random_params,
+    random_trace,
+    spy_on_bank_paths,
+)
 
-ROW_POLICIES = ("paper", "open", "close", "history")
 
-
-def _run_both(trace, base, system, *, capture_data=True):
-    """Simulate ``trace`` under precompute and soa; return both results."""
-    pre = replace(base, sim_mode="precompute")
-    soa = replace(base, sim_mode="soa")
-    a = simulate(trace, pre, system=system, capture_data=capture_data)
-    b = simulate(trace, soa, system=system, capture_data=capture_data)
-    return a, b
+@pytest.fixture(autouse=True)
+def paths(monkeypatch):
+    monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+    return spy_on_bank_paths(monkeypatch)
 
 
 @pytest.mark.parametrize("system", PVA_SYSTEMS)
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_paper_sweep_bit_identical(system, kernel):
-    """Every kernel x stride x alignment of the section-6.2 grid slice:
-    the two backends return equal RunResults (cycles, capture_data,
-    attribution and all)."""
-    k = kernel_by_name(kernel)
+def test_paper_sweep_bit_identical(paths, system, kernel):
+    """Every kernel x alignment of the section-6.2 grid slice at the
+    unit and worst-case strides, payloads captured."""
+    params = SystemParams()
     for stride in (1, 19):
         for alignment in ALIGNMENTS:
-            base = SystemParams()
-            trace = build_trace(
-                k,
-                stride=stride,
-                alignment=alignment,
-                elements=256,
-                params=base,
+            trace = kernel_trace(params, kernel, stride, alignment=alignment)
+            (result,) = assert_equivalent(
+                paths, system, params, trace, capture_data=True
             )
-            a, b = _run_both(trace, base, system)
-            assert a == b, (system, kernel, stride, alignment.name)
+            assert result.read_lines  # the comparison saw payloads
 
 
 @pytest.mark.parametrize("system", PVA_SYSTEMS)
-def test_tick_loop_equivalence(system, monkeypatch):
-    """The automaton is loop-agnostic: under the reference tick loop
-    (forced via ``REPRO_TIME_SKIP=0``) it still matches the object
-    backend."""
-    from repro.sim.events import ENV_TOGGLE
-
-    monkeypatch.setenv(ENV_TOGGLE, "0")
-    base = SystemParams()
-    trace = build_trace(
-        kernel_by_name("saxpy"), stride=19, elements=256, params=base
+def test_tick_loop_equivalence(paths, system, monkeypatch):
+    """The SoA automaton is loop-agnostic: forced onto the tick loop it
+    still matches the reference."""
+    loops = RunLoopSpy(monkeypatch)
+    loops.force_tick = True
+    params = SystemParams()
+    (result,) = assert_equivalent(
+        paths, system, params, kernel_trace(params, "saxpy"), capture_data=True
     )
-    a, b = _run_both(trace, base, system)
-    assert a == b
-    assert a.cycles > 0
+    assert result.cycles > 0
+    assert loops.loops == ["tick", "tick"]
 
 
-def test_explicit_commands_equivalent():
-    """Explicit (indexed) commands snoop through broadcast_pairs; both
-    backends agree on cycles and captured data."""
-    base = SystemParams()
-    trace = [
-        ExplicitCommand(
-            addresses=(3, 19, 64, 64 + 16, 5, 1000),
-            access=AccessType.WRITE,
-            broadcast_cycles=3,
-            data=(10, 20, 30, 40, 50, 60),
-        ),
-        ExplicitCommand(
-            addresses=(3, 19, 64, 64 + 16, 5, 1000),
-            access=AccessType.READ,
-            broadcast_cycles=3,
-        ),
-    ]
-    a, b = _run_both(trace, base, "pva-sdram")
-    assert a == b
-
-
-def test_sram_storage_equality_after_writes():
-    """After a write-heavy run the device storages of the two backends
-    hold identical contents (the SoA data movement writes through the
-    same staging units and storage dicts)."""
-    base = SystemParams()
-    trace = [
-        VectorCommand(
-            vector=Vector(base=7, stride=19, length=32),
-            access=AccessType.WRITE,
-            data=tuple(range(100, 132)),
-        ),
-        VectorCommand(
-            vector=Vector(base=3, stride=1, length=32),
-            access=AccessType.WRITE,
-            data=tuple(range(200, 232)),
-        ),
-    ]
+def test_explicit_commands_equivalent(paths):
+    """Explicit scatters and gathers snoop through the broadcast pairs;
+    both backends agree on cycles and captured data."""
     for system in PVA_SYSTEMS:
-        sys_pre = build_system(system, replace(base, sim_mode="precompute"))
-        sys_soa = build_system(system, replace(base, sim_mode="soa"))
-        ra = sys_pre.run(trace)
-        rb = sys_soa.run(trace)
-        assert ra == rb
-        for bank_a, bank_b in zip(sys_pre.banks, sys_soa.banks):
-            assert bank_a.device._storage == bank_b.device._storage
+        assert_equivalent(
+            paths, system, SystemParams(), SCATTER_GATHER, capture_data=True
+        )
 
 
-def _random_trace(rng):
-    commands = []
-    for _ in range(rng.randint(2, 10)):
-        if rng.random() < 0.25:
-            n = rng.randint(1, 20)
-            addresses = tuple(rng.randrange(0, 1 << 16) for _ in range(n))
-            access = (
-                AccessType.WRITE if rng.random() < 0.5 else AccessType.READ
-            )
-            data = (
-                tuple(rng.randrange(0, 1000) for _ in range(n))
-                if access == AccessType.WRITE
-                else None
-            )
-            commands.append(
-                ExplicitCommand(
-                    addresses=addresses,
-                    access=access,
-                    broadcast_cycles=(n + 1) // 2,
-                    data=data,
-                )
-            )
-        else:
-            length = rng.randint(1, 32)
-            vector = Vector(
-                base=rng.randrange(0, 1 << 14),
-                stride=rng.randint(1, 64),
-                length=length,
-            )
-            access = (
-                AccessType.WRITE if rng.random() < 0.5 else AccessType.READ
-            )
-            data = (
-                tuple(rng.randrange(0, 1000) for _ in range(length))
-                if access == AccessType.WRITE
-                else None
-            )
-            commands.append(VectorCommand(vector=vector, access=access, data=data))
-    return commands
+def test_sram_storage_equality_after_writes(paths):
+    """After a write-heavy run the devices hold identical contents (the
+    SoA data movement writes through the same staging units and storage
+    dicts)."""
+    for system in PVA_SYSTEMS:
+        assert_equivalent(
+            paths, system, SystemParams(), WRITE_HEAVY, capture_data=True
+        )
 
 
-def test_fuzzed_geometries_and_state_carry(monkeypatch):
+def test_fuzzed_geometries_and_state_carry(paths, monkeypatch):
     """Randomized geometries, timings, policies, refresh, context and
-    FIFO depths, both PVA systems, both run loops (via the
-    ``REPRO_TIME_SKIP`` toggle), fresh runs AND back-to-back runs on
-    one system object (the writeback path must leave the object graph
-    exactly as the object backend would)."""
-    from repro.sim.events import ENV_TOGGLE
-
+    FIFO depths, both PVA systems, both run loops, two traces back to
+    back on one system object (the writeback path must leave the object
+    graph exactly as the reference would)."""
+    loops = RunLoopSpy(monkeypatch)
     rng = random.Random(20260808)
     for trial in range(60):
-        monkeypatch.setenv(ENV_TOGGLE, "1" if rng.random() < 0.8 else "0")
-        num_banks = rng.choice([1, 2, 4, 8, 16])
-        max_transactions = rng.randint(1, 8)
-        sdram = dict(
-            t_rcd=rng.randint(1, 4),
-            cas_latency=rng.randint(1, 4),
-            t_rp=rng.randint(1, 4),
-            t_wr=rng.randint(1, 3),
-            internal_banks=rng.choice([1, 2, 4, 8]),
-            row_words=rng.choice([64, 128, 512]),
-            refresh_interval=rng.choice([0, 0, 150, 700]),
-            t_rfc=rng.randint(2, 10),
-        )
-        base = SystemParams(
-            num_banks=num_banks,
-            max_transactions=max_transactions,
-            num_vector_contexts=rng.randint(1, 4),
-            request_fifo_depth=max(max_transactions, rng.randint(1, 10)),
-            fhc_latency=rng.randint(1, 4),
-            bus_turnaround=rng.randint(0, 3),
-            bypass_paths=rng.random() < 0.5,
-            row_policy=rng.choice(ROW_POLICIES),
-            issue_interval=rng.choice([0, 0, 17, 256]),
-        )
-        base = replace(base, sdram=replace(base.sdram, **sdram))
+        loops.force_tick = rng.random() >= 0.8
+        params = random_params(rng)
         system = rng.choice(PVA_SYSTEMS)
-        trace = _random_trace(rng)
-        a, b = _run_both(trace, base, system)
-        assert a == b, (trial, system)
-        # Back-to-back on one system object per mode: run N leaves
-        # exactly the state run N+1 of the other backend expects.
-        sys_pre = build_system(system, replace(base, sim_mode="precompute"))
-        sys_soa = build_system(system, replace(base, sim_mode="soa"))
-        trace2 = _random_trace(rng)
-        for tr in (trace, trace2):
-            ra = sys_pre.run(tr, capture_data=True)
-            rb = sys_soa.run(tr, capture_data=True)
-            assert ra == rb, (trial, system, "back-to-back")
+        traces = (random_trace(rng), random_trace(rng))
+        assert_equivalent(paths, system, params, *traces, capture_data=True)

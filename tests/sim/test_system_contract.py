@@ -16,16 +16,15 @@ import pytest
 from repro.api import available_systems, build_system
 from repro.errors import SimulationTimeout
 from repro.kernels import build_trace, kernel_by_name
-from repro.params import SystemParams
+from repro.params import ENV_SIM_MODE, SystemParams
 from repro.sim import simulation_limits
-from repro.sim.events import ENV_TOGGLE
 
 ALL_SYSTEMS = available_systems()
 
 
 @pytest.fixture(autouse=True)
 def _no_env_override(monkeypatch):
-    monkeypatch.delenv(ENV_TOGGLE, raising=False)
+    monkeypatch.delenv(ENV_SIM_MODE, raising=False)
 
 
 def _trace(params, kernel="copy", stride=4, elements=64):
@@ -67,7 +66,11 @@ class TestSystemContract:
         summary = result.attribution_summary()
         assert set(summary) == set(result.attribution)
 
-    @pytest.mark.parametrize("sim_mode", ["tick", "skip"])
+    # Each backend drives one run loop; the ids name the loop.
+    @pytest.mark.parametrize(
+        "sim_mode",
+        [pytest.param("reference", id="tick"), pytest.param("fast", id="skip")],
+    )
     def test_honors_watchdog(self, system, prototype_params, sim_mode):
         """An impossibly small cycle budget must surface as a contained
         SimulationTimeout in both run-loop modes — never a hang."""

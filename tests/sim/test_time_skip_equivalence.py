@@ -1,13 +1,16 @@
-"""Differential tests: the event-driven cycle-skipping run loop must be
-cycle-exact with the reference tick loop.
+"""Differential suite, skip-loop path: ``sim_mode="fast"`` on runs no
+automaton can take, against ``sim_mode="reference"``.
 
-Every test runs the same trace twice — ``sim_mode="tick"`` (the
-cycle-by-cycle reference) and ``sim_mode="skip"`` (the next-event
-fast path) — and asserts the two :class:`~repro.sim.stats.RunResult`
-objects are **equal**, which covers cycle counts, per-command latencies,
-device statistics, bus statistics, and (with ``capture_data=True``) the
-gathered data payloads.  An underestimated lower bound can only cost
-speed; an *overestimated* one would show up here as a divergence.
+A run with a command log attached steps the bank-controller object
+graph under fast too, but on the event-driven skip loop instead of the
+reference tick loop; the serial baselines' fast backend is the skip loop
+alone.  The skip loop jumps idle gaps via each component's next-event
+lower bound.  An underestimated bound can only cost speed; an
+*overestimated* one would show up here as a divergence in the
+:class:`~repro.sim.stats.RunResult`, the memory image or the logged
+command streams.  ``REPRO_SIM_MODE`` overrides the mode of every config
+built while it is set.  The harness lives in
+:mod:`tests.sim.differential`.
 """
 
 from __future__ import annotations
@@ -17,39 +20,40 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import available_systems, simulate
-from repro.kernels import ALIGNMENTS, build_trace, kernel_by_name
-from repro.params import SDRAMTiming, SystemParams
-from repro.sim.events import ENV_TOGGLE
+from repro.api import build_system, simulate
+from repro.kernels import ALIGNMENTS
+from repro.params import ENV_SIM_MODE, SDRAMTiming, SystemParams
 
-ALL_SYSTEMS = available_systems()
-PAPER_STRIDES = (1, 2, 4, 8, 16, 19)
+from .differential import (
+    ALL_SYSTEMS,
+    PAPER_STRIDES,
+    PVA_SYSTEMS,
+    SCATTER_GATHER,
+    RunLoopSpy,
+    assert_equivalent,
+    kernel_trace,
+    spy_on_bank_paths,
+)
 
 
 @pytest.fixture(autouse=True)
-def _no_env_override(monkeypatch):
+def paths(monkeypatch):
     """The differential harness controls the mode through params alone."""
-    monkeypatch.delenv(ENV_TOGGLE, raising=False)
+    monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+    return spy_on_bank_paths(monkeypatch)
 
 
-def assert_modes_agree(trace, params, system, capture_data=False):
-    tick = simulate(
-        trace,
-        replace(params, sim_mode="tick"),
-        system=system,
+def assert_loops_agree(paths, system, params, *traces, capture_data=False):
+    """Both backends on the object graph (PVA systems log their command
+    streams, which keeps fast off the automata)."""
+    return assert_equivalent(
+        paths,
+        system,
+        params,
+        *traces,
         capture_data=capture_data,
+        logs=system in PVA_SYSTEMS,
     )
-    skip = simulate(
-        trace,
-        replace(params, sim_mode="skip"),
-        system=system,
-        capture_data=capture_data,
-    )
-    assert tick == skip, (
-        f"{system}: time-skip diverged from the tick loop "
-        f"({tick.cycles} vs {skip.cycles} cycles)"
-    )
-    return tick
 
 
 class TestPaperConfiguration:
@@ -57,61 +61,52 @@ class TestPaperConfiguration:
 
     @pytest.mark.parametrize("system", ALL_SYSTEMS)
     @pytest.mark.parametrize("stride", PAPER_STRIDES)
-    def test_copy_all_strides(self, system, stride, prototype_params):
-        trace = build_trace(
-            kernel_by_name("copy"),
-            stride=stride,
-            params=prototype_params,
-            elements=256,
-        )
-        assert_modes_agree(trace, prototype_params, system)
+    def test_copy_all_strides(self, paths, system, stride, prototype_params):
+        trace = kernel_trace(prototype_params, stride=stride)
+        assert_loops_agree(paths, system, prototype_params, trace)
 
-    @pytest.mark.parametrize("system", ("pva-sdram", "pva-sram"))
+    @pytest.mark.parametrize("system", PVA_SYSTEMS)
     @pytest.mark.parametrize(
         "alignment", ALIGNMENTS, ids=[a.name for a in ALIGNMENTS]
     )
     def test_saxpy_stride19_all_alignments(
-        self, system, alignment, prototype_params
+        self, paths, system, alignment, prototype_params
     ):
-        trace = build_trace(
-            kernel_by_name("saxpy"),
-            stride=19,
-            params=prototype_params,
-            elements=128,
-            alignment=alignment,
+        trace = kernel_trace(
+            prototype_params, "saxpy", elements=128, alignment=alignment
         )
-        assert_modes_agree(trace, prototype_params, system)
+        assert_loops_agree(paths, system, prototype_params, trace)
 
-    @pytest.mark.parametrize("system", ("pva-sdram", "pva-sram"))
-    def test_data_payloads_match(self, system, prototype_params):
+    @pytest.mark.parametrize("system", PVA_SYSTEMS)
+    def test_data_payloads_match(self, paths, system, prototype_params):
         """capture_data=True: the gathered lines and per-command
         latencies must be identical, not just the cycle totals."""
-        trace = build_trace(
-            kernel_by_name("swap"),
-            stride=19,
-            params=prototype_params,
-            elements=128,
+        trace = kernel_trace(prototype_params, "swap", elements=128)
+        (result,) = assert_loops_agree(
+            paths, system, prototype_params, trace, capture_data=True
         )
-        tick = assert_modes_agree(
-            trace, prototype_params, system, capture_data=True
-        )
-        assert tick.read_lines  # the comparison actually saw payloads
+        assert result.read_lines  # the comparison actually saw payloads
 
-    def test_refresh_enabled(self):
+    def test_refresh_enabled(self, paths):
         """Auto-refresh interacts with every skip bound; a realistic
         refresh period must not break equivalence."""
         params = SystemParams(sdram=SDRAMTiming(refresh_interval=777))
-        trace = build_trace(
-            kernel_by_name("copy"), stride=19, params=params, elements=256
-        )
-        assert_modes_agree(trace, params, "pva-sdram", capture_data=True)
+        trace = kernel_trace(params)
+        assert_loops_agree(paths, "pva-sdram", params, trace, capture_data=True)
 
-    def test_issue_interval_throttled_front_end(self):
-        params = SystemParams(issue_interval=7)
-        trace = build_trace(
-            kernel_by_name("scale"), stride=4, params=params, elements=128
-        )
-        assert_modes_agree(trace, params, "pva-sdram")
+    def test_issue_interval_throttled_front_end(self, paths):
+        """A finite-rate processor leaves idle gaps the skip loop jumps."""
+        for interval in (7, 256):
+            params = SystemParams(issue_interval=interval)
+            trace = kernel_trace(params, "scale", stride=4, elements=128)
+            assert_loops_agree(paths, "pva-sdram", params, trace)
+
+    def test_explicit_commands_with_refresh(self, paths):
+        """Explicit scatters and gathers after a strided kernel, with
+        refresh deadlines inside the run."""
+        params = SystemParams(sdram=SDRAMTiming(refresh_interval=300))
+        trace = kernel_trace(params, "saxpy", elements=128)
+        assert_loops_agree(paths, "pva-sdram", params, trace, SCATTER_GATHER)
 
 
 class TestFuzzedGeometries:
@@ -119,7 +114,7 @@ class TestFuzzedGeometries:
     systems, payload comparison included."""
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_geometry(self, seed):
+    def test_random_geometry(self, paths, seed):
         rng = random.Random(0xC0FFEE + seed)
         params = SystemParams(
             num_banks=rng.choice((4, 8, 16, 32)),
@@ -138,57 +133,57 @@ class TestFuzzedGeometries:
                 refresh_interval=rng.choice((0, 777)),
             ),
         )
-        kernel = rng.choice(
-            ("copy", "copy2", "saxpy", "scale", "swap", "tridiag", "vaxpy")
-        )
-        stride = rng.choice(PAPER_STRIDES)
-        alignment = rng.choice(ALIGNMENTS)
-        trace = build_trace(
-            kernel_by_name(kernel),
-            stride=stride,
-            params=params,
+        trace = kernel_trace(
+            params,
+            rng.choice(
+                ("copy", "copy2", "saxpy", "scale", "swap", "tridiag", "vaxpy")
+            ),
+            rng.choice(PAPER_STRIDES),
             elements=96,
-            alignment=alignment,
+            alignment=rng.choice(ALIGNMENTS),
         )
         for system in ALL_SYSTEMS:
-            assert_modes_agree(trace, params, system, capture_data=True)
+            assert_loops_agree(paths, system, params, trace, capture_data=True)
 
 
 class TestEnvOverride:
-    """The ``REPRO_TIME_SKIP`` escape hatch wins over the params field."""
+    """The ``REPRO_SIM_MODE`` escape hatch wins over the params field."""
 
-    def test_env_forces_tick_loop(self, monkeypatch, prototype_params):
-        from repro.sim.events import time_skip_enabled
-
-        monkeypatch.setenv(ENV_TOGGLE, "0")
-        assert not time_skip_enabled(prototype_params)
+    def test_env_forces_tick_loop(self, paths, monkeypatch, prototype_params):
+        loops = RunLoopSpy(monkeypatch)
+        monkeypatch.setenv(ENV_SIM_MODE, "reference")
+        forced = replace(prototype_params, sim_mode="fast")
+        assert forced.sim_mode == "reference"
+        trace = kernel_trace(forced, stride=8, elements=64)
+        result = build_system("pva-sdram", forced).run(trace)
+        assert loops.loops == ["tick"]
+        assert set(paths) == {"object"}
         # ... and the forced mode still produces the reference result.
-        trace = build_trace(
-            kernel_by_name("copy"),
-            stride=8,
-            params=prototype_params,
-            elements=64,
-        )
-        forced = simulate(trace, prototype_params, system="pva-sdram")
-        monkeypatch.delenv(ENV_TOGGLE)
+        monkeypatch.delenv(ENV_SIM_MODE)
         reference = simulate(
-            trace,
-            replace(prototype_params, sim_mode="tick"),
+            trace, replace(prototype_params, sim_mode="reference"),
             system="pva-sdram",
         )
-        assert forced == reference
+        assert result == reference
 
-    def test_env_forces_skip_loop(self, monkeypatch, prototype_params):
-        from repro.sim.events import time_skip_enabled
-
-        monkeypatch.setenv(ENV_TOGGLE, "1")
-        assert time_skip_enabled(replace(prototype_params, sim_mode="tick"))
-
-    def test_auto_defers_to_params(self, monkeypatch, prototype_params):
-        from repro.sim.events import time_skip_enabled
-
-        monkeypatch.setenv(ENV_TOGGLE, "auto")
-        assert time_skip_enabled(prototype_params)
-        assert not time_skip_enabled(
-            replace(prototype_params, sim_mode="tick")
+    def test_env_forces_skip_loop(self, paths, monkeypatch):
+        loops = RunLoopSpy(monkeypatch)
+        monkeypatch.setenv(ENV_SIM_MODE, "fast")
+        forced = SystemParams(sim_mode="reference")
+        assert forced.sim_mode == "fast"
+        build_system("pva-sdram", forced).run(
+            kernel_trace(forced, stride=8, elements=64)
         )
+        assert loops.loops == ["skip"]
+        assert set(paths) == {"window"}
+
+    def test_auto_defers_to_params(self, monkeypatch):
+        loops = RunLoopSpy(monkeypatch)
+        monkeypatch.setenv(ENV_SIM_MODE, "auto")
+        for mode in ("fast", "reference"):
+            params = SystemParams(sim_mode=mode)
+            assert params.sim_mode == mode
+            build_system("pva-sdram", params).run(
+                kernel_trace(params, stride=8, elements=64)
+            )
+        assert loops.loops == ["skip", "tick"]

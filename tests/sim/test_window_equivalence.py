@@ -1,175 +1,118 @@
-"""Differential suite: ``sim_mode="window"`` vs the rest of the ladder.
+"""Differential suite, window path: ``sim_mode="fast"`` on the runs its
+closed-form window automaton takes, against ``sim_mode="reference"``.
 
-The closed-form window backend (:mod:`repro.pva.window`) resolves each
-bank's service chain arithmetically instead of event-stepping it, with
-a conservative per-chain fallback to the inherited SoA walk.  Whatever
-mix of closed-form commits and fallbacks a workload provokes, the
-observable :class:`~repro.sim.stats.RunResult` must be bit-identical to
-the reference tick loop — total cycles, per-bank statistics and the
-per-component attribution ledger.  These tests sweep the paper's
-strides/alignments, adversarial fuzzed geometries (refresh deadlines
-landing mid-chain, degenerate stride-1 runs, single-bank and
-single-internal-bank devices), both run loops, back-to-back runs on one
-system object, and — in the fuzz loop — all five ladder modes at once.
+The window automaton (:mod:`repro.pva.window`) resolves each bank's
+service chain arithmetically instead of event-stepping it, with a
+conservative per-chain fallback to the SoA walk.  Whatever mix of
+closed-form commits and fallbacks a workload provokes, the observable
+:class:`~repro.sim.stats.RunResult` and memory image must be
+bit-identical to the reference tick loop's.  These tests sweep the
+paper's strides and alignments, adversarial geometries (refresh
+deadlines landing mid-chain, degenerate stride-1 runs, single-bank and
+single-internal-bank devices), the row policies, interleaved and
+multichannel front ends, both run loops, back-to-back runs on one
+system object, and — in the fuzz loop — every path of the fast backend
+at once.  The harness lives in :mod:`tests.sim.differential`.
 """
+
+from __future__ import annotations
 
 import random
 from dataclasses import replace
 
 import pytest
 
-from repro.api import build_system, simulate
+from repro.api import build_system
 from repro.errors import ConfigurationError
-from repro.kernels import ALIGNMENTS, KERNELS, build_trace, kernel_by_name
-from repro.params import SIM_MODES, SystemParams
-from repro.types import AccessType, ExplicitCommand, Vector, VectorCommand
+from repro.interleave.schemes import InterleaveScheme
+from repro.kernels import ALIGNMENTS, KERNELS
+from repro.params import ENV_SIM_MODE, SDRAMTiming, SystemParams
 
-PVA_SYSTEMS = ("pva-sdram", "pva-sram")
+from .differential import (
+    PVA_SYSTEMS,
+    ROW_POLICIES,
+    SCATTER_GATHER,
+    WRITE_HEAVY,
+    RunLoopSpy,
+    assert_equivalent,
+    kernel_trace,
+    random_params,
+    random_trace,
+    spy_on_bank_paths,
+)
 
-ROW_POLICIES = ("paper", "open", "close", "history")
 
-
-def _run_both(trace, base, system, *, capture_data=True):
-    """Simulate ``trace`` under tick and window; return both results."""
-    tick = replace(base, sim_mode="tick")
-    window = replace(base, sim_mode="window")
-    a = simulate(trace, tick, system=system, capture_data=capture_data)
-    b = simulate(trace, window, system=system, capture_data=capture_data)
-    return a, b
+@pytest.fixture(autouse=True)
+def paths(monkeypatch):
+    monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+    return spy_on_bank_paths(monkeypatch)
 
 
 @pytest.mark.parametrize("system", PVA_SYSTEMS)
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_paper_sweep_bit_identical(system, kernel):
-    """Every kernel x stride x alignment of the section-6.2 grid slice:
-    the closed form reproduces the reference tick loop's RunResult
-    (cycles, capture_data, attribution and all)."""
-    k = kernel_by_name(kernel)
+def test_paper_sweep_bit_identical(paths, system, kernel):
+    """Every kernel x alignment of the section-6.2 grid slice at the
+    unit and worst-case strides."""
+    params = SystemParams()
     for stride in (1, 19):
         for alignment in ALIGNMENTS:
-            base = SystemParams()
-            trace = build_trace(
-                k,
-                stride=stride,
-                alignment=alignment,
-                elements=256,
-                params=base,
-            )
-            a, b = _run_both(trace, base, system)
-            assert a == b, (system, kernel, stride, alignment.name)
+            trace = kernel_trace(params, kernel, stride, alignment=alignment)
+            assert_equivalent(paths, system, params, trace)
 
 
 @pytest.mark.parametrize("system", PVA_SYSTEMS)
-def test_tick_loop_equivalence(system, monkeypatch):
-    """The window backend is loop-agnostic: under the reference tick
-    loop (forced via ``REPRO_TIME_SKIP=0``) it still matches."""
-    from repro.sim.events import ENV_TOGGLE
-
-    monkeypatch.setenv(ENV_TOGGLE, "0")
-    base = SystemParams()
-    trace = build_trace(
-        kernel_by_name("saxpy"), stride=19, elements=256, params=base
+def test_tick_loop_equivalence(paths, system, monkeypatch):
+    """The window automaton is loop-agnostic: forced onto the tick loop
+    it still matches the reference."""
+    loops = RunLoopSpy(monkeypatch)
+    loops.force_tick = True
+    params = SystemParams()
+    (result,) = assert_equivalent(
+        paths, system, params, kernel_trace(params, "saxpy")
     )
-    a, b = _run_both(trace, base, system)
-    assert a == b
-    assert a.cycles > 0
+    assert result.cycles > 0
+    assert loops.loops == ["tick", "tick"]
 
 
-def test_explicit_commands_equivalent():
-    """Explicit (indexed) commands snoop through broadcast_pairs; the
-    closed form agrees on cycles and captured data."""
-    base = SystemParams()
-    trace = [
-        ExplicitCommand(
-            addresses=(3, 19, 64, 64 + 16, 5, 1000),
-            access=AccessType.WRITE,
-            broadcast_cycles=3,
-            data=(10, 20, 30, 40, 50, 60),
-        ),
-        ExplicitCommand(
-            addresses=(3, 19, 64, 64 + 16, 5, 1000),
-            access=AccessType.READ,
-            broadcast_cycles=3,
-        ),
-    ]
-    a, b = _run_both(trace, base, "pva-sdram")
-    assert a == b
-
-
-def test_sram_storage_equality_after_writes():
-    """After a write-heavy run the device storages of the two backends
-    hold identical contents."""
-    base = SystemParams()
-    trace = [
-        VectorCommand(
-            vector=Vector(base=7, stride=19, length=32),
-            access=AccessType.WRITE,
-            data=tuple(range(100, 132)),
-        ),
-        VectorCommand(
-            vector=Vector(base=3, stride=1, length=32),
-            access=AccessType.WRITE,
-            data=tuple(range(200, 232)),
-        ),
-    ]
+def test_explicit_commands_equivalent(paths):
+    """Explicit scatters and gathers snoop the broadcast address stream
+    instead of evaluating FirstHit."""
     for system in PVA_SYSTEMS:
-        sys_tick = build_system(system, replace(base, sim_mode="tick"))
-        sys_win = build_system(system, replace(base, sim_mode="window"))
-        ra = sys_tick.run(trace)
-        rb = sys_win.run(trace)
-        assert ra == rb
-        for bank_a, bank_b in zip(sys_tick.banks, sys_win.banks):
-            assert bank_a.device._storage == bank_b.device._storage
+        assert_equivalent(paths, system, SystemParams(), SCATTER_GATHER)
 
 
-def test_refresh_deadline_lands_mid_chain():
-    """A refresh interval short enough to expire *inside* a service
-    chain forces the conservative fallback path; cycles and the refresh
-    attribution component must still match tick exactly."""
-    base = SystemParams()
-    base = replace(
-        base, sdram=replace(base.sdram, refresh_interval=40, t_rfc=7)
+def test_sram_storage_equality_after_writes(paths):
+    """A write-heavy trace leaves the same memory image behind."""
+    for system in PVA_SYSTEMS:
+        assert_equivalent(paths, system, SystemParams(), WRITE_HEAVY)
+
+
+def test_refresh_deadline_lands_mid_chain(paths):
+    """A refresh interval short enough to expire inside a service chain
+    forces the closed form's fallback; the refresh must still land on
+    the same cycle."""
+    params = SystemParams(sdram=SDRAMTiming(refresh_interval=40, t_rfc=7))
+    (result,) = assert_equivalent(
+        paths, "pva-sdram", params, kernel_trace(params, "saxpy")
     )
-    trace = build_trace(
-        kernel_by_name("saxpy"), stride=19, elements=256, params=base
-    )
-    a, b = _run_both(trace, base, "pva-sdram")
-    assert a == b
-    # The short cadence must actually have perturbed the run (otherwise
-    # this test exercises nothing): the dense slice is bus-bound so
-    # total cycles hide the refresh, but the bank ledger cannot.
-    quiet = replace(base, sdram=replace(base.sdram, refresh_interval=0))
-    c = simulate(
-        build_trace(
-            kernel_by_name("saxpy"), stride=19, elements=256, params=quiet
-        ),
-        replace(quiet, sim_mode="tick"),
-        system="pva-sdram",
-    )
-    assert a.attribution["bank-0"] != c.attribution["bank-0"]
+    # The dense slice is bus-bound, so total cycles hide the refresh,
+    # but the bank ledger cannot: the cadence really perturbed the run.
+    quiet = SystemParams()
+    baseline = build_system("pva-sdram", quiet).run(kernel_trace(quiet, "saxpy"))
+    assert result.attribution["bank-0"] != baseline.attribution["bank-0"]
 
 
-def test_degenerate_shapes():
-    """Stride-1 single-run chains, a single external bank, and a single
-    internal bank per device each exercise a boundary of the run
-    partition; all must match tick bit for bit."""
-    shapes = [
-        SystemParams(),  # stride handled per-trace below
+def test_degenerate_shapes(paths):
+    """A single external bank and a single internal bank per device each
+    bound the run partition; stride 1 gives single-run chains."""
+    for params in (
+        SystemParams(),
         SystemParams(num_banks=1),
-        None,  # placeholder: internal_banks=1 built explicitly
-    ]
-    one_ib = SystemParams()
-    shapes[2] = replace(one_ib, sdram=replace(one_ib.sdram, internal_banks=1))
-    for base in shapes:
+        SystemParams(sdram=SDRAMTiming(internal_banks=1)),
+    ):
         for stride in (1, 19):
-            trace = build_trace(
-                kernel_by_name("copy"),
-                stride=stride,
-                elements=128,
-                params=base,
-            )
-            a, b = _run_both(trace, base, "pva-sdram")
-            assert a == b, (base.num_banks, base.sdram.internal_banks, stride)
+            trace = kernel_trace(params, stride=stride, elements=128)
+            assert_equivalent(paths, "pva-sdram", params, trace)
 
 
 def test_non_power_of_two_internal_banks_unconstructible():
@@ -182,103 +125,68 @@ def test_non_power_of_two_internal_banks_unconstructible():
         replace(base, sdram=replace(base.sdram, internal_banks=3))
 
 
-def _random_trace(rng):
-    commands = []
-    for _ in range(rng.randint(2, 10)):
-        if rng.random() < 0.25:
-            n = rng.randint(1, 20)
-            addresses = tuple(rng.randrange(0, 1 << 16) for _ in range(n))
-            access = (
-                AccessType.WRITE if rng.random() < 0.5 else AccessType.READ
-            )
-            data = (
-                tuple(rng.randrange(0, 1000) for _ in range(n))
-                if access == AccessType.WRITE
-                else None
-            )
-            commands.append(
-                ExplicitCommand(
-                    addresses=addresses,
-                    access=access,
-                    broadcast_cycles=(n + 1) // 2,
-                    data=data,
-                )
-            )
-        else:
-            length = rng.randint(1, 32)
-            vector = Vector(
-                base=rng.randrange(0, 1 << 14),
-                stride=rng.choice([1, 1, rng.randint(1, 64)]),
-                length=length,
-            )
-            access = (
-                AccessType.WRITE if rng.random() < 0.5 else AccessType.READ
-            )
-            data = (
-                tuple(rng.randrange(0, 1000) for _ in range(length))
-                if access == AccessType.WRITE
-                else None
-            )
-            commands.append(VectorCommand(vector=vector, access=access, data=data))
-    return commands
+@pytest.mark.parametrize("policy", ROW_POLICIES)
+def test_row_policies(paths, policy):
+    """Policies other than the paper's have per-access side effects the
+    closed form hands to the SoA walk."""
+    params = SystemParams(
+        row_policy=policy, sdram=SDRAMTiming(refresh_interval=700)
+    )
+    for kernel, stride in (("saxpy", 19), ("scale", 1), ("swap", 4)):
+        trace = kernel_trace(params, kernel, stride, elements=128)
+        assert_equivalent(paths, "pva-sdram", params, trace)
 
 
-def test_fuzzed_all_five_modes(monkeypatch):
+def test_multichannel(paths):
+    params = SystemParams(num_channels=2, ranks_per_channel=2)
+    for system in PVA_SYSTEMS:
+        assert_equivalent(paths, system, params, kernel_trace(params, "saxpy"))
+
+
+@pytest.mark.parametrize(
+    "interleave",
+    [InterleaveScheme.cache_line(4, 8), InterleaveScheme(num_banks=4, block_words=2)],
+    ids=["cache-line", "block"],
+)
+def test_interleaved_systems(paths, interleave):
+    """The section-4.1.3 logical-bank front end feeds pre-partitioned
+    element lists to the banks."""
+    params = SystemParams(
+        num_banks=4, cache_line_words=8, sdram=SDRAMTiming(row_words=64)
+    )
+    for stride in (1, 3, 8):
+        trace = kernel_trace(params, "saxpy", stride, elements=64)
+        assert_equivalent(
+            paths, "pva-sdram", params, trace, SCATTER_GATHER,
+            interleave=interleave,
+        )
+
+
+def test_back_to_back_runs(paths):
+    """Each run starts from the state the previous one left (open rows,
+    restimers, refresh phase, FHC occupancy)."""
+    params = SystemParams(sdram=SDRAMTiming(refresh_interval=250))
+    traces = [
+        kernel_trace(params, kernel, stride, elements=96)
+        for kernel, stride in (("copy", 19), ("scale", 1), ("vaxpy", 4))
+    ]
+    for system in PVA_SYSTEMS:
+        assert_equivalent(paths, system, params, *traces)
+
+
+def test_fuzzed_all_four_paths(paths, monkeypatch):
     """Randomized geometries, timings, policies, refresh cadences that
     expire mid-chain, context and FIFO depths, both PVA systems, both
-    run loops, fresh runs AND back-to-back runs on one system object —
-    with every trial checked across *all five* ladder modes (tick, skip,
-    precompute, soa, window) for bit-identical cycles, payloads and
-    attribution."""
-    from repro.sim.events import ENV_TOGGLE
-
-    assert SIM_MODES == ("tick", "skip", "precompute", "soa", "window")
-    rng = random.Random(20260808)
+    run loops, two traces back to back on one system object — every
+    trial checked on all four paths: the reference tick loop against
+    fast's window automaton, its object graph on the skip loop (command
+    log attached) and its SoA automaton (``capture_data``)."""
+    loops = RunLoopSpy(monkeypatch)
+    rng = random.Random(20260809)
     for trial in range(40):
-        monkeypatch.setenv(ENV_TOGGLE, "1" if rng.random() < 0.8 else "0")
-        num_banks = rng.choice([1, 2, 4, 8, 16])
-        max_transactions = rng.randint(1, 8)
-        sdram = dict(
-            t_rcd=rng.randint(1, 4),
-            cas_latency=rng.randint(1, 4),
-            t_rp=rng.randint(1, 4),
-            t_wr=rng.randint(1, 3),
-            internal_banks=rng.choice([1, 2, 4, 8]),
-            row_words=rng.choice([64, 128, 512]),
-            refresh_interval=rng.choice([0, 40, 150, 700]),
-            t_rfc=rng.randint(2, 10),
-        )
-        base = SystemParams(
-            num_banks=num_banks,
-            max_transactions=max_transactions,
-            num_vector_contexts=rng.randint(1, 4),
-            request_fifo_depth=max(max_transactions, rng.randint(1, 10)),
-            fhc_latency=rng.randint(1, 4),
-            bus_turnaround=rng.randint(0, 3),
-            bypass_paths=rng.random() < 0.5,
-            row_policy=rng.choice(ROW_POLICIES),
-            issue_interval=rng.choice([0, 0, 17, 256]),
-        )
-        base = replace(base, sdram=replace(base.sdram, **sdram))
+        loops.force_tick = rng.random() >= 0.8
+        params = random_params(rng)
         system = rng.choice(PVA_SYSTEMS)
-        trace = _random_trace(rng)
-        results = [
-            simulate(
-                trace,
-                replace(base, sim_mode=mode),
-                system=system,
-                capture_data=True,
-            )
-            for mode in SIM_MODES
-        ]
-        for mode, result in zip(SIM_MODES[1:], results[1:]):
-            assert result == results[0], (trial, system, mode)
-        # Back-to-back on one system object per mode: run N leaves
-        # exactly the state run N+1 of the other backend expects.
-        sys_tick = build_system(system, replace(base, sim_mode="tick"))
-        sys_win = build_system(system, replace(base, sim_mode="window"))
-        trace2 = _random_trace(rng)
-        for tr in (trace, trace2):
-            ra = sys_tick.run(tr, capture_data=True)
-            rb = sys_win.run(tr, capture_data=True)
-            assert ra == rb, (trial, system, "back-to-back")
+        traces = (random_trace(rng), random_trace(rng))
+        for path in ({}, {"logs": True}, {"capture_data": True}):
+            assert_equivalent(paths, system, params, *traces, **path)

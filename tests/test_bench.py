@@ -1,4 +1,4 @@
-"""The tick-vs-skip benchmark harness (``python -m repro bench``)."""
+"""The reference-vs-fast benchmark harness (``python -m repro bench``)."""
 
 from __future__ import annotations
 
@@ -27,17 +27,17 @@ class TestRunBench:
         entry = report["systems"]["pva-sdram"]
         for field in (
             "simulated_cycles",
-            "tick_seconds",
-            "skip_seconds",
-            "tick_cycles_per_second",
-            "skip_cycles_per_second",
+            "reference_seconds",
+            "fast_seconds",
+            "reference_cycles_per_second",
+            "fast_cycles_per_second",
             "speedup",
         ):
             assert field in entry, field
         assert entry["simulated_cycles"] > 0
-        assert entry["tick_seconds"] > 0
-        assert entry["skip_seconds"] > 0
-        assert report["grid"]["tick_seconds"] > 0
+        assert entry["reference_seconds"] > 0
+        assert entry["fast_seconds"] > 0
+        assert report["grid"]["reference_seconds"] > 0
         assert report["speedup"] > 0
 
     def test_report_carries_attribution(self, quick_report):
@@ -62,34 +62,43 @@ class TestRunBench:
         with pytest.raises(ConfigurationError):
             run_bench(elements=16, quick=True, systems=("no-such-system",))
 
-    def test_soa_section_shape_and_cross_checks(self, quick_report):
-        entry = quick_report["soa"]
-        assert entry["system"] == "pva-sdram"
+    def test_sparse_section_shape_and_cross_checks(self, quick_report):
+        entry = quick_report["sparse"]
+        assert entry["issue_interval"] == 256
         # The run itself is the cross-check: run_bench raises unless the
-        # SoA backend reproduced the tick loop's cycles and ledger.
-        dense = quick_report["systems"]["pva-sdram"]
-        assert entry["simulated_cycles"] == dense["simulated_cycles"]
-        assert entry["attribution"] == dense["attribution"]
+        # two backends agreed on cycles and the ledger.
+        assert entry["simulated_cycles"] > 0
         for buckets in entry["attribution"].values():
             total = buckets["busy"] + buckets["stalled"] + buckets["idle"]
             assert total == entry["simulated_cycles"]
-        assert entry["soa_seconds"] > 0
-        assert entry["soa_cycles_per_second"] > 0
-        assert entry["baseline_recorded_cycles_per_second"] == 38600.0
-        assert (
-            entry["baseline_measured_cycles_per_second"]
-            == dense["skip_cycles_per_second"]
-        )
-        assert entry["speedup_vs_recorded_baseline"] > 0
-        assert entry["speedup_vs_measured_precompute"] > 0
+        assert entry["reference_seconds"] > 0
+        assert entry["fast_seconds"] > 0
+        assert entry["speedup"] > 0
 
-    def test_precompute_section_surfaces_measured_baseline(self, quick_report):
-        entry = quick_report["precompute"]
-        assert (
-            entry["measured_incremental_cycles_per_second"]
-            == entry["incremental_cycles_per_second"]
-        )
-        assert entry["baseline_tick_cycles_per_second"] == 18099.8
+    def test_backend_disagreement_refuses_to_report(self, monkeypatch):
+        # The cross-check behind every section: a fast backend that
+        # drifts from the reference on cycles or on the ledger is
+        # refused, not timed.
+        import repro.bench as bench
+
+        timed = bench._time_mode
+
+        for drift in ("cycles", "attribution"):
+
+            def drifting(system, params, *args, _drift=drift, **kwargs):
+                result = timed(system, params, *args, **kwargs)
+                if params.sim_mode == "fast":
+                    if _drift == "cycles":
+                        result["cycles"] += 1
+                    else:
+                        result["attribution"] = {}
+                return result
+
+            monkeypatch.setattr(bench, "_time_mode", drifting)
+            with pytest.raises(ConfigurationError, match="disagree"):
+                run_bench(
+                    elements=64, repeats=1, quick=True, systems=("pva-sdram",)
+                )
 
     def test_report_header_records_canonical_config(self, quick_report):
         from repro.params import SystemParams
@@ -106,54 +115,24 @@ class TestRunBench:
 
     def test_env_overrides_suspended_during_bench(self, monkeypatch):
         # A forced global mode must not leak into the benchmark's
-        # backend matrix (each section times what it claims to time).
+        # backend pair (each section times what it claims to time).
         from repro.params import ENV_SIM_MODE
-        from repro.sim.events import ENV_TOGGLE
 
-        monkeypatch.setenv(ENV_SIM_MODE, "tick")
-        monkeypatch.setenv(ENV_TOGGLE, "0")
+        monkeypatch.setenv(ENV_SIM_MODE, "reference")
         report = run_bench(
             elements=64, repeats=1, quick=True, systems=("pva-sdram",)
         )
-        assert report["soa"]["soa_cycles_per_second"] > 0
-        # The overrides are restored afterwards.
+        assert report["config"]["sim_mode"] == "fast"
+        assert report["systems"]["pva-sdram"]["fast_cycles_per_second"] > 0
+        # The override is restored afterwards.
         import os
 
-        assert os.environ[ENV_SIM_MODE] == "tick"
-        assert os.environ[ENV_TOGGLE] == "0"
+        assert os.environ[ENV_SIM_MODE] == "reference"
 
-    def test_format_renders_soa_and_baselines(self, quick_report):
+    def test_format_renders_sparse(self, quick_report):
         text = format_bench(quick_report)
-        assert "SoA bank automaton" in text
-        assert "recorded" in text
-        assert "measured" in text
-
-    def test_window_section_shape_and_cross_checks(self, quick_report):
-        entry = quick_report["window"]
-        assert entry["system"] == "pva-sdram"
-        # The run itself is the cross-check: run_bench raises unless the
-        # window backend reproduced the tick loop's cycles and ledger.
-        dense = quick_report["systems"]["pva-sdram"]
-        assert entry["simulated_cycles"] == dense["simulated_cycles"]
-        assert entry["attribution"] == dense["attribution"]
-        for buckets in entry["attribution"].values():
-            total = buckets["busy"] + buckets["stalled"] + buckets["idle"]
-            assert total == entry["simulated_cycles"]
-        assert entry["window_seconds"] > 0
-        assert entry["window_cycles_per_second"] > 0
-        assert entry["baseline_recorded_soa_cycles_per_second"] == 66195.1
-        soa = quick_report["soa"]
-        assert (
-            entry["baseline_measured_soa_cycles_per_second"]
-            == soa["soa_cycles_per_second"]
-        )
-        assert entry["speedup_vs_recorded_soa"] > 0
-        assert entry["speedup_vs_measured_soa"] > 0
-
-    def test_format_renders_window(self, quick_report):
-        text = format_bench(quick_report)
-        assert "closed-form window backend" in text
-        assert "vs measured SoA" in text
+        assert "reference" in text
+        assert "throttled front end (issue_interval=256)" in text
 
     def test_history_record_shape(self, quick_report):
         from repro.bench import history_record
@@ -164,12 +143,9 @@ class TestRunBench:
         assert record["stride"] == HEADLINE_STRIDE
         assert record["config_key"] == quick_report["config_key"]
         for field in (
-            "tick_cycles_per_second",
-            "skip_cycles_per_second",
-            "precompute_cycles_per_second",
-            "soa_cycles_per_second",
-            "window_cycles_per_second",
-            "window_speedup_vs_measured_soa",
+            "reference_cycles_per_second",
+            "fast_cycles_per_second",
+            "sparse_speedup",
         ):
             assert record[field] > 0, field
         # One JSONL line, not a nested report.
@@ -246,83 +222,19 @@ class TestBenchCLI:
         )
         assert code == 1
 
-    def test_min_soa_speedup_gate_fails_cleanly(self):
-        code = main(
-            [
-                "bench",
-                "--quick",
-                "--elements",
-                "64",
-                "--repeats",
-                "1",
-                "--system",
-                "pva-sdram",
-                "--out",
-                "",
-                "--min-soa-speedup",
-                "1000",
-            ]
-        )
-        assert code == 1
-
-    def test_min_soa_speedup_requires_soa_section(self):
-        # Without pva-sdram in the workload there is no SoA section to
-        # gate on; the gate fails loudly instead of passing vacuously.
-        code = main(
-            [
-                "bench",
-                "--quick",
-                "--elements",
-                "64",
-                "--repeats",
-                "1",
-                "--system",
-                "cacheline-serial",
-                "--out",
-                "",
-                "--min-soa-speedup",
-                "0.1",
-            ]
-        )
-        assert code == 1
-
-    def test_min_window_speedup_gate_fails_cleanly(self):
-        code = main(
-            [
-                "bench",
-                "--quick",
-                "--elements",
-                "64",
-                "--repeats",
-                "1",
-                "--system",
-                "pva-sdram",
-                "--out",
-                "",
-                "--min-window-speedup",
-                "1000",
-            ]
-        )
-        assert code == 1
-
-    def test_min_window_speedup_requires_window_section(self):
-        code = main(
-            [
-                "bench",
-                "--quick",
-                "--elements",
-                "64",
-                "--repeats",
-                "1",
-                "--system",
-                "cacheline-serial",
-                "--out",
-                "",
-                "--min-window-speedup",
-                "0.1",
-            ]
-        )
-        assert code == 1
+    @pytest.mark.parametrize(
+        "flag",
+        (
+            "--min-precompute-speedup",
+            "--min-soa-speedup",
+            "--min-window-speedup",
+        ),
+    )
+    def test_removed_rung_gates_are_rejected(self, flag):
+        # The per-rung gates left with the rungs; --min-speedup is the
+        # one reference-vs-fast gate.
+        with pytest.raises(SystemExit):
+            main(["bench", "--quick", "--out", "", flag, "1.0"])
 
     def test_profile_writes_per_section_summaries(self, tmp_path):
         out = tmp_path / "report.json"
@@ -347,7 +259,7 @@ class TestBenchCLI:
         )
         assert code == 0
         names = {p.name for p in prof.iterdir()}
-        for section in ("tick", "skip", "soa", "window"):
+        for section in ("reference", "fast", "sparse-reference", "sparse-fast"):
             assert f"{section}-pva-sdram.txt" in names, section
-        text = (prof / "window-pva-sdram.txt").read_text()
+        text = (prof / "fast-pva-sdram.txt").read_text()
         assert "cumulative" in text

@@ -167,96 +167,70 @@ class TestSystemParams:
 
 
 class TestSimMode:
-    """The validated sim_mode ladder and its deprecated boolean aliases."""
+    """The validated two-mode sim_mode field."""
 
-    def test_default_resolves_to_precompute(self):
-        params = SystemParams()
-        assert params.sim_mode == "precompute"
-        # The deprecated alias fields are always folded away.
-        assert params.time_skip is None
-        assert params.precompute is None
+    def test_default_resolves_to_fast(self):
+        assert SystemParams().sim_mode == "fast"
 
-    def test_mode_ladder_implies_aspects(self):
-        assert SystemParams(sim_mode="tick").uses_time_skip is False
-        assert SystemParams(sim_mode="tick").uses_precompute is False
-        assert SystemParams(sim_mode="skip").uses_time_skip is True
-        assert SystemParams(sim_mode="skip").uses_precompute is False
-        pre = SystemParams(sim_mode="precompute")
-        assert pre.uses_time_skip is True
-        assert pre.uses_precompute is True
-        soa = SystemParams(sim_mode="soa")
-        assert soa.uses_time_skip is True
-        assert soa.uses_precompute is True
-        assert soa.sim_mode == "soa"
+    def test_only_reference_and_fast_exist(self):
+        from repro.params import SIM_MODES
+
+        assert SIM_MODES == ("reference", "fast")
+        for mode in SIM_MODES:
+            assert SystemParams(sim_mode=mode).sim_mode == mode
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             SystemParams(sim_mode="warp")
 
-    def test_legacy_booleans_warn_and_map_onto_the_ladder(self):
-        cases = {
-            (False, False): "tick",
-            (False, True): "tick",
-            (True, False): "skip",
-            (True, True): "precompute",
-            (False, None): "tick",
-            (True, None): "precompute",
-            (None, False): "skip",
-            (None, True): "precompute",
-        }
-        for (time_skip, precompute), expected in cases.items():
-            with pytest.deprecated_call():
-                params = SystemParams(
-                    time_skip=time_skip, precompute=precompute
-                )
-            assert params.sim_mode == expected, (time_skip, precompute)
-            assert params.time_skip is None
-            assert params.precompute is None
+    def test_legacy_aliases_and_mode_names_raise(self):
+        with pytest.raises(TypeError):
+            SystemParams(time_skip=True)
+        with pytest.raises(TypeError):
+            SystemParams(precompute=False)
+        for mode in ("tick", "skip", "precompute", "soa", "window"):
+            with pytest.raises(ConfigurationError):
+                SystemParams(sim_mode=mode)
 
     def test_boolean_alias_plus_sim_mode_is_a_contradiction(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                SystemParams(sim_mode="precompute", time_skip=False)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                SystemParams(sim_mode="soa", precompute=False)
-
-    def test_legacy_equals_modern_construction(self):
-        with pytest.deprecated_call():
-            legacy = SystemParams(time_skip=True, precompute=False)
-        assert legacy == SystemParams(sim_mode="skip")
-        assert hash(legacy) == hash(SystemParams(sim_mode="skip"))
+        # The aliases are gone, so pairing one with sim_mode cannot
+        # silently pick a side: the constructor rejects the keyword.
+        with pytest.raises(TypeError):
+            SystemParams(sim_mode="fast", time_skip=False)
+        with pytest.raises(TypeError):
+            SystemParams(sim_mode="reference", precompute=True)
 
     def test_replace_round_trip_is_stable(self):
         from dataclasses import replace
 
-        for mode in ("tick", "skip", "precompute", "soa", "window"):
+        for mode in ("reference", "fast"):
             params = SystemParams(sim_mode=mode)
             again = replace(params, num_banks=8)
             assert again.sim_mode == mode
-            # ... and switching modes via replace() needs no aliases.
-            assert replace(params, sim_mode="tick").sim_mode == "tick"
+            assert replace(params, sim_mode="reference").sim_mode == "reference"
 
     def test_hashable_and_equal(self):
-        a = SystemParams(sim_mode="soa")
-        b = SystemParams(sim_mode="soa")
+        a = SystemParams(sim_mode="reference")
+        b = SystemParams(sim_mode="reference")
         assert a == b
         assert hash(a) == hash(b)
-        assert a != SystemParams(sim_mode="precompute")
+        assert a != SystemParams(sim_mode="fast")
 
     def test_env_override_forces_mode(self, monkeypatch):
         from repro.params import ENV_SIM_MODE
 
-        monkeypatch.setenv(ENV_SIM_MODE, "soa")
-        params = SystemParams(sim_mode="tick")
-        assert params.sim_mode == "soa"
-        assert params.uses_time_skip is True
-        assert params.uses_precompute is True
-        monkeypatch.setenv(ENV_SIM_MODE, "auto")
-        assert SystemParams(sim_mode="tick").sim_mode == "tick"
-        monkeypatch.setenv(ENV_SIM_MODE, "hyperdrive")
+        monkeypatch.setenv(ENV_SIM_MODE, "reference")
+        assert SystemParams(sim_mode="fast").sim_mode == "reference"
         with pytest.raises(ConfigurationError):
-            SystemParams()
+            SystemParams(sim_mode="tick")  # an old name fails either way
+        monkeypatch.setenv(ENV_SIM_MODE, "auto")
+        assert SystemParams(sim_mode="reference").sim_mode == "reference"
+        for stale in ("hyperdrive", "tick", "soa", "window"):
+            monkeypatch.setenv(ENV_SIM_MODE, stale)
+            with pytest.raises(ConfigurationError):
+                SystemParams()
 
     def test_describe_reports_mode(self):
-        assert SystemParams(sim_mode="soa").describe()["sim_mode"] == "soa"
+        assert SystemParams(sim_mode="reference").describe()["sim_mode"] == (
+            "reference"
+        )
