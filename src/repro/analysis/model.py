@@ -16,12 +16,12 @@ reasoning as explicit formulas:
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.decode import decompose_stride
-from repro.core.firsthit import hit_count
+from repro.core.pla import shared_k1_pla
 from repro.params import SystemParams
-from repro.types import AccessType, ExplicitCommand, VectorCommand
+from repro.types import ExplicitCommand, VectorCommand
 
 __all__ = [
     "available_parallelism",
@@ -43,49 +43,64 @@ def bus_bound_cycles(
 ) -> int:
     """Vector-bus occupancy lower bound (per channel).
 
-    Every read costs one request cycle plus a STAGE_READ command and the
-    line transfer; every write costs STAGE_WRITE, the transfer, and the
-    VEC_WRITE broadcast.  Commands and broadcasts occupy every channel
-    simultaneously, while the line transfer splits evenly across
-    channels (``channel_stage_cycles``); each channel's timeline
-    serializes all of it.
+    Every read costs its request plus a STAGE_READ command and the line
+    transfer; every write costs STAGE_WRITE, the transfer, and its
+    VEC_WRITE request.  A request is one broadcast cycle, or
+    ``broadcast_cycles`` for an explicit-address command.  Commands and
+    broadcasts occupy every channel simultaneously, while the line
+    transfer splits evenly across channels (``channel_stage_cycles``);
+    each channel's timeline serializes all of it.
     """
-    total = 0
+    total = len(commands) * (1 + params.channel_stage_cycles)
     for command in commands:
         if isinstance(command, ExplicitCommand):
-            request = command.broadcast_cycles
+            total += command.broadcast_cycles
         else:
-            request = 1
-        if command.access is AccessType.READ:
-            total += request + 1 + params.channel_stage_cycles
-        else:
-            total += 1 + params.channel_stage_cycles + request
+            total += 1
     return total
-
-
-def _bank_elements(command, params: SystemParams) -> Dict[int, int]:
-    if isinstance(command, ExplicitCommand):
-        counts: Dict[int, int] = {}
-        mask = params.num_banks - 1
-        for address in command.addresses:
-            counts[address & mask] = counts.get(address & mask, 0) + 1
-        return counts
-    return {
-        bank: hit_count(command.vector, bank, params.num_banks)
-        for bank in range(params.num_banks)
-    }
 
 
 def per_bank_column_bound(
     commands: Sequence, params: SystemParams
 ) -> int:
     """Column-throughput lower bound: the busiest bank must issue one CAS
-    per element it owns, at most one per cycle."""
-    totals: Dict[int, int] = {}
+    per element it owns, at most one per cycle.
+
+    Priced from the compiled K1 PLA rather than by evaluating FirstHit
+    per bank per command.  Only ``S mod M`` shapes the bank pattern
+    (lemma 4.1) and ``K_i`` depends only on the bank's distance from the
+    base bank (theorem 4.3), so vector commands that agree on
+    ``(S mod M, L, B mod M)`` add identical per-bank counts.  Each
+    ``(S mod M, L)`` class reads its ``M`` per-distance counts once;
+    each bucket adds them rotated by its base bank.
+    """
+    num_banks = params.num_banks
+    mask = num_banks - 1
+    totals = [0] * num_banks
+    buckets: Dict[Tuple[int, int, int], int] = {}
     for command in commands:
-        for bank, count in _bank_elements(command, params).items():
-            totals[bank] = totals.get(bank, 0) + count
-    return max(totals.values(), default=0)
+        if isinstance(command, ExplicitCommand):
+            for address in command.addresses:
+                totals[address & mask] += 1
+        else:
+            vector = command.vector
+            key = (vector.stride & mask, vector.length, vector.base & mask)
+            buckets[key] = buckets.get(key, 0) + 1
+    pla = shared_k1_pla(num_banks)
+    classes: Dict[Tuple[int, int], List[int]] = {}
+    for (s_mod, length, base_bank), times in buckets.items():
+        per_distance = classes.get((s_mod, length))
+        if per_distance is None:
+            delta = pla.entry(s_mod).delta
+            hits = [pla.first_hit_index(s_mod, d) for d in range(num_banks)]
+            # K_i < delta, so a count floors to 0 when K_i >= L.
+            per_distance = [
+                0 if k is None else (length - 1 - k) // delta + 1 for k in hits
+            ]
+            classes[(s_mod, length)] = per_distance
+        for d, count in enumerate(per_distance):
+            totals[(base_bank + d) & mask] += times * count
+    return max(totals)
 
 
 def pva_lower_bound(commands: Sequence, params: SystemParams) -> int:

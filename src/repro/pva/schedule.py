@@ -45,10 +45,9 @@ of distinct vectors) and hooked into :func:`repro.api.clear_caches`.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.decode import decompose_stride
+from repro.core.pla import shared_k1_pla
 
 __all__ = [
     "BankSchedule",
@@ -170,19 +169,6 @@ def _decode(
     return tuple(ibanks), tuple(rows), next_same_row
 
 
-@lru_cache(maxsize=256)
-def _stride_pattern(stride: int, num_banks: int) -> Tuple[int, int, int, int]:
-    """``(s, delta, k1, bank_bits)`` of ``stride`` over ``num_banks``.
-
-    Split out of :func:`stride_schedule` and memoized on the tiny
-    ``(stride, num_banks)`` domain: the modular inverse behind ``k1``
-    (theorem 4.3) would otherwise be recomputed on every broadcast, while
-    the full schedule memo below misses whenever the base moves.
-    """
-    decomp = decompose_stride(stride, num_banks)
-    return decomp.s, decomp.delta, decomp.k1, decomp.bank_bits
-
-
 def stride_schedule(
     base: int,
     stride: int,
@@ -194,24 +180,18 @@ def stride_schedule(
     """The full hit table for bank ``bank`` of ``<base, stride, length>``
     over ``num_banks`` word-interleaved banks, or ``None`` for no hit.
 
-    Pure closed-form evaluation of theorems 4.3/4.4 — value-identical to
-    the incremental ``first_hit``/``next_hit`` walk of the FHP/VC
-    expansion path.  Uncached: :func:`broadcast_schedules` memoizes
-    whole broadcasts instead.
+    Theorems 4.3/4.4 read from the compiled K1 PLA (the same table the
+    FirstHit Predict unit reads) — value-identical to the incremental
+    ``first_hit``/``next_hit`` walk of the FHP/VC expansion path.
+    Uncached: :func:`broadcast_schedules` memoizes whole broadcasts
+    instead.
     """
-    s, delta, k1, bank_bits = _stride_pattern(stride, num_banks)
-    b0 = base & (num_banks - 1)
-    if s == bank_bits:
-        # S mod M == 0: every element lands on the base bank.
-        k = 0 if bank == b0 else None
-    else:
-        d = (bank - b0) % num_banks
-        if d & ((1 << s) - 1):
-            k = None  # lemma 4.2: bank distance not a multiple of 2**s
-        else:
-            k = (k1 * (d >> s)) % delta
+    pla = shared_k1_pla(num_banks)
+    k = pla.first_hit_index(stride, (bank - base) & (num_banks - 1))
     if k is None or k >= length:
         return None
+    delta = pla.entry(stride).delta
+    bank_bits = pla.bank_bits
     count = (length - 1 - k) // delta + 1
     # S * delta is a multiple of M (theorem 4.4), so the shift is exact.
     local_first = (base + stride * k) >> bank_bits
@@ -291,4 +271,3 @@ def clear_schedule_cache() -> None:
     """Drop every memoized schedule (see :func:`repro.api.clear_caches`)."""
     _memo.clear()
     _memo_stats[:] = [0, 0, 0]
-    _stride_pattern.cache_clear()

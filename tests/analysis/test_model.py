@@ -14,12 +14,78 @@ from repro.analysis.model import (
 from repro.baselines.cacheline_serial import CacheLineSerialSDRAM
 from repro.baselines.gathering_serial import GatheringSerialSDRAM
 from repro.baselines.pva_sram import make_pva_sram
-from repro.kernels import build_trace, kernel_by_name
+from repro.core.firsthit import hit_count
+from repro.explore import DEFAULT_SPEC, enumerate_candidates
+from repro.kernels import alignment_by_name, build_trace, kernel_by_name
 from repro.params import SystemParams
 from repro.pva.system import PVAMemorySystem
-from repro.types import AccessType, Vector, VectorCommand
+from repro.types import AccessType, ExplicitCommand, Vector, VectorCommand
 
 PROTO = SystemParams()
+
+
+def reference_bus_bound(commands, params):
+    """The bus bound term by term: request, stage command, transfer."""
+    total = 0
+    for command in commands:
+        if isinstance(command, ExplicitCommand):
+            request = command.broadcast_cycles
+        else:
+            request = 1
+        if command.access is AccessType.READ:
+            total += request + 1 + params.channel_stage_cycles
+        else:
+            total += 1 + params.channel_stage_cycles + request
+    return total
+
+
+def reference_column_bound(commands, params):
+    """The column bound from the FirstHit spec: every bank's
+    ``hit_count`` for every vector command, plus each explicit
+    address's bank, maximised over banks."""
+    totals = {}
+    mask = params.num_banks - 1
+    for command in commands:
+        if isinstance(command, ExplicitCommand):
+            for address in command.addresses:
+                totals[address & mask] = totals.get(address & mask, 0) + 1
+        else:
+            for bank in range(params.num_banks):
+                count = hit_count(command.vector, bank, params.num_banks)
+                totals[bank] = totals.get(bank, 0) + count
+    return max(totals.values(), default=0)
+
+
+@st.composite
+def mixed_traces(draw):
+    """A bank count of 2..64 and a trace mixing vector commands (any
+    stride up to ``4 * M``, multiples of ``M`` included) with
+    explicit-address commands."""
+    num_banks = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    accesses = st.sampled_from([AccessType.READ, AccessType.WRITE])
+    vectors = st.builds(
+        VectorCommand,
+        vector=st.builds(
+            Vector,
+            base=st.integers(0, 1 << 16),
+            stride=st.one_of(
+                st.integers(1, 4 * num_banks),
+                st.integers(1, 4).map(lambda k: k * num_banks),
+            ),
+            length=st.integers(1, 64),
+        ),
+        access=accesses,
+    )
+    explicits = st.builds(
+        ExplicitCommand,
+        addresses=st.lists(
+            st.integers(0, 1 << 16), min_size=1, max_size=16
+        ).map(tuple),
+        access=accesses,
+        broadcast_cycles=st.integers(1, 8),
+    )
+    trace = draw(st.lists(st.one_of(vectors, explicits), max_size=24))
+    return SystemParams(num_banks=num_banks), trace
 
 
 class TestParallelism:
@@ -81,8 +147,6 @@ class TestPVABounds:
         assert per_bank_column_bound(trace, PROTO) == 2 * 512
 
     def test_per_bank_bound_with_explicit_command(self):
-        from repro.types import ExplicitCommand
-
         cmd = ExplicitCommand(
             addresses=(0, 16, 32, 1),
             access=AccessType.READ,
@@ -103,3 +167,42 @@ class TestPVABounds:
         )
         cycles = PVAMemorySystem(PROTO).run([command]).cycles
         assert cycles >= pva_lower_bound([command], PROTO)
+
+
+class TestBoundValues:
+    """The bounds agree with their term-by-term references away from
+    the paper's prototype: any bank count, stride and command mix."""
+
+    def test_empty_trace_bounds_are_zero(self):
+        assert bus_bound_cycles([], PROTO) == 0
+        assert per_bank_column_bound([], PROTO) == 0
+        assert pva_lower_bound([], PROTO) == 0
+
+    @given(case=mixed_traces())
+    @settings(max_examples=150, deadline=None)
+    def test_bounds_match_reference(self, case):
+        params, trace = case
+        assert per_bank_column_bound(trace, params) == (
+            reference_column_bound(trace, params)
+        )
+        assert bus_bound_cycles(trace, params) == (
+            reference_bus_bound(trace, params)
+        )
+
+    def test_default_sweep_candidates_carry_reference_bound(self):
+        kernel = kernel_by_name(DEFAULT_SPEC.kernel)
+        alignment = alignment_by_name(DEFAULT_SPEC.alignment)
+        candidates, _ = enumerate_candidates(DEFAULT_SPEC)
+        assert len(candidates) == 96
+        for candidate in candidates:
+            trace = build_trace(
+                kernel,
+                stride=DEFAULT_SPEC.stride,
+                params=candidate.params,
+                elements=candidate.elements,
+                alignment=alignment,
+            )
+            assert candidate.bound == max(
+                reference_bus_bound(trace, candidate.params),
+                reference_column_bound(trace, candidate.params),
+            ), candidate.settings
