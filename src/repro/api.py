@@ -121,9 +121,8 @@ def register_system(
 def unregister_system(name: str, *, missing_ok: bool = False) -> None:
     """Remove ``name`` from the registry.
 
-    Used by the fault-injection harness (:mod:`repro.faults`) to clean
-    up its ``fault-*`` registrations; unknown names raise
-    ``ConfigurationError`` unless ``missing_ok`` is set.
+    Unknown names raise ``ConfigurationError`` unless ``missing_ok`` is
+    set.
     """
     if name not in _REGISTRY:
         if missing_ok:

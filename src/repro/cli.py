@@ -21,27 +21,15 @@ Subcommands
     Time the reference backend against the fast one on the stride-19
     grid slice and a throttled-front-end scenario and write
     ``BENCH_sim.json`` (``--quick`` for the CI smoke workload).
-``faults-smoke``
-    Prove failure containment end to end: run a pool batch with a
-    raising point, a watchdog-tripping cycle burner, and a killed
-    worker injected, and verify every healthy point still returns its
-    exact cycle count.
-``serve``
-    Run the simulation service daemon: accept simulate/grid/bench jobs
-    over HTTP, journal them to a write-ahead log, and survive
-    restarts (``--state-dir`` holds the journal and result cache).
-``submit`` / ``status`` / ``cancel``
-    Client commands against a running daemon (``--url``).
-``service-chaos``
-    The service's chaos tier: SIGKILL the daemon mid-batch, corrupt
-    its cache, restart it, and verify every job still reaches a
-    terminal state with cached points reused.
 
 Engine subcommands (``grid``, ``figure``, ``ablation``, ``all``) accept
 ``--jobs``/``--cache`` plus the resilience options ``--on-error
 raise|collect``, ``--retries N``, and ``--timeout SECONDS``; with
 ``--on-error collect`` a failing point no longer aborts the batch —
 its cells render as ``FAILED`` and the rest of the grid survives.
+Retries are immediate (no backoff).  Corrupt entries in a ``--cache``
+directory are moved to its ``quarantine/`` subdirectory and
+re-simulated; the ``[engine]`` line counts them.
 
 Examples::
 
@@ -50,7 +38,6 @@ Examples::
     python -m repro grid --jobs 4 --on-error collect --retries 1 --timeout 120
     python -m repro figure 9 --elements 256 --jobs 4
     python -m repro ablation row-policy
-    python -m repro faults-smoke
 """
 
 from __future__ import annotations
@@ -100,10 +87,16 @@ class _MetricsLine(EngineHooks):
 
     def batch_complete(self, metrics):
         resilience = ""
-        if metrics.failures or metrics.retries or metrics.timeouts:
+        if (
+            metrics.failures
+            or metrics.retries
+            or metrics.timeouts
+            or metrics.cache_quarantined
+        ):
             resilience = (
                 f", {metrics.failures} failed / {metrics.retries} "
-                f"retried / {metrics.timeouts} timed out"
+                f"retried / {metrics.timeouts} timed out / "
+                f"{metrics.cache_quarantined} quarantined"
             )
         throughput = ""
         if metrics.sim_seconds > 0:
@@ -121,22 +114,6 @@ class _MetricsLine(EngineHooks):
             f"{throughput}{resilience}",
             file=sys.stderr,
         )
-        service_counters = [
-            ("rejected", metrics.queue_rejected),
-            ("replayed", metrics.journal_replayed),
-            ("breaker trips", metrics.breaker_trips),
-            ("quarantined", metrics.cache_quarantined),
-            ("aborted", metrics.aborted),
-        ]
-        live = [
-            f"{value} {label}"
-            for label, value in service_counters
-            if value
-        ]
-        if live:
-            print(
-                "[engine] service: " + ", ".join(live), file=sys.stderr
-            )
         if metrics.component_cycles:
             # Collapse the per-bank components into one aggregate line
             # item; the full per-bank ledger stays in summary() and the
@@ -190,7 +167,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         metavar="N",
-        help="re-attempts per failed point, with exponential backoff",
+        help="re-attempts per failed point, made immediately (no backoff)",
     )
     parser.add_argument(
         "--timeout",
@@ -290,22 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "complexity", help="print the Table 1 complexity comparison"
     )
-
-    smoke_parser = sub.add_parser(
-        "faults-smoke",
-        help=(
-            "inject faults (raise, hang, killed worker) into a pool "
-            "batch and verify the engine contains all of them"
-        ),
-    )
-    smoke_parser.add_argument("--jobs", type=int, default=2)
-    smoke_parser.add_argument(
-        "--timeout",
-        type=float,
-        default=5.0,
-        help="per-point budget; bounds how long the killed worker stalls",
-    )
-    smoke_parser.add_argument("--elements", type=int, default=64)
 
     bench_parser = sub.add_parser(
         "bench",
@@ -469,157 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     all_parser.add_argument("--elements", type=int, default=1024)
     _add_engine_options(all_parser)
 
-    serve_parser = sub.add_parser(
-        "serve",
-        help=(
-            "run the simulation service daemon (HTTP job API with a "
-            "write-ahead journal and crash recovery)"
-        ),
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port",
-        type=int,
-        default=8642,
-        help="listen port (0 picks a free one; see --port-file)",
-    )
-    serve_parser.add_argument(
-        "--port-file",
-        default=None,
-        metavar="FILE",
-        help="write the actually-bound port here once listening",
-    )
-    serve_parser.add_argument(
-        "--state-dir",
-        default=".repro-service",
-        metavar="DIR",
-        help="journal + result cache location (survives restarts)",
-    )
-    serve_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=2,
-        help="worker processes per job's engine pool (default: 2)",
-    )
-    serve_parser.add_argument(
-        "--concurrency",
-        type=int,
-        default=1,
-        help="jobs run simultaneously (default: 1)",
-    )
-    serve_parser.add_argument("--queue-depth", type=int, default=64)
-    serve_parser.add_argument("--tenant-quota", type=int, default=8)
-    serve_parser.add_argument(
-        "--timeout",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="per-point wall-clock budget (default: 60)",
-    )
-    serve_parser.add_argument("--retries", type=int, default=1)
-    serve_parser.add_argument(
-        "--drain-seconds",
-        type=float,
-        default=30.0,
-        help="graceful-shutdown budget for in-flight jobs",
-    )
-    serve_parser.add_argument("--breaker-threshold", type=int, default=3)
-    serve_parser.add_argument(
-        "--breaker-cooldown", type=float, default=30.0
-    )
-    serve_parser.add_argument(
-        "--install-faults",
-        default=None,
-        metavar="DIR",
-        help=(
-            "register the fault-* injector systems (chaos testing); "
-            "DIR holds their cross-process markers"
-        ),
-    )
-
-    submit_parser = sub.add_parser(
-        "submit", help="submit a job to a running daemon"
-    )
-    submit_parser.add_argument(
-        "kind", choices=("simulate", "grid", "bench")
-    )
-    submit_parser.add_argument(
-        "--url", default="http://127.0.0.1:8642", help="daemon address"
-    )
-    submit_parser.add_argument("--tenant", default="default")
-    submit_parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-job wall-clock deadline once running",
-    )
-    submit_parser.add_argument(
-        "--wait",
-        action="store_true",
-        help="block until the job reaches a terminal state",
-    )
-    submit_parser.add_argument(
-        "--wait-timeout", type=float, default=600.0, metavar="SECONDS"
-    )
-    submit_parser.add_argument(
-        "--kernel",
-        action="append",
-        help="kernel(s); simulate uses the first (default: copy)",
-    )
-    submit_parser.add_argument(
-        "--stride",
-        action="append",
-        type=int,
-        help="stride(s); simulate uses the first (default: 1)",
-    )
-    submit_parser.add_argument(
-        "--alignment",
-        action="append",
-        help="alignment(s); simulate uses the first (default: aligned)",
-    )
-    submit_parser.add_argument(
-        "--system",
-        action="append",
-        help="memory system(s); simulate uses the first",
-    )
-    submit_parser.add_argument("--elements", type=int, default=1024)
-    submit_parser.add_argument(
-        "--quick", action="store_true", help="bench: CI smoke workload"
-    )
-    submit_parser.add_argument(
-        "--repeats", type=int, default=1, help="bench: runs per system"
-    )
-
-    status_parser = sub.add_parser(
-        "status",
-        help="show one job (or all jobs + service metrics) on a daemon",
-    )
-    status_parser.add_argument("job_id", nargs="?", default=None)
-    status_parser.add_argument("--url", default="http://127.0.0.1:8642")
-
-    cancel_parser = sub.add_parser(
-        "cancel", help="cancel a queued or running job on a daemon"
-    )
-    cancel_parser.add_argument("job_id")
-    cancel_parser.add_argument("--url", default="http://127.0.0.1:8642")
-
-    chaos_parser = sub.add_parser(
-        "service-chaos",
-        help=(
-            "kill and restart a real daemon mid-batch (plus worker "
-            "kills, a hang, and cache corruption) and verify no job "
-            "is lost"
-        ),
-    )
-    chaos_parser.add_argument("--elements", type=int, default=64)
-    chaos_parser.add_argument("--jobs", type=int, default=2)
-    chaos_parser.add_argument(
-        "--timeout",
-        type=float,
-        default=5.0,
-        help="per-point budget inside the daemon",
-    )
     return parser
 
 
@@ -741,147 +551,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.daemon import ServiceConfig, serve
-
-    return serve(
-        ServiceConfig(
-            host=args.host,
-            port=args.port,
-            port_file=args.port_file,
-            state_dir=args.state_dir,
-            engine_jobs=args.jobs,
-            concurrency=args.concurrency,
-            queue_depth=args.queue_depth,
-            tenant_quota=args.tenant_quota,
-            point_timeout=args.timeout,
-            retries=args.retries,
-            drain_seconds=args.drain_seconds,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown,
-            install_faults=args.install_faults,
-        )
-    )
-
-
-def _submit_payload(args: argparse.Namespace) -> dict:
-    kernels = args.kernel or ["copy"]
-    strides = args.stride or [1]
-    alignments = args.alignment or ["aligned"]
-    if args.kind == "simulate":
-        return {
-            "system": (args.system or ["pva-sdram"])[0],
-            "kernel": kernels[0],
-            "stride": strides[0],
-            "alignment": alignments[0],
-            "elements": args.elements,
-        }
-    if args.kind == "grid":
-        return {
-            "systems": args.system or ["pva-sdram"],
-            "kernels": kernels,
-            "strides": strides,
-            "alignments": alignments,
-            "elements": args.elements,
-        }
-    return {  # bench
-        "quick": args.quick,
-        "repeats": args.repeats,
-        "elements": args.elements,
-        "systems": args.system,
-    }
-
-
-def _print_job(job: dict) -> None:
-    import json
-
-    print(json.dumps(job, indent=2, sort_keys=True))
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.errors import ServiceError
-    from repro.service.client import ServiceClient
-    from repro.service.jobs import JobState
-
-    client = ServiceClient(args.url)
-    try:
-        job = client.submit(
-            args.kind,
-            _submit_payload(args),
-            tenant=args.tenant,
-            deadline_seconds=args.deadline,
-        )
-        print(
-            f"[submit] job {job['id']} ({args.kind}) {job['state']}",
-            file=sys.stderr,
-        )
-        if args.wait:
-            job = client.wait(job["id"], timeout=args.wait_timeout)
-        _print_job(job)
-    except ServiceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.wait and job["state"] != JobState.DONE:
-        return 1
-    return 0
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.errors import ServiceError
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    try:
-        if args.job_id:
-            _print_job(client.status(args.job_id))
-            return 0
-        jobs = client.jobs()
-        metrics = client.metrics()
-    except ServiceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    rows = [
-        (
-            job["id"],
-            job["spec"]["kind"],
-            job["state"],
-            f"{job['progress']['points_done']}"
-            f"/{job['progress']['points_total']}",
-            "yes" if job["recovered"] else "",
-        )
-        for job in sorted(jobs, key=lambda j: j["submitted_at"])
-    ]
-    print(
-        format_table(("job", "kind", "state", "points", "recovered"), rows)
-    )
-    engine = metrics["engine"]
-    queue = metrics["queue"]
-    breaker = metrics["breaker"]
-    print(
-        f"[service] queue {queue['depth']}/{queue['max_depth']} "
-        f"({engine['queue_rejected']} rejected), "
-        f"breaker {breaker['state']} "
-        f"({engine['breaker_trips']} trips), "
-        f"{engine['journal_replayed']} replayed, "
-        f"{engine['cache_quarantined']} quarantined, "
-        f"{engine['aborted']} aborted",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_cancel(args: argparse.Namespace) -> int:
-    from repro.errors import ServiceError
-    from repro.service.client import ServiceClient
-
-    try:
-        _print_job(ServiceClient(args.url).cancel(args.job_id))
-    except ServiceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "info":
@@ -897,12 +566,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "complexity":
         print(complexity_table(SystemParams()))
         return 0
-    if args.command == "faults-smoke":
-        from repro.faults.smoke import run_faults_smoke
-
-        return run_faults_smoke(
-            jobs=args.jobs, timeout=args.timeout, elements=args.elements
-        )
     if args.command == "bench":
         from repro.bench import main as bench_main
 
@@ -913,22 +576,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return explore_main(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "cancel":
-        return _cmd_cancel(args)
-    if args.command == "service-chaos":
-        from repro.service.chaos import run_service_chaos
-
-        return run_service_chaos(
-            elements=args.elements,
-            engine_jobs=args.jobs,
-            point_timeout=args.timeout,
-        )
     if args.command == "all":
         from repro.experiments.report_all import generate_all
 

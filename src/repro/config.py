@@ -15,7 +15,7 @@ parameters* idiom).  It composes
 and owns the **canonical serialization**: :meth:`GenParams.to_dict` /
 :meth:`GenParams.from_dict` round-trip exactly, and
 :meth:`GenParams.config_key` is a stable content hash used by the engine
-result cache, the service journal and the bench reports.  Bumping
+result cache and the bench reports.  Bumping
 :data:`CONFIG_SCHEMA_VERSION` is the single switch that retires every
 stale cached document.
 
@@ -478,8 +478,7 @@ class GenParams:
 
     def config_key(self) -> str:
         """Stable SHA-256 content address of the canonical document —
-        the identity the engine cache, service journal and bench reports
-        key on."""
+        the identity the engine cache and bench reports key on."""
         payload = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )

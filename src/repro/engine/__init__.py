@@ -15,8 +15,8 @@ memory systems x eight kernels x six strides x five alignments (section
   carrying per-point cycle counts and running points/sec + cache
   hit-rate metrics;
 * :mod:`~repro.engine.resilience` — failure capture
-  (:class:`PointFailure`), retry with exponential backoff
-  (:class:`RetryPolicy`), per-point timeouts, and partial-batch results
+  (:class:`PointFailure`), retries (:class:`RetryPolicy`), per-point
+  timeouts, and partial-batch results
   (:class:`BatchResult` from ``on_error="collect"``), so one bad point
   cannot take down a 240-point grid.
 
@@ -48,12 +48,7 @@ from repro.engine.metrics import (
     PointOutcome,
     PrintProgress,
 )
-from repro.engine.resilience import (
-    BatchResult,
-    CircuitBreaker,
-    PointFailure,
-    RetryPolicy,
-)
+from repro.engine.resilience import BatchResult, PointFailure, RetryPolicy
 from repro.engine.spec import (
     CACHE_SCHEMA_VERSION,
     CommandTraceSpec,
@@ -70,7 +65,6 @@ __all__ = [
     "ExperimentEngine",
     "ResultCache",
     "BatchResult",
-    "CircuitBreaker",
     "PointFailure",
     "RetryPolicy",
     "EngineHooks",

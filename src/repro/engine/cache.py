@@ -9,15 +9,15 @@ fan-out keeps directories small on full-evaluation caches (hundreds of
 entries).
 
 Writes are atomic (temp file + ``os.replace``), so a cache directory
-shared by concurrent writers — pool workers, parallel engine runs, the
-service daemon and its chaos tests — never serves a torn entry and
-never interleaves two writers' bytes.  Corrupt or unreadable entries
-are treated as misses and **quarantined**: moved aside into
-``<root>/quarantine/`` (preserving the evidence for debugging) rather
-than deleted or re-served, so a vandalized entry costs one recompute
-and nothing else.  Documents are
-validated on both sides of the disk: :meth:`ResultCache.put` rejects
-records without a non-negative integer ``cycles``
+shared by concurrent writers — pool workers, parallel engine runs —
+never serves a torn entry and never interleaves two writers' bytes.
+Corrupt or unreadable entries are treated as misses and
+**quarantined**: moved aside into ``<root>/quarantine/`` (preserving
+the evidence for debugging) rather than deleted or re-served, so a
+vandalized entry costs one recompute and nothing else; the engine
+reports the count as ``EngineMetrics.cache_quarantined``.  Documents
+are validated on both sides of the disk: :meth:`ResultCache.put`
+rejects records without a non-negative integer ``cycles``
 (:class:`~repro.errors.CacheIntegrityError`) and stamps each stored
 document with :data:`SCHEMA_VERSION`; :meth:`ResultCache.get` treats
 invalid records and stale schema stamps — e.g. written by a corruptor

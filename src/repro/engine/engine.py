@@ -22,10 +22,10 @@ On top of these sits the **resilience layer**
 (:mod:`repro.engine.resilience`): every unique point is tracked as a
 task with its own id, submitted via ``apply_async`` so one stuck point
 cannot stall the stream.  A failing point is retried under the engine's
-:class:`RetryPolicy` (exponential backoff); a point that outlives the
-per-point ``timeout`` — a hung simulation or a killed worker — is
-recovered the same way.  Terminal failures either abort the batch
-(``on_error="raise"``, the default) or are captured as
+:class:`RetryPolicy` (immediately unless the policy sets a backoff); a
+point that outlives the per-point ``timeout`` — a hung simulation or a
+killed worker — is recovered the same way.  Terminal failures either
+abort the batch (``on_error="raise"``, the default) or are captured as
 :class:`PointFailure` records in the returned :class:`BatchResult`
 (``on_error="collect"``), with healthy points unaffected.  If the pool
 misbehaves repeatedly the engine abandons it and degrades to inline
@@ -61,7 +61,6 @@ from repro.engine.spec import (
     point_key,
 )
 from repro.errors import (
-    BatchAbortedError,
     ConfigurationError,
     IncompleteBatchError,
     PointFailedError,
@@ -118,10 +117,9 @@ def _init_worker():
     instead of one per worker.
 
     SIGTERM is reset to the default disposition: a forked worker
-    inherits whatever the parent installed — in the service daemon
-    that is asyncio's no-op self-pipe handler — and a worker that
-    shrugs off SIGTERM turns ``pool.terminate()`` into a deadlock
-    (the parent joins a worker that never exits)."""
+    inherits any handler the parent installed, and a worker that
+    shrugs off SIGTERM turns ``pool.terminate()`` into a deadlock (the
+    parent joins a worker that never exits)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
@@ -240,10 +238,7 @@ class ExperimentEngine:
     # ------------------------------------------------------------- #
 
     def run(
-        self,
-        points: Sequence[ExperimentPoint],
-        *,
-        abort=None,
+        self, points: Sequence[ExperimentPoint]
     ) -> Union[List[int], BatchResult]:
         """Execute a batch; return cycle counts in submission order.
 
@@ -251,14 +246,6 @@ class ExperimentEngine:
         ``List[int]``; with ``"collect"`` it is a :class:`BatchResult`
         whose sequence view has ``None`` at failed indices and whose
         ``failures`` lists one :class:`PointFailure` per failed point.
-
-        ``abort`` is an optional zero-argument callable polled between
-        point completions; once it returns True the engine stops
-        submitting work, terminates the pool, harvests any results that
-        already finished (caching them), and raises
-        :class:`~repro.errors.BatchAbortedError`.  This is the
-        cooperative cancellation path the service daemon uses for job
-        cancel/deadline — a resubmitted batch resumes from the cache.
         """
         points = list(points)
         metrics = self.metrics
@@ -316,7 +303,7 @@ class ExperimentEngine:
                 attribution,
                 failure,
                 error,
-            ) in self._execute(pending, abort):
+            ) in self._execute(pending):
                 if failure is None:
                     if self.cache is not None:
                         self.cache.put(
@@ -366,6 +353,8 @@ class ExperimentEngine:
                     self.hooks.point_failed(record, metrics)
         finally:
             metrics.elapsed_seconds += time.perf_counter() - started
+            if self.cache is not None:
+                metrics.cache_quarantined = self.cache.quarantined
 
         failed = {failure.index for failure in failures}
         missing = [
@@ -384,25 +373,16 @@ class ExperimentEngine:
         return results  # type: ignore[return-value]
 
     def _execute(
-        self, pending: List[Tuple[str, ExperimentPoint]], abort=None
+        self, pending: List[Tuple[str, ExperimentPoint]]
     ) -> Iterator[_Outcome]:
         """Stream one outcome per unique point, in completion order."""
         if not pending:
             return
         if self.jobs == 1 or len(pending) == 1:
             for key, point in pending:
-                if abort is not None and abort():
-                    self._raise_aborted()
                 yield self._run_inline(key, point)
             return
-        yield from self._execute_pool(pending, abort)
-
-    def _raise_aborted(self):
-        self.metrics.aborted += 1
-        raise BatchAbortedError(
-            "batch aborted by its abort callback; completed points "
-            "are already in the result cache"
-        )
+        yield from self._execute_pool(pending)
 
     # ------------------------------------------------------------- #
     # Inline execution (jobs=1 and the degraded fallback)
@@ -434,7 +414,7 @@ class ExperimentEngine:
     # ------------------------------------------------------------- #
 
     def _execute_pool(
-        self, pending: List[Tuple[str, ExperimentPoint]], abort=None
+        self, pending: List[Tuple[str, ExperimentPoint]]
     ) -> Iterator[_Outcome]:
         context = _pool_context()
         workers = min(self.jobs, len(pending))
@@ -447,12 +427,6 @@ class ExperimentEngine:
         incidents = 0  #: pool-level faults seen this batch
         try:
             while queue or live:
-                if abort is not None and abort():
-                    # Cooperative cancellation: keep what already
-                    # finished, drop the rest, and signal the caller.
-                    pool.terminate()
-                    yield from self._harvest_finished(live)
-                    self._raise_aborted()
                 if incidents >= self.degrade_after:
                     # The pool keeps misbehaving (stuck or dying
                     # workers); finish the batch inline where at least
@@ -567,7 +541,7 @@ class ExperimentEngine:
     @staticmethod
     def _harvest_finished(live: Dict[int, "_Task"]) -> Iterator[_Outcome]:
         """Yield every live task whose result already landed, so an
-        interrupted or aborted batch keeps its completed work."""
+        interrupted batch keeps its completed work."""
         for task in live.values():
             ready = task.async_result
             if ready is None or not ready.ready():

@@ -55,12 +55,6 @@ class EngineMetrics:
     degraded: int = 0  #: points run inline after the pool was abandoned
     simulated_cycles: int = 0  #: simulated cycles across unique executions
     sim_seconds: float = 0.0  #: worker wall clock across unique executions
-    aborted: int = 0  #: batches stopped early by an abort callback
-    # ---- service-level counters (repro.service folds these in so a
-    # ---- degrading daemon is observable through the same object) ----
-    queue_rejected: int = 0  #: submissions refused by admission control
-    journal_replayed: int = 0  #: jobs recovered from the journal at startup
-    breaker_trips: int = 0  #: circuit-breaker open transitions
     cache_quarantined: int = 0  #: corrupt cache entries moved aside
     #: Aggregated per-component cycle attribution across unique
     #: executions (component name -> busy/stalled/idle cycle totals).
@@ -118,10 +112,6 @@ class EngineMetrics:
             "simulated_cycles": self.simulated_cycles,
             "sim_seconds": round(self.sim_seconds, 3),
             "sim_cycles_per_second": round(self.sim_cycles_per_second, 1),
-            "aborted": self.aborted,
-            "queue_rejected": self.queue_rejected,
-            "journal_replayed": self.journal_replayed,
-            "breaker_trips": self.breaker_trips,
             "cache_quarantined": self.cache_quarantined,
             "component_cycles": {
                 name: dict(buckets)

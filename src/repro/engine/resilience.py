@@ -16,9 +16,7 @@ blocked it forever.  The types here make failure a *value*:
 
 from __future__ import annotations
 
-import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigurationError, PointFailedError
@@ -26,7 +24,7 @@ from repro.errors import ConfigurationError, PointFailedError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.spec import ExperimentPoint
 
-__all__ = ["RetryPolicy", "PointFailure", "BatchResult", "CircuitBreaker"]
+__all__ = ["RetryPolicy", "PointFailure", "BatchResult"]
 
 #: Failure kinds recorded in :attr:`PointFailure.kind`.  A worker killed
 #: mid-task leaves its async result forever unfinished, so lost workers
@@ -42,15 +40,9 @@ class RetryPolicy:
     ``retries`` is the number of *extra* attempts after the first one
     (``retries=0`` disables retrying).  Attempt ``k`` (1-based retry
     count) sleeps ``backoff_seconds * backoff_factor**(k-1)`` first,
-    capped at ``max_backoff_seconds``.  Timeouts are retried like
-    exceptions when ``retry_timeouts`` is set.
-
-    With ``jitter`` the delay is drawn uniformly from ``[0, capped]``
-    ("full jitter"): when many queued service jobs fail together — a
-    worker pool dying takes every in-flight point with it — identical
-    deterministic backoffs would re-submit them in one synchronized
-    storm.  The default stays deterministic so batch runs remain
-    reproducible; the service daemon turns jitter on.
+    capped at ``max_backoff_seconds``; the default ``backoff_seconds=0``
+    retries immediately.  Timeouts are retried like exceptions when
+    ``retry_timeouts`` is set.
     """
 
     retries: int = 0
@@ -58,7 +50,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     max_backoff_seconds: float = 30.0
     retry_timeouts: bool = True
-    jitter: bool = False
 
     def __post_init__(self):
         if self.retries < 0:
@@ -73,21 +64,13 @@ class RetryPolicy:
             )
 
     def delay(self, retry_number: int) -> float:
-        """Backoff before the ``retry_number``-th retry (1-based).
-
-        Deterministic by default; with ``jitter`` the value is drawn
-        uniformly from ``[0, exponential cap]``, so concurrent failed
-        jobs desynchronize instead of retrying in lockstep.
-        """
+        """Backoff before the ``retry_number``-th retry (1-based)."""
         if self.backoff_seconds == 0:
             return 0.0
         raw = self.backoff_seconds * self.backoff_factor ** (
             retry_number - 1
         )
-        capped = min(raw, self.max_backoff_seconds)
-        if self.jitter:
-            return random.uniform(0.0, capped)
-        return capped
+        return min(raw, self.max_backoff_seconds)
 
     def should_retry(self, attempts: int, *, timeout: bool = False) -> bool:
         """May a point that has already made ``attempts`` attempts try
@@ -188,103 +171,3 @@ class BatchResult(Sequence):
             f"BatchResult({len(self.cycles)} points, "
             f"{len(self.failures)} failed)"
         )
-
-
-class CircuitBreaker:
-    """Trip to degraded execution after repeated pool incidents.
-
-    The engine already degrades *within* one batch (``degrade_after``);
-    the breaker carries that judgement *across* batches for long-lived
-    owners like the service supervisor.  Protocol:
-
-    * **closed** — pool execution allowed.  ``record_incident`` counts
-      consecutive faulty batches; at ``threshold`` the breaker opens.
-    * **open** — ``allow()`` is False: run inline (jobs=1), where the
-      simulation watchdog is the containment layer.  After
-      ``cooldown_seconds`` the breaker half-opens.
-    * **half-open** — exactly one probe batch may use the pool
-      (``allow()`` is True once).  Success closes the breaker and
-      resets the count; another incident re-opens it for a fresh
-      cooldown.
-
-    ``clock`` is injectable for deterministic tests.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(
-        self,
-        threshold: int = 3,
-        cooldown_seconds: float = 30.0,
-        clock=time.monotonic,
-    ):
-        if threshold < 1:
-            raise ConfigurationError(
-                f"breaker threshold must be >= 1, got {threshold}"
-            )
-        if cooldown_seconds < 0:
-            raise ConfigurationError(
-                f"breaker cooldown must be >= 0, got {cooldown_seconds}"
-            )
-        self.threshold = threshold
-        self.cooldown_seconds = cooldown_seconds
-        self._clock = clock
-        self._incidents = 0  #: consecutive incidents while closed
-        self._opened_at: Optional[float] = None
-        self._probing = False  #: a half-open probe is outstanding
-        self.trips = 0  #: times the breaker has opened, ever
-
-    @property
-    def state(self) -> str:
-        if self._opened_at is None:
-            return self.CLOSED
-        if self._clock() - self._opened_at >= self.cooldown_seconds:
-            return self.HALF_OPEN
-        return self.OPEN
-
-    def allow(self) -> bool:
-        """May the next batch use the worker pool?
-
-        In the half-open state the first ``allow`` call claims the
-        single probe slot; further calls are refused until the probe
-        reports back via ``record_success`` / ``record_incident``.
-        """
-        state = self.state
-        if state == self.CLOSED:
-            return True
-        if state == self.HALF_OPEN and not self._probing:
-            self._probing = True
-            return True
-        return False
-
-    def record_success(self) -> None:
-        """A pool batch completed without incident."""
-        self._incidents = 0
-        self._opened_at = None
-        self._probing = False
-
-    def record_incident(self) -> None:
-        """A pool batch misbehaved (timeouts, lost workers, in-batch
-        degradation)."""
-        self._probing = False
-        if self._opened_at is not None:
-            # A failed half-open probe (or a late report): re-open for
-            # a fresh cooldown.
-            self._opened_at = self._clock()
-            self.trips += 1
-            return
-        self._incidents += 1
-        if self._incidents >= self.threshold:
-            self._opened_at = self._clock()
-            self.trips += 1
-
-    def describe(self) -> dict:
-        return {
-            "state": self.state,
-            "incidents": self._incidents,
-            "trips": self.trips,
-            "threshold": self.threshold,
-            "cooldown_seconds": self.cooldown_seconds,
-        }

@@ -22,15 +22,7 @@ __all__ = [
     "EngineError",
     "PointFailedError",
     "IncompleteBatchError",
-    "BatchAbortedError",
     "CacheIntegrityError",
-    "ServiceError",
-    "AdmissionError",
-    "QueueFullError",
-    "QuotaExceededError",
-    "JobNotFoundError",
-    "JobStateError",
-    "JournalError",
 ]
 
 
@@ -123,58 +115,6 @@ class IncompleteBatchError(EngineError):
     """
 
 
-class BatchAbortedError(EngineError):
-    """``ExperimentEngine.run`` was stopped early by its ``abort``
-    callback (job cancellation or a service deadline).
-
-    Every point that completed before the abort has already been
-    written to the result cache, so a re-submitted batch resumes from
-    those entries instead of recomputing them.
-    """
-
-
 class CacheIntegrityError(ReproError):
     """A document offered to :meth:`repro.engine.ResultCache.put` is not
     a valid result record (missing or malformed ``cycles``)."""
-
-
-class ServiceError(ReproError):
-    """Base class for failures of the simulation service daemon
-    (:mod:`repro.service`), as opposed to engine or simulator errors."""
-
-
-class AdmissionError(ServiceError):
-    """Base class for job submissions the service refuses to accept.
-
-    Maps to HTTP 429 at the service boundary: the request was valid but
-    the daemon is protecting itself — retry later, with backoff.
-    """
-
-
-class QueueFullError(AdmissionError):
-    """The bounded job queue is at capacity; the submission was
-    rejected rather than buffered without limit."""
-
-
-class QuotaExceededError(AdmissionError):
-    """The submitting tenant already holds its full share of queued and
-    running jobs."""
-
-
-class JobNotFoundError(ServiceError):
-    """No job with the requested id exists in the service's registry
-    (maps to HTTP 404)."""
-
-
-class JobStateError(ServiceError):
-    """A job operation is invalid in the job's current state — e.g.
-    cancelling a job that already reached a terminal state."""
-
-
-class JournalError(ServiceError):
-    """The write-ahead job journal could not be written or replayed.
-
-    Unreadable *individual* records are skipped and counted during
-    replay (a SIGKILL can tear the final line); this error is reserved
-    for structural failures such as an unwritable journal directory.
-    """

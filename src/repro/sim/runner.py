@@ -5,8 +5,7 @@ The watchdog turns runaway simulations into contained errors: every
 system's run loop ticks a :class:`Watchdog`, which raises
 :class:`~repro.errors.SimulationTimeout` once the run exceeds its cycle
 budget (``max_cycles_per_command`` x trace length) or an optional
-wall-clock deadline.  An infinite-loop scheduler bug — or the fault
-harness's deliberate cycle burner (:mod:`repro.faults`) — therefore
+wall-clock deadline.  An infinite-loop scheduler bug therefore
 surfaces as a catchable :class:`~repro.errors.ReproError` instead of a
 hung worker process.
 """

@@ -2,9 +2,9 @@
 
 The config layer's whole value is that one frozen, validated object and
 its ``to_dict()``/``from_dict()``/``config_key()`` triple identify a
-configuration everywhere (engine cache, service journal, bench
-reports).  Hypothesis sweeps the valid parameter space and checks the
-identities hold on all of it, not just the prototype point.
+configuration everywhere (engine cache, bench reports, explore).
+Hypothesis sweeps the valid parameter space and checks the identities
+hold on all of it, not just the prototype point.
 """
 
 from dataclasses import replace

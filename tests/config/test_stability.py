@@ -1,7 +1,7 @@
 """Cross-release stability of the canonical configuration identity.
 
 ``config_key()`` addresses the engine's on-disk result cache and links
-service-journal/bench documents across processes, so the prototype's
+bench documents across processes, so the prototype's
 key is pinned here verbatim: it may only change together with a
 deliberate ``CONFIG_SCHEMA_VERSION`` bump (which is what retires stale
 caches), never by accident.

@@ -11,6 +11,7 @@ from repro.api import (
     register_system,
     simulate,
     system_entry,
+    unregister_system,
 )
 from repro.errors import ConfigurationError, ReproError
 from repro.kernels import build_trace, kernel_by_name
@@ -77,6 +78,12 @@ def test_register_system_requires_overwrite_to_replace():
         register_system(
             "pva-sdram", lambda params: None, description="dup"
         )
+
+
+def test_unregister_unknown_raises_unless_missing_ok():
+    with pytest.raises(ConfigurationError):
+        unregister_system("no-such-system")
+    unregister_system("no-such-system", missing_ok=True)
 
 
 def test_registry_entry_carries_alignment_flag():

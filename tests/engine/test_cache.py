@@ -20,6 +20,8 @@ from repro.engine import (
 from repro.params import SDRAMTiming, SystemParams
 from repro.types import AccessType, Vector, VectorCommand
 
+from .injectors import CacheCorruptor
+
 
 def _point(**overrides):
     spec = dict(kernel="copy", stride=4, alignment="aligned", elements=256)
@@ -212,8 +214,6 @@ class TestPollutedDirectory:
     directory cannot crash (or be damaged by) __len__/clear."""
 
     def _polluted(self, tmp_path):
-        from repro.faults import CacheCorruptor
-
         cache = ResultCache(tmp_path)
         cache.put("ab" + "0" * 62, {"cycles": 145})
         strays = CacheCorruptor(cache).strays()
@@ -231,8 +231,6 @@ class TestPollutedDirectory:
             assert stray.exists()
 
     def test_corrupted_entries_are_misses(self, tmp_path):
-        from repro.faults import CacheCorruptor
-
         cache = ResultCache(tmp_path)
         corruptor = CacheCorruptor(cache)
         keys = ["aa" + "0" * 62, "bb" + "0" * 62, "cc" + "0" * 62]
@@ -295,8 +293,6 @@ class TestQuarantine:
         assert path.exists()
 
     def test_counter_accumulates_across_entries(self, tmp_path):
-        from repro.faults import CacheCorruptor
-
         cache = ResultCache(tmp_path)
         corruptor = CacheCorruptor(cache)
         keys = ["aa" + "0" * 62, "bb" + "0" * 62]
@@ -305,6 +301,22 @@ class TestQuarantine:
         for key in keys:
             cache.get(key)
         assert cache.quarantined == 2
+
+    def test_engine_metrics_report_quarantined_entries(self, tmp_path):
+        """A torn entry under a warm engine run is quarantined and
+        re-simulated, and the engine's metrics count it."""
+        from repro.engine import ExperimentEngine
+
+        points = [_point(), _point(stride=19)]
+        cold = ExperimentEngine(cache_dir=tmp_path).run(points)
+        warm = ExperimentEngine(cache_dir=tmp_path)
+        key = warm.key_of(points[1])
+        CacheCorruptor(warm.cache).torn_entry(key)
+        assert warm.run(points) == cold
+        assert warm.metrics.simulated == 1
+        assert warm.metrics.cache_quarantined == 1
+        quarantine = tmp_path / ResultCache.QUARANTINE_DIR
+        assert (quarantine / f"{key}.json.quarantined").exists()
 
 
 def _hammer_cache(root, seed):

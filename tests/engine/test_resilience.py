@@ -1,10 +1,10 @@
 """The engine's resilience layer under injected faults.
 
 The containment tests drive real multiprocess batches through the
-deterministic injectors in :mod:`repro.faults` and assert the ISSUE's
-acceptance criteria: healthy points come back correct (and identical to
-an inline run), exactly the injected failures are reported, and every
-batch finishes inside an explicit wall-clock bound — no deadlocks.
+deterministic injectors in ``injectors.py`` and assert that healthy
+points come back correct (and identical to an inline run), that exactly
+the injected failures are reported, and that every batch finishes
+inside an explicit wall-clock bound — no deadlocks.
 """
 
 import signal
@@ -30,11 +30,8 @@ from repro.errors import (
     PointFailedError,
     ReproError,
 )
-from repro.faults import (
-    InjectedFault,
-    install_fault_systems,
-    uninstall_fault_systems,
-)
+
+from .injectors import InjectedFault, fault_systems  # noqa: F401 (fixture)
 
 #: Generous outer bound for any containment batch in this file.  The
 #: batches themselves use a 3 s per-point timeout; a run that needs
@@ -60,23 +57,16 @@ def _healthy_points():
     ]
 
 
-@pytest.fixture
-def faults(tmp_path):
-    names = install_fault_systems(state_dir=tmp_path / "state")
-    yield names
-    uninstall_fault_systems()
-
-
 class TestContainment:
-    """The ISSUE's acceptance scenario: one raising point, one
-    watchdog-tripping point, one killed worker, in one pool batch."""
+    """One raising point, one watchdog-tripping point and one killed
+    worker, in one pool batch."""
 
-    def test_faulty_batch_is_contained(self, faults):
+    def test_faulty_batch_is_contained(self, fault_systems):
         healthy = _healthy_points()
         faulty = [
-            _point(faults["raising"]),
-            _point(faults["burner"]),
-            _point(faults["killer-once"]),
+            _point(fault_systems["raising"]),
+            _point(fault_systems["burner"]),
+            _point(fault_systems["killer-once"]),
         ]
         # Interleave so faults land mid-stream, not at the tail.
         points = [
@@ -127,15 +117,15 @@ class TestContainment:
         with pytest.raises(PointFailedError):
             batch.raise_if_failed()
 
-    def test_collect_mode_parity_across_job_counts(self, faults):
+    def test_collect_mode_parity_across_job_counts(self, fault_systems):
         """jobs=1 and jobs=4 produce the same cycles and the same
         failure indices/kinds for a batch with raise/burn faults (the
         killer is pool-only: inline it would take down the test run)."""
         points = [
             _point("pva-sdram", stride=1),
-            _point(faults["raising"]),
+            _point(fault_systems["raising"]),
             _point("cacheline-serial", stride=4),
-            _point(faults["burner"]),
+            _point(fault_systems["burner"]),
             _point("pva-sdram", stride=19),
         ]
 
@@ -161,9 +151,9 @@ class TestContainment:
 
 
 class TestRetry:
-    def test_transient_fault_absorbed_by_one_retry(self, faults):
+    def test_transient_fault_absorbed_by_one_retry(self, fault_systems):
         """A fail-once fault retried once is invisible to the caller."""
-        points = [_point(faults["transient"]), _point("pva-sdram")]
+        points = [_point(fault_systems["transient"]), _point("pva-sdram")]
         engine = ExperimentEngine(
             jobs=2,
             on_error="collect",
@@ -180,26 +170,26 @@ class TestRetry:
         assert engine.metrics.retries == 1
         assert engine.metrics.failures == 0
 
-    def test_transient_fault_absorbed_inline(self, faults):
+    def test_transient_fault_absorbed_inline(self, fault_systems):
         engine = ExperimentEngine(jobs=1, retry=1, on_error="collect")
-        batch = engine.run([_point(faults["transient"])])
+        batch = engine.run([_point(fault_systems["transient"])])
         assert batch.ok
         assert engine.metrics.retries == 1
 
-    def test_retries_exhausted_still_fails(self, faults):
+    def test_retries_exhausted_still_fails(self, fault_systems):
         engine = ExperimentEngine(jobs=1, retry=2, on_error="collect")
-        batch = engine.run([_point(faults["raising"])])
+        batch = engine.run([_point(fault_systems["raising"])])
         assert not batch.ok
         assert batch.failures[0].attempts == 3
         assert engine.metrics.retries == 2
 
 
 class TestDegradation:
-    def test_pool_degrades_to_inline_and_recovers(self, faults):
+    def test_pool_degrades_to_inline_and_recovers(self, fault_systems):
         """A worker killed mid-batch with degrade_after=1 abandons the
         pool; the killer-once marker is already claimed, so the inline
         rerun heals and the whole batch succeeds."""
-        points = [_point(faults["killer-once"]), _point("pva-sdram")]
+        points = [_point(fault_systems["killer-once"]), _point("pva-sdram")]
         engine = ExperimentEngine(
             jobs=2,
             on_error="collect",
@@ -216,24 +206,24 @@ class TestDegradation:
 
 
 class TestRaiseMode:
-    def test_inline_raise_propagates_original_exception(self, faults):
+    def test_inline_raise_propagates_original_exception(self, fault_systems):
         engine = ExperimentEngine(jobs=1)
         with pytest.raises(InjectedFault):
-            engine.run([_point(faults["raising"])])
+            engine.run([_point(fault_systems["raising"])])
 
-    def test_pool_raise_propagates_original_exception(self, faults):
+    def test_pool_raise_propagates_original_exception(self, fault_systems):
         engine = ExperimentEngine(jobs=2, timeout=POINT_TIMEOUT)
-        points = [_point("pva-sdram"), _point(faults["raising"])]
+        points = [_point("pva-sdram"), _point(fault_systems["raising"])]
         with pytest.raises(InjectedFault):
             engine.run(points)
 
-    def test_timeout_raises_point_failed_error(self, faults):
+    def test_timeout_raises_point_failed_error(self, fault_systems):
         """A killed worker has no exception object to re-raise, so raise
         mode surfaces the timeout as PointFailedError."""
         engine = ExperimentEngine(
             jobs=2, timeout=POINT_TIMEOUT, degrade_after=99
         )
-        points = [_point("pva-sdram"), _point(faults["killer-once"])]
+        points = [_point("pva-sdram"), _point(fault_systems["killer-once"])]
         started = time.monotonic()
         with pytest.raises(PointFailedError):
             engine.run(points)
@@ -278,142 +268,6 @@ class TestRetryPolicy:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             RetryPolicy(**kwargs)
-
-
-class TestJitter:
-    """Full-jitter backoff: bounded by the exponential cap, varied
-    across draws, and off by default so batches stay reproducible."""
-
-    def _policy(self):
-        return RetryPolicy(
-            retries=5,
-            backoff_seconds=1.0,
-            backoff_factor=2.0,
-            max_backoff_seconds=3.0,
-            jitter=True,
-        )
-
-    def test_delay_is_within_the_exponential_envelope(self):
-        policy = self._policy()
-        for retry_number, cap in [(1, 1.0), (2, 2.0), (3, 3.0), (4, 3.0)]:
-            for _ in range(200):
-                delay = policy.delay(retry_number)
-                assert 0.0 <= delay <= cap
-
-    def test_draws_vary(self):
-        import random
-
-        random.seed(0xC0FFEE)
-        policy = self._policy()
-        draws = {policy.delay(3) for _ in range(32)}
-        assert len(draws) > 1  # full jitter, not a constant
-
-    def test_zero_backoff_stays_free_with_jitter(self):
-        assert RetryPolicy(retries=2, jitter=True).delay(1) == 0.0
-
-    def test_default_policy_is_deterministic(self):
-        policy = RetryPolicy(retries=3, backoff_seconds=0.5)
-        assert policy.jitter is False
-        assert policy.delay(2) == policy.delay(2) == 1.0
-
-
-class _FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-class TestCircuitBreaker:
-    def _breaker(self, threshold=3, cooldown=30.0):
-        from repro.engine import CircuitBreaker
-
-        clock = _FakeClock()
-        return (
-            CircuitBreaker(
-                threshold=threshold,
-                cooldown_seconds=cooldown,
-                clock=clock,
-            ),
-            clock,
-        )
-
-    def test_starts_closed_and_allows(self):
-        breaker, _ = self._breaker()
-        assert breaker.state == breaker.CLOSED
-        assert breaker.allow()
-
-    def test_opens_at_threshold(self):
-        breaker, _ = self._breaker(threshold=3)
-        breaker.record_incident()
-        breaker.record_incident()
-        assert breaker.state == breaker.CLOSED
-        breaker.record_incident()
-        assert breaker.state == breaker.OPEN
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-    def test_success_resets_the_consecutive_count(self):
-        breaker, _ = self._breaker(threshold=2)
-        breaker.record_incident()
-        breaker.record_success()
-        breaker.record_incident()
-        assert breaker.state == breaker.CLOSED  # streak was broken
-
-    def test_half_open_grants_exactly_one_probe(self):
-        breaker, clock = self._breaker(threshold=1, cooldown=10.0)
-        breaker.record_incident()
-        assert not breaker.allow()
-        clock.advance(10.0)
-        assert breaker.state == breaker.HALF_OPEN
-        assert breaker.allow()  # the probe slot
-        assert not breaker.allow()  # claimed: no second probe
-
-    def test_probe_success_closes(self):
-        breaker, clock = self._breaker(threshold=1, cooldown=10.0)
-        breaker.record_incident()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == breaker.CLOSED
-        assert breaker.allow()
-
-    def test_probe_failure_reopens_for_a_fresh_cooldown(self):
-        breaker, clock = self._breaker(threshold=1, cooldown=10.0)
-        breaker.record_incident()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_incident()
-        assert breaker.state == breaker.OPEN
-        assert breaker.trips == 2
-        clock.advance(5.0)
-        assert breaker.state == breaker.OPEN  # fresh cooldown, not stale
-        clock.advance(5.0)
-        assert breaker.state == breaker.HALF_OPEN
-
-    def test_validation(self):
-        from repro.engine import CircuitBreaker
-
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(cooldown_seconds=-1)
-
-    def test_describe_snapshot(self):
-        breaker, _ = self._breaker(threshold=2, cooldown=7.0)
-        breaker.record_incident()
-        snapshot = breaker.describe()
-        assert snapshot == {
-            "state": "closed",
-            "incidents": 1,
-            "trips": 0,
-            "threshold": 2,
-            "cooldown_seconds": 7.0,
-        }
 
 
 class TestEngineConfiguration:
@@ -476,7 +330,7 @@ class TestIncompleteBatch:
         loud IncompleteBatchError instead of returning short results."""
         engine = ExperimentEngine(jobs=1)
         monkeypatch.setattr(
-            engine, "_execute", lambda pending, abort=None: iter(())
+            engine, "_execute", lambda pending: iter(())
         )
         with pytest.raises(IncompleteBatchError):
             engine.run([_point("pva-sdram")])

@@ -4,6 +4,11 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from .engine.injectors import (  # noqa: F401 (fixture)
+    CacheCorruptor,
+    fault_systems,
+)
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -37,11 +42,6 @@ class TestParser:
     def test_rejects_unknown_on_error_mode(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["grid", "--on-error", "explode"])
-
-    def test_faults_smoke_subcommand_exists(self):
-        args = build_parser().parse_args(["faults-smoke", "--timeout", "3"])
-        assert args.command == "faults-smoke"
-        assert args.timeout == 3.0
 
 
 class TestCommands:
@@ -127,46 +127,55 @@ class TestCommands:
         assert main(["sweep", "--elements", "65"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_faults_smoke_passes(self, capsys):
-        """The end-to-end containment harness behind ``python -m repro
-        faults-smoke`` reports success."""
-        assert main(["faults-smoke", "--timeout", "3"]) == 0
-        err = capsys.readouterr().err
-        assert "containment checks passed" in err
-        assert "FAIL" not in err
-
-    def test_grid_collect_renders_failed_cells(self, capsys):
+    def test_grid_collect_renders_failed_cells(self, capsys, fault_systems):
         """With --on-error collect an injected failure marks its cells
         FAILED while the healthy system's column survives."""
-        from repro.faults import install_fault_systems, uninstall_fault_systems
-
-        names = install_fault_systems()
-        try:
-            code = main(
-                [
-                    "grid",
-                    "--kernel",
-                    "copy",
-                    "--stride",
-                    "1",
-                    "--alignment",
-                    "aligned",
-                    "--system",
-                    "pva-sdram",
-                    "--system",
-                    names["raising"],
-                    "--on-error",
-                    "collect",
-                    "--elements",
-                    "64",
-                ]
-            )
-        finally:
-            uninstall_fault_systems()
+        code = main(
+            [
+                "grid",
+                "--kernel",
+                "copy",
+                "--stride",
+                "1",
+                "--alignment",
+                "aligned",
+                "--system",
+                "pva-sdram",
+                "--system",
+                fault_systems["raising"],
+                "--on-error",
+                "collect",
+                "--elements",
+                "64",
+            ]
+        )
         assert code == 0
         out = capsys.readouterr().out
         assert "FAILED" in out
         assert "pva-sdram" in out
+
+    def test_grid_reports_quarantined_cache_entries(self, tmp_path, capsys):
+        """A torn cache entry is moved to quarantine/, re-simulated, and
+        counted on the [engine] line."""
+        from repro.engine import ResultCache
+
+        argv = [
+            "grid", "--kernel", "copy", "--stride", "1", "--alignment",
+            "aligned", "--system", "pva-sdram", "--elements", "64",
+            "--cache", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        cache = ResultCache(tmp_path)
+        (entry,) = cache.root.glob("*/*.json")
+        CacheCorruptor(cache).torn_entry(entry.stem)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold
+        assert "1 simulated" in captured.err
+        assert "1 quarantined" in captured.err
+        quarantine = tmp_path / ResultCache.QUARANTINE_DIR
+        assert (quarantine / f"{entry.name}.quarantined").exists()
 
     def test_all_artifacts(self, tmp_path, capsys):
         assert main(

@@ -141,7 +141,7 @@ class TestRaiseSites:
         )
 
         engine = ExperimentEngine(jobs=1)
-        monkeypatch.setattr(engine, "_execute", lambda pending, abort=None: iter(()))
+        monkeypatch.setattr(engine, "_execute", lambda pending: iter(()))
         with self._raises(errors.IncompleteBatchError):
             engine.run(
                 [
