@@ -55,12 +55,13 @@ def clear_caches() -> None:
     """Release every process-wide simulation memo.
 
     Two live today: the compiled FirstHit PLAs
-    (:func:`repro.core.pla.shared_k1_pla`) and the broadcast-time hit
-    schedules (:func:`repro.pva.schedule.broadcast_schedules`).  Both
-    are pure value caches — dropping them can never change results, only
-    cost the next call a recompute — so this is safe at any point.  The
-    experiment engine calls it when a worker pool shuts down, bounding
-    memory growth of long-lived sweep processes.
+    (:func:`repro.core.pla.shared_k1_pla`) and the hit tables of strided
+    broadcasts (:func:`repro.pva.schedule.broadcast_schedules`, bounded
+    in table elements and bank offsets).  Both are pure value caches —
+    dropping them can never change results, only cost the next call a
+    recompute — so this is safe at any point.  The experiment engine
+    calls it when a worker pool shuts down, bounding memory growth of
+    long-lived sweep processes.
     """
     from repro.core.pla import shared_k1_pla
     from repro.pva.schedule import clear_schedule_cache

@@ -23,10 +23,10 @@ from repro.params import SystemParams
 from repro.pva.fhp import FirstHitCalculator, FirstHitPredictor
 from repro.pva.request import BCRequest
 
-# The schedule builders stay importable from here, where the benchmark's
-# tracer (perfbench/trace.py) looks them up; the bank controllers
-# themselves expand FirstHit/NextHit live.
-from repro.pva.schedule import pairs_schedule, stride_schedule  # noqa: F401
+# The explicit-table builder stays importable from here, where the
+# benchmark's tracer (perfbench/trace.py) looks it up; the bank
+# controllers themselves expand FirstHit/NextHit live.
+from repro.pva.schedule import pairs_schedule  # noqa: F401
 from repro.pva.scheduler import AccessScheduler, IssuedColumn
 from repro.pva.staging import ReadStagingUnit, WriteStagingUnit
 from repro.sim.events import HORIZON

@@ -1,67 +1,76 @@
-"""Broadcast-time hit-schedule precomputation.
+"""Broadcast-time hit tables: one per vector command.
 
 The paper's central observation is that ``FirstHit()``/``NextHit()``
 (theorems 4.3 and 4.4) are *closed forms*: the moment a vector command
 ``<B, S, L>`` is broadcast, every bank controller can derive its entire
 subvector — indices, local word addresses, even the decoded SDRAM
 coordinates — without waiting for the per-cycle expansion to walk there.
-The simulator used to exploit this only one element at a time (the
-vector context's shift-and-add); this module exploits it wholesale.
+This module exploits that wholesale, for all banks at once.
 
-A :class:`BankSchedule` is one bank's complete hit table for one vector
-command, precomputed at broadcast time as flat integer tuples:
+A :class:`HitTable` holds every bank's hit list for one command as flat
+integer tuples, ordered by (bank, index); bank ``b`` owns the positions
+``offsets[b] .. offsets[b + 1] - 1``:
 
-* ``indices[j]``      — vector element index of the j-th owned element
-  (``K_i + j * delta``, theorem 4.4);
+* ``indices[j]``      — vector element index (``K_i + n * delta`` within
+  a strided bank's slice, theorem 4.4);
 * ``local_words[j]``  — bank-internal word address
-  (``(B + S*K_i) >> m`` plus ``j`` steps of ``(S * delta) >> m``);
+  (``(B + S*K_i) >> m`` plus ``n`` steps of ``(S * delta) >> m``);
 * ``ibanks[j]`` / ``rows[j]`` — decoded device coordinates of that word
   under the device's interleave geometry;
-* ``next_same_row[j]`` — row-transition marker: does element ``j + 1``
-  hit the same (internal bank, row) as element ``j``?  This is exactly
-  the ``bank_morehit_predict`` self-term of the ManageRow heuristic.
+* ``run_end[j]``      — where element ``j``'s run of same-(internal
+  bank, row) elements ends (exclusive, never past its bank's slice).
+  ``run_end[j] > j + 1`` is exactly the ``bank_morehit_predict``
+  self-term of the ManageRow heuristic, and ``run_end[j] - j`` the
+  columns a burst from ``j`` streams;
+* ``ib_end[j]``       — where element ``j``'s stretch on one internal
+  bank ends: the remaining slice stays on one internal bank iff
+  ``ib_end[j]`` is the slice's end.
 
-The fast backend's bank automaton (:mod:`repro.pva.soa`) then consumes
-a cursor into the table instead of expanding and decoding each element
-live, as the reference backend's vector contexts do.
+The fast backend's bank automata (:mod:`repro.pva.soa`,
+:mod:`repro.pva.window`) keep absolute positions into the shared table
+instead of expanding and decoding each element live, as the reference
+backend's vector contexts do.
 
-**Cycle-exactness.**  The table is a pure function of
-``(base, stride, length, bank, num_banks, geometry)`` and reproduces the
+**Cycle-exactness.**  A strided table is a pure function of
+``(base, stride, length, num_banks, geometry)`` and reproduces the
 incremental ``first_hit``/``next_hit`` walk value for value (the
-property suite in ``tests/pva/test_schedule.py`` fuzzes this over
-geometries and all paper alignments).  Nothing about *when* operations
-issue changes — only how their addresses are obtained.
+property suite in ``tests/pva/test_schedule.py`` checks every bank's
+slice against it over geometries and all paper alignments).  Nothing
+about *when* operations issue changes — only how their addresses are
+obtained.
 
-**Memoization.**  :func:`stride_schedule` is the uncached closed form.
-:func:`broadcast_schedules` — all banks' tables for one command — is
-the one memo, keyed with the same content-key discipline as the
+**Memoization.**  :func:`broadcast_schedules` builds and memoizes
+strided tables, keyed with the same content-key discipline as the
 engine's result cache: the key is the full value tuple, never an object
-identity, and the cached value is immutable (tuples only), so two
-vectors can share a table but can never alias mutable state.  The memo
-is LRU-bounded in schedules (long-lived engine workers sweep thousands
-of distinct vectors) and hooked into :func:`repro.api.clear_caches`.
+identity, and the table is immutable (tuples only), so two vectors can
+share a table but can never alias mutable state.  The memo is
+LRU-bounded in table elements and bank offsets (long-lived engine
+workers sweep thousands of distinct vectors) and hooked into
+:func:`repro.api.clear_caches`.  :func:`pairs_schedule` builds the
+tables of explicit and interleaved commands, once per command and
+unmemoized.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.pla import shared_k1_pla
 
 __all__ = [
-    "BankSchedule",
+    "HitTable",
     "broadcast_schedules",
-    "stride_schedule",
     "pairs_schedule",
     "schedule_cache_info",
     "clear_schedule_cache",
 ]
 
-#: Bound on the broadcast memo, counted in per-bank schedules: it holds
-#: at most ``SCHEDULE_CACHE_SIZE // num_banks`` broadcasts (256 at the
-#: prototype's 16 banks).  The point is boundedness, not a tight fit.
-SCHEDULE_CACHE_SIZE = 4096
+#: Bound on the broadcast memo, counted in table elements plus bank
+#: offsets: 256 broadcasts of the prototype's 32-element lines over 16
+#: banks.  The point is boundedness, not a tight fit.
+SCHEDULE_CACHE_ELEMENTS = 256 * (32 + 16)
 
 #: ``schedule_cache_info()`` result, shaped like ``lru_cache``'s.
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -71,160 +80,165 @@ _GEOM_ROTATED = "rot"
 _GEOM_FLAT = "flat"
 
 
-class BankSchedule:
-    """One bank's precomputed hit table for one vector command.
+class HitTable:
+    """Every bank's precomputed hit list for one vector command.
 
-    Immutable by construction: every field is a tuple of ints (or bools),
-    so memoized instances can be shared between requests freely.
-
-    ``run_starts``/``run_lengths`` partition the table into maximal
-    same-(internal bank, row) runs — the segments the ``next_same_row``
-    markers delimit.  Element positions ``run_starts[i] ..
-    run_starts[i] + run_lengths[i] - 1`` share the device row
-    ``rows[run_starts[i]]`` in internal bank ``ibanks[run_starts[i]]``;
-    each run costs at most one activate (plus one precharge) and then
-    streams its columns back to back.  The closed-form window backend
-    (:mod:`repro.pva.window`) charges whole runs arithmetically off
-    these segments instead of rediscovering them element by element.
+    Immutable by construction: every field is a tuple of ints, so
+    memoized tables can be shared between requests freely.  See the
+    module docstring for the columns.
     """
 
     __slots__ = (
-        "count",
+        "offsets",
         "indices",
         "local_words",
         "ibanks",
         "rows",
-        "next_same_row",
-        "run_starts",
-        "run_lengths",
-        "mono_from",
+        "run_end",
+        "ib_end",
     )
 
     def __init__(
         self,
+        offsets: Tuple[int, ...],
         indices: Tuple[int, ...],
         local_words: Tuple[int, ...],
         ibanks: Tuple[int, ...],
         rows: Tuple[int, ...],
-        next_same_row: Tuple[bool, ...],
+        run_end: Tuple[int, ...],
+        ib_end: Tuple[int, ...],
     ):
-        count = len(indices)
-        self.count = count
+        self.offsets = offsets
         self.indices = indices
         self.local_words = local_words
         self.ibanks = ibanks
         self.rows = rows
-        self.next_same_row = next_same_row
-        starts = [0] if count else []
-        for j in range(count - 1):
-            if not next_same_row[j]:
-                starts.append(j + 1)
-        self.run_starts = tuple(starts)
-        self.run_lengths = tuple(
-            (starts[i + 1] if i + 1 < len(starts) else count) - starts[i]
-            for i in range(len(starts))
-        )
-        # Smallest position p with ``ibanks[p:]`` all on one internal
-        # bank: a chain starting at ``pos`` stays on a single internal
-        # bank iff ``pos >= mono_from``.  The window backend's inertness
-        # gates test this before pricing a chain.
-        p = count - 1
-        while p > 0 and ibanks[p - 1] == ibanks[p]:
-            p -= 1
-        self.mono_from = p if p > 0 else 0
+        self.run_end = run_end
+        self.ib_end = ib_end
+
+    def __len__(self) -> int:
+        return len(self.indices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BankSchedule(count={self.count}, indices={self.indices[:4]}...)"
+        return f"HitTable(elements={len(self)}, banks={len(self.offsets) - 1})"
 
 
-def _decode(
-    local_words: Tuple[int, ...], geometry: Tuple
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[bool, ...]]:
-    """Decode a word sequence into (ibanks, rows, next_same_row) under a
-    device geometry descriptor."""
+def _table(
+    offsets: List[int],
+    indices: List[int],
+    local_words: List[int],
+    geometry: Tuple,
+) -> HitTable:
+    """Decode the words of a (bank, index)-ordered element list under a
+    device geometry descriptor and mark its run and stretch ends."""
+    count = len(local_words)
     kind = geometry[0]
     if kind == _GEOM_ROTATED:
         # SDRAM: consecutive rows rotate internal banks
-        # (see SDRAMDevice.locate).
+        # (see SDRAMDevice.locate).  A row-sequence number names one
+        # (internal bank, row) pair, so runs are equal-sequence spans.
         row_bits, ib_bits = geometry[1], geometry[2]
         ib_mask = (1 << ib_bits) - 1
-        ibanks = []
-        rows = []
-        for word in local_words:
-            row_seq = word >> row_bits
-            ibanks.append(row_seq & ib_mask)
-            rows.append(row_seq >> ib_bits)
+        seqs = [word >> row_bits for word in local_words]
+        ibanks = tuple([seq & ib_mask for seq in seqs])
+        rows = tuple([seq >> ib_bits for seq in seqs])
+        run_end = [0] * count
+        ib_end = [0] * count
+        start = 0
+        for end in offsets[1:]:
+            if end > start:
+                run = stretch = end
+                j = end - 1
+                seq = seqs[j]
+                run_end[j] = ib_end[j] = end
+                while j > start:
+                    j -= 1
+                    prev = seqs[j]
+                    if prev != seq:
+                        run = j + 1
+                        if (prev ^ seq) & ib_mask:
+                            stretch = run
+                        seq = prev
+                    run_end[j] = run
+                    ib_end[j] = stretch
+            start = end
+        run_end = tuple(run_end)
+        ib_end = tuple(ib_end)
     elif kind == _GEOM_FLAT:
-        # SRAM: a single always-open row.
-        n = len(local_words)
-        ibanks = [0] * n
-        rows = [0] * n
+        # SRAM: a single always-open row, so a bank's whole slice is one
+        # run on one internal bank.
+        ibanks = rows = (0,) * count
+        ends: List[int] = []
+        start = 0
+        for end in offsets[1:]:
+            ends += [end] * (end - start)
+            start = end
+        run_end = ib_end = tuple(ends)
     else:  # pragma: no cover - guarded by schedule_geometry discovery
         raise ValueError(f"unknown schedule geometry {geometry!r}")
-    last = len(local_words) - 1
-    next_same_row = tuple(
-        j < last and ibanks[j + 1] == ibanks[j] and rows[j + 1] == rows[j]
-        for j in range(len(local_words))
+    return HitTable(
+        tuple(offsets),
+        tuple(indices),
+        tuple(local_words),
+        ibanks,
+        rows,
+        run_end,
+        ib_end,
     )
-    return tuple(ibanks), tuple(rows), next_same_row
 
 
-def stride_schedule(
-    base: int,
-    stride: int,
-    length: int,
-    bank: int,
-    num_banks: int,
-    geometry: Tuple,
-) -> Optional[BankSchedule]:
-    """The full hit table for bank ``bank`` of ``<base, stride, length>``
-    over ``num_banks`` word-interleaved banks, or ``None`` for no hit.
+def _stride_table(
+    base: int, stride: int, length: int, num_banks: int, geometry: Tuple
+) -> HitTable:
+    """The hit table of ``<base, stride, length>`` over ``num_banks``
+    word-interleaved banks.
 
     Theorems 4.3/4.4 read from the compiled K1 PLA (the same table the
     FirstHit Predict unit reads) — value-identical to the incremental
     ``first_hit``/``next_hit`` walk of the FHP/VC expansion path.
-    Uncached: :func:`broadcast_schedules` memoizes whole broadcasts
-    instead.
     """
     pla = shared_k1_pla(num_banks)
-    k = pla.first_hit_index(stride, (bank - base) & (num_banks - 1))
-    if k is None or k >= length:
-        return None
+    first_hit_index = pla.first_hit_index
     delta = pla.entry(stride).delta
     bank_bits = pla.bank_bits
-    count = (length - 1 - k) // delta + 1
     # S * delta is a multiple of M (theorem 4.4), so the shift is exact.
-    local_first = (base + stride * k) >> bank_bits
     local_step = (stride * delta) >> bank_bits
-    indices = tuple(range(k, k + count * delta, delta))
-    if count == 1:
-        local_words = (local_first,)
-    else:
-        local_words = tuple(
-            range(local_first, local_first + count * local_step, local_step)
-        )
-    ibanks, rows, next_same_row = _decode(local_words, geometry)
-    return BankSchedule(indices, local_words, ibanks, rows, next_same_row)
+    mask = num_banks - 1
+    offsets = [0]
+    indices: List[int] = []
+    local_words: List[int] = []
+    for bank in range(num_banks):
+        k = first_hit_index(stride, (bank - base) & mask)
+        if k is not None and k < length:
+            indices += range(k, length, delta)
+            first = (base + stride * k) >> bank_bits
+            count = (length - 1 - k) // delta + 1
+            local_words += range(first, first + count * local_step, local_step)
+        offsets.append(len(indices))
+    return _table(offsets, indices, local_words, geometry)
 
 
 def pairs_schedule(
-    pairs: Tuple[Tuple[int, int], ...], geometry: Tuple
-) -> Optional[BankSchedule]:
-    """A hit table for an explicit ``(local_word, index)`` pair list (the
+    per_bank: Sequence[Sequence[Tuple[int, int]]], geometry: Tuple
+) -> HitTable:
+    """The hit table of a command whose elements were partitioned
+    outside the word-interleave FirstHit path: ``per_bank[b]`` lists bank
+    ``b``'s ``(local_word, index)`` pairs in index order (the
     scatter/gather snoop path and the cache-line/block interleave front
     end).  Not memoized — the key would be the whole pair list."""
-    if not pairs:
-        return None
-    local_words = tuple(word for word, _ in pairs)
-    indices = tuple(index for _, index in pairs)
-    ibanks, rows, next_same_row = _decode(local_words, geometry)
-    return BankSchedule(indices, local_words, ibanks, rows, next_same_row)
+    pairs = [pair for bank_pairs in per_bank for pair in bank_pairs]
+    return _table(
+        list(accumulate(map(len, per_bank), initial=0)),
+        [index for _, index in pairs],
+        [word for word, _ in pairs],
+        geometry,
+    )
 
 
-#: The broadcast memo: key -> per-bank tables, least recently used
-#: first (a dict keeps insertion order; a hit re-inserts its entry).
-_memo: Dict[Tuple, Tuple[Optional[BankSchedule], ...]] = {}
-#: [hits, misses, schedules held].
+#: The broadcast memo: key -> table, least recently used first (a dict
+#: keeps insertion order; a hit re-inserts its entry).
+_memo: Dict[Tuple, HitTable] = {}
+#: [hits, misses, elements and offsets held].
 _memo_stats: List[int] = [0, 0, 0]
 
 
@@ -234,40 +248,38 @@ def broadcast_schedules(
     length: int,
     num_banks: int,
     geometry: Tuple,
-) -> Tuple[Optional[BankSchedule], ...]:
-    """All banks' hit tables for one vector command, as a tuple indexed
-    by bank number (``None`` where the bank owns no element).
+) -> HitTable:
+    """The memoized hit table of one strided vector command.
 
-    One memo probe per broadcast instead of ``num_banks``.  An entry
-    weighs ``num_banks`` schedules; least recently used entries are
-    evicted while the memo holds more than :data:`SCHEDULE_CACHE_SIZE`.
+    An entry weighs its ``length`` elements plus its ``num_banks`` bank
+    offsets, so short vectors over many banks are charged for the
+    offsets they carry.  Least recently used entries are evicted while
+    the memo holds more than :data:`SCHEDULE_CACHE_ELEMENTS`.
     """
     key = (base, stride, length, num_banks, geometry)
-    tables = _memo.pop(key, None)
-    if tables is not None:
-        _memo[key] = tables
+    table = _memo.pop(key, None)
+    if table is not None:
+        _memo[key] = table
         _memo_stats[0] += 1
-        return tables
+        return table
     _memo_stats[1] += 1
-    tables = tuple(
-        stride_schedule(base, stride, length, bank, num_banks, geometry)
-        for bank in range(num_banks)
-    )
-    _memo[key] = tables
-    _memo_stats[2] += num_banks
-    while _memo_stats[2] > SCHEDULE_CACHE_SIZE:
-        _memo_stats[2] -= len(_memo.pop(next(iter(_memo))))
-    return tables
+    table = _stride_table(base, stride, length, num_banks, geometry)
+    _memo[key] = table
+    _memo_stats[2] += length + num_banks
+    while _memo_stats[2] > SCHEDULE_CACHE_ELEMENTS:
+        evicted = _memo.pop(next(iter(_memo)))
+        _memo_stats[2] -= len(evicted) + len(evicted.offsets) - 1
+    return table
 
 
 def schedule_cache_info() -> CacheInfo:
     """The broadcast memo's statistics; ``maxsize`` and ``currsize``
-    count per-bank schedules."""
+    count table elements plus bank offsets."""
     hits, misses, held = _memo_stats
-    return CacheInfo(hits, misses, SCHEDULE_CACHE_SIZE, held)
+    return CacheInfo(hits, misses, SCHEDULE_CACHE_ELEMENTS, held)
 
 
 def clear_schedule_cache() -> None:
-    """Drop every memoized schedule (see :func:`repro.api.clear_caches`)."""
+    """Drop every memoized table (see :func:`repro.api.clear_caches`)."""
     _memo.clear()
     _memo_stats[:] = [0, 0, 0]

@@ -1,7 +1,7 @@
 """The structure-of-arrays bank automaton: the fast backend's walk.
 
-At broadcast time every bank's work is already resolved — the full
-per-bank hit schedule of :mod:`repro.pva.schedule`.  What the reference
+At broadcast time every bank's work is already resolved — its slice of
+the command's hit table (:mod:`repro.pva.schedule`).  What the reference
 backend still steps per cycle is the *object graph*: sixteen
 ``BankController``/``InternalBank``/``Restimer`` trees, each ticked
 through the kernel's component dispatch.  This module collapses all of
@@ -11,8 +11,9 @@ them into one table-driven automaton:
   refresh deadlines, FHC occupancy and next-event cycles live in flat
   ``array('q')`` parallel arrays indexed by ``bank`` (or
   ``bank * internal_banks + ib``);
-* vector contexts are small mutable lists (schedule-cursor state only:
-  every request carries a :class:`~repro.pva.schedule.BankSchedule`, so
+* vector contexts are small mutable lists (cursor state only: every
+  request carries its command's shared
+  :class:`~repro.pva.schedule.HitTable` and its bank's slice of it, so
   no ``device.locate`` decode is ever needed);
 * one kernel component (:class:`SoaBankAutomaton`) speaks for all
   sixteen ``bank-*`` attribution-ledger entries via the kernel's
@@ -88,15 +89,14 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CapacityError, ProtocolError
-from repro.pva.schedule import (  # stride_schedule: see soa_cache_info
-    BankSchedule,
+from repro.pva.schedule import (
+    HitTable,
     broadcast_schedules,
     pairs_schedule,
     schedule_cache_info,
-    stride_schedule,  # noqa: F401
 )
 from repro.pva.rowpolicy import PaperPolicy
 from repro.sdram.device import SDRAMDevice
@@ -140,37 +140,39 @@ def numpy_bound_enabled(num_banks: int) -> bool:
 
 # Vector-context slot layout: a context is a flat mutable list, the
 # SoA replacement for repro.pva.vector_context.VectorContext.  Slots
-# 0-4 are the (immutable, shared) schedule tuples; 5+ are the cursor.
-C_LW = 0  # local_words tuple
-C_IDX = 1  # indices tuple
-C_IB = 2  # ibanks tuple
-C_ROW = 3  # rows tuple
-C_NSR = 4  # next_same_row tuple
+# 0-4 and 13 are columns of the command's (immutable, shared) hit
+# table; the cursor is an absolute position into them, running up to
+# the end of this bank's slice.
+C_LW = 0  # local_words column
+C_IDX = 1  # indices column
+C_IB = 2  # ibanks column
+C_ROW = 3  # rows column
+C_RUN = 4  # run_end column: end of each element's same-row run
 C_POS = 5  # cursor position
-C_REM = 6  # elements remaining
+C_END = 6  # end of the bank's slice (exclusive)
 C_TXN = 7  # transaction id
 C_W = 8  # 1 = write, 0 = read
 C_LINE = 9  # staged write line (tuple) or None
 C_ISSUED = 10  # has the first operation been issued?
 C_FIB = 11  # first element's internal bank (predictor training)
 C_FROW = 12  # first element's row (predictor training)
-C_RSTARTS = 13  # schedule run_starts tuple (same-row run segmentation)
-C_RLENS = 14  # schedule run_lengths tuple
-C_MONO = 15  # schedule mono_from (single-internal-bank suffix marker)
+C_IBEND = 13  # ib_end column: end of each element's internal-bank stretch
 
 # Request-FIFO entry layout (replaces repro.pva.request.BCRequest).
 R_READY = 0  # ready cycle (FHP/FHC pipeline + bypass timing)
 R_TXN = 1
 R_W = 2
 R_LINE = 3
-R_SCHED = 4  # BankSchedule
+R_TABLE = 4  # the command's HitTable
+R_START = 5  # the bank's slice of it: [start, end)
+R_END = 6
 
 
 def soa_cache_info():
-    """Statistics of the schedule memo this automaton's broadcasts read
+    """Statistics of the table memo this automaton's broadcasts read
     (the same memo :func:`repro.pva.schedule.schedule_cache_info`
-    reports).  This function and the ``stride_schedule`` name stay here
-    because the benchmark (perfbench/) looks them up in this module."""
+    reports).  This function stays here because the benchmark
+    (perfbench/) looks it up in this module."""
     return schedule_cache_info()
 
 
@@ -522,26 +524,25 @@ class SoaBankAutomaton:
                 ready = rqf[0][0]
                 if ready <= t:
                     head = rqf.popleft()
-                    sched = head[4]
+                    table = head[4]
+                    first = head[5]
                     win.append(
                         # VectorContext.__init__, cursor mode.
                         [
-                            sched.local_words,
-                            sched.indices,
-                            sched.ibanks,
-                            sched.rows,
-                            sched.next_same_row,
-                            0,
-                            sched.count,
+                            table.local_words,
+                            table.indices,
+                            table.ibanks,
+                            table.rows,
+                            table.run_end,
+                            first,
+                            head[6],
                             head[1],
                             head[2],
                             head[3],
                             False,
-                            sched.ibanks[0],
-                            sched.rows[0],
-                            sched.run_starts,
-                            sched.run_lengths,
-                            sched.mono_from,
+                            table.ibanks[first],
+                            table.rows[first],
+                            table.ib_end,
                         ]
                     )
                     progressed = True
@@ -633,14 +634,8 @@ class SoaBankAutomaton:
                             u = -1
                             ok = True
                         if ok:
-                            rem = vc0[6]
-                            if has_rows:
-                                nsr = vc0[4]
-                                run = 1
-                                while run < rem and nsr[pos + run - 1]:
-                                    run += 1
-                            else:
-                                run = rem
+                            stop = vc0[6]
+                            run = vc0[4][pos] - pos
                             cap = h - t
                             c2 = deadline - t
                             if c2 < cap:
@@ -735,7 +730,7 @@ class SoaBankAutomaton:
                                                 break
                                     if other_hit:
                                         auto_precharge = False
-                                    elif run < rem:
+                                    elif pos + run < stop:
                                         # Run ends on a row transition:
                                         # the paper policy closes it.
                                         auto_precharge = True
@@ -766,11 +761,9 @@ class SoaBankAutomaton:
                                 txn.last_data_cycle = data_cycle
                             # -- cursor advance ------------------------
                             self.sched_col[b] += run
-                            rem -= run
-                            vc0[6] = rem
                             vc0[10] = True
                             vc0[5] = pos + run
-                            if rem == 0:
+                            if pos + run == stop:
                                 del win[0]
                             cost = run
                     if cost == 0:
@@ -895,11 +888,9 @@ class SoaBankAutomaton:
                             if data_cycle > txn.last_data_cycle:
                                 txn.last_data_cycle = data_cycle
                             self.sched_col[b] += 1
-                            remaining = vcx[6] - 1
-                            vcx[6] = remaining
                             vcx[10] = True
                             vcx[5] = posx + 1
-                            if remaining == 0:
+                            if posx + 1 == vcx[6]:
                                 del win[position]
                             cost = 1
             if cost or progressed:
@@ -957,15 +948,17 @@ class SoaBankAutomaton:
         self, b: int, vc: list, internal_bank: int, row: int, win: list
     ) -> bool:
         """AccessScheduler._decide_auto_precharge (the ManageRow lines);
-        the self-term is the precomputed row-transition marker instead of
-        a live decode of the next address."""
+        the self-term reads the precomputed run end instead of decoding
+        the next address live."""
         asc = self.asc[b]
         row_hit = not asc[internal_bank]
         asc[internal_bank] = False
         paper = self.paper[b]
         if not paper:
             self.policies[b].observe_access(internal_bank, row_hit)
-        more_hits = vc[C_REM] > 1 and vc[C_NSR][vc[C_POS]]
+        pos = vc[C_POS]
+        last = pos + 1 == vc[C_END]
+        more_hits = vc[C_RUN][pos] > pos + 1
         if not more_hits:
             for other in win:
                 if other is vc:
@@ -982,14 +975,14 @@ class SoaBankAutomaton:
             # (it has no side effects and only gates the last access).
             if more_hits:
                 return False
-            if vc[C_REM] == 1:
+            if last:
                 if self._close_predicted(win, internal_bank, row):
                     return True
                 return self.predict[b][internal_bank]
             return True
         return self.policies[b].decide(
             internal_bank=internal_bank,
-            last_of_request=vc[C_REM] == 1,
+            last_of_request=last,
             more_hits=more_hits,
             close_predicted=self._close_predicted(win, internal_bank, row),
         )
@@ -1031,17 +1024,89 @@ class SoaBankAutomaton:
         ``cycle`` is the delivery cycle (last broadcast bus cycle),
         ``call_cycle`` the front end's current cycle (ledger anchor).
         Returns the summed element count."""
-        schedules = broadcast_schedules(
+        table = broadcast_schedules(
             vector.base,
             vector.stride,
             vector.length,
             self.num_banks,
             self._geom,
         )
-        power_of_two = self._pla.entry(vector.stride).power_of_two
-        # The _queue tail, fused across the bank loop with the shared
-        # state in locals (this runs once per bank per broadcast — the
-        # broadcast side's hot path).
+        return self._queue(
+            txn_id,
+            table,
+            is_write,
+            cycle,
+            write_line,
+            call_cycle,
+            self._pla.entry(vector.stride).power_of_two,
+        )
+
+    def broadcast_explicit(
+        self,
+        txn_id: int,
+        addresses: Tuple[int, ...],
+        is_write: bool,
+        cycle: int,
+        write_line: Optional[Tuple[int, ...]],
+        call_cycle: int,
+    ) -> int:
+        """All banks observe an explicit scatter/gather command: the SoA
+        counterpart of looping BankController.broadcast_explicit over the
+        banks, each snooping the address stream for its own elements."""
+        mask = self.num_banks - 1
+        shift = self.bank_bits
+        per_bank: List[List[Tuple[int, int]]] = [
+            [] for _ in range(self.num_banks)
+        ]
+        for index, address in enumerate(addresses):
+            per_bank[address & mask].append((address >> shift, index))
+        return self.broadcast_pairs(
+            txn_id, per_bank, is_write, cycle, write_line, None, call_cycle
+        )
+
+    def broadcast_pairs(
+        self,
+        txn_id: int,
+        per_bank: Sequence[Sequence[Tuple[int, int]]],
+        is_write: bool,
+        cycle: int,
+        write_line: Optional[Tuple[int, ...]],
+        stride: Optional[int],
+        call_cycle: int,
+    ) -> int:
+        """All banks observe pre-partitioned elements: ``per_bank[b]``
+        lists bank ``b``'s ``(local_word, index)`` pairs (explicit snoop
+        with ``stride=None``, or the cache-line/block interleave front
+        end with the real stride's FHP/FHC timing)."""
+        table = pairs_schedule(per_bank, self._geom)
+        power_of_two = (
+            None if stride is None else self._pla.entry(stride).power_of_two
+        )
+        return self._queue(
+            txn_id,
+            table,
+            is_write,
+            cycle,
+            write_line,
+            call_cycle,
+            power_of_two,
+        )
+
+    def _queue(
+        self,
+        txn_id: int,
+        table: HitTable,
+        is_write: bool,
+        cycle: int,
+        write_line: Optional[Tuple[int, ...]],
+        call_cycle: int,
+        power_of_two: Optional[bool],
+    ) -> int:
+        """Common broadcast tail, every bank in turn: open staging
+        (expected may be zero), run the FHP/FHC ready-cycle pipeline,
+        append the FIFO entry and maintain the ledger and the next-event
+        bound.  Returns the summed element count."""
+        offsets = table.offsets
         stage = self.wsu if is_write else self.rsu
         rqfs = self._rqf
         wins = self._win
@@ -1057,8 +1122,9 @@ class SoaBankAutomaton:
         iw = int(is_write)
         total = 0
         for b in range(self.n):
-            schedule = schedules[b]
-            expected = 0 if schedule is None else schedule.count
+            start = offsets[b]
+            end = offsets[b + 1]
+            expected = end - start
             stage[b].open(txn_id, expected)
             if expected == 0:
                 continue
@@ -1069,23 +1135,28 @@ class SoaBankAutomaton:
                     f"(depth {fifo_depth})"
                 )
             win = wins[b]
-            idle = not rqf and not win
-            if power_of_two:
+            if power_of_two is None:
+                # Explicit snoop: ready one cycle after the broadcast ends.
+                ready = cycle + 1
+            elif power_of_two:
                 # FHP shift/mask path (+ FHP-to-VC bypass when idle).
+                idle = not rqf and not win
                 ready = cycle + 1 if (bypass and idle) else cycle + 2
             else:
                 # FirstHitCalculator.schedule: serial multiply-add.
-                start = cycle + 1
-                if fhc_busy[b] > start:
-                    start = fhc_busy[b]
-                finish = start + fhc_latency
+                idle = not rqf and not win
+                first = cycle + 1
+                if fhc_busy[b] > first:
+                    first = fhc_busy[b]
+                finish = first + fhc_latency
                 fhc_busy[b] = finish
                 self.fhc_calcs[b] += 1
                 ready = finish if (bypass and idle) else finish + 1
-            rqf.append((ready, txn_id, iw, write_line, schedule))
+            rqf.append((ready, txn_id, iw, write_line, table, start, end))
             if not pending[b]:
                 # The bank shows "stalled" from the broadcast call cycle
-                # on; everything before it was idle.
+                # on (_BankComponent.account sees the FIFO entry that
+                # same kernel cycle); everything before it was idle.
                 a = acct[b]
                 if call_cycle > a:
                     idle_c[b] += call_cycle - a
@@ -1095,116 +1166,6 @@ class SoaBankAutomaton:
                 bound[b] = ready
             total += expected
         return total
-
-    def broadcast_explicit(
-        self,
-        b: int,
-        txn_id: int,
-        addresses: Tuple[int, ...],
-        is_write: bool,
-        cycle: int,
-        write_line: Optional[Tuple[int, ...]],
-        call_cycle: int,
-    ) -> int:
-        """BankController.broadcast_explicit: snoop the address stream
-        for this bank's elements."""
-        mask = self.num_banks - 1
-        shift = self.bank_bits
-        mine = tuple(
-            (address >> shift, index)
-            for index, address in enumerate(addresses)
-            if (address & mask) == b
-        )
-        return self.broadcast_pairs(
-            b, txn_id, mine, is_write, cycle, write_line, None, call_cycle
-        )
-
-    def broadcast_pairs(
-        self,
-        b: int,
-        txn_id: int,
-        pairs: Tuple[Tuple[int, int], ...],
-        is_write: bool,
-        cycle: int,
-        write_line: Optional[Tuple[int, ...]],
-        stride: Optional[int],
-        call_cycle: int,
-    ) -> int:
-        """BankController.broadcast_pairs: queue pre-partitioned
-        ``(local_word, index)`` elements (explicit snoop with
-        ``stride=None``, or the cache-line/block interleave front end
-        with the real stride's FHP/FHC timing)."""
-        schedule = pairs_schedule(pairs, self._geom)
-        power_of_two = (
-            None if stride is None else self._pla.entry(stride).power_of_two
-        )
-        return self._queue(
-            b,
-            txn_id,
-            schedule,
-            is_write,
-            cycle,
-            write_line,
-            call_cycle,
-            power_of_two,
-        )
-
-    def _queue(
-        self,
-        b: int,
-        txn_id: int,
-        schedule: Optional[BankSchedule],
-        is_write: bool,
-        cycle: int,
-        write_line: Optional[Tuple[int, ...]],
-        call_cycle: int,
-        power_of_two: Optional[bool],
-    ) -> int:
-        """Common broadcast tail: open staging (expected may be zero),
-        run the FHP/FHC ready-cycle pipeline, append the FIFO entry and
-        maintain the ledger and the next-event bound."""
-        expected = 0 if schedule is None else schedule.count
-        if is_write:
-            self.wsu[b].open(txn_id, expected)
-        else:
-            self.rsu[b].open(txn_id, expected)
-        if expected == 0:
-            return 0
-        rqf = self._rqf[b]
-        if len(rqf) >= self.fifo_depth:
-            raise CapacityError(
-                f"bank {b}: request FIFO overflow "
-                f"(depth {self.fifo_depth})"
-            )
-        win = self._win[b]
-        idle = not rqf and not win
-        if power_of_two is None:
-            # Explicit snoop: ready one cycle after the broadcast ends.
-            ready = cycle + 1
-        elif power_of_two:
-            # FHP shift/mask path (+ FHP-to-VC bypass when idle).
-            ready = cycle + 1 if (self.bypass and idle) else cycle + 2
-        else:
-            # FirstHitCalculator.schedule: serial multiply-add.
-            start = cycle + 1
-            if self.fhc_busy[b] > start:
-                start = self.fhc_busy[b]
-            finish = start + self.fhc_latency
-            self.fhc_busy[b] = finish
-            self.fhc_calcs[b] += 1
-            ready = finish if (self.bypass and idle) else finish + 1
-        rqf.append((ready, txn_id, int(is_write), write_line, schedule))
-        if not self.pending[b]:
-            # The bank shows "stalled" from the broadcast call cycle on
-            # (_BankComponent.account sees the FIFO entry that same
-            # kernel cycle); everything before it was idle.
-            self._settle(b, call_cycle)
-            if call_cycle > self.acct[b]:
-                self.acct[b] = call_cycle
-            self.pending[b] = True
-        if len(rqf) == 1 and len(win) < self.max_ctx and ready < self.bound[b]:
-            self.bound[b] = ready
-        return expected
 
     # ------------------------------------------------------------- #
     # Writeback

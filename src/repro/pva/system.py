@@ -671,16 +671,14 @@ class PVAMemorySystem:
             )
         elif isinstance(command, ExplicitCommand):
             if soa is not None:
-                for b in range(len(self.banks)):
-                    total += soa.broadcast_explicit(
-                        b,
-                        txn_id,
-                        command.addresses,
-                        is_write,
-                        cycle,
-                        write_line,
-                        call_cycle,
-                    )
+                total = soa.broadcast_explicit(
+                    txn_id,
+                    command.addresses,
+                    is_write,
+                    cycle,
+                    write_line,
+                    call_cycle,
+                )
             else:
                 for bank in self.banks:
                     total += bank.broadcast_explicit(
@@ -748,17 +746,15 @@ class PVAMemorySystem:
             stride = command.vector.stride
         soa = self._soa
         if soa is not None:
-            for bank in self.banks:
-                total += soa.broadcast_pairs(
-                    bank.bank,
-                    txn_id,
-                    tuple(per_bank[bank.bank]),
-                    is_write,
-                    cycle,
-                    write_line,
-                    stride,
-                    call_cycle,
-                )
+            total = soa.broadcast_pairs(
+                txn_id,
+                [per_bank[bank.bank] for bank in self.banks],
+                is_write,
+                cycle,
+                write_line,
+                stride,
+                call_cycle,
+            )
         else:
             for bank in self.banks:
                 total += bank.broadcast_pairs(

@@ -2,17 +2,17 @@
 
 The SoA automaton (:mod:`repro.pva.soa`) made bank events *cheap*; this
 automaton removes them.  Between broadcasts a bank's
-service timeline is fully determined by its precomputed
-:class:`~repro.pva.schedule.BankSchedule` and the live restimer
-deadlines: the schedule's ``run_starts``/``run_lengths`` segments say
-which same-row runs will issue, and each run costs at most one
-precharge, at most one activate, and then streams its columns back to
-back.  So instead of probing candidate cycles one by one, the window
-backend charges one whole service chain **arithmetically** per
-resolution:
+service timeline is fully determined by its slice of the command's
+precomputed :class:`~repro.pva.schedule.HitTable` and the live restimer
+deadlines: the table's ``run_end`` markers say which same-row runs will
+issue, and each run costs at most one precharge, at most one activate,
+and then streams its columns back to back.  So instead of probing
+candidate cycles one by one, the window backend charges one whole
+service chain **arithmetically** per resolution:
 
-* partition the remaining schedule into same-row runs (precomputed at
-  broadcast time, the `schedule.py` run segments);
+* step through the remaining slice run by run (each element's
+  ``run_end`` marker, precomputed at broadcast time, is where its
+  same-row run ends);
 * walk the runs once, charging each a precharge/activate/CAS chain as a
   prefix sum over run lengths against *virtual* copies of the restimer
   deadlines (``max(cursor, timer)`` per row operation, ``max(cursor,
@@ -66,9 +66,8 @@ protect or slip into.
   land strictly before ``nr[b]``);
 * the whole chain fits inside the run-ahead horizon ``h`` (a chain that
   crosses it could be interleaved by the next broadcast);
-* the paper row policy (or a rowless SRAM device): other policies take
-  per-access ``observe_access`` side effects the arithmetic does not
-  model.
+* the paper row policy (or a rowless SRAM device): the closed form
+  models only the paper policy's auto-precharge decisions.
 
 A rejected chain falls back, bit-exactly, to the inherited SoA event
 walk for the current batch (``SoaBankAutomaton._run_bank``); the next
@@ -112,28 +111,27 @@ backend.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from repro.errors import ProtocolError
 from repro.pva.soa import (
+    C_END,
     C_FIB,
     C_FROW,
     C_IB,
+    C_IBEND,
     C_IDX,
     C_ISSUED,
     C_LINE,
     C_LW,
-    C_MONO,
     C_POS,
-    C_REM,
-    C_RLENS,
     C_ROW,
-    C_RSTARTS,
+    C_RUN,
     C_TXN,
     C_W,
+    R_END,
     R_LINE,
     R_READY,
-    R_SCHED,
+    R_START,
+    R_TABLE,
     R_TXN,
     R_W,
     SoaBankAutomaton,
@@ -259,8 +257,9 @@ class WindowBankAutomaton(SoaBankAutomaton):
             prev_d = t - 1
             ibs = vc[C_IB]
             rows = vc[C_ROW]
-            starts = vc[C_RSTARTS]
+            run_end = vc[C_RUN]
             pos = vc[C_POS]
+            stop = vc[C_END]
         elif rqf:
             head = rqf[0]
             ready = head[R_READY]
@@ -276,11 +275,12 @@ class WindowBankAutomaton(SoaBankAutomaton):
             # The unit's own dequeue consumed the probe at ``td``; the
             # next admission needs a later probe.
             prev_d = td
-            sched = head[R_SCHED]
-            ibs = sched.ibanks
-            rows = sched.rows
-            starts = sched.run_starts
-            pos = 0
+            table = head[R_TABLE]
+            ibs = table.ibanks
+            rows = table.rows
+            run_end = table.run_end
+            pos = head[R_START]
+            stop = head[R_END]
         else:
             # Only the refresh deadline can act, and with no pending
             # work it may not run ahead of kernel time.
@@ -291,9 +291,9 @@ class WindowBankAutomaton(SoaBankAutomaton):
         has_rows = self.has_rows
         if has_rows:
             if not self.paper[b]:
-                return _FALLBACK  # per-access policy side effects
+                return _FALLBACK  # only the paper policy is modelled
             if (
-                starts[-1] <= pos
+                run_end[pos] == stop
                 and self.orow[b * self.nib + ibs[pos]] == rows[pos]
             ):
                 # A single remaining same-row run on an already-open row
@@ -304,22 +304,21 @@ class WindowBankAutomaton(SoaBankAutomaton):
                 # nothing was mutated, and the gates above kept this
                 # check ahead of the full head extraction).
                 return _FALLBACK
+        rem = stop - pos
         if dequeued:
-            lw = sched.local_words
-            idx = sched.indices
-            lengths = sched.run_lengths
-            rem = sched.count
+            lw = table.local_words
+            idx = table.indices
+            ib_end = table.ib_end
             w = head[R_W]
             line = head[R_LINE]
             txn_id = head[R_TXN]
             issued = False
-            fib = ibs[0]
-            frow = rows[0]
+            fib = ibs[pos]
+            frow = rows[pos]
         else:
             lw = vc[C_LW]
             idx = vc[C_IDX]
-            lengths = vc[C_RLENS]
-            rem = vc[C_REM]
+            ib_end = vc[C_IBEND]
             w = vc[C_W]
             line = vc[C_LINE]
             txn_id = vc[C_TXN]
@@ -354,8 +353,7 @@ class WindowBankAutomaton(SoaBankAutomaton):
         chain_mono = True  # every remaining element on one internal bank
         chain_ib = ibs[pos] if has_rows else 0
         if has_rows:
-            mono_from = sched.mono_from if dequeued else vc[C_MONO]
-            if pos < mono_from:
+            if ib_end[pos] < stop:
                 chain_mono = False
                 # A non-mono chain can neither materialize dequeues nor
                 # carry younger in-flight contexts; reject before the
@@ -375,8 +373,6 @@ class WindowBankAutomaton(SoaBankAutomaton):
         # *initially* open row (the first precharge on chain_ib always
         # closes exactly that row); -1 while it stays open.
         first_oclose = -1
-        if has_rows:
-            ri = bisect_right(starts, pos) - 1
         p = pos
         r = rem
         final_end = -1
@@ -384,7 +380,7 @@ class WindowBankAutomaton(SoaBankAutomaton):
         final_ib = 0
         while r > 0:
             if has_rows:
-                run_len = starts[ri] + lengths[ri] - p
+                run_len = run_end[p] - p
                 ib = ibs[p]
                 row = rows[p]
                 u = base_u + ib
@@ -478,8 +474,6 @@ class WindowBankAutomaton(SoaBankAutomaton):
                 final_ib = ib
             cursor = end + 1
             p += run_len
-            if has_rows:
-                ri += 1
         acct_end = cursor
         # ---- inertness of already in-flight younger contexts ---------
         #    (they hold position > 0 for the whole chain; the gate must
@@ -525,11 +519,12 @@ class WindowBankAutomaton(SoaBankAutomaton):
             if has_rows:
                 if not chain_mono:
                     return _FALLBACK
-                es = e[R_SCHED]
+                et = e[R_TABLE]
+                es = e[R_START]
                 # The whole entry must sit on the chain's internal bank.
-                if es.ibanks[0] != chain_ib or es.mono_from > 0:
+                if et.ibanks[es] != chain_ib or et.ib_end[es] < e[R_END]:
                     return _FALLBACK
-                erow = es.rows[0]
+                erow = et.rows[es]
                 if erow == orow[base_u + chain_ib] and not (
                     0 <= first_oclose < d
                 ):
@@ -667,26 +662,25 @@ class WindowBankAutomaton(SoaBankAutomaton):
             del win[0]
         for _ in range(ndq):
             e = rqf.popleft()
-            es = e[R_SCHED]
+            et = e[R_TABLE]
+            es = e[R_START]
             win.append(
                 # VectorContext.__init__, cursor mode (the SoA dequeue).
                 [
-                    es.local_words,
-                    es.indices,
-                    es.ibanks,
-                    es.rows,
-                    es.next_same_row,
-                    0,
-                    es.count,
+                    et.local_words,
+                    et.indices,
+                    et.ibanks,
+                    et.rows,
+                    et.run_end,
+                    es,
+                    e[R_END],
                     e[R_TXN],
                     e[R_W],
                     e[R_LINE],
                     False,
-                    es.ibanks[0],
-                    es.rows[0],
-                    es.run_starts,
-                    es.run_lengths,
-                    es.mono_from,
+                    et.ibanks[es],
+                    et.rows[es],
+                    et.ib_end,
                 ]
             )
         if win:

@@ -115,7 +115,7 @@ class SDRAMDevice:
     @property
     def schedule_geometry(self):
         """Hashable descriptor of :meth:`locate`'s mapping, used as part
-        of the broadcast-time hit-schedule memo key
+        of the broadcast-time hit-table memo key
         (:mod:`repro.pva.schedule`).  ``("rot", row_bits, ib_bits)``:
         consecutive rows rotate internal banks."""
         return ("rot", self._row_bits, self._ib_bits)

@@ -60,7 +60,7 @@ class SRAMDevice:
 
     @property
     def schedule_geometry(self):
-        """Hit-schedule geometry descriptor (see
+        """Hit-table geometry descriptor (see
         :mod:`repro.pva.schedule`): one flat always-open row."""
         return ("flat",)
 

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 from repro.api import build_system, clear_caches
 from repro.params import SystemParams
 from repro.pva.schedule import (
+    HitTable,
     broadcast_schedules,
     clear_schedule_cache,
     pairs_schedule,
@@ -77,17 +78,26 @@ class TestNextEventBound:
         assert refreshing.next_event_cycle(0) == 780
 
 
+def _only(bank, pairs):
+    """A per-bank pair list (16 banks) in which only ``bank`` owns
+    elements."""
+    return [pairs if b == bank else () for b in range(16)]
+
+
 class TestQueueMath:
     def test_stride_zero_pattern_queues_every_element(self):
         # pairs_schedule with one repeated local word — the stride-0
         # degenerate the Vector type itself rejects (stride >= 1).
         soa = _automaton()
         pairs = ((7, 0), (7, 1), (7, 2))
-        queued = soa.broadcast_pairs(0, 0, pairs, False, 4, None, None, 4)
+        queued = soa.broadcast_pairs(
+            0, _only(0, pairs), False, 4, None, None, 4
+        )
         assert queued == 3
         entry = soa._rqf[0][0]
-        assert entry[4].count == 3
-        assert entry[4].local_words == (7, 7, 7)
+        table, start, end = entry[4], entry[5], entry[6]
+        assert (start, end) == (0, 3)
+        assert table.local_words[start:end] == (7, 7, 7)
         # Explicit snoop timing: ready the cycle after broadcast ends,
         # and the idle bank's next-event bound drops to it.
         assert entry[0] == 5
@@ -96,26 +106,47 @@ class TestQueueMath:
     def test_stride_one_run_marks_same_row(self):
         soa = _automaton()
         pairs = tuple((word, word) for word in range(4))
-        schedule = pairs_schedule(pairs, soa._geom)
-        # Four consecutive words on one row: every hop but the last is a
-        # same-row transition — the burst fast path's precondition.
-        assert schedule.next_same_row == (True, True, True, False)
-        queued = soa.broadcast_pairs(1, 0, pairs, False, 0, None, None, 0)
+        table = pairs_schedule(_only(1, pairs), soa._geom)
+        # Four consecutive words on one row: one run to the slice's end
+        # — the burst fast path's precondition.
+        assert table.run_end == (4, 4, 4, 4)
+        queued = soa.broadcast_pairs(
+            0, _only(1, pairs), False, 0, None, None, 0
+        )
         assert queued == 4
+        assert soa._rqf[1][0][5:] == (0, 4)
 
     def test_empty_schedule_opens_staging_and_queues_nothing(self):
         soa = _automaton()
-        queued = soa.broadcast_pairs(2, 3, (), False, 0, None, None, 0)
+        queued = soa.broadcast_pairs(
+            3, _only(2, ()), False, 0, None, None, 0
+        )
         assert queued == 0
         assert not soa._rqf[2]
         assert soa.bound[2] == HORIZON
+        assert 3 in soa.rsu[2]._slots
 
     def test_pending_ledger_settles_idle_up_to_call_cycle(self):
         soa = _automaton()
-        soa.broadcast_pairs(0, 0, ((3, 0),), False, 9, None, None, 9)
+        soa.broadcast_pairs(0, _only(0, ((3, 0),)), False, 9, None, None, 9)
         assert soa.pending[0]
         assert soa.idle_c[0] == 9
         assert soa.acct[0] == 9
+
+    def test_explicit_broadcast_builds_one_table_for_all_banks(self):
+        soa = _automaton()
+        addresses = (5, 21, 6, 5)
+        queued = soa.broadcast_explicit(0, addresses, False, 2, None, 2)
+        assert queued == 4
+        (five,) = soa._rqf[5]
+        (six,) = soa._rqf[6]
+        assert five[4] is six[4]
+        table = five[4]
+        # Bank 5 owns indices 0, 1 and 3 (word 0 named twice), in index
+        # order; bank 6 owns index 2.
+        assert table.indices[five[5]:five[6]] == (0, 1, 3)
+        assert table.local_words[five[5]:five[6]] == (0, 1, 0)
+        assert table.indices[six[5]:six[6]] == (2,)
 
 
 class TestBroadcastMemo:
@@ -128,7 +159,7 @@ class TestBroadcastMemo:
         again = broadcast_schedules(0, 19, 64, params.num_banks, geometry)
         assert first is again
         assert soa_cache_info().hits >= 1
-        assert len(first) == params.num_banks
+        assert len(first.offsets) == params.num_banks + 1
 
     def test_memo_entries_not_mutated_by_runs(self):
         from repro.kernels import build_trace, kernel_by_name
@@ -141,37 +172,22 @@ class TestBroadcastMemo:
         )
         simulate(trace, params, system="pva-sdram")
         assert soa_cache_info().currsize >= 1
-        # Snapshot every cached schedule's contents, run again, compare:
-        # the automaton must treat the shared tables as read-only.
+        # Snapshot the cached table's contents, run again, compare: the
+        # automaton must treat the shared tables as read-only.
         system = build_system("pva-sdram", params)
         geometry = system.banks[0].device.schedule_geometry
         vector = trace[0].vector
-        schedules = broadcast_schedules(
+        table = broadcast_schedules(
             vector.base,
             vector.stride,
             vector.length,
             params.num_banks,
             geometry,
         )
-        snapshot = [
-            None
-            if s is None
-            else (s.count, s.indices, s.local_words, s.ibanks, s.rows, s.next_same_row)
-            for s in schedules
-        ]
+        fields = HitTable.__slots__
+        snapshot = [getattr(table, field) for field in fields]
         simulate(trace, params, system="pva-sdram")
-        for schedule, before in zip(schedules, snapshot):
-            if schedule is None:
-                assert before is None
-            else:
-                assert before == (
-                    schedule.count,
-                    schedule.indices,
-                    schedule.local_words,
-                    schedule.ibanks,
-                    schedule.rows,
-                    schedule.next_same_row,
-                )
+        assert [getattr(table, field) for field in fields] == snapshot
 
     def test_clear_caches_drops_soa_memo(self):
         params = SystemParams()

@@ -51,11 +51,11 @@ class TestEligibility:
 
 
 class TestRunSegmentation:
-    """run_starts/run_lengths are the closed form's unit of charge: a
-    maximal same-(internal bank, row) span, delimited by the
-    next_same_row markers."""
+    """The run_end markers are the closed form's unit of charge: each
+    element's run_end is where its maximal same-(internal bank, row)
+    span ends, never past its bank's slice."""
 
-    def _schedule(self, pairs):
+    def _table(self, pairs):
         params = SystemParams(sim_mode="fast")
         system = build_system("pva-sdram", params)
         automaton = WindowBankAutomaton(
@@ -67,39 +67,56 @@ class TestRunSegmentation:
             params,
             kernel=None,
         )
-        return pairs_schedule(tuple(pairs), automaton._geom)
+        # Bank 0 owns nothing, bank 1 owns ``pairs``: the runs must be
+        # positioned in the shared table, not from zero.
+        return pairs_schedule(((), tuple(pairs)), automaton._geom)
+
+    def _runs(self, table):
+        start, end = table.offsets[1], table.offsets[2]
+        runs = []
+        p = start
+        while p < end:
+            runs.append((p, table.run_end[p]))
+            p = table.run_end[p]
+        return runs
 
     def test_partition_is_exact(self):
-        sched = self._schedule((word, word) for word in range(6))
-        assert sched.run_starts[0] == 0
-        assert sum(sched.run_lengths) == sched.count
-        # Runs abut: each start is the previous start plus its length.
-        for i in range(1, len(sched.run_starts)):
-            assert sched.run_starts[i] == (
-                sched.run_starts[i - 1] + sched.run_lengths[i - 1]
-            )
+        table = self._table((word, word) for word in range(6))
+        runs = self._runs(table)
+        # Runs abut, cover the slice, and every element of a run shares
+        # its run's end.
+        assert runs[0][0] == table.offsets[1]
+        assert runs[-1][1] == table.offsets[2]
+        for (_, end), (start, _) in zip(runs, runs[1:]):
+            assert end == start
+        for start, end in runs:
+            assert end > start
+            assert table.run_end[start:end] == (end,) * (end - start)
 
     def test_boundaries_follow_next_same_row(self):
         # A large stride hops rows every element: all runs length 1.
-        sched = self._schedule((word * 4096, word) for word in range(5))
-        starts = set(sched.run_starts)
-        for j in range(sched.count - 1):
-            assert (not sched.next_same_row[j]) == (j + 1 in starts)
+        table = self._table((word * 4096, word) for word in range(5))
+        for j in range(len(table)):
+            same_row = j + 1 < len(table) and (
+                table.ibanks[j + 1],
+                table.rows[j + 1],
+            ) == (table.ibanks[j], table.rows[j])
+            assert (table.run_end[j] > j + 1) == same_row
+        assert self._runs(table) == [(j, j + 1) for j in range(5)]
 
     def test_single_element(self):
-        sched = self._schedule([(7, 0)])
-        assert sched.run_starts == (0,)
-        assert sched.run_lengths == (1,)
+        table = self._table([(7, 0)])
+        assert table.run_end == (1,)
+        assert table.ib_end == (1,)
 
     def test_empty(self):
-        # pairs_schedule maps an empty pattern to None (no table); an
-        # explicitly empty BankSchedule still partitions into no runs.
-        from repro.pva.schedule import BankSchedule
-
-        assert self._schedule([]) is None
-        sched = BankSchedule((), (), (), (), ())
-        assert sched.run_starts == ()
-        assert sched.run_lengths == ()
+        # A command no bank owns an element of still gets a table: its
+        # slices are empty and partition into no runs.
+        table = self._table([])
+        assert table.offsets == (0, 0, 0)
+        assert table.run_end == ()
+        assert table.ib_end == ()
+        assert self._runs(table) == []
 
 
 class TestNumpyBoundDecision:

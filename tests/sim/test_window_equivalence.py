@@ -27,6 +27,7 @@ from repro.errors import ConfigurationError
 from repro.interleave.schemes import InterleaveScheme
 from repro.kernels import ALIGNMENTS, KERNELS
 from repro.params import ENV_SIM_MODE, SDRAMTiming, SystemParams
+from repro.types import AccessType, ExplicitCommand
 
 from .differential import (
     PVA_SYSTEMS,
@@ -81,6 +82,30 @@ def test_explicit_commands_equivalent(paths):
         assert_equivalent(paths, system, SystemParams(), SCATTER_GATHER)
 
 
+def test_repeated_words_in_one_command(paths):
+    """An explicit command may name one word twice.  The scatter's
+    later element wins, and the gather reads that value back at every
+    index naming the word, on every path."""
+    addresses = (3, 19, 3, 64, 19, 3)
+    trace = [
+        ExplicitCommand(
+            addresses=addresses,
+            access=AccessType.WRITE,
+            broadcast_cycles=3,
+            data=(10, 20, 30, 40, 50, 60),
+        ),
+        ExplicitCommand(
+            addresses=addresses, access=AccessType.READ, broadcast_cycles=3
+        ),
+    ]
+    for system in PVA_SYSTEMS:
+        assert_equivalent(paths, system, SystemParams(), trace)
+        (result,) = assert_equivalent(
+            paths, system, SystemParams(), trace, capture_data=True
+        )
+        assert result.read_lines == [(60, 50, 60, 40, 50, 60)]
+
+
 def test_sram_storage_equality_after_writes(paths):
     """A write-heavy trace leaves the same memory image behind."""
     for system in PVA_SYSTEMS:
@@ -127,8 +152,8 @@ def test_non_power_of_two_internal_banks_unconstructible():
 
 @pytest.mark.parametrize("policy", ROW_POLICIES)
 def test_row_policies(paths, policy):
-    """Policies other than the paper's have per-access side effects the
-    closed form hands to the SoA walk."""
+    """The closed form models only the paper policy's auto-precharge
+    decisions; it hands every other policy's chains to the SoA walk."""
     params = SystemParams(
         row_policy=policy, sdram=SDRAMTiming(refresh_interval=700)
     )
