@@ -22,11 +22,12 @@ them into one table-driven automaton:
   a feature probe when the bank count makes it worthwhile).
 
 **Run-ahead batching.**  Banks interact with the rest of the system only
-through broadcasts (input, applied at the front end's call cycle),
-column issues reported into the front end's transaction table (output),
-and the staging units (drained by the front end strictly after a
-transaction fully issues).  Each :meth:`SoaBankAutomaton.tick` therefore
-processes a whole *batch* of bank events ahead of kernel time, up to
+through broadcasts (input, applied at the front end's call cycle) and
+column issues reported into the front end's transaction table (output:
+element counts, the last data cycle and, for ``capture_data`` reads, the
+gathered values; the automaton keeps no staging slots of its own).  Each
+:meth:`SoaBankAutomaton.tick` therefore processes a whole *batch* of
+bank events ahead of kernel time, up to
 
 ``h = max(cycle + 1, bus.busy_until, front.next_issue_allowed)``
 
@@ -56,7 +57,7 @@ pins down):
    transaction table at batch time (early), but retirement additionally
    requires ``cycle >= last_data_cycle`` — and every issue cycle is
    ``<=`` its data cycle — so transactions retire at the identical
-   kernel cycle and the staging units are drained only after their data
+   kernel cycle and a STAGE_READ hands over a line only after its data
    genuinely arrived.
 4. *Broadcast state.*  At a broadcast call cycle every batch has run
    strictly past its events (``h`` of the previous batches is a lower
@@ -226,6 +227,7 @@ class SoaBankAutomaton:
         self.front = front
         self.bus = bus
         self.outstanding = front.outstanding
+        self.fully_issued = front.fully_issued
         self.ncmds = len(front.commands)
         self.ledger_names = tuple(f"bank-{bank.bank}" for bank in banks)
 
@@ -291,8 +293,6 @@ class SoaBankAutomaton:
         self._rqf: List[deque] = [deque() for _ in range(n)]
         self._win: List[list] = [[] for _ in range(n)]
         self.storage = [bank.device._storage for bank in banks]
-        self.rsu = [bank.read_staging for bank in banks]
-        self.wsu = [bank.write_staging for bank in banks]
         self.policies = [bank.scheduler.policy for bank in banks]
         self.paper = [type(p) is PaperPolicy for p in self.policies]
         self.predict = [
@@ -468,6 +468,7 @@ class SoaBankAutomaton:
         burst_ok = self.paper[b] or not has_rows
         storage = self.storage[b]
         outstanding = self.outstanding
+        fully_issued = self.fully_issued
         processed = False
         t = bound[b]
         while True:
@@ -663,7 +664,6 @@ class SoaBankAutomaton:
                             # -- data movement, batched ----------------
                             local_words = vc0[0]
                             indices = vc0[1]
-                            txn_id = vc0[7]
                             if w:
                                 line = vc0[9]
                                 for k in range(pos, pos + run):
@@ -672,35 +672,9 @@ class SoaBankAutomaton:
                                     ]
                                 self.writes[b] += run
                                 data_cycle = end + t_wr
-                                slot = self.wsu[b]._slots.get(txn_id)
-                                if slot is None:
-                                    raise ProtocolError(
-                                        f"write commit for unknown "
-                                        f"transaction {txn_id}"
-                                    )
-                                slot.committed += run
-                                if data_cycle > slot.commit_cycle:
-                                    slot.commit_cycle = data_cycle
                             else:
                                 self.reads[b] += run
-                                slot = self.rsu[b]._slots.get(txn_id)
-                                if slot is None:
-                                    raise ProtocolError(
-                                        f"data for unknown read "
-                                        f"transaction {txn_id}"
-                                    )
-                                received = slot.received
-                                get = storage.get
-                                for k in range(pos, pos + run):
-                                    received.append(
-                                        (
-                                            indices[k],
-                                            get(local_words[k], 0),
-                                        )
-                                    )
                                 data_cycle = end + self.read_lat
-                                if data_cycle > slot.last_data_cycle:
-                                    slot.last_data_cycle = data_cycle
                             # -- run-final auto-precharge --------------
                             if has_rows:
                                 self.asc[b][ib] = False
@@ -750,15 +724,25 @@ class SoaBankAutomaton:
                                         act[u] = release
                                     self.ib_ap[u] += 1
                             # -- front-end transaction accounting ------
+                            txn_id = vc0[7]
                             txn = outstanding.get(txn_id)
                             if txn is None:
                                 raise ProtocolError(
                                     f"bank {b} issued for unknown "
                                     f"transaction {txn_id}"
                                 )
+                            gathered = txn.line
+                            if gathered is not None:
+                                get = storage.get
+                                for k in range(pos, pos + run):
+                                    gathered[indices[k]] = get(
+                                        local_words[k], 0
+                                    )
                             txn.done += run
                             if data_cycle > txn.last_data_cycle:
                                 txn.last_data_cycle = data_cycle
+                            if txn.done >= txn.expected:
+                                fully_issued.append(txn)
                             # -- cursor advance ------------------------
                             self.sched_col[b] += run
                             vc0[10] = True
@@ -808,7 +792,7 @@ class SoaBankAutomaton:
                         if issue_vc is not None:
                             # -- single column (AccessScheduler
                             #    ._issue_column + device.column_at +
-                            #    staging + note_issue, fused) ---------
+                            #    note_issue, fused) -------------------
                             vcx = issue_vc
                             posx = vcx[5]
                             wx = vcx[8]
@@ -847,46 +831,27 @@ class SoaBankAutomaton:
                                     self.ib_ap[ux] += 1
                             local_word = vcx[0][posx]
                             index = vcx[1][posx]
-                            txn_id = vcx[7]
                             if wx:
                                 storage[local_word] = vcx[9][index]
                                 self.writes[b] += 1
                                 data_cycle = t + t_wr
-                                slot = self.wsu[b]._slots.get(txn_id)
-                                if slot is None:
-                                    raise ProtocolError(
-                                        f"write commit for unknown "
-                                        f"transaction {txn_id}"
-                                    )
-                                slot.committed += 1
-                                if data_cycle > slot.commit_cycle:
-                                    slot.commit_cycle = data_cycle
                             else:
                                 self.reads[b] += 1
                                 data_cycle = t + self.read_lat
-                                slot = self.rsu[b]._slots.get(txn_id)
-                                if slot is None:
-                                    raise ProtocolError(
-                                        f"data for unknown read "
-                                        f"transaction {txn_id}"
-                                    )
-                                slot.received.append(
-                                    (
-                                        index,
-                                        storage.get(local_word, 0),
-                                    )
-                                )
-                                if data_cycle > slot.last_data_cycle:
-                                    slot.last_data_cycle = data_cycle
+                            txn_id = vcx[7]
                             txn = outstanding.get(txn_id)
                             if txn is None:
                                 raise ProtocolError(
                                     f"bank {b} issued for unknown "
                                     f"transaction {txn_id}"
                                 )
+                            if txn.line is not None:
+                                txn.line[index] = storage.get(local_word, 0)
                             txn.done += 1
                             if data_cycle > txn.last_data_cycle:
                                 txn.last_data_cycle = data_cycle
+                            if txn.done >= txn.expected:
+                                fully_issued.append(txn)
                             self.sched_col[b] += 1
                             vcx[10] = True
                             vcx[5] = posx + 1
@@ -1102,12 +1067,11 @@ class SoaBankAutomaton:
         call_cycle: int,
         power_of_two: Optional[bool],
     ) -> int:
-        """Common broadcast tail, every bank in turn: open staging
-        (expected may be zero), run the FHP/FHC ready-cycle pipeline,
-        append the FIFO entry and maintain the ledger and the next-event
-        bound.  Returns the summed element count."""
+        """Common broadcast tail, every bank that owns elements in turn:
+        run the FHP/FHC ready-cycle pipeline, append the FIFO entry and
+        maintain the ledger and the next-event bound.  Returns the
+        summed element count."""
         offsets = table.offsets
-        stage = self.wsu if is_write else self.rsu
         rqfs = self._rqf
         wins = self._win
         bound = self.bound
@@ -1125,7 +1089,6 @@ class SoaBankAutomaton:
             start = offsets[b]
             end = offsets[b + 1]
             expected = end - start
-            stage[b].open(txn_id, expected)
             if expected == 0:
                 continue
             rqf = rqfs[b]

@@ -21,7 +21,7 @@ BCs reverses.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.decode import TopologyDecoder
@@ -62,7 +62,10 @@ __all__ = ["PVAMemorySystem"]
 
 @dataclass
 class _Transaction:
-    """Front-end bookkeeping for one outstanding bus transaction."""
+    """Front-end bookkeeping for one outstanding bus transaction.  The
+    bank automaton keeps no other completion state: its banks count
+    elements here and, for ``capture_data`` reads, drop each gathered
+    value into ``line`` by element index."""
 
     txn_id: int
     trace_index: int
@@ -71,8 +74,17 @@ class _Transaction:
     expected: int
     done: int = 0
     last_data_cycle: int = -1
-    staged: bool = False  # reads: queued for / undergoing STAGE_READ
     words: frozenset = frozenset()  # writes: word addresses, for WAW gating
+    line: Optional[List[int]] = None  # automaton capture_data reads
+
+
+def _check_complete(txn: _Transaction, event: str) -> None:
+    """A transaction may leave the banks only with every element issued."""
+    if txn.done != txn.expected:
+        raise ProtocolError(
+            f"{event} for transaction {txn.txn_id} with {txn.done} of "
+            f"{txn.expected} elements issued"
+        )
 
 
 class _FrontEnd:
@@ -93,12 +105,16 @@ class _FrontEnd:
         self.system = system
         self.commands = commands
         self.bus = bus
-        self.free_ids: Deque[int] = deque(
-            range(system.params.max_transactions)
-        )
+        self.max_transactions = system.params.max_transactions
+        self.free_ids: Deque[int] = deque(range(self.max_transactions))
         self.outstanding: Dict[int, _Transaction] = {}
+        #: Transactions whose last element has issued, awaiting their
+        #: last data cycle (appended by the banks, read by completion).
+        self.fully_issued: List[_Transaction] = []
         self.stage_queue: Deque[_Transaction] = deque()
-        self.releases: List[Tuple[int, int]] = []  # (cycle, txn_id)
+        #: (cycle, txn_id) in release order: STAGE_READ transfers
+        #: serialize on the bus, so release cycles strictly increase.
+        self.releases: Deque[Tuple[int, int]] = deque()
         self.read_lines: Optional[List[Optional[Tuple[int, ...]]]] = None
         read_order: List[int] = []
         if capture_data:
@@ -156,15 +172,10 @@ class _FrontEnd:
     def tick(self, cycle: int) -> bool:
         acted = False
         # -- release transaction ids whose staging transfer finished --
-        if self.releases:
-            still: List[Tuple[int, int]] = []
-            for when, txn_id in self.releases:
-                if when <= cycle:
-                    self.free_ids.append(txn_id)
-                    acted = True
-                else:
-                    still.append((when, txn_id))
-            self.releases = still
+        releases = self.releases
+        while releases and releases[0][0] <= cycle:
+            self.free_ids.append(releases.popleft()[1])
+            acted = True
 
         # -- one bus action per cycle ---------------------------------
         # New commands take the bus while transaction ids remain (the
@@ -182,13 +193,19 @@ class _FrontEnd:
             if self.stage_queue and not issue_first:
                 acted = True
                 txn = self.stage_queue.popleft()
-                line = self.system._assemble_line(
-                    txn.txn_id, commands[txn.trace_index]
-                )
+                _check_complete(txn, "STAGE_READ")
+                if self.system._soa is None:
+                    # The object graph's read staging units hold the
+                    # gathered subvectors (section 5.2.2).
+                    line = self.system._assemble_line(
+                        txn.txn_id, commands[txn.trace_index]
+                    )
+                else:
+                    line = txn.line
                 if self.read_lines is not None:
                     self.read_lines[
                         self.read_slot_of_trace[txn.trace_index]
-                    ] = line
+                    ] = tuple(line)
                 transfer_end = self.bus.stage_read(cycle)
                 self.releases.append((transfer_end, txn.txn_id))
                 self.latencies[txn.trace_index] = (
@@ -200,11 +217,21 @@ class _FrontEnd:
                 acted = True
                 command = commands[self.next_cmd]
                 txn_id = self.free_ids.popleft()
+                if txn_id in self.outstanding:
+                    raise ProtocolError(
+                        f"transaction id {txn_id} reused while outstanding"
+                    )
+                if len(self.outstanding) >= self.max_transactions:
+                    raise ProtocolError(
+                        f"transaction {txn_id} exceeds the "
+                        f"{self.max_transactions} outstanding transactions"
+                    )
                 request_cycles = (
                     command.broadcast_cycles
                     if isinstance(command, ExplicitCommand)
                     else 1
                 )
+                expected = _command_length(command)
                 if command.access is AccessType.READ:
                     # A multi-cycle broadcast (explicit address
                     # stream) only finishes delivering addresses on
@@ -219,7 +246,13 @@ class _FrontEnd:
                         trace_index=self.next_cmd,
                         is_write=False,
                         issue_cycle=cycle,
-                        expected=_command_length(command),
+                        expected=expected,
+                        line=(
+                            [0] * expected
+                            if self.read_lines is not None
+                            and self.system._soa is not None
+                            else None
+                        ),
                     )
                 else:
                     # STAGE_WRITE command + data cycles, then the
@@ -244,7 +277,7 @@ class _FrontEnd:
                         trace_index=self.next_cmd,
                         is_write=True,
                         issue_cycle=cycle,
-                        expected=_command_length(command),
+                        expected=expected,
                         words=self._words_for_next(command),
                     )
                 self.next_cmd += 1
@@ -262,12 +295,11 @@ class _FrontEnd:
         txn.done += 1
         if issued.data_cycle > txn.last_data_cycle:
             txn.last_data_cycle = issued.data_cycle
+        if txn.done >= txn.expected:
+            self.fully_issued.append(txn)
 
     def next_event_cycle(self, cycle: int) -> int:
-        target = HORIZON
-        for when, _txn_id in self.releases:
-            if when < target:
-                target = when
+        target = self.releases[0][0] if self.releases else HORIZON
         if self.stage_queue and self.bus.busy_until < target:
             # A staged read waits only for the bus.
             target = self.bus.busy_until
@@ -360,10 +392,12 @@ class _BankComponent:
 
 
 class _CompletionUnit:
-    """The front end's view of the wired-AND transaction-complete lines:
-    retires transactions whose banks have all reported and whose last
-    data cycle has passed.  Ticks after the banks so a completion lands
-    in the same cycle as the final column issue, exactly as the
+    """The front end's view of the wired-OR transaction-complete line
+    (section 5.2.6): retires transactions whose banks have all reported
+    and whose last data cycle has passed.  The banks hand over each
+    transaction as its last element issues (``front.fully_issued``), so
+    a tick reads only those.  Ticks after the banks so a completion
+    lands in the same cycle as the final column issue, exactly as the
     monolithic loop ordered it."""
 
     name = "completion"
@@ -372,47 +406,41 @@ class _CompletionUnit:
         self.front = front
 
     def tick(self, cycle: int) -> bool:
-        front = self.front
+        pending = self.front.fully_issued
         # Allocation-free fast path for the common nothing-completes
-        # cycle; the mutating pass below snapshots the dict first.
-        for txn in front.outstanding.values():
-            if (
-                txn.done >= txn.expected
-                and cycle >= txn.last_data_cycle
-                and (txn.is_write or not txn.staged)
-            ):
+        # cycle.
+        for txn in pending:
+            if cycle >= txn.last_data_cycle:
                 break
         else:
             return False
-        acted = False
-        for txn in list(front.outstanding.values()):
-            if txn.done < txn.expected or cycle < txn.last_data_cycle:
+        front = self.front
+        due = [txn for txn in pending if cycle >= txn.last_data_cycle]
+        pending[:] = [txn for txn in pending if cycle < txn.last_data_cycle]
+        # Same-cycle completions retire in trace order.
+        due.sort(key=lambda txn: txn.trace_index)
+        for txn in due:
+            if not txn.is_write:
+                front.stage_queue.append(txn)
                 continue
-            if txn.is_write:
-                acted = True
+            _check_complete(txn, "write retirement")
+            if front.system._soa is None:
                 for bank in front.system.banks:
                     bank.release_write(txn.txn_id)
-                front.free_ids.append(txn.txn_id)
-                front.latencies[txn.trace_index] = (
-                    cycle + 1 - txn.issue_cycle
-                )
-                del front.outstanding[txn.txn_id]
-                front.end_cycle = max(front.end_cycle, cycle + 1)
-            elif not txn.staged:
-                acted = True
-                txn.staged = True
-                front.stage_queue.append(txn)
-        return acted
+            front.free_ids.append(txn.txn_id)
+            front.latencies[txn.trace_index] = cycle + 1 - txn.issue_cycle
+            del front.outstanding[txn.txn_id]
+            front.end_cycle = max(front.end_cycle, cycle + 1)
+        return True
 
     def next_event_cycle(self, cycle: int) -> int:
+        # A fully-issued transaction completes once its last data cycle
+        # passes.  Staged reads are the bus's problem, bounded by the
+        # front end.
         target = HORIZON
-        for txn in self.front.outstanding.values():
-            # A fully-issued transaction completes once its last data
-            # cycle passes.  Already-staged reads are the bus's problem,
-            # bounded by the front end.
-            if txn.done >= txn.expected and not txn.staged:
-                if txn.last_data_cycle < target:
-                    target = txn.last_data_cycle
+        for txn in self.front.fully_issued:
+            if txn.last_data_cycle < target:
+                target = txn.last_data_cycle
         return target
 
     def account(self, start: int, end: int) -> Tuple[int, int, int]:

@@ -20,7 +20,7 @@ service chain **arithmetically** per resolution:
   same values the event walk's probe/jump loop converges to, computed
   directly);
 * derive the chain's completion cycle, then commit everything at once:
-  storage movement, staging/transaction accounting, device counters,
+  write data, transaction accounting, device counters,
   timer state, and the busy/stalled ledger as **bulk deltas** through
   the kernel's :meth:`~repro.sim.kernel.SimKernel.bulk_account` API;
 * leave ``bound[b]`` at the completion cycle so the kernel fast-forwards
@@ -578,34 +578,17 @@ class WindowBankAutomaton(SoaBankAutomaton):
                     ibs[pos], row_continues
                 )
         total = rem
-        storage = self.storage[b]
         if w:
+            storage = self.storage[b]
             for k in range(pos, pos + total):
                 storage[lw[k]] = line[idx[k]]
             self.writes[b] += total
             data_cycle = final_end + t_wr
-            slot = self.wsu[b]._slots.get(txn_id)
-            if slot is None:
-                raise ProtocolError(
-                    f"write commit for unknown transaction {txn_id}"
-                )
-            slot.committed += total
-            if data_cycle > slot.commit_cycle:
-                slot.commit_cycle = data_cycle
         else:
+            # capture_data runs take the SoA automaton, so a window
+            # run's reads move no values.
             self.reads[b] += total
-            slot = self.rsu[b]._slots.get(txn_id)
-            if slot is None:
-                raise ProtocolError(
-                    f"data for unknown read transaction {txn_id}"
-                )
-            received = slot.received
-            get = storage.get
-            for k in range(pos, pos + total):
-                received.append((idx[k], get(lw[k], 0)))
             data_cycle = final_end + self.read_lat
-            if data_cycle > slot.last_data_cycle:
-                slot.last_data_cycle = data_cycle
         txn = self.outstanding.get(txn_id)
         if txn is None:
             raise ProtocolError(
@@ -614,6 +597,8 @@ class WindowBankAutomaton(SoaBankAutomaton):
         txn.done += total
         if data_cycle > txn.last_data_cycle:
             txn.last_data_cycle = data_cycle
+        if txn.done >= txn.expected:
+            self.fully_issued.append(txn)
         self.sched_col[b] += total
         if turn:
             self.turnarounds[b] += turn

@@ -28,7 +28,11 @@ def _automaton(params=None, banks=None):
     params = params or SystemParams(sim_mode="fast")
     system = build_system("pva-sdram", params)
     front = SimpleNamespace(
-        outstanding={}, commands=(), next_cmd=0, next_issue_allowed=0
+        outstanding={},
+        fully_issued=[],
+        commands=(),
+        next_cmd=0,
+        next_issue_allowed=0,
     )
     bus = SimpleNamespace(busy_until=0)
     selected = system.banks if banks is None else system.banks[:banks]
@@ -116,7 +120,7 @@ class TestQueueMath:
         assert queued == 4
         assert soa._rqf[1][0][5:] == (0, 4)
 
-    def test_empty_schedule_opens_staging_and_queues_nothing(self):
+    def test_empty_schedule_queues_nothing(self):
         soa = _automaton()
         queued = soa.broadcast_pairs(
             3, _only(2, ()), False, 0, None, None, 0
@@ -124,7 +128,13 @@ class TestQueueMath:
         assert queued == 0
         assert not soa._rqf[2]
         assert soa.bound[2] == HORIZON
-        assert 3 in soa.rsu[2]._slots
+        # Nor does any bank open a staging slot, for reads or writes:
+        # the front end's transaction is the automaton's only
+        # completion state.
+        soa.broadcast_pairs(4, _only(1, ((0, 0),)), True, 0, (9,), None, 0)
+        for bank in soa.banks:
+            assert len(bank.read_staging) == 0
+            assert len(bank.write_staging) == 0
 
     def test_pending_ledger_settles_idle_up_to_call_cycle(self):
         soa = _automaton()

@@ -1,9 +1,12 @@
 """End-to-end tests of the full PVA memory system (section 5.2.6)."""
 
+from collections import deque
+
 import pytest
 
-from repro.errors import VectorSpecError
+from repro.errors import ProtocolError, VectorSpecError
 from repro.params import SDRAMTiming, SystemParams
+from repro.pva import system as system_module
 from repro.pva.system import PVAMemorySystem
 from repro.types import AccessType, ExplicitCommand, Vector, VectorCommand
 
@@ -97,6 +100,66 @@ class TestProtocolLimits:
         result = system.run(trace)
         assert result.commands == 24
         assert result.cycles > 0
+
+
+class TestTransactionChecks:
+    """The fast backend keeps no per-bank staging slots; the checks they
+    made move to the front end's transaction table, on both of its
+    paths (the window automaton, and the SoA walk for capture_data)."""
+
+    @pytest.fixture
+    def overcount(self, monkeypatch):
+        """Corrupt each fully-issued transaction's done count before the
+        completion unit reads it, as if a bank reported one element
+        too many."""
+        tick = system_module._CompletionUnit.tick
+
+        def corrupt(self, cycle):
+            for txn in self.front.fully_issued:
+                txn.done = txn.expected + 1
+            return tick(self, cycle)
+
+        monkeypatch.setattr(system_module._CompletionUnit, "tick", corrupt)
+
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_overcounted_read_raises_at_stage_read(self, overcount, capture):
+        with pytest.raises(ProtocolError, match="STAGE_READ"):
+            PVAMemorySystem(PROTO).run([read_cmd(0, 1)], capture_data=capture)
+
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_overcounted_write_raises_at_retirement(self, overcount, capture):
+        data = tuple(range(32))
+        with pytest.raises(ProtocolError, match="write retirement"):
+            PVAMemorySystem(PROTO).run(
+                [write_cmd(0, 1, data=data)], capture_data=capture
+            )
+
+    @staticmethod
+    def _free_ids(monkeypatch, ids):
+        """Start every front end with ``ids`` as its free id list."""
+        init = system_module._FrontEnd.__init__
+
+        def patched(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.free_ids = deque(ids)
+
+        monkeypatch.setattr(system_module._FrontEnd, "__init__", patched)
+
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_duplicate_outstanding_id_raises(self, monkeypatch, capture):
+        self._free_ids(monkeypatch, [0, 0, 1])
+        with pytest.raises(ProtocolError, match="reused while outstanding"):
+            PVAMemorySystem(PROTO).run(
+                [read_cmd(0, 1), read_cmd(64, 1)], capture_data=capture
+            )
+
+    def test_id_beyond_capacity_raises(self, monkeypatch):
+        self._free_ids(monkeypatch, range(PROTO.max_transactions + 1))
+        # Broadcasts win the bus while ids remain, so no read is staged
+        # before the ninth broadcast finds eight outstanding.
+        trace = [read_cmd(64 * i, 1) for i in range(PROTO.max_transactions + 1)]
+        with pytest.raises(ProtocolError, match="exceeds"):
+            PVAMemorySystem(PROTO).run(trace)
 
 
 class TestTimingShape:

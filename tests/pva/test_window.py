@@ -61,7 +61,11 @@ class TestRunSegmentation:
         automaton = WindowBankAutomaton(
             system.banks,
             SimpleNamespace(
-                outstanding={}, commands=(), next_cmd=0, next_issue_allowed=0
+                outstanding={},
+                fully_issued=[],
+                commands=(),
+                next_cmd=0,
+                next_issue_allowed=0,
             ),
             SimpleNamespace(busy_until=0),
             params,

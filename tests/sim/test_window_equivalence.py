@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError
 from repro.interleave.schemes import InterleaveScheme
 from repro.kernels import ALIGNMENTS, KERNELS
 from repro.params import ENV_SIM_MODE, SDRAMTiming, SystemParams
-from repro.types import AccessType, ExplicitCommand
+from repro.types import AccessType, ExplicitCommand, Vector, VectorCommand
 
 from .differential import (
     PVA_SYSTEMS,
@@ -106,6 +106,29 @@ def test_repeated_words_in_one_command(paths):
         assert result.read_lines == [(60, 50, 60, 40, 50, 60)]
 
 
+@pytest.mark.parametrize("capture_data", [False, True])
+def test_same_cycle_completions_retire_in_trace_order(paths, capture_data):
+    """Both reads' data lands in cycle 13, but the younger one's last
+    element issues on a lower-numbered bank, so the banks hand it to
+    the completion unit first.  The reads must still stage, and so
+    return, in trace order."""
+    trace = [
+        ExplicitCommand(
+            addresses=(42717, 60690, 36178, 5042, 37743),
+            access=AccessType.READ,
+            broadcast_cycles=1,
+        ),
+        VectorCommand(
+            vector=Vector(base=12805, stride=4, length=15),
+            access=AccessType.READ,
+        ),
+    ]
+    (result,) = assert_equivalent(
+        paths, "pva-sdram", SystemParams(), trace, capture_data=capture_data
+    )
+    assert result.command_latencies == [31, 47]
+
+
 def test_sram_storage_equality_after_writes(paths):
     """A write-heavy trace leaves the same memory image behind."""
     for system in PVA_SYSTEMS:
@@ -168,14 +191,16 @@ def test_multichannel(paths):
         assert_equivalent(paths, system, params, kernel_trace(params, "saxpy"))
 
 
+@pytest.mark.parametrize("capture_data", [False, True])
 @pytest.mark.parametrize(
     "interleave",
     [InterleaveScheme.cache_line(4, 8), InterleaveScheme(num_banks=4, block_words=2)],
     ids=["cache-line", "block"],
 )
-def test_interleaved_systems(paths, interleave):
+def test_interleaved_systems(paths, interleave, capture_data):
     """The section-4.1.3 logical-bank front end feeds pre-partitioned
-    element lists to the banks."""
+    element lists to the banks; with ``capture_data`` the SoA walk
+    gathers the read lines by element index."""
     params = SystemParams(
         num_banks=4, cache_line_words=8, sdram=SDRAMTiming(row_words=64)
     )
@@ -183,7 +208,7 @@ def test_interleaved_systems(paths, interleave):
         trace = kernel_trace(params, "saxpy", stride, elements=64)
         assert_equivalent(
             paths, "pva-sdram", params, trace, SCATTER_GATHER,
-            interleave=interleave,
+            interleave=interleave, capture_data=capture_data,
         )
 
 
