@@ -84,13 +84,12 @@ CONFIG_SCHEMA_VERSION = 6
 #:   bank-controller object graph, live FirstHit/NextHit expansion, and
 #:   the tick loop that visits every cycle.
 #: * ``"fast"`` (the default) — the next-event skip loop with the
-#:   closed-form window automaton (:mod:`repro.pva.window`), which picks
-#:   its internal path from the run itself: window chains it cannot
-#:   price fall back chain by chain to the structure-of-arrays walk
-#:   (:mod:`repro.pva.soa`); ``capture_data`` runs take the SoA
-#:   automaton; runs no automaton can take (an attached command log, a
-#:   device other than SDRAM/SRAM, banks that are not idle) run the
-#:   object graph on the skip loop.
+#:   closed-form window automaton (:mod:`repro.pva.window`); chains it
+#:   cannot price fall back chain by chain to the structure-of-arrays
+#:   walk (:mod:`repro.pva.soa`), and a run with command logs attached
+#:   takes the walk, which logs every command.  A system the automaton
+#:   cannot model (a device other than SDRAM/SRAM, mixed device models,
+#:   banks still holding work) raises ``ConfigurationError``.
 SIM_MODES = ("reference", "fast")
 
 #: Environment variable overriding ``sim_mode`` at construction time:

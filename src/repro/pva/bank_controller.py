@@ -29,7 +29,6 @@ from repro.pva.request import BCRequest
 from repro.pva.schedule import pairs_schedule  # noqa: F401
 from repro.pva.scheduler import AccessScheduler, IssuedColumn
 from repro.pva.staging import ReadStagingUnit, WriteStagingUnit
-from repro.sim.events import HORIZON
 from repro.types import Vector
 
 __all__ = ["BankController"]
@@ -48,9 +47,7 @@ class BankController:
         "scheduler",
         "read_staging",
         "write_staging",
-        "time_skip",
         "acted",
-        "_skip_until",
         "_check_refresh",
     )
 
@@ -64,9 +61,6 @@ class BankController:
         self.scheduler = AccessScheduler(params, device, bank)
         self.read_staging = ReadStagingUnit(params.max_transactions)
         self.write_staging = WriteStagingUnit(params.max_transactions)
-        #: Set by the front end when the time-skip run loop is active;
-        #: gates the per-bank stall cache below.
-        self.time_skip = False
         #: Did the last tick() change any state (refresh, dequeue, row or
         #: column operation)?  The system component reads this instead of
         #: diffing operation counters.
@@ -77,10 +71,6 @@ class BankController:
         self._check_refresh = (
             device.has_rows and device.next_refresh_cycle is not None
         )
-        #: :meth:`tick` is a provable no-op on every cycle strictly
-        #: before this bound (recomputed after an unproductive tick,
-        #: reset whenever a broadcast hands the bank new work).
-        self._skip_until = 0
 
     # ----------------------------------------------------------------- #
     # Bus-side interface
@@ -145,7 +135,6 @@ class BankController:
             write_line=write_line,
         )
         self.rqf.append(req)
-        self._skip_until = 0
         return expected
 
     def broadcast_explicit(
@@ -231,73 +220,7 @@ class BankController:
                 explicit=pairs,
             )
         )
-        self._skip_until = 0
         return expected
-
-    # ----------------------------------------------------------------- #
-    # Time-skip lower bounds
-    # ----------------------------------------------------------------- #
-
-    def quiet_at(self, cycle: int) -> bool:
-        """May the front end skip this bank's :meth:`tick` this cycle?
-
-        True while the bank sits inside a cached stall window
-        (``_skip_until``, computed after an unproductive tick) or is
-        fully idle.  Purely an optimization gate: the cached bound is
-        reset whenever a broadcast delivers new work, and every other
-        input to :meth:`tick` is bank-private, so a skipped call is
-        exactly a call that would have done nothing.
-        """
-        return cycle < self._skip_until or self.idle_at(cycle)
-
-    def idle_at(self, cycle: int) -> bool:
-        """Is :meth:`tick` provably a no-op this cycle?
-
-        True when nothing is queued, no vector context is in flight, and
-        no auto-refresh is due — the front end's fast path skips the
-        call entirely.  Conservative: False merely means "tick normally".
-        """
-        if self.rqf or self.scheduler.window:
-            return False
-        if self.device.has_rows:
-            refresh = self.device.next_refresh_cycle
-            if refresh is not None and refresh <= cycle:
-                return False
-        return True
-
-    def next_event_cycle(self, cycle: int) -> int:
-        """Earliest cycle at or after ``cycle`` at which this bank
-        controller could do observable work: the next auto-refresh, the
-        request-FIFO head's ready cycle (when a vector context is free
-        to receive it), or the access scheduler's own bound.  A request
-        stuck behind a full context window contributes nothing — it can
-        only unblock through a context completing, which is an event in
-        its own right.
-
-        The result is cached in ``_skip_until``: every input is
-        bank-private except the broadcasts, which reset the cache, so
-        the bound stays valid until the bank next ticks or hears a
-        command — both the front end's skip loop and :meth:`quiet_at`
-        read it for free in between.
-        """
-        if cycle < self._skip_until:
-            return self._skip_until
-        bound = HORIZON
-        if self.device.has_rows:
-            refresh = self.device.next_refresh_cycle
-            if refresh is not None and refresh < bound:
-                bound = refresh
-        if self.rqf and self.scheduler.has_free_context:
-            ready = self.rqf[0].ready_cycle
-            if ready < bound:
-                bound = ready
-        sched = self.scheduler.next_event_cycle(cycle)
-        if sched < bound:
-            bound = sched
-        if bound <= cycle:
-            return cycle
-        self._skip_until = bound
-        return bound
 
     # ----------------------------------------------------------------- #
     # Clock
@@ -331,16 +254,8 @@ class BankController:
                 self.read_staging.collect(
                     issued.txn_id, issued.index, issued.value or 0, issued.data_cycle
                 )
-        elif sched.acted or progressed:
-            self.acted = True
         else:
-            self.acted = False
-            if self.time_skip:
-                # An unproductive cycle: cache how long time alone keeps
-                # it so (next_event_cycle stores the bound in
-                # _skip_until), letting the front end skip the next
-                # ticks outright.
-                self.next_event_cycle(cycle)
+            self.acted = sched.acted or progressed
         return issued
 
     # ----------------------------------------------------------------- #

@@ -36,7 +36,6 @@ from repro.params import SystemParams
 from repro.pva.request import BCRequest
 from repro.pva.rowpolicy import make_row_policy
 from repro.pva.vector_context import VectorContext
-from repro.sim.events import HORIZON
 
 __all__ = ["IssuedColumn", "AccessScheduler"]
 
@@ -74,7 +73,6 @@ class AccessScheduler:
         "activates",
         "precharges",
         "columns",
-        "idle_cycles",
         "acted",
         "_max_contexts",
         "_has_rows",
@@ -99,15 +97,10 @@ class AccessScheduler:
         self.activates = 0
         self.precharges = 0
         self.columns = 0
-        self.idle_cycles = 0
 
     # ----------------------------------------------------------------- #
     # Window management
     # ----------------------------------------------------------------- #
-
-    @property
-    def has_free_context(self) -> bool:
-        return len(self.window) < self._max_contexts
 
     @property
     def is_idle(self) -> bool:
@@ -179,92 +172,8 @@ class AccessScheduler:
             self.acted = True
             return None
         issued = self._try_column(cycle)
-        if issued is None:
-            self.acted = False
-            self.idle_cycles += 1
-        else:
-            self.acted = True
+        self.acted = issued is not None
         return issued
-
-    def next_event_cycle(self, cycle: int) -> int:
-        """Earliest cycle at or after ``cycle`` at which this scheduler
-        could issue an operation, assuming no external state change.
-
-        Mirrors :meth:`tick` decision by decision, but instead of asking
-        "may this operation issue *now*?" it asks each restimer/pin
-        scoreboard "when does time alone make it legal?":
-
-        * a context wanting an **activate** (its bank closed) becomes
-          issuable at the activate restimer's release;
-        * a context allowed to **precharge** (conflicting row open, and
-          either unopposed or oldest) at the precharge release;
-        * a **column** whose row is already open at the later of the
-          column restimer and the shared data pins (with turnaround when
-          the direction reverses), walked in the polarity-rule order —
-          a pending reversal in an older context fences younger ones
-          exactly as in :meth:`_try_column`;
-        * everything else (a blocked precharge, a column whose row is
-          closed) only unblocks through *another* event, so contributes
-          :data:`~repro.sim.events.HORIZON`.
-
-        The result is a conservative lower bound: the scheduler provably
-        idles on every cycle strictly before it.
-        """
-        if not self.window:
-            return HORIZON
-        device = self.device
-        bound = HORIZON
-        if device.has_rows:
-            banks = device.banks
-            for position, vc in enumerate(self.window):
-                if vc.remaining == 0:
-                    continue
-                loc = device.locate(vc.local_addr)
-                ib = loc.internal_bank
-                row = loc.row
-                open_row = banks[ib].open_row
-                if open_row == row:
-                    continue
-                if open_row is not None:
-                    if position != 0 and self._vc_hits_open_row(
-                        ib, exclude=vc
-                    ):
-                        continue
-                    ready = banks[ib].precharge_ready_at
-                else:
-                    ready = banks[ib].activate_ready_at
-                if ready < bound:
-                    bound = ready
-            last_was_write = device.last_was_write
-            position = 0
-            for vc in self.window:
-                if vc.remaining == 0:
-                    continue
-                matches = last_was_write is None or vc.is_write == last_was_write
-                if not matches and position != 0:
-                    break
-                ready = device.column_ready_at(vc.local_addr, vc.is_write)
-                if ready < bound:
-                    bound = ready
-                if not matches:
-                    break
-                position += 1
-        else:
-            last_was_write = device.last_was_write
-            position = 0
-            for vc in self.window:
-                if vc.remaining == 0:
-                    continue
-                matches = last_was_write is None or vc.is_write == last_was_write
-                if not matches and position != 0:
-                    break
-                ready = device.column_ready_at(vc.local_addr, vc.is_write)
-                if ready < bound:
-                    bound = ready
-                if not matches:
-                    break
-                position += 1
-        return bound if bound > cycle else cycle
 
     def _try_row_operation(self, cycle: int) -> bool:
         """Promoted activates/precharges, oldest context first."""

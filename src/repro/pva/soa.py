@@ -18,8 +18,13 @@ them into one table-driven automaton:
 * one kernel component (:class:`SoaBankAutomaton`) speaks for all
   sixteen ``bank-*`` attribution-ledger entries via the kernel's
   self-accounting protocol, and advances the kernel's skip bound with a
-  single min-reduction over the deadline array (numpy-accelerated behind
-  a feature probe when the bank count makes it worthwhile).
+  single ``min()`` over the deadline array.
+
+The automaton models exactly the :class:`~repro.sdram.device.SDRAMDevice`
+and :class:`~repro.sram.device.SRAMDevice` banks of a system whose
+previous run finished; its constructor raises
+:class:`~repro.errors.ConfigurationError` on anything else, never falls
+back.
 
 **Run-ahead batching.**  Banks interact with the rest of the system only
 through broadcasts (input, applied at the front end's call cycle) and
@@ -42,17 +47,18 @@ pins down):
 
 1. *Action cycles.*  Each candidate cycle is probed with a
    decision-for-decision mirror of ``BankController.tick`` /
-   ``AccessScheduler.tick``; the next candidate after an action or a
-   failed probe at ``t`` is ``max(bank_bound(t), t + 1)`` where
-   ``bank_bound`` mirrors the object model's ``next_event_cycle`` lower
-   bounds.  A conservative bound degrades to a denser probe walk, never
-   to a different action cycle.
+   ``AccessScheduler.tick``; the next candidate after an action is the
+   action's floor, and after a failed probe at ``t`` the earliest cycle
+   any blocking timer (a restimer, the data pins, the FIFO head's ready
+   cycle, the refresh deadline) frees, or ``t + 1``.  A conservative
+   candidate degrades to a denser probe walk, never to a different
+   action cycle.
 2. *Refresh.*  The object model fires auto-refresh at exactly the
-   deadline in every mode (the refresh term is unconditional in the bank
-   bound, so the kernel always visits it); the automaton fires it when a
-   candidate reaches the deadline — the same cycle — and, with no
-   pending work, only once kernel time itself reaches the deadline
-   (matching the run exiting before tail refreshes ever fire).
+   deadline (the reference loop ticks every bank on every cycle); the
+   automaton fires it when a candidate reaches the deadline — the same
+   cycle — and, with no pending work, only once kernel time itself
+   reaches the deadline (matching the run exiting before tail refreshes
+   ever fire).
 3. *Completion.*  Column issues are recorded into the front end's
    transaction table at batch time (early), but retirement additionally
    requires ``cycle >= last_data_cycle`` — and every issue cycle is
@@ -70,10 +76,12 @@ pins down):
    visited-cycle invariant.  The kernel merges the buckets at
    ``finalize`` through the self-accounting protocol.
 
-The only object-model statistic intentionally *not* reproduced is
-``AccessScheduler.idle_cycles`` — it counts visited-but-unproductive
-ticks, differs between the tick and skip loops, and is not part of
-:class:`~repro.sim.stats.RunResult`.
+**Command logs.**  When a bank's device carries a
+:class:`~repro.sim.trace_log.CommandLog`, the walk records each
+PRECHARGE, ACTIVATE and READ/WRITE(_AP) it issues with the fields the
+device models write (a burst logs one column per cycle, only its last
+carrying the auto-precharge); an unlogged run pays one ``is not None``
+test per walk action.
 
 On any exit from :meth:`PVAMemorySystem.run` the automaton writes the
 array state back into the object graph (:meth:`writeback`), so device
@@ -89,10 +97,9 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import CapacityError, ProtocolError
+from repro.errors import CapacityError, ConfigurationError, ProtocolError
 from repro.pva.schedule import (
     HitTable,
     broadcast_schedules,
@@ -100,44 +107,14 @@ from repro.pva.schedule import (
     schedule_cache_info,
 )
 from repro.pva.rowpolicy import PaperPolicy
+from repro.sdram.commands import SDRAMCommand
 from repro.sdram.device import SDRAMDevice
 from repro.sim.events import HORIZON
 from repro.sim.stats import ComponentCycles
+from repro.sim.trace_log import CommandEvent
 from repro.sram.device import SRAMDevice
 
-try:  # feature probe: numpy accelerates the skip-bound min-reduction
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is optional
-    _np = None
-
-__all__ = [
-    "SoaBankAutomaton",
-    "numpy_bound_enabled",
-    "soa_cache_info",
-    "soa_eligible",
-]
-
-#: Banks needed before the numpy min-reduction beats a plain ``min()``
-#: over the deadline array (interpreter call overhead dominates below).
-_NUMPY_MIN_BANKS = 64
-
-
-@lru_cache(maxsize=None)
-def numpy_bound_enabled(num_banks: int) -> bool:
-    """Module-level cached decision: accelerate the per-bank deadline
-    min-reduction with numpy for this bank count?
-
-    Folds the feature probe (is numpy importable?), the bank-count
-    threshold (:data:`_NUMPY_MIN_BANKS`) and the ``array('q')`` width
-    check into one memoized answer shared by every array-backed backend
-    (the SoA automaton and the closed-form window backend), instead of
-    re-deriving it per automaton construction.
-    """
-    return (
-        _np is not None
-        and num_banks >= _NUMPY_MIN_BANKS
-        and array("q").itemsize == 8
-    )
+__all__ = ["SoaBankAutomaton", "soa_cache_info"]
 
 # Vector-context slot layout: a context is a flat mutable list, the
 # SoA replacement for repro.pva.vector_context.VectorContext.  Slots
@@ -177,50 +154,43 @@ def soa_cache_info():
     return schedule_cache_info()
 
 
-def soa_eligible(banks) -> bool:
-    """May this run be stepped by the array automaton?
-
-    Conservative: the automaton mirrors exactly the
-    :class:`~repro.sdram.device.SDRAMDevice` /
-    :class:`~repro.sram.device.SRAMDevice` models (homogeneously, one
-    schedule geometry), with no command log attached, and every bank
-    idle (a fresh system, or one whose previous run completed).
-    Anything else falls back to the object graph on the skip loop —
-    same results, object speed.
-    """
-    if not banks:
-        return False
-    device_type = type(banks[0].device)
-    if device_type is not SDRAMDevice and device_type is not SRAMDevice:
-        return False
-    geometry = banks[0].device.schedule_geometry
-    for index, bank in enumerate(banks):
-        device = bank.device
-        if type(device) is not device_type:
-            return False
-        if device.log is not None:
-            return False
-        if device.schedule_geometry != geometry:
-            return False
-        if bank.bank != index:
-            return False
-        if bank.rqf or bank.scheduler.window:
-            return False
-    return True
-
-
 class SoaBankAutomaton:
     """All bank controllers of one run, stepped as flat-array operations.
 
     Registers with the kernel as a single self-accounting component
     (``ledger_names`` = the sixteen ``bank-*`` entries); construction
     loads the object graph's state into the arrays, :meth:`writeback`
-    restores it.
+    restores it.  Construction raises
+    :class:`~repro.errors.ConfigurationError` on banks the automaton
+    does not model: a device other than ``SDRAMDevice``/``SRAMDevice``,
+    mixed models or geometries, or queued work left by an earlier run.
     """
 
     name = "banks"
 
     def __init__(self, banks, front, bus, params):
+        device_type = type(banks[0].device)
+        if device_type is not SDRAMDevice and device_type is not SRAMDevice:
+            raise ConfigurationError(
+                f'sim_mode="fast" models SDRAMDevice and SRAMDevice banks '
+                f"only, not {device_type.__name__}; run this system with "
+                f'sim_mode="reference"'
+            )
+        geometry = banks[0].device.schedule_geometry
+        for bank in banks:
+            if (
+                type(bank.device) is not device_type
+                or bank.device.schedule_geometry != geometry
+            ):
+                raise ConfigurationError(
+                    'sim_mode="fast" needs one device model and geometry '
+                    'on every bank; run this system with sim_mode="reference"'
+                )
+            if bank.rqf or bank.scheduler.window:
+                raise ConfigurationError(
+                    f"bank {bank.bank} still holds queued work; call "
+                    f"reset() before running the system again"
+                )
         n = len(banks)
         self.n = n
         self.banks = banks
@@ -241,10 +211,19 @@ class SoaBankAutomaton:
             self.t_rfc = timing.t_rfc
             self.read_lat = timing.cas_latency
             self.refresh_interval = timing.refresh_interval
+            col_mask = timing.row_words - 1
         else:
             self.t_rcd = self.t_rp = self.t_rfc = 0
             self.read_lat = device0.timing.access_cycles
             self.refresh_interval = 0
+            col_mask = -1  # the SRAM logs the whole local word
+        #: Logged column address: ``local_word & col_mask``.
+        self.col_mask = col_mask
+        self.logs = [bank.device.log for bank in banks]
+        #: Does any bank record its command stream?  The closed form
+        #: commits chains without per-command cycles, so a logged run's
+        #: chains take the walk (see WindowBankAutomaton._run_bank).
+        self.logged = any(log is not None for log in self.logs)
         #: The scheduler stamps write data cycles with the *SDRAM* write
         #: recovery even when the device is SRAM (see
         #: AccessScheduler._issue_column) — mirror that exactly.
@@ -334,15 +313,9 @@ class SoaBankAutomaton:
                     self.ib_ap[u] = internal.auto_precharges
             else:
                 self.nr[b] = HORIZON
-            # No queued work at load time (soa_eligible guarantees it):
-            # the only standing event is the refresh deadline.
+            # No queued work at load time (checked above): the only
+            # standing event is the refresh deadline.
             self.bound[b] = self.nr[b]
-
-        self._np_bound = (
-            _np.frombuffer(self.bound, dtype=_np.int64)
-            if numpy_bound_enabled(n)
-            else None
-        )
 
     # ------------------------------------------------------------- #
     # Kernel component protocol
@@ -376,11 +349,7 @@ class SoaBankAutomaton:
 
     def next_event_cycle(self, cycle: int) -> int:
         """Single min-reduction over the per-bank deadline array."""
-        np_bound = self._np_bound
-        if np_bound is not None:
-            target = int(np_bound.min())
-        else:
-            target = min(self.bound)
+        target = min(self.bound)
         return target if target > cycle else cycle
 
     def account(self, start: int, end: int) -> Tuple[int, int, int]:
@@ -467,6 +436,7 @@ class SoaBankAutomaton:
         base_u = b * self.nib
         burst_ok = self.paper[b] or not has_rows
         storage = self.storage[b]
+        log = self.logs[b]
         outstanding = self.outstanding
         fully_issued = self.fully_issued
         processed = False
@@ -583,6 +553,14 @@ class SoaBankAutomaton:
                                     act[u] = release
                                 self.ib_pre[u] += 1
                                 self.sched_pre[b] += 1
+                                if log is not None:
+                                    log.record(
+                                        CommandEvent(
+                                            cycle=t,
+                                            command=SDRAMCommand.PRECHARGE,
+                                            internal_bank=ib,
+                                        )
+                                    )
                                 cost = 1
                                 break
                             if x < nb:
@@ -602,6 +580,15 @@ class SoaBankAutomaton:
                                 self.asc[b][ib] = True
                                 self.ib_act[u] += 1
                                 self.sched_act[b] += 1
+                                if log is not None:
+                                    log.record(
+                                        CommandEvent(
+                                            cycle=t,
+                                            command=SDRAMCommand.ACTIVATE,
+                                            internal_bank=ib,
+                                            row=row,
+                                        )
+                                    )
                                 cost = 1
                                 break
                             if x < nb:
@@ -723,6 +710,16 @@ class SoaBankAutomaton:
                                     if release > act[u]:
                                         act[u] = release
                                     self.ib_ap[u] += 1
+                            if log is not None:
+                                self._log_columns(
+                                    log,
+                                    t,
+                                    w,
+                                    ib,
+                                    row,
+                                    local_words[pos : pos + run],
+                                    has_rows and auto_precharge,
+                                )
                             # -- front-end transaction accounting ------
                             txn_id = vc0[7]
                             txn = outstanding.get(txn_id)
@@ -838,6 +835,10 @@ class SoaBankAutomaton:
                             else:
                                 self.reads[b] += 1
                                 data_cycle = t + self.read_lat
+                            if log is not None:
+                                self._log_columns(
+                                    log, t, wx, ibx, rowx, (local_word,), ap
+                                )
                             txn_id = vcx[7]
                             txn = outstanding.get(txn_id)
                             if txn is None:
@@ -882,6 +883,34 @@ class SoaBankAutomaton:
                 continue
             # ---- failed probe: jump to the accumulated bound ---------
             t = nb if nb > t else t + 1
+
+    def _log_columns(
+        self,
+        log,
+        t: int,
+        w: int,
+        ib: int,
+        row: int,
+        words: Sequence[int],
+        auto_precharge: bool,
+    ) -> None:
+        """Record columns to ``words`` issued one per cycle from ``t``,
+        as ``SDRAMDevice.column_at`` (or ``SRAMDevice.column``) logs
+        them; only the last carries the auto-precharge."""
+        plain = SDRAMCommand.column(w)
+        closing = SDRAMCommand.column(w, auto_precharge)
+        mask = self.col_mask
+        last = len(words) - 1
+        for k, word in enumerate(words):
+            log.record(
+                CommandEvent(
+                    cycle=t + k,
+                    command=closing if k == last else plain,
+                    internal_bank=ib,
+                    row=row,
+                    column=word & mask,
+                )
+            )
 
     def _do_refresh(self, b: int, cycle: int) -> None:
         """SDRAMDevice.maybe_refresh: close every row, block activates
@@ -1153,7 +1182,6 @@ class SoaBankAutomaton:
             scheduler.activates = self.sched_act[b]
             scheduler.precharges = self.sched_pre[b]
             scheduler.columns = self.sched_col[b]
-            bank._skip_until = 0
             if self.has_rows:
                 device.refreshes = self.refreshes[b]
                 if device._next_refresh is not None:

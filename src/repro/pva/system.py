@@ -32,8 +32,7 @@ from repro.interleave.schemes import InterleaveScheme
 from repro.params import SystemParams
 from repro.bus.vector_bus import VectorBus
 from repro.pva.bank_controller import BankController
-from repro.pva.soa import SoaBankAutomaton, soa_eligible
-from repro.pva.window import WindowBankAutomaton, window_eligible
+from repro.pva.window import WindowBankAutomaton
 from repro.sdram.device import DeviceStats, SDRAMDevice
 from repro.sim.events import HORIZON
 from repro.sim.kernel import PassiveComponent, SimKernel
@@ -194,7 +193,7 @@ class _FrontEnd:
                 acted = True
                 txn = self.stage_queue.popleft()
                 _check_complete(txn, "STAGE_READ")
-                if self.system._soa is None:
+                if self.system._automaton is None:
                     # The object graph's read staging units hold the
                     # gathered subvectors (section 5.2.2).
                     line = self.system._assemble_line(
@@ -250,7 +249,7 @@ class _FrontEnd:
                         line=(
                             [0] * expected
                             if self.read_lines is not None
-                            and self.system._soa is not None
+                            and self.system._automaton is not None
                             else None
                         ),
                     )
@@ -344,35 +343,17 @@ class _BusComponent(PassiveComponent):
 
 
 class _BankComponent:
-    """One bank controller under the kernel.  Acting means observable
-    progress: a column issue, a request injected into a vector context,
-    a row activate/precharge, or an auto-refresh."""
+    """One bank controller under the reference tick loop.  Acting means
+    observable progress: a column issue, a request injected into a
+    vector context, a row activate/precharge, or an auto-refresh."""
 
-    def __init__(self, bank: BankController, front: _FrontEnd, time_skip: bool):
+    def __init__(self, bank: BankController, front: _FrontEnd):
         self.bank = bank
         self.front = front
-        self.time_skip = time_skip
         self.name = f"bank-{bank.bank}"
-        #: Whether idle_at's refresh probe can ever fire (the None-ness
-        #: of next_refresh_cycle never changes mid-run).
-        self._no_refresh = (
-            not bank.device.has_rows
-            or bank.device.next_refresh_cycle is None
-        )
 
     def tick(self, cycle: int) -> bool:
         bank = self.bank
-        if self.time_skip:
-            # Inlined bank.quiet_at(cycle) — this is the hottest probe
-            # in the simulator.
-            if cycle < bank._skip_until:
-                return False
-            if not bank.rqf and not bank.scheduler.window:
-                if self._no_refresh:
-                    return False
-                refresh = bank.device.next_refresh_cycle
-                if refresh is None or refresh > cycle:
-                    return False
         issued = bank.tick(cycle)
         if issued is not None:
             self.front.note_issue(bank.bank, issued)
@@ -382,7 +363,8 @@ class _BankComponent:
         return bank.acted
 
     def next_event_cycle(self, cycle: int) -> int:
-        return self.bank.next_event_cycle(cycle)
+        # No lower bound: the kernel ticks every bank on every cycle.
+        return cycle
 
     def account(self, start: int, end: int) -> Tuple[int, int, int]:
         span = end - start
@@ -424,7 +406,7 @@ class _CompletionUnit:
                 front.stage_queue.append(txn)
                 continue
             _check_complete(txn, "write retirement")
-            if front.system._soa is None:
+            if front.system._automaton is None:
                 for bank in front.system.banks:
                     bank.release_write(txn.txn_id)
             front.free_ids.append(txn.txn_id)
@@ -510,7 +492,7 @@ class PVAMemorySystem:
         )
         #: Live bank automaton during a fast run (broadcasts route to it
         #: instead of the bank controllers).
-        self._soa: Optional[SoaBankAutomaton] = None
+        self._automaton: Optional[WindowBankAutomaton] = None
         self.banks: List[BankController] = [
             BankController(
                 bank, self.params, device_factory(self.params), self._pla
@@ -591,10 +573,17 @@ class PVAMemorySystem:
 
         The run is driven by the shared simulation kernel
         (:class:`repro.sim.kernel.SimKernel`): the front end, the vector
-        bus, every bank controller and the completion unit register as
-        clocked components, and the kernel owns watchdog probing, the
-        time-skip advance, and the per-component cycle-attribution
-        ledger surfaced as :attr:`RunResult.attribution`.
+        bus, the banks (one component per bank controller under
+        ``reference``, one automaton for all of them under ``fast``) and
+        the completion unit register as clocked components, and the
+        kernel owns watchdog probing, the time-skip advance, and the
+        per-component cycle-attribution ledger surfaced as
+        :attr:`RunResult.attribution`.
+
+        Under ``fast`` a system the automaton does not model raises
+        :class:`~repro.errors.ConfigurationError`: a device other than
+        ``SDRAMDevice``/``SRAMDevice``, mixed device models, or banks
+        still holding work from an unfinished run (call :meth:`reset`).
         """
         for command in commands:
             if _command_length(command) > self.params.max_vector_length:
@@ -606,45 +595,32 @@ class PVAMemorySystem:
         bus = VectorBus(self.params)
         watchdog = Watchdog(len(commands), system=self.name)
         #: The fast backend jumps idle gaps via next-event lower bounds
-        #: instead of ticking through them.  Cycle-exact with the
-        #: reference loop — skipped cycles are exactly the iterations
-        #: that change no state (see repro.sim.events).
+        #: instead of ticking through them (see repro.sim.events), and
+        #: steps every bank as one window automaton (repro.pva.window,
+        #: falling back chain by chain to the SoA walk of repro.pva.soa).
+        #: The reference backend ticks the object graph.
         fast = self.params.sim_mode == "fast"
-        for bank in self.banks:
-            bank.time_skip = fast
-
         front = _FrontEnd(self, commands, bus, capture_data)
         kernel = SimKernel(watchdog=watchdog, time_skip=fast)
         kernel.register(front)
         kernel.register(_BusComponent(bus))
-        #: The fast backend steps all bank controllers as one flat
-        #: automaton, picking its path from the run: the closed-form
-        #: window automaton (repro.pva.window, itself falling back to the
-        #: SoA walk chain by chain), the SoA automaton for capture_data
-        #: runs (repro.pva.soa), and — for runs no automaton can take
-        #: (attached command logs, other devices, busy banks) — the
-        #: object components on the skip loop: same results, object
-        #: speed.  The reference backend always ticks the object graph.
-        if fast and not capture_data and window_eligible(self.banks):
-            self._soa = WindowBankAutomaton(
+        if fast:
+            self._automaton = WindowBankAutomaton(
                 self.banks, front, bus, self.params, kernel
             )
-            kernel.register(self._soa)
-        elif fast and soa_eligible(self.banks):
-            self._soa = SoaBankAutomaton(self.banks, front, bus, self.params)
-            kernel.register(self._soa)
+            kernel.register(self._automaton)
         else:
             for bank in self.banks:
-                kernel.register(_BankComponent(bank, front, fast))
+                kernel.register(_BankComponent(bank, front))
         kernel.register(_CompletionUnit(front))
         try:
             exit_cycle = kernel.run(front.done)
         finally:
             # Restore the object graph before any statistics are read
             # (or before the caller inspects state after a timeout).
-            if self._soa is not None:
-                self._soa.writeback()
-                self._soa = None
+            if self._automaton is not None:
+                self._automaton.writeback()
+                self._automaton = None
 
         total_cycles = max(front.end_cycle, exit_cycle)
         device_stats = self._aggregate_device_stats()
@@ -691,15 +667,15 @@ class PVAMemorySystem:
         call_cycle: int,
     ) -> None:
         is_write = command.access is AccessType.WRITE
-        soa = self._soa
+        automaton = self._automaton
         total = 0
         if self.interleave is not None:
             total = self._broadcast_interleaved(
                 txn_id, command, cycle, write_line, call_cycle
             )
         elif isinstance(command, ExplicitCommand):
-            if soa is not None:
-                total = soa.broadcast_explicit(
+            if automaton is not None:
+                total = automaton.broadcast_explicit(
                     txn_id,
                     command.addresses,
                     is_write,
@@ -716,8 +692,8 @@ class PVAMemorySystem:
                         cycle,
                         write_line=write_line,
                     )
-        elif soa is not None:
-            total = soa.broadcast_vector(
+        elif automaton is not None:
+            total = automaton.broadcast_vector(
                 txn_id, command.vector, is_write, cycle, write_line, call_cycle
             )
         else:
@@ -772,9 +748,9 @@ class PVAMemorySystem:
                 for bank in self.banks
             }
             stride = command.vector.stride
-        soa = self._soa
-        if soa is not None:
-            total = soa.broadcast_pairs(
+        automaton = self._automaton
+        if automaton is not None:
+            total = automaton.broadcast_pairs(
                 txn_id,
                 [per_bank[bank.bank] for bank in self.banks],
                 is_write,

@@ -50,8 +50,7 @@ that row strictly before the admission probe — the row never reopens
 (it is gated out of the chain's run rows), so nothing is left to
 protect or slip into.
 
-**Eligibility gating** is dynamic and conservative, in the spirit of
-``soa_eligible`` but per *chain* rather than per run:
+**Eligibility gating** is dynamic and conservative, per *chain*:
 
 * the oldest service unit resolves alone; younger in-flight or
   mid-chain-admitted contexts must be inert — same internal bank as the
@@ -84,8 +83,10 @@ delegation-heavy regimes pay the walk's cost and little else.
 Write–read bus turnarounds are not
 a fallback case — the pin-polarity penalty only ever applies to the
 first column of a chain (a context is uniformly read or write), where
-it is charged exactly.  ``capture_data`` runs take the SoA automaton
-at system level (:meth:`PVAMemorySystem.run`).
+it is charged exactly.  A ``capture_data`` read chain gathers its
+values at commit.  A run with a command log attached sends every batch
+to the walk, which logs each command it issues: the closed form commits
+whole chains without per-command cycles.
 
 **Exactness argument.**  Within a chain the only external actors are
 FIFO dequeues, whose probe cycles are computed exactly (above), and
@@ -135,10 +136,9 @@ from repro.pva.soa import (
     R_TXN,
     R_W,
     SoaBankAutomaton,
-    soa_eligible,
 )
 
-__all__ = ["WindowBankAutomaton", "window_eligible"]
+__all__ = ["WindowBankAutomaton"]
 
 # _resolve outcomes.
 _RESOLVED = 0  # chain committed; bound[b] advanced past it
@@ -150,18 +150,6 @@ _FALLBACK = 2  # outside the closed form; nothing mutated
 # form and re-probes it only every _STREAK_PERIOD-th batch.
 _STREAK_MIN = 4
 _STREAK_PERIOD = 8
-
-
-def window_eligible(banks) -> bool:
-    """May this run use the closed-form window automaton?
-
-    Structurally identical to :func:`~repro.pva.soa.soa_eligible` — the
-    closed form's extra conditions (refresh deadlines inside a chain,
-    non-inert context overlap, horizon crossings, non-paper row
-    policies) are *dynamic*, gated per chain with a bit-exact fallback
-    to the inherited event walk, so they cannot be decided up front.
-    """
-    return soa_eligible(banks)
 
 
 class WindowBankAutomaton(SoaBankAutomaton):
@@ -201,7 +189,10 @@ class WindowBankAutomaton(SoaBankAutomaton):
     def _run_bank(self, b: int, now: int, h: int) -> bool:
         """Resolve whole service chains while the closed form applies;
         delegate the remainder of the batch to the inherited event walk
-        on the first chain it does not cover."""
+        on the first chain it does not cover.  A logged run's batches
+        all take the walk, which records every command it issues."""
+        if self.logged:
+            return SoaBankAutomaton._run_bank(self, b, now, h)
         streak = self._fb_streak
         s = streak[b]
         if s >= _STREAK_MIN and s % _STREAK_PERIOD:
@@ -578,22 +569,28 @@ class WindowBankAutomaton(SoaBankAutomaton):
                     ibs[pos], row_continues
                 )
         total = rem
-        if w:
-            storage = self.storage[b]
-            for k in range(pos, pos + total):
-                storage[lw[k]] = line[idx[k]]
-            self.writes[b] += total
-            data_cycle = final_end + t_wr
-        else:
-            # capture_data runs take the SoA automaton, so a window
-            # run's reads move no values.
-            self.reads[b] += total
-            data_cycle = final_end + self.read_lat
         txn = self.outstanding.get(txn_id)
         if txn is None:
             raise ProtocolError(
                 f"bank {b} issued for unknown transaction {txn_id}"
             )
+        storage = self.storage[b]
+        if w:
+            for k in range(pos, pos + total):
+                storage[lw[k]] = line[idx[k]]
+            self.writes[b] += total
+            data_cycle = final_end + t_wr
+        else:
+            gathered = txn.line
+            if gathered is not None:
+                # A capture_data read: younger contexts are inert during
+                # the chain, so storage holds every word's value as of
+                # its column.
+                get = storage.get
+                for k in range(pos, pos + total):
+                    gathered[idx[k]] = get(lw[k], 0)
+            self.reads[b] += total
+            data_cycle = final_end + self.read_lat
         txn.done += total
         if data_cycle > txn.last_data_cycle:
             txn.last_data_cycle = data_cycle

@@ -69,40 +69,6 @@ class InternalBank:
         )
 
     # ----------------------------------------------------------------- #
-    # Time-skip lower bounds
-    # ----------------------------------------------------------------- #
-
-    @property
-    def activate_ready_at(self) -> int:
-        """Cycle the activate restimer releases (meaningful when closed)."""
-        return self._activate_timer.ready_at
-
-    @property
-    def column_ready_at(self) -> int:
-        """Cycle the column restimer releases (meaningful when open)."""
-        return self._column_timer.ready_at
-
-    @property
-    def precharge_ready_at(self) -> int:
-        """Cycle the precharge restimer releases (meaningful when open)."""
-        return self._precharge_timer.ready_at
-
-    def next_event_cycle(self, cycle: int) -> int:
-        """Earliest cycle at or after ``cycle`` at which *some* command
-        to this internal bank could become legal: the activate release
-        when closed, the earlier of column/precharge release when open.
-        A lower bound only — legality also needs the right row open and
-        the shared data pins, which the device layer tracks.
-        """
-        if self.open_row is None:
-            ready = self._activate_timer.ready_at
-        else:
-            ready = min(
-                self._column_timer.ready_at, self._precharge_timer.ready_at
-            )
-        return ready if ready > cycle else cycle
-
-    # ----------------------------------------------------------------- #
     # Commands
     # ----------------------------------------------------------------- #
 

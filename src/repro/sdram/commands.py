@@ -23,6 +23,14 @@ class SDRAMCommand(enum.Enum):
     WRITE_AP = "write_ap"  # CAS write with auto-precharge
     PRECHARGE = "precharge"  # close the open row
 
+    @staticmethod
+    def column(is_write: bool, auto_precharge: bool = False) -> "SDRAMCommand":
+        """The CAS command moving data in the given direction, with or
+        without a folded-in auto-precharge."""
+        if is_write:
+            return SDRAMCommand.WRITE_AP if auto_precharge else SDRAMCommand.WRITE
+        return SDRAMCommand.READ_AP if auto_precharge else SDRAMCommand.READ
+
     @property
     def is_column(self) -> bool:
         """True for CAS (data-moving) commands."""

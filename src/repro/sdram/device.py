@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.params import SDRAMTiming
-from repro.sim.events import HORIZON
 from repro.sdram.bank import InternalBank
 from repro.sdram.commands import SDRAMCommand
 from repro.sdram.devstats import DeviceStats
@@ -176,47 +175,10 @@ class SDRAMDevice:
         open_row = self.banks[loc.internal_bank].open_row
         return open_row is not None and open_row != loc.row
 
-    # ----------------------------------------------------------------- #
-    # Time-skip lower bounds
-    # ----------------------------------------------------------------- #
-
     @property
     def next_refresh_cycle(self) -> Optional[int]:
         """Cycle the next auto-refresh fires, or None when disabled."""
         return self._next_refresh
-
-    def pins_ready_at(self, is_write: bool) -> int:
-        """First cycle the shared data pins accept a transfer in the
-        given direction (one CAS per cycle + turnaround on reversal)."""
-        if self._last_was_write is not None and self._last_was_write != is_write:
-            return self._last_column_cycle + 1 + self.bus_turnaround
-        return self._last_column_cycle + 1
-
-    def column_ready_at(self, local_word: int, is_write: bool) -> int:
-        """Earliest cycle a CAS to ``local_word`` could become legal by
-        the passage of time alone.  :data:`~repro.sim.events.HORIZON`
-        when the word's row is not open — opening it takes an activate,
-        which is itself an observable event."""
-        loc = self.locate(local_word)
-        bank = self.banks[loc.internal_bank]
-        if bank.open_row != loc.row:
-            return HORIZON
-        ready = bank.column_ready_at
-        pins = self.pins_ready_at(is_write)
-        return ready if ready > pins else pins
-
-    def next_event_cycle(self, cycle: int) -> int:
-        """Earliest cycle at or after ``cycle`` at which any device
-        resource (an internal bank's restimers, or the refresh engine)
-        releases — the device's generic time-skip lower bound."""
-        bound = HORIZON
-        if self._next_refresh is not None:
-            bound = self._next_refresh
-        for bank in self.banks:
-            ready = bank.next_event_cycle(cycle)
-            if ready < bound:
-                bound = ready
-        return bound if bound > cycle else cycle
 
     # ----------------------------------------------------------------- #
     # Commands
@@ -314,22 +276,10 @@ class SDRAMDevice:
         self._last_column_cycle = cycle
         self._last_was_write = is_write
         if self.log is not None:
-            if is_write:
-                command = (
-                    SDRAMCommand.WRITE_AP
-                    if auto_precharge
-                    else SDRAMCommand.WRITE
-                )
-            else:
-                command = (
-                    SDRAMCommand.READ_AP
-                    if auto_precharge
-                    else SDRAMCommand.READ
-                )
             self.log.record(
                 CommandEvent(
                     cycle=cycle,
-                    command=command,
+                    command=SDRAMCommand.column(is_write, auto_precharge),
                     internal_bank=internal_bank,
                     row=row,
                     column=local_word & self._row_mask,

@@ -45,11 +45,6 @@ class Restimer:
         if cycle > self._ready_at:
             self._ready_at = cycle
 
-    def next_event_cycle(self, cycle: int) -> int:
-        """First cycle at or after ``cycle`` at which the guarded
-        operation may issue — the restimer's time-skip lower bound."""
-        return self._ready_at if self._ready_at > cycle else cycle
-
     def check(self, cycle: int) -> None:
         """Scoreboard assertion: raise if the resource is busy."""
         if not self.available(cycle):

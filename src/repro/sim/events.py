@@ -1,14 +1,15 @@
 """Next-event time skipping: the shared vocabulary of the fast path.
 
 Cycle-accurate simulation traditionally advances the clock one cycle per
-loop iteration, even though every stalled component already knows the
-exact cycle at which its state can next change — an SDRAM restimer holds
-its release cycle, the vector bus its busy-until cycle, a queued request
-its ready cycle.  The **time-skip engine** exploits that: each component
-exposes a ``next_event_cycle(cycle)`` lower bound, the run loop takes the
-``min()`` over all of them, and when nothing happened this cycle the
-clock jumps straight to that bound instead of ticking through the idle
-gap.
+loop iteration, even though a stalled component often knows the exact
+cycle at which its state can next change — the vector bus its
+busy-until cycle, the front end its next issue slot, the bank automaton
+each bank's next candidate cycle (restimer releases, request ready
+cycles, refresh deadlines).  The **time-skip engine** exploits that:
+each component exposes a ``next_event_cycle(cycle)`` lower bound, the
+run loop takes the ``min()`` over all of them, and when nothing happened
+this cycle the clock jumps straight to that bound instead of ticking
+through the idle gap.
 
 The contract every bound must honour:
 
@@ -23,12 +24,12 @@ The contract every bound must honour:
 * :data:`HORIZON` means "no self-timed event pending": the component
   can only be re-enabled by another component's action.
 
-Because skipped cycles are exactly the iterations in which the reference
-tick loop performs no state change, ``sim_mode="fast"`` (which runs the
-skip loop) is cycle-exact with ``sim_mode="reference"`` (which ticks
-every cycle) — the differential suites
-``tests/sim/test_*_equivalence.py`` hold the two to byte-identical
-:class:`~repro.sim.stats.RunResult`\\ s.
+Bounds come from the PVA front end, its completion unit, the bank
+automaton of ``sim_mode="fast"`` (:mod:`repro.pva.soa`) and the serial
+baselines.  The bank-controller object graph keeps none: under
+``sim_mode="reference"`` the loop ticks every bank on every cycle.  The
+differential suites ``tests/sim/test_*_equivalence.py`` hold the two
+modes to byte-identical :class:`~repro.sim.stats.RunResult`\\ s.
 """
 
 from __future__ import annotations

@@ -4,8 +4,11 @@ A :class:`CommandLog` records every command a device executes —
 ``(cycle, command, internal bank, row, column)`` — the same stream a
 logic analyzer on the SDRAM command bus would capture.  Logging is opt-in
 (attach a log to a device, or call
-:meth:`repro.pva.system.PVAMemorySystem.attach_command_logs`) so the hot
-simulation path pays nothing by default.
+:meth:`repro.pva.system.PVAMemorySystem.attach_command_logs`).  Both
+backends fill it: the reference backend's device models record each
+command they execute, and the fast backend's bank automaton records
+each command its walk issues (a logged run's batches all take the
+walk).  An unlogged run pays one ``is not None`` test per command.
 
 Uses: asserting precise command sequences in tests (e.g. that an
 auto-precharge really was folded into the last column of a request),

@@ -100,25 +100,6 @@ class SRAMDevice:
     def conflicting_row_open(self, local_word: int) -> bool:
         return False
 
-    # --- time-skip lower bounds ---------------------------------------- #
-
-    def pins_ready_at(self, is_write: bool) -> int:
-        """First cycle the shared data pins accept a transfer in the
-        given direction — the SRAM's only structural constraint."""
-        if self._last_was_write is not None and self._last_was_write != is_write:
-            return self._last_column_cycle + 1 + self.bus_turnaround
-        return self._last_column_cycle + 1
-
-    def column_ready_at(self, local_word: int, is_write: bool) -> int:
-        """Earliest cycle an access to ``local_word`` could become legal
-        by time alone (no rows: the pins are the only restriction)."""
-        return self.pins_ready_at(is_write)
-
-    def next_event_cycle(self, cycle: int) -> int:
-        """Generic time-skip bound: the pin release in either direction."""
-        ready = self._last_column_cycle + 1
-        return ready if ready > cycle else cycle
-
     # --- commands ------------------------------------------------------ #
 
     def column(
@@ -148,9 +129,7 @@ class SRAMDevice:
             self.log.record(
                 CommandEvent(
                     cycle=cycle,
-                    command=SDRAMCommand.WRITE
-                    if is_write
-                    else SDRAMCommand.READ,
+                    command=SDRAMCommand.column(is_write),
                     internal_bank=0,
                     row=0,
                     column=local_word,

@@ -1,16 +1,23 @@
 """Unit tests for the structure-of-arrays bank automaton internals.
 
-The differential suite (tests/sim/test_soa_equivalence.py) proves the
-SoA path end-to-end; these tests pin the pieces in isolation — the
+The differential suites (tests/sim/test_*_equivalence.py) prove the
+fast backend end-to-end; these tests pin the pieces in isolation — the
 min-reduction next-event bound, the broadcast memo's lifecycle and
-immutability, eligibility gating, and the queueing math on degenerate
-element patterns (stride-0/1 equivalents, single bank, non-power-of-two
-bank subsets the automaton itself never rejects).
+immutability, the systems the automaton refuses to model, and the
+queueing math on degenerate element patterns (stride-0/1 equivalents,
+single bank, non-power-of-two bank subsets the automaton itself never
+rejects).
 """
 
+from dataclasses import replace
+from itertools import count
 from types import SimpleNamespace
 
+import pytest
+
 from repro.api import build_system, clear_caches
+from repro.errors import ConfigurationError
+from repro.kernels import build_trace, kernel_by_name
 from repro.params import SystemParams
 from repro.pva.schedule import (
     HitTable,
@@ -18,8 +25,12 @@ from repro.pva.schedule import (
     clear_schedule_cache,
     pairs_schedule,
 )
-from repro.pva.soa import SoaBankAutomaton, soa_cache_info, soa_eligible
+from repro.pva.soa import SoaBankAutomaton, soa_cache_info
+from repro.pva.system import PVAMemorySystem
+from repro.sdram.device import SDRAMDevice
 from repro.sim.events import HORIZON
+from repro.sram.device import SRAMDevice
+from repro.types import Vector
 
 
 def _automaton(params=None, banks=None):
@@ -209,37 +220,70 @@ class TestBroadcastMemo:
         assert soa_cache_info().currsize == 0
 
 
-class TestEligibility:
-    def test_fresh_systems_are_eligible(self):
-        for name in ("pva-sdram", "pva-sram"):
-            system = build_system(name, SystemParams())
-            assert soa_eligible(system.banks)
+def _copy_trace(params):
+    return build_trace(
+        kernel_by_name("copy"), stride=4, elements=32, params=params
+    )
 
-    def test_empty_bank_list_is_not(self):
-        assert not soa_eligible([])
 
-    def test_attached_command_log_disables(self):
-        system = build_system("pva-sdram", SystemParams())
-        system.attach_command_logs()
-        assert not soa_eligible(system.banks)
+class TestUnmodelledSystems:
+    """sim_mode="fast" never falls back: a system the automaton does
+    not model raises ConfigurationError before the run starts."""
 
-    def test_ineligible_run_still_works_via_fallback(self):
-        # sim_mode="fast" with a command log attached falls back to the
-        # object graph on the skip loop — same results, object speed.
-        from repro.kernels import build_trace, kernel_by_name
+    def test_custom_device_model_raises(self):
+        class Custom(SDRAMDevice):
+            pass
 
+        params = SystemParams(sim_mode="fast")
+        system = PVAMemorySystem(
+            params,
+            device_factory=lambda p: Custom(
+                p.sdram, bus_turnaround=p.bus_turnaround
+            ),
+        )
+        trace = _copy_trace(params)
+        with pytest.raises(ConfigurationError, match='sim_mode="reference"'):
+            system.run(trace)
+        # The reference backend drives any device model, and this one
+        # behaves exactly like the stock SDRAM.
+        system.params = replace(params, sim_mode="reference")
+        stock = build_system("pva-sdram", system.params).run(trace)
+        assert system.run(trace).cycles == stock.cycles
+
+    def test_mixed_device_models_raise(self):
+        banks = count()
+
+        def factory(p):
+            # Bank 0 gets an SRAM, every other bank the stock SDRAM.
+            if next(banks) == 0:
+                return SRAMDevice()
+            return SDRAMDevice(p.sdram)
+
+        params = SystemParams(sim_mode="fast")
+        system = PVAMemorySystem(params, device_factory=factory)
+        with pytest.raises(ConfigurationError, match="one device model"):
+            system.run(_copy_trace(params))
+
+    def test_queued_work_raises_until_reset(self):
+        params = SystemParams(sim_mode="fast")
+        system = build_system("pva-sdram", params)
+        trace = _copy_trace(params)
+        system.banks[0].broadcast(
+            txn_id=0,
+            vector=Vector(base=0, stride=1, length=8),
+            is_write=False,
+            cycle=0,
+        )
+        with pytest.raises(ConfigurationError, match=r"reset\(\)"):
+            system.run(trace)
+        system.reset()
+        fresh = build_system("pva-sdram", params).run(trace)
+        assert system.run(trace) == fresh
+
+    def test_logged_run_records_its_commands(self):
         params = SystemParams(sim_mode="fast")
         system = build_system("pva-sdram", params)
         logs = system.attach_command_logs()
-        trace = build_trace(
-            kernel_by_name("copy"), stride=4, elements=32, params=params
-        )
-        result = system.run(trace)
+        result = system.run(_copy_trace(params))
         assert result.cycles > 0
-        assert any(log.commands for log in logs)
-
-    def test_mixed_device_types_are_not(self):
-        sdram = build_system("pva-sdram", SystemParams())
-        sram = build_system("pva-sram", SystemParams())
-        mixed = [sdram.banks[0], sram.banks[1]]
-        assert not soa_eligible(mixed)
+        assert any(log.commands() for log in logs)

@@ -2,10 +2,10 @@
 
 The differential suite (tests/sim/test_window_equivalence.py) proves
 the window path end-to-end; these tests pin the pieces in isolation — the
-eligibility gate, the same-row run segmentation the arithmetic charges
-off, the shared numpy-bound decision cache, the kernel's bulk ledger
-deposit API (and its error paths), and the system-level selection rule
-that routes ``capture_data`` runs back through the SoA automaton.
+same-row run segmentation the arithmetic charges off, the kernel's bulk
+ledger deposit API (and its error paths), and the system-level rule
+that every fast run, ``capture_data`` and logged runs included, builds
+the window automaton.
 """
 
 from types import SimpleNamespace
@@ -16,38 +16,12 @@ from repro.errors import ConfigurationError
 from repro.params import SystemParams
 from repro.pva import system as system_module
 from repro.pva.schedule import pairs_schedule
-from repro.pva.soa import (
-    _NUMPY_MIN_BANKS,
-    SoaBankAutomaton,
-    numpy_bound_enabled,
-    soa_eligible,
-)
-from repro.pva.window import WindowBankAutomaton, window_eligible
+from repro.pva.window import WindowBankAutomaton
 from repro.api import build_system
 from repro.kernels import build_trace, kernel_by_name
 from repro.sim.kernel import SimKernel
 from repro.sim.runner import SimulationLimits, Watchdog
 from repro.types import AccessType, Vector, VectorCommand
-
-
-class TestEligibility:
-    def test_empty_banks_ineligible(self):
-        assert not window_eligible([])
-
-    def test_fresh_pva_sdram_banks_eligible(self):
-        system = build_system("pva-sdram", SystemParams(sim_mode="fast"))
-        assert window_eligible(system.banks)
-
-    def test_exotic_device_ineligible(self):
-        fake = [SimpleNamespace(device=SimpleNamespace())]
-        assert not window_eligible(fake)
-
-    def test_matches_soa_gate(self):
-        # The closed form's *extra* conditions are dynamic (per-chain
-        # fallback), so the static gate is exactly the SoA gate.
-        system = build_system("pva-sdram", SystemParams(sim_mode="fast"))
-        for banks in ([], system.banks, system.banks[:3]):
-            assert window_eligible(banks) == soa_eligible(banks)
 
 
 class TestRunSegmentation:
@@ -123,25 +97,6 @@ class TestRunSegmentation:
         assert self._runs(table) == []
 
 
-class TestNumpyBoundDecision:
-    def test_small_bank_counts_stay_scalar(self):
-        assert numpy_bound_enabled(1) is False
-        assert numpy_bound_enabled(_NUMPY_MIN_BANKS - 1) is False
-
-    def test_memoized(self):
-        numpy_bound_enabled.cache_clear()
-        numpy_bound_enabled(_NUMPY_MIN_BANKS)
-        before = numpy_bound_enabled.cache_info().hits
-        numpy_bound_enabled(_NUMPY_MIN_BANKS)
-        assert numpy_bound_enabled.cache_info().hits == before + 1
-
-    def test_threshold_respects_feature_probe(self):
-        from repro.pva import soa
-
-        enabled = numpy_bound_enabled(_NUMPY_MIN_BANKS)
-        assert enabled == (soa._np is not None)
-
-
 def _kernel():
     return SimKernel(
         watchdog=Watchdog(
@@ -209,9 +164,9 @@ class TestBulkAccount:
 
 
 class TestBackendSelection:
-    """sim_mode="fast" uses the closed form only for non-capturing
-    eligible runs; capture_data silently takes the SoA automaton (the
-    data movement path is identical, so results cannot diverge)."""
+    """sim_mode="fast" builds the window automaton for every run:
+    capture_data reads gather their values on either of its paths, and
+    a logged run's batches take the walk, which logs each command."""
 
     TRACE = [
         VectorCommand(
@@ -220,7 +175,7 @@ class TestBackendSelection:
         )
     ]
 
-    def _chosen(self, monkeypatch, *, capture_data):
+    def _chosen(self, monkeypatch, *, capture_data=False, logs=False):
         chosen = []
 
         class SpyWindow(WindowBankAutomaton):
@@ -228,22 +183,27 @@ class TestBackendSelection:
                 chosen.append("window")
                 super().__init__(*args, **kwargs)
 
-        class SpySoa(SoaBankAutomaton):
+        class SpyBank(system_module._BankComponent):
             def __init__(self, *args, **kwargs):
-                chosen.append("soa")
+                chosen.append("object")
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(system_module, "WindowBankAutomaton", SpyWindow)
-        monkeypatch.setattr(system_module, "SoaBankAutomaton", SpySoa)
+        monkeypatch.setattr(system_module, "_BankComponent", SpyBank)
         system = build_system("pva-sdram", SystemParams(sim_mode="fast"))
+        if logs:
+            system.attach_command_logs()
         system.run(self.TRACE, capture_data=capture_data)
         return chosen
 
     def test_plain_run_uses_window(self, monkeypatch):
-        assert self._chosen(monkeypatch, capture_data=False) == ["window"]
+        assert self._chosen(monkeypatch) == ["window"]
 
-    def test_capture_data_falls_back_to_soa(self, monkeypatch):
-        assert self._chosen(monkeypatch, capture_data=True) == ["soa"]
+    def test_capture_data_uses_window(self, monkeypatch):
+        assert self._chosen(monkeypatch, capture_data=True) == ["window"]
+
+    def test_logged_run_uses_window(self, monkeypatch):
+        assert self._chosen(monkeypatch, logs=True) == ["window"]
 
     def test_fallback_matches_window_cycles(self):
         params = SystemParams(sim_mode="fast")

@@ -67,6 +67,22 @@ class TestTiming:
         device.column(1, 4, is_write=True, value=42)
         assert device.stats().turnarounds == 1
 
+    def test_pins_wait_out_the_turnaround(self, device):
+        device.activate(0, 0)
+        device.column(0, 2, is_write=False)
+        assert device.data_pins_ready(3, is_write=False)
+        assert not device.data_pins_ready(3, is_write=True)
+        assert device.data_pins_ready(3 + device.bus_turnaround, is_write=True)
+
+    def test_column_legal_from_the_column_release(self, device):
+        """The scoreboard opens a CAS exactly at the column restimer's
+        release, not a cycle before."""
+        device.activate(0, 5)
+        ready = device.banks[0]._column_timer.ready_at
+        assert ready == 5 + TIMING.t_rcd
+        assert not device.can_column(0, ready - 1, is_write=False)
+        assert device.can_column(0, ready, is_write=False)
+
     def test_no_turnaround_same_direction(self, device):
         device.activate(0, 0)
         device.column(0, 2, is_write=False)

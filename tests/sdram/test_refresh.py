@@ -25,6 +25,12 @@ class TestDeviceRefresh:
         assert device.maybe_refresh(205)  # next boundary was 200
         assert device.refreshes == 2
 
+    def test_deadline_advances_one_interval_per_refresh(self):
+        device = SDRAMDevice(SDRAMTiming(refresh_interval=100))
+        assert device.next_refresh_cycle == 100
+        assert device.maybe_refresh(100)
+        assert device.next_refresh_cycle == 200
+
     def test_refresh_closes_rows_and_blocks_activates(self):
         timing = SDRAMTiming(refresh_interval=100, t_rfc=8)
         device = SDRAMDevice(timing)

@@ -1,19 +1,18 @@
 """Shared harness of the reference-vs-fast differential suites.
 
 ``sim_mode="reference"`` models the paper's hardware literally: the
-bank-controller object graph, live FirstHit/NextHit expansion, and a
-tick loop that visits every cycle.  ``sim_mode="fast"`` skips idle
-cycles and picks its bank stepping from the run:
+bank-controller object graph (``"object"``), live FirstHit/NextHit
+expansion, and a tick loop that visits every bank on every cycle.
+``sim_mode="fast"`` skips idle cycles and steps every PVA bank as one
+closed-form window automaton (``"window"``, :mod:`repro.pva.window`),
+which falls back chain by chain to the structure-of-arrays walk of
+:mod:`repro.pva.soa`.  The suites split the fast backend's runs:
 
-* ``"window"`` — the closed-form window automaton
-  (:mod:`repro.pva.window`), falling back chain by chain to the
-  structure-of-arrays walk, for every run it can take
-  (``test_window_equivalence.py``);
-* ``"soa"`` — the structure-of-arrays automaton (:mod:`repro.pva.soa`)
-  for ``capture_data`` runs (``test_soa_equivalence.py``);
-* ``"object"`` — the object graph on the skip loop for runs no automaton
-  can take, such as runs with a command log attached; the serial
-  baselines' fast backend is the skip loop alone
+* plain runs (``test_window_equivalence.py``);
+* ``capture_data`` runs, whose reads gather values
+  (``test_soa_equivalence.py``);
+* runs with command logs attached, whose batches all take the walk, and
+  the serial baselines, whose fast backend is the skip loop alone
   (``test_time_skip_equivalence.py``).
 
 :func:`assert_equivalent` runs the same traces under both modes, each on
@@ -22,7 +21,8 @@ asserts they agree on every :class:`~repro.sim.stats.RunResult` field —
 total cycles, per-command latencies, device and bus statistics, captured
 payloads, the per-component attribution ledger — on the memory image the
 runs leave behind and on any logged command streams.  The spy installed
-by :func:`spy_on_bank_paths` checks which path the fast run took.
+by :func:`spy_on_bank_paths` checks that every fast PVA run built the
+window automaton.
 """
 
 from __future__ import annotations
@@ -44,12 +44,11 @@ ROW_POLICIES = ("paper", "open", "close", "history")
 
 
 def spy_on_bank_paths(monkeypatch):
-    """Record the bank stepping each PVA run constructs: ``"window"``,
-    ``"soa"`` or ``"object"`` (one entry per bank component)."""
+    """Record the bank stepping each PVA run constructs: ``"window"`` or
+    ``"object"`` (one entry per bank component)."""
     taken = []
     for name, label in (
         ("WindowBankAutomaton", "window"),
-        ("SoaBankAutomaton", "soa"),
         ("_BankComponent", "object"),
     ):
         original = getattr(system_module, name)
@@ -127,8 +126,7 @@ def assert_equivalent(
     assert fast[1] == reference[1], f"{system}: memory images differ"
     assert fast[2] == reference[2], f"{system}: command logs differ"
     if system in PVA_SYSTEMS or interleave is not None:
-        expected = "object" if logs else "soa" if capture_data else "window"
-        assert set(paths) == {expected}, (system, sorted(set(paths)))
+        assert set(paths) == {"window"}, (system, sorted(set(paths)))
     else:
         assert paths == []
     return reference[0]

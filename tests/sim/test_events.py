@@ -1,102 +1,18 @@
 """Unit tests for the next-event time-skip lower bounds.
 
-The differential suite (``test_time_skip_equivalence.py``) proves the
-composed engine cycle-exact; these tests pin the per-component contract:
-each ``next_event_cycle(cycle)`` is clamped to ``>= cycle``, matches the
-component's own scoreboard, and :data:`~repro.sim.events.HORIZON` marks
-states that only another component's action can unblock.
+The fast backend's bounds come from the front end, the completion unit,
+the bank automaton and the serial baselines; the object graph keeps
+none, and the reference loop ticks every bank on every cycle.  These
+tests pin the vector bus's bound: clamped to ``>= cycle`` and equal to
+the bus's own busy-until cycle.  :data:`~repro.sim.events.HORIZON`
+marks states that only another component's action can unblock.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.pla import shared_k1_pla
-from repro.params import SDRAMTiming, SystemParams
-from repro.pva.bank_controller import BankController
-from repro.sdram.device import SDRAMDevice
-from repro.sdram.restimer import Restimer
-from repro.sim.events import HORIZON
-from repro.sram.device import SRAMDevice
 from repro.bus.vector_bus import VectorBus
-from repro.types import Vector
-
-
-class TestRestimerBound:
-    def test_idle_restimer_returns_now(self):
-        timer = Restimer("t_rcd")
-        assert timer.next_event_cycle(5) == 5
-
-    def test_held_restimer_returns_release(self):
-        timer = Restimer("t_rp")
-        timer.hold_until(12)
-        assert timer.next_event_cycle(5) == 12
-        # The bound agrees with the scoreboard on both sides.
-        assert not timer.available(11)
-        assert timer.available(12)
-
-    def test_bound_clamps_to_cycle(self):
-        timer = Restimer("t_rcd")
-        timer.hold_until(3)
-        assert timer.next_event_cycle(7) == 7
-
-
-class TestSDRAMDeviceBounds:
-    def make(self, **kw):
-        return SDRAMDevice(SDRAMTiming(**kw))
-
-    def test_closed_row_column_is_horizon(self):
-        device = self.make()
-        assert device.column_ready_at(0, is_write=False) == HORIZON
-
-    def test_open_row_column_matches_scoreboard(self):
-        device = self.make()
-        device.activate(0, cycle=0)
-        ready = device.column_ready_at(0, is_write=False)
-        assert ready < HORIZON
-        assert not device.can_column(0, ready - 1, is_write=False)
-        assert device.can_column(0, ready, is_write=False)
-
-    def test_pins_bound_includes_turnaround(self):
-        device = self.make()
-        device.activate(0, cycle=0)
-        ready = device.column_ready_at(0, is_write=False)
-        device.column(0, ready, is_write=False)
-        same_dir = device.pins_ready_at(is_write=False)
-        reversed_dir = device.pins_ready_at(is_write=True)
-        assert reversed_dir == same_dir + device.bus_turnaround
-        assert not device.data_pins_ready(reversed_dir - 1, is_write=True)
-        assert device.data_pins_ready(reversed_dir, is_write=True)
-
-    def test_refresh_schedule_advances(self):
-        device = self.make(refresh_interval=100)
-        assert device.next_refresh_cycle == 100
-        assert not device.maybe_refresh(99)
-        assert device.maybe_refresh(100)
-        assert device.next_refresh_cycle == 200
-        # A refresh occupies the banks: their bounds move past t_rfc.
-        assert device.next_event_cycle(101) >= 100 + device.timing.t_rfc
-
-    def test_bound_clamps_to_cycle(self):
-        device = self.make()
-        assert device.next_event_cycle(50) == 50
-
-
-class TestSRAMDeviceBounds:
-    def test_column_bound_matches_scoreboard(self):
-        device = SRAMDevice()
-        device.column(0, cycle=4, is_write=False)
-        ready = device.column_ready_at(1, is_write=False)
-        assert not device.can_column(1, ready - 1, is_write=False)
-        assert device.can_column(1, ready, is_write=False)
-
-    def test_turnaround_in_bound(self):
-        device = SRAMDevice()
-        device.column(0, cycle=4, is_write=False)
-        assert device.column_ready_at(1, is_write=True) == (
-            device.column_ready_at(1, is_write=False)
-            + device.bus_turnaround
-        )
+from repro.params import SystemParams
+from repro.sim.events import HORIZON
 
 
 class TestVectorBusBound:
@@ -105,59 +21,6 @@ class TestVectorBusBound:
         freed = bus.broadcast_request(10)
         assert bus.next_event_cycle(10) == freed
         assert bus.next_event_cycle(freed + 3) == freed + 3
-
-
-class TestBankControllerBounds:
-    def make(self, params=None):
-        params = params or SystemParams(num_banks=4)
-        device = SDRAMDevice(params.sdram)
-        pla = shared_k1_pla(params.num_banks)
-        return BankController(0, params, device, pla), params
-
-    def test_idle_controller_is_quiet_at_horizon(self):
-        bc, _ = self.make()
-        assert bc.idle_at(0)
-        assert bc.quiet_at(123456)
-        assert bc.next_event_cycle(0) == HORIZON
-
-    def test_broadcast_resets_the_stall_cache(self):
-        bc, params = self.make()
-        vector = Vector(base=0, stride=1, length=8)
-        bc._skip_until = 999  # simulate a cached stall window
-        bc.broadcast(txn_id=0, vector=vector, is_write=False, cycle=0)
-        assert bc._skip_until == 0
-        assert not bc.quiet_at(1)
-
-    def test_queued_request_bounds_at_ready_cycle(self):
-        bc, params = self.make()
-        # A non-power-of-two stride goes through the FirstHit-Calculate
-        # multiply-add, so the request becomes ready several cycles
-        # after the broadcast — a gap the bound must expose.
-        vector = Vector(base=0, stride=19, length=8)
-        bc.broadcast(txn_id=0, vector=vector, is_write=False, cycle=0)
-        ready = bc.rqf[0].ready_cycle
-        assert ready > 1
-        assert bc.next_event_cycle(1) == ready
-        # ... and the bound is cached for the cycles in between.
-        assert bc.quiet_at(ready - 1)
-        assert not bc.quiet_at(ready)
-
-    def test_bound_never_precedes_cycle(self):
-        bc, _ = self.make()
-        vector = Vector(base=0, stride=1, length=8)
-        bc.broadcast(txn_id=0, vector=vector, is_write=False, cycle=0)
-        ready = bc.rqf[0].ready_cycle
-        assert bc.next_event_cycle(ready + 5) == ready + 5
-
-    def test_skip_never_crosses_refresh(self):
-        params = SystemParams(
-            num_banks=4, sdram=SDRAMTiming(refresh_interval=50)
-        )
-        bc, _ = self.make(params)
-        vector = Vector(base=0, stride=1, length=8)
-        bc.broadcast(txn_id=0, vector=vector, is_write=False, cycle=0)
-        assert bc.next_event_cycle(1) <= 50
-        assert not bc.idle_at(50)
 
 
 class TestHorizonSentinel:

@@ -43,10 +43,9 @@ class TestBackendAgreement:
     @pytest.mark.parametrize("base", MULTI_CHANNEL_PARAMS)
     @pytest.mark.parametrize("system", ("pva-sdram", "pva-sram"))
     def test_all_four_modes_bit_identical(self, base, system, monkeypatch):
-        """All four ways a PVA run executes agree: the reference tick
-        loop, and fast's window automaton, SoA automaton
-        (``capture_data``) and object graph on the skip loop (command
-        log attached)."""
+        """The reference tick loop and fast's window automaton agree on
+        a plain run, a ``capture_data`` run and a run with command logs
+        attached."""
         monkeypatch.delenv(ENV_SIM_MODE, raising=False)
         paths = spy_on_bank_paths(monkeypatch)
         trace = _trace(base)

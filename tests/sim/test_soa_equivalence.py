@@ -1,15 +1,17 @@
-"""Differential suite, SoA path: ``sim_mode="fast"`` on ``capture_data``
-runs, which its structure-of-arrays automaton takes, against
-``sim_mode="reference"``.
+"""Differential suite, ``capture_data`` runs: ``sim_mode="fast"``'s
+window automaton against ``sim_mode="reference"`` on runs that gather
+their read values.
 
-The SoA automaton (:mod:`repro.pva.soa`) is a pure representation
-change: it must reproduce the reference's
-:class:`~repro.sim.stats.RunResult` bit for bit — total cycles, captured
-data payloads, per-bank statistics and the per-component attribution
-ledger — and leave the same memory image.  These tests sweep the
-paper's strides and alignments, fuzzed geometries and timings, both run
-loops, and back-to-back runs on one system object (state carry through
-``writeback``).  The harness lives in :mod:`tests.sim.differential`.
+A read chain gathers its values into the transaction's line by element
+index, on the closed form and on the structure-of-arrays walk
+(:mod:`repro.pva.soa`) alike.  The fast run must reproduce the
+reference's :class:`~repro.sim.stats.RunResult` bit for bit — total
+cycles, captured data payloads, per-bank statistics and the
+per-component attribution ledger — and leave the same memory image.
+These tests sweep the paper's strides and alignments, fuzzed geometries
+and timings, both run loops, and back-to-back runs on one system object
+(state carry through ``writeback``).  The harness lives in
+:mod:`tests.sim.differential`.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ def test_paper_sweep_bit_identical(paths, system, kernel):
 
 @pytest.mark.parametrize("system", PVA_SYSTEMS)
 def test_tick_loop_equivalence(paths, system, monkeypatch):
-    """The SoA automaton is loop-agnostic: forced onto the tick loop it
-    still matches the reference."""
+    """The automaton is loop-agnostic: forced onto the tick loop its
+    captured payloads still match the reference."""
     loops = RunLoopSpy(monkeypatch)
     loops.force_tick = True
     params = SystemParams()
@@ -80,8 +82,7 @@ def test_explicit_commands_equivalent(paths):
 
 def test_sram_storage_equality_after_writes(paths):
     """After a write-heavy run the devices hold identical contents (the
-    SoA data movement writes through the same staging units and storage
-    dicts)."""
+    automaton writes through the devices' own storage dicts)."""
     for system in PVA_SYSTEMS:
         assert_equivalent(
             paths, system, SystemParams(), WRITE_HEAVY, capture_data=True

@@ -1,12 +1,14 @@
-"""Differential suite, skip-loop path: ``sim_mode="fast"`` on runs no
-automaton can take, against ``sim_mode="reference"``.
+"""Differential suite, logged runs and the serial baselines:
+``sim_mode="fast"`` against ``sim_mode="reference"``.
 
-A run with a command log attached steps the bank-controller object
-graph under fast too, but on the event-driven skip loop instead of the
-reference tick loop; the serial baselines' fast backend is the skip loop
-alone.  The skip loop jumps idle gaps via each component's next-event
-lower bound.  An underestimated bound can only cost speed; an
-*overestimated* one would show up here as a divergence in the
+Every PVA run here has command logs attached, so the fast backend's
+window automaton sends each batch to its walk, which records every
+PRECHARGE, ACTIVATE and column it issues; the logs must equal the
+command streams the reference's device models record.  The serial
+baselines have no automaton: their fast backend is the skip loop alone,
+which jumps idle gaps via each component's next-event lower bound.  An
+underestimated bound can only cost speed; an *overestimated* one would
+show up here as a divergence in the
 :class:`~repro.sim.stats.RunResult`, the memory image or the logged
 command streams.  ``REPRO_SIM_MODE`` overrides the mode of every config
 built while it is set.  The harness lives in
@@ -44,8 +46,8 @@ def paths(monkeypatch):
 
 
 def assert_loops_agree(paths, system, params, *traces, capture_data=False):
-    """Both backends on the object graph (PVA systems log their command
-    streams, which keeps fast off the automata)."""
+    """Both backends with the PVA systems' command streams logged (the
+    serial baselines keep no log)."""
     return assert_equivalent(
         paths,
         system,

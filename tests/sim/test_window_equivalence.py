@@ -191,16 +191,21 @@ def test_multichannel(paths):
         assert_equivalent(paths, system, params, kernel_trace(params, "saxpy"))
 
 
-@pytest.mark.parametrize("capture_data", [False, True])
+@pytest.mark.parametrize(
+    "capture_data, logs",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-logs", "True-logs"],
+)
 @pytest.mark.parametrize(
     "interleave",
     [InterleaveScheme.cache_line(4, 8), InterleaveScheme(num_banks=4, block_words=2)],
     ids=["cache-line", "block"],
 )
-def test_interleaved_systems(paths, interleave, capture_data):
+def test_interleaved_systems(paths, interleave, capture_data, logs):
     """The section-4.1.3 logical-bank front end feeds pre-partitioned
-    element lists to the banks; with ``capture_data`` the SoA walk
-    gathers the read lines by element index."""
+    element lists to the banks; with ``capture_data`` the automaton
+    gathers the read lines by element index, and with command logs
+    attached the walk records the same command streams."""
     params = SystemParams(
         num_banks=4, cache_line_words=8, sdram=SDRAMTiming(row_words=64)
     )
@@ -208,7 +213,7 @@ def test_interleaved_systems(paths, interleave, capture_data):
         trace = kernel_trace(params, "saxpy", stride, elements=64)
         assert_equivalent(
             paths, "pva-sdram", params, trace, SCATTER_GATHER,
-            interleave=interleave, capture_data=capture_data,
+            interleave=interleave, capture_data=capture_data, logs=logs,
         )
 
 
@@ -228,9 +233,9 @@ def test_fuzzed_all_four_paths(paths, monkeypatch):
     """Randomized geometries, timings, policies, refresh cadences that
     expire mid-chain, context and FIFO depths, both PVA systems, both
     run loops, two traces back to back on one system object — every
-    trial checked on all four paths: the reference tick loop against
-    fast's window automaton, its object graph on the skip loop (command
-    log attached) and its SoA automaton (``capture_data``)."""
+    trial checked three ways against the reference tick loop: a plain
+    run, a run with command logs attached (every batch on the walk) and
+    a ``capture_data`` run."""
     loops = RunLoopSpy(monkeypatch)
     rng = random.Random(20260809)
     for trial in range(40):
