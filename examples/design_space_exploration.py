@@ -84,7 +84,7 @@ def sweep_bypass() -> None:
 
 
 def pareto_frontier() -> None:
-    """The driver behind ``python -m repro explore``: sweep GenParams
+    """The driver behind ``python -m repro explore``: sweep SystemParams
     axes, prune with analytic lower bounds, report cycles vs. the
     Table-1 complexity score."""
     from repro.explore import SweepSpec, format_explore, run_explore

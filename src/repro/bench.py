@@ -11,7 +11,7 @@ sparse scenario: a finite-rate processor (``issue_interval``) that
 leaves idle gaps between commands.
 
 Every report carries the resolved canonical config document
-(``config``/``config_key``, from :meth:`GenParams.to_dict`).
+(``config``/``config_key``, from :meth:`SystemParams.to_dict`).
 
 The harness also cross-checks correctness for free: both backends must
 report identical total cycle counts and per-component attribution

@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore_parser = sub.add_parser(
         "explore",
         help=(
-            "design-space exploration: sweep GenParams axes, prune with "
+            "design-space exploration: sweep SystemParams axes, prune with "
             "analytic lower bounds, emit the cycles-vs-complexity "
             "Pareto frontier"
         ),

@@ -2,26 +2,25 @@
 
 Everything the simulators, analytic models and complexity estimators
 need to know about the machine lives in one frozen, validated, hashable
-container: :class:`GenParams` (the coreblocks-style *generation
-parameters* idiom).  It composes
+object: :class:`SystemParams` (the coreblocks-style *generation
+parameters* idiom: one params object handed to every unit).  Its flat
+fields cover
 
 * device timing — :class:`SDRAMTiming` / :class:`SRAMTiming`,
-* :class:`Topology` — channels x ranks x banks-per-rank geometry,
+* the channel x rank x bank geometry (``num_banks``, ``num_channels``,
+  ``ranks_per_channel``, derived once as a :class:`Topology`),
 * the bank-controller microarchitecture knobs (vector contexts, FIFO
   depth, bypass paths, FirstHit-Calculate latency),
 * the scheduler's ``row_policy``, and
 * the ``sim_mode`` backend selector (``"reference"`` or ``"fast"``),
 
-and owns the **canonical serialization**: :meth:`GenParams.to_dict` /
-:meth:`GenParams.from_dict` round-trip exactly, and
-:meth:`GenParams.config_key` is a stable content hash used by the engine
-result cache and the bench reports.  Bumping
+and it owns the **canonical serialization**:
+:meth:`SystemParams.to_dict` / :meth:`SystemParams.from_dict` round-trip
+exactly (the geometry nests as a ``topology`` sub-document), and
+:meth:`SystemParams.config_key` is a stable content hash used by the
+engine result cache and the bench reports.  Bumping
 :data:`CONFIG_SCHEMA_VERSION` is the single switch that retires every
 stale cached document.
-
-:class:`repro.params.SystemParams` remains as a thin compatibility
-façade over this module — it accepts the historical flat field list and
-forwards to a :class:`GenParams` (see ``SystemParams.gen``).
 
 Topology addressing
 -------------------
@@ -46,7 +45,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property
 from typing import Any, Dict, Mapping, Type, TypeVar
 
 from repro.errors import ConfigurationError
@@ -55,11 +55,11 @@ from repro.types import WORD_BYTES
 __all__ = [
     "CONFIG_SCHEMA_VERSION",
     "ENV_SIM_MODE",
-    "GenParams",
     "ROW_POLICIES",
     "SDRAMTiming",
     "SIM_MODES",
     "SRAMTiming",
+    "SystemParams",
     "Topology",
     "canonical_sim_mode",
     "is_power_of_two",
@@ -67,11 +67,10 @@ __all__ = [
 ]
 
 #: Version stamp of the canonical config document (and, by adoption, of
-#: the engine cache schema).  v4: GenParams/Topology introduction —
-#: nested device/topology documents, ``sram`` timing and channel/rank
-#: geometry join the schema; the legacy ``time_skip``/``precompute``
-#: aliases leave it.  v5: ``"window"`` joins the ``sim_mode`` ladder.
-#: v6: the ladder collapses to ``"reference"``/``"fast"`` (default
+#: the engine cache schema).  v4: nested device/topology documents —
+#: ``sram`` timing and channel/rank geometry join the schema; the legacy
+#: ``time_skip``/``precompute`` aliases leave it.  v5: ``"window"`` joins
+#: the ``sim_mode`` ladder.  v6: the ladder collapses to ``"reference"``/``"fast"`` (default
 #: ``"fast"``) — every stored mode label changes meaning.
 CONFIG_SCHEMA_VERSION = 6
 
@@ -254,17 +253,6 @@ class Topology:
     def rank_bits(self) -> int:
         return log2_exact(self.ranks_per_channel, "ranks_per_channel")
 
-    @property
-    def bank_bits(self) -> int:
-        """Bits selecting the bank within one rank."""
-        return log2_exact(self.banks_per_rank, "banks_per_rank")
-
-    @property
-    def total_bank_bits(self) -> int:
-        """``log2(total_banks)`` — the full bank-select field of a word
-        address (channel + rank + in-rank bank bits)."""
-        return self.channel_bits + self.rank_bits + self.bank_bits
-
     def channel_of_bank(self, bank: int) -> int:
         """Channel serving system-wide bank index ``bank`` (the low bits
         of the bank index: word-interleave alternates channels)."""
@@ -296,8 +284,23 @@ def _sub_from_dict(cls: Type[_D], doc: Any, what: str) -> _D:
     return cls(**dict(doc))
 
 
+def _fields_dict(value: Any) -> Dict[str, Any]:
+    return {f.name: getattr(value, f.name) for f in fields(value)}
+
+
+#: The fields the canonical document nests under ``topology``, which
+#: stores ``banks_per_rank`` in place of the total ``num_banks``.
+_TOPOLOGY_FIELDS = ("num_banks", "num_channels", "ranks_per_channel")
+
+#: Annotation -> the type a field must hold (``bool`` is an ``int``
+#: subclass, so ``__post_init__`` rejects it on int fields explicitly).
+_FIELD_TYPES = {
+    t.__name__: t for t in (int, bool, str, SDRAMTiming, SRAMTiming)
+}
+
+
 @dataclass(frozen=True)
-class GenParams:
+class SystemParams:
     """The validated, hashable configuration of one simulated machine.
 
     Frozen; experiments derive variants with :func:`dataclasses.replace`.
@@ -306,15 +309,19 @@ class GenParams:
     (32-word vector commands), a split-transaction bus with 8
     outstanding transactions, and bank controllers with 4 vector
     contexts.
+
+    ``num_banks`` is the **total** bank count across the whole topology;
+    with ``num_channels``/``ranks_per_channel`` above one it must be an
+    exact multiple so every rank hosts a power-of-two bank count
+    (``banks_per_rank = num_banks // (channels * ranks)``).
     """
 
-    topology: Topology = field(default_factory=Topology)
-    sdram: SDRAMTiming = field(default_factory=SDRAMTiming)
-    sram: SRAMTiming = field(default_factory=SRAMTiming)
+    num_banks: int = 16
     cache_line_words: int = 32
     max_transactions: int = 8
     num_vector_contexts: int = 4
     request_fifo_depth: int = 8
+    sdram: SDRAMTiming = field(default_factory=SDRAMTiming)
     #: Cycles the FirstHit-Calculate multiply-add needs for a non-power-of-
     #: two stride (29.5 ns FPGA critical path -> 2 cycles at 100 MHz).
     fhc_latency: int = 2
@@ -326,25 +333,45 @@ class GenParams:
     #: (:mod:`repro.pva.rowpolicy`).
     row_policy: str = "paper"
     #: Minimum cycles between vector-command issues from the front end.
-    #: 0 models the paper's infinitely fast CPU (section 6.2).
+    #: 0 models the paper's infinitely fast CPU (section 6.2); larger
+    #: values model a processor that produces commands at a finite rate.
     issue_interval: int = 0
     #: Simulation backend — one of :data:`SIM_MODES`.  Always stores the
     #: concrete label (the ``REPRO_SIM_MODE`` environment variable, when
     #: set to a mode name, overrides it wholesale at construction).
     sim_mode: str = "fast"
+    #: Memory channels; the bank-select bits of a word address are
+    #: channel-interleaved (see the module docstring).
+    num_channels: int = 1
+    #: Ranks per channel (organizational: capacity, not timing).
+    ranks_per_channel: int = 1
+    #: Timing of the idealized SRAM device used by the PVA-SRAM system.
+    sram: SRAMTiming = field(default_factory=SRAMTiming)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.topology, Topology):
+        for f in fields(self):
+            kind = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not isinstance(value, kind) or (
+                kind is int and isinstance(value, bool)
+            ):
+                raise ConfigurationError(
+                    f"{f.name} must be of type {kind.__name__}, got {value!r}"
+                )
+        # The channel and rank checks come first: the divisibility check
+        # below divides by their product.
+        for name in ("num_banks", "num_channels", "ranks_per_channel"):
+            value = getattr(self, name)
+            if not is_power_of_two(value):
+                raise ConfigurationError(
+                    f"{name} must be a power of two, got {value!r}"
+                )
+        ways = self.num_channels * self.ranks_per_channel
+        if self.num_banks % ways != 0:
             raise ConfigurationError(
-                f"topology must be a Topology, got {type(self.topology).__name__}"
-            )
-        if not isinstance(self.sdram, SDRAMTiming):
-            raise ConfigurationError(
-                f"sdram must be an SDRAMTiming, got {type(self.sdram).__name__}"
-            )
-        if not isinstance(self.sram, SRAMTiming):
-            raise ConfigurationError(
-                f"sram must be an SRAMTiming, got {type(self.sram).__name__}"
+                "channel/rank select bits overflow the bank bits: "
+                f"num_channels*ranks_per_channel={ways} does not divide "
+                f"num_banks={self.num_banks}"
             )
         if not is_power_of_two(self.cache_line_words):
             raise ConfigurationError(
@@ -372,34 +399,41 @@ class GenParams:
             raise ConfigurationError("bus_turnaround must be >= 0")
         if self.issue_interval < 0:
             raise ConfigurationError("issue_interval must be >= 0")
-        if not isinstance(self.bypass_paths, bool):
-            raise ConfigurationError(
-                f"bypass_paths must be a bool, got {self.bypass_paths!r}"
-            )
         if self.row_policy not in ROW_POLICIES:
             raise ConfigurationError(
                 f"row_policy must be one of {ROW_POLICIES}, "
                 f"got {self.row_policy!r}"
             )
-        if self.topology.num_channels > self.stage_cycles:
+        if self.num_channels > self.stage_cycles:
             raise ConfigurationError(
                 "a cache line stages to the CPU in "
                 f"{self.stage_cycles} data cycles, which cannot split "
-                f"evenly across num_channels={self.topology.num_channels}; "
+                f"evenly across num_channels={self.num_channels}; "
                 "grow cache_line_words or shrink the channel count"
             )
+        # The frozen-dataclass write goes through object.__setattr__
+        # (standard __post_init__ idiom).
         object.__setattr__(self, "sim_mode", canonical_sim_mode(self.sim_mode))
 
     # ---------------------------------------------------------- derived
+    # ``cached_property`` writes through the instance ``__dict__``, which
+    # frozen dataclasses allow and equality/hash ignore.
 
-    @property
-    def num_banks(self) -> int:
-        """Total interleaved banks across channels and ranks."""
-        return self.topology.total_banks
+    @cached_property
+    def topology(self) -> Topology:
+        """The channel x rank x bank-per-rank geometry."""
+        ways = self.num_channels * self.ranks_per_channel
+        return Topology(
+            num_channels=self.num_channels,
+            ranks_per_channel=self.ranks_per_channel,
+            banks_per_rank=self.num_banks // ways,
+        )
 
-    @property
+    @cached_property
     def bank_bits(self) -> int:
-        return self.topology.total_bank_bits
+        """``m`` such that ``num_banks == 2**m`` (cached: read on every
+        broadcast and local-address computation)."""
+        return log2_exact(self.num_banks, "num_banks")
 
     @property
     def line_bytes(self) -> int:
@@ -416,7 +450,7 @@ class GenParams:
     def channel_stage_cycles(self) -> int:
         """Data cycles one *channel* is occupied staging its share of a
         cache line — the line splits evenly across channels."""
-        return self.stage_cycles // self.topology.num_channels
+        return self.stage_cycles // self.num_channels
 
     @property
     def max_vector_length(self) -> int:
@@ -429,22 +463,24 @@ class GenParams:
         """The canonical, JSON-ready document for this configuration.
 
         Nested and complete: every field appears (no drift-prone
-        hand-listing), stamped with :data:`CONFIG_SCHEMA_VERSION`.
+        hand-listing), the geometry as the ``topology`` sub-document and
+        the device timings as their own, stamped with
+        :data:`CONFIG_SCHEMA_VERSION`.
         """
         doc: Dict[str, Any] = {"schema_version": CONFIG_SCHEMA_VERSION}
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in ("topology", "sdram", "sram"):
-                doc[f.name] = {
-                    sub.name: getattr(value, sub.name) for sub in fields(value)
-                }
-            else:
+            if f.name == "num_banks":
+                doc["topology"] = _fields_dict(self.topology)
+            elif f.name not in _TOPOLOGY_FIELDS:
+                value = getattr(self, f.name)
+                if is_dataclass(value):
+                    value = _fields_dict(value)
                 doc[f.name] = value
         return doc
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "GenParams":
-        """Rebuild a :class:`GenParams` from :meth:`to_dict` output.
+    def from_dict(cls, doc: Mapping[str, Any]) -> "SystemParams":
+        """Rebuild a :class:`SystemParams` from :meth:`to_dict` output.
 
         Unknown keys are rejected (typo safety); missing keys take their
         defaults; a present ``schema_version`` must match.
@@ -460,20 +496,21 @@ class GenParams:
                 f"config schema_version {version!r} is not the supported "
                 f"{CONFIG_SCHEMA_VERSION}"
             )
-        allowed = {f.name for f in fields(cls)}
+        allowed = {"topology"} | {
+            f.name for f in fields(cls) if f.name not in _TOPOLOGY_FIELDS
+        }
         unknown = sorted(set(doc) - allowed)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {unknown}")
-        kwargs: Dict[str, Any] = {}
-        for name, sub_cls in (
-            ("topology", Topology),
-            ("sdram", SDRAMTiming),
-            ("sram", SRAMTiming),
-        ):
+        for name, sub_cls in (("sdram", SDRAMTiming), ("sram", SRAMTiming)):
             if name in doc:
-                kwargs[name] = _sub_from_dict(sub_cls, doc.pop(name), name)
-        kwargs.update(doc)
-        return cls(**kwargs)
+                doc[name] = _sub_from_dict(sub_cls, doc[name], name)
+        if "topology" in doc:
+            topology = _sub_from_dict(Topology, doc.pop("topology"), "topology")
+            doc["num_banks"] = topology.total_banks
+            doc["num_channels"] = topology.num_channels
+            doc["ranks_per_channel"] = topology.ranks_per_channel
+        return cls(**doc)
 
     def config_key(self) -> str:
         """Stable SHA-256 content address of the canonical document —
@@ -483,51 +520,31 @@ class GenParams:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    # --------------------------------------------------- compatibility
+    def describe(self) -> Dict[str, object]:
+        """Flat summary used by reports and benchmarks.
 
-    def to_system_params(self):
-        """The equivalent :class:`repro.params.SystemParams` façade."""
-        from repro.params import SystemParams
+        Derived by flattening the canonical :meth:`to_dict` document —
+        every config field appears exactly once (so the summary can
+        never silently omit a knob) plus the derived geometry values
+        reports rely on.
+        """
+        doc = self.to_dict()
+        flat: Dict[str, object] = {
+            "sim_mode": doc["sim_mode"],
+            "num_banks": self.num_banks,
+        }
+        flat.update(doc["topology"])
+        for name, value in doc.items():
+            if not isinstance(value, dict) and name not in (
+                "schema_version",
+                "sim_mode",
+            ):
+                flat[name] = value
+        flat.update(doc["sdram"])
+        flat["sram_access_cycles"] = doc["sram"]["access_cycles"]
+        flat["stage_cycles"] = self.stage_cycles
+        flat["channel_stage_cycles"] = self.channel_stage_cycles
+        return flat
 
-        return SystemParams(
-            num_banks=self.topology.total_banks,
-            cache_line_words=self.cache_line_words,
-            max_transactions=self.max_transactions,
-            num_vector_contexts=self.num_vector_contexts,
-            request_fifo_depth=self.request_fifo_depth,
-            sdram=self.sdram,
-            fhc_latency=self.fhc_latency,
-            bus_turnaround=self.bus_turnaround,
-            bypass_paths=self.bypass_paths,
-            row_policy=self.row_policy,
-            issue_interval=self.issue_interval,
-            sim_mode=self.sim_mode,
-            num_channels=self.topology.num_channels,
-            ranks_per_channel=self.topology.ranks_per_channel,
-            sram=self.sram,
-        )
 
-    @classmethod
-    def from_system_params(cls, params) -> "GenParams":
-        """Lift a :class:`repro.params.SystemParams` façade into the
-        canonical container (``params.gen`` caches this)."""
-        channels = params.num_channels * params.ranks_per_channel
-        return cls(
-            topology=Topology(
-                num_channels=params.num_channels,
-                ranks_per_channel=params.ranks_per_channel,
-                banks_per_rank=params.num_banks // channels,
-            ),
-            sdram=params.sdram,
-            sram=params.sram,
-            cache_line_words=params.cache_line_words,
-            max_transactions=params.max_transactions,
-            num_vector_contexts=params.num_vector_contexts,
-            request_fifo_depth=params.request_fifo_depth,
-            fhc_latency=params.fhc_latency,
-            bus_turnaround=params.bus_turnaround,
-            bypass_paths=params.bypass_paths,
-            row_policy=params.row_policy,
-            issue_interval=params.issue_interval,
-            sim_mode=params.sim_mode,
-        )
+GenParams = SystemParams  # perfbench/trace.py wraps GenParams.config_key

@@ -46,7 +46,7 @@ __all__ = ["ResultCache", "SCHEMA_VERSION"]
 #: Entries stamped differently — or not at all — are recomputed rather
 #: than reinterpreted, even if a key collision ever served one across
 #: versions.  Version 4: keys and documents adopt the canonical
-#: ``GenParams.to_dict()`` config document (channel/rank topology and
+#: ``SystemParams.to_dict()`` config document (channel/rank topology and
 #: ``sram`` timing join the identity) and documents carry
 #: ``config``/``config_key``.  Version 5: ``sim_mode="window"`` joins
 #: the ladder — documents record the producing mode, so widening the

@@ -47,7 +47,7 @@ __all__ = [
 #: Version 3: SystemParams grew ``sim_mode`` (the resolved backend label
 #: lands in every point key through the params canonicalization) and
 #: cached documents record the producing mode.
-#: Version 4: the key adopts the canonical ``GenParams.to_dict()``
+#: Version 4: the key adopts the canonical ``SystemParams.to_dict()``
 #: document (:data:`repro.config.CONFIG_SCHEMA_VERSION`) — nested
 #: topology/sdram/sram sub-documents, channel/rank geometry and ``sram``
 #: timing join the identity; the legacy boolean aliases leave it — and

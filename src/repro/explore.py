@@ -2,7 +2,7 @@
 
 The paper's section 4.3.1 argues the PVA's hardware cost scales
 gracefully while section 6 shows its performance; this driver puts both
-on one chart.  Given a declarative sweep over the :class:`GenParams`
+on one chart.  Given a declarative sweep over the :class:`SystemParams`
 axes (banks, channels, contexts, FIFO depth, line size, row policy...),
 it
 

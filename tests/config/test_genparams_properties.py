@@ -1,4 +1,4 @@
-"""Property-based contracts for the canonical ``GenParams`` document.
+"""Property-based contracts for the canonical ``SystemParams`` document.
 
 The config layer's whole value is that one frozen, validated object and
 its ``to_dict()``/``from_dict()``/``config_key()`` triple identify a
@@ -12,12 +12,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import (
-    GenParams,
-    ROW_POLICIES,
-    SIM_MODES,
-    Topology,
-)
+import repro.config
+from repro.config import ROW_POLICIES, SIM_MODES, Topology
 from repro.params import SDRAMTiming, SRAMTiming, SystemParams
 
 
@@ -70,7 +66,6 @@ class TestRoundTrip:
     def test_from_dict_to_dict_identity(self, params):
         doc = params.to_dict()
         assert SystemParams.from_dict(doc) == params
-        assert GenParams.from_dict(doc) == params.gen
         # Serialization is stable, not merely equal.
         assert SystemParams.from_dict(doc).to_dict() == doc
 
@@ -80,7 +75,6 @@ class TestRoundTrip:
         assert SystemParams.from_dict(params.to_dict()).config_key() == (
             params.config_key()
         )
-        assert params.gen.config_key() == params.config_key()
 
     @settings(max_examples=60, deadline=None)
     @given(system_params())
@@ -113,13 +107,6 @@ class TestRoundTrip:
             assert description[key] == value
         assert description["sim_mode"] == doc["sim_mode"]
         assert description["row_policy"] == doc["row_policy"]
-
-    @settings(max_examples=40, deadline=None)
-    @given(system_params())
-    def test_gen_params_system_params_round_trip(self, params):
-        gen = params.gen
-        assert GenParams.from_system_params(gen.to_system_params()) == gen
-        assert gen.to_system_params() == params
 
 
 class TestTopologyProperties:
@@ -160,3 +147,8 @@ class TestPolicyRegistryAgreement:
 @pytest.mark.parametrize("mode", SIM_MODES)
 def test_sim_modes_construct(mode):
     assert SystemParams(sim_mode=mode).sim_mode == mode
+
+
+def test_gen_params_is_system_params():
+    # One configuration class: the old name is an alias, not a twin.
+    assert repro.config.GenParams is SystemParams

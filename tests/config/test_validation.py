@@ -1,8 +1,10 @@
 """One rejection test per validation rule of the config layer."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.config import GenParams, SDRAMTiming, SRAMTiming, Topology
+from repro.config import SDRAMTiming, SRAMTiming, Topology
 from repro.errors import ConfigurationError
 from repro.params import SystemParams
 
@@ -74,11 +76,20 @@ class TestGenParamsRules:
 
     def test_bypass_paths_must_be_bool(self):
         with pytest.raises(ConfigurationError):
-            GenParams(bypass_paths="yes")
+            SystemParams(bypass_paths="yes")
 
     def test_sim_mode_membership(self):
         with pytest.raises(ConfigurationError):
             SystemParams(sim_mode="warp")
+
+    @pytest.mark.parametrize("value", ["8", 2.5, None, True])
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in fields(SystemParams) if f.type == "int"],
+    )
+    def test_int_fields_reject_non_ints(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            SystemParams(**{name: value})
 
 
 class TestDeviceTimingRules:
@@ -132,4 +143,4 @@ class TestDocumentRules:
 
     def test_non_dict_document_rejected(self):
         with pytest.raises(ConfigurationError):
-            GenParams.from_dict("prototype")
+            SystemParams.from_dict("prototype")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import ENV_SIM_MODE
 
 from .engine.injectors import (  # noqa: F401 (fixture)
     CacheCorruptor,
@@ -45,11 +46,40 @@ class TestParser:
 
 
 class TestCommands:
-    def test_info(self, capsys):
+    def test_info(self, capsys, monkeypatch):
+        monkeypatch.delenv(ENV_SIM_MODE, raising=False)
         assert main(["info"]) == 0
-        out = capsys.readouterr().out
-        assert "num_banks" in out
-        assert "16" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["parameter", "value"]
+        rows = [tuple(line.split()) for line in lines[2:]]
+        # Every describe() key, in order: a reordered or dropped row fails.
+        assert rows == [
+            ("sim_mode", "fast"),
+            ("num_banks", "16"),
+            ("num_channels", "1"),
+            ("ranks_per_channel", "1"),
+            ("banks_per_rank", "16"),
+            ("cache_line_words", "32"),
+            ("max_transactions", "8"),
+            ("num_vector_contexts", "4"),
+            ("request_fifo_depth", "8"),
+            ("fhc_latency", "2"),
+            ("bus_turnaround", "1"),
+            ("bypass_paths", "True"),
+            ("row_policy", "paper"),
+            ("issue_interval", "0"),
+            ("t_rcd", "2"),
+            ("cas_latency", "2"),
+            ("t_rp", "2"),
+            ("t_wr", "1"),
+            ("internal_banks", "4"),
+            ("row_words", "512"),
+            ("refresh_interval", "0"),
+            ("t_rfc", "8"),
+            ("sram_access_cycles", "1"),
+            ("stage_cycles", "16"),
+            ("channel_stage_cycles", "16"),
+        ]
 
     def test_run_point(self, capsys):
         code = main(

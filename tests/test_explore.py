@@ -193,3 +193,25 @@ class TestExploreCLI:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"axes": {"warp_factor": [9]}}')
         assert main(["explore", "--spec", str(spec_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"num_banks": [8], "max_transactions": ["8"]},
+            {"num_banks": [8], "num_vector_contexts": [2.5]},
+            {"num_banks": [True]},
+        ],
+    )
+    def test_non_int_axis_values_are_invalid_combos(
+        self, tmp_path, capsys, axes
+    ):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"axes": axes, "elements": 64}))
+        out = tmp_path / "EXPLORE.json"
+        code = main(["explore", "--spec", str(spec_path), "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["invalid"] == 1
+        assert report["simulated"] == 0 and report["pareto"] == []
+        assert "must be of type int" in report["invalid_combos"][0]["reason"]
+        assert "1 invalid" in capsys.readouterr().out

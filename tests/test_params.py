@@ -100,11 +100,6 @@ class TestSystemParams:
         with pytest.raises(ConfigurationError):
             SDRAMTiming(t_rfc=0)
 
-    def test_with_banks(self):
-        params = SystemParams().with_banks(8)
-        assert params.num_banks == 8
-        assert params.cache_line_words == 32  # everything else preserved
-
     def test_describe(self):
         description = SystemParams().describe()
         assert description["num_banks"] == 16
