@@ -82,13 +82,12 @@ CONFIG_SCHEMA_VERSION = 6
 #: * ``"reference"`` — the paper's hardware modelled literally: the
 #:   bank-controller object graph, live FirstHit/NextHit expansion, and
 #:   the tick loop that visits every cycle.
-#: * ``"fast"`` (the default) — the next-event skip loop with the
-#:   closed-form window automaton (:mod:`repro.pva.window`); chains it
-#:   cannot price fall back chain by chain to the structure-of-arrays
-#:   walk (:mod:`repro.pva.soa`), and a run with command logs attached
-#:   takes the walk, which logs every command.  A system the automaton
-#:   cannot model (a device other than SDRAM/SRAM, mixed device models,
-#:   banks still holding work) raises ``ConfigurationError``.
+#: * ``"fast"`` (the default) — the next-event skip loop with every
+#:   bank stepped as one structure-of-arrays automaton
+#:   (:mod:`repro.pva.soa`), for plain, ``capture_data`` and logged
+#:   runs alike.  A system the automaton cannot model (a device other
+#:   than SDRAM/SRAM, mixed device models, banks still holding work)
+#:   raises ``ConfigurationError``.
 SIM_MODES = ("reference", "fast")
 
 #: Environment variable overriding ``sim_mode`` at construction time:

@@ -21,15 +21,11 @@ integer tuples, ordered by (bank, index); bank ``b`` owns the positions
   bank, row) elements ends (exclusive, never past its bank's slice).
   ``run_end[j] > j + 1`` is exactly the ``bank_morehit_predict``
   self-term of the ManageRow heuristic, and ``run_end[j] - j`` the
-  columns a burst from ``j`` streams;
-* ``ib_end[j]``       — where element ``j``'s stretch on one internal
-  bank ends: the remaining slice stays on one internal bank iff
-  ``ib_end[j]`` is the slice's end.
+  columns a burst from ``j`` streams.
 
-The fast backend's bank automata (:mod:`repro.pva.soa`,
-:mod:`repro.pva.window`) keep absolute positions into the shared table
-instead of expanding and decoding each element live, as the reference
-backend's vector contexts do.
+The fast backend's bank automaton (:mod:`repro.pva.soa`) keeps absolute
+positions into the shared table instead of expanding and decoding each
+element live, as the reference backend's vector contexts do.
 
 **Cycle-exactness.**  A strided table is a pure function of
 ``(base, stride, length, num_banks, geometry)`` and reproduces the
@@ -95,7 +91,6 @@ class HitTable:
         "ibanks",
         "rows",
         "run_end",
-        "ib_end",
     )
 
     def __init__(
@@ -106,7 +101,6 @@ class HitTable:
         ibanks: Tuple[int, ...],
         rows: Tuple[int, ...],
         run_end: Tuple[int, ...],
-        ib_end: Tuple[int, ...],
     ):
         self.offsets = offsets
         self.indices = indices
@@ -114,7 +108,6 @@ class HitTable:
         self.ibanks = ibanks
         self.rows = rows
         self.run_end = run_end
-        self.ib_end = ib_end
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -130,7 +123,7 @@ def _table(
     geometry: Tuple,
 ) -> HitTable:
     """Decode the words of a (bank, index)-ordered element list under a
-    device geometry descriptor and mark its run and stretch ends."""
+    device geometry descriptor and mark its run ends."""
     count = len(local_words)
     kind = geometry[0]
     if kind == _GEOM_ROTATED:
@@ -143,37 +136,32 @@ def _table(
         ibanks = tuple([seq & ib_mask for seq in seqs])
         rows = tuple([seq >> ib_bits for seq in seqs])
         run_end = [0] * count
-        ib_end = [0] * count
         start = 0
         for end in offsets[1:]:
             if end > start:
-                run = stretch = end
+                run = end
                 j = end - 1
                 seq = seqs[j]
-                run_end[j] = ib_end[j] = end
+                run_end[j] = end
                 while j > start:
                     j -= 1
                     prev = seqs[j]
                     if prev != seq:
                         run = j + 1
-                        if (prev ^ seq) & ib_mask:
-                            stretch = run
                         seq = prev
                     run_end[j] = run
-                    ib_end[j] = stretch
             start = end
         run_end = tuple(run_end)
-        ib_end = tuple(ib_end)
     elif kind == _GEOM_FLAT:
         # SRAM: a single always-open row, so a bank's whole slice is one
-        # run on one internal bank.
+        # run.
         ibanks = rows = (0,) * count
         ends: List[int] = []
         start = 0
         for end in offsets[1:]:
             ends += [end] * (end - start)
             start = end
-        run_end = ib_end = tuple(ends)
+        run_end = tuple(ends)
     else:  # pragma: no cover - guarded by schedule_geometry discovery
         raise ValueError(f"unknown schedule geometry {geometry!r}")
     return HitTable(
@@ -183,7 +171,6 @@ def _table(
         ibanks,
         rows,
         run_end,
-        ib_end,
     )
 
 

@@ -1,4 +1,5 @@
-"""The structure-of-arrays bank automaton: the fast backend's walk.
+"""The structure-of-arrays bank automaton: how the fast backend steps
+every bank of a PVA run.
 
 At broadcast time every bank's work is already resolved — its slice of
 the command's hit table (:mod:`repro.pva.schedule`).  What the reference
@@ -86,11 +87,11 @@ test per walk action.
 On any exit from :meth:`PVAMemorySystem.run` the automaton writes the
 array state back into the object graph (:meth:`writeback`), so device
 statistics, storage peeks and back-to-back runs behave identically to
-the other backends.  In-flight FIFO entries and vector contexts are not
-reconstructed as objects — they are empty on every successful run, and
-after a mid-run exception (watchdog timeout, injected fault) the object
-graph is defined only well enough to be inspected/reset, same as the
-other backends guarantee.
+the reference backend.  In-flight FIFO entries and vector contexts are
+not reconstructed as objects — they are empty on every successful run,
+and after a mid-run exception (watchdog timeout, injected fault) the
+object graph is defined only well enough to be inspected; the system
+refuses another run until ``reset()``.
 """
 
 from __future__ import annotations
@@ -118,32 +119,30 @@ __all__ = ["SoaBankAutomaton", "soa_cache_info"]
 
 # Vector-context slot layout: a context is a flat mutable list, the
 # SoA replacement for repro.pva.vector_context.VectorContext.  Slots
-# 0-4 and 13 are columns of the command's (immutable, shared) hit
-# table; the cursor is an absolute position into them, running up to
-# the end of this bank's slice.
-C_LW = 0  # local_words column
-C_IDX = 1  # indices column
-C_IB = 2  # ibanks column
-C_ROW = 3  # rows column
-C_RUN = 4  # run_end column: end of each element's same-row run
-C_POS = 5  # cursor position
-C_END = 6  # end of the bank's slice (exclusive)
-C_TXN = 7  # transaction id
-C_W = 8  # 1 = write, 0 = read
-C_LINE = 9  # staged write line (tuple) or None
-C_ISSUED = 10  # has the first operation been issued?
-C_FIB = 11  # first element's internal bank (predictor training)
-C_FROW = 12  # first element's row (predictor training)
-C_IBEND = 13  # ib_end column: end of each element's internal-bank stretch
+# 0-4 are columns of the command's (immutable, shared) hit table; the
+# cursor is an absolute position into them, running up to the end of
+# this bank's slice.  The hot loop reads slots by number; the helpers
+# name the ones they read.
+#    0 local_words    1 indices    2 ibanks    3 rows    4 run_end
+#    5 cursor position         6 end of the bank's slice (exclusive)
+#    7 transaction id          8 1 = write, 0 = read
+#    9 staged write line (tuple) or None
+#   10 has the first operation been issued?
+#   11, 12 first element's internal bank and row (predictor training)
+C_IB = 2
+C_ROW = 3
+C_RUN = 4
+C_POS = 5
+C_END = 6
+C_ISSUED = 10
+C_FIB = 11
+C_FROW = 12
 
-# Request-FIFO entry layout (replaces repro.pva.request.BCRequest).
-R_READY = 0  # ready cycle (FHP/FHC pipeline + bypass timing)
-R_TXN = 1
-R_W = 2
-R_LINE = 3
-R_TABLE = 4  # the command's HitTable
-R_START = 5  # the bank's slice of it: [start, end)
-R_END = 6
+# Request-FIFO entry layout (replaces repro.pva.request.BCRequest), a
+# tuple read by number:
+#    0 ready cycle (FHP/FHC pipeline + bypass timing)
+#    1 transaction id    2 1 = write, 0 = read    3 write line or None
+#    4 the command's HitTable    5, 6 the bank's slice of it: [start, end)
 
 
 def soa_cache_info():
@@ -220,10 +219,6 @@ class SoaBankAutomaton:
         #: Logged column address: ``local_word & col_mask``.
         self.col_mask = col_mask
         self.logs = [bank.device.log for bank in banks]
-        #: Does any bank record its command stream?  The closed form
-        #: commits chains without per-command cycles, so a logged run's
-        #: chains take the walk (see WindowBankAutomaton._run_bank).
-        self.logged = any(log is not None for log in self.logs)
         #: The scheduler stamps write data cycles with the *SDRAM* write
         #: recovery even when the device is SRAM (see
         #: AccessScheduler._issue_column) — mirror that exactly.
@@ -513,7 +508,6 @@ class SoaBankAutomaton:
                             False,
                             table.ibanks[first],
                             table.rows[first],
-                            table.ib_end,
                         ]
                     )
                     progressed = True

@@ -32,7 +32,7 @@ from repro.interleave.schemes import InterleaveScheme
 from repro.params import SystemParams
 from repro.bus.vector_bus import VectorBus
 from repro.pva.bank_controller import BankController
-from repro.pva.window import WindowBankAutomaton
+from repro.pva.soa import SoaBankAutomaton
 from repro.sdram.device import DeviceStats, SDRAMDevice
 from repro.sim.events import HORIZON
 from repro.sim.kernel import PassiveComponent, SimKernel
@@ -492,7 +492,11 @@ class PVAMemorySystem:
         )
         #: Live bank automaton during a fast run (broadcasts route to it
         #: instead of the bank controllers).
-        self._automaton: Optional[WindowBankAutomaton] = None
+        self._automaton: Optional[SoaBankAutomaton] = None
+        #: Set while a run is inside the kernel loop; still set after a
+        #: run that raised (a watchdog timeout, say), whose banks hold
+        #: half-applied work until :meth:`reset`.
+        self._unfinished = False
         self.banks: List[BankController] = [
             BankController(
                 bank, self.params, device_factory(self.params), self._pla
@@ -503,6 +507,7 @@ class PVAMemorySystem:
     def reset(self) -> None:
         """Discard all device contents and statistics, returning the
         system to its just-constructed state.  Idempotent."""
+        self._unfinished = False
         self.banks = [
             BankController(
                 bank, self.params, self._device_factory(self.params), self._pla
@@ -580,11 +585,18 @@ class PVAMemorySystem:
         per-component cycle-attribution ledger surfaced as
         :attr:`RunResult.attribution`.
 
-        Under ``fast`` a system the automaton does not model raises
-        :class:`~repro.errors.ConfigurationError`: a device other than
-        ``SDRAMDevice``/``SRAMDevice``, mixed device models, or banks
-        still holding work from an unfinished run (call :meth:`reset`).
+        A run on a system whose previous run raised (a watchdog
+        timeout, say) raises :class:`~repro.errors.ConfigurationError`
+        under either backend: call :meth:`reset` first.  Under ``fast``
+        a system the automaton does not model raises it too: a device
+        other than ``SDRAMDevice``/``SRAMDevice``, mixed device models,
+        or banks still holding queued work.
         """
+        if self._unfinished:
+            raise ConfigurationError(
+                f"{self.name}: the previous run did not finish; call "
+                f"reset() before running the system again"
+            )
         for command in commands:
             if _command_length(command) > self.params.max_vector_length:
                 raise VectorSpecError(
@@ -596,23 +608,24 @@ class PVAMemorySystem:
         watchdog = Watchdog(len(commands), system=self.name)
         #: The fast backend jumps idle gaps via next-event lower bounds
         #: instead of ticking through them (see repro.sim.events), and
-        #: steps every bank as one window automaton (repro.pva.window,
-        #: falling back chain by chain to the SoA walk of repro.pva.soa).
-        #: The reference backend ticks the object graph.
+        #: steps every bank as one structure-of-arrays automaton
+        #: (repro.pva.soa).  The reference backend ticks the object
+        #: graph.
         fast = self.params.sim_mode == "fast"
         front = _FrontEnd(self, commands, bus, capture_data)
         kernel = SimKernel(watchdog=watchdog, time_skip=fast)
         kernel.register(front)
         kernel.register(_BusComponent(bus))
         if fast:
-            self._automaton = WindowBankAutomaton(
-                self.banks, front, bus, self.params, kernel
+            self._automaton = SoaBankAutomaton(
+                self.banks, front, bus, self.params
             )
             kernel.register(self._automaton)
         else:
             for bank in self.banks:
                 kernel.register(_BankComponent(bank, front))
         kernel.register(_CompletionUnit(front))
+        self._unfinished = True
         try:
             exit_cycle = kernel.run(front.done)
         finally:
@@ -621,6 +634,7 @@ class PVAMemorySystem:
             if self._automaton is not None:
                 self._automaton.writeback()
                 self._automaton = None
+        self._unfinished = False
 
         total_cycles = max(front.end_cycle, exit_cycle)
         device_stats = self._aggregate_device_stats()

@@ -11,10 +11,10 @@ Three obligations:
   of theorems 4.3/4.4 are the spec; the table must never disagree with
   them.
 * **Decode and markers** — per-element device coordinates match
-  ``device.locate`` exactly, and the ``run_end``/``ib_end`` markers
-  match the per-bank definitions they replace: the ``next_same_row``
-  row-transition markers, the ``run_starts``/``run_lengths`` same-row
-  run partition, and the ``mono_from`` single-internal-bank suffix.
+  ``device.locate`` exactly, and the ``run_end`` markers match the
+  per-bank definitions they replace: the ``next_same_row``
+  row-transition markers and the ``run_starts``/``run_lengths``
+  same-row run partition.
 * **Memo hygiene** — memoized tables are immutable and never alias
   mutable state between vectors; the memo is LRU-bounded in table
   elements plus bank offsets and cleared by ``repro.api.clear_caches``.
@@ -66,9 +66,9 @@ def _decoded(indices, words, device):
 
 
 def _old_markers(ibanks, rows):
-    """The per-bank markers the table's two columns replace, as the
-    per-bank schedule defined them: ``next_same_row``, the
-    ``run_starts``/``run_lengths`` partition and ``mono_from``."""
+    """The per-bank markers the table's ``run_end`` column replaces, as
+    the per-bank schedule defined them: ``next_same_row`` and the
+    ``run_starts``/``run_lengths`` partition."""
     count = len(ibanks)
     next_same_row = [
         j < count - 1 and ibanks[j + 1] == ibanks[j] and rows[j + 1] == rows[j]
@@ -82,11 +82,7 @@ def _old_markers(ibanks, rows):
         (starts[i + 1] if i + 1 < len(starts) else count) - starts[i]
         for i in range(len(starts))
     ]
-    p = count - 1
-    while p > 0 and ibanks[p - 1] == ibanks[p]:
-        p -= 1
-    mono_from = p if p > 0 else 0
-    return next_same_row, starts, lengths, mono_from
+    return next_same_row, starts, lengths
 
 
 def _assert_slice(table, bank, reference):
@@ -101,22 +97,12 @@ def _assert_slice(table, bank, reference):
     assert table.local_words[start:end] == words
     assert table.ibanks[start:end] == ibanks
     assert table.rows[start:end] == rows
-    next_same_row, starts, lengths, mono_from = _old_markers(ibanks, rows)
+    next_same_row, starts, lengths = _old_markers(ibanks, rows)
     run_end = [e - start for e in table.run_end[start:end]]
-    ib_end = [e - start for e in table.ib_end[start:end]]
     assert [r > j + 1 for j, r in enumerate(run_end)] == next_same_row
     for first, length in zip(starts, lengths):
         assert run_end[first:first + length] == [first + length] * length
-    count = end - start
-    assert [e == count for e in ib_end] == [
-        j >= mono_from for j in range(count)
-    ]
-    for j in range(count):
-        k = j + 1
-        while k < count and ibanks[k] == ibanks[j]:
-            k += 1
-        assert ib_end[j] == k
-    return count
+    return end - start
 
 
 def _assert_matches_reference(vector, num_banks, device):
@@ -276,10 +262,8 @@ def test_flat_geometry_decodes_to_single_row():
     assert end - start == 4
     assert set(table.ibanks) == {0}
     assert set(table.rows) == {0}
-    # A single always-open row: each bank's slice is one run on one
-    # internal bank.
+    # A single always-open row: each bank's slice is one run.
     assert table.run_end[start:end] == (end,) * 4
-    assert table.ib_end[start:end] == (end,) * 4
 
 
 def test_pairs_schedule_decodes_pairs_in_order():
@@ -312,6 +296,63 @@ def test_repeated_words_keep_index_order_inside_their_bank():
     _assert_explicit_matches(addresses, 4, device)
 
 
+class TestRunSegmentation:
+    """The run_end markers partition a bank's slice into the same-row
+    runs a burst streams: each element's run_end is where its maximal
+    same-(internal bank, row) span ends, never past its bank's slice."""
+
+    def _table(self, pairs):
+        geometry = SDRAMDevice(SystemParams().sdram).schedule_geometry
+        # Bank 0 owns nothing, bank 1 owns ``pairs``: the runs must be
+        # positioned in the shared table, not from zero.
+        return pairs_schedule(((), tuple(pairs)), geometry)
+
+    def _runs(self, table):
+        start, end = table.offsets[1], table.offsets[2]
+        runs = []
+        p = start
+        while p < end:
+            runs.append((p, table.run_end[p]))
+            p = table.run_end[p]
+        return runs
+
+    def test_partition_is_exact(self):
+        table = self._table((word, word) for word in range(6))
+        runs = self._runs(table)
+        # Runs abut, cover the slice, and every element of a run shares
+        # its run's end.
+        assert runs[0][0] == table.offsets[1]
+        assert runs[-1][1] == table.offsets[2]
+        for (_, end), (start, _) in zip(runs, runs[1:]):
+            assert end == start
+        for start, end in runs:
+            assert end > start
+            assert table.run_end[start:end] == (end,) * (end - start)
+
+    def test_boundaries_follow_next_same_row(self):
+        # A large stride hops rows every element: all runs length 1.
+        table = self._table((word * 4096, word) for word in range(5))
+        for j in range(len(table)):
+            same_row = j + 1 < len(table) and (
+                table.ibanks[j + 1],
+                table.rows[j + 1],
+            ) == (table.ibanks[j], table.rows[j])
+            assert (table.run_end[j] > j + 1) == same_row
+        assert self._runs(table) == [(j, j + 1) for j in range(5)]
+
+    def test_single_element(self):
+        table = self._table([(7, 0)])
+        assert table.run_end == (1,)
+
+    def test_empty(self):
+        # A command no bank owns an element of still gets a table: its
+        # slices are empty and partition into no runs.
+        table = self._table([])
+        assert table.offsets == (0, 0, 0)
+        assert table.run_end == ()
+        assert self._runs(table) == []
+
+
 def test_memoized_schedules_are_immutable_and_unaliased():
     device = _device_for(16)
     geometry = device.schedule_geometry
@@ -321,7 +362,7 @@ def test_memoized_schedules_are_immutable_and_unaliased():
     _assert_slice(table, 3, _reference_table(vector, 3, 16, device))
     # Every field is a flat tuple — nothing a consumer could mutate.
     for field in ("offsets", "indices", "local_words", "ibanks", "rows",
-                  "run_end", "ib_end"):
+                  "run_end"):
         assert isinstance(getattr(table, field), tuple)
     with pytest.raises(AttributeError):
         table.extra = 1  # __slots__: no dict to scribble on

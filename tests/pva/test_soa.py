@@ -3,10 +3,11 @@
 The differential suites (tests/sim/test_*_equivalence.py) prove the
 fast backend end-to-end; these tests pin the pieces in isolation — the
 min-reduction next-event bound, the broadcast memo's lifecycle and
-immutability, the systems the automaton refuses to model, and the
-queueing math on degenerate element patterns (stride-0/1 equivalents,
-single bank, non-power-of-two bank subsets the automaton itself never
-rejects).
+immutability, the systems the automaton refuses to model, the queueing
+math on degenerate element patterns (stride-0/1 equivalents, single
+bank, non-power-of-two bank subsets the automaton itself never
+rejects), the rule that every fast run builds the automaton, and that
+a finished run leaves no reference cycle behind.
 """
 
 from dataclasses import replace
@@ -19,6 +20,7 @@ from repro.api import build_system, clear_caches
 from repro.errors import ConfigurationError
 from repro.kernels import build_trace, kernel_by_name
 from repro.params import SystemParams
+from repro.pva import system as system_module
 from repro.pva.schedule import (
     HitTable,
     broadcast_schedules,
@@ -30,7 +32,7 @@ from repro.pva.system import PVAMemorySystem
 from repro.sdram.device import SDRAMDevice
 from repro.sim.events import HORIZON
 from repro.sram.device import SRAMDevice
-from repro.types import Vector
+from repro.types import AccessType, Vector, VectorCommand
 
 
 def _automaton(params=None, banks=None):
@@ -287,3 +289,80 @@ class TestUnmodelledSystems:
         result = system.run(_copy_trace(params))
         assert result.cycles > 0
         assert any(log.commands() for log in logs)
+
+
+class TestBackendSelection:
+    """sim_mode="fast" builds the SoA automaton for every run: plain,
+    capture_data and logged runs all take the same walk."""
+
+    TRACE = [
+        VectorCommand(
+            vector=Vector(base=3, stride=19, length=16),
+            access=AccessType.READ,
+        )
+    ]
+
+    def _chosen(self, monkeypatch, *, capture_data=False, logs=False):
+        chosen = []
+
+        class SpySoa(SoaBankAutomaton):
+            def __init__(self, *args, **kwargs):
+                chosen.append("soa")
+                super().__init__(*args, **kwargs)
+
+        class SpyBank(system_module._BankComponent):
+            def __init__(self, *args, **kwargs):
+                chosen.append("object")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(system_module, "SoaBankAutomaton", SpySoa)
+        monkeypatch.setattr(system_module, "_BankComponent", SpyBank)
+        system = build_system("pva-sdram", SystemParams(sim_mode="fast"))
+        if logs:
+            system.attach_command_logs()
+        system.run(self.TRACE, capture_data=capture_data)
+        return chosen
+
+    def test_plain_run_uses_soa(self, monkeypatch):
+        assert self._chosen(monkeypatch) == ["soa"]
+
+    def test_capture_data_uses_soa(self, monkeypatch):
+        assert self._chosen(monkeypatch, capture_data=True) == ["soa"]
+
+    def test_logged_run_uses_soa(self, monkeypatch):
+        assert self._chosen(monkeypatch, logs=True) == ["soa"]
+
+    def test_capture_data_matches_plain_cycles(self):
+        params = SystemParams(sim_mode="fast")
+        a = build_system("pva-sdram", params).run(
+            self.TRACE, capture_data=True
+        )
+        b = build_system("pva-sdram", params).run(
+            self.TRACE, capture_data=False
+        )
+        assert a.cycles == b.cycles
+        assert a.attribution == b.attribution
+
+
+class TestNoReferenceCycles:
+    def test_fast_run_leaves_nothing_for_the_cyclic_gc(self):
+        """Every fast run's system graph (banks, devices, front end,
+        automaton) is freed by reference counting: the automaton holds
+        no reference back to the kernel, and the system drops the
+        automaton when the run ends."""
+        import gc
+
+        params = SystemParams(sim_mode="fast")
+        trace = build_trace(
+            kernel_by_name("copy"), stride=19, elements=128, params=params
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            for capture_data in (False, True):
+                build_system("pva-sdram", params).run(
+                    trace, capture_data=capture_data
+                )
+                assert gc.collect() == 0, capture_data
+        finally:
+            gc.enable()

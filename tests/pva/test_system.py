@@ -104,8 +104,8 @@ class TestProtocolLimits:
 
 class TestTransactionChecks:
     """The fast backend keeps no per-bank staging slots; the checks they
-    made move to the front end's transaction table, on both of its
-    paths (the window automaton, and the SoA walk for capture_data)."""
+    made move to the front end's transaction table, on plain and
+    ``capture_data`` runs alike."""
 
     @pytest.fixture
     def overcount(self, monkeypatch):

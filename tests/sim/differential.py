@@ -4,16 +4,15 @@
 bank-controller object graph (``"object"``), live FirstHit/NextHit
 expansion, and a tick loop that visits every bank on every cycle.
 ``sim_mode="fast"`` skips idle cycles and steps every PVA bank as one
-closed-form window automaton (``"window"``, :mod:`repro.pva.window`),
-which falls back chain by chain to the structure-of-arrays walk of
-:mod:`repro.pva.soa`.  The suites split the fast backend's runs:
+structure-of-arrays automaton (``"soa"``, :mod:`repro.pva.soa`).  The
+suites split the fast backend's runs:
 
 * plain runs (``test_window_equivalence.py``);
 * ``capture_data`` runs, whose reads gather values
   (``test_soa_equivalence.py``);
-* runs with command logs attached, whose batches all take the walk, and
-  the serial baselines, whose fast backend is the skip loop alone
-  (``test_time_skip_equivalence.py``).
+* runs with command logs attached, whose walk records every command it
+  issues, and the serial baselines, whose fast backend is the skip loop
+  alone (``test_time_skip_equivalence.py``).
 
 :func:`assert_equivalent` runs the same traces under both modes, each on
 one fresh system object (several traces run back to back on it), and
@@ -22,7 +21,7 @@ total cycles, per-command latencies, device and bus statistics, captured
 payloads, the per-component attribution ledger — on the memory image the
 runs leave behind and on any logged command streams.  The spy installed
 by :func:`spy_on_bank_paths` checks that every fast PVA run built the
-window automaton.
+SoA automaton.
 """
 
 from __future__ import annotations
@@ -44,11 +43,11 @@ ROW_POLICIES = ("paper", "open", "close", "history")
 
 
 def spy_on_bank_paths(monkeypatch):
-    """Record the bank stepping each PVA run constructs: ``"window"`` or
+    """Record the bank stepping each PVA run constructs: ``"soa"`` or
     ``"object"`` (one entry per bank component)."""
     taken = []
     for name, label in (
-        ("WindowBankAutomaton", "window"),
+        ("SoaBankAutomaton", "soa"),
         ("_BankComponent", "object"),
     ):
         original = getattr(system_module, name)
@@ -126,7 +125,7 @@ def assert_equivalent(
     assert fast[1] == reference[1], f"{system}: memory images differ"
     assert fast[2] == reference[2], f"{system}: command logs differ"
     if system in PVA_SYSTEMS or interleave is not None:
-        assert set(paths) == {"window"}, (system, sorted(set(paths)))
+        assert set(paths) == {"soa"}, (system, sorted(set(paths)))
     else:
         assert paths == []
     return reference[0]

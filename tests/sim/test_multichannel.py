@@ -2,8 +2,8 @@
 
 The topology generalization (channel-interleaved word addressing, line
 transfers split evenly across channels) must behave identically in both
-``sim_mode`` backends and on every internal path of the fast one — they
-share one bus-occupancy model — and the analytic formulas must keep
+``sim_mode`` backends, on plain, ``capture_data`` and logged runs alike —
+they share one bus-occupancy model — and the analytic formulas must keep
 predicting the serial baselines exactly.
 """
 
@@ -43,8 +43,8 @@ class TestBackendAgreement:
     @pytest.mark.parametrize("base", MULTI_CHANNEL_PARAMS)
     @pytest.mark.parametrize("system", ("pva-sdram", "pva-sram"))
     def test_all_four_modes_bit_identical(self, base, system, monkeypatch):
-        """The reference tick loop and fast's window automaton agree on
-        a plain run, a ``capture_data`` run and a run with command logs
+        """The reference tick loop and fast's SoA automaton agree on a
+        plain run, a ``capture_data`` run and a run with command logs
         attached."""
         monkeypatch.delenv(ENV_SIM_MODE, raising=False)
         paths = spy_on_bank_paths(monkeypatch)

@@ -1,10 +1,10 @@
 """Differential suite, ``capture_data`` runs: ``sim_mode="fast"``'s
-window automaton against ``sim_mode="reference"`` on runs that gather
-their read values.
+structure-of-arrays automaton against ``sim_mode="reference"`` on runs
+that gather their read values.
 
-A read chain gathers its values into the transaction's line by element
-index, on the closed form and on the structure-of-arrays walk
-(:mod:`repro.pva.soa`) alike.  The fast run must reproduce the
+The automaton's walk (:mod:`repro.pva.soa`) gathers each read's values
+into the transaction's line by element index, a burst at a time or a
+column at a time.  The fast run must reproduce the
 reference's :class:`~repro.sim.stats.RunResult` bit for bit — total
 cycles, captured data payloads, per-bank statistics and the
 per-component attribution ledger — and leave the same memory image.

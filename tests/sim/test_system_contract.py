@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import available_systems, build_system
-from repro.errors import SimulationTimeout
+from repro.errors import ConfigurationError, SimulationTimeout
 from repro.kernels import build_trace, kernel_by_name
 from repro.params import ENV_SIM_MODE, SystemParams
 from repro.sim import simulation_limits
@@ -110,3 +110,24 @@ class TestSystemContract:
         assert len(captured.read_lines) == captured.read_commands
         assert captured.cycles == plain.cycles
         assert captured.attribution == plain.attribution
+
+
+@pytest.mark.parametrize("sim_mode", ["reference", "fast"])
+@pytest.mark.parametrize("system", ["pva-sdram", "pva-sram"])
+def test_run_after_timeout_needs_reset(system, prototype_params, sim_mode):
+    """A timed-out run leaves the banks holding half-applied work, so
+    the next run on the same system raises until reset(); after it the
+    run equals a fresh system's.  (The serial baselines keep no state
+    between runs.)"""
+    from dataclasses import replace
+
+    params = replace(prototype_params, sim_mode=sim_mode)
+    trace = _trace(params)
+    instance = build_system(system, params)
+    with simulation_limits(max_cycles_per_command=1):
+        with pytest.raises(SimulationTimeout):
+            instance.run(trace)
+    with pytest.raises(ConfigurationError, match=r"reset\(\)"):
+        instance.run(trace)
+    instance.reset()
+    assert instance.run(trace) == build_system(system, params).run(trace)

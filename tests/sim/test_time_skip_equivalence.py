@@ -2,9 +2,9 @@
 ``sim_mode="fast"`` against ``sim_mode="reference"``.
 
 Every PVA run here has command logs attached, so the fast backend's
-window automaton sends each batch to its walk, which records every
-PRECHARGE, ACTIVATE and column it issues; the logs must equal the
-command streams the reference's device models record.  The serial
+structure-of-arrays automaton records every PRECHARGE, ACTIVATE and
+column its walk issues; the logs must equal the command streams the
+reference's device models record.  The serial
 baselines have no automaton: their fast backend is the skip loop alone,
 which jumps idle gaps via each component's next-event lower bound.  An
 underestimated bound can only cost speed; an *overestimated* one would
@@ -177,7 +177,7 @@ class TestEnvOverride:
             kernel_trace(forced, stride=8, elements=64)
         )
         assert loops.loops == ["skip"]
-        assert set(paths) == {"window"}
+        assert set(paths) == {"soa"}
 
     def test_auto_defers_to_params(self, monkeypatch):
         loops = RunLoopSpy(monkeypatch)

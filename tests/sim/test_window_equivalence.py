@@ -1,18 +1,18 @@
-"""Differential suite, window path: ``sim_mode="fast"`` on the runs its
-closed-form window automaton takes, against ``sim_mode="reference"``.
+"""Differential suite, plain runs: ``sim_mode="fast"`` against
+``sim_mode="reference"``.
 
-The window automaton (:mod:`repro.pva.window`) resolves each bank's
-service chain arithmetically instead of event-stepping it, with a
-conservative per-chain fallback to the SoA walk.  Whatever mix of
-closed-form commits and fallbacks a workload provokes, the observable
-:class:`~repro.sim.stats.RunResult` and memory image must be
-bit-identical to the reference tick loop's.  These tests sweep the
+The fast backend steps every bank of a run as one structure-of-arrays
+automaton (:mod:`repro.pva.soa`): it runs each bank's event chain ahead
+to the next broadcast and issues whole same-row runs as bursts.  Its
+observable :class:`~repro.sim.stats.RunResult` and memory image must
+be bit-identical to the reference tick loop's.  These tests sweep the
 paper's strides and alignments, adversarial geometries (refresh
 deadlines landing mid-chain, degenerate stride-1 runs, single-bank and
 single-internal-bank devices), the row policies, interleaved and
 multichannel front ends, both run loops, back-to-back runs on one
-system object, and — in the fuzz loop — every path of the fast backend
-at once.  The harness lives in :mod:`tests.sim.differential`.
+system object, and — in the fuzz loop — plain, logged and
+``capture_data`` runs at once.  The harness lives in
+:mod:`tests.sim.differential`.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def test_paper_sweep_bit_identical(paths, system, kernel):
 
 @pytest.mark.parametrize("system", PVA_SYSTEMS)
 def test_tick_loop_equivalence(paths, system, monkeypatch):
-    """The window automaton is loop-agnostic: forced onto the tick loop
-    it still matches the reference."""
+    """The automaton is loop-agnostic: forced onto the tick loop it
+    still matches the reference."""
     loops = RunLoopSpy(monkeypatch)
     loops.force_tick = True
     params = SystemParams()
@@ -137,8 +137,8 @@ def test_sram_storage_equality_after_writes(paths):
 
 def test_refresh_deadline_lands_mid_chain(paths):
     """A refresh interval short enough to expire inside a service chain
-    forces the closed form's fallback; the refresh must still land on
-    the same cycle."""
+    clips the walk's bursts; the refresh must still land on the same
+    cycle."""
     params = SystemParams(sdram=SDRAMTiming(refresh_interval=40, t_rfc=7))
     (result,) = assert_equivalent(
         paths, "pva-sdram", params, kernel_trace(params, "saxpy")
@@ -165,8 +165,8 @@ def test_degenerate_shapes(paths):
 
 def test_non_power_of_two_internal_banks_unconstructible():
     """The SDRAM timing model only admits power-of-two internal bank
-    counts, so a 3-bank device — the one shape whose interleaving the
-    closed form was never validated against — cannot be constructed at
+    counts, so a 3-bank device — a shape whose interleaving the fast
+    backend was never validated against — cannot be constructed at
     all.  Documented here so the gap is explicit, not silent."""
     base = SystemParams()
     with pytest.raises(ConfigurationError):
@@ -175,8 +175,9 @@ def test_non_power_of_two_internal_banks_unconstructible():
 
 @pytest.mark.parametrize("policy", ROW_POLICIES)
 def test_row_policies(paths, policy):
-    """The closed form models only the paper policy's auto-precharge
-    decisions; it hands every other policy's chains to the SoA walk."""
+    """The walk issues whole same-row runs as bursts only under the
+    paper policy; every other policy takes one column per probe and
+    asks the policy object for each auto-precharge decision."""
     params = SystemParams(
         row_policy=policy, sdram=SDRAMTiming(refresh_interval=700)
     )
@@ -234,8 +235,8 @@ def test_fuzzed_all_four_paths(paths, monkeypatch):
     expire mid-chain, context and FIFO depths, both PVA systems, both
     run loops, two traces back to back on one system object — every
     trial checked three ways against the reference tick loop: a plain
-    run, a run with command logs attached (every batch on the walk) and
-    a ``capture_data`` run."""
+    run, a run with command logs attached and a ``capture_data``
+    run."""
     loops = RunLoopSpy(monkeypatch)
     rng = random.Random(20260809)
     for trial in range(40):
