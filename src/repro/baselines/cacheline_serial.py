@@ -21,20 +21,18 @@ no split transactions.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import Optional, Set
 
-from repro.baselines.serial_core import SerialCommandEngine
+from repro.baselines.serial_core import SerialSystem
 from repro.params import SystemParams
-from repro.sdram.device import DeviceStats
-from repro.sim.kernel import SimKernel
-from repro.sim.runner import Watchdog
+from repro.sdram.devstats import DeviceStats
 from repro.sim.stats import BusStats, RunResult
-from repro.types import AccessType, VectorCommand
+from repro.types import VectorCommand
 
 __all__ = ["CacheLineSerialSDRAM"]
 
 
-class CacheLineSerialSDRAM:
+class CacheLineSerialSDRAM(SerialSystem):
     """Serial line-fill memory system."""
 
     def __init__(
@@ -48,25 +46,13 @@ class CacheLineSerialSDRAM:
         intra-line reuse in the serial model); the default counts one fill
         per *distinct* line, which is the conservative-honest model.  See
         :mod:`repro.experiments.headline` for the consequences."""
-        self.params = params or SystemParams()
-        self.name = name
+        super().__init__(params, name)
         self.fill_per_element = fill_per_element
         timing = self.params.sdram
         #: 64-bit memory bus per channel moves 8 bytes per cycle; a line
         #: burst splits evenly across channels.
         self.burst_cycles = self.params.channel_stage_cycles
         self.fill_cycles = timing.t_rcd + timing.cas_latency + self.burst_cycles
-        #: Flat functional memory image (word address -> value), so the
-        #: baseline is observationally comparable with the PVA systems.
-        self._storage = {}
-
-    def poke(self, address: int, value: int) -> None:
-        """Write one word directly into the functional memory image."""
-        self._storage[address] = value
-
-    def peek(self, address: int) -> int:
-        """Read one word from the functional memory image."""
-        return self._storage.get(address, 0)
 
     def lines_touched(self, command: VectorCommand) -> int:
         """Line fills the command costs.
@@ -85,76 +71,21 @@ class CacheLineSerialSDRAM:
             seen.add(address >> shift)
         return len(seen)
 
-    def reset(self) -> None:
-        """Discard the functional memory image.  Idempotent."""
-        self._storage = {}
-
-    def process_command(self, command: VectorCommand, start_cycle: int) -> int:
-        """One command's line fills: accumulate stats and functional
-        effects, return the cycles it occupies the system (the
-        :class:`~repro.baselines.serial_core.SerialCommandEngine`
-        cost-model hook)."""
+    def command_cost(self, command: VectorCommand, bus: BusStats) -> int:
+        """``fill_cycles`` per line fill; each fill's burst is data on
+        the bus and its RAS + CAS wait is request time."""
         lines = self.lines_touched(command)
-        self._total_lines += lines
-        self._bus.data_cycles += lines * self.burst_cycles
-        self._bus.request_cycles += lines * (
-            self.fill_cycles - self.burst_cycles
-        )
-        if command.access is AccessType.READ:
-            self._reads += 1
-            self._elements_read += command.vector.length
-            if self._read_lines is not None:
-                self._read_lines.append(
-                    tuple(
-                        self._storage.get(a, 0)
-                        for a in command.vector.addresses()
-                    )
-                )
-        else:
-            self._writes += 1
-            self._elements_written += command.vector.length
-            data = command.data or tuple(range(command.vector.length))
-            for address, value in zip(command.vector.addresses(), data):
-                self._storage[address] = value
+        bus.data_cycles += lines * self.burst_cycles
+        bus.request_cycles += lines * (self.fill_cycles - self.burst_cycles)
         return lines * self.fill_cycles
 
-    def run(
-        self,
-        commands: Sequence[VectorCommand],
-        capture_data: bool = False,
-    ) -> RunResult:
-        """Cost the trace (``fill_cycles`` per distinct line, serially)
-        through the shared simulation kernel."""
-        self._total_lines = 0
-        self._reads = self._writes = 0
-        self._elements_read = self._elements_written = 0
-        self._bus = BusStats()
-        self._read_lines = [] if capture_data else None
-        watchdog = Watchdog(len(commands), system=self.name)
-        engine = SerialCommandEngine(self, commands)
-        kernel = SimKernel(
-            watchdog=watchdog, time_skip=self.params.sim_mode == "fast"
-        )
-        kernel.register(engine)
-        exit_cycle = kernel.run(engine.done)
-        cycles = max(engine.busy_until, exit_cycle)
-        device = DeviceStats(
-            activates=self._total_lines,
-            precharges=self._total_lines,
-            reads=self._total_lines * self.params.cache_line_words,
+    def device_stats(self, result: RunResult) -> DeviceStats:
+        """One activate, precharge and line of column reads per fill;
+        every cycle of the run belongs to a fill."""
+        fills = result.cycles // self.fill_cycles
+        return DeviceStats(
+            activates=fills,
+            precharges=fills,
+            reads=fills * self.params.cache_line_words,
             writes=0,
         )
-        result = RunResult(
-            system=self.name,
-            cycles=cycles,
-            commands=len(commands),
-            read_commands=self._reads,
-            write_commands=self._writes,
-            elements_read=self._elements_read,
-            elements_written=self._elements_written,
-            device=device,
-            bus=self._bus,
-            attribution=kernel.finalize(cycles),
-        )
-        result.read_lines = self._read_lines
-        return result

@@ -20,20 +20,18 @@ to the PVA's bank-parallel gathering by roughly a factor of three.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.baselines.serial_core import SerialCommandEngine
+from repro.baselines.serial_core import SerialSystem
 from repro.params import SystemParams
-from repro.sdram.device import DeviceStats
-from repro.sim.kernel import SimKernel
-from repro.sim.runner import Watchdog
+from repro.sdram.devstats import DeviceStats
 from repro.sim.stats import BusStats, RunResult
-from repro.types import AccessType, VectorCommand
+from repro.types import VectorCommand
 
 __all__ = ["GatheringSerialSDRAM"]
 
 
-class GatheringSerialSDRAM:
+class GatheringSerialSDRAM(SerialSystem):
     """Serial element-gathering memory system."""
 
     def __init__(
@@ -41,21 +39,10 @@ class GatheringSerialSDRAM:
         params: Optional[SystemParams] = None,
         name: str = "gathering-serial",
     ):
-        self.params = params or SystemParams()
-        self.name = name
+        super().__init__(params, name)
         #: 64-bit memory bus per channel moves 8 bytes per cycle; the
         #: gathered line transfers split evenly across channels.
         self.transfer_cycles = self.params.channel_stage_cycles
-        #: Flat functional memory image (word address -> value).
-        self._storage = {}
-
-    def poke(self, address: int, value: int) -> None:
-        """Write one word directly into the functional memory image."""
-        self._storage[address] = value
-
-    def peek(self, address: int) -> int:
-        """Read one word from the functional memory image."""
-        return self._storage.get(address, 0)
 
     def command_cycles(self, command: VectorCommand) -> int:
         """Cycles one vector command occupies the system."""
@@ -70,74 +57,20 @@ class GatheringSerialSDRAM:
         # serial controller does not overlap with the next command).
         return 1 + access_cycles + self.transfer_cycles
 
-    def reset(self) -> None:
-        """Discard the functional memory image.  Idempotent."""
-        self._storage = {}
-
-    def process_command(self, command: VectorCommand, start_cycle: int) -> int:
-        """One command through the gathering pipeline: accumulate stats
-        and functional effects, return its occupancy (the
-        :class:`~repro.baselines.serial_core.SerialCommandEngine`
-        cost-model hook)."""
-        self._activates += 1
-        self._columns += command.vector.length
-        self._bus.request_cycles += 1 + command.vector.length
-        self._bus.data_cycles += self.transfer_cycles
-        if command.access is AccessType.READ:
-            self._reads += 1
-            self._elements_read += command.vector.length
-            if self._read_lines is not None:
-                self._read_lines.append(
-                    tuple(
-                        self._storage.get(a, 0)
-                        for a in command.vector.addresses()
-                    )
-                )
-        else:
-            self._writes += 1
-            self._elements_written += command.vector.length
-            data = command.data or tuple(range(command.vector.length))
-            for address, value in zip(command.vector.addresses(), data):
-                self._storage[address] = value
+    def command_cost(self, command: VectorCommand, bus: BusStats) -> int:
+        """The command cycle and one address per element are request
+        time on the bus; the gathered line is data."""
+        bus.request_cycles += 1 + command.vector.length
+        bus.data_cycles += self.transfer_cycles
         return self.command_cycles(command)
 
-    def run(
-        self,
-        commands: Sequence[VectorCommand],
-        capture_data: bool = False,
-    ) -> RunResult:
-        """Cost the trace serially through the shared simulation kernel."""
-        self._reads = self._writes = 0
-        self._elements_read = self._elements_written = 0
-        self._activates = 0
-        self._columns = 0
-        self._bus = BusStats()
-        self._read_lines = [] if capture_data else None
-        watchdog = Watchdog(len(commands), system=self.name)
-        engine = SerialCommandEngine(self, commands)
-        kernel = SimKernel(
-            watchdog=watchdog, time_skip=self.params.sim_mode == "fast"
+    def device_stats(self, result: RunResult) -> DeviceStats:
+        """One activate and precharge per command and one column per
+        element, all counted as reads when the trace reads at all."""
+        columns = result.elements_read + result.elements_written
+        return DeviceStats(
+            activates=result.commands,
+            precharges=result.commands,
+            reads=columns if result.read_commands else 0,
+            writes=0 if result.read_commands else columns,
         )
-        kernel.register(engine)
-        exit_cycle = kernel.run(engine.done)
-        cycles = max(engine.busy_until, exit_cycle)
-        device = DeviceStats(
-            activates=self._activates,
-            precharges=self._activates,
-            reads=self._columns if self._reads else 0,
-            writes=0 if self._reads else self._columns,
-        )
-        result = RunResult(
-            system=self.name,
-            cycles=cycles,
-            commands=len(commands),
-            read_commands=self._reads,
-            write_commands=self._writes,
-            elements_read=self._elements_read,
-            elements_written=self._elements_written,
-            device=device,
-            bus=self._bus,
-            attribution=kernel.finalize(cycles),
-        )
-        result.read_lines = self._read_lines
-        return result

@@ -9,8 +9,8 @@ harness reports the min and max over relative alignments, matching the
 
 Because the factory returns a real :class:`~repro.pva.system.PVAMemorySystem`
 (just with an SRAM device in every bank controller), the variant runs on
-the shared simulation kernel like every other system: ``python -m repro
-bench`` reports it with the same tick-vs-skip timings and per-component
+the shared simulation kernel like PVA-SDRAM: ``python -m repro bench``
+reports it with the same reference-vs-fast timings and per-component
 cycle-attribution breakdown, and it honours ``reset()``/``capture_data``
 under the common :class:`~repro.sim.runner.MemorySystem` contract.
 """

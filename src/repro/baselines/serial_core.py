@@ -1,77 +1,106 @@
-"""Kernel adapter for the analytic serial baselines.
+"""Shared base of the analytic serial baselines (section 6.1).
 
-The two serial systems (cache-line fills, gathering pipeline) are
-analytic models: each vector command occupies the system for a
-closed-form number of cycles, back to back, with no idle gaps and no
-split transactions.  Historically each had its own ``for command``
-costing loop with private watchdog wiring; under the shared simulation
-kernel both register a single :class:`SerialCommandEngine` component
-and delete the loop.
+The two serial systems (cache-line fills, gathering pipeline) are closed
+forms: each vector command occupies the system for a fixed number of
+cycles, back to back, with no idle gaps and no split transactions.
+:class:`SerialSystem` owns what they share — the functional memory
+image, the one loop over the commands, read capture and write storage,
+and the :class:`~repro.sim.stats.RunResult` — and a subclass supplies
+only :meth:`~SerialSystem.command_cost` and
+:meth:`~SerialSystem.device_stats`.
 
-The engine processes every command whose start time has arrived —
-``while`` rather than ``if``, so a zero-cost command can never wedge
-the clock — and advances its ``busy_until`` frontier by the cost the
-owning system reports.  Its time-skip bound is simply that frontier,
-which lets the skip loop jump command to command exactly as the old
-analytic loops did, while the reference tick loop now really visits
-every cycle (and the differential suite checks the two agree).
+No simulation kernel drives them.  Each command starts the cycle its
+predecessor ends, and the loop checks the run's
+:class:`~repro.sim.runner.Watchdog` at that start cycle, so a run raises
+:class:`~repro.errors.SimulationTimeout` exactly when its last command
+would start past the cycle budget.  The system is busy on every cycle of
+the run, so its attribution ledger is one all-busy ``serial-engine``
+entry.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.sim.events import HORIZON
-from repro.types import VectorCommand
+from repro.params import SystemParams
+from repro.sdram.devstats import DeviceStats
+from repro.sim.runner import Watchdog
+from repro.sim.stats import BusStats, ComponentCycles, RunResult
+from repro.types import AccessType, VectorCommand
 
-__all__ = ["SerialCommandEngine", "SerialCostModel"]
-
-
-class SerialCostModel(Protocol):
-    """What the engine needs from an analytic serial system."""
-
-    def process_command(self, command: VectorCommand, start_cycle: int) -> int:
-        """Account one command (stats, functional storage) and return
-        the number of cycles it occupies the system."""
-        ...
+__all__ = ["SerialSystem"]
 
 
-class SerialCommandEngine:
-    """The single clocked component of an analytic serial system."""
+class SerialSystem:
+    """A memory system that costs one vector command at a time."""
 
-    name = "serial-engine"
+    def __init__(self, params: Optional[SystemParams], name: str):
+        self.params = params or SystemParams()
+        self.name = name
+        #: Flat functional memory image (word address -> value), so the
+        #: baseline is observationally comparable with the PVA systems.
+        self._storage: Dict[int, int] = {}
 
-    def __init__(self, model: SerialCostModel, commands: Sequence[VectorCommand]):
-        self.model = model
-        self.commands = commands
-        self.next_index = 0
-        #: First cycle at which the system is free again — the cost
-        #: frontier; equals the run's total cycle count once drained.
-        self.busy_until = 0
+    def poke(self, address: int, value: int) -> None:
+        """Write one word directly into the functional memory image."""
+        self._storage[address] = value
 
-    def done(self) -> bool:
-        return self.next_index >= len(self.commands)
+    def peek(self, address: int) -> int:
+        """Read one word from the functional memory image."""
+        return self._storage.get(address, 0)
 
-    def tick(self, cycle: int) -> bool:
-        acted = False
-        commands = self.commands
-        while self.next_index < len(commands) and self.busy_until <= cycle:
-            command = commands[self.next_index]
-            self.busy_until += self.model.process_command(
-                command, self.busy_until
-            )
-            self.next_index += 1
-            acted = True
-        return acted
+    def reset(self) -> None:
+        """Discard the functional memory image.  Idempotent."""
+        self._storage = {}
 
-    def next_event_cycle(self, cycle: int) -> int:
-        if self.next_index >= len(self.commands):
-            return HORIZON
-        return self.busy_until if self.busy_until > cycle else cycle
+    def command_cost(self, command: VectorCommand, bus: BusStats) -> int:
+        """Add one command's bus cycles to ``bus``; return the cycles
+        the command occupies the system."""
+        raise NotImplementedError
 
-    def account(self, start: int, end: int) -> Tuple[int, int, int]:
-        # The analytic model is busy straight through its cost frontier
-        # and idle after — it never stalls.
-        busy_end = min(end, self.busy_until)
-        busy = busy_end - start if busy_end > start else 0
-        return (busy, 0, (end - start) - busy)
+    def device_stats(self, result: RunResult) -> DeviceStats:
+        """The device operations behind ``result``'s totals."""
+        raise NotImplementedError
+
+    def run(
+        self,
+        commands: Sequence[VectorCommand],
+        capture_data: bool = False,
+    ) -> RunResult:
+        """Cost the trace serially: the run's cycles are the sum of its
+        commands' costs."""
+        watchdog = Watchdog(len(commands), system=self.name)
+        storage = self._storage
+        bus = BusStats()
+        read_lines = [] if capture_data else None
+        cycles = reads = elements_read = elements_written = 0
+        for command in commands:
+            watchdog.check(cycles)
+            cycles += self.command_cost(command, bus)
+            vector = command.vector
+            if command.access is AccessType.READ:
+                reads += 1
+                elements_read += vector.length
+                if read_lines is not None:
+                    read_lines.append(
+                        tuple(storage.get(a, 0) for a in vector.addresses())
+                    )
+            else:
+                elements_written += vector.length
+                data = command.data or tuple(range(vector.length))
+                for address, value in zip(vector.addresses(), data):
+                    storage[address] = value
+        result = RunResult(
+            system=self.name,
+            cycles=cycles,
+            commands=len(commands),
+            read_commands=reads,
+            write_commands=len(commands) - reads,
+            elements_read=elements_read,
+            elements_written=elements_written,
+            bus=bus,
+            read_lines=read_lines,
+            attribution={"serial-engine": ComponentCycles(busy=cycles)},
+        )
+        result.device = self.device_stats(result)
+        return result

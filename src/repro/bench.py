@@ -2,9 +2,12 @@
 
 ``python -m repro bench`` times every registered memory system under
 both simulation backends over the same workload — ``sim_mode=
-"reference"`` (the object graph on the tick loop) and the default
-``sim_mode="fast"`` — and reports simulated cycles per second for each
-plus the reference-over-fast wall-clock speedup.  The workload is the
+"reference"`` (the bank-controller object graph, every cycle visited)
+and the default ``sim_mode="fast"`` (the structure-of-arrays bank
+automaton, idle cycles jumped) — and reports simulated cycles per
+second for each plus the reference-over-fast wall-clock speedup.  The
+serial baselines' closed forms do not read ``sim_mode``, so their rows
+time the same code twice and read about 1x.  The workload is the
 stride-19 slice of the section-6.2 evaluation grid (every kernel x
 every alignment), the densest bank-conflict case in the paper, plus a
 sparse scenario: a finite-rate processor (``issue_interval``) that
@@ -274,7 +277,7 @@ def run_bench(
         # Sparse scenario: a finite-rate processor (issue_interval)
         # leaves real idle gaps between commands.  The dense slice above
         # is bus-limited (events on most cycles); here the reference
-        # tick loop's cost grows with simulated cycles while the fast
+        # backend's cost grows with simulated cycles while the fast
         # backend's stays proportional to events.
         sparse_base = replace(base, issue_interval=SPARSE_ISSUE_INTERVAL)
         sparse_traces = [

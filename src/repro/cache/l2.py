@@ -169,7 +169,3 @@ class L2Cache:
     def contains(self, address: int) -> bool:
         _, set_index, tag = self._locate(address)
         return tag in self._sets[set_index]
-
-    @property
-    def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets)

@@ -76,18 +76,18 @@ CONFIG_SCHEMA_VERSION = 6
 
 #: The two simulation backends.  Both are bit-exact with each other
 #: (``RunResult`` equality is held by the differential suites
-#: ``tests/sim/test_*_equivalence.py``); they differ only in how the
-#: machine is stepped:
+#: ``tests/sim/test_*_equivalence.py``); they differ only in the bank
+#: model a PVA system runs (the serial baselines ignore the field):
 #:
 #: * ``"reference"`` — the paper's hardware modelled literally: the
-#:   bank-controller object graph, live FirstHit/NextHit expansion, and
-#:   the tick loop that visits every cycle.
-#: * ``"fast"`` (the default) — the next-event skip loop with every
-#:   bank stepped as one structure-of-arrays automaton
-#:   (:mod:`repro.pva.soa`), for plain, ``capture_data`` and logged
-#:   runs alike.  A system the automaton cannot model (a device other
-#:   than SDRAM/SRAM, mixed device models, banks still holding work)
-#:   raises ``ConfigurationError``.
+#:   bank-controller object graph and live FirstHit/NextHit expansion,
+#:   whose banks make the run loop visit every cycle.
+#: * ``"fast"`` (the default) — every bank stepped as one
+#:   structure-of-arrays automaton (:mod:`repro.pva.soa`), whose bounds
+#:   let the run loop jump idle cycles, for plain, ``capture_data`` and
+#:   logged runs alike.  A system the automaton cannot model (a device
+#:   other than SDRAM/SRAM, mixed device models, banks still holding
+#:   work) raises ``ConfigurationError``.
 SIM_MODES = ("reference", "fast")
 
 #: Environment variable overriding ``sim_mode`` at construction time:

@@ -30,7 +30,7 @@ from repro.engine import (
     KernelTraceSpec,
 )
 from repro.errors import ConfigurationError
-from repro.kernels import ALIGNMENTS, Alignment, alignment_by_name
+from repro.kernels import ALIGNMENTS, Alignment
 from repro.params import SystemParams
 
 __all__ = [
@@ -123,10 +123,6 @@ class GridResults:
             else self.max_cycles(kernel, stride, system)
         )
         return value / base
-
-
-def _alignment_by_name(name: str) -> Alignment:
-    return alignment_by_name(name)
 
 
 def run_point(

@@ -343,9 +343,10 @@ class _BusComponent(PassiveComponent):
 
 
 class _BankComponent:
-    """One bank controller under the reference tick loop.  Acting means
+    """One bank controller of the reference backend.  Acting means
     observable progress: a column issue, a request injected into a
-    vector context, a row activate/precharge, or an auto-refresh."""
+    vector context, a row activate/precharge, or an auto-refresh.  Its
+    bound is the current cycle, so the loop visits every cycle."""
 
     def __init__(self, bank: BankController, front: _FrontEnd):
         self.bank = bank
@@ -363,7 +364,6 @@ class _BankComponent:
         return bank.acted
 
     def next_event_cycle(self, cycle: int) -> int:
-        # No lower bound: the kernel ticks every bank on every cycle.
         return cycle
 
     def account(self, start: int, end: int) -> Tuple[int, int, int]:
@@ -581,7 +581,7 @@ class PVAMemorySystem:
         bus, the banks (one component per bank controller under
         ``reference``, one automaton for all of them under ``fast``) and
         the completion unit register as clocked components, and the
-        kernel owns watchdog probing, the time-skip advance, and the
+        kernel owns watchdog probing, the next-event advance, and the
         per-component cycle-attribution ledger surfaced as
         :attr:`RunResult.attribution`.
 
@@ -605,18 +605,15 @@ class PVAMemorySystem:
                     f"{self.params.max_vector_length}; split it first"
                 )
         bus = VectorBus(self.params)
-        watchdog = Watchdog(len(commands), system=self.name)
-        #: The fast backend jumps idle gaps via next-event lower bounds
-        #: instead of ticking through them (see repro.sim.events), and
-        #: steps every bank as one structure-of-arrays automaton
-        #: (repro.pva.soa).  The reference backend ticks the object
-        #: graph.
-        fast = self.params.sim_mode == "fast"
         front = _FrontEnd(self, commands, bus, capture_data)
-        kernel = SimKernel(watchdog=watchdog, time_skip=fast)
+        kernel = SimKernel(watchdog=Watchdog(len(commands), system=self.name))
         kernel.register(front)
         kernel.register(_BusComponent(bus))
-        if fast:
+        # sim_mode picks the bank model and nothing else: the fast
+        # backend steps every bank as one structure-of-arrays automaton
+        # (repro.pva.soa), whose bounds let the kernel jump idle gaps;
+        # the reference backend ticks the object graph on every cycle.
+        if self.params.sim_mode == "fast":
             self._automaton = SoaBankAutomaton(
                 self.banks, front, bus, self.params
             )

@@ -48,10 +48,6 @@ class InternalBank:
     # Queries (the scheduler's scoreboard reads these)
     # ----------------------------------------------------------------- #
 
-    @property
-    def is_open(self) -> bool:
-        return self.open_row is not None
-
     def can_activate(self, cycle: int) -> bool:
         """May a row be opened this cycle?  Requires the bank closed and
         the precharge period elapsed."""

@@ -1,15 +1,16 @@
-"""Next-event time skipping: the shared vocabulary of the fast path.
+"""Next-event time skipping: the vocabulary of the kernel's jumps.
 
 Cycle-accurate simulation traditionally advances the clock one cycle per
 loop iteration, even though a stalled component often knows the exact
 cycle at which its state can next change — the vector bus its
 busy-until cycle, the front end its next issue slot, the bank automaton
 each bank's next candidate cycle (restimer releases, request ready
-cycles, refresh deadlines).  The **time-skip engine** exploits that:
-each component exposes a ``next_event_cycle(cycle)`` lower bound, the
-run loop takes the ``min()`` over all of them, and when nothing happened
-this cycle the clock jumps straight to that bound instead of ticking
-through the idle gap.
+cycles, refresh deadlines).  The run loop of
+:class:`~repro.sim.kernel.SimKernel` exploits that: each component
+exposes a ``next_event_cycle(cycle)`` lower bound, the loop takes the
+``min()`` over all of them, and when nothing happened this cycle the
+clock jumps straight to that bound instead of ticking through the idle
+gap.
 
 The contract every bound must honour:
 
@@ -24,12 +25,13 @@ The contract every bound must honour:
 * :data:`HORIZON` means "no self-timed event pending": the component
   can only be re-enabled by another component's action.
 
-Bounds come from the PVA front end, its completion unit, the bank
-automaton of ``sim_mode="fast"`` (:mod:`repro.pva.soa`) and the serial
-baselines.  The bank-controller object graph keeps none: under
-``sim_mode="reference"`` the loop ticks every bank on every cycle.  The
-differential suites ``tests/sim/test_*_equivalence.py`` hold the two
-modes to byte-identical :class:`~repro.sim.stats.RunResult`\\ s.
+Bounds come from the PVA front end, its completion unit and the bank
+automaton of ``sim_mode="fast"`` (:mod:`repro.pva.soa`).  The
+bank-controller object graph keeps none: each of its banks bounds the
+loop at the current cycle, so under ``sim_mode="reference"`` the loop
+visits every cycle.  The differential suites
+``tests/sim/test_*_equivalence.py`` hold the two modes to byte-identical
+:class:`~repro.sim.stats.RunResult`\\ s.
 """
 
 from __future__ import annotations

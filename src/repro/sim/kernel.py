@@ -1,46 +1,42 @@
 """The shared clocked-component simulation kernel.
 
-Every memory system in the library used to own a private run loop: the
-PVA front end's bus/bank/completion loop, and one analytic
-command-costing loop per serial baseline.  Each of them re-implemented
-the same skeleton — watchdog ticking, an acted-this-cycle flag, the
-next-event time-skip advance of :mod:`repro.sim.events`, and final
-statistics assembly — and each copy drifted independently.  This module
-replaces all of them with **one** loop.
-
-A system decomposes itself into :class:`ClockedComponent`\\ s (the PVA
-unit registers its front end, the vector bus, every bank controller and
-a completion unit; a serial baseline registers a single component) and
-hands them to a :class:`SimKernel`, which owns the canonical loop:
+A PVA memory system decomposes itself into :class:`ClockedComponent`\\ s
+(the front end, the vector bus, the banks and a completion unit) and
+hands them to a :class:`SimKernel`, which owns the one run loop:
 
 1. ``watchdog.check(cycle)`` once per iteration;
 2. tick every component in registration order; each returns an *acted*
    flag — did it change observable state this cycle?
 3. attribute the cycle to each component's busy/stalled/idle ledger;
-4. advance time: one cycle after an acted iteration, otherwise (in
-   time-skip mode) jump to the minimum of every component's
-   ``next_event_cycle`` lower bound, capped at the watchdog's cycle
-   limit so a deadlocked run still raises
-   :class:`~repro.errors.SimulationTimeout`.
+4. advance time: one cycle after an acted iteration, otherwise jump to
+   the minimum of every component's ``next_event_cycle`` lower bound,
+   capped at the watchdog's cycle limit so a deadlocked run still
+   raises :class:`~repro.errors.SimulationTimeout`.
 
-The lower-bound safety argument is therefore stated once, here, instead
-of once per system: the kernel only skips after an iteration in which
-**no** component acted, and each bound promises its component takes no
-action strictly before it (assuming nobody else acts — which the
-acted-flag aggregation guarantees).  An underestimated bound degrades
-to a plain tick; it can never change simulated behaviour.
+The serial baselines need no kernel: each is a closed form over its
+commands (:mod:`repro.baselines.serial_core`).
+
+The lower-bound safety argument is therefore stated once, here: the
+kernel only jumps after an iteration in which **no** component acted,
+and each bound promises its component takes no action strictly before
+it (assuming nobody else acts — which the acted-flag aggregation
+guarantees).  A bound at or below the current cycle degrades the jump
+to a plain tick; the reference backend's bank components always return
+the current cycle, so under ``sim_mode="reference"`` the loop visits
+every cycle.  An underestimated bound can never change simulated
+behaviour.
 
 **Cycle attribution.**  The kernel keeps a per-component ledger of
 where cycles went: *busy* (the component acted), *stalled* (it had
-pending work but could not act), *idle* (nothing to do).  Ticked cycles
-are classified directly; skipped spans are classified through each
+pending work but could not act), *idle* (nothing to do).  Visited cycles
+are classified directly; jumped spans are classified through each
 component's :meth:`ClockedComponent.account` — legal because no state
-changes inside a skipped span, so one query describes every cycle in
+changes inside a jumped span, so one query describes every cycle in
 it.  The classification depends only on component state, never on which
-cycles the loop happened to visit, so the ledger is identical between
-the tick and time-skip loops and each component's buckets sum to the
-run's total cycle count (:meth:`SimKernel.finalize` pads the tail when
-a data transfer outlives the loop).
+cycles the loop happened to visit, so the ledger is invariant under
+jumps and each component's buckets sum to the run's total cycle count
+(:meth:`SimKernel.finalize` pads the tail when a data transfer outlives
+the loop).
 """
 
 from __future__ import annotations
@@ -68,7 +64,7 @@ class ClockedComponent(Protocol):
         bench report).
     ``tick(cycle)``
         One cycle of work.  Returns True iff the component changed
-        observable state — the kernel may only time-skip after an
+        observable state — the kernel may only jump ahead after an
         iteration in which every component returned False.
     ``next_event_cycle(cycle)``
         Lower bound on the next cycle at which :meth:`tick` could act,
@@ -123,16 +119,11 @@ class SimKernel:
     ----------
     watchdog:
         The run's :class:`~repro.sim.runner.Watchdog`; checked once per
-        loop iteration, and its cycle limit caps every time-skip jump.
-    time_skip:
-        Run-loop mode.  False ticks every cycle — the reference loop of
-        ``sim_mode="reference"``; True enables the next-event jump
-        (``sim_mode="fast"``).
+        loop iteration, and its cycle limit caps every jump.
     """
 
-    def __init__(self, *, watchdog: Watchdog, time_skip: bool = True):
+    def __init__(self, *, watchdog: Watchdog):
         self.watchdog = watchdog
-        self.time_skip = time_skip
         self._components: List[ClockedComponent] = []
         self._ledger: Dict[str, ComponentCycles] = {}
         self._names: set = set()
@@ -200,7 +191,6 @@ class SimKernel:
         components = self._components
         ledger = self._ledger
         watchdog = self.watchdog
-        time_skip = self.time_skip
         cycle = self.cycle
         # Hot-loop locals: bound methods and ledger entries resolved once,
         # indexed by registration position.
@@ -225,9 +215,9 @@ class SimKernel:
         # is only trusted while *nothing* has acted since it was computed
         # (the events.py contract: "assuming no other component acts") —
         # any action, even by an earlier component in the same cycle,
-        # voids the cache, so gated components are exactly those the old
-        # loop would have ticked to no effect.  Works in both run-loop
-        # modes; in skip mode the same cache also feeds the jump target.
+        # voids the cache, so gated components are exactly those an
+        # always-tick loop would have ticked to no effect.  The same
+        # cache feeds the jump target.
         cached = [0] * n
         cache_valid = False
         while not done():
@@ -243,7 +233,7 @@ class SimKernel:
                     acted_any = True
             # -- attribute this (visited) cycle ----------------------
             # Skipped-dispatch components take the non-acted branch: the
-            # account() split is what the old always-tick loop recorded
+            # account() split is what an always-tick loop would record
             # for them, so the ledger is invariant under gating.
             for i in positions:
                 if acted_flags[i]:
@@ -255,12 +245,12 @@ class SimKernel:
                     entry.stalled += stalled
                     entry.idle += idle
             # -- advance time ----------------------------------------
-            # Reference loop: one cycle at a time.  Fast path: after an
-            # iteration in which nothing acted, jump to the earliest
-            # cycle at which anything *could* happen — the min over
-            # every component's lower bound, clamped to the watchdog's
-            # deadline so a deadlocked run still times out.  A bound at
-            # or below the current cycle degrades to a plain tick.
+            # After an acted iteration, one cycle.  Otherwise jump to
+            # the earliest cycle at which anything *could* happen — the
+            # min over every component's lower bound, clamped to the
+            # watchdog's deadline so a deadlocked run still times out.
+            # A bound at or below the current cycle (the reference
+            # backend's banks) degrades to a plain tick.
             if acted_any:
                 cache_valid = False
                 cycle += 1
@@ -273,17 +263,16 @@ class SimKernel:
                 if bound < target:
                     target = bound
             cache_valid = True
-            if time_skip:
-                target = watchdog.clamp_skip(target)
-                if target > cycle + 1:
-                    for i in positions:
-                        busy, stalled, idle = accounts[i](cycle + 1, target)
-                        entry = entries[i]
-                        entry.busy += busy
-                        entry.stalled += stalled
-                        entry.idle += idle
-                    cycle = target
-                    continue
+            target = watchdog.clamp_skip(target)
+            if target > cycle + 1:
+                for i in positions:
+                    busy, stalled, idle = accounts[i](cycle + 1, target)
+                    entry = entries[i]
+                    entry.busy += busy
+                    entry.stalled += stalled
+                    entry.idle += idle
+                cycle = target
+                continue
             cycle += 1
         self.cycle = cycle
         return cycle

@@ -101,11 +101,11 @@ class Watchdog:
     iteration.  The wall clock is consulted every 1024 checks *or*
     every 1024 simulated cycles, whichever comes first; the common-case
     per-iteration cost stays an integer compare.  The cycle-stride
-    probe matters under the time-skip run loop, where a single check
-    can stand for thousands of skipped cycles — counting checks alone
-    would let a slow run blow far past its wall-clock budget; the
-    check-count probe still covers loops that stall without advancing
-    the cycle counter.
+    probe matters when a single check stands for many cycles (a kernel
+    jump, or a serial baseline's command): counting checks alone would
+    let a slow run blow far past its wall-clock budget; the check-count
+    probe still covers loops that stall without advancing the cycle
+    counter.
     """
 
     _WALL_CHECK_MASK = 1023

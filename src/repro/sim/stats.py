@@ -24,7 +24,8 @@ class ComponentCycles:
 
     Every simulated cycle of a run is attributed to exactly one of the
     three buckets, per component, by the simulation kernel
-    (:class:`repro.sim.kernel.SimKernel`):
+    (:class:`repro.sim.kernel.SimKernel`; a serial baseline is busy on
+    every cycle of its run):
 
     * **busy** — the component changed observable state this cycle
       (issued an operation, moved data, retired a transaction);
@@ -96,8 +97,9 @@ class RunResult:
     #: the cycle-level PVA systems; None for the analytic baselines.
     command_latencies: Optional[List[int]] = None
     #: Per-component cycle attribution (component name ->
-    #: :class:`ComponentCycles`), recorded by the simulation kernel.
-    #: Identical between the tick and time-skip run loops, and every
+    #: :class:`ComponentCycles`), recorded by the simulation kernel
+    #: (the serial baselines report one all-busy ``serial-engine``
+    #: entry).  Invariant under the kernel's jumps, and every
     #: component's buckets sum to :attr:`cycles`.
     attribution: Optional[Dict[str, ComponentCycles]] = None
 

@@ -1,18 +1,18 @@
 """Shared harness of the reference-vs-fast differential suites.
 
 ``sim_mode="reference"`` models the paper's hardware literally: the
-bank-controller object graph (``"object"``), live FirstHit/NextHit
-expansion, and a tick loop that visits every bank on every cycle.
-``sim_mode="fast"`` skips idle cycles and steps every PVA bank as one
-structure-of-arrays automaton (``"soa"``, :mod:`repro.pva.soa`).  The
-suites split the fast backend's runs:
+bank-controller object graph (``"object"``) and live FirstHit/NextHit
+expansion, whose banks make the run loop visit every cycle.
+``sim_mode="fast"`` steps every PVA bank as one structure-of-arrays
+automaton (``"soa"``, :mod:`repro.pva.soa`), whose bounds let the loop
+jump idle cycles.  The suites split the fast backend's runs:
 
 * plain runs (``test_window_equivalence.py``);
 * ``capture_data`` runs, whose reads gather values
   (``test_soa_equivalence.py``);
 * runs with command logs attached, whose walk records every command it
-  issues, and the serial baselines, whose fast backend is the skip loop
-  alone (``test_time_skip_equivalence.py``).
+  issues (``test_time_skip_equivalence.py``), which also checks that
+  ``sim_mode`` does not change a serial baseline's run.
 
 :func:`assert_equivalent` runs the same traces under both modes, each on
 one fresh system object (several traces run back to back on it), and
@@ -62,10 +62,35 @@ def spy_on_bank_paths(monkeypatch):
     return taken
 
 
+class Metronome:
+    """A component that never acts and bounds the kernel at the current
+    cycle, so a kernel it joins visits every cycle.  Its empty
+    ``ledger_names`` keep it out of the attribution ledger: a run's
+    results cannot show it."""
+
+    name = "metronome"
+    ledger_names = ()
+    visits = 0
+
+    def tick(self, cycle):
+        self.visits += 1
+        return False
+
+    def next_event_cycle(self, cycle):
+        return cycle
+
+    def account(self, start, end):
+        return (0, 0, end - start)
+
+    def finalize_ledger(self, total_cycles):
+        return {}
+
+
 class RunLoopSpy:
-    """Record the run loop every PVA kernel drives (``"skip"`` or
-    ``"tick"``).  With :attr:`force_tick` set, every kernel ticks every
-    cycle whatever the backend — the automata must not care."""
+    """Record how every PVA kernel advances (``"jump"`` or ``"tick"``).
+    With :attr:`force_tick` set, every kernel registers a
+    :class:`Metronome` and visits every cycle whatever the backend — the
+    automata must not care."""
 
     def __init__(self, monkeypatch):
         self.loops = []
@@ -73,10 +98,11 @@ class RunLoopSpy:
         spy = self
 
         class Kernel(SimKernel):
-            def __init__(self, *, watchdog, time_skip=True):
-                time_skip = time_skip and not spy.force_tick
-                spy.loops.append("skip" if time_skip else "tick")
-                super().__init__(watchdog=watchdog, time_skip=time_skip)
+            def __init__(self, *, watchdog):
+                super().__init__(watchdog=watchdog)
+                spy.loops.append("tick" if spy.force_tick else "jump")
+                if spy.force_tick:
+                    self.register(Metronome())
 
         monkeypatch.setattr(system_module, "SimKernel", Kernel)
 

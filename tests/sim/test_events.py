@@ -1,11 +1,12 @@
 """Unit tests for the next-event time-skip lower bounds.
 
-The fast backend's bounds come from the front end, the completion unit,
-the bank automaton and the serial baselines; the object graph keeps
-none, and the reference loop ticks every bank on every cycle.  These
-tests pin the vector bus's bound: clamped to ``>= cycle`` and equal to
-the bus's own busy-until cycle.  :data:`~repro.sim.events.HORIZON`
-marks states that only another component's action can unblock.
+The fast backend's bounds come from the front end, the completion unit
+and the bank automaton; the object graph keeps none, so under the
+reference backend the kernel visits every cycle, and the serial
+baselines need no bounds at all.  These tests pin the vector bus's
+bound: clamped to ``>= cycle`` and equal to the bus's own busy-until
+cycle.  :data:`~repro.sim.events.HORIZON` marks states that only
+another component's action can unblock.
 """
 
 from __future__ import annotations

@@ -1,4 +1,10 @@
-"""Unit tests for the shared clocked-component simulation kernel."""
+"""Unit tests for the shared clocked-component simulation kernel.
+
+Tests parametrized over ``metronome`` run each case twice: with the
+kernel free to jump idle cycles, and with a
+:class:`~tests.sim.differential.Metronome` registered, which makes it
+visit every cycle.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,8 @@ from repro.sim.events import HORIZON
 from repro.sim.kernel import PassiveComponent, SimKernel
 from repro.sim.runner import SimulationLimits, Watchdog
 from repro.sim.stats import ComponentCycles
+
+from .differential import Metronome
 
 
 class Pulse:
@@ -47,8 +55,15 @@ def _watchdog(budget=4096):
     )
 
 
-def _run(schedules, time_skip):
-    kernel = SimKernel(watchdog=_watchdog(), time_skip=time_skip)
+def _kernel(metronome, budget=4096, watchdog=None):
+    kernel = SimKernel(watchdog=watchdog or _watchdog(budget))
+    if metronome:
+        kernel.register(Metronome())
+    return kernel
+
+
+def _run(schedules, metronome):
+    kernel = _kernel(metronome)
     pulses = [
         kernel.register(Pulse(f"pulse-{i}", schedule))
         for i, schedule in enumerate(schedules)
@@ -82,8 +97,11 @@ class TestLoopEquivalence:
     SCHEDULES = [[3, 7, 40], [5, 41], []]
 
     def test_skip_matches_tick(self):
-        tick_kernel, tick_pulses, tick_exit = _run(self.SCHEDULES, False)
-        skip_kernel, skip_pulses, skip_exit = _run(self.SCHEDULES, True)
+        """Visiting every cycle changes nothing: the same pulses fire,
+        at the same exit cycle, with the same ledger."""
+        tick_kernel, tick_pulses, tick_exit = _run(self.SCHEDULES, True)
+        skip_kernel, skip_pulses, skip_exit = _run(self.SCHEDULES, False)
+        assert tick_kernel.components[0].visits == tick_exit
         assert skip_exit == tick_exit
         assert [p.fired for p in skip_pulses] == [
             p.fired for p in tick_pulses
@@ -92,22 +110,22 @@ class TestLoopEquivalence:
 
     def test_gating_spares_tick_calls_in_both_modes(self):
         """Quiet components are not re-polled while their cached bound
-        holds: the tick loop's dispatch gating and the skip loop's jumps
-        both visit only the interesting cycles (far below the exit cycle,
-        42 here), and skipping never costs extra calls over ticking."""
-        _, tick_pulses, tick_exit = _run(self.SCHEDULES, False)
-        _, skip_pulses, _ = _run(self.SCHEDULES, True)
+        holds: with every cycle visited, dispatch gating still ticks a
+        pulse only on the interesting cycles (far below the exit cycle,
+        42 here), and jumping never costs extra calls over visiting."""
+        _, tick_pulses, tick_exit = _run(self.SCHEDULES, True)
+        _, skip_pulses, _ = _run(self.SCHEDULES, False)
         assert skip_pulses[0].tick_calls <= tick_pulses[0].tick_calls
         assert tick_pulses[0].tick_calls < tick_exit // 2
 
     def test_ledger_buckets_sum_to_exit_cycle(self):
-        for time_skip in (False, True):
-            kernel, _, exit_cycle = _run(self.SCHEDULES, time_skip)
+        for metronome in (False, True):
+            kernel, _, exit_cycle = _run(self.SCHEDULES, metronome)
             for entry in kernel.ledger.values():
                 assert entry.total == exit_cycle
 
     def test_passive_component_never_wakes_the_kernel(self):
-        kernel = SimKernel(watchdog=_watchdog(), time_skip=True)
+        kernel = SimKernel(watchdog=_watchdog())
         pulse = kernel.register(Pulse("pulse", [9]))
         kernel.register(PassiveComponent())
         exit_cycle = kernel.run(pulse.done)
@@ -119,14 +137,12 @@ class TestLoopEquivalence:
 
 
 class TestWatchdog:
-    @pytest.mark.parametrize("time_skip", [False, True])
-    def test_deadlock_times_out(self, time_skip):
+    @pytest.mark.parametrize("metronome", [False, True])
+    def test_deadlock_times_out(self, metronome):
         """A done() that never holds must raise SimulationTimeout even
-        when every bound is HORIZON — the skip target is capped at the
+        when every bound is HORIZON — the jump target is capped at the
         watchdog's cycle limit."""
-        kernel = SimKernel(
-            watchdog=_watchdog(budget=64), time_skip=time_skip
-        )
+        kernel = _kernel(metronome, budget=64)
         kernel.register(Pulse("stuck", []))
         with pytest.raises(SimulationTimeout):
             kernel.run(lambda: False)
@@ -148,11 +164,11 @@ class TestWatchdog:
         assert dog.clamp_skip(limit + 1) == limit + 1
         assert dog.clamp_skip(limit) == limit
 
-    @pytest.mark.parametrize("time_skip", [False, True])
-    def test_deadlock_raises_at_first_cycle_past_limit(self, time_skip):
-        """Both loops must reach the budget boundary exactly: the raise
-        happens at cycle limit + 1, not earlier (budget shortened) nor
-        later (overshoot)."""
+    @pytest.mark.parametrize("metronome", [False, True])
+    def test_deadlock_raises_at_first_cycle_past_limit(self, metronome):
+        """Jumping or visiting every cycle, the loop must reach the
+        budget boundary exactly: the raise happens at cycle limit + 1,
+        not earlier (budget shortened) nor later (overshoot)."""
 
         class Recording(Watchdog):
             last_checked = -1
@@ -166,7 +182,7 @@ class TestWatchdog:
             system="test",
             limits=SimulationLimits(max_cycles_per_command=64),
         )
-        kernel = SimKernel(watchdog=dog, time_skip=time_skip)
+        kernel = _kernel(metronome, watchdog=dog)
         kernel.register(Pulse("stuck", []))
         with pytest.raises(SimulationTimeout):
             kernel.run(lambda: False)
@@ -175,31 +191,31 @@ class TestWatchdog:
 
 class TestFinalize:
     def test_tail_padding_completes_the_ledger(self):
-        kernel, _, exit_cycle = _run([[3]], True)
+        kernel, _, exit_cycle = _run([[3]], False)
         ledger = kernel.finalize(exit_cycle + 10)
         entry = ledger["pulse-0"]
         assert entry.total == exit_cycle + 10
         assert entry.idle >= 10  # the padded tail is post-work idle
 
     def test_idempotent_for_fixed_total(self):
-        kernel, _, exit_cycle = _run([[3]], True)
+        kernel, _, exit_cycle = _run([[3]], False)
         first = kernel.finalize(exit_cycle + 5)
         second = kernel.finalize(exit_cycle + 5)
         assert first == second
 
     def test_conflicting_totals_rejected(self):
-        kernel, _, exit_cycle = _run([[3]], True)
+        kernel, _, exit_cycle = _run([[3]], False)
         kernel.finalize(exit_cycle + 5)
         with pytest.raises(ConfigurationError):
             kernel.finalize(exit_cycle + 6)
 
     def test_total_below_exit_cycle_rejected(self):
-        kernel, _, exit_cycle = _run([[3]], True)
+        kernel, _, exit_cycle = _run([[3]], False)
         with pytest.raises(ConfigurationError):
             kernel.finalize(exit_cycle - 1)
 
     def test_ledger_values_are_component_cycles(self):
-        kernel, _, exit_cycle = _run([[3]], False)
+        kernel, _, exit_cycle = _run([[3]], True)
         ledger = kernel.finalize(exit_cycle)
         assert all(
             isinstance(entry, ComponentCycles) for entry in ledger.values()
@@ -244,8 +260,8 @@ class TestSelfAccounting:
             kernel.register(Pulse("part-a", [2]))
 
     def test_finalize_merges_component_ledger(self):
-        for time_skip in (False, True):
-            kernel = SimKernel(watchdog=_watchdog(), time_skip=time_skip)
+        for metronome in (False, True):
+            kernel = _kernel(metronome)
             duo = kernel.register(Duo([1, 5]))
             exit_cycle = kernel.run(duo.done)
             ledger = kernel.finalize(exit_cycle + 3)

@@ -43,8 +43,8 @@ class TestBackendAgreement:
     @pytest.mark.parametrize("base", MULTI_CHANNEL_PARAMS)
     @pytest.mark.parametrize("system", ("pva-sdram", "pva-sram"))
     def test_all_four_modes_bit_identical(self, base, system, monkeypatch):
-        """The reference tick loop and fast's SoA automaton agree on a
-        plain run, a ``capture_data`` run and a run with command logs
+        """The reference object graph and fast's SoA automaton agree on
+        a plain run, a ``capture_data`` run and a run with command logs
         attached."""
         monkeypatch.delenv(ENV_SIM_MODE, raising=False)
         paths = spy_on_bank_paths(monkeypatch)

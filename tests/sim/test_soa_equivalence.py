@@ -9,8 +9,8 @@ reference's :class:`~repro.sim.stats.RunResult` bit for bit — total
 cycles, captured data payloads, per-bank statistics and the
 per-component attribution ledger — and leave the same memory image.
 These tests sweep the paper's strides and alignments, fuzzed geometries
-and timings, both run loops, and back-to-back runs on one system object
-(state carry through ``writeback``).  The harness lives in
+and timings, runs forced to visit every cycle, and back-to-back runs on
+one system object (state carry through ``writeback``).  The harness lives in
 :mod:`tests.sim.differential`.
 """
 
@@ -59,8 +59,9 @@ def test_paper_sweep_bit_identical(paths, system, kernel):
 
 @pytest.mark.parametrize("system", PVA_SYSTEMS)
 def test_tick_loop_equivalence(paths, system, monkeypatch):
-    """The automaton is loop-agnostic: forced onto the tick loop its
-    captured payloads still match the reference."""
+    """The automaton does not care how the loop advances: forced to
+    visit every cycle its captured payloads still match the
+    reference."""
     loops = RunLoopSpy(monkeypatch)
     loops.force_tick = True
     params = SystemParams()
@@ -91,9 +92,10 @@ def test_sram_storage_equality_after_writes(paths):
 
 def test_fuzzed_geometries_and_state_carry(paths, monkeypatch):
     """Randomized geometries, timings, policies, refresh, context and
-    FIFO depths, both PVA systems, both run loops, two traces back to
-    back on one system object (the writeback path must leave the object
-    graph exactly as the reference would)."""
+    FIFO depths, both PVA systems, one trial in five forced to visit
+    every cycle, two traces back to back on one system object (the
+    writeback path must leave the object graph exactly as the reference
+    would)."""
     loops = RunLoopSpy(monkeypatch)
     rng = random.Random(20260808)
     for trial in range(60):

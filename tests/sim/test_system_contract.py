@@ -1,12 +1,14 @@
 """The shared MemorySystem contract, checked over every registered
 system.
 
-All four systems now run on the shared simulation kernel
-(:class:`repro.sim.kernel.SimKernel`), so the same behavioural contract
-must hold everywhere: the watchdog budget is honoured, ``run`` returns a
-well-formed :class:`~repro.sim.stats.RunResult` with a complete
-attribution ledger, ``reset()`` restores a just-built system, and
-``capture_data`` controls payload capture without affecting timing.
+The PVA systems run on the shared simulation kernel
+(:class:`repro.sim.kernel.SimKernel`) and the serial baselines cost
+their commands in closed form (:mod:`repro.baselines.serial_core`), but
+the same behavioural contract must hold everywhere: the watchdog budget
+is honoured, ``run`` returns a well-formed
+:class:`~repro.sim.stats.RunResult` with a complete attribution ledger,
+``reset()`` restores a just-built system, and ``capture_data`` controls
+payload capture without affecting timing.
 """
 
 from __future__ import annotations
@@ -66,14 +68,16 @@ class TestSystemContract:
         summary = result.attribution_summary()
         assert set(summary) == set(result.attribution)
 
-    # Each backend drives one run loop; the ids name the loop.
+    # The ids name how the PVA kernel advances under each backend:
+    # visiting every cycle (reference) or jumping idle gaps (fast).
     @pytest.mark.parametrize(
         "sim_mode",
         [pytest.param("reference", id="tick"), pytest.param("fast", id="skip")],
     )
     def test_honors_watchdog(self, system, prototype_params, sim_mode):
         """An impossibly small cycle budget must surface as a contained
-        SimulationTimeout in both run-loop modes — never a hang."""
+        SimulationTimeout under both backends — never a hang.  A serial
+        baseline checks the budget at each command's start cycle."""
         from dataclasses import replace
 
         params = replace(prototype_params, sim_mode=sim_mode)
@@ -131,3 +135,29 @@ def test_run_after_timeout_needs_reset(system, prototype_params, sim_mode):
         instance.run(trace)
     instance.reset()
     assert instance.run(trace) == build_system(system, params).run(trace)
+
+
+@pytest.mark.parametrize("sim_mode", ["reference", "fast"])
+@pytest.mark.parametrize("system", ["cacheline-serial", "gathering-serial"])
+def test_serial_timeout_rule(system, sim_mode):
+    """A serial run raises SimulationTimeout exactly when its last
+    command would start past ``len(trace) * max_cycles_per_command``:
+    each command starts the cycle its predecessor ends, and the budget
+    caps start cycles, so a run may end past it."""
+    params = SystemParams(sim_mode=sim_mode)
+    trace = _trace(params, "saxpy", stride=19)
+    total = build_system(system, params).run(trace).cycles
+    last_start = total - build_system(system, params).run(trace[-1:]).cycles
+    edge = -(-last_start // len(trace))  # the smallest budget that passes
+    assert total > len(trace) * edge  # that run ends past its budget
+    for budget in range(max(1, edge - 3), edge + 4):
+        limit = len(trace) * budget
+        with simulation_limits(max_cycles_per_command=budget):
+            instance = build_system(system, params)
+            if last_start > limit:
+                with pytest.raises(
+                    SimulationTimeout, match=f"exceeded {limit} cycles"
+                ):
+                    instance.run(trace)
+            else:
+                assert instance.run(trace).cycles == total

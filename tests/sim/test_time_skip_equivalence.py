@@ -4,14 +4,14 @@
 Every PVA run here has command logs attached, so the fast backend's
 structure-of-arrays automaton records every PRECHARGE, ACTIVATE and
 column its walk issues; the logs must equal the command streams the
-reference's device models record.  The serial
-baselines have no automaton: their fast backend is the skip loop alone,
-which jumps idle gaps via each component's next-event lower bound.  An
-underestimated bound can only cost speed; an *overestimated* one would
-show up here as a divergence in the
-:class:`~repro.sim.stats.RunResult`, the memory image or the logged
-command streams.  ``REPRO_SIM_MODE`` overrides the mode of every config
-built while it is set.  The harness lives in
+reference's device models record.  The fast run jumps idle gaps via
+each component's next-event lower bound.  An underestimated bound can
+only cost speed; an *overestimated* one would show up here as a
+divergence in the :class:`~repro.sim.stats.RunResult`, the memory image
+or the logged command streams.  The serial baselines are closed forms
+that ``sim_mode`` does not touch: their cases assert that both modes
+give the same run.  ``REPRO_SIM_MODE`` overrides the mode of every
+config built while it is set.  The harness lives in
 :mod:`tests.sim.differential`.
 """
 
@@ -31,7 +31,6 @@ from .differential import (
     PAPER_STRIDES,
     PVA_SYSTEMS,
     SCATTER_GATHER,
-    RunLoopSpy,
     assert_equivalent,
     kernel_trace,
     spy_on_bank_paths,
@@ -97,7 +96,7 @@ class TestPaperConfiguration:
         assert_loops_agree(paths, "pva-sdram", params, trace, capture_data=True)
 
     def test_issue_interval_throttled_front_end(self, paths):
-        """A finite-rate processor leaves idle gaps the skip loop jumps."""
+        """A finite-rate processor leaves idle gaps the fast run jumps."""
         for interval in (7, 256):
             params = SystemParams(issue_interval=interval)
             trace = kernel_trace(params, "scale", stride=4, elements=128)
@@ -149,17 +148,16 @@ class TestFuzzedGeometries:
 
 
 class TestEnvOverride:
-    """The ``REPRO_SIM_MODE`` escape hatch wins over the params field."""
+    """The ``REPRO_SIM_MODE`` escape hatch wins over the params field:
+    it picks the bank model every PVA run builds."""
 
     def test_env_forces_tick_loop(self, paths, monkeypatch, prototype_params):
-        loops = RunLoopSpy(monkeypatch)
         monkeypatch.setenv(ENV_SIM_MODE, "reference")
         forced = replace(prototype_params, sim_mode="fast")
         assert forced.sim_mode == "reference"
         trace = kernel_trace(forced, stride=8, elements=64)
         result = build_system("pva-sdram", forced).run(trace)
-        assert loops.loops == ["tick"]
-        assert set(paths) == {"object"}
+        assert paths == ["object"] * forced.num_banks
         # ... and the forced mode still produces the reference result.
         monkeypatch.delenv(ENV_SIM_MODE)
         reference = simulate(
@@ -169,18 +167,15 @@ class TestEnvOverride:
         assert result == reference
 
     def test_env_forces_skip_loop(self, paths, monkeypatch):
-        loops = RunLoopSpy(monkeypatch)
         monkeypatch.setenv(ENV_SIM_MODE, "fast")
         forced = SystemParams(sim_mode="reference")
         assert forced.sim_mode == "fast"
         build_system("pva-sdram", forced).run(
             kernel_trace(forced, stride=8, elements=64)
         )
-        assert loops.loops == ["skip"]
-        assert set(paths) == {"soa"}
+        assert paths == ["soa"]
 
-    def test_auto_defers_to_params(self, monkeypatch):
-        loops = RunLoopSpy(monkeypatch)
+    def test_auto_defers_to_params(self, paths, monkeypatch):
         monkeypatch.setenv(ENV_SIM_MODE, "auto")
         for mode in ("fast", "reference"):
             params = SystemParams(sim_mode=mode)
@@ -188,4 +183,4 @@ class TestEnvOverride:
             build_system("pva-sdram", params).run(
                 kernel_trace(params, stride=8, elements=64)
             )
-        assert loops.loops == ["skip", "tick"]
+        assert paths == ["soa"] + ["object"] * params.num_banks

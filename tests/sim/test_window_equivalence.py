@@ -5,12 +5,12 @@ The fast backend steps every bank of a run as one structure-of-arrays
 automaton (:mod:`repro.pva.soa`): it runs each bank's event chain ahead
 to the next broadcast and issues whole same-row runs as bursts.  Its
 observable :class:`~repro.sim.stats.RunResult` and memory image must
-be bit-identical to the reference tick loop's.  These tests sweep the
-paper's strides and alignments, adversarial geometries (refresh
-deadlines landing mid-chain, degenerate stride-1 runs, single-bank and
+be bit-identical to the reference's.  These tests sweep the paper's
+strides and alignments, adversarial geometries (refresh deadlines
+landing mid-chain, degenerate stride-1 runs, single-bank and
 single-internal-bank devices), the row policies, interleaved and
-multichannel front ends, both run loops, back-to-back runs on one
-system object, and — in the fuzz loop — plain, logged and
+multichannel front ends, runs forced to visit every cycle, back-to-back
+runs on one system object, and — in the fuzz loop — plain, logged and
 ``capture_data`` runs at once.  The harness lives in
 :mod:`tests.sim.differential`.
 """
@@ -63,8 +63,8 @@ def test_paper_sweep_bit_identical(paths, system, kernel):
 
 @pytest.mark.parametrize("system", PVA_SYSTEMS)
 def test_tick_loop_equivalence(paths, system, monkeypatch):
-    """The automaton is loop-agnostic: forced onto the tick loop it
-    still matches the reference."""
+    """The automaton does not care how the loop advances: forced to
+    visit every cycle it still matches the reference."""
     loops = RunLoopSpy(monkeypatch)
     loops.force_tick = True
     params = SystemParams()
@@ -232,9 +232,10 @@ def test_back_to_back_runs(paths):
 
 def test_fuzzed_all_four_paths(paths, monkeypatch):
     """Randomized geometries, timings, policies, refresh cadences that
-    expire mid-chain, context and FIFO depths, both PVA systems, both
-    run loops, two traces back to back on one system object — every
-    trial checked three ways against the reference tick loop: a plain
+    expire mid-chain, context and FIFO depths, both PVA systems, one
+    trial in five forced to visit every cycle, two traces back to back
+    on one system object — every trial checked three ways against the
+    reference: a plain
     run, a run with command logs attached and a ``capture_data``
     run."""
     loops = RunLoopSpy(monkeypatch)
