@@ -38,7 +38,6 @@ from repro.api import (
     system_entry,
     unregister_system,
 )
-from repro.engine.resilience import BatchResult, PointFailure, RetryPolicy
 from repro.core import (
     NO_HIT,
     bank_subvector,
@@ -98,9 +97,6 @@ __all__ = [
     "unregister_system",
     "available_systems",
     "system_entry",
-    "BatchResult",
-    "PointFailure",
-    "RetryPolicy",
     "RunResult",
     "first_hit",
     "next_hit",

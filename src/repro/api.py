@@ -59,9 +59,9 @@ def clear_caches() -> None:
     broadcasts (:func:`repro.pva.schedule.broadcast_schedules`, bounded
     in table elements and bank offsets).  Both are pure value caches —
     dropping them can never change results, only cost the next call a
-    recompute — so this is safe at any point.  The experiment engine
-    calls it when a worker pool shuts down, bounding memory growth of
-    long-lived sweep processes.
+    recompute — so this is safe at any point.  Both memos are
+    LRU-bounded, so calling it is never needed for correctness or to cap
+    memory; it is for callers that want the memory back now.
     """
     from repro.core.pla import shared_k1_pla
     from repro.pva.schedule import clear_schedule_cache

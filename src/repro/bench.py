@@ -1,13 +1,13 @@
 """Wall-clock benchmark harness for the simulation core.
 
-``python -m repro bench`` times every registered memory system under
-both simulation backends over the same workload — ``sim_mode=
-"reference"`` (the bank-controller object graph, every cycle visited)
-and the default ``sim_mode="fast"`` (the structure-of-arrays bank
-automaton, idle cycles jumped) — and reports simulated cycles per
+``python -m repro bench`` times the two PVA systems (``pva-sdram`` and
+``pva-sram``) under both simulation backends over the same workload —
+``sim_mode="reference"`` (the bank-controller object graph, every cycle
+visited) and the default ``sim_mode="fast"`` (the structure-of-arrays
+bank automaton, idle cycles jumped) — and reports simulated cycles per
 second for each plus the reference-over-fast wall-clock speedup.  The
-serial baselines' closed forms do not read ``sim_mode``, so their rows
-time the same code twice and read about 1x.  The workload is the
+serial baselines do not read ``sim_mode``, so timing them would compare
+the same code with itself; they are not benchmarked.  The workload is the
 stride-19 slice of the section-6.2 evaluation grid (every kernel x
 every alignment), the densest bank-conflict case in the paper, plus a
 sparse scenario: a finite-rate processor (``issue_interval``) that
@@ -43,19 +43,24 @@ import time
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.api import available_systems, build_system
+from repro.api import build_system
 from repro.errors import ConfigurationError
 from repro.experiments.grid import EVAL_KERNELS
 from repro.kernels import ALIGNMENTS, build_trace, kernel_by_name
 from repro.params import ENV_SIM_MODE, SystemParams
 
 __all__ = [
+    "BENCH_SYSTEMS",
     "HEADLINE_STRIDE",
     "run_bench",
     "format_bench",
     "history_record",
     "main",
 ]
+
+#: The systems the benchmark times: the two whose banks ``sim_mode``
+#: selects a backend for.
+BENCH_SYSTEMS = ("pva-sdram", "pva-sram")
 
 #: The grid slice the benchmark times: the paper's worst-case stride.
 HEADLINE_STRIDE = 19
@@ -217,10 +222,13 @@ def run_bench(
     disagree on any total cycle count or attribution ledger, or if any
     run's ledger fails to sum to its cycle count.
     """
-    names = tuple(systems) if systems else available_systems()
-    unknown = set(names) - set(available_systems())
+    names = tuple(systems) if systems else BENCH_SYSTEMS
+    unknown = set(names) - set(BENCH_SYSTEMS)
     if unknown:
-        raise ConfigurationError(f"unknown system(s): {sorted(unknown)}")
+        raise ConfigurationError(
+            f"cannot benchmark system(s) {sorted(unknown)}: the bench "
+            f"times {', '.join(BENCH_SYSTEMS)}"
+        )
     cases = _cases(quick)
 
     # Suspend the environment override *before* building any params — a
@@ -293,9 +301,7 @@ def run_bench(
         sparse = {"reference": 0.0, "fast": 0.0}
         sparse_cycles = 0
         sparse_ledger: Dict[str, Dict[str, int]] = {}
-        for name in ("pva-sdram", "pva-sram"):
-            if name not in names:
-                continue
+        for name in names:
             timed = _compare(
                 f"{name} (issue_interval={SPARSE_ISSUE_INTERVAL})",
                 name, sparse_base, sparse_traces, repeats, profile, "sparse-",

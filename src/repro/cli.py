@@ -18,24 +18,23 @@ Subcommands
 ``complexity``
     Print the Table 1 complexity comparison.
 ``bench``
-    Time the reference backend against the fast one on the stride-19
-    grid slice and a throttled-front-end scenario and write
-    ``BENCH_sim.json`` (``--quick`` for the CI smoke workload).
+    Time the reference backend against the fast one on the two PVA
+    systems, over the stride-19 grid slice and a throttled-front-end
+    scenario, and write ``BENCH_sim.json`` (``--quick`` for the CI
+    smoke workload).
 
-Engine subcommands (``grid``, ``figure``, ``ablation``, ``all``) accept
-``--jobs``/``--cache`` plus the resilience options ``--on-error
-raise|collect``, ``--retries N``, and ``--timeout SECONDS``; with
-``--on-error collect`` a failing point no longer aborts the batch —
-its cells render as ``FAILED`` and the rest of the grid survives.
-Retries are immediate (no backoff).  Corrupt entries in a ``--cache``
-directory are moved to its ``quarantine/`` subdirectory and
+Engine subcommands (``grid``, ``figure``, ``ablation``, ``explore``,
+``all``) accept ``--jobs``/``--cache``.  A failing point aborts the
+command with its own exception, a dead worker process with
+``PointFailedError``, and a runaway simulation is stopped by the
+simulation watchdog (``SimulationTimeout``).  Corrupt entries in a
+``--cache`` directory are moved to its ``quarantine/`` subdirectory and
 re-simulated; the ``[engine]`` line counts them.
 
 Examples::
 
     python -m repro run --kernel copy --stride 19
     python -m repro grid --jobs 4 --cache .engine-cache
-    python -m repro grid --jobs 4 --on-error collect --retries 1 --timeout 120
     python -m repro figure 9 --elements 256 --jobs 4
     python -m repro ablation row-policy
 """
@@ -47,6 +46,7 @@ import sys
 from typing import List, Optional
 
 from repro.api import available_systems
+from repro.bench import BENCH_SYSTEMS
 from repro.engine import EngineHooks, ExperimentEngine
 from repro.errors import ConfigurationError
 from repro.experiments.ablations import (
@@ -79,25 +79,12 @@ _ABLATIONS = {
 
 class _MetricsLine(EngineHooks):
     """Prints the engine's throughput/caching summary after each batch
-    (to stderr, keeping result tables clean on stdout), plus one line
-    per terminally failed point in collect mode."""
-
-    def point_failed(self, failure, metrics):
-        print(f"[engine] FAILED {failure.describe()}", file=sys.stderr)
+    (to stderr, keeping result tables clean on stdout)."""
 
     def batch_complete(self, metrics):
-        resilience = ""
-        if (
-            metrics.failures
-            or metrics.retries
-            or metrics.timeouts
-            or metrics.cache_quarantined
-        ):
-            resilience = (
-                f", {metrics.failures} failed / {metrics.retries} "
-                f"retried / {metrics.timeouts} timed out / "
-                f"{metrics.cache_quarantined} quarantined"
-            )
+        quarantined = ""
+        if metrics.cache_quarantined:
+            quarantined = f", {metrics.cache_quarantined} quarantined"
         throughput = ""
         if metrics.sim_seconds > 0:
             throughput = (
@@ -111,7 +98,7 @@ class _MetricsLine(EngineHooks):
             f"in {metrics.elapsed_seconds:.2f}s — "
             f"{metrics.points_per_second:.1f} points/s, "
             f"{metrics.jobs} job{'s' if metrics.jobs != 1 else ''}"
-            f"{throughput}{resilience}",
+            f"{throughput}{quarantined}",
             file=sys.stderr,
         )
         if metrics.component_cycles:
@@ -152,33 +139,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="directory for the content-addressed result cache",
     )
-    parser.add_argument(
-        "--on-error",
-        choices=("raise", "collect"),
-        default="raise",
-        help=(
-            "collect: record per-point failures and keep the batch "
-            "running (failed cells render as FAILED); raise (default): "
-            "abort on the first failure"
-        ),
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="re-attempts per failed point, made immediately (no backoff)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-point wall-clock budget in worker pools; recovers "
-            "hung simulations and killed workers (default: wait forever)"
-        ),
-    )
 
 
 def _engine_from(args: argparse.Namespace) -> ExperimentEngine:
@@ -186,9 +146,6 @@ def _engine_from(args: argparse.Namespace) -> ExperimentEngine:
         jobs=args.jobs,
         cache_dir=args.cache,
         hooks=_MetricsLine(),
-        on_error=args.on_error,
-        retry=args.retries,
-        timeout=args.timeout,
     )
 
 
@@ -297,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--system",
         action="append",
-        choices=sorted(available_systems()),
-        help="memory system(s) to benchmark (default: all four)",
+        choices=BENCH_SYSTEMS,
+        help="PVA system(s) to benchmark (default: both)",
     )
     bench_parser.add_argument(
         "--min-speedup",
@@ -491,10 +448,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     headers = ("kernel", "stride", "alignment") + tuple(grid.systems)
     rows = [
         (kernel, stride, alignment)
-        + tuple(
-            "FAILED" if point[name] is None else point[name]
-            for name in grid.systems
-        )
+        + tuple(point[name] for name in grid.systems)
         for (kernel, stride, alignment), point in grid.cycles.items()
     ]
     print(format_table(headers, rows))

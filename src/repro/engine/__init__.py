@@ -4,21 +4,23 @@ The evaluation is a grid of independent, deterministic points — four
 memory systems x eight kernels x six strides x five alignments (section
 6.2).  This package executes any such batch through one engine:
 
-* :class:`~repro.engine.engine.ExperimentEngine` — submission-ordered
-  execution over a ``multiprocessing`` pool (``jobs=N``), with identical
-  results at any job count;
+* :class:`~repro.engine.engine.ExperimentEngine` — cache lookup, then
+  in-batch coalescing, then inline execution (``jobs=1``) or a worker
+  pool fed in submission order (``jobs=N``), with identical results at
+  any job count;
 * :class:`~repro.engine.cache.ResultCache` — a content-addressed on-disk
   cache keyed by a stable hash of the point spec, its
   :class:`~repro.params.SystemParams` and a code-version salt, so
-  repeated figure/ablation runs replay from disk;
+  repeated figure/ablation runs replay from disk; corrupt entries are
+  quarantined and recomputed;
 * :class:`~repro.engine.metrics.EngineHooks` — progress callbacks
   carrying per-point cycle counts and running points/sec + cache
-  hit-rate metrics;
-* :mod:`~repro.engine.resilience` — failure capture
-  (:class:`PointFailure`), retries (:class:`RetryPolicy`), per-point
-  timeouts, and partial-batch results
-  (:class:`BatchResult` from ``on_error="collect"``), so one bad point
-  cannot take down a 240-point grid.
+  hit-rate metrics.
+
+Failures are loud: the first failing point raises its own exception, a
+dead worker raises :class:`~repro.errors.PointFailedError`, and the
+simulation watchdog stops a runaway run with
+:class:`~repro.errors.SimulationTimeout`.
 
 Quick start::
 
@@ -42,13 +44,7 @@ from repro.engine.engine import (
     execute_point,
     execute_point_timed,
 )
-from repro.engine.metrics import (
-    EngineHooks,
-    EngineMetrics,
-    PointOutcome,
-    PrintProgress,
-)
-from repro.engine.resilience import BatchResult, PointFailure, RetryPolicy
+from repro.engine.metrics import EngineHooks, EngineMetrics, PointOutcome
 from repro.engine.spec import (
     CACHE_SCHEMA_VERSION,
     CommandTraceSpec,
@@ -64,13 +60,9 @@ from repro.engine.spec import (
 __all__ = [
     "ExperimentEngine",
     "ResultCache",
-    "BatchResult",
-    "PointFailure",
-    "RetryPolicy",
     "EngineHooks",
     "EngineMetrics",
     "PointOutcome",
-    "PrintProgress",
     "ExperimentPoint",
     "KernelTraceSpec",
     "CommandTraceSpec",

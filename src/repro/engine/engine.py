@@ -2,34 +2,34 @@
 
 ``ExperimentEngine.run`` takes a batch of :class:`ExperimentPoint` specs
 and returns their cycle counts **in submission order**, regardless of
-how many worker processes execute them — results are keyed by index, so
-``jobs=1`` and ``jobs=N`` produce identical output.  Three layers sit
-between a submitted point and a simulation:
+how many worker processes execute them, so ``jobs=1`` and ``jobs=N``
+produce identical output.  A batch takes three steps:
 
 1. **Result cache** — with a ``cache_dir``, each point's content address
    (:func:`repro.engine.spec.point_key`) is looked up first; warm runs of
    a figure or ablation replay from disk instead of re-simulating.
+   Corrupt entries are quarantined and recomputed
+   (:class:`~repro.engine.cache.ResultCache`).
 2. **Coalescing** — identical points inside one batch (the grid runner
    submits alignment-free baselines once per alignment) share a single
    execution.
-3. **Worker pool** — remaining unique points fan out over a
-   ``multiprocessing`` pool.  Workers rebuild trace and system from the
-   spec, so no simulator state crosses the process boundary; the fork
-   start method is preferred (cheap, inherits ``sys.path``) with spawn
-   as the portable fallback.
+3. **Execution** — the remaining unique points run inline (``jobs=1``)
+   or on a ``concurrent.futures.ProcessPoolExecutor`` fed as one chunked
+   ``map`` in submission order.  Workers rebuild trace and system from
+   the spec, so no simulator state crosses the process boundary; the
+   fork start method is preferred (cheap, inherits ``sys.path``) with
+   spawn as the portable fallback.
 
-On top of these sits the **resilience layer**
-(:mod:`repro.engine.resilience`): every unique point is tracked as a
-task with its own id, submitted via ``apply_async`` so one stuck point
-cannot stall the stream.  A failing point is retried under the engine's
-:class:`RetryPolicy` (immediately unless the policy sets a backoff); a
-point that outlives the per-point ``timeout`` — a hung simulation or a
-killed worker — is recovered the same way.  Terminal failures either
-abort the batch (``on_error="raise"``, the default) or are captured as
-:class:`PointFailure` records in the returned :class:`BatchResult`
-(``on_error="collect"``), with healthy points unaffected.  If the pool
-misbehaves repeatedly the engine abandons it and degrades to inline
-execution for the remaining points.
+Failures are loud.  The first failing point in submission order raises
+its original exception at any job count.  A worker that dies (killed or
+crashed) raises :class:`~repro.errors.PointFailedError` at once, chained
+from the pool's ``BrokenProcessPool``.  A runaway simulation is stopped
+inside its worker by the simulation watchdog
+(:class:`repro.sim.runner.Watchdog`), which raises
+:class:`~repro.errors.SimulationTimeout`.  On every exit from a pool
+batch, ``KeyboardInterrupt`` included, the engine terminates its workers
+before the exception propagates, and every result already delivered is
+in the cache.
 
 Progress and throughput are surfaced through the
 :class:`~repro.engine.metrics.EngineHooks` callback interface.
@@ -37,39 +37,28 @@ Progress and throughput are surfaced through the
 
 from __future__ import annotations
 
-import dataclasses
 import signal
 import time
-import traceback
-from collections import deque
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api import build_system
 from repro.engine.cache import ResultCache
 from repro.engine.metrics import EngineHooks, EngineMetrics, PointOutcome
-from repro.engine.resilience import (
-    KIND_EXCEPTION,
-    KIND_TIMEOUT,
-    BatchResult,
-    PointFailure,
-    RetryPolicy,
-)
 from repro.engine.spec import (
     ExperimentPoint,
     build_point_trace,
     default_salt,
     point_key,
 )
-from repro.errors import (
-    ConfigurationError,
-    IncompleteBatchError,
-    PointFailedError,
-)
+from repro.errors import IncompleteBatchError, PointFailedError
 
 __all__ = ["ExperimentEngine", "execute_point", "execute_point_timed"]
 
-#: Idle-poll interval of the pool result loop, seconds.
-_POLL_SECONDS = 0.005
+#: Chunks per worker in a pool batch.  Workers take chunks in submission
+#: order as they free up, so a batch ends at most about one chunk (1/32
+#: of a worker's share) after an even split.  Grid points differ in cost
+#: by kernel, and a few large chunks leave one worker idle at the tail.
+_CHUNKS_PER_WORKER = 32
 
 
 def execute_point(point: ExperimentPoint) -> int:
@@ -113,53 +102,25 @@ def _pool_context():
 
 def _init_worker():
     """Pool workers ignore SIGINT: the parent owns interrupt handling
-    (terminate + flush + clean re-raise), so ^C prints one traceback
-    instead of one per worker.
+    (terminate + clean re-raise), so ^C prints one traceback instead of
+    one per worker.
 
     SIGTERM is reset to the default disposition: a forked worker
     inherits any handler the parent installed, and a worker that
-    shrugs off SIGTERM turns ``pool.terminate()`` into a deadlock (the
-    parent joins a worker that never exits)."""
+    shrugs off SIGTERM survives the engine's terminate and deadlocks
+    the pool's shutdown (the parent joins a worker that never exits)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-class _Task:
-    """Parent-side state of one unique point's execution."""
-
-    __slots__ = (
-        "task_id",
-        "key",
-        "point",
-        "attempts",
-        "async_result",
-        "deadline",
-        "not_before",
-    )
-
-    def __init__(self, task_id: int, key: str, point: ExperimentPoint):
-        self.task_id = task_id
-        self.key = key
-        self.point = point
-        self.attempts = 0  #: executions started so far
-        self.async_result = None  #: in-flight AsyncResult, or None
-        self.deadline: Optional[float] = None
-        self.not_before: float = 0.0  #: backoff gate for the next attempt
-
-
-#: One streamed execution outcome: exactly one of ``cycles`` / ``failure``
-#: is set; ``sim_seconds`` is the executing worker's wall clock for the
-#: point and ``attribution`` its per-component cycle ledger (both None on
-#: failure); ``error`` carries the original exception object when there
-#: is one to re-raise in ``on_error="raise"`` mode.
+#: One executed point: its cache key and spec, then the executing
+#: worker's ``(cycles, sim_seconds, attribution)``.
 _Outcome = Tuple[
     str,
     ExperimentPoint,
-    Optional[int],
-    Optional[float],
+    int,
+    float,
     Optional[Dict[str, Dict[str, int]]],
-    Optional[PointFailure],
-    Optional[BaseException],
 ]
 
 
@@ -175,28 +136,10 @@ class ExperimentEngine:
         caching.
     hooks:
         An :class:`EngineHooks` implementation receiving per-point
-        outcomes, failures, and batch summaries.
+        outcomes and batch summaries.
     salt:
         Cache-key salt; defaults to the library version plus the engine
         schema version, so upgrading either invalidates stale entries.
-    on_error:
-        ``"raise"`` (default) propagates the first terminal point
-        failure; ``"collect"`` records failures and returns a
-        :class:`BatchResult` with ``None`` cycles at failed indices.
-    retry:
-        A :class:`RetryPolicy`, or an int shorthand for
-        ``RetryPolicy(retries=n)``; None disables retrying.
-    timeout:
-        Per-point wall-clock budget in seconds for pool execution,
-        measured from task submission.  Recovers hung simulations and
-        killed workers (whose results never arrive).  None (default)
-        waits forever; inline execution ignores it — the simulation
-        watchdog (:class:`repro.sim.runner.Watchdog`) is the inline
-        containment layer.
-    degrade_after:
-        Abandon the worker pool and finish the batch inline after this
-        many pool incidents (timeouts / lost tasks / submission
-        failures) in one batch.
     """
 
     def __init__(
@@ -206,46 +149,23 @@ class ExperimentEngine:
         cache_dir=None,
         hooks: Optional[EngineHooks] = None,
         salt: Optional[str] = None,
-        on_error: str = "raise",
-        retry: Union[RetryPolicy, int, None] = None,
-        timeout: Optional[float] = None,
-        degrade_after: int = 3,
     ):
         self.jobs = max(1, int(jobs))
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.hooks = hooks if hooks is not None else EngineHooks()
         self.salt = salt if salt is not None else default_salt()
-        if on_error not in ("raise", "collect"):
-            raise ConfigurationError(
-                f'on_error must be "raise" or "collect", got {on_error!r}'
-            )
-        self.on_error = on_error
-        if retry is None:
-            retry = RetryPolicy()
-        elif isinstance(retry, int):
-            retry = RetryPolicy(retries=retry)
-        self.retry = retry
-        if timeout is not None and timeout <= 0:
-            raise ConfigurationError(
-                f"timeout must be positive or None, got {timeout}"
-            )
-        self.timeout = timeout
-        self.degrade_after = max(1, int(degrade_after))
         self.metrics = EngineMetrics(jobs=self.jobs)
 
     # ------------------------------------------------------------- #
     # Execution
     # ------------------------------------------------------------- #
 
-    def run(
-        self, points: Sequence[ExperimentPoint]
-    ) -> Union[List[int], BatchResult]:
+    def run(self, points: Sequence[ExperimentPoint]) -> List[int]:
         """Execute a batch; return cycle counts in submission order.
 
-        With ``on_error="raise"`` the return value is a plain
-        ``List[int]``; with ``"collect"`` it is a :class:`BatchResult`
-        whose sequence view has ``None`` at failed indices and whose
-        ``failures`` lists one :class:`PointFailure` per failed point.
+        The first failing point in submission order raises its original
+        exception; a dead pool worker raises
+        :class:`~repro.errors.PointFailedError`.
         """
         points = list(points)
         metrics = self.metrics
@@ -253,7 +173,6 @@ class ExperimentEngine:
         started = time.perf_counter()
 
         results: List[Optional[int]] = [None] * len(points)
-        failures: List[PointFailure] = []
         keys = [point_key(point, self.salt) for point in points]
 
         # Cache lookups + in-batch coalescing, in submission order.
@@ -292,75 +211,52 @@ class ExperimentEngine:
             waiting[key] = [index]
             pending.append((key, point))
 
-        # Execute the unique misses, streaming outcomes as they land
-        # (results are index-keyed, so completion order is irrelevant).
+        # Execute the unique misses; each result reaches the cache
+        # before the next one is taken.
         try:
-            for (
-                key,
-                point,
-                cycles,
-                seconds,
-                attribution,
-                failure,
-                error,
-            ) in self._execute(pending):
-                if failure is None:
-                    if self.cache is not None:
-                        self.cache.put(
-                            key,
-                            {
-                                "cycles": cycles,
-                                "sim_seconds": seconds,
-                                "attribution": attribution,
-                                "sim_mode": point.params.sim_mode,
-                                "config": point.params.to_dict(),
-                                "config_key": point.params.config_key(),
-                                "point": point.describe(),
-                            },
-                        )
-                    indices = waiting.pop(key)
-                    metrics.simulated += 1
-                    metrics.simulated_cycles += cycles
-                    if seconds is not None:
-                        metrics.sim_seconds += seconds
-                    metrics.record_attribution(attribution)
-                    for position, index in enumerate(indices):
-                        results[index] = cycles
-                        metrics.points_done += 1
-                        self.hooks.point_done(
-                            PointOutcome(
-                                index,
-                                points[index],
-                                cycles,
-                                cached=False,
-                                coalesced=position > 0,
-                                sim_seconds=seconds,
-                                attribution=attribution,
-                            ),
-                            metrics,
-                        )
-                    continue
-                if self.on_error == "raise":
-                    if error is not None:
-                        raise error
-                    raise PointFailedError(failure.describe())
-                for index in waiting.pop(key):
-                    record = dataclasses.replace(
-                        failure, index=index, point=points[index]
+            for key, point, cycles, seconds, attribution in self._execute(
+                pending
+            ):
+                if self.cache is not None:
+                    self.cache.put(
+                        key,
+                        {
+                            "cycles": cycles,
+                            "sim_seconds": seconds,
+                            "attribution": attribution,
+                            "sim_mode": point.params.sim_mode,
+                            "config": point.params.to_dict(),
+                            "config_key": point.params.config_key(),
+                            "point": point.describe(),
+                        },
                     )
-                    failures.append(record)
-                    metrics.failures += 1
-                    self.hooks.point_failed(record, metrics)
+                indices = waiting.pop(key)
+                metrics.simulated += 1
+                metrics.simulated_cycles += cycles
+                metrics.sim_seconds += seconds
+                metrics.record_attribution(attribution)
+                for position, index in enumerate(indices):
+                    results[index] = cycles
+                    metrics.points_done += 1
+                    self.hooks.point_done(
+                        PointOutcome(
+                            index,
+                            points[index],
+                            cycles,
+                            cached=False,
+                            coalesced=position > 0,
+                            sim_seconds=seconds,
+                            attribution=attribution,
+                        ),
+                        metrics,
+                    )
         finally:
             metrics.elapsed_seconds += time.perf_counter() - started
             if self.cache is not None:
                 metrics.cache_quarantined = self.cache.quarantined
 
-        failed = {failure.index for failure in failures}
         missing = [
-            index
-            for index, cycles in enumerate(results)
-            if cycles is None and index not in failed
+            index for index, cycles in enumerate(results) if cycles is None
         ]
         if missing:
             raise IncompleteBatchError(
@@ -368,288 +264,61 @@ class ExperimentEngine:
                 f"point(s) (first indices: {missing[:5]}) — engine bug"
             )
         self.hooks.batch_complete(metrics)
-        if self.on_error == "collect":
-            return BatchResult(results, failures)
         return results  # type: ignore[return-value]
 
     def _execute(
         self, pending: List[Tuple[str, ExperimentPoint]]
     ) -> Iterator[_Outcome]:
-        """Stream one outcome per unique point, in completion order."""
-        if not pending:
-            return
-        if self.jobs == 1 or len(pending) == 1:
-            for key, point in pending:
-                yield self._run_inline(key, point)
-            return
-        yield from self._execute_pool(pending)
-
-    # ------------------------------------------------------------- #
-    # Inline execution (jobs=1 and the degraded fallback)
-    # ------------------------------------------------------------- #
-
-    def _run_inline(
-        self, key: str, point: ExperimentPoint, attempts: int = 0
-    ) -> _Outcome:
-        """Execute one point in this process, honouring the retry
-        policy.  ``attempts`` carries over executions already consumed
-        in the pool when the engine degrades mid-batch."""
-        while True:
-            attempts += 1
-            try:
-                cycles, seconds, attribution = execute_point_timed(point)
-                return key, point, cycles, seconds, attribution, None, None
-            except Exception as error:
-                if self.retry.should_retry(attempts):
-                    self.metrics.retries += 1
-                    delay = self.retry.delay(attempts)
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                failure = self._failure_from(point, error, attempts)
-                return key, point, None, None, None, failure, error
-
-    # ------------------------------------------------------------- #
-    # Pool execution
-    # ------------------------------------------------------------- #
-
-    def _execute_pool(
-        self, pending: List[Tuple[str, ExperimentPoint]]
-    ) -> Iterator[_Outcome]:
-        context = _pool_context()
+        """Yield one outcome per unique point, in submission order."""
         workers = min(self.jobs, len(pending))
-        pool = context.Pool(processes=workers, initializer=_init_worker)
-        queue = deque(
-            _Task(task_id, key, point)
-            for task_id, (key, point) in enumerate(pending)
+        if workers <= 1:
+            for key, point in pending:
+                yield (key, point) + execute_point_timed(point)
+            return
+        # Imported here, not at module level: it is a fifth of the
+        # engine's import time, and inline batches never need it.
+        from concurrent.futures.process import (
+            BrokenProcessPool,
+            ProcessPoolExecutor,
         )
-        live: Dict[int, _Task] = {}  #: task_id -> in-flight or backing off
-        incidents = 0  #: pool-level faults seen this batch
-        try:
-            while queue or live:
-                if incidents >= self.degrade_after:
-                    # The pool keeps misbehaving (stuck or dying
-                    # workers); finish the batch inline where at least
-                    # the simulation watchdog contains faults.
-                    pool.terminate()
-                    remaining = list(live.values()) + list(queue)
-                    live.clear()
-                    queue.clear()
-                    for task in remaining:
-                        self.metrics.degraded += 1
-                        yield self._run_inline(
-                            task.key, task.point, attempts=task.attempts
-                        )
-                    return
 
-                progressed = self._fill_pool(pool, queue, live, workers)
-                now = time.monotonic()
-                for task_id in list(live):
-                    task = live[task_id]
-                    if task.async_result is None:
-                        # Backing off before a retry.
-                        if now >= task.not_before:
-                            if not self._submit(pool, task):
-                                incidents = self.degrade_after
-                                break
-                            progressed = True
-                        continue
-                    if task.async_result.ready():
-                        progressed = True
-                        del live[task_id]
-                        try:
-                            cycles, seconds, attribution = (
-                                task.async_result.get()
-                            )
-                        except Exception as error:
-                            if self.retry.should_retry(task.attempts):
-                                self.metrics.retries += 1
-                                task.async_result = None
-                                task.not_before = now + self.retry.delay(
-                                    task.attempts
-                                )
-                                live[task_id] = task
-                                continue
-                            yield (
-                                task.key,
-                                task.point,
-                                None,
-                                None,
-                                None,
-                                self._failure_from(
-                                    task.point, error, task.attempts
-                                ),
-                                error,
-                            )
-                            continue
-                        yield (
-                            task.key,
-                            task.point,
-                            cycles,
-                            seconds,
-                            attribution,
-                            None,
-                            None,
-                        )
-                    elif task.deadline is not None and now > task.deadline:
-                        # Hung simulation or killed worker: its result
-                        # will never arrive (a late one is discarded).
-                        progressed = True
-                        self.metrics.timeouts += 1
-                        incidents += 1
-                        del live[task_id]
-                        if self.retry.should_retry(
-                            task.attempts, timeout=True
-                        ):
-                            self.metrics.retries += 1
-                            task.async_result = None
-                            task.not_before = now + self.retry.delay(
-                                task.attempts
-                            )
-                            live[task_id] = task
-                            continue
-                        yield (
-                            task.key,
-                            task.point,
-                            None,
-                            None,
-                            None,
-                            self._timeout_failure(task),
-                            None,
-                        )
-                if not progressed:
-                    time.sleep(_POLL_SECONDS)
-        except KeyboardInterrupt:
-            # Stop the workers, then flush every already-finished
-            # result so the cache keeps the completed work, and
-            # re-raise a single clean interrupt.
-            pool.terminate()
-            yield from self._harvest_finished(live)
-            raise
+        chunksize = -(-len(pending) // (workers * _CHUNKS_PER_WORKER))
+        executor = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=_pool_context(),
+            initializer=_init_worker,
+        )
+        delivered = 0
+        try:
+            outcomes = executor.map(
+                execute_point_timed,
+                [point for _, point in pending],
+                chunksize=chunksize,
+            )
+            for (key, point), outcome in zip(pending, outcomes):
+                yield (key, point) + outcome
+                delivered += 1
+        except BrokenProcessPool as error:
+            raise PointFailedError(
+                f"a pool worker died (killed or crashed) with "
+                f"{len(pending) - delivered} of {len(pending)} points "
+                f"unfinished, from {pending[delivered][1].describe()} on"
+            ) from error
         finally:
-            pool.terminate()
-            pool.join()
-            # Worker teardown: drop the process-wide simulation memos
-            # (PLA tables, hit schedules, SoA broadcast tables) the
-            # batch grew in this parent process — sweeps touch many
-            # geometries and vectors, and nothing between batches needs
-            # the warm entries.
-            from repro.api import clear_caches
-
-            clear_caches()
-
-    @staticmethod
-    def _harvest_finished(live: Dict[int, "_Task"]) -> Iterator[_Outcome]:
-        """Yield every live task whose result already landed, so an
-        interrupted batch keeps its completed work."""
-        for task in live.values():
-            ready = task.async_result
-            if ready is None or not ready.ready():
-                continue
-            try:
-                cycles, seconds, attribution = ready.get(0)
-            except Exception:
-                continue
-            yield (
-                task.key,
-                task.point,
-                cycles,
-                seconds,
-                attribution,
-                None,
-                None,
-            )
-
-    def _fill_pool(
-        self,
-        pool,
-        queue: deque,
-        live: Dict[int, "_Task"],
-        workers: int,
-    ) -> bool:
-        """Keep at most ``2 * workers`` tasks outstanding.
-
-        Lazy submission keeps the per-point ``timeout`` honest: a
-        deadline starts at submission, so queueing every point up front
-        would charge tail points for the whole batch's runtime.
-        """
-        progressed = False
-        in_flight = sum(
-            1 for task in live.values() if task.async_result is not None
-        )
-        while queue and in_flight < 2 * workers:
-            task = queue.popleft()
-            if not self._submit(pool, task):
-                queue.appendleft(task)
-                return progressed
-            live[task.task_id] = task
-            in_flight += 1
-            progressed = True
-        return progressed
-
-    def _submit(self, pool, task: "_Task") -> bool:
-        """Start one attempt of ``task``; False if the pool is broken."""
-        try:
-            async_result = pool.apply_async(
-                execute_point_timed, (task.point,)
-            )
-        except Exception:
-            return False
-        task.attempts += 1
-        task.async_result = async_result
-        task.deadline = (
-            time.monotonic() + self.timeout
-            if self.timeout is not None
-            else None
-        )
-        return True
-
-    # ------------------------------------------------------------- #
-    # Failure records
-    # ------------------------------------------------------------- #
-
-    @staticmethod
-    def _failure_from(
-        point: ExperimentPoint, error: BaseException, attempts: int
-    ) -> PointFailure:
-        return PointFailure(
-            index=-1,
-            point=point,
-            error_type=type(error).__name__,
-            message=str(error),
-            traceback="".join(
-                traceback.format_exception(
-                    type(error), error, error.__traceback__
-                )
-            ),
-            attempts=attempts,
-            kind=KIND_EXCEPTION,
-        )
-
-    def _timeout_failure(self, task: "_Task") -> PointFailure:
-        return PointFailure(
-            index=-1,
-            point=task.point,
-            error_type="TimeoutError",
-            message=(
-                f"point exceeded its {self.timeout}s deadline — "
-                "hung simulation or killed worker"
-            ),
-            traceback="",
-            attempts=task.attempts,
-            kind=KIND_TIMEOUT,
-        )
+            if delivered < len(pending):
+                # shutdown() waits for running tasks, so stop the
+                # workers first on every early exit.
+                for process in list(executor._processes.values()):
+                    process.terminate()
+            executor.shutdown(cancel_futures=True)
 
     # ------------------------------------------------------------- #
     # Convenience
     # ------------------------------------------------------------- #
 
-    def run_one(self, point: ExperimentPoint) -> Optional[int]:
-        """Execute a single point (through cache and hooks).
-
-        In ``on_error="collect"`` mode a failed point yields None; check
-        the batch via :meth:`run` for the failure record.
-        """
+    def run_one(self, point: ExperimentPoint) -> int:
+        """Execute a single point (through cache and hooks) and return
+        its cycle count; a failing point raises like :meth:`run`."""
         return self.run([point])[0]
 
     def key_of(self, point: ExperimentPoint) -> str:

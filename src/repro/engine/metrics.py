@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.resilience import PointFailure
     from repro.engine.spec import ExperimentPoint
 
-__all__ = ["PointOutcome", "EngineMetrics", "EngineHooks", "PrintProgress"]
+__all__ = ["PointOutcome", "EngineMetrics", "EngineHooks"]
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,6 @@ class EngineMetrics:
     coalesced: int = 0  #: points served by an identical in-batch point
     elapsed_seconds: float = 0.0
     jobs: int = 1
-    failures: int = 0  #: points that terminally failed (collect mode)
-    retries: int = 0  #: re-attempts consumed by the retry policy
-    timeouts: int = 0  #: per-point deadline expiries (incl. retried ones)
-    degraded: int = 0  #: points run inline after the pool was abandoned
     simulated_cycles: int = 0  #: simulated cycles across unique executions
     sim_seconds: float = 0.0  #: worker wall clock across unique executions
     cache_quarantined: int = 0  #: corrupt cache entries moved aside
@@ -105,10 +100,6 @@ class EngineMetrics:
             "points_per_second": round(self.points_per_second, 1),
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "jobs": self.jobs,
-            "failures": self.failures,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "degraded": self.degraded,
             "simulated_cycles": self.simulated_cycles,
             "sim_seconds": round(self.sim_seconds, 3),
             "sim_cycles_per_second": round(self.sim_cycles_per_second, 1),
@@ -133,45 +124,6 @@ class EngineHooks:
     ) -> None:
         """Called once per requested point, as its result lands."""
 
-    def point_failed(
-        self, failure: "PointFailure", metrics: EngineMetrics
-    ) -> None:
-        """Called once per point whose execution terminally failed
-        (``on_error="collect"`` mode only — in ``"raise"`` mode the
-        first failure propagates as an exception instead)."""
-
     def batch_complete(self, metrics: EngineMetrics) -> None:
         """Called after every :meth:`ExperimentEngine.run` batch."""
 
-
-class PrintProgress(EngineHooks):
-    """A minimal progress hook: one line per batch (and optionally per
-    point) through a ``print``-like callable."""
-
-    def __init__(self, emit=print, per_point: bool = False):
-        self.emit = emit
-        self.per_point = per_point
-
-    def point_done(self, outcome, metrics):
-        if self.per_point:
-            source = "cache" if outcome.cached else "sim"
-            self.emit(
-                f"[engine] {outcome.point.describe()}: "
-                f"{outcome.cycles} cycles ({source})"
-            )
-
-    def point_failed(self, failure, metrics):
-        self.emit(f"[engine] FAILED {failure.describe()}")
-
-    def batch_complete(self, metrics):
-        failed = (
-            f", {metrics.failures} failed" if metrics.failures else ""
-        )
-        self.emit(
-            f"[engine] {metrics.points_done}/{metrics.points_total} points, "
-            f"{metrics.simulated} simulated, "
-            f"cache hit rate {metrics.cache_hit_rate:.0%}, "
-            f"{metrics.points_per_second:.1f} points/s "
-            f"({metrics.jobs} job{'s' if metrics.jobs != 1 else ''})"
-            f"{failed}"
-        )

@@ -97,20 +97,22 @@ class EngineError(ReproError):
 
 
 class PointFailedError(EngineError):
-    """An experiment point exhausted its retry budget.
+    """A pool worker process died while the batch was running.
 
-    Raised by :meth:`repro.engine.ExperimentEngine.run` in
-    ``on_error="raise"`` mode when a point's terminal failure has no
-    original exception object to re-raise — a per-point timeout or a
-    worker process that died mid-task.
+    Raised by :meth:`repro.engine.ExperimentEngine.run` as soon as the
+    worker pool breaks (a worker killed by a signal or the OOM killer,
+    or crashed), chained from the pool's ``BrokenProcessPool``.  A point
+    that raises keeps its own exception instead, and nothing is
+    retried: simulation is deterministic, so a rerun repeats the
+    failure.
     """
 
 
 class IncompleteBatchError(EngineError):
     """``ExperimentEngine.run`` finished its stream but one or more
-    points have neither a cycle count nor a recorded failure.
+    points have no cycle count.
 
-    This indicates an engine bug (a dropped task id), never user error;
+    This indicates an engine bug (a dropped point), never user error;
     it replaces a bare ``assert`` so the check survives ``python -O``.
     """
 

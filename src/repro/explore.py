@@ -293,9 +293,6 @@ def run_explore(
             for candidate in survivors
         ]
         for candidate, cycles in zip(survivors, engine.run(points)):
-            if cycles is None:
-                records.append(_record(candidate, "failed", None))
-                continue
             if cycles < candidate.bound:
                 raise ConfigurationError(
                     f"simulated {cycles} cycles beat the analytic lower "

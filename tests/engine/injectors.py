@@ -1,17 +1,15 @@
-"""Deterministic fault injectors for the engine's resilience tests.
+"""Deterministic fault injectors for the engine's failure tests.
 
 Each injector is a memory system (or a wrapper around one) that
 misbehaves in exactly one reproducible way:
 
 * :class:`RaisingSystem` — raises :class:`InjectedFault` on every run;
-* :class:`TransientFaultSystem` — fails the *first* execution only and
-  delegates every later attempt (attempt state lives in a marker file,
-  so it survives the process boundary to pool workers and retries);
 * :class:`CycleBurnerSystem` — ignores its trace and burns simulated
   cycles until the simulation watchdog trips
   (:class:`~repro.errors.SimulationTimeout`);
 * :class:`WorkerKillerSystem` — hard-kills the first executing process
-  with ``os._exit``, like an OOM-killed pool worker, then heals;
+  with ``os._exit``, like an OOM-killed pool worker (the claim lives in
+  a marker file, so it holds across pool workers), then heals;
 * :class:`CacheCorruptor` — vandalizes a :class:`ResultCache` directory
   with torn, garbage and stray entries.
 
@@ -61,25 +59,6 @@ class RaisingSystem:
         raise InjectedFault("injected fault")
 
 
-class TransientFaultSystem:
-    """Wrap a memory system; fail the first execution, then heal.
-
-    The first ``run`` (in any process) claims the marker file and raises
-    :class:`InjectedFault`; every later call runs the wrapped system.
-    This is the transient fault a one-retry policy must absorb.
-    """
-
-    def __init__(self, inner, marker: Path):
-        self.inner = inner
-        self.name = inner.name
-        self.marker = marker
-
-    def run(self, commands: Sequence, capture_data: bool = False) -> RunResult:
-        if _claim_marker(self.marker):
-            raise InjectedFault("injected transient fault (first attempt)")
-        return self.inner.run(commands, capture_data=capture_data)
-
-
 class CycleBurnerSystem:
     """A memory system that never finishes: it spins the simulated clock
     until the watchdog's cycle budget (``4096 x len(trace)`` ticks, a few
@@ -99,9 +78,9 @@ class WorkerKillerSystem:
     """Hard-kill the process that claims ``marker``; delegate afterwards.
 
     ``os._exit`` skips all cleanup, like an OOM kill or a segfault: the
-    pool worker vanishes and its task's result never arrives, so the
-    engine's per-point timeout is the recovery path.  Never run the
-    first attempt inline — it takes the caller down with it.
+    pool worker vanishes mid-task, the pool breaks, and the engine
+    raises :class:`~repro.errors.PointFailedError` at once.  Never run
+    the first attempt inline — it takes the caller down with it.
     """
 
     def __init__(self, inner, marker: Path):
@@ -163,17 +142,13 @@ class CacheCorruptor:
 def fault_systems(tmp_path):
     """Register the system injectors for one test; yield role -> name.
 
-    The transient and kill-once injectors wrap ``pva-sdram`` and keep
-    their markers under ``tmp_path``.  Pool workers fork from the test
-    process, so they inherit the registrations.
+    The kill-once injector wraps ``pva-sdram`` and keeps its marker
+    under ``tmp_path``.  Pool workers fork from the test process, so
+    they inherit the registrations.
     """
     factories = {
         "raising": lambda params: RaisingSystem(),
         "burner": lambda params: CycleBurnerSystem(),
-        "transient": lambda params: TransientFaultSystem(
-            build_system("pva-sdram", params),
-            marker=tmp_path / "transient.attempted",
-        ),
         "killer-once": lambda params: WorkerKillerSystem(
             build_system("pva-sdram", params),
             marker=tmp_path / "killer.fired",

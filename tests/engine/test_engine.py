@@ -10,7 +10,8 @@ from repro.engine import (
     KernelTraceSpec,
     execute_point,
 )
-from repro.experiments.grid import run_grid
+from repro.engine.engine import _CHUNKS_PER_WORKER
+from repro.experiments.grid import EVAL_KERNELS, run_grid
 
 
 def _points():
@@ -51,6 +52,27 @@ def test_parallel_matches_serial():
     serial = ExperimentEngine(jobs=1).run(points)
     parallel = ExperimentEngine(jobs=3).run(points)
     assert parallel == serial
+
+
+def test_chunked_pool_keeps_submission_order():
+    """A batch big enough that every pool task carries three points
+    still returns its results in submission order.  Neighbouring points
+    differ in cycles, so any reordering shows."""
+    count = 3 * 2 * _CHUNKS_PER_WORKER
+    points = [
+        ExperimentPoint(
+            system=("cacheline-serial", "gathering-serial")[index % 2],
+            trace=KernelTraceSpec(
+                kernel=EVAL_KERNELS[index % len(EVAL_KERNELS)],
+                stride=1 + index % 5,
+                elements=32 * (1 + index // 16),
+            ),
+        )
+        for index in range(count)
+    ]
+    serial = ExperimentEngine(jobs=1).run(points)
+    assert all(a != b for a, b in zip(serial, serial[1:]))
+    assert ExperimentEngine(jobs=2).run(points) == serial
 
 
 def test_grid_results_identical_across_job_counts(tmp_path):

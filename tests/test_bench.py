@@ -62,6 +62,19 @@ class TestRunBench:
         with pytest.raises(ConfigurationError):
             run_bench(elements=16, quick=True, systems=("no-such-system",))
 
+    def test_serial_systems_are_not_benchmarked(self):
+        """The serial baselines do not read ``sim_mode``: timing them
+        under both backends would compare the same code with itself."""
+        with pytest.raises(ConfigurationError):
+            run_bench(
+                elements=64, repeats=1, quick=True, systems=("cacheline-serial",)
+            )
+        with pytest.raises(SystemExit):
+            main(
+                ["bench", "--quick", "--elements", "64", "--repeats", "1",
+                 "--out", "", "--system", "gathering-serial"]
+            )
+
     def test_sparse_section_shape_and_cross_checks(self, quick_report):
         entry = quick_report["sparse"]
         assert entry["issue_interval"] == 256

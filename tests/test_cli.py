@@ -5,10 +5,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.config import ENV_SIM_MODE
 
-from .engine.injectors import (  # noqa: F401 (fixture)
-    CacheCorruptor,
-    fault_systems,
-)
+from .engine.injectors import CacheCorruptor
 
 
 class TestParser:
@@ -23,26 +20,6 @@ class TestParser:
     def test_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "12"])
-
-    def test_accepts_resilience_options(self):
-        args = build_parser().parse_args(
-            [
-                "grid",
-                "--on-error",
-                "collect",
-                "--retries",
-                "2",
-                "--timeout",
-                "10",
-            ]
-        )
-        assert args.on_error == "collect"
-        assert args.retries == 2
-        assert args.timeout == 10.0
-
-    def test_rejects_unknown_on_error_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["grid", "--on-error", "explode"])
 
 
 class TestCommands:
@@ -156,33 +133,6 @@ class TestCommands:
     def test_sweep_invalid_elements(self, capsys):
         assert main(["sweep", "--elements", "65"]) == 2
         assert "error" in capsys.readouterr().err
-
-    def test_grid_collect_renders_failed_cells(self, capsys, fault_systems):
-        """With --on-error collect an injected failure marks its cells
-        FAILED while the healthy system's column survives."""
-        code = main(
-            [
-                "grid",
-                "--kernel",
-                "copy",
-                "--stride",
-                "1",
-                "--alignment",
-                "aligned",
-                "--system",
-                "pva-sdram",
-                "--system",
-                fault_systems["raising"],
-                "--on-error",
-                "collect",
-                "--elements",
-                "64",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "FAILED" in out
-        assert "pva-sdram" in out
 
     def test_grid_reports_quarantined_cache_entries(self, tmp_path, capsys):
         """A torn cache entry is moved to quarantine/, re-simulated, and

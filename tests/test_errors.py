@@ -4,6 +4,8 @@ import pytest
 
 from repro import errors
 
+from .engine.injectors import fault_systems  # noqa: F401 (fixture)
+
 
 class TestHierarchy:
     def test_all_derive_from_repro_error(self):
@@ -115,23 +117,22 @@ class TestRaiseSites:
         with self._raises(errors.SimulationTimeout):
             dog.check(5)
 
-    def test_point_failed_error_from_batch_result(self):
-        from repro.engine import BatchResult, ExperimentPoint, KernelTraceSpec
-        from repro.engine.resilience import PointFailure
-
-        failure = PointFailure(
-            index=0,
-            point=ExperimentPoint(
-                system="pva-sdram",
-                trace=KernelTraceSpec(kernel="copy", stride=1, elements=64),
-            ),
-            error_type="InjectedFault",
-            message="boom",
-            traceback="",
-            attempts=1,
+    def test_point_failed_error_from_dead_worker(self, fault_systems):
+        from repro.engine import (
+            ExperimentEngine,
+            ExperimentPoint,
+            KernelTraceSpec,
         )
+
+        points = [
+            ExperimentPoint(
+                system=system,
+                trace=KernelTraceSpec(kernel="copy", stride=1, elements=64),
+            )
+            for system in ("pva-sdram", fault_systems["killer-once"])
+        ]
         with self._raises(errors.PointFailedError):
-            BatchResult([None], [failure]).raise_if_failed()
+            ExperimentEngine(jobs=2).run(points)
 
     def test_incomplete_batch_error_from_lost_point(self, monkeypatch):
         from repro.engine import (
