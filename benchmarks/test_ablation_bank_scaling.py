@@ -9,12 +9,7 @@ from repro.experiments.ablations import ablate_bank_scaling
 
 
 def test_bank_scaling_ablation(benchmark, write_artifact):
-    rows, text = run_once(
-        benchmark,
-        lambda: ablate_bank_scaling(
-            kernel="scale", stride=8, banks=(4, 8, 16, 32), elements=1024
-        ),
-    )
+    rows, text = run_once(benchmark, ablate_bank_scaling)
     write_artifact("ablation_bank_scaling.txt", text)
 
     by_banks = {r[0]: r for r in rows}

@@ -10,9 +10,7 @@ from repro.experiments.ablations import ablate_bypass_paths
 
 
 def test_bypass_ablation(benchmark, write_artifact):
-    rows, text = run_once(
-        benchmark, lambda: ablate_bypass_paths(strides=(1, 2, 7, 8, 19))
-    )
+    rows, text = run_once(benchmark, ablate_bypass_paths)
     write_artifact("ablation_bypass.txt", text)
 
     for stride, with_bypass, without, saved in rows:

@@ -8,13 +8,7 @@ from repro.experiments.ablations import ablate_refresh
 
 
 def test_refresh_ablation(benchmark, write_artifact):
-    rows, text = run_once(
-        benchmark,
-        lambda: ablate_refresh(
-            kernel="scale", stride=16, intervals=(0, 780, 200, 100, 50),
-            elements=1024,
-        ),
-    )
+    rows, text = run_once(benchmark, ablate_refresh)
     write_artifact("ablation_refresh.txt", text)
 
     by_interval = {r[0]: r[1] for r in rows}

@@ -9,14 +9,7 @@ from repro.experiments.ablations import ablate_row_policy
 
 
 def test_row_policy_ablation(benchmark, write_artifact):
-    rows, text = run_once(
-        benchmark,
-        lambda: ablate_row_policy(
-            kernels=("copy", "scale", "vaxpy"),
-            strides=(1, 8, 16, 19),
-            elements=1024,
-        ),
-    )
+    rows, text = run_once(benchmark, ablate_row_policy)
     write_artifact("ablation_row_policy.txt", text)
 
     by_key = {(r[0], r[1]): r[2:] for r in rows}

@@ -8,13 +8,7 @@ from repro.experiments.ablations import ablate_subcommand_latency
 
 
 def test_subcommand_latency_ablation(benchmark, write_artifact):
-    rows, text = run_once(
-        benchmark,
-        lambda: ablate_subcommand_latency(
-            kernel="copy", strides=(8, 19), latencies=(2, 5, 13),
-            elements=1024,
-        ),
-    )
+    rows, text = run_once(benchmark, ablate_subcommand_latency)
     write_artifact("ablation_subcommand_latency.txt", text)
 
     by_key = {(r[0], r[1]): r[2:] for r in rows}

@@ -8,15 +8,7 @@ from repro.experiments.ablations import ablate_vector_contexts
 
 
 def test_vector_context_ablation(benchmark, write_artifact):
-    rows, text = run_once(
-        benchmark,
-        lambda: ablate_vector_contexts(
-            kernel="vaxpy",
-            strides=(1, 8, 16, 19),
-            context_counts=(1, 2, 4, 8),
-            elements=1024,
-        ),
-    )
+    rows, text = run_once(benchmark, ablate_vector_contexts)
     write_artifact("ablation_vector_contexts.txt", text)
 
     for kernel, stride, one, two, four, eight in rows:

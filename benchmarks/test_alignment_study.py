@@ -6,7 +6,7 @@ from repro.experiments.alignment import alignment_study
 
 
 def test_alignment_study(benchmark, write_artifact):
-    rows, text = run_once(benchmark, lambda: alignment_study(elements=512))
+    rows, text = run_once(benchmark, alignment_study)
     write_artifact("alignment_study.txt", text)
 
     by_point = {(r[0], r[1]): r for r in rows}

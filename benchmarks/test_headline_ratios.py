@@ -10,68 +10,11 @@ EXPERIMENTS.md for the discussion.
 """
 
 from benchmarks.conftest import run_once
-from repro.baselines.cacheline_serial import CacheLineSerialSDRAM
-from repro.experiments.grid import run_grid
-from repro.experiments.headline import headline_ratios
-from repro.experiments.report import format_table
-from repro.kernels import build_trace, kernel_by_name
-from repro.params import SystemParams
-from repro.pva import PVAMemorySystem
+from repro.experiments.headline import headline_table
 
 
 def test_headline(benchmark, write_artifact):
-    def build():
-        grid = run_grid(kernels=("copy", "scale", "swap"))
-        ratios = headline_ratios(grid)
-
-        # The paper's own accounting variant: per-element fills.
-        params = SystemParams()
-        trace = build_trace(kernel_by_name("scale"), stride=19, params=params)
-        pva = PVAMemorySystem(params).run(trace).cycles
-        paper_style = (
-            CacheLineSerialSDRAM(params, fill_per_element=True)
-            .run(trace)
-            .cycles
-        )
-        return grid, ratios, paper_style / pva
-
-    grid, ratios, paper_style_speedup = run_once(benchmark, build)
-
-    summary = ratios.summary()
-    rows = [
-        ("paper claim", "measured"),
-    ]
-    text = format_table(
-        ("quantity", "paper", "measured (honest)", "measured (per-element fills)"),
-        [
-            (
-                "max speedup vs conventional",
-                "32.8x",
-                f"{summary['max_speedup_vs_cacheline']}x at {summary['at']}",
-                f"{paper_style_speedup:.1f}x (scale, stride 19)",
-            ),
-            (
-                "max speedup vs pipelined vector unit",
-                "3.3x",
-                f"{summary['max_speedup_vs_gathering']}x at "
-                f"{summary['gathering_at']}",
-                "-",
-            ),
-            (
-                "unit-stride cache-line fill cost",
-                "100-109%",
-                f"{summary['unit_stride_band_pct'][0]}-"
-                f"{summary['unit_stride_band_pct'][1]}%",
-                "-",
-            ),
-            (
-                "worst SDRAM-vs-SRAM gap",
-                "<= ~15%",
-                f"{summary['worst_sram_gap_pct']}%",
-                "-",
-            ),
-        ],
-    )
+    ratios, paper_style_speedup, text = run_once(benchmark, headline_table)
     write_artifact("headline.txt", text)
 
     assert ratios.max_speedup_vs_cacheline > 15

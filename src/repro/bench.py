@@ -27,8 +27,6 @@ Methodology notes:
   construction plus simulation, the same work either backend does;
 * each (system, mode) measurement is repeated ``repeats`` times and the
   **best** wall time is kept (the usual minimum-of-N noise filter);
-* the ``REPRO_SIM_MODE`` environment override is suspended for the
-  duration so the backends really are what they claim to be;
 * every speedup is a ratio of two timings from the same run, so it
   tracks the simulator rather than the host's speed.
 """
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -47,7 +44,7 @@ from repro.api import build_system
 from repro.errors import ConfigurationError
 from repro.experiments.grid import EVAL_KERNELS
 from repro.kernels import ALIGNMENTS, build_trace, kernel_by_name
-from repro.params import ENV_SIM_MODE, SystemParams
+from repro.params import SystemParams
 
 __all__ = [
     "BENCH_SYSTEMS",
@@ -78,41 +75,8 @@ def _cases(quick: bool):
     return [(kernel, alignment) for kernel in kernels for alignment in alignments]
 
 
-def _profile_section(
-    profile_dir: str, section: str, system: str, params: SystemParams, traces: List
-) -> None:
-    """Write a cProfile top-25-cumulative listing for one extra
-    (untimed) pass of a bench section to ``profile_dir``.
-
-    Profiling runs *after* the timed repeats on a separate pass, so the
-    published numbers are never measured under instrumentation.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    os.makedirs(profile_dir, exist_ok=True)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for trace in traces:
-        build_system(system, params).run(trace)
-    profiler.disable()
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats("cumulative").print_stats(25)
-    path = os.path.join(profile_dir, f"{section}-{system}.txt")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(stream.getvalue())
-
-
 def _time_mode(
-    system: str,
-    params: SystemParams,
-    traces: List,
-    repeats: int,
-    *,
-    profile_dir: Optional[str] = None,
-    section: str = "",
+    system: str, params: SystemParams, traces: List, repeats: int
 ) -> Dict[str, float]:
     """Run the workload under ``params``; return cycles, best wall time,
     and the summed per-component attribution ledger."""
@@ -147,29 +111,18 @@ def _time_mode(
             )
         if best is None or elapsed < best:
             best = elapsed
-    if profile_dir:
-        _profile_section(profile_dir, section or params.sim_mode, system, params, traces)
     return {"cycles": cycles, "seconds": best, "attribution": attribution}
 
 
 def _compare(
-    label: str,
-    system: str,
-    base: SystemParams,
-    traces: List,
-    repeats: int,
-    profile_dir: Optional[str],
-    section: str,
+    label: str, system: str, base: SystemParams, traces: List, repeats: int
 ) -> Dict:
     """Time ``traces`` on ``system`` under both backends; raise unless
     they agree on total cycles and the attribution ledger."""
     timed = {}
     for mode in ("reference", "fast"):
         params = replace(base, sim_mode=mode)
-        timed[mode] = _time_mode(
-            system, params, traces, repeats,
-            profile_dir=profile_dir, section=f"{section}{mode}",
-        )
+        timed[mode] = _time_mode(system, params, traces, repeats)
     reference, fast = timed["reference"], timed["fast"]
     if reference["cycles"] != fast["cycles"]:
         raise ConfigurationError(
@@ -205,13 +158,10 @@ def run_bench(
     elements: int = 1024,
     repeats: int = 3,
     quick: bool = False,
-    stride: int = HEADLINE_STRIDE,
     systems: Optional[Sequence[str]] = None,
-    params: Optional[SystemParams] = None,
-    profile: Optional[str] = None,
 ) -> Dict:
     """Benchmark the reference backend against the fast one on the
-    stride-``stride`` grid slice and the sparse scenario.
+    stride-:data:`HEADLINE_STRIDE` grid slice and the sparse scenario.
 
     Returns the ``BENCH_sim.json`` document: per-system wall seconds,
     simulated cycles and cycles/second under both backends, the summed
@@ -230,104 +180,97 @@ def run_bench(
             f"times {', '.join(BENCH_SYSTEMS)}"
         )
     cases = _cases(quick)
+    stride = HEADLINE_STRIDE
+    base = SystemParams()
+    report: Dict = {
+        "benchmark": "reference-vs-fast",
+        "stride": stride,
+        "elements": elements,
+        "repeats": max(1, repeats),
+        "quick": quick,
+        "kernels": sorted({kernel for kernel, _ in cases}),
+        "alignments": sorted({alignment.name for _, alignment in cases}),
+        "config": base.to_dict(),
+        "config_key": base.config_key(),
+        "systems": {},
+    }
 
-    # Suspend the environment override *before* building any params — a
-    # forced global mode must not warp what each section claims to time.
-    saved_mode_env = os.environ.pop(ENV_SIM_MODE, None)
-    try:
-        base = params or SystemParams()
-        report: Dict = {
-            "benchmark": "reference-vs-fast",
-            "stride": stride,
-            "elements": elements,
-            "repeats": max(1, repeats),
-            "quick": quick,
-            "kernels": sorted({kernel for kernel, _ in cases}),
-            "alignments": sorted({alignment.name for _, alignment in cases}),
-            "config": base.to_dict(),
-            "config_key": base.config_key(),
-            "systems": {},
-        }
-
-        totals = {"reference": 0.0, "fast": 0.0}
-        for name in names:
-            traces = [
-                build_trace(
-                    kernel_by_name(kernel),
-                    stride=stride,
-                    params=base,
-                    elements=elements,
-                    alignment=alignment,
-                )
-                for kernel, alignment in cases
-            ]
-            timed = _compare(name, name, base, traces, repeats, profile, "")
-            reference, fast = timed["reference"], timed["fast"]
-            totals["reference"] += reference["seconds"]
-            totals["fast"] += fast["seconds"]
-            report["systems"][name] = {
-                "simulated_cycles": reference["cycles"],
-                "reference_seconds": round(reference["seconds"], 4),
-                "fast_seconds": round(fast["seconds"], 4),
-                "reference_cycles_per_second": _rate(
-                    reference["cycles"], reference["seconds"]
-                ),
-                "fast_cycles_per_second": _rate(fast["cycles"], fast["seconds"]),
-                "speedup": _ratio(reference["seconds"], fast["seconds"]),
-                "attribution": _ledger(reference["attribution"]),
-            }
-        report["grid"] = {
-            "reference_seconds": round(totals["reference"], 4),
-            "fast_seconds": round(totals["fast"], 4),
-        }
-        report["speedup"] = _ratio(totals["reference"], totals["fast"])
-
-        # Sparse scenario: a finite-rate processor (issue_interval)
-        # leaves real idle gaps between commands.  The dense slice above
-        # is bus-limited (events on most cycles); here the reference
-        # backend's cost grows with simulated cycles while the fast
-        # backend's stays proportional to events.
-        sparse_base = replace(base, issue_interval=SPARSE_ISSUE_INTERVAL)
-        sparse_traces = [
+    totals = {"reference": 0.0, "fast": 0.0}
+    for name in names:
+        traces = [
             build_trace(
                 kernel_by_name(kernel),
                 stride=stride,
-                params=sparse_base,
+                params=base,
                 elements=elements,
                 alignment=alignment,
             )
-            for kernel, alignment in _cases(True)
+            for kernel, alignment in cases
         ]
-        sparse = {"reference": 0.0, "fast": 0.0}
-        sparse_cycles = 0
-        sparse_ledger: Dict[str, Dict[str, int]] = {}
-        for name in names:
-            timed = _compare(
-                f"{name} (issue_interval={SPARSE_ISSUE_INTERVAL})",
-                name, sparse_base, sparse_traces, repeats, profile, "sparse-",
+        timed = _compare(name, name, base, traces, repeats)
+        reference, fast = timed["reference"], timed["fast"]
+        totals["reference"] += reference["seconds"]
+        totals["fast"] += fast["seconds"]
+        report["systems"][name] = {
+            "simulated_cycles": reference["cycles"],
+            "reference_seconds": round(reference["seconds"], 4),
+            "fast_seconds": round(fast["seconds"], 4),
+            "reference_cycles_per_second": _rate(
+                reference["cycles"], reference["seconds"]
+            ),
+            "fast_cycles_per_second": _rate(fast["cycles"], fast["seconds"]),
+            "speedup": _ratio(reference["seconds"], fast["seconds"]),
+            "attribution": _ledger(reference["attribution"]),
+        }
+    report["grid"] = {
+        "reference_seconds": round(totals["reference"], 4),
+        "fast_seconds": round(totals["fast"], 4),
+    }
+    report["speedup"] = _ratio(totals["reference"], totals["fast"])
+
+    # Sparse scenario: a finite-rate processor (issue_interval) leaves
+    # real idle gaps between commands.  The dense slice above is
+    # bus-limited (events on most cycles); here the reference backend's
+    # cost grows with simulated cycles while the fast backend's stays
+    # proportional to events.
+    sparse_base = replace(base, issue_interval=SPARSE_ISSUE_INTERVAL)
+    sparse_traces = [
+        build_trace(
+            kernel_by_name(kernel),
+            stride=stride,
+            params=sparse_base,
+            elements=elements,
+            alignment=alignment,
+        )
+        for kernel, alignment in _cases(True)
+    ]
+    sparse = {"reference": 0.0, "fast": 0.0}
+    sparse_cycles = 0
+    sparse_ledger: Dict[str, Dict[str, int]] = {}
+    for name in names:
+        timed = _compare(
+            f"{name} (issue_interval={SPARSE_ISSUE_INTERVAL})",
+            name, sparse_base, sparse_traces, repeats,
+        )
+        sparse["reference"] += timed["reference"]["seconds"]
+        sparse["fast"] += timed["fast"]["seconds"]
+        sparse_cycles += timed["reference"]["cycles"]
+        for component, buckets in timed["reference"]["attribution"].items():
+            entry = sparse_ledger.setdefault(
+                component, {"busy": 0, "stalled": 0, "idle": 0}
             )
-            sparse["reference"] += timed["reference"]["seconds"]
-            sparse["fast"] += timed["fast"]["seconds"]
-            sparse_cycles += timed["reference"]["cycles"]
-            for component, buckets in timed["reference"]["attribution"].items():
-                entry = sparse_ledger.setdefault(
-                    component, {"busy": 0, "stalled": 0, "idle": 0}
-                )
-                for bucket in entry:
-                    entry[bucket] += buckets[bucket]
-        if sparse["fast"] > 0:
-            report["sparse"] = {
-                "issue_interval": SPARSE_ISSUE_INTERVAL,
-                "simulated_cycles": sparse_cycles,
-                "reference_seconds": round(sparse["reference"], 4),
-                "fast_seconds": round(sparse["fast"], 4),
-                "speedup": _ratio(sparse["reference"], sparse["fast"]),
-                "attribution": _ledger(sparse_ledger),
-            }
-        return report
-    finally:
-        if saved_mode_env is not None:
-            os.environ[ENV_SIM_MODE] = saved_mode_env
+            for bucket in entry:
+                entry[bucket] += buckets[bucket]
+    if sparse["fast"] > 0:
+        report["sparse"] = {
+            "issue_interval": SPARSE_ISSUE_INTERVAL,
+            "simulated_cycles": sparse_cycles,
+            "reference_seconds": round(sparse["reference"], 4),
+            "fast_seconds": round(sparse["fast"], 4),
+            "speedup": _ratio(sparse["reference"], sparse["fast"]),
+            "attribution": _ledger(sparse_ledger),
+        }
+    return report
 
 
 def format_bench(report: Dict) -> str:
@@ -407,7 +350,6 @@ def main(args: argparse.Namespace) -> int:
             repeats=args.repeats,
             quick=args.quick,
             systems=tuple(args.system) if args.system else None,
-            profile=getattr(args, "profile", None) or None,
         )
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -276,15 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
             "('' to skip; only written when --out is non-empty)"
         ),
     )
-    bench_parser.add_argument(
-        "--profile",
-        default="",
-        metavar="DIR",
-        help=(
-            "write per-section cProfile summaries (top 25 by "
-            "cumulative time) into DIR"
-        ),
-    )
 
     explore_parser = sub.add_parser(
         "explore",
@@ -384,7 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
         "all", help="regenerate every experiment artifact into a directory"
     )
     all_parser.add_argument("--out", default="results")
-    all_parser.add_argument("--elements", type=int, default=1024)
+    all_parser.add_argument(
+        "--elements",
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "shrink every experiment to N-element vectors (default: the "
+            "sizes the tracked results/ files record)"
+        ),
+    )
     _add_engine_options(all_parser)
 
     return parser

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from typing import Any, Dict, Mapping, Type, TypeVar
@@ -54,14 +53,12 @@ from repro.types import WORD_BYTES
 
 __all__ = [
     "CONFIG_SCHEMA_VERSION",
-    "ENV_SIM_MODE",
     "ROW_POLICIES",
     "SDRAMTiming",
     "SIM_MODES",
     "SRAMTiming",
     "SystemParams",
     "Topology",
-    "canonical_sim_mode",
     "is_power_of_two",
     "log2_exact",
 ]
@@ -90,12 +87,6 @@ CONFIG_SCHEMA_VERSION = 6
 #:   work) raises ``ConfigurationError``.
 SIM_MODES = ("reference", "fast")
 
-#: Environment variable overriding ``sim_mode`` at construction time:
-#: either of :data:`SIM_MODES` forces that backend for every config
-#: object built while it is set; empty or ``auto`` defers to the
-#: configuration.
-ENV_SIM_MODE = "REPRO_SIM_MODE"
-
 #: Valid scheduler row-management policies.  Kept in lock-step with
 #: :mod:`repro.pva.rowpolicy` (a unit test cross-checks the registry) —
 #: listed here so the composition root validates without importing the
@@ -113,27 +104,6 @@ def log2_exact(value: int, what: str = "value") -> int:
     if not is_power_of_two(value):
         raise ConfigurationError(f"{what} must be a power of two, got {value}")
     return value.bit_length() - 1
-
-
-def canonical_sim_mode(mode: str) -> str:
-    """Validate ``mode`` against :data:`SIM_MODES`, then apply the
-    ``REPRO_SIM_MODE`` environment override (which, when set to a mode
-    name, wins wholesale)."""
-    if mode not in SIM_MODES:
-        raise ConfigurationError(
-            f"sim_mode must be one of {SIM_MODES}, got {mode!r}"
-        )
-    env = os.environ.get(ENV_SIM_MODE)
-    if env is not None:
-        env = env.strip().lower()
-        if env and env != "auto":
-            if env not in SIM_MODES:
-                raise ConfigurationError(
-                    f"{ENV_SIM_MODE} must be one of {SIM_MODES} "
-                    f"(or empty/'auto'), got {env!r}"
-                )
-            return env
-    return mode
 
 
 @dataclass(frozen=True)
@@ -335,9 +305,7 @@ class SystemParams:
     #: 0 models the paper's infinitely fast CPU (section 6.2); larger
     #: values model a processor that produces commands at a finite rate.
     issue_interval: int = 0
-    #: Simulation backend — one of :data:`SIM_MODES`.  Always stores the
-    #: concrete label (the ``REPRO_SIM_MODE`` environment variable, when
-    #: set to a mode name, overrides it wholesale at construction).
+    #: Simulation backend — one of :data:`SIM_MODES`.
     sim_mode: str = "fast"
     #: Memory channels; the bank-select bits of a word address are
     #: channel-interleaved (see the module docstring).
@@ -410,9 +378,10 @@ class SystemParams:
                 f"evenly across num_channels={self.num_channels}; "
                 "grow cache_line_words or shrink the channel count"
             )
-        # The frozen-dataclass write goes through object.__setattr__
-        # (standard __post_init__ idiom).
-        object.__setattr__(self, "sim_mode", canonical_sim_mode(self.sim_mode))
+        if self.sim_mode not in SIM_MODES:
+            raise ConfigurationError(
+                f"sim_mode must be one of {SIM_MODES}, got {self.sim_mode!r}"
+            )
 
     # ---------------------------------------------------------- derived
     # ``cached_property`` writes through the instance ``__dict__``, which

@@ -6,7 +6,12 @@ benchmark harness can both check invariants and print the series:
 * row-management policy (paper / close / open / 21174-history),
 * number of vector contexts (depth of the reordering window),
 * bypass paths on/off (single-request latency, section 5.2.3),
-* bank scaling (performance and PLA cost versus M, section 4.3.1).
+* bank scaling (performance and PLA cost versus M, section 4.3.1),
+* subcommand-generation latency and the auto-refresh tax.
+
+Each function's defaults are the sweep its ``results/ablation_*.txt``
+artifact records: the benchmarks and ``python -m repro all`` both call
+it without sweep arguments, so both write the same file.
 
 All sweeps submit their points through the experiment engine, so
 ``engine=ExperimentEngine(jobs=N, cache_dir=...)`` parallelizes and
@@ -70,8 +75,8 @@ def _single_read_point(
 
 def ablate_row_policy(
     kernels: Sequence[str] = ("copy", "scale", "vaxpy"),
-    strides: Sequence[int] = (1, 16, 19),
-    elements: int = 512,
+    strides: Sequence[int] = (1, 8, 16, 19),
+    elements: int = 1024,
     params: Optional[SystemParams] = None,
     engine: Optional[ExperimentEngine] = None,
 ) -> Tuple[List[Tuple], str]:
@@ -97,9 +102,9 @@ def ablate_row_policy(
 
 def ablate_vector_contexts(
     kernel: str = "vaxpy",
-    strides: Sequence[int] = (1, 16, 19),
+    strides: Sequence[int] = (1, 8, 16, 19),
     context_counts: Sequence[int] = (1, 2, 4, 8),
-    elements: int = 512,
+    elements: int = 1024,
     params: Optional[SystemParams] = None,
     engine: Optional[ExperimentEngine] = None,
 ) -> Tuple[List[Tuple], str]:
@@ -124,7 +129,7 @@ def ablate_vector_contexts(
 
 
 def ablate_bypass_paths(
-    strides: Sequence[int] = (1, 7, 19),
+    strides: Sequence[int] = (1, 2, 7, 8, 19),
     params: Optional[SystemParams] = None,
     engine: Optional[ExperimentEngine] = None,
 ) -> Tuple[List[Tuple], str]:
@@ -159,7 +164,7 @@ def ablate_subcommand_latency(
     kernel: str = "copy",
     strides: Sequence[int] = (8, 19),
     latencies: Sequence[int] = (2, 5, 13),
-    elements: int = 512,
+    elements: int = 1024,
     params: Optional[SystemParams] = None,
     engine: Optional[ExperimentEngine] = None,
 ) -> Tuple[List[Tuple], str]:
@@ -204,15 +209,18 @@ def ablate_subcommand_latency(
 
 
 def ablate_refresh(
-    kernel: str = "copy",
-    stride: int = 1,
-    intervals: Sequence[int] = (0, 780, 200, 100),
+    kernel: str = "scale",
+    stride: int = 16,
+    intervals: Sequence[int] = (0, 780, 200, 100, 50),
     elements: int = 1024,
     params: Optional[SystemParams] = None,
     engine: Optional[ExperimentEngine] = None,
 ) -> Tuple[List[Tuple], str]:
     """Auto-refresh tax versus refresh period (0 = disabled, the paper's
-    implicit assumption; ~780 cycles is realistic for a 100 MHz part)."""
+    implicit assumption; ~780 cycles is realistic for a 100 MHz part).
+
+    The default point (scale at stride 16) is bank-bound: its single
+    busy bank cannot hide the refresh windows."""
     base = params or SystemParams()
     points = [
         _kernel_point(
@@ -241,7 +249,7 @@ def ablate_bank_scaling(
     kernel: str = "scale",
     stride: int = 8,
     banks: Sequence[int] = (4, 8, 16, 32),
-    elements: int = 512,
+    elements: int = 1024,
     params: Optional[SystemParams] = None,
     engine: Optional[ExperimentEngine] = None,
 ) -> Tuple[List[Tuple], str]:

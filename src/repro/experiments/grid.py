@@ -6,10 +6,11 @@ relative vector alignments.  ``run_grid`` executes any sub-grid and returns
 a :class:`GridResults` that the figure generators slice.
 
 Execution goes through the parallel experiment engine
-(:class:`repro.engine.ExperimentEngine`): pass ``jobs=N`` to fan the
-points over a worker pool and ``cache_dir=...`` to replay repeated runs
-from the content-addressed result cache.  The default (``jobs=1``, no
-cache) runs inline and is byte-identical to the historical serial loop.
+(:class:`repro.engine.ExperimentEngine`): pass
+``engine=ExperimentEngine(jobs=N, cache_dir=...)`` to fan the points
+over a worker pool and replay repeated runs from the content-addressed
+result cache.  The default (a private inline engine, no cache) is
+byte-identical to the historical serial loop.
 
 The serial baselines are alignment-independent (their cost model sees only
 addresses-per-command), so they are evaluated once per (kernel, stride)
@@ -23,12 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api import available_systems, system_entry
-from repro.engine import (
-    EngineHooks,
-    ExperimentEngine,
-    ExperimentPoint,
-    KernelTraceSpec,
-)
+from repro.engine import ExperimentEngine, ExperimentPoint, KernelTraceSpec
 from repro.errors import ConfigurationError
 from repro.kernels import ALIGNMENTS, Alignment
 from repro.params import SystemParams
@@ -163,9 +159,6 @@ def run_grid(
     elements: int = 1024,
     systems: Optional[Sequence[str]] = None,
     *,
-    jobs: int = 1,
-    cache_dir=None,
-    hooks: Optional[EngineHooks] = None,
     engine: Optional[ExperimentEngine] = None,
 ) -> GridResults:
     """Execute a (sub-)grid of the evaluation through the engine.
@@ -175,9 +168,9 @@ def run_grid(
     baselines are submitted under the grid's first alignment, so the
     engine computes them once per (kernel, stride) and shares the result.
 
-    ``jobs``, ``cache_dir`` and ``hooks`` configure a private engine;
-    pass ``engine=`` instead to share one (and its cache and metrics)
-    across several grids.
+    Points run on ``engine`` (share one, with its pool, cache and
+    metrics, across several grids); the default is a private inline
+    engine.
     """
     params = params or SystemParams()
     kernels = tuple(kernels)
@@ -186,11 +179,7 @@ def run_grid(
     system_names = tuple(systems or available_systems())
     if not alignment_objs:
         raise ConfigurationError("run_grid needs at least one alignment")
-    engine = (
-        engine
-        if engine is not None
-        else ExperimentEngine(jobs=jobs, cache_dir=cache_dir, hooks=hooks)
-    )
+    engine = engine if engine is not None else ExperimentEngine()
     alignment_free = {
         name for name in system_names if system_entry(name).alignment_free
     }

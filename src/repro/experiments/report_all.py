@@ -1,25 +1,29 @@
 """One-shot regeneration of every experiment artifact.
 
-``generate_all`` runs the full evaluation — figures 7-11, tables 1-2,
-the headline ratios, every ablation, and the extension experiments — and
-writes each series to ``<out_dir>/<name>.txt``.  This is the library-level
-equivalent of ``pytest benchmarks/ --benchmark-only`` without the
-benchmarking harness, exposed on the CLI as ``python -m repro all``.
+``generate_all`` runs the paper's evaluation — figures 7-11, table 1,
+the headline ratios, every ablation and the alignment study — and
+writes each series to ``<out_dir>/<name>.txt``; the CLI exposes it as
+``python -m repro all``.  Each artifact is made by the same call as its
+benchmark in ``benchmarks/``, so at the default sizes every file it
+writes is byte-identical to its ``results/`` namesake.  (The
+benchmarks also write seven extension tables that are built inside
+their test files.)
 
 Every experiment submits its points through **one shared
-:class:`~repro.engine.ExperimentEngine`**: ``jobs=N`` fans the whole
-evaluation over a worker pool, ``cache_dir=...`` makes re-runs replay
-from the result cache, and the engine's aggregate metrics (points/sec,
-cache hit rate) are reported through ``progress`` at the end.
+:class:`~repro.engine.ExperimentEngine`**: pass
+``engine=ExperimentEngine(jobs=N, cache_dir=...)`` to fan the whole
+evaluation over a worker pool and replay re-runs from the result cache;
+its aggregate metrics (points/sec, cache hit rate) stay readable on
+``engine.metrics``.
 
-``elements`` scales the vector length (1024 = the paper's full size;
-smaller values give quick sanity passes).
+``elements`` shrinks every experiment's vectors for a quick sanity
+pass; by default each runs at the size its benchmark records.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.engine import ExperimentEngine
 from repro.experiments.ablations import (
@@ -33,41 +37,29 @@ from repro.experiments.ablations import (
 from repro.experiments.alignment import alignment_study
 from repro.experiments.complexity import complexity_table
 from repro.experiments.figures import run_figure
-from repro.experiments.headline import measure_headline
-from repro.experiments.report import format_table
+from repro.experiments.headline import headline_table
 from repro.params import SystemParams
 
 __all__ = ["generate_all"]
 
 
-def _headline_text(elements: int, engine: ExperimentEngine) -> str:
-    summary = measure_headline(elements=elements, engine=engine).summary()
-    rows = [(key, value) for key, value in summary.items()]
-    return format_table(("quantity", "measured"), rows)
-
-
 def generate_all(
     out_dir: Union[str, Path] = "results",
-    elements: int = 1024,
+    elements: Optional[int] = None,
     progress: Callable[[str], None] = lambda message: None,
-    jobs: int = 1,
-    cache_dir=None,
     engine: Optional[ExperimentEngine] = None,
 ) -> Dict[str, Path]:
     """Regenerate every artifact; return ``{name: path}``.
 
-    ``progress`` receives a line per artifact (the CLI prints them);
-    engine throughput/caching metrics stay readable on the engine you
-    pass in (``engine.metrics``).
+    ``progress`` receives a line per artifact (the CLI prints them).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: Dict[str, Path] = {}
-    engine = (
-        engine
-        if engine is not None
-        else ExperimentEngine(jobs=jobs, cache_dir=cache_dir)
-    )
+    engine = engine if engine is not None else ExperimentEngine()
+    sized: Dict[str, object] = {"engine": engine}
+    if elements is not None:
+        sized["elements"] = elements
 
     def emit(name: str, text: str) -> None:
         path = out / f"{name}.txt"
@@ -76,39 +68,22 @@ def generate_all(
         progress(f"wrote {path}")
 
     for number in ("7", "8", "9", "10", "11"):
-        emit(f"figure{number}", run_figure(number, elements, engine).text)
+        emit(f"figure{number}", run_figure(number, **sized).text)
 
     emit("table1", complexity_table(SystemParams()))
-    emit("headline", _headline_text(elements, engine))
+    emit("headline", headline_table(**sized)[2])
 
-    small = min(elements, 512)
-    ablations: List[Tuple[str, Callable[[], Tuple[list, str]]]] = [
-        (
-            "ablation_row_policy",
-            lambda: ablate_row_policy(elements=small, engine=engine),
-        ),
-        (
-            "ablation_vector_contexts",
-            lambda: ablate_vector_contexts(elements=small, engine=engine),
-        ),
-        ("ablation_bypass", lambda: ablate_bypass_paths(engine=engine)),
-        (
-            "ablation_bank_scaling",
-            lambda: ablate_bank_scaling(elements=small, engine=engine),
-        ),
-        (
-            "ablation_subcommand_latency",
-            lambda: ablate_subcommand_latency(elements=small, engine=engine),
-        ),
-        (
-            "ablation_refresh",
-            lambda: ablate_refresh(elements=elements, engine=engine),
-        ),
-    ]
-    for name, runner in ablations:
-        _, text = runner()
-        emit(name, text)
-
-    _, alignment_text = alignment_study(elements=small, engine=engine)
-    emit("alignment_study", alignment_text)
+    for name, study in (
+        ("ablation_row_policy", ablate_row_policy),
+        ("ablation_vector_contexts", ablate_vector_contexts),
+        ("ablation_bypass", ablate_bypass_paths),
+        ("ablation_bank_scaling", ablate_bank_scaling),
+        ("ablation_subcommand_latency", ablate_subcommand_latency),
+        ("ablation_refresh", ablate_refresh),
+        ("alignment_study", alignment_study),
+    ):
+        # The bypass ablation times one isolated command of one cache
+        # line: it has no vector length to shrink.
+        kwargs = {"engine": engine} if study is ablate_bypass_paths else sized
+        emit(name, study(**kwargs)[1])
     return written

@@ -7,7 +7,6 @@ from this module, so it re-exports them.
 
 from repro.config import (
     CONFIG_SCHEMA_VERSION,
-    ENV_SIM_MODE,
     ROW_POLICIES,
     SDRAMTiming,
     SIM_MODES,
@@ -20,7 +19,6 @@ from repro.config import (
 
 __all__ = [
     "CONFIG_SCHEMA_VERSION",
-    "ENV_SIM_MODE",
     "ROW_POLICIES",
     "SDRAMTiming",
     "SIM_MODES",

@@ -77,6 +77,16 @@ pins down):
    visited-cycle invariant.  The kernel merges the buckets at
    ``finalize`` through the self-accounting protocol.
 
+**Column issues.**  A probe that fires no row operation issues ``run >=
+1`` columns of one vector context, one per cycle, through one tail.  A
+*burst* is the ``run > 1`` case: when every in-flight context sits on
+its open row and the oldest one can issue, that context's same-row run
+issues at once, capped by ``h``, the refresh deadline and the FIFO
+head's ready cycle; otherwise the polarity walk picks one column.  The
+auto-precharge is ManageRow (:meth:`SoaBankAutomaton._decide_ap`)
+evaluated at the run's last column, the only one that can close the
+row.
+
 **Command logs.**  When a bank's device carries a
 :class:`~repro.sim.trace_log.CommandLog`, the walk records each
 PRECHARGE, ACTIVATE and READ/WRITE(_AP) it issues with the fields the
@@ -385,27 +395,29 @@ class SoaBankAutomaton:
         (but excluding) ``h``; leave ``bound[b]`` at the next candidate.
         Returns True iff any event was processed.
 
-        This is the fused hot loop: BankController.tick's dequeue, the
-        scheduler's row pass, the column path and the next-event bound
-        inlined with every array held in a local.  Two load-bearing
-        fusions:
+        This is the fused hot loop: BankController.tick's refresh and
+        dequeue, the scheduler's row pass, its column issue and the
+        next-event bound inlined with every array held in a local.  Two
+        load-bearing fusions:
 
         * The next-event bound is accumulated *during* a failing probe
           (every blocked candidate records the cycle its timer frees)
           instead of by a separate scan, so a failed probe costs one
           walk, not two; after an action the next probe simply lands on
           the action's floor (``t + cost``).
-        * The column path issues whole same-row runs as **bursts**
-          whenever every in-flight context sits on its open row — then
-          no row operation can fire on any burst cycle (row ops need a
-          row mismatch and contexts only move when they issue), the
+        * A column issue covers ``run >= 1`` columns, one per cycle.  It
+          is a **burst** (``run > 1``) when every in-flight context sits
+          on its open row and the oldest one can issue: then no row
+          operation can fire before its same-row run ends (row ops need
+          a row mismatch, and contexts only move when they issue), the
           oldest context matches the pin polarity every cycle, and the
-          object model provably issues one of its columns per cycle —
-          so the run collapses into one batch of array writes.  The run
-          is clipped at the batch horizon, the refresh deadline and the
-          next FIFO dequeue cycle; a clipped tail still has same-row
-          hits ahead, so its auto-precharge decisions would all be
-          False and nothing is lost by re-probing it.
+          object model provably issues one of its columns per cycle.
+          The run is capped at the batch horizon ``h``, the refresh
+          deadline and the FIFO head's ready cycle.  Otherwise the
+          polarity walk picks one column.  Both take one issue tail,
+          whose auto-precharge is ManageRow evaluated at the run's last
+          column — the only column of a burst that can close the row (a
+          capped run still has same-row hits ahead, so it stays open).
         """
         bound = self.bound
         nr = self.nr
@@ -437,44 +449,23 @@ class SoaBankAutomaton:
         processed = False
         t = bound[b]
         while True:
+            deadline = nr[b]
             if not rqf and not win:
                 # Only the refresh deadline can act, and with no pending
                 # work it may not run ahead of kernel time: the object
                 # model's run can exit before a tail refresh ever fires.
-                deadline = nr[b]
-                if deadline <= now:
-                    a = acct[b]
-                    if deadline > a:
-                        if pending[b]:
-                            stalled_c[b] += deadline - a
-                        else:
-                            idle_c[b] += deadline - a
-                    busy_c[b] += 1
-                    acct[b] = deadline + 1
-                    self._do_refresh(b, deadline)
-                    processed = True
-                    t = nr[b]
-                    continue
-                bound[b] = deadline
-                return processed
-            if t >= h:
+                if deadline > now:
+                    bound[b] = deadline
+                    return processed
+                t = deadline
+            elif t >= h:
                 bound[b] = t
                 return processed
-            deadline = nr[b]
             if t >= deadline:
                 # Auto-refresh consumes its cycle before any scheduler
                 # work, exactly at the deadline (BankController.tick
                 # checks maybe_refresh first and the kernel always
                 # visits the deadline cycle).
-                a = acct[b]
-                if deadline > a:
-                    if pending[b]:
-                        stalled_c[b] += deadline - a
-                    else:
-                        idle_c[b] += deadline - a
-                busy_c[b] += 1
-                acct[b] = deadline + 1
-                pending[b] = True
                 self._do_refresh(b, deadline)
                 processed = True
                 t = deadline + 1
@@ -589,10 +580,15 @@ class SoaBankAutomaton:
                                 nb = x
                         position += 1
                 if cost == 0:
-                    vc0 = win[0]
+                    # -- pick what to issue: ``run`` columns of the
+                    #    context at ``position`` in the window.
                     last_col = last_col_a[b]
                     last_dir = last_dir_a[b]
-                    w = vc0[8]
+                    vc = win[0]
+                    pos = vc[5]
+                    w = vc[8]
+                    position = 0
+                    run = 0
                     if (
                         burst_ok
                         and all_open
@@ -602,257 +598,126 @@ class SoaBankAutomaton:
                             or w == last_dir
                             or t >= last_col + 1 + ta
                         )
+                        and (not has_rows or t >= col[base_u + vc[2][pos]])
                     ):
                         # -- burst: the oldest context's same-row run --
-                        pos = vc0[5]
-                        if has_rows:
-                            ib = vc0[2][pos]
-                            row = vc0[3][pos]
-                            u = base_u + ib
-                            ok = t >= col[u]
-                        else:
-                            ib = 0
-                            row = 0
-                            u = -1
-                            ok = True
-                        if ok:
-                            stop = vc0[6]
-                            run = vc0[4][pos] - pos
-                            cap = h - t
-                            c2 = deadline - t
-                            if c2 < cap:
-                                cap = c2
-                            if rqf and nwin < max_ctx:
-                                # The object model dequeues the next
-                                # FIFO head at its ready cycle (>= t+1:
-                                # at most one dequeue per cycle, and
-                                # this cycle's already happened).
-                                c3 = rqf[0][0] - t
-                                if c3 < 1:
-                                    c3 = 1
-                                if c3 < cap:
-                                    cap = c3
-                            clipped = run > cap
-                            if clipped:
-                                run = cap
-                            if not vc0[10]:
-                                self._note_first(b, vc0, ib)
-                            end = t + run - 1
-                            if last_dir >= 0 and w != last_dir:
-                                self.turnarounds[b] += 1
-                            last_col_a[b] = end
-                            last_dir_a[b] = w
-                            # -- data movement, batched ----------------
-                            local_words = vc0[0]
-                            indices = vc0[1]
-                            if w:
-                                line = vc0[9]
-                                for k in range(pos, pos + run):
-                                    storage[local_words[k]] = line[
-                                        indices[k]
-                                    ]
-                                self.writes[b] += run
-                                data_cycle = end + t_wr
-                            else:
-                                self.reads[b] += run
-                                data_cycle = end + self.read_lat
-                            # -- run-final auto-precharge --------------
-                            if has_rows:
-                                self.asc[b][ib] = False
-                                hold = end + 1 + t_wr if w else end + 1
-                                if hold > pre[u]:
-                                    pre[u] = hold
-                                if clipped:
-                                    auto_precharge = False
-                                else:
-                                    # An open-row hit pending in another
-                                    # context keeps the row open (the
-                                    # policy's more_hits term); under
-                                    # all_open a same-internal-bank
-                                    # context always sits on this very
-                                    # row, so close_predicted is False.
-                                    other_hit = False
-                                    if nwin > 1:
-                                        for other in win:
-                                            if other is vc0:
-                                                continue
-                                            opos = other[5]
-                                            if (
-                                                other[2][opos] == ib
-                                                and other[3][opos] == row
-                                            ):
-                                                other_hit = True
-                                                break
-                                    if other_hit:
-                                        auto_precharge = False
-                                    elif pos + run < stop:
-                                        # Run ends on a row transition:
-                                        # the paper policy closes it.
-                                        auto_precharge = True
-                                    else:
-                                        auto_precharge = self.predict[
-                                            b
-                                        ][ib]
-                                if auto_precharge:
-                                    orow[u] = -1
-                                    release = (
-                                        end
-                                        + 1
-                                        + (t_wr if w else 0)
-                                        + t_rp
-                                    )
-                                    if release > act[u]:
-                                        act[u] = release
-                                    self.ib_ap[u] += 1
-                            if log is not None:
-                                self._log_columns(
-                                    log,
-                                    t,
-                                    w,
-                                    ib,
-                                    row,
-                                    local_words[pos : pos + run],
-                                    has_rows and auto_precharge,
-                                )
-                            # -- front-end transaction accounting ------
-                            txn_id = vc0[7]
-                            txn = outstanding.get(txn_id)
-                            if txn is None:
-                                raise ProtocolError(
-                                    f"bank {b} issued for unknown "
-                                    f"transaction {txn_id}"
-                                )
-                            gathered = txn.line
-                            if gathered is not None:
-                                get = storage.get
-                                for k in range(pos, pos + run):
-                                    gathered[indices[k]] = get(
-                                        local_words[k], 0
-                                    )
-                            txn.done += run
-                            if data_cycle > txn.last_data_cycle:
-                                txn.last_data_cycle = data_cycle
-                            if txn.done >= txn.expected:
-                                fully_issued.append(txn)
-                            # -- cursor advance ------------------------
-                            self.sched_col[b] += run
-                            vc0[10] = True
-                            vc0[5] = pos + run
-                            if pos + run == stop:
-                                del win[0]
-                            cost = run
-                    if cost == 0:
-                        # -- generic walk (AccessScheduler._try_column):
-                        #    at most one column, polarity rule intact;
-                        #    blocked open-row contexts feed the bound.
-                        issue_vc = None
-                        position = 0
-                        for vcx in win:
-                            matches = (
-                                last_dir < 0 or vcx[8] == last_dir
-                            )
+                        run = vc[4][pos] - pos
+                        cap = h - t
+                        if deadline - t < cap:
+                            cap = deadline - t
+                        if rqf and nwin < max_ctx:
+                            # The object model dequeues the next FIFO
+                            # head at its ready cycle (>= t+1: at most
+                            # one dequeue per cycle, and this cycle's
+                            # already happened).
+                            slack = rqf[0][0] - t
+                            if slack < 1:
+                                slack = 1
+                            if slack < cap:
+                                cap = slack
+                        if run > cap:
+                            run = cap
+                    else:
+                        # -- polarity walk (AccessScheduler._try_column):
+                        #    at most one column; blocked open-row
+                        #    contexts feed the bound.
+                        for vc in win:
+                            w = vc[8]
+                            matches = last_dir < 0 or w == last_dir
                             if not matches and position != 0:
                                 # A polarity reversal pends upstream.
                                 break
                             pins = (
-                                last_col + 1
-                                if matches
-                                else last_col + 1 + ta
+                                last_col + 1 if matches else last_col + 1 + ta
                             )
+                            pos = vc[5]
                             if has_rows:
-                                posx = vcx[5]
-                                ux = base_u + vcx[2][posx]
-                                if orow[ux] == vcx[3][posx]:
-                                    x = col[ux]
+                                u = base_u + vc[2][pos]
+                                if orow[u] == vc[3][pos]:
+                                    x = col[u]
                                     if pins > x:
                                         x = pins
                                     if t >= x:
-                                        issue_vc = vcx
+                                        run = 1
                                         break
                                     if x < nb:
                                         nb = x
-                            else:
-                                if t >= pins:
-                                    issue_vc = vcx
-                                    break
-                                if pins < nb:
-                                    nb = pins
+                            elif t >= pins:
+                                run = 1
+                                break
+                            elif pins < nb:
+                                nb = pins
                             if not matches:
                                 break
                             position += 1
-                        if issue_vc is not None:
-                            # -- single column (AccessScheduler
-                            #    ._issue_column + device.column_at +
-                            #    note_issue, fused) -------------------
-                            vcx = issue_vc
-                            posx = vcx[5]
-                            wx = vcx[8]
-                            if has_rows:
-                                ibx = vcx[2][posx]
-                                rowx = vcx[3][posx]
-                            else:
-                                ibx = 0
-                                rowx = 0
-                            if not vcx[10]:
-                                self._note_first(b, vcx, ibx)
-                            ap = (
-                                self._decide_ap(b, vcx, ibx, rowx, win)
-                                if has_rows
-                                else False
+                    if run:
+                        # -- issue (AccessScheduler._issue_column +
+                        #    device.column_at + note_issue, fused): one
+                        #    column per cycle from t to ``end`` ---------
+                        if has_rows:
+                            ib = vc[2][pos]
+                            row = vc[3][pos]
+                        else:
+                            ib = row = 0
+                        if not vc[10]:
+                            self._note_first(b, vc, ib)
+                        stop = pos + run
+                        end = t + run - 1
+                        ap = has_rows and self._decide_ap(
+                            b, vc, stop - 1, ib, row, win
+                        )
+                        if last_dir >= 0 and w != last_dir:
+                            self.turnarounds[b] += 1
+                        last_col_a[b] = end
+                        last_dir_a[b] = w
+                        if has_rows:
+                            u = base_u + ib
+                            hold = end + 1 + t_wr if w else end + 1
+                            if hold > pre[u]:
+                                pre[u] = hold
+                            if ap:
+                                orow[u] = -1
+                                release = hold + t_rp
+                                if release > act[u]:
+                                    act[u] = release
+                                self.ib_ap[u] += 1
+                        local_words = vc[0]
+                        indices = vc[1]
+                        if w:
+                            line = vc[9]
+                            for k in range(pos, stop):
+                                storage[local_words[k]] = line[indices[k]]
+                            self.writes[b] += run
+                            data_cycle = end + t_wr
+                        else:
+                            self.reads[b] += run
+                            data_cycle = end + self.read_lat
+                        if log is not None:
+                            self._log_columns(
+                                log, t, w, ib, row, local_words[pos:stop], ap
                             )
-                            if last_dir >= 0 and last_dir != wx:
-                                self.turnarounds[b] += 1
-                            last_col_a[b] = t
-                            last_dir_a[b] = wx
-                            if has_rows:
-                                ux = base_u + ibx
-                                hold = t + 1 + t_wr if wx else t + 1
-                                if hold > pre[ux]:
-                                    pre[ux] = hold
-                                if ap:
-                                    orow[ux] = -1
-                                    release = (
-                                        t
-                                        + 1
-                                        + (t_wr if wx else 0)
-                                        + t_rp
-                                    )
-                                    if release > act[ux]:
-                                        act[ux] = release
-                                    self.ib_ap[ux] += 1
-                            local_word = vcx[0][posx]
-                            index = vcx[1][posx]
-                            if wx:
-                                storage[local_word] = vcx[9][index]
-                                self.writes[b] += 1
-                                data_cycle = t + t_wr
-                            else:
-                                self.reads[b] += 1
-                                data_cycle = t + self.read_lat
-                            if log is not None:
-                                self._log_columns(
-                                    log, t, wx, ibx, rowx, (local_word,), ap
-                                )
-                            txn_id = vcx[7]
-                            txn = outstanding.get(txn_id)
-                            if txn is None:
-                                raise ProtocolError(
-                                    f"bank {b} issued for unknown "
-                                    f"transaction {txn_id}"
-                                )
-                            if txn.line is not None:
-                                txn.line[index] = storage.get(local_word, 0)
-                            txn.done += 1
-                            if data_cycle > txn.last_data_cycle:
-                                txn.last_data_cycle = data_cycle
-                            if txn.done >= txn.expected:
-                                fully_issued.append(txn)
-                            self.sched_col[b] += 1
-                            vcx[10] = True
-                            vcx[5] = posx + 1
-                            if posx + 1 == vcx[6]:
-                                del win[position]
-                            cost = 1
+                        txn = outstanding.get(vc[7])
+                        if txn is None:
+                            raise ProtocolError(
+                                f"bank {b} issued for unknown "
+                                f"transaction {vc[7]}"
+                            )
+                        gathered = txn.line
+                        if gathered is not None:
+                            get = storage.get
+                            for k in range(pos, stop):
+                                gathered[indices[k]] = get(local_words[k], 0)
+                        txn.done += run
+                        if data_cycle > txn.last_data_cycle:
+                            txn.last_data_cycle = data_cycle
+                        if txn.done >= txn.expected:
+                            fully_issued.append(txn)
+                        self.sched_col[b] += run
+                        vc[10] = True
+                        vc[5] = stop
+                        if stop == vc[6]:
+                            del win[position]
+                        cost = run
             if cost or progressed:
                 a = acct[b]
                 if t > a:
@@ -907,8 +772,14 @@ class SoaBankAutomaton:
             )
 
     def _do_refresh(self, b: int, cycle: int) -> None:
-        """SDRAMDevice.maybe_refresh: close every row, block activates
-        for ``t_rfc``, advance the deadline."""
+        """SDRAMDevice.maybe_refresh at ``cycle``: settle the ledger up
+        to it and book the refresh cycle busy, then close every row,
+        block activates for ``t_rfc`` and advance the deadline.  The
+        bank's ``pending`` flag stands: it already says whether work is
+        queued."""
+        self._settle(b, cycle)
+        self.busy_c[b] += 1
+        self.acct[b] = cycle + 1
         orow = self.orow
         act = self.act
         release = cycle + self.t_rfc
@@ -933,19 +804,23 @@ class SoaBankAutomaton:
         vc[C_ISSUED] = True
 
     def _decide_ap(
-        self, b: int, vc: list, internal_bank: int, row: int, win: list
+        self, b: int, vc: list, pos: int, internal_bank: int, row: int, win: list
     ) -> bool:
-        """AccessScheduler._decide_auto_precharge (the ManageRow lines);
-        the self-term reads the precomputed run end instead of decoding
-        the next address live."""
+        """AccessScheduler._decide_auto_precharge (the ManageRow lines)
+        for ``vc``'s column at ``pos``; the self-term reads the
+        precomputed run end instead of decoding the next address live.
+
+        Every other context still sits where it was, so a burst asks
+        once, at its last column: each column before it has a same-row
+        hit ahead and keeps the row open, and the paper policy has no
+        per-column state beyond ``asc``."""
         asc = self.asc[b]
-        row_hit = not asc[internal_bank]
-        asc[internal_bank] = False
         paper = self.paper[b]
         if not paper:
-            self.policies[b].observe_access(internal_bank, row_hit)
-        pos = vc[C_POS]
-        last = pos + 1 == vc[C_END]
+            self.policies[b].observe_access(
+                internal_bank, not asc[internal_bank]
+            )
+        asc[internal_bank] = False
         more_hits = vc[C_RUN][pos] > pos + 1
         if not more_hits:
             for other in win:
@@ -963,14 +838,14 @@ class SoaBankAutomaton:
             # (it has no side effects and only gates the last access).
             if more_hits:
                 return False
-            if last:
-                if self._close_predicted(win, internal_bank, row):
-                    return True
-                return self.predict[b][internal_bank]
+            if pos + 1 == vc[C_END]:
+                return self._close_predicted(
+                    win, internal_bank, row
+                ) or self.predict[b][internal_bank]
             return True
         return self.policies[b].decide(
             internal_bank=internal_bank,
-            last_of_request=last,
+            last_of_request=pos + 1 == vc[C_END],
             more_hits=more_hits,
             close_predicted=self._close_predicted(win, internal_bank, row),
         )

@@ -19,7 +19,7 @@ from repro.baselines.pva_sram import make_pva_sram
 from repro.core.firsthit import hit_count
 from repro.explore import DEFAULT_SPEC, enumerate_candidates
 from repro.kernels import alignment_by_name, build_trace, kernel_by_name
-from repro.params import ENV_SIM_MODE, ROW_POLICIES, SDRAMTiming, SystemParams
+from repro.params import ROW_POLICIES, SDRAMTiming, SystemParams
 from repro.pva.system import PVAMemorySystem
 from repro.types import AccessType, ExplicitCommand, Vector, VectorCommand
 from repro.workloads.random_traces import RandomTraceConfig, random_trace
@@ -116,10 +116,8 @@ def random_systems(draw):
 def _assert_bound_holds_on_both_backends(params, trace):
     """Neither backend beats the analytic bound, and they agree."""
     bound = pva_lower_bound(trace, params)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv(ENV_SIM_MODE, raising=False)
-        reference = PVAMemorySystem(replace(params, sim_mode="reference")).run(trace)
-        fast = PVAMemorySystem(replace(params, sim_mode="fast")).run(trace)
+    reference = PVAMemorySystem(replace(params, sim_mode="reference")).run(trace)
+    fast = PVAMemorySystem(replace(params, sim_mode="fast")).run(trace)
     assert bound <= reference.cycles
     assert bound <= fast.cycles
     assert fast.cycles == reference.cycles

@@ -7,7 +7,7 @@ deliberate ``CONFIG_SCHEMA_VERSION`` bump (which is what retires stale
 caches), never by accident.
 """
 
-from repro.config import CONFIG_SCHEMA_VERSION, ENV_SIM_MODE
+from repro.config import CONFIG_SCHEMA_VERSION
 from repro.engine.spec import CACHE_SCHEMA_VERSION
 from repro.params import SystemParams
 
@@ -18,13 +18,20 @@ PROTOTYPE_CONFIG_KEY = (
 )
 
 
-def test_prototype_config_key_is_pinned(monkeypatch):
-    monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+def test_prototype_config_key_is_pinned():
     assert SystemParams().config_key() == PROTOTYPE_CONFIG_KEY
 
 
-def test_schema_version_is_six(monkeypatch):
-    monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+def test_environment_does_not_change_identity(monkeypatch):
+    # The document (and so the cache key) depends on the fields alone:
+    # a variable named like the old backend override changes nothing.
+    monkeypatch.setenv("REPRO_SIM_MODE", "reference")
+    params = SystemParams()
+    assert params.sim_mode == "fast"
+    assert params.config_key() == PROTOTYPE_CONFIG_KEY
+
+
+def test_schema_version_is_six():
     assert CONFIG_SCHEMA_VERSION == 6
     assert SystemParams().to_dict()["schema_version"] == 6
 
@@ -33,8 +40,7 @@ def test_engine_cache_schema_tracks_config_schema():
     assert CACHE_SCHEMA_VERSION == CONFIG_SCHEMA_VERSION
 
 
-def test_document_shape_is_nested_and_sorted(monkeypatch):
-    monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+def test_document_shape_is_nested_and_sorted():
     doc = SystemParams().to_dict()
     assert set(doc) == {
         "schema_version",

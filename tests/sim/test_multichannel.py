@@ -18,7 +18,7 @@ from repro.analysis.model import (
 )
 from repro.api import simulate
 from repro.kernels import ALIGNMENTS, build_trace, kernel_by_name
-from repro.params import ENV_SIM_MODE, SIM_MODES, SystemParams
+from repro.params import SIM_MODES, SystemParams
 
 from .differential import assert_equivalent, spy_on_bank_paths
 
@@ -46,7 +46,6 @@ class TestBackendAgreement:
         """The reference object graph and fast's SoA automaton agree on
         a plain run, a ``capture_data`` run and a run with command logs
         attached."""
-        monkeypatch.delenv(ENV_SIM_MODE, raising=False)
         paths = spy_on_bank_paths(monkeypatch)
         trace = _trace(base)
         (reference,) = assert_equivalent(paths, system, base, trace)

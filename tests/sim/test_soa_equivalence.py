@@ -21,7 +21,7 @@ import random
 import pytest
 
 from repro.kernels import ALIGNMENTS, KERNELS
-from repro.params import ENV_SIM_MODE, SystemParams
+from repro.params import SystemParams
 
 from .differential import (
     PVA_SYSTEMS,
@@ -38,7 +38,6 @@ from .differential import (
 
 @pytest.fixture(autouse=True)
 def paths(monkeypatch):
-    monkeypatch.delenv(ENV_SIM_MODE, raising=False)
     return spy_on_bank_paths(monkeypatch)
 
 

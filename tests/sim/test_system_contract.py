@@ -18,15 +18,10 @@ import pytest
 from repro.api import available_systems, build_system
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.kernels import build_trace, kernel_by_name
-from repro.params import ENV_SIM_MODE, SystemParams
+from repro.params import SystemParams
 from repro.sim import simulation_limits
 
 ALL_SYSTEMS = available_systems()
-
-
-@pytest.fixture(autouse=True)
-def _no_env_override(monkeypatch):
-    monkeypatch.delenv(ENV_SIM_MODE, raising=False)
 
 
 def _trace(params, kernel="copy", stride=4, elements=64):

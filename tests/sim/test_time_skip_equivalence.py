@@ -10,21 +10,17 @@ only cost speed; an *overestimated* one would show up here as a
 divergence in the :class:`~repro.sim.stats.RunResult`, the memory image
 or the logged command streams.  The serial baselines are closed forms
 that ``sim_mode`` does not touch: their cases assert that both modes
-give the same run.  ``REPRO_SIM_MODE`` overrides the mode of every
-config built while it is set.  The harness lives in
-:mod:`tests.sim.differential`.
+give the same run.  The harness lives in :mod:`tests.sim.differential`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
-from repro.api import build_system, simulate
 from repro.kernels import ALIGNMENTS
-from repro.params import ENV_SIM_MODE, SDRAMTiming, SystemParams
+from repro.params import SDRAMTiming, SystemParams
 
 from .differential import (
     ALL_SYSTEMS,
@@ -39,8 +35,6 @@ from .differential import (
 
 @pytest.fixture(autouse=True)
 def paths(monkeypatch):
-    """The differential harness controls the mode through params alone."""
-    monkeypatch.delenv(ENV_SIM_MODE, raising=False)
     return spy_on_bank_paths(monkeypatch)
 
 
@@ -145,42 +139,3 @@ class TestFuzzedGeometries:
         )
         for system in ALL_SYSTEMS:
             assert_loops_agree(paths, system, params, trace, capture_data=True)
-
-
-class TestEnvOverride:
-    """The ``REPRO_SIM_MODE`` escape hatch wins over the params field:
-    it picks the bank model every PVA run builds."""
-
-    def test_env_forces_tick_loop(self, paths, monkeypatch, prototype_params):
-        monkeypatch.setenv(ENV_SIM_MODE, "reference")
-        forced = replace(prototype_params, sim_mode="fast")
-        assert forced.sim_mode == "reference"
-        trace = kernel_trace(forced, stride=8, elements=64)
-        result = build_system("pva-sdram", forced).run(trace)
-        assert paths == ["object"] * forced.num_banks
-        # ... and the forced mode still produces the reference result.
-        monkeypatch.delenv(ENV_SIM_MODE)
-        reference = simulate(
-            trace, replace(prototype_params, sim_mode="reference"),
-            system="pva-sdram",
-        )
-        assert result == reference
-
-    def test_env_forces_skip_loop(self, paths, monkeypatch):
-        monkeypatch.setenv(ENV_SIM_MODE, "fast")
-        forced = SystemParams(sim_mode="reference")
-        assert forced.sim_mode == "fast"
-        build_system("pva-sdram", forced).run(
-            kernel_trace(forced, stride=8, elements=64)
-        )
-        assert paths == ["soa"]
-
-    def test_auto_defers_to_params(self, paths, monkeypatch):
-        monkeypatch.setenv(ENV_SIM_MODE, "auto")
-        for mode in ("fast", "reference"):
-            params = SystemParams(sim_mode=mode)
-            assert params.sim_mode == mode
-            build_system("pva-sdram", params).run(
-                kernel_trace(params, stride=8, elements=64)
-            )
-        assert paths == ["soa"] + ["object"] * params.num_banks

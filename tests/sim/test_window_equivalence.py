@@ -26,7 +26,7 @@ from repro.api import build_system
 from repro.errors import ConfigurationError
 from repro.interleave.schemes import InterleaveScheme
 from repro.kernels import ALIGNMENTS, KERNELS
-from repro.params import ENV_SIM_MODE, SDRAMTiming, SystemParams
+from repro.params import SDRAMTiming, SystemParams
 from repro.types import AccessType, ExplicitCommand, Vector, VectorCommand
 
 from .differential import (
@@ -45,7 +45,6 @@ from .differential import (
 
 @pytest.fixture(autouse=True)
 def paths(monkeypatch):
-    monkeypatch.delenv(ENV_SIM_MODE, raising=False)
     return spy_on_bank_paths(monkeypatch)
 
 
@@ -137,17 +136,22 @@ def test_sram_storage_equality_after_writes(paths):
 
 def test_refresh_deadline_lands_mid_chain(paths):
     """A refresh interval short enough to expire inside a service chain
-    clips the walk's bursts; the refresh must still land on the same
-    cycle."""
+    caps the walk's bursts at the deadline; the refresh must still land
+    on the same cycle.  Strides 8 and 16 give same-row runs long enough
+    to straddle a deadline (at stride 19 they are too short to test
+    the cap)."""
     params = SystemParams(sdram=SDRAMTiming(refresh_interval=40, t_rfc=7))
-    (result,) = assert_equivalent(
-        paths, "pva-sdram", params, kernel_trace(params, "saxpy")
-    )
-    # The dense slice is bus-bound, so total cycles hide the refresh,
-    # but the bank ledger cannot: the cadence really perturbed the run.
     quiet = SystemParams()
-    baseline = build_system("pva-sdram", quiet).run(kernel_trace(quiet, "saxpy"))
-    assert result.attribution["bank-0"] != baseline.attribution["bank-0"]
+    for stride in (8, 16):
+        (result,) = assert_equivalent(
+            paths, "pva-sdram", params, kernel_trace(params, "saxpy", stride)
+        )
+        # Total cycles can hide the refresh, but the bank ledger cannot:
+        # the cadence really perturbed the run.
+        baseline = build_system("pva-sdram", quiet).run(
+            kernel_trace(quiet, "saxpy", stride)
+        )
+        assert result.attribution["bank-0"] != baseline.attribution["bank-0"]
 
 
 def test_degenerate_shapes(paths):

@@ -126,22 +126,6 @@ class TestRunBench:
             SystemParams.from_dict(config).config_key()
         )
 
-    def test_env_overrides_suspended_during_bench(self, monkeypatch):
-        # A forced global mode must not leak into the benchmark's
-        # backend pair (each section times what it claims to time).
-        from repro.params import ENV_SIM_MODE
-
-        monkeypatch.setenv(ENV_SIM_MODE, "reference")
-        report = run_bench(
-            elements=64, repeats=1, quick=True, systems=("pva-sdram",)
-        )
-        assert report["config"]["sim_mode"] == "fast"
-        assert report["systems"]["pva-sdram"]["fast_cycles_per_second"] > 0
-        # The override is restored afterwards.
-        import os
-
-        assert os.environ[ENV_SIM_MODE] == "reference"
-
     def test_format_renders_sparse(self, quick_report):
         text = format_bench(quick_report)
         assert "reference" in text
@@ -248,31 +232,3 @@ class TestBenchCLI:
         # one reference-vs-fast gate.
         with pytest.raises(SystemExit):
             main(["bench", "--quick", "--out", "", flag, "1.0"])
-
-    def test_profile_writes_per_section_summaries(self, tmp_path):
-        out = tmp_path / "report.json"
-        prof = tmp_path / "prof"
-        code = main(
-            [
-                "bench",
-                "--quick",
-                "--elements",
-                "64",
-                "--repeats",
-                "1",
-                "--system",
-                "pva-sdram",
-                "--out",
-                str(out),
-                "--history",
-                "",
-                "--profile",
-                str(prof),
-            ]
-        )
-        assert code == 0
-        names = {p.name for p in prof.iterdir()}
-        for section in ("reference", "fast", "sparse-reference", "sparse-fast"):
-            assert f"{section}-pva-sdram.txt" in names, section
-        text = (prof / "fast-pva-sdram.txt").read_text()
-        assert "cumulative" in text

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.config import ENV_SIM_MODE
 
 from .engine.injectors import CacheCorruptor
 
@@ -23,8 +22,7 @@ class TestParser:
 
 
 class TestCommands:
-    def test_info(self, capsys, monkeypatch):
-        monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+    def test_info(self, capsys):
         assert main(["info"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["parameter", "value"]

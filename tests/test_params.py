@@ -211,20 +211,6 @@ class TestSimMode:
         assert hash(a) == hash(b)
         assert a != SystemParams(sim_mode="fast")
 
-    def test_env_override_forces_mode(self, monkeypatch):
-        from repro.params import ENV_SIM_MODE
-
-        monkeypatch.setenv(ENV_SIM_MODE, "reference")
-        assert SystemParams(sim_mode="fast").sim_mode == "reference"
-        with pytest.raises(ConfigurationError):
-            SystemParams(sim_mode="tick")  # an old name fails either way
-        monkeypatch.setenv(ENV_SIM_MODE, "auto")
-        assert SystemParams(sim_mode="reference").sim_mode == "reference"
-        for stale in ("hyperdrive", "tick", "soa", "window"):
-            monkeypatch.setenv(ENV_SIM_MODE, stale)
-            with pytest.raises(ConfigurationError):
-                SystemParams()
-
     def test_describe_reports_mode(self):
         assert SystemParams(sim_mode="reference").describe()["sim_mode"] == (
             "reference"
