@@ -16,10 +16,9 @@ them into one table-driven automaton:
   request carries its command's shared
   :class:`~repro.pva.schedule.HitTable` and its bank's slice of it, so
   no ``device.locate`` decode is ever needed);
-* one kernel component (:class:`SoaBankAutomaton`) speaks for all
-  sixteen ``bank-*`` attribution-ledger entries via the kernel's
-  self-accounting protocol, and advances the kernel's skip bound with a
-  single ``min()`` over the deadline array.
+* one kernel component (:class:`SoaBankAutomaton`) settles and reports
+  all sixteen ``bank-*`` attribution-ledger entries, and advances the
+  kernel's skip bound with a single ``min()`` over the deadline array.
 
 The automaton models exactly the :class:`~repro.sdram.device.SDRAMDevice`
 and :class:`~repro.sram.device.SRAMDevice` banks of a system whose
@@ -73,9 +72,9 @@ pins down):
 5. *Ledger.*  Per-bank busy/stalled/idle counters are settled span-wise:
    action cycles are busy, quiet spans are stalled iff the FIFO or
    window was non-empty after the preceding action (``pending``),
-   exactly ``_BankComponent.account``'s classification, which is
-   visited-cycle invariant.  The kernel merges the buckets at
-   ``finalize`` through the self-accounting protocol.
+   exactly the reference ``_BankComponent``'s classification.
+   :meth:`SoaBankAutomaton.account` closes them at the run's total
+   cycle count for the kernel's ``finalize``.
 
 **Column issues.**  A probe that fires no row operation issues ``run >=
 1`` columns of one vector context, one per cycle, through one tail.  A
@@ -166,13 +165,13 @@ def soa_cache_info():
 class SoaBankAutomaton:
     """All bank controllers of one run, stepped as flat-array operations.
 
-    Registers with the kernel as a single self-accounting component
-    (``ledger_names`` = the sixteen ``bank-*`` entries); construction
-    loads the object graph's state into the arrays, :meth:`writeback`
-    restores it.  Construction raises
-    :class:`~repro.errors.ConfigurationError` on banks the automaton
-    does not model: a device other than ``SDRAMDevice``/``SRAMDevice``,
-    mixed models or geometries, or queued work left by an earlier run.
+    Registers with the kernel as a single component that reports the
+    sixteen ``bank-*`` ledger entries; construction loads the object
+    graph's state into the arrays, :meth:`writeback` restores it.
+    Construction raises :class:`~repro.errors.ConfigurationError` on
+    banks the automaton does not model: a device other than
+    ``SDRAMDevice``/``SRAMDevice``, mixed models or geometries, or
+    queued work left by an earlier run.
     """
 
     name = "banks"
@@ -208,7 +207,6 @@ class SoaBankAutomaton:
         self.outstanding = front.outstanding
         self.fully_issued = front.fully_issued
         self.ncmds = len(front.commands)
-        self.ledger_names = tuple(f"bank-{bank.bank}" for bank in banks)
 
         device0 = banks[0].device
         self.has_rows = bool(device0.has_rows)
@@ -357,12 +355,7 @@ class SoaBankAutomaton:
         target = min(self.bound)
         return target if target > cycle else cycle
 
-    def account(self, start: int, end: int) -> Tuple[int, int, int]:
-        """Constant-cost placeholder: the automaton is self-accounting
-        (the kernel discards this split; see SimKernel.register)."""
-        return (0, 0, end - start)
-
-    def finalize_ledger(self, total_cycles: int) -> Dict[str, ComponentCycles]:
+    def account(self, total_cycles: int) -> Dict[str, ComponentCycles]:
         """Close every bank's busy/stalled/idle ledger at
         ``total_cycles`` and return the ``bank-*`` entries."""
         out: Dict[str, ComponentCycles] = {}
@@ -1016,8 +1009,8 @@ class SoaBankAutomaton:
             rqf.append((ready, txn_id, iw, write_line, table, start, end))
             if not pending[b]:
                 # The bank shows "stalled" from the broadcast call cycle
-                # on (_BankComponent.account sees the FIFO entry that
-                # same kernel cycle); everything before it was idle.
+                # on (a reference bank, ticked after the front end, sees
+                # the FIFO entry that same cycle); before it, idle.
                 a = acct[b]
                 if call_cycle > a:
                     idle_c[b] += call_cycle - a

@@ -35,9 +35,9 @@ from repro.pva.bank_controller import BankController
 from repro.pva.soa import SoaBankAutomaton
 from repro.sdram.device import DeviceStats, SDRAMDevice
 from repro.sim.events import HORIZON
-from repro.sim.kernel import PassiveComponent, SimKernel
+from repro.sim.kernel import SimKernel
 from repro.sim.runner import Watchdog
-from repro.sim.stats import BusStats, RunResult
+from repro.sim.stats import ComponentCycles, RunResult, SpanLedger
 from repro.types import AccessType, ExplicitCommand, VectorCommand
 
 AnyCommand = Union[VectorCommand, ExplicitCommand]
@@ -90,7 +90,9 @@ class _FrontEnd:
     """The PVA front end as a kernel component: transaction-id releases
     plus the one-bus-action-per-cycle arbitration between staging
     transfers and new command broadcasts.  Owns the shared per-run
-    bookkeeping the bank and completion components report into."""
+    bookkeeping the bank and completion components report into, and
+    reports the vector bus's ledger entry: the bus never acts on its
+    own, it carries what the front end schedules."""
 
     name = "front-end"
 
@@ -131,6 +133,11 @@ class _FrontEnd:
         # most once per trace index, only when a hazard check needs it).
         self._waw_words: frozenset = frozenset()
         self._waw_cmd = -1
+        #: The front end's ledger (pending: work remains) and the
+        #: completion unit's (pending: a transaction is outstanding).
+        #: Each component marks the other's where it changes that state.
+        self.ledger = SpanLedger()
+        self.completion_ledger = SpanLedger()
 
     def _words_for_next(self, command: AnyCommand) -> frozenset:
         if self._waw_cmd != self.next_cmd:
@@ -167,6 +174,16 @@ class _FrontEnd:
     def done(self) -> bool:
         """Loop-exit predicate: trace drained, no outstanding work."""
         return self.next_cmd >= len(self.commands) and not self.outstanding
+
+    def work_remains(self) -> bool:
+        """The front end's ledger state: a command to issue, a
+        transaction outstanding, or a staging transfer to finish."""
+        return bool(
+            self.next_cmd < len(self.commands)
+            or self.outstanding
+            or self.releases
+            or self.stage_queue
+        )
 
     def tick(self, cycle: int) -> bool:
         acted = False
@@ -211,6 +228,7 @@ class _FrontEnd:
                     transfer_end - txn.issue_cycle
                 )
                 del self.outstanding[txn.txn_id]
+                self.completion_ledger.mark(cycle, bool(self.outstanding))
                 self.end_cycle = max(self.end_cycle, transfer_end)
             elif issue_first:
                 acted = True
@@ -279,8 +297,11 @@ class _FrontEnd:
                         expected=expected,
                         words=self._words_for_next(command),
                     )
+                self.completion_ledger.mark(cycle, True)
                 self.next_cmd += 1
                 self.next_issue_allowed = cycle + self.issue_interval
+        if acted:
+            self.ledger.act(cycle, self.work_remains())
         return acted
 
     def note_issue(self, bank: int, issued) -> None:
@@ -313,64 +334,49 @@ class _FrontEnd:
                 target = gate
         return target
 
-    def account(self, start: int, end: int) -> Tuple[int, int, int]:
-        span = end - start
-        if (
-            self.next_cmd < len(self.commands)
-            or self.outstanding
-            or self.releases
-            or self.stage_queue
-        ):
-            return (0, span, 0)
-        return (0, 0, span)
-
-
-class _BusComponent(PassiveComponent):
-    """The vector bus is a pure occupancy state machine — every transfer
-    is scheduled by the front end, so its tick never acts; it exists as
-    a component for the attribution ledger (busy = carrying a request,
-    data, or turnaround; never stalled)."""
-
-    name = "vector-bus"
-
-    def __init__(self, bus: VectorBus):
-        self.bus = bus
-
-    def account(self, start: int, end: int) -> Tuple[int, int, int]:
-        busy_end = min(end, self.bus.busy_until)
-        busy = busy_end - start if busy_end > start else 0
-        return (busy, 0, (end - start) - busy)
+    def account(self, total_cycles: int) -> Dict[str, ComponentCycles]:
+        # Every transfer starts on a free bus and ends by the run's last
+        # cycle, so the bus is busy for exactly its occupancy count.
+        busy = self.bus.stats.busy_cycles
+        return {
+            self.name: self.ledger.close(total_cycles),
+            "vector-bus": ComponentCycles(busy=busy, idle=total_cycles - busy),
+        }
 
 
 class _BankComponent:
     """One bank controller of the reference backend.  Acting means
     observable progress: a column issue, a request injected into a
     vector context, a row activate/precharge, or an auto-refresh.  Its
-    bound is the current cycle, so the loop visits every cycle."""
+    bound is the current cycle, so the loop ticks it on every cycle and
+    it books each one: stalled while its FIFO or window holds work."""
 
     def __init__(self, bank: BankController, front: _FrontEnd):
         self.bank = bank
         self.front = front
         self.name = f"bank-{bank.bank}"
+        self.ledger = SpanLedger()
 
     def tick(self, cycle: int) -> bool:
         bank = self.bank
         issued = bank.tick(cycle)
         if issued is not None:
             self.front.note_issue(bank.bank, issued)
-            return True
         # The controller records whether the tick changed any state
         # (refresh, dequeue, row operation) — no counter diffing needed.
-        return bank.acted
+        acted = issued is not None or bank.acted
+        pending = bool(bank.rqf or bank.scheduler.window)
+        if acted:
+            self.ledger.act(cycle, pending)
+        else:
+            self.ledger.mark(cycle, pending)
+        return acted
 
     def next_event_cycle(self, cycle: int) -> int:
         return cycle
 
-    def account(self, start: int, end: int) -> Tuple[int, int, int]:
-        span = end - start
-        if self.bank.rqf or self.bank.scheduler.window:
-            return (0, span, 0)
-        return (0, 0, span)
+    def account(self, total_cycles: int) -> Dict[str, ComponentCycles]:
+        return {self.name: self.ledger.close(total_cycles)}
 
 
 class _CompletionUnit:
@@ -386,6 +392,7 @@ class _CompletionUnit:
 
     def __init__(self, front: _FrontEnd):
         self.front = front
+        self.ledger = front.completion_ledger
 
     def tick(self, cycle: int) -> bool:
         pending = self.front.fully_issued
@@ -413,6 +420,9 @@ class _CompletionUnit:
             front.latencies[txn.trace_index] = cycle + 1 - txn.issue_cycle
             del front.outstanding[txn.txn_id]
             front.end_cycle = max(front.end_cycle, cycle + 1)
+        self.ledger.act(cycle, bool(front.outstanding))
+        # A write retirement can leave the front end with no work.
+        front.ledger.mark(cycle, front.work_remains())
         return True
 
     def next_event_cycle(self, cycle: int) -> int:
@@ -425,11 +435,8 @@ class _CompletionUnit:
                 target = txn.last_data_cycle
         return target
 
-    def account(self, start: int, end: int) -> Tuple[int, int, int]:
-        span = end - start
-        if self.front.outstanding:
-            return (0, span, 0)
-        return (0, 0, span)
+    def account(self, total_cycles: int) -> Dict[str, ComponentCycles]:
+        return {self.name: self.ledger.close(total_cycles)}
 
 
 class PVAMemorySystem:
@@ -577,12 +584,13 @@ class PVAMemorySystem:
         """Execute a command trace; return cycle counts and statistics.
 
         The run is driven by the shared simulation kernel
-        (:class:`repro.sim.kernel.SimKernel`): the front end, the vector
-        bus, the banks (one component per bank controller under
-        ``reference``, one automaton for all of them under ``fast``) and
-        the completion unit register as clocked components, and the
-        kernel owns watchdog probing, the next-event advance, and the
-        per-component cycle-attribution ledger surfaced as
+        (:class:`repro.sim.kernel.SimKernel`): the front end, the banks
+        (one component per bank controller under ``reference``, one
+        automaton for all of them under ``fast``) and the completion
+        unit register as clocked components, and the kernel owns
+        watchdog probing and the next-event advance.  Each component
+        settles its own cycle-attribution ledger (the front end also
+        the vector bus's); the kernel merges them into
         :attr:`RunResult.attribution`.
 
         A run on a system whose previous run raised (a watchdog
@@ -608,7 +616,6 @@ class PVAMemorySystem:
         front = _FrontEnd(self, commands, bus, capture_data)
         kernel = SimKernel(watchdog=Watchdog(len(commands), system=self.name))
         kernel.register(front)
-        kernel.register(_BusComponent(bus))
         # sim_mode picks the bank model and nothing else: the fast
         # backend steps every bank as one structure-of-arrays automaton
         # (repro.pva.soa), whose bounds let the kernel jump idle gaps;

@@ -2,8 +2,8 @@
 statistics, and the memory-system runner protocol shared by the PVA unit
 and all baseline systems."""
 
-from repro.sim.stats import BusStats, ComponentCycles, RunResult
-from repro.sim.kernel import ClockedComponent, PassiveComponent, SimKernel
+from repro.sim.stats import BusStats, ComponentCycles, RunResult, SpanLedger
+from repro.sim.kernel import ClockedComponent, SimKernel
 from repro.sim.runner import (
     MemorySystem,
     SimulationLimits,
@@ -16,9 +16,9 @@ __all__ = [
     "BusStats",
     "ClockedComponent",
     "ComponentCycles",
-    "PassiveComponent",
     "RunResult",
     "SimKernel",
+    "SpanLedger",
     "MemorySystem",
     "SimulationLimits",
     "Watchdog",

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sdram.devstats import DeviceStats
 
-__all__ = ["BusStats", "ComponentCycles", "RunResult"]
+__all__ = ["BusStats", "ComponentCycles", "RunResult", "SpanLedger"]
 
 
 @dataclass
@@ -23,9 +23,9 @@ class ComponentCycles:
     """Where one clocked component spent the run, cycle by cycle.
 
     Every simulated cycle of a run is attributed to exactly one of the
-    three buckets, per component, by the simulation kernel
-    (:class:`repro.sim.kernel.SimKernel`; a serial baseline is busy on
-    every cycle of its run):
+    three buckets, per component, by the component itself (see
+    :class:`SpanLedger`; a serial baseline is busy on every cycle of its
+    run):
 
     * **busy** — the component changed observable state this cycle
       (issued an operation, moved data, retired a transaction);
@@ -55,6 +55,51 @@ class ComponentCycles:
             stalled=int(data.get("stalled", 0)),
             idle=int(data.get("idle", 0)),
         )
+
+
+class SpanLedger:
+    """One component's busy/stalled/idle ledger, settled span by span.
+
+    A cycle is busy if the component acted in it, else stalled or idle
+    by whether work was pending at the end of that cycle.  So the
+    component reports only where that changes: :meth:`act` on each
+    cycle it acts, and :meth:`mark` when another component changes
+    whether it has work.  The cycles in between keep the last state,
+    whether the kernel visited them or jumped over them.
+    """
+
+    __slots__ = ("busy", "stalled", "idle", "settled", "pending")
+
+    def __init__(self) -> None:
+        self.busy = self.stalled = self.idle = 0
+        self.settled = 0  # cycles before this one are attributed
+        self.pending = False  # work pending from ``settled`` on
+
+    def _settle(self, upto: int) -> None:
+        span = upto - self.settled
+        if span > 0:
+            if self.pending:
+                self.stalled += span
+            else:
+                self.idle += span
+            self.settled = upto
+
+    def act(self, cycle: int, pending: bool) -> None:
+        """The component acted at ``cycle`` and left work iff ``pending``."""
+        self._settle(cycle)
+        self.busy += 1
+        self.settled = cycle + 1
+        self.pending = pending
+
+    def mark(self, cycle: int, pending: bool) -> None:
+        """From ``cycle`` on, the component has work iff ``pending``."""
+        self._settle(cycle)
+        self.pending = pending
+
+    def close(self, total_cycles: int) -> ComponentCycles:
+        """Attribute the tail up to ``total_cycles``; return the buckets."""
+        self._settle(total_cycles)
+        return ComponentCycles(self.busy, self.stalled, self.idle)
 
 
 @dataclass
@@ -97,10 +142,10 @@ class RunResult:
     #: the cycle-level PVA systems; None for the analytic baselines.
     command_latencies: Optional[List[int]] = None
     #: Per-component cycle attribution (component name ->
-    #: :class:`ComponentCycles`), recorded by the simulation kernel
-    #: (the serial baselines report one all-busy ``serial-engine``
-    #: entry).  Invariant under the kernel's jumps, and every
-    #: component's buckets sum to :attr:`cycles`.
+    #: :class:`ComponentCycles`), settled by each kernel component and
+    #: merged by the simulation kernel (the serial baselines report one
+    #: all-busy ``serial-engine`` entry).  Invariant under the kernel's
+    #: jumps, and every component's buckets sum to :attr:`cycles`.
     attribution: Optional[Dict[str, ComponentCycles]] = None
 
     @property

@@ -8,6 +8,8 @@ and every pool batch finishes inside an explicit wall-clock bound: none
 of them configures a timeout, so a hang would run into it.
 """
 
+import contextlib
+import os
 import signal
 import subprocess
 import sys
@@ -160,7 +162,9 @@ class TestKeyboardInterrupt:
             stderr=subprocess.PIPE,
             text=True,
             env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+            start_new_session=True,
         )
+
         def committed_entries():
             # ``put`` writes ``.tmp-*.json`` beside the entry and renames
             # it into place; the temp file is not a landed result.
@@ -183,9 +187,12 @@ class TestKeyboardInterrupt:
             child.send_signal(signal.SIGINT)
             stdout, stderr = child.communicate(timeout=30.0)
         finally:
-            if child.poll() is None:
-                child.kill()
-                child.communicate()
+            # Kill the child's whole process group: pool workers it left
+            # behind would hold its pipes open, and the last
+            # communicate() would wait for them forever.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
 
         assert child.returncode == 42, (stdout, stderr)
         assert "INTERRUPTED-CLEANLY" in stdout

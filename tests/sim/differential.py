@@ -64,12 +64,10 @@ def spy_on_bank_paths(monkeypatch):
 
 class Metronome:
     """A component that never acts and bounds the kernel at the current
-    cycle, so a kernel it joins visits every cycle.  Its empty
-    ``ledger_names`` keep it out of the attribution ledger: a run's
-    results cannot show it."""
+    cycle, so a kernel it joins visits every cycle.  It reports no
+    ledger entry: a run's results cannot show it."""
 
     name = "metronome"
-    ledger_names = ()
     visits = 0
 
     def tick(self, cycle):
@@ -79,10 +77,7 @@ class Metronome:
     def next_event_cycle(self, cycle):
         return cycle
 
-    def account(self, start, end):
-        return (0, 0, end - start)
-
-    def finalize_ledger(self, total_cycles):
+    def account(self, total_cycles):
         return {}
 
 

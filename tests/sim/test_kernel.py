@@ -12,9 +12,9 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.sim.events import HORIZON
-from repro.sim.kernel import PassiveComponent, SimKernel
+from repro.sim.kernel import SimKernel
 from repro.sim.runner import SimulationLimits, Watchdog
-from repro.sim.stats import ComponentCycles
+from repro.sim.stats import ComponentCycles, SpanLedger
 
 from .differential import Metronome
 
@@ -28,20 +28,22 @@ class Pulse:
         self.schedule = sorted(schedule)
         self.fired = []
         self.tick_calls = 0
+        self.ledger = SpanLedger()
+        self.ledger.mark(0, bool(self.schedule))
 
     def tick(self, cycle):
         self.tick_calls += 1
         if self.schedule and self.schedule[0] == cycle:
             self.fired.append(self.schedule.pop(0))
+            self.ledger.act(cycle, bool(self.schedule))
             return True
         return False
 
     def next_event_cycle(self, cycle):
         return self.schedule[0] if self.schedule else HORIZON
 
-    def account(self, start, end):
-        span = end - start
-        return (0, span, 0) if self.schedule else (0, 0, span)
+    def account(self, total_cycles):
+        return {self.name: self.ledger.close(total_cycles)}
 
     def done(self):
         return not self.schedule
@@ -96,17 +98,19 @@ class TestRegistry:
 class TestLoopEquivalence:
     SCHEDULES = [[3, 7, 40], [5, 41], []]
 
-    def test_skip_matches_tick(self):
-        """Visiting every cycle changes nothing: the same pulses fire,
-        at the same exit cycle, with the same ledger."""
+    def test_visiting_every_cycle_changes_nothing(self):
+        """The same pulses fire, at the same exit cycle, with the same
+        ledger, whether the kernel jumps or visits every cycle."""
         tick_kernel, tick_pulses, tick_exit = _run(self.SCHEDULES, True)
         skip_kernel, skip_pulses, skip_exit = _run(self.SCHEDULES, False)
-        assert tick_kernel.components[0].visits == tick_exit
+        assert tick_kernel._components[0].visits == tick_exit
         assert skip_exit == tick_exit
         assert [p.fired for p in skip_pulses] == [
             p.fired for p in tick_pulses
         ]
-        assert skip_kernel.ledger == tick_kernel.ledger
+        assert skip_kernel.finalize(skip_exit) == tick_kernel.finalize(
+            tick_exit
+        )
 
     def test_gating_spares_tick_calls_in_both_modes(self):
         """Quiet components are not re-polled while their cached bound
@@ -121,19 +125,30 @@ class TestLoopEquivalence:
     def test_ledger_buckets_sum_to_exit_cycle(self):
         for metronome in (False, True):
             kernel, _, exit_cycle = _run(self.SCHEDULES, metronome)
-            for entry in kernel.ledger.values():
+            for entry in kernel.finalize(exit_cycle).values():
                 assert entry.total == exit_cycle
 
     def test_passive_component_never_wakes_the_kernel(self):
+        class Passive:
+            name = "passive"
+
+            def tick(self, cycle):
+                return False
+
+            def next_event_cycle(self, cycle):
+                return HORIZON
+
+            def account(self, total_cycles):
+                return {}
+
         kernel = SimKernel(watchdog=_watchdog())
         pulse = kernel.register(Pulse("pulse", [9]))
-        kernel.register(PassiveComponent())
+        kernel.register(Passive())
         exit_cycle = kernel.run(pulse.done)
         assert exit_cycle == 10
         # The pulse visited far fewer than 10 cycles: the passive
         # component's HORIZON bound let the jump straight to cycle 9.
         assert pulse.tick_calls <= 3
-        assert kernel.ledger["passive"].idle == exit_cycle
 
 
 class TestWatchdog:
@@ -191,6 +206,8 @@ class TestWatchdog:
 
 class TestFinalize:
     def test_tail_padding_completes_the_ledger(self):
+        """Each component closes its own ledger at the run's total,
+        which may lie past the loop's exit."""
         kernel, _, exit_cycle = _run([[3]], False)
         ledger = kernel.finalize(exit_cycle + 10)
         entry = ledger["pulse-0"]
@@ -223,15 +240,13 @@ class TestFinalize:
 
 
 class Duo:
-    """A toy self-accounting component speaking for two logical parts
-    (the shape the SoA bank automaton registers with)."""
+    """A toy component speaking for two logical parts (the shape of the
+    bank automaton, which reports every ``bank-*`` entry)."""
 
     name = "duo"
-    ledger_names = ("part-a", "part-b")
 
-    def __init__(self, schedule, missing=False):
+    def __init__(self, schedule):
         self.inner = Pulse("inner", schedule)
-        self.missing = missing
 
     def tick(self, cycle):
         return self.inner.tick(cycle)
@@ -239,39 +254,47 @@ class Duo:
     def next_event_cycle(self, cycle):
         return self.inner.next_event_cycle(cycle)
 
-    def account(self, start, end):
-        return (0, 0, end - start)  # discarded placeholder
-
     def done(self):
         return self.inner.done()
 
-    def finalize_ledger(self, total_cycles):
-        out = {"part-a": ComponentCycles(busy=total_cycles)}
-        if not self.missing:
-            out["part-b"] = ComponentCycles(idle=total_cycles)
-        return out
+    def account(self, total_cycles):
+        return {
+            "part-a": ComponentCycles(busy=total_cycles),
+            "part-b": ComponentCycles(idle=total_cycles),
+        }
 
 
 class TestSelfAccounting:
-    def test_ledger_names_reserved_at_register(self):
-        kernel = SimKernel(watchdog=_watchdog())
-        kernel.register(Duo([1]))
-        with pytest.raises(ConfigurationError):
-            kernel.register(Pulse("part-a", [2]))
-
     def test_finalize_merges_component_ledger(self):
+        """Entries merge in registration order, each as its component
+        reported it; a component's own name need not be an entry."""
         for metronome in (False, True):
             kernel = _kernel(metronome)
+            first = kernel.register(Pulse("first", [2]))
             duo = kernel.register(Duo([1, 5]))
+            kernel.register(Pulse("last", [3]))
             exit_cycle = kernel.run(duo.done)
             ledger = kernel.finalize(exit_cycle + 3)
+            assert list(ledger) == ["first", "part-a", "part-b", "last"]
+            assert ledger["first"] == first.ledger.close(exit_cycle + 3)
             assert ledger["part-a"] == ComponentCycles(busy=exit_cycle + 3)
             assert ledger["part-b"] == ComponentCycles(idle=exit_cycle + 3)
-            assert "duo" not in ledger
 
-    def test_missing_ledger_entry_rejected(self):
+    def test_duplicate_entry_rejected_at_finalize(self):
         kernel = SimKernel(watchdog=_watchdog())
-        duo = kernel.register(Duo([1], missing=True))
+        duo = kernel.register(Duo([1]))
+        kernel.register(Pulse("part-a", [2]))
         exit_cycle = kernel.run(duo.done)
         with pytest.raises(ConfigurationError):
             kernel.finalize(exit_cycle)
+
+
+class TestSpanLedger:
+    def test_spans_keep_the_last_state(self):
+        ledger = SpanLedger()
+        ledger.mark(2, True)  # cycles 0-1 idle, work arrives at 2
+        ledger.act(4, True)  # 2-3 stalled, 4 busy
+        ledger.act(5, False)  # 5 busy
+        ledger.mark(5, True)  # later in cycle 5: work again
+        ledger.mark(8, False)  # 6-7 stalled
+        assert ledger.close(10) == ComponentCycles(busy=2, stalled=4, idle=4)

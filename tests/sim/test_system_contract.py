@@ -63,12 +63,7 @@ class TestSystemContract:
         summary = result.attribution_summary()
         assert set(summary) == set(result.attribution)
 
-    # The ids name how the PVA kernel advances under each backend:
-    # visiting every cycle (reference) or jumping idle gaps (fast).
-    @pytest.mark.parametrize(
-        "sim_mode",
-        [pytest.param("reference", id="tick"), pytest.param("fast", id="skip")],
-    )
+    @pytest.mark.parametrize("sim_mode", ["reference", "fast"])
     def test_honors_watchdog(self, system, prototype_params, sim_mode):
         """An impossibly small cycle budget must surface as a contained
         SimulationTimeout under both backends — never a hang.  A serial
