@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.errors import ConfigurationError
 from repro.params import SystemParams
 from repro.sdram.devstats import DeviceStats
 from repro.sim.runner import Watchdog
@@ -68,7 +69,14 @@ class SerialSystem:
         capture_data: bool = False,
     ) -> RunResult:
         """Cost the trace serially: the run's cycles are the sum of its
-        commands' costs."""
+        commands' costs, which exist only for base-stride vectors."""
+        for command in commands:
+            if not isinstance(command, VectorCommand):
+                raise ConfigurationError(
+                    f"{self.name}: the serial baselines model only "
+                    f"base-stride vector commands, not "
+                    f"{type(command).__name__}"
+                )
         watchdog = Watchdog(len(commands), system=self.name)
         storage = self._storage
         bus = BusStats()

@@ -22,6 +22,15 @@ Subcommands
     systems, over the stride-19 grid slice and a throttled-front-end
     scenario, and write ``BENCH_sim.json`` (``--quick`` for the CI
     smoke workload).
+``explore``
+    Sweep ``SystemParams`` axes, prune designs with analytic lower
+    bounds, and print the cycles-vs-complexity Pareto frontier.
+``sweep``
+    Dense stride sweep of one kernel: PVA against cache-line serial.
+``all``
+    Write the 14 evaluation artifacts (figures 7-11, table 1, headline,
+    ablations, alignment study) into a directory; the other seven
+    ``results/`` tables come only from ``benchmarks/``.
 
 Engine subcommands (``grid``, ``figure``, ``ablation``, ``explore``,
 ``all``) accept ``--jobs``/``--cache``.  A failing point aborts the
@@ -372,7 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--elements", type=int, default=512)
 
     all_parser = sub.add_parser(
-        "all", help="regenerate every experiment artifact into a directory"
+        "all",
+        help=(
+            "write the 14 evaluation artifacts (figures, table 1, "
+            "headline, ablations, alignment study) into a directory"
+        ),
     )
     all_parser.add_argument("--out", default="results")
     all_parser.add_argument(

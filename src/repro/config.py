@@ -83,8 +83,8 @@ CONFIG_SCHEMA_VERSION = 6
 #:   structure-of-arrays automaton (:mod:`repro.pva.soa`), whose bounds
 #:   let the run loop jump idle cycles, for plain, ``capture_data`` and
 #:   logged runs alike.  A system the automaton cannot model (a device
-#:   other than SDRAM/SRAM, mixed device models, banks still holding
-#:   work) raises ``ConfigurationError``.
+#:   other than SDRAM/SRAM, or mixed device models) raises
+#:   ``ConfigurationError`` when it is built.
 SIM_MODES = ("reference", "fast")
 
 #: Valid scheduler row-management policies.  Kept in lock-step with

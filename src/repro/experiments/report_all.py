@@ -1,4 +1,4 @@
-"""One-shot regeneration of every experiment artifact.
+"""One-shot regeneration of the paper's evaluation artifacts.
 
 ``generate_all`` runs the paper's evaluation — figures 7-11, table 1,
 the headline ratios, every ablation and the alignment study — and
@@ -49,7 +49,7 @@ def generate_all(
     progress: Callable[[str], None] = lambda message: None,
     engine: Optional[ExperimentEngine] = None,
 ) -> Dict[str, Path]:
-    """Regenerate every artifact; return ``{name: path}``.
+    """Regenerate the 14 evaluation artifacts; return ``{name: path}``.
 
     ``progress`` receives a line per artifact (the CLI prints them).
     """

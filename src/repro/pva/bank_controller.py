@@ -100,29 +100,11 @@ class BankController:
         """
         sub = self.fhp.predict(vector)
         expected = 0 if sub is None else sub.count
-        if is_write:
-            self.write_staging.open(txn_id, expected)
-        else:
-            self.read_staging.open(txn_id, expected)
-        if expected == 0:
+        ready_cycle = self._admit(
+            txn_id, is_write, expected, cycle, vector.stride
+        )
+        if ready_cycle is None:
             return 0
-        if len(self.rqf) >= self.params.request_fifo_depth:
-            raise CapacityError(
-                f"bank {self.bank}: request FIFO overflow "
-                f"(depth {self.params.request_fifo_depth})"
-            )
-        idle = not self.rqf and not self.scheduler.window
-        if self.fhp.stride_is_power_of_two(vector.stride):
-            # FHP completed the address (shift/mask); the request is
-            # visible to the scheduler after the RQF write, or a cycle
-            # earlier via the FHP-to-VC bypass when the BC is idle.
-            if self.params.bypass_paths and idle:
-                ready_cycle = cycle + 1
-            else:
-                ready_cycle = cycle + 2
-        else:
-            # FHC multiply-add path; arrival is the RQF-write cycle.
-            ready_cycle = self.fhc.schedule(cycle + 1, idle)
         req = BCRequest(
             txn_id=txn_id,
             vector=vector,
@@ -185,27 +167,9 @@ class BankController:
         as in the word-interleaved unit.
         """
         expected = len(pairs)
-        if is_write:
-            self.write_staging.open(txn_id, expected)
-        else:
-            self.read_staging.open(txn_id, expected)
-        if not pairs:
+        ready_cycle = self._admit(txn_id, is_write, expected, cycle, stride)
+        if ready_cycle is None:
             return 0
-        if len(self.rqf) >= self.params.request_fifo_depth:
-            raise CapacityError(
-                f"bank {self.bank}: request FIFO overflow "
-                f"(depth {self.params.request_fifo_depth})"
-            )
-        idle = self.is_idle
-        if stride is None:
-            ready_cycle = cycle + 1
-        elif self.fhp.stride_is_power_of_two(stride):
-            if self.params.bypass_paths and idle:
-                ready_cycle = cycle + 1
-            else:
-                ready_cycle = cycle + 2
-        else:
-            ready_cycle = self.fhc.schedule(cycle + 1, idle)
         self.rqf.append(
             BCRequest(
                 txn_id=txn_id,
@@ -221,6 +185,41 @@ class BankController:
             )
         )
         return expected
+
+    def _admit(
+        self,
+        txn_id: int,
+        is_write: bool,
+        expected: int,
+        cycle: int,
+        stride: Optional[int],
+    ) -> Optional[int]:
+        """The enqueue steps every broadcast shares: open the staging
+        slot (an empty one too) and, if the bank owns elements, check the
+        FIFO and return the request's ready cycle (else None).  An
+        explicit snoop (``stride=None``) is ready after the broadcast;
+        FHP shift/masks a power-of-two stride (the FHP-to-VC bypass saves
+        the RQF write when idle); FHC multiply-adds any other.
+        """
+        if is_write:
+            self.write_staging.open(txn_id, expected)
+        else:
+            self.read_staging.open(txn_id, expected)
+        if expected == 0:
+            return None
+        if len(self.rqf) >= self.params.request_fifo_depth:
+            raise CapacityError(
+                f"bank {self.bank}: request FIFO overflow "
+                f"(depth {self.params.request_fifo_depth})"
+            )
+        idle = self.is_idle
+        if stride is None:
+            return cycle + 1
+        if self.fhp.stride_is_power_of_two(stride):
+            if self.params.bypass_paths and idle:
+                return cycle + 1
+            return cycle + 2
+        return self.fhc.schedule(cycle + 1, idle)
 
     # ----------------------------------------------------------------- #
     # Clock

@@ -1,12 +1,11 @@
 """The structure-of-arrays bank automaton: how the fast backend steps
-every bank of a PVA run.
+every bank of a PVA system.
 
 At broadcast time every bank's work is already resolved — its slice of
 the command's hit table (:mod:`repro.pva.schedule`).  What the reference
-backend still steps per cycle is the *object graph*: sixteen
-``BankController``/``InternalBank``/``Restimer`` trees, each ticked
-through the kernel's component dispatch.  This module collapses all of
-them into one table-driven automaton:
+backend steps per cycle is the *object graph*: sixteen
+``BankController``/``InternalBank``/``Restimer`` trees, ticked bank by
+bank.  This module models the same banks as one table-driven automaton:
 
 * restimer deadlines (activate/column/precharge ready-at), open rows,
   refresh deadlines, FHC occupancy and next-event cycles live in flat
@@ -20,9 +19,16 @@ them into one table-driven automaton:
   all sixteen ``bank-*`` attribution-ledger entries, and advances the
   kernel's skip bound with a single ``min()`` over the deadline array.
 
-The automaton models exactly the :class:`~repro.sdram.device.SDRAMDevice`
-and :class:`~repro.sram.device.SRAMDevice` banks of a system whose
-previous run finished; its constructor raises
+**Ownership.**  A fast :class:`~repro.pva.system.PVAMemorySystem` builds
+the automaton with its per-bank devices, which hold only the storage
+the walk writes in place and the command logs.  The automaton owns all
+other bank state and keeps it across runs: open rows, restimer
+deadlines, pin state, refresh deadlines, FHC occupancy, row-policy and
+predictor state, and the device counters.  Each run binds its front end
+and bus (:meth:`SoaBankAutomaton.bind`) and drops them on every exit.
+The automaton models exactly :class:`~repro.sdram.device.SDRAMDevice`
+and :class:`~repro.sram.device.SRAMDevice` banks, one model and geometry
+on every bank; its constructor raises
 :class:`~repro.errors.ConfigurationError` on anything else, never falls
 back.
 
@@ -72,7 +78,7 @@ pins down):
 5. *Ledger.*  Per-bank busy/stalled/idle counters are settled span-wise:
    action cycles are busy, quiet spans are stalled iff the FIFO or
    window was non-empty after the preceding action (``pending``),
-   exactly the reference ``_BankComponent``'s classification.
+   exactly the reference bank component's classification.
    :meth:`SoaBankAutomaton.account` closes them at the run's total
    cycle count for the kernel's ``finalize``.
 
@@ -87,20 +93,11 @@ evaluated at the run's last column, the only one that can close the
 row.
 
 **Command logs.**  When a bank's device carries a
-:class:`~repro.sim.trace_log.CommandLog`, the walk records each
-PRECHARGE, ACTIVATE and READ/WRITE(_AP) it issues with the fields the
-device models write (a burst logs one column per cycle, only its last
-carrying the auto-precharge); an unlogged run pays one ``is not None``
-test per walk action.
-
-On any exit from :meth:`PVAMemorySystem.run` the automaton writes the
-array state back into the object graph (:meth:`writeback`), so device
-statistics, storage peeks and back-to-back runs behave identically to
-the reference backend.  In-flight FIFO entries and vector contexts are
-not reconstructed as objects — they are empty on every successful run,
-and after a mid-run exception (watchdog timeout, injected fault) the
-object graph is defined only well enough to be inspected; the system
-refuses another run until ``reset()``.
+:class:`~repro.sim.trace_log.CommandLog` at the start of a run, the
+walk records each PRECHARGE, ACTIVATE and READ/WRITE(_AP) it issues
+with the fields the device models write (a burst logs one column per
+cycle, only its last carrying the auto-precharge); an unlogged run pays
+one ``is not None`` test per walk action.
 """
 
 from __future__ import annotations
@@ -116,9 +113,10 @@ from repro.pva.schedule import (
     pairs_schedule,
     schedule_cache_info,
 )
-from repro.pva.rowpolicy import PaperPolicy
+from repro.pva.rowpolicy import PaperPolicy, make_row_policy
 from repro.sdram.commands import SDRAMCommand
 from repro.sdram.device import SDRAMDevice
+from repro.sdram.devstats import DeviceStats
 from repro.sim.events import HORIZON
 from repro.sim.stats import ComponentCycles
 from repro.sim.trace_log import CommandEvent
@@ -163,52 +161,43 @@ def soa_cache_info():
 
 
 class SoaBankAutomaton:
-    """All bank controllers of one run, stepped as flat-array operations.
+    """All bank controllers of one fast system, stepped as flat-array
+    operations.
 
-    Registers with the kernel as a single component that reports the
-    sixteen ``bank-*`` ledger entries; construction loads the object
-    graph's state into the arrays, :meth:`writeback` restores it.
-    Construction raises :class:`~repro.errors.ConfigurationError` on
-    banks the automaton does not model: a device other than
-    ``SDRAMDevice``/``SRAMDevice``, mixed models or geometries, or
-    queued work left by an earlier run.
+    Each run registers it with the kernel, between :meth:`bind` and
+    :meth:`unbind`, as a single component that reports the sixteen
+    ``bank-*`` ledger entries.  Construction raises
+    :class:`~repro.errors.ConfigurationError` on devices it does not
+    model: a device other than ``SDRAMDevice``/``SRAMDevice``, or mixed
+    models or geometries.
     """
 
     name = "banks"
 
-    def __init__(self, banks, front, bus, params):
-        device_type = type(banks[0].device)
+    def __init__(self, devices, params, pla):
+        device_type = type(devices[0])
         if device_type is not SDRAMDevice and device_type is not SRAMDevice:
             raise ConfigurationError(
                 f'sim_mode="fast" models SDRAMDevice and SRAMDevice banks '
                 f"only, not {device_type.__name__}; run this system with "
                 f'sim_mode="reference"'
             )
-        geometry = banks[0].device.schedule_geometry
-        for bank in banks:
+        geometry = devices[0].schedule_geometry
+        for device in devices:
             if (
-                type(bank.device) is not device_type
-                or bank.device.schedule_geometry != geometry
+                type(device) is not device_type
+                or device.schedule_geometry != geometry
             ):
                 raise ConfigurationError(
                     'sim_mode="fast" needs one device model and geometry '
                     'on every bank; run this system with sim_mode="reference"'
                 )
-            if bank.rqf or bank.scheduler.window:
-                raise ConfigurationError(
-                    f"bank {bank.bank} still holds queued work; call "
-                    f"reset() before running the system again"
-                )
-        n = len(banks)
+        n = len(devices)
         self.n = n
-        self.banks = banks
-        self.front = front
-        self.bus = bus
-        self.outstanding = front.outstanding
-        self.fully_issued = front.fully_issued
-        self.ncmds = len(front.commands)
+        self.devices = devices
+        self.front = self.bus = None
 
-        device0 = banks[0].device
+        device0 = devices[0]
         self.has_rows = bool(device0.has_rows)
         self.nib = device0.timing.internal_banks if self.has_rows else 1
         if self.has_rows:
@@ -226,7 +215,6 @@ class SoaBankAutomaton:
             col_mask = -1  # the SRAM logs the whole local word
         #: Logged column address: ``local_word & col_mask``.
         self.col_mask = col_mask
-        self.logs = [bank.device.log for bank in banks]
         #: The scheduler stamps write data cycles with the *SDRAM* write
         #: recovery even when the device is SRAM (see
         #: AccessScheduler._issue_column) — mirror that exactly.
@@ -235,13 +223,15 @@ class SoaBankAutomaton:
         self.fifo_depth = params.request_fifo_depth
         self.max_ctx = params.num_vector_contexts
         self.bypass = params.bypass_paths
-        self.fhc_latency = params.fhc_latency
+        #: FirstHit Calculate multiply-add latency (section 5.2.3).
+        self.calc_latency = params.fhc_latency
         self.num_banks = params.num_banks
         self.bank_bits = params.bank_bits
-        self._pla = banks[0].fhp.pla
-        self._geom = device0.schedule_geometry
+        self._pla = pla
+        self._geom = geometry
 
-        nu = n * self.nib
+        nib = self.nib
+        nu = n * nib
         # -- per-internal-bank state (index u = bank * nib + ib) -------
         self.orow = array("q", [-1]) * nu  # open row, -1 = closed
         self.act = array("q", bytes(8 * nu))  # activate ready-at
@@ -251,19 +241,49 @@ class SoaBankAutomaton:
         self.ib_pre = array("q", bytes(8 * nu))
         self.ib_ap = array("q", bytes(8 * nu))
         # -- per-bank state --------------------------------------------
-        self.bound = array("q", bytes(8 * n))  # next-event candidate
-        self.nr = array("q", bytes(8 * n))  # next refresh deadline
-        self.last_col = array("q", bytes(8 * n))  # device pin state
-        self.last_dir = array("q", bytes(8 * n))  # -1 none, 0 R, 1 W
-        self.fhc_busy = array("q", bytes(8 * n))
-        self.fhc_calcs = array("q", bytes(8 * n))
+        interval = self.refresh_interval
+        #: Next refresh deadline (HORIZON: the device never refreshes).
+        self.nr = array("q", [interval if interval > 0 else HORIZON]) * n
+        #: Device pin state: the last column's cycle (-10, as the device
+        #: models start, clears every turnaround at cycle 0) and its
+        #: direction (-1 none, 0 read, 1 write).
+        self.last_col = array("q", [-10]) * n
+        self.last_dir = array("q", [-1]) * n
+        self.calc_busy = array("q", bytes(8 * n))  # FHC busy-until
         self.reads = array("q", bytes(8 * n))
         self.writes = array("q", bytes(8 * n))
         self.turnarounds = array("q", bytes(8 * n))
-        self.refreshes = array("q", bytes(8 * n))
-        self.sched_act = array("q", bytes(8 * n))
-        self.sched_pre = array("q", bytes(8 * n))
-        self.sched_col = array("q", bytes(8 * n))
+
+        # -- mutable structures ----------------------------------------
+        self._rqf: List[deque] = [deque() for _ in range(n)]
+        self._win: List[list] = [[] for _ in range(n)]
+        self.storage = [device.storage for device in devices]
+        self.policies = [
+            make_row_policy(params.row_policy, nib) for _ in range(n)
+        ]
+        self.paper = [type(p) is PaperPolicy for p in self.policies]
+        self.predict = [
+            p.autoprecharge_predict if type(p) is PaperPolicy else None
+            for p in self.policies
+        ]
+        #: Per bank and internal bank: the row of the last activate
+        #: (predictor training) and whether it is still unread.
+        self.lrs = [[None] * nib for _ in range(n)]
+        self.asc = [[False] * nib for _ in range(n)]
+
+    def bind(self, front, bus) -> None:
+        """Start a run: attach its front end and bus, read the devices'
+        command logs, and open a fresh ledger.  No work is queued between
+        runs, so each bank's only standing event is its refresh
+        deadline."""
+        n = self.n
+        self.front = front
+        self.bus = bus
+        self.outstanding = front.outstanding
+        self.fully_issued = front.fully_issued
+        self.ncmds = len(front.commands)
+        self.logs = [device.log for device in self.devices]
+        self.bound = array("q", self.nr)  # next-event candidate
         # -- attribution ledger ----------------------------------------
         self.busy_c = array("q", bytes(8 * n))
         self.stalled_c = array("q", bytes(8 * n))
@@ -271,54 +291,29 @@ class SoaBankAutomaton:
         self.acct = array("q", bytes(8 * n))  # settled-to cycle
         self.pending = [False] * n  # rqf/window non-empty after acct
 
-        # -- shared mutable structures (no writeback needed) -----------
-        self._rqf: List[deque] = [deque() for _ in range(n)]
-        self._win: List[list] = [[] for _ in range(n)]
-        self.storage = [bank.device._storage for bank in banks]
-        self.policies = [bank.scheduler.policy for bank in banks]
-        self.paper = [type(p) is PaperPolicy for p in self.policies]
-        self.predict = [
-            p.autoprecharge_predict if type(p) is PaperPolicy else None
-            for p in self.policies
-        ]
-        self.lrs = [bank.scheduler._last_row_seen for bank in banks]
-        self.asc = [bank.scheduler._activated_since_column for bank in banks]
+    def unbind(self) -> None:
+        """End a run: drop the front end and bus, so the system keeps no
+        reference cycle through them."""
+        self.front = self.bus = self.outstanding = self.fully_issued = None
 
-        # -- load the object graph's current state ---------------------
-        nib = self.nib
-        for b, bank in enumerate(banks):
-            device = bank.device
-            self.last_col[b] = device._last_column_cycle
-            lww = device._last_was_write
-            self.last_dir[b] = -1 if lww is None else int(lww)
-            self.reads[b] = device.reads
-            self.writes[b] = device.writes
-            self.turnarounds[b] = device.turnarounds
-            self.fhc_busy[b] = bank.fhc._busy_until
-            self.fhc_calcs[b] = bank.fhc.calculations
-            self.sched_act[b] = bank.scheduler.activates
-            self.sched_pre[b] = bank.scheduler.precharges
-            self.sched_col[b] = bank.scheduler.columns
-            if self.has_rows:
-                self.refreshes[b] = device.refreshes
-                nxt = device._next_refresh
-                self.nr[b] = HORIZON if nxt is None else nxt
-                base_u = b * nib
-                for ib, internal in enumerate(device.banks):
-                    u = base_u + ib
-                    row = internal.open_row
-                    self.orow[u] = -1 if row is None else row
-                    self.act[u] = internal._activate_timer._ready_at
-                    self.col[u] = internal._column_timer._ready_at
-                    self.pre[u] = internal._precharge_timer._ready_at
-                    self.ib_act[u] = internal.activates
-                    self.ib_pre[u] = internal.precharges
-                    self.ib_ap[u] = internal.auto_precharges
-            else:
-                self.nr[b] = HORIZON
-            # No queued work at load time (checked above): the only
-            # standing event is the refresh deadline.
-            self.bound[b] = self.nr[b]
+    def stage_read(self, txn) -> None:
+        """STAGE_READ needs no merge: the walk gathered ``capture_data``
+        values straight into ``txn.line``."""
+
+    def retire_write(self, txn_id: int) -> None:
+        """A retired write holds no bank-side buffer to release."""
+
+    def device_stats(self) -> DeviceStats:
+        """Device operation counts summed over every bank, from the
+        system's first run (or last ``reset()``) on."""
+        return DeviceStats(
+            activates=sum(self.ib_act),
+            precharges=sum(self.ib_pre),
+            auto_precharges=sum(self.ib_ap),
+            reads=sum(self.reads),
+            writes=sum(self.writes),
+            turnarounds=sum(self.turnarounds),
+        )
 
     # ------------------------------------------------------------- #
     # Kernel component protocol
@@ -530,7 +525,6 @@ class SoaBankAutomaton:
                                 if release > act[u]:
                                     act[u] = release
                                 self.ib_pre[u] += 1
-                                self.sched_pre[b] += 1
                                 if log is not None:
                                     log.record(
                                         CommandEvent(
@@ -557,7 +551,6 @@ class SoaBankAutomaton:
                                 self.lrs[b][ib] = row
                                 self.asc[b][ib] = True
                                 self.ib_act[u] += 1
-                                self.sched_act[b] += 1
                                 if log is not None:
                                     log.record(
                                         CommandEvent(
@@ -705,7 +698,6 @@ class SoaBankAutomaton:
                             txn.last_data_cycle = data_cycle
                         if txn.done >= txn.expected:
                             fully_issued.append(txn)
-                        self.sched_col[b] += run
                         vc[10] = True
                         vc[5] = stop
                         if stop == vc[6]:
@@ -782,7 +774,6 @@ class SoaBankAutomaton:
             if release > act[u]:
                 act[u] = release
         self.nr[b] = cycle + self.refresh_interval
-        self.refreshes[b] += 1
 
     def _note_first(self, b: int, vc: list, internal_bank: int) -> None:
         """AccessScheduler._note_first_operation: train the predictor on
@@ -969,11 +960,11 @@ class SoaBankAutomaton:
         acct = self.acct
         pending = self.pending
         idle_c = self.idle_c
-        fhc_busy = self.fhc_busy
+        calc_busy = self.calc_busy
         fifo_depth = self.fifo_depth
         max_ctx = self.max_ctx
         bypass = self.bypass
-        fhc_latency = self.fhc_latency
+        calc_latency = self.calc_latency
         iw = int(is_write)
         total = 0
         for b in range(self.n):
@@ -1000,11 +991,10 @@ class SoaBankAutomaton:
                 # FirstHitCalculator.schedule: serial multiply-add.
                 idle = not rqf and not win
                 first = cycle + 1
-                if fhc_busy[b] > first:
-                    first = fhc_busy[b]
-                finish = first + fhc_latency
-                fhc_busy[b] = finish
-                self.fhc_calcs[b] += 1
+                if calc_busy[b] > first:
+                    first = calc_busy[b]
+                finish = first + calc_latency
+                calc_busy[b] = finish
                 ready = finish if (bypass and idle) else finish + 1
             rqf.append((ready, txn_id, iw, write_line, table, start, end))
             if not pending[b]:
@@ -1020,42 +1010,3 @@ class SoaBankAutomaton:
                 bound[b] = ready
             total += expected
         return total
-
-    # ------------------------------------------------------------- #
-    # Writeback
-    # ------------------------------------------------------------- #
-
-    def writeback(self) -> None:
-        """Restore the object graph from the arrays so statistics,
-        functional peeks and subsequent runs (any backend) see exactly
-        the state the run produced.  Safe to call on any exit path."""
-        nib = self.nib
-        for b, bank in enumerate(self.banks):
-            device = bank.device
-            device._last_column_cycle = self.last_col[b]
-            last_dir = self.last_dir[b]
-            device._last_was_write = None if last_dir < 0 else bool(last_dir)
-            device.reads = self.reads[b]
-            device.writes = self.writes[b]
-            device.turnarounds = self.turnarounds[b]
-            bank.fhc._busy_until = self.fhc_busy[b]
-            bank.fhc.calculations = self.fhc_calcs[b]
-            scheduler = bank.scheduler
-            scheduler.activates = self.sched_act[b]
-            scheduler.precharges = self.sched_pre[b]
-            scheduler.columns = self.sched_col[b]
-            if self.has_rows:
-                device.refreshes = self.refreshes[b]
-                if device._next_refresh is not None:
-                    device._next_refresh = self.nr[b]
-                base_u = b * nib
-                for ib, internal in enumerate(device.banks):
-                    u = base_u + ib
-                    row = self.orow[u]
-                    internal.open_row = None if row < 0 else row
-                    internal._activate_timer._ready_at = self.act[u]
-                    internal._column_timer._ready_at = self.col[u]
-                    internal._precharge_timer._ready_at = self.pre[u]
-                    internal.activates = self.ib_act[u]
-                    internal.precharges = self.ib_pre[u]
-                    internal.auto_precharges = self.ib_ap[u]

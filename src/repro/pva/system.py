@@ -16,6 +16,12 @@ commands as soon as bus and transaction resources allow):
 The bus multiplexes requests and data (one action per cycle) and pays one
 turnaround cycle when the data direction between memory controller and
 BCs reverses.
+
+The banks sit behind one *bank side*, built with the system: the
+reference object graph (:class:`_BankComponent`) or the fast automaton
+(:class:`~repro.pva.soa.SoaBankAutomaton`).  Each owns its banks' state
+across runs and answers the same calls, so nothing else asks which
+backend runs.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ class _Transaction:
     done: int = 0
     last_data_cycle: int = -1
     words: frozenset = frozenset()  # writes: word addresses, for WAW gating
-    line: Optional[List[int]] = None  # automaton capture_data reads
+    line: Optional[List[int]] = None  # capture_data reads, by index
 
 
 def _check_complete(txn: _Transaction, event: str) -> None:
@@ -104,6 +110,7 @@ class _FrontEnd:
         capture_data: bool,
     ):
         self.system = system
+        self.bank_side = system._bank_side
         self.commands = commands
         self.bus = bus
         self.max_transactions = system.params.max_transactions
@@ -210,18 +217,11 @@ class _FrontEnd:
                 acted = True
                 txn = self.stage_queue.popleft()
                 _check_complete(txn, "STAGE_READ")
-                if self.system._automaton is None:
-                    # The object graph's read staging units hold the
-                    # gathered subvectors (section 5.2.2).
-                    line = self.system._assemble_line(
-                        txn.txn_id, commands[txn.trace_index]
-                    )
-                else:
-                    line = txn.line
+                self.bank_side.stage_read(txn)
                 if self.read_lines is not None:
                     self.read_lines[
                         self.read_slot_of_trace[txn.trace_index]
-                    ] = tuple(line)
+                    ] = tuple(txn.line)
                 transfer_end = self.bus.stage_read(cycle)
                 self.releases.append((transfer_end, txn.txn_id))
                 self.latencies[txn.trace_index] = (
@@ -267,7 +267,6 @@ class _FrontEnd:
                         line=(
                             [0] * expected
                             if self.read_lines is not None
-                            and self.system._automaton is not None
                             else None
                         ),
                     )
@@ -345,38 +344,111 @@ class _FrontEnd:
 
 
 class _BankComponent:
-    """One bank controller of the reference backend.  Acting means
-    observable progress: a column issue, a request injected into a
-    vector context, a row activate/precharge, or an auto-refresh.  Its
-    bound is the current cycle, so the loop ticks it on every cycle and
-    it books each one: stalled while its FIFO or window holds work."""
+    """The reference backend's bank side: every bank controller, ticked
+    in bank order.  Acting means observable progress: a column issue, a
+    request injected into a vector context, a row activate/precharge,
+    or an auto-refresh.  Its bound is the current cycle, so the loop
+    visits every cycle and each bank books each one: stalled while its
+    FIFO or window holds work."""
 
-    def __init__(self, bank: BankController, front: _FrontEnd):
-        self.bank = bank
+    name = "banks"
+
+    def __init__(self, banks: List[BankController]):
+        self.banks = banks
+        self.devices = [bank.device for bank in banks]
+        self.front: Optional[_FrontEnd] = None
+        self.ledgers: List[SpanLedger] = []
+
+    def bind(self, front: _FrontEnd, bus: VectorBus) -> None:
         self.front = front
-        self.name = f"bank-{bank.bank}"
-        self.ledger = SpanLedger()
+        self.ledgers = [SpanLedger() for _ in self.banks]
+
+    def unbind(self) -> None:
+        self.front = None
 
     def tick(self, cycle: int) -> bool:
-        bank = self.bank
-        issued = bank.tick(cycle)
-        if issued is not None:
-            self.front.note_issue(bank.bank, issued)
-        # The controller records whether the tick changed any state
-        # (refresh, dequeue, row operation) — no counter diffing needed.
-        acted = issued is not None or bank.acted
-        pending = bool(bank.rqf or bank.scheduler.window)
-        if acted:
-            self.ledger.act(cycle, pending)
-        else:
-            self.ledger.mark(cycle, pending)
-        return acted
+        note_issue = self.front.note_issue
+        acted_any = False
+        for bank, ledger in zip(self.banks, self.ledgers):
+            issued = bank.tick(cycle)
+            if issued is not None:
+                note_issue(bank.bank, issued)
+            # The controller records whether the tick changed any state
+            # (refresh, dequeue, row operation) — no counter diffing.
+            pending = bool(bank.rqf or bank.scheduler.window)
+            if issued is not None or bank.acted:
+                ledger.act(cycle, pending)
+                acted_any = True
+            else:
+                ledger.mark(cycle, pending)
+        return acted_any
 
     def next_event_cycle(self, cycle: int) -> int:
         return cycle
 
     def account(self, total_cycles: int) -> Dict[str, ComponentCycles]:
-        return {self.name: self.ledger.close(total_cycles)}
+        return {
+            f"bank-{bank.bank}": ledger.close(total_cycles)
+            for bank, ledger in zip(self.banks, self.ledgers)
+        }
+
+    def broadcast_vector(
+        self, txn_id, vector, is_write, cycle, write_line, call_cycle
+    ) -> int:
+        return sum(
+            bank.broadcast(txn_id, vector, is_write, cycle, write_line=write_line)
+            for bank in self.banks
+        )
+
+    def broadcast_explicit(
+        self, txn_id, addresses, is_write, cycle, write_line, call_cycle
+    ) -> int:
+        return sum(
+            bank.broadcast_explicit(
+                txn_id, addresses, is_write, cycle, write_line=write_line
+            )
+            for bank in self.banks
+        )
+
+    def broadcast_pairs(
+        self, txn_id, per_bank, is_write, cycle, write_line, stride, call_cycle
+    ) -> int:
+        return sum(
+            bank.broadcast_pairs(
+                txn_id,
+                tuple(per_bank[bank.bank]),
+                is_write,
+                cycle,
+                write_line=write_line,
+                stride=stride,
+            )
+            for bank in self.banks
+        )
+
+    def stage_read(self, txn: _Transaction) -> None:
+        """Drain every bank's read staging unit (section 5.2.2) into
+        ``txn.line``, which only ``capture_data`` runs allocate."""
+        line = txn.line
+        for bank in self.banks:
+            for index, value in bank.drain_read(txn.txn_id):
+                if line is not None:
+                    line[index] = value
+
+    def retire_write(self, txn_id: int) -> None:
+        for bank in self.banks:
+            bank.release_write(txn_id)
+
+    def device_stats(self) -> DeviceStats:
+        total = DeviceStats()
+        for device in self.devices:
+            stats = device.stats()
+            total.activates += stats.activates
+            total.precharges += stats.precharges
+            total.auto_precharges += stats.auto_precharges
+            total.reads += stats.reads
+            total.writes += stats.writes
+            total.turnarounds += stats.turnarounds
+        return total
 
 
 class _CompletionUnit:
@@ -413,9 +485,7 @@ class _CompletionUnit:
                 front.stage_queue.append(txn)
                 continue
             _check_complete(txn, "write retirement")
-            if front.system._automaton is None:
-                for bank in front.system.banks:
-                    bank.release_write(txn.txn_id)
+            front.bank_side.retire_write(txn.txn_id)
             front.free_ids.append(txn.txn_id)
             front.latencies[txn.trace_index] = cycle + 1 - txn.issue_cycle
             del front.outstanding[txn.txn_id]
@@ -453,6 +523,9 @@ class PVAMemorySystem:
         factory here.
     name:
         Label used in results.
+
+    The per-bank device models (storage and command logs) are
+    :attr:`devices`, indexed by bank.
     """
 
     def __init__(
@@ -497,44 +570,53 @@ class PVAMemorySystem:
             if self.interleave is None
             else None
         )
-        #: Live bank automaton during a fast run (broadcasts route to it
-        #: instead of the bank controllers).
-        self._automaton: Optional[SoaBankAutomaton] = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Discard all device contents and statistics, returning the
+        system to its just-constructed state.  Idempotent.  Builds the
+        devices and the bank side ``sim_mode`` names, which owns all
+        other bank state (the fast automaton raises
+        :class:`~repro.errors.ConfigurationError` on unmodelled devices).
+        """
         #: Set while a run is inside the kernel loop; still set after a
         #: run that raised (a watchdog timeout, say), whose banks hold
         #: half-applied work until :meth:`reset`.
         self._unfinished = False
-        self.banks: List[BankController] = [
-            BankController(
-                bank, self.params, device_factory(self.params), self._pla
-            )
-            for bank in range(self.params.num_banks)
+        params = self.params
+        self.devices = [
+            self._device_factory(params) for _ in range(params.num_banks)
         ]
+        if params.sim_mode == "fast":
+            self._bank_side = SoaBankAutomaton(self.devices, params, self._pla)
+        else:
+            self._bank_side = _BankComponent(
+                [
+                    BankController(bank, params, device, self._pla)
+                    for bank, device in enumerate(self.devices)
+                ]
+            )
 
-    def reset(self) -> None:
-        """Discard all device contents and statistics, returning the
-        system to its just-constructed state.  Idempotent."""
-        self._unfinished = False
-        self.banks = [
-            BankController(
-                bank, self.params, self._device_factory(self.params), self._pla
-            )
-            for bank in range(self.params.num_banks)
-        ]
+    @property
+    def banks(self) -> List[BankController]:
+        """The bank controllers, indexed by bank: only a reference system
+        has them (a fast system raises AttributeError)."""
+        return self._bank_side.banks
 
     def attach_command_logs(self):
         """Attach a :class:`~repro.sim.trace_log.CommandLog` to every
         bank's device and return them (indexed by bank number).
 
         Call before :meth:`run`; the logs then capture the full SDRAM
-        command stream of the run, one logic-analyzer trace per device.
+        command stream of every later run, one logic-analyzer trace per
+        device.
         """
         from repro.sim.trace_log import CommandLog
 
         logs = []
-        for bank in self.banks:
+        for device in self.devices:
             log = CommandLog()
-            bank.device.log = log
+            device.log = log
             logs.append(log)
         return logs
 
@@ -565,12 +647,12 @@ class PVAMemorySystem:
     def poke(self, address: int, value: int) -> None:
         """Write one word directly into the backing storage."""
         bank, local = self._locate(address)
-        self.banks[bank].device.poke(local, value)
+        self.devices[bank].poke(local, value)
 
     def peek(self, address: int) -> int:
         """Read one word directly from the backing storage."""
         bank, local = self._locate(address)
-        return self.banks[bank].device.peek(local)
+        return self.devices[bank].peek(local)
 
     # ----------------------------------------------------------------- #
     # Trace execution
@@ -584,21 +666,17 @@ class PVAMemorySystem:
         """Execute a command trace; return cycle counts and statistics.
 
         The run is driven by the shared simulation kernel
-        (:class:`repro.sim.kernel.SimKernel`): the front end, the banks
-        (one component per bank controller under ``reference``, one
-        automaton for all of them under ``fast``) and the completion
-        unit register as clocked components, and the kernel owns
-        watchdog probing and the next-event advance.  Each component
-        settles its own cycle-attribution ledger (the front end also
-        the vector bus's); the kernel merges them into
-        :attr:`RunResult.attribution`.
+        (:class:`repro.sim.kernel.SimKernel`): the front end, the bank
+        side (the object graph under ``reference``, one automaton for
+        every bank under ``fast``) and the completion unit register as
+        clocked components, and the kernel owns watchdog probing and the
+        next-event advance.  Each component settles its own
+        cycle-attribution ledger (the front end also the vector bus's);
+        the kernel merges them into :attr:`RunResult.attribution`.
 
         A run on a system whose previous run raised (a watchdog
         timeout, say) raises :class:`~repro.errors.ConfigurationError`
-        under either backend: call :meth:`reset` first.  Under ``fast``
-        a system the automaton does not model raises it too: a device
-        other than ``SDRAMDevice``/``SRAMDevice``, mixed device models,
-        or banks still holding queued work.
+        under either backend: call :meth:`reset` first.
         """
         if self._unfinished:
             raise ConfigurationError(
@@ -614,34 +692,21 @@ class PVAMemorySystem:
                 )
         bus = VectorBus(self.params)
         front = _FrontEnd(self, commands, bus, capture_data)
+        bank_side = self._bank_side
         kernel = SimKernel(watchdog=Watchdog(len(commands), system=self.name))
         kernel.register(front)
-        # sim_mode picks the bank model and nothing else: the fast
-        # backend steps every bank as one structure-of-arrays automaton
-        # (repro.pva.soa), whose bounds let the kernel jump idle gaps;
-        # the reference backend ticks the object graph on every cycle.
-        if self.params.sim_mode == "fast":
-            self._automaton = SoaBankAutomaton(
-                self.banks, front, bus, self.params
-            )
-            kernel.register(self._automaton)
-        else:
-            for bank in self.banks:
-                kernel.register(_BankComponent(bank, front))
+        kernel.register(bank_side)
         kernel.register(_CompletionUnit(front))
         self._unfinished = True
+        bank_side.bind(front, bus)
         try:
             exit_cycle = kernel.run(front.done)
         finally:
-            # Restore the object graph before any statistics are read
-            # (or before the caller inspects state after a timeout).
-            if self._automaton is not None:
-                self._automaton.writeback()
-                self._automaton = None
+            bank_side.unbind()
         self._unfinished = False
 
         total_cycles = max(front.end_cycle, exit_cycle)
-        device_stats = self._aggregate_device_stats()
+        device_stats = bank_side.device_stats()
         reads = sum(1 for c in commands if c.access is AccessType.READ)
         writes = len(commands) - reads
         result = RunResult(
@@ -684,45 +749,20 @@ class PVAMemorySystem:
         write_line: Optional[Tuple[int, ...]],
         call_cycle: int,
     ) -> None:
+        """All banks observe one command, delivered at ``cycle``."""
         is_write = command.access is AccessType.WRITE
-        automaton = self._automaton
-        total = 0
         if self.interleave is not None:
             total = self._broadcast_interleaved(
                 txn_id, command, cycle, write_line, call_cycle
             )
         elif isinstance(command, ExplicitCommand):
-            if automaton is not None:
-                total = automaton.broadcast_explicit(
-                    txn_id,
-                    command.addresses,
-                    is_write,
-                    cycle,
-                    write_line,
-                    call_cycle,
-                )
-            else:
-                for bank in self.banks:
-                    total += bank.broadcast_explicit(
-                        txn_id,
-                        command.addresses,
-                        is_write,
-                        cycle,
-                        write_line=write_line,
-                    )
-        elif automaton is not None:
-            total = automaton.broadcast_vector(
-                txn_id, command.vector, is_write, cycle, write_line, call_cycle
+            total = self._bank_side.broadcast_explicit(
+                txn_id, command.addresses, is_write, cycle, write_line, call_cycle
             )
         else:
-            for bank in self.banks:
-                total += bank.broadcast(
-                    txn_id,
-                    command.vector,
-                    is_write,
-                    cycle,
-                    write_line=write_line,
-                )
+            total = self._bank_side.broadcast_vector(
+                txn_id, command.vector, is_write, cycle, write_line, call_cycle
+            )
         if total != _command_length(command):
             raise ProtocolError(
                 f"banks claimed {total} elements of a "
@@ -747,83 +787,36 @@ class PVAMemorySystem:
         """
         scheme = self.interleave
         is_write = command.access is AccessType.WRITE
-        total = 0
+        banks = range(self.params.num_banks)
         if isinstance(command, ExplicitCommand):
-            per_bank = {bank.bank: [] for bank in self.banks}
+            per_bank: List[List[Tuple[int, int]]] = [[] for _ in banks]
             for index, address in enumerate(command.addresses):
                 per_bank[scheme.bank_of(address)].append(
                     (scheme.local_word(address), index)
                 )
             stride = None
         else:
-            per_bank = {
-                bank.bank: [
+            per_bank = [
+                [
                     (scheme.local_word(address), index)
                     for index, address in self._logical_view.subvector(
-                        command.vector, bank.bank
+                        command.vector, bank
                     )
                 ]
-                for bank in self.banks
-            }
+                for bank in banks
+            ]
             stride = command.vector.stride
-        automaton = self._automaton
-        if automaton is not None:
-            total = automaton.broadcast_pairs(
-                txn_id,
-                [per_bank[bank.bank] for bank in self.banks],
-                is_write,
-                cycle,
-                write_line,
-                stride,
-                call_cycle,
-            )
-        else:
-            for bank in self.banks:
-                total += bank.broadcast_pairs(
-                    txn_id,
-                    tuple(per_bank[bank.bank]),
-                    is_write,
-                    cycle,
-                    write_line=write_line,
-                    stride=stride,
-                )
-        return total
+        return self._bank_side.broadcast_pairs(
+            txn_id, per_bank, is_write, cycle, write_line, stride, call_cycle
+        )
 
     def _write_line(self, command: AnyCommand) -> Tuple[int, ...]:
         """The cache line the front end stages ahead of a VEC_WRITE.
 
-        ``command.data`` supplies real data; performance traces without
-        data scatter a deterministic placeholder pattern.
+        ``command.data`` supplies real data (the command checked its
+        length); performance traces without data scatter a deterministic
+        placeholder pattern.
         """
-        length = _command_length(command)
         if command.data is not None:
-            if len(command.data) < length:
-                raise VectorSpecError(
-                    f"write command carries {len(command.data)} words for a "
-                    f"{length}-element vector"
-                )
             return tuple(command.data)
-        return tuple(range(length))
-
-    def _assemble_line(
-        self, txn_id: int, command: AnyCommand
-    ) -> Tuple[int, ...]:
-        """Merge the staged subvectors of all banks into the dense line
-        returned to the processor (gathered in index order)."""
-        line: List[int] = [0] * _command_length(command)
-        for bank in self.banks:
-            for index, value in bank.drain_read(txn_id):
-                line[index] = value
-        return tuple(line)
-
-    def _aggregate_device_stats(self) -> DeviceStats:
-        total = DeviceStats()
-        for bank in self.banks:
-            stats = bank.device.stats()
-            total.activates += stats.activates
-            total.precharges += stats.precharges
-            total.auto_precharges += stats.auto_precharges
-            total.reads += stats.reads
-            total.writes += stats.writes
-            total.turnarounds += stats.turnarounds
-        return total
+        return tuple(range(_command_length(command)))

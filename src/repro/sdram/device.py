@@ -55,7 +55,7 @@ class SDRAMDevice:
         "_loc_cache",
         "_last_column_cycle",
         "_last_was_write",
-        "_storage",
+        "storage",
         "reads",
         "writes",
         "turnarounds",
@@ -86,8 +86,9 @@ class SDRAMDevice:
         # Shared data-pin state.
         self._last_column_cycle = -10
         self._last_was_write: Optional[bool] = None
-        # Functional storage, keyed by local word index.
-        self._storage: Dict[int, int] = {}
+        # Functional storage, keyed by local word index (the fast
+        # backend's bank automaton reads and writes it in place).
+        self.storage: Dict[int, int] = {}
         self.reads = 0
         self.writes = 0
         self.turnarounds = 0
@@ -288,11 +289,11 @@ class SDRAMDevice:
         if is_write:
             if value is None:
                 raise SchedulingError("write column issued without data")
-            self._storage[local_word] = value
+            self.storage[local_word] = value
             self.writes += 1
             return cycle, None
         self.reads += 1
-        return cycle + self.timing.cas_latency, self._storage.get(local_word, 0)
+        return cycle + self.timing.cas_latency, self.storage.get(local_word, 0)
 
     # ----------------------------------------------------------------- #
     # Functional access & statistics
@@ -300,11 +301,11 @@ class SDRAMDevice:
 
     def peek(self, local_word: int) -> int:
         """Read storage directly (no timing)."""
-        return self._storage.get(local_word, 0)
+        return self.storage.get(local_word, 0)
 
     def poke(self, local_word: int, value: int) -> None:
         """Write storage directly (no timing) — test/benchmark setup."""
-        self._storage[local_word] = value
+        self.storage[local_word] = value
 
     def stats(self) -> DeviceStats:
         return DeviceStats(

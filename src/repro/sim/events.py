@@ -27,7 +27,7 @@ The contract every bound must honour:
 
 Bounds come from the PVA front end, its completion unit and the bank
 automaton of ``sim_mode="fast"`` (:mod:`repro.pva.soa`).  The
-bank-controller object graph keeps none: each of its banks bounds the
+bank-controller object graph keeps none: its bank component bounds the
 loop at the current cycle, so under ``sim_mode="reference"`` the loop
 visits every cycle.  The differential suites
 ``tests/sim/test_*_equivalence.py`` hold the two modes to byte-identical

@@ -29,7 +29,7 @@ class SRAMDevice:
         "bus_turnaround",
         "_last_column_cycle",
         "_last_was_write",
-        "_storage",
+        "storage",
         "reads",
         "writes",
         "turnarounds",
@@ -44,7 +44,7 @@ class SRAMDevice:
         self.bus_turnaround = bus_turnaround
         self._last_column_cycle = -10
         self._last_was_write: Optional[bool] = None
-        self._storage = {}
+        self.storage = {}
         self.reads = 0
         self.writes = 0
         self.turnarounds = 0
@@ -138,11 +138,11 @@ class SRAMDevice:
         if is_write:
             if value is None:
                 raise SchedulingError("write issued without data")
-            self._storage[local_word] = value
+            self.storage[local_word] = value
             self.writes += 1
             return cycle, None
         self.reads += 1
-        return cycle + self.timing.access_cycles, self._storage.get(
+        return cycle + self.timing.access_cycles, self.storage.get(
             local_word, 0
         )
 
@@ -165,10 +165,10 @@ class SRAMDevice:
     # --- functional access & statistics -------------------------------- #
 
     def peek(self, local_word: int) -> int:
-        return self._storage.get(local_word, 0)
+        return self.storage.get(local_word, 0)
 
     def poke(self, local_word: int, value: int) -> None:
-        self._storage[local_word] = value
+        self.storage[local_word] = value
 
     def stats(self) -> DeviceStats:
         return DeviceStats(

@@ -131,6 +131,15 @@ class Vector:
         return f"<B={self.base}, S={self.stride}, L={self.length}>"
 
 
+def _check_data(data: Optional[Tuple[int, ...]], length: int) -> None:
+    """Write data, when given, must cover every element of its command."""
+    if data is not None and len(data) < length:
+        raise VectorSpecError(
+            f"write command carries {len(data)} words for a "
+            f"{length}-element vector"
+        )
+
+
 @dataclass(frozen=True)
 class VectorCommand:
     """One vector-bus operation: a vector plus direction and optional tag.
@@ -147,6 +156,9 @@ class VectorCommand:
     #: ``None`` on reads and on performance-only write traces (the
     #: simulator scatters a placeholder pattern).
     data: Optional[Tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        _check_data(self.data, self.vector.length)
 
     @property
     def is_read(self) -> bool:
@@ -189,6 +201,7 @@ class ExplicitCommand:
             raise VectorSpecError(
                 f"broadcast_cycles must be >= 1, got {self.broadcast_cycles}"
             )
+        _check_data(self.data, len(self.addresses))
 
     @property
     def is_read(self) -> bool:

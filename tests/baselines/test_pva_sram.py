@@ -18,7 +18,7 @@ class TestPVASRAM:
         system = make_pva_sram()
         assert isinstance(system, PVAMemorySystem)
         assert system.name == "pva-sram"
-        assert not system.banks[0].device.has_rows
+        assert not any(device.has_rows for device in system.devices)
 
     def test_no_activates_ever(self):
         system = make_pva_sram()

@@ -139,10 +139,18 @@ class TestSharedK1PLA:
         from repro.api import build_system
         from repro.params import SystemParams
 
-        params = SystemParams()
-        first = build_system("pva-sdram", params)
-        second = build_system("pva-sdram", params)
-        assert first.banks[0].fhp.pla is second.banks[0].fhp.pla
+        fast = SystemParams(sim_mode="fast")
+        reference = SystemParams(sim_mode="reference")
+        first = build_system("pva-sdram", fast)
+        second = build_system("pva-sdram", fast)
+        assert first._bank_side._pla is second._bank_side._pla
+        # The reference backend's bank controllers read the same table.
+        for system in (
+            build_system("pva-sdram", reference),
+            build_system("pva-sdram", reference),
+        ):
+            for bank in system.banks:
+                assert bank.fhp.pla is first._bank_side._pla
 
     def test_shared_table_is_immutable(self):
         """No aliasing hazard: the shared entries are frozen, so one

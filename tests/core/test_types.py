@@ -142,6 +142,24 @@ class TestCommands:
                 addresses=(1,), access=AccessType.READ, broadcast_cycles=0
             )
 
+    def test_write_data_shorter_than_command_rejected(self):
+        """Write data must cover every element: a short tuple is refused
+        when the command is built, so no system stores a prefix."""
+        v = Vector(base=0, stride=1, length=4)
+        with pytest.raises(VectorSpecError, match="2 words for a 4-element"):
+            VectorCommand(vector=v, access=AccessType.WRITE, data=(7, 8))
+        with pytest.raises(VectorSpecError, match="1 words for a 2-element"):
+            ExplicitCommand(
+                addresses=(3, 19),
+                access=AccessType.WRITE,
+                broadcast_cycles=1,
+                data=(7,),
+            )
+        full = VectorCommand(
+            vector=v, access=AccessType.WRITE, data=(7, 8, 9, 10)
+        )
+        assert full.data == (7, 8, 9, 10)
+
     def test_explicit_command_length(self):
         cmd = ExplicitCommand(
             addresses=(4, 9, 1), access=AccessType.WRITE, broadcast_cycles=3

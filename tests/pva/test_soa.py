@@ -6,8 +6,9 @@ min-reduction next-event bound, the broadcast memo's lifecycle and
 immutability, the systems the automaton refuses to model, the queueing
 math on degenerate element patterns (stride-0/1 equivalents, single
 bank, non-power-of-two bank subsets the automaton itself never
-rejects), the rule that every fast run builds the automaton, and that
-a finished run leaves no reference cycle behind.
+rejects), the rule that a fast system's automaton is the only owner of
+its bank state (no bank-controller graph is ever built), and that a
+finished run leaves no reference cycle behind.
 """
 
 from dataclasses import replace
@@ -21,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.kernels import build_trace, kernel_by_name
 from repro.params import SystemParams
 from repro.pva import system as system_module
+from repro.pva.bank_controller import BankController
 from repro.pva.schedule import (
     HitTable,
     broadcast_schedules,
@@ -36,8 +38,9 @@ from repro.types import AccessType, Vector, VectorCommand
 
 
 def _automaton(params=None, banks=None):
-    """A fresh automaton over a just-built pva-sdram system's banks
-    (optionally a subset — the automaton accepts any bank count)."""
+    """A fresh automaton, bound to a stub front end and bus, over a
+    just-built pva-sdram system's devices (optionally a subset — the
+    automaton accepts any bank count)."""
     params = params or SystemParams(sim_mode="fast")
     system = build_system("pva-sdram", params)
     front = SimpleNamespace(
@@ -48,8 +51,10 @@ def _automaton(params=None, banks=None):
         next_issue_allowed=0,
     )
     bus = SimpleNamespace(busy_until=0)
-    selected = system.banks if banks is None else system.banks[:banks]
-    return SoaBankAutomaton(selected, front, bus, params)
+    devices = system.devices if banks is None else system.devices[:banks]
+    soa = SoaBankAutomaton(devices, params, system._pla)
+    soa.bind(front, bus)
+    return soa
 
 
 class TestNextEventBound:
@@ -141,13 +146,12 @@ class TestQueueMath:
         assert queued == 0
         assert not soa._rqf[2]
         assert soa.bound[2] == HORIZON
-        # Nor does any bank open a staging slot, for reads or writes:
-        # the front end's transaction is the automaton's only
-        # completion state.
+        # Nor does a write queue anything on the banks that own none of
+        # its elements: the automaton keeps no staging slots, and the
+        # front end's transaction is its only completion state.
         soa.broadcast_pairs(4, _only(1, ((0, 0),)), True, 0, (9,), None, 0)
-        for bank in soa.banks:
-            assert len(bank.read_staging) == 0
-            assert len(bank.write_staging) == 0
+        assert [len(rqf) for rqf in soa._rqf] == [0, 1] + [0] * 14
+        assert not any(soa._win)
 
     def test_pending_ledger_settles_idle_up_to_call_cycle(self):
         soa = _automaton()
@@ -177,7 +181,7 @@ class TestBroadcastMemo:
         clear_schedule_cache()
         params = SystemParams()
         system = build_system("pva-sdram", params)
-        geometry = system.banks[0].device.schedule_geometry
+        geometry = system.devices[0].schedule_geometry
         first = broadcast_schedules(0, 19, 64, params.num_banks, geometry)
         again = broadcast_schedules(0, 19, 64, params.num_banks, geometry)
         assert first is again
@@ -198,7 +202,7 @@ class TestBroadcastMemo:
         # Snapshot the cached table's contents, run again, compare: the
         # automaton must treat the shared tables as read-only.
         system = build_system("pva-sdram", params)
-        geometry = system.banks[0].device.schedule_geometry
+        geometry = system.devices[0].schedule_geometry
         vector = trace[0].vector
         table = broadcast_schedules(
             vector.base,
@@ -215,7 +219,7 @@ class TestBroadcastMemo:
     def test_clear_caches_drops_soa_memo(self):
         params = SystemParams()
         system = build_system("pva-sdram", params)
-        geometry = system.banks[0].device.schedule_geometry
+        geometry = system.devices[0].schedule_geometry
         broadcast_schedules(0, 5, 16, params.num_banks, geometry)
         assert soa_cache_info().currsize >= 1
         clear_caches()
@@ -230,26 +234,24 @@ def _copy_trace(params):
 
 class TestUnmodelledSystems:
     """sim_mode="fast" never falls back: a system the automaton does
-    not model raises ConfigurationError before the run starts."""
+    not model raises ConfigurationError when it is built."""
 
     def test_custom_device_model_raises(self):
         class Custom(SDRAMDevice):
             pass
 
+        def factory(p):
+            return Custom(p.sdram, bus_turnaround=p.bus_turnaround)
+
         params = SystemParams(sim_mode="fast")
-        system = PVAMemorySystem(
-            params,
-            device_factory=lambda p: Custom(
-                p.sdram, bus_turnaround=p.bus_turnaround
-            ),
-        )
-        trace = _copy_trace(params)
         with pytest.raises(ConfigurationError, match='sim_mode="reference"'):
-            system.run(trace)
+            PVAMemorySystem(params, device_factory=factory)
         # The reference backend drives any device model, and this one
         # behaves exactly like the stock SDRAM.
-        system.params = replace(params, sim_mode="reference")
-        stock = build_system("pva-sdram", system.params).run(trace)
+        reference = replace(params, sim_mode="reference")
+        trace = _copy_trace(reference)
+        stock = build_system("pva-sdram", reference).run(trace)
+        system = PVAMemorySystem(reference, device_factory=factory)
         assert system.run(trace).cycles == stock.cycles
 
     def test_mixed_device_models_raise(self):
@@ -262,25 +264,8 @@ class TestUnmodelledSystems:
             return SDRAMDevice(p.sdram)
 
         params = SystemParams(sim_mode="fast")
-        system = PVAMemorySystem(params, device_factory=factory)
         with pytest.raises(ConfigurationError, match="one device model"):
-            system.run(_copy_trace(params))
-
-    def test_queued_work_raises_until_reset(self):
-        params = SystemParams(sim_mode="fast")
-        system = build_system("pva-sdram", params)
-        trace = _copy_trace(params)
-        system.banks[0].broadcast(
-            txn_id=0,
-            vector=Vector(base=0, stride=1, length=8),
-            is_write=False,
-            cycle=0,
-        )
-        with pytest.raises(ConfigurationError, match=r"reset\(\)"):
-            system.run(trace)
-        system.reset()
-        fresh = build_system("pva-sdram", params).run(trace)
-        assert system.run(trace) == fresh
+            PVAMemorySystem(params, device_factory=factory)
 
     def test_logged_run_records_its_commands(self):
         params = SystemParams(sim_mode="fast")
@@ -292,8 +277,9 @@ class TestUnmodelledSystems:
 
 
 class TestBackendSelection:
-    """sim_mode="fast" builds the SoA automaton for every run: plain,
-    capture_data and logged runs all take the same walk."""
+    """sim_mode="fast" builds the SoA automaton once, with the system,
+    and every run binds it: plain, capture_data and logged runs all take
+    the same walk."""
 
     TRACE = [
         VectorCommand(
@@ -310,10 +296,18 @@ class TestBackendSelection:
                 chosen.append("soa")
                 super().__init__(*args, **kwargs)
 
+            def bind(self, *args):
+                chosen.append("soa run")
+                super().bind(*args)
+
         class SpyBank(system_module._BankComponent):
             def __init__(self, *args, **kwargs):
                 chosen.append("object")
                 super().__init__(*args, **kwargs)
+
+            def bind(self, *args):
+                chosen.append("object run")
+                super().bind(*args)
 
         monkeypatch.setattr(system_module, "SoaBankAutomaton", SpySoa)
         monkeypatch.setattr(system_module, "_BankComponent", SpyBank)
@@ -324,13 +318,14 @@ class TestBackendSelection:
         return chosen
 
     def test_plain_run_uses_soa(self, monkeypatch):
-        assert self._chosen(monkeypatch) == ["soa"]
+        assert self._chosen(monkeypatch) == ["soa", "soa run"]
 
     def test_capture_data_uses_soa(self, monkeypatch):
-        assert self._chosen(monkeypatch, capture_data=True) == ["soa"]
+        chosen = self._chosen(monkeypatch, capture_data=True)
+        assert chosen == ["soa", "soa run"]
 
     def test_logged_run_uses_soa(self, monkeypatch):
-        assert self._chosen(monkeypatch, logs=True) == ["soa"]
+        assert self._chosen(monkeypatch, logs=True) == ["soa", "soa run"]
 
     def test_capture_data_matches_plain_cycles(self):
         params = SystemParams(sim_mode="fast")
@@ -344,13 +339,59 @@ class TestBackendSelection:
         assert a.attribution == b.attribution
 
 
+class TestOneOwner:
+    """A fast system's automaton is the only owner of its bank state:
+    no bank-controller graph exists beside it to copy from or to."""
+
+    def test_fast_system_builds_no_bank_controller(self, monkeypatch):
+        built = []
+        original = BankController.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BankController, "__init__", spy)
+        params = SystemParams(sim_mode="fast")
+        trace = _copy_trace(params)
+        system = build_system("pva-sdram", params)
+        system.run(trace)
+        system.run(trace, capture_data=True)
+        system.attach_command_logs()
+        system.run(trace)
+        system.reset()
+        system.run(trace)
+        assert built == []
+        assert not hasattr(system, "banks")
+        # The spy does see the reference backend build its graph.
+        reference = build_system(
+            "pva-sdram", replace(params, sim_mode="reference")
+        )
+        assert built == reference.banks
+        assert len(built) == params.num_banks
+
+    def test_reset_builds_the_bank_side_of_the_current_mode(self):
+        system = build_system(
+            "pva-sdram", SystemParams(sim_mode="reference")
+        )
+        assert [bank.device for bank in system.banks] == system.devices
+        system.params = replace(system.params, sim_mode="fast")
+        system.reset()
+        assert not hasattr(system, "banks")
+        assert system.run(_copy_trace(system.params)).cycles > 0
+
+
 class TestNoReferenceCycles:
     def test_fast_run_leaves_nothing_for_the_cyclic_gc(self):
-        """Every fast run's system graph (banks, devices, front end,
-        automaton) is freed by reference counting: the automaton holds
-        no reference back to the kernel, and the system drops the
-        automaton when the run ends."""
+        """Every fast system graph (devices, automaton, and each run's
+        front end, bus and kernel) is freed by reference counting: the
+        automaton holds no reference back to the kernel, and it drops
+        the run's front end and bus on every exit from the run, a
+        raised one included."""
         import gc
+
+        from repro.errors import SimulationTimeout
+        from repro.sim import simulation_limits
 
         params = SystemParams(sim_mode="fast")
         trace = build_trace(
@@ -364,5 +405,14 @@ class TestNoReferenceCycles:
                     trace, capture_data=capture_data
                 )
                 assert gc.collect() == 0, capture_data
+            system = build_system("pva-sdram", params)
+            system.attach_command_logs()
+            system.run(trace)
+            system.run(trace)
+            with simulation_limits(max_cycles_per_command=1):
+                with pytest.raises(SimulationTimeout):
+                    system.run(trace)
+            del system
+            assert gc.collect() == 0
         finally:
             gc.enable()

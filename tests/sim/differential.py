@@ -20,8 +20,8 @@ asserts they agree on every :class:`~repro.sim.stats.RunResult` field —
 total cycles, per-command latencies, device and bus statistics, captured
 payloads, the per-component attribution ledger — on the memory image the
 runs leave behind and on any logged command streams.  The spy installed
-by :func:`spy_on_bank_paths` checks that every fast PVA run built the
-SoA automaton.
+by :func:`spy_on_bank_paths` checks that every fast PVA system built
+the SoA automaton as its bank side.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ ROW_POLICIES = ("paper", "open", "close", "history")
 
 
 def spy_on_bank_paths(monkeypatch):
-    """Record the bank stepping each PVA run constructs: ``"soa"`` or
-    ``"object"`` (one entry per bank component)."""
+    """Record the bank side each PVA system builds: ``"soa"`` or
+    ``"object"``."""
     taken = []
     for name, label in (
         ("SoaBankAutomaton", "soa"),
@@ -103,10 +103,10 @@ class RunLoopSpy:
 
 
 def _memory_image(instance):
-    banks = getattr(instance, "banks", None)
-    if banks is None:
+    devices = getattr(instance, "devices", None)
+    if devices is None:
         return dict(instance._storage)
-    return [dict(bank.device._storage) for bank in banks]
+    return [dict(device.storage) for device in devices]
 
 
 def _run(mode, system, params, traces, capture_data, interleave, logs):

@@ -10,7 +10,8 @@ cycles, captured data payloads, per-bank statistics and the
 per-component attribution ledger — and leave the same memory image.
 These tests sweep the paper's strides and alignments, fuzzed geometries
 and timings, runs forced to visit every cycle, and back-to-back runs on
-one system object (state carry through ``writeback``).  The harness lives in
+one system object (bank state carried in the automaton's arrays).  The
+harness lives in
 :mod:`tests.sim.differential`.
 """
 
@@ -93,8 +94,8 @@ def test_fuzzed_geometries_and_state_carry(paths, monkeypatch):
     """Randomized geometries, timings, policies, refresh, context and
     FIFO depths, both PVA systems, one trial in five forced to visit
     every cycle, two traces back to back on one system object (the
-    writeback path must leave the object graph exactly as the reference
-    would)."""
+    automaton must carry its bank state into the second run exactly as
+    the object graph does)."""
     loops = RunLoopSpy(monkeypatch)
     rng = random.Random(20260808)
     for trial in range(60):

@@ -16,9 +16,11 @@ give the same run.  The harness lives in :mod:`tests.sim.differential`.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.api import build_system
 from repro.kernels import ALIGNMENTS
 from repro.params import SDRAMTiming, SystemParams
 
@@ -139,3 +141,31 @@ class TestFuzzedGeometries:
         )
         for system in ALL_SYSTEMS:
             assert_loops_agree(paths, system, params, trace, capture_data=True)
+
+
+class TestLogsAttachedBetweenRuns:
+    """Each system owns its bank state across runs, so a log attached
+    after one run must record exactly the next run's commands, at that
+    run's own cycles, under both backends."""
+
+    @pytest.mark.parametrize("system", PVA_SYSTEMS)
+    def test_second_run_logged_identically(self, paths, system):
+        params = SystemParams(sdram=SDRAMTiming(refresh_interval=300))
+        first = kernel_trace(params, "saxpy", elements=128)
+        second = kernel_trace(params, "swap", stride=4, elements=128)
+        runs = {}
+        for mode in ("reference", "fast"):
+            instance = build_system(system, replace(params, sim_mode=mode))
+            instance.run(first)
+            logs = instance.attach_command_logs()
+            result = instance.run(second, capture_data=True)
+            runs[mode] = (result, [log.events for log in logs])
+        assert runs["fast"] == runs["reference"]
+        # The logs hold the second run's columns and none of the first's.
+        result, streams = runs["fast"]
+        columns = sum(
+            1 for log in streams for event in log if event.command.is_column
+        )
+        assert columns == result.elements_read + result.elements_written
+        assert paths == ["object", "soa"]
+

@@ -102,7 +102,7 @@ class TestCapturedSequences:
 
     def test_log_detached_by_default(self):
         system = PVAMemorySystem(SMALL)
-        assert all(bank.device.log is None for bank in system.banks)
+        assert all(device.log is None for device in system.devices)
 
     def test_row_conflict_shows_precharge_or_ap(self):
         """Two requests to conflicting rows of the same internal bank must
