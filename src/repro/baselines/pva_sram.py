@@ -8,34 +8,28 @@ harness reports the min and max over relative alignments, matching the
 "min/max parallel vector access SRAM" bars.
 
 Because the factory returns a real :class:`~repro.pva.system.PVAMemorySystem`
-(just with an SRAM device in every bank controller), the variant runs on
-the shared simulation kernel like PVA-SDRAM: ``python -m repro bench``
-reports it with the same reference-vs-fast timings and per-component
-cycle-attribution breakdown, and it honours ``reset()``/``capture_data``
-under the common :class:`~repro.sim.runner.MemorySystem` contract.
+(just with SRAM bank memory, ``memory="sram"``, timed by
+``params.sram``), the variant runs on the shared simulation kernel like
+PVA-SDRAM: ``python -m repro bench`` reports it with the same
+reference-vs-fast timings and per-component cycle-attribution breakdown,
+and it honours ``reset()``/``capture_data`` under the common
+:class:`~repro.sim.runner.MemorySystem` contract.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.params import SRAMTiming, SystemParams
+from repro.params import SystemParams
 from repro.pva.system import PVAMemorySystem
-from repro.sram.device import SRAMDevice
 
 __all__ = ["make_pva_sram"]
 
 
 def make_pva_sram(
     params: Optional[SystemParams] = None,
-    sram_timing: Optional[SRAMTiming] = None,
     name: str = "pva-sram",
 ) -> PVAMemorySystem:
-    """Build a PVA memory system whose banks are idealized SRAM."""
-    params = params or SystemParams()
-    timing = sram_timing or SRAMTiming()
-
-    def factory(p: SystemParams) -> SRAMDevice:
-        return SRAMDevice(timing, bus_turnaround=p.bus_turnaround)
-
-    return PVAMemorySystem(params=params, device_factory=factory, name=name)
+    """Build a PVA memory system whose banks are idealized SRAM, timed
+    by ``params.sram``."""
+    return PVAMemorySystem(params=params, memory="sram", name=name)

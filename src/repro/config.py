@@ -82,9 +82,8 @@ CONFIG_SCHEMA_VERSION = 6
 #: * ``"fast"`` (the default) — every bank stepped as one
 #:   structure-of-arrays automaton (:mod:`repro.pva.soa`), whose bounds
 #:   let the run loop jump idle cycles, for plain, ``capture_data`` and
-#:   logged runs alike.  A system the automaton cannot model (a device
-#:   other than SDRAM/SRAM, or mixed device models) raises
-#:   ``ConfigurationError`` when it is built.
+#:   logged runs alike, and which builds no device model: it takes every
+#:   timing from ``sdram`` or ``sram``.
 SIM_MODES = ("reference", "fast")
 
 #: Valid scheduler row-management policies.  Kept in lock-step with

@@ -16,7 +16,7 @@ integer tuples, ordered by (bank, index); bank ``b`` owns the positions
 * ``local_words[j]``  — bank-internal word address
   (``(B + S*K_i) >> m`` plus ``n`` steps of ``(S * delta) >> m``);
 * ``ibanks[j]`` / ``rows[j]`` — decoded device coordinates of that word
-  under the device's interleave geometry;
+  under the bank memory's geometry (:func:`schedule_geometry`);
 * ``run_end[j]``      — where element ``j``'s run of same-(internal
   bank, row) elements ends (exclusive, never past its bank's slice).
   ``run_end[j] > j + 1`` is exactly the ``bank_morehit_predict``
@@ -54,10 +54,12 @@ from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.pla import shared_k1_pla
+from repro.params import SRAMTiming
 
 __all__ = [
     "HitTable",
     "broadcast_schedules",
+    "schedule_geometry",
     "pairs_schedule",
     "schedule_cache_info",
     "clear_schedule_cache",
@@ -71,9 +73,24 @@ SCHEDULE_CACHE_ELEMENTS = 256 * (32 + 16)
 #: ``schedule_cache_info()`` result, shaped like ``lru_cache``'s.
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-#: Geometry descriptor kinds (see ``schedule_geometry`` on the devices).
+#: Geometry descriptor kinds (see :func:`schedule_geometry`).
 _GEOM_ROTATED = "rot"
 _GEOM_FLAT = "flat"
+
+
+def schedule_geometry(timing) -> Tuple:
+    """The hashable descriptor of how a bank's memory decodes a local
+    word, part of the broadcast memo key: ``("rot", row_bits, ib_bits)``
+    for :class:`~repro.params.SDRAMTiming`, whose consecutive rows rotate
+    internal banks (see ``SDRAMDevice.locate``), and ``("flat",)`` for
+    :class:`~repro.params.SRAMTiming`, one always-open row."""
+    if isinstance(timing, SRAMTiming):
+        return (_GEOM_FLAT,)
+    return (
+        _GEOM_ROTATED,
+        timing.row_words.bit_length() - 1,
+        timing.internal_banks.bit_length() - 1,
+    )
 
 
 class HitTable:
@@ -123,7 +140,7 @@ def _table(
     geometry: Tuple,
 ) -> HitTable:
     """Decode the words of a (bank, index)-ordered element list under a
-    device geometry descriptor and mark its run ends."""
+    :func:`schedule_geometry` descriptor and mark its run ends."""
     count = len(local_words)
     kind = geometry[0]
     if kind == _GEOM_ROTATED:
@@ -162,7 +179,7 @@ def _table(
             ends += [end] * (end - start)
             start = end
         run_end = tuple(ends)
-    else:  # pragma: no cover - guarded by schedule_geometry discovery
+    else:  # pragma: no cover - schedule_geometry makes only these two
         raise ValueError(f"unknown schedule geometry {geometry!r}")
     return HitTable(
         tuple(offsets),

@@ -20,17 +20,14 @@ bank.  This module models the same banks as one table-driven automaton:
   kernel's skip bound with a single ``min()`` over the deadline array.
 
 **Ownership.**  A fast :class:`~repro.pva.system.PVAMemorySystem` builds
-the automaton with its per-bank devices, which hold only the storage
-the walk writes in place and the command logs.  The automaton owns all
-other bank state and keeps it across runs: open rows, restimer
-deadlines, pin state, refresh deadlines, FHC occupancy, row-policy and
-predictor state, and the device counters.  Each run binds its front end
-and bus (:meth:`SoaBankAutomaton.bind`) and drops them on every exit.
-The automaton models exactly :class:`~repro.sdram.device.SDRAMDevice`
-and :class:`~repro.sram.device.SRAMDevice` banks, one model and geometry
-on every bank; its constructor raises
-:class:`~repro.errors.ConfigurationError` on anything else, never falls
-back.
+the automaton over its per-bank storage dicts, which the walk writes in
+place, and its command-log slots; it builds no device model.  The
+automaton takes every timing from ``params.sdram`` (``memory="sdram"``)
+or ``params.sram`` (``memory="sram"``), and owns all other bank state
+and keeps it across runs: open rows, restimer deadlines, pin state,
+refresh deadlines, FHC occupancy, row-policy and predictor state, and
+the device counters.  Each run binds its front end and bus
+(:meth:`SoaBankAutomaton.bind`) and drops them on every exit.
 
 **Run-ahead batching.**  Banks interact with the rest of the system only
 through broadcasts (input, applied at the front end's call cycle) and
@@ -92,12 +89,12 @@ auto-precharge is ManageRow (:meth:`SoaBankAutomaton._decide_ap`)
 evaluated at the run's last column, the only one that can close the
 row.
 
-**Command logs.**  When a bank's device carries a
-:class:`~repro.sim.trace_log.CommandLog` at the start of a run, the
-walk records each PRECHARGE, ACTIVATE and READ/WRITE(_AP) it issues
-with the fields the device models write (a burst logs one column per
-cycle, only its last carrying the auto-precharge); an unlogged run pays
-one ``is not None`` test per walk action.
+**Command logs.**  When a bank's log slot holds a
+:class:`~repro.sim.trace_log.CommandLog`, the walk records each
+PRECHARGE, ACTIVATE and READ/WRITE(_AP) it issues with the fields the
+device models write (a burst logs one column per cycle, only its last
+carrying the auto-precharge); an unlogged run pays one ``is not None``
+test per walk action.
 """
 
 from __future__ import annotations
@@ -106,21 +103,20 @@ from array import array
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import CapacityError, ConfigurationError, ProtocolError
+from repro.errors import CapacityError, ProtocolError
 from repro.pva.schedule import (
     HitTable,
     broadcast_schedules,
     pairs_schedule,
     schedule_cache_info,
+    schedule_geometry,
 )
 from repro.pva.rowpolicy import PaperPolicy, make_row_policy
 from repro.sdram.commands import SDRAMCommand
-from repro.sdram.device import SDRAMDevice
 from repro.sdram.devstats import DeviceStats
 from repro.sim.events import HORIZON
 from repro.sim.stats import ComponentCycles
 from repro.sim.trace_log import CommandEvent
-from repro.sram.device import SRAMDevice
 
 __all__ = ["SoaBankAutomaton", "soa_cache_info"]
 
@@ -164,44 +160,27 @@ class SoaBankAutomaton:
     """All bank controllers of one fast system, stepped as flat-array
     operations.
 
-    Each run registers it with the kernel, between :meth:`bind` and
-    :meth:`unbind`, as a single component that reports the sixteen
-    ``bank-*`` ledger entries.  Construction raises
-    :class:`~repro.errors.ConfigurationError` on devices it does not
-    model: a device other than ``SDRAMDevice``/``SRAMDevice``, or mixed
-    models or geometries.
+    ``storage`` and ``logs`` are the system's per-bank memory dicts and
+    command-log slots (``None``: unlogged), read in place, so a log
+    attached between runs records the next one.  Each run registers the
+    automaton with the kernel, between :meth:`bind` and :meth:`unbind`,
+    as a single component that reports the sixteen ``bank-*`` ledger
+    entries.
     """
 
     name = "banks"
 
-    def __init__(self, devices, params, pla):
-        device_type = type(devices[0])
-        if device_type is not SDRAMDevice and device_type is not SRAMDevice:
-            raise ConfigurationError(
-                f'sim_mode="fast" models SDRAMDevice and SRAMDevice banks '
-                f"only, not {device_type.__name__}; run this system with "
-                f'sim_mode="reference"'
-            )
-        geometry = devices[0].schedule_geometry
-        for device in devices:
-            if (
-                type(device) is not device_type
-                or device.schedule_geometry != geometry
-            ):
-                raise ConfigurationError(
-                    'sim_mode="fast" needs one device model and geometry '
-                    'on every bank; run this system with sim_mode="reference"'
-                )
-        n = len(devices)
+    def __init__(self, storage, logs, params, pla, memory: str):
+        n = len(storage)
         self.n = n
-        self.devices = devices
+        self.storage = storage
+        self.logs = logs
         self.front = self.bus = None
 
-        device0 = devices[0]
-        self.has_rows = bool(device0.has_rows)
-        self.nib = device0.timing.internal_banks if self.has_rows else 1
+        self.has_rows = memory == "sdram"
         if self.has_rows:
-            timing = device0.timing
+            timing = params.sdram
+            self.nib = timing.internal_banks
             self.t_rcd = timing.t_rcd
             self.t_rp = timing.t_rp
             self.t_rfc = timing.t_rfc
@@ -209,17 +188,19 @@ class SoaBankAutomaton:
             self.refresh_interval = timing.refresh_interval
             col_mask = timing.row_words - 1
         else:
+            timing = params.sram
+            self.nib = 1
             self.t_rcd = self.t_rp = self.t_rfc = 0
-            self.read_lat = device0.timing.access_cycles
+            self.read_lat = timing.access_cycles
             self.refresh_interval = 0
             col_mask = -1  # the SRAM logs the whole local word
         #: Logged column address: ``local_word & col_mask``.
         self.col_mask = col_mask
         #: The scheduler stamps write data cycles with the *SDRAM* write
-        #: recovery even when the device is SRAM (see
+        #: recovery even when the memory is SRAM (see
         #: AccessScheduler._issue_column) — mirror that exactly.
         self.t_wr = params.sdram.t_wr
-        self.ta = device0.bus_turnaround
+        self.ta = params.bus_turnaround
         self.fifo_depth = params.request_fifo_depth
         self.max_ctx = params.num_vector_contexts
         self.bypass = params.bypass_paths
@@ -228,7 +209,7 @@ class SoaBankAutomaton:
         self.num_banks = params.num_banks
         self.bank_bits = params.bank_bits
         self._pla = pla
-        self._geom = geometry
+        self._geom = schedule_geometry(timing)
 
         nib = self.nib
         nu = n * nib
@@ -257,7 +238,6 @@ class SoaBankAutomaton:
         # -- mutable structures ----------------------------------------
         self._rqf: List[deque] = [deque() for _ in range(n)]
         self._win: List[list] = [[] for _ in range(n)]
-        self.storage = [device.storage for device in devices]
         self.policies = [
             make_row_policy(params.row_policy, nib) for _ in range(n)
         ]
@@ -272,17 +252,15 @@ class SoaBankAutomaton:
         self.asc = [[False] * nib for _ in range(n)]
 
     def bind(self, front, bus) -> None:
-        """Start a run: attach its front end and bus, read the devices'
-        command logs, and open a fresh ledger.  No work is queued between
-        runs, so each bank's only standing event is its refresh
-        deadline."""
+        """Start a run: attach its front end and bus, and open a fresh
+        ledger.  No work is queued between runs, so each bank's only
+        standing event is its refresh deadline."""
         n = self.n
         self.front = front
         self.bus = bus
         self.outstanding = front.outstanding
         self.fully_issued = front.fully_issued
         self.ncmds = len(front.commands)
-        self.logs = [device.log for device in self.devices]
         self.bound = array("q", self.nr)  # next-event candidate
         # -- attribution ledger ----------------------------------------
         self.busy_c = array("q", bytes(8 * n))

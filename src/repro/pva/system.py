@@ -17,18 +17,20 @@ The bus multiplexes requests and data (one action per cycle) and pays one
 turnaround cycle when the data direction between memory controller and
 BCs reverses.
 
-The banks sit behind one *bank side*, built with the system: the
-reference object graph (:class:`_BankComponent`) or the fast automaton
-(:class:`~repro.pva.soa.SoaBankAutomaton`).  Each owns its banks' state
-across runs and answers the same calls, so nothing else asks which
-backend runs.
+The system owns each bank's memory (a plain ``storage`` dict) and
+command-log slot.  The banks sit behind one *bank side*, built with the
+system over them: the reference object graph (:class:`_BankComponent`,
+whose SDRAM or SRAM device models read and write the same dicts) or the
+fast automaton (:class:`~repro.pva.soa.SoaBankAutomaton`, which builds
+no device model).  Each owns its banks' timing state across runs and
+answers the same calls, so nothing else asks which backend runs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.decode import TopologyDecoder
 from repro.core.pla import shared_k1_pla
@@ -40,6 +42,7 @@ from repro.bus.vector_bus import VectorBus
 from repro.pva.bank_controller import BankController
 from repro.pva.soa import SoaBankAutomaton
 from repro.sdram.device import DeviceStats, SDRAMDevice
+from repro.sram.device import SRAMDevice
 from repro.sim.events import HORIZON
 from repro.sim.kernel import SimKernel
 from repro.sim.runner import Watchdog
@@ -47,6 +50,10 @@ from repro.sim.stats import ComponentCycles, RunResult, SpanLedger
 from repro.types import AccessType, ExplicitCommand, VectorCommand
 
 AnyCommand = Union[VectorCommand, ExplicitCommand]
+
+#: The reference backend's device model for each bank memory
+#: technology; its timing is the ``SystemParams`` field of that name.
+_DEVICE_MODELS = {"sdram": SDRAMDevice, "sram": SRAMDevice}
 
 
 def _command_words(command: AnyCommand) -> frozenset:
@@ -353,14 +360,19 @@ class _BankComponent:
 
     name = "banks"
 
-    def __init__(self, banks: List[BankController]):
+    def __init__(self, banks: List[BankController], logs: List):
         self.banks = banks
         self.devices = [bank.device for bank in banks]
+        self.logs = logs
         self.front: Optional[_FrontEnd] = None
         self.ledgers: List[SpanLedger] = []
 
     def bind(self, front: _FrontEnd, bus: VectorBus) -> None:
+        """Start a run: hand each device its bank's command-log slot and
+        open a fresh ledger."""
         self.front = front
+        for device, log in zip(self.devices, self.logs):
+            device.log = log
         self.ledgers = [SpanLedger() for _ in self.banks]
 
     def unbind(self) -> None:
@@ -517,30 +529,34 @@ class PVAMemorySystem:
     params:
         Geometry and microarchitecture (defaults: the section 5.1
         prototype).
-    device_factory:
-        Callable producing one memory-device model per bank; defaults to
-        the SDRAM module.  The PVA-SRAM comparison system passes an SRAM
-        factory here.
+    memory:
+        Each bank's memory technology: ``"sdram"`` (the prototype's
+        modules, timed by ``params.sdram``) or ``"sram"`` (the PVA-SRAM
+        comparison system's idealized banks, timed by ``params.sram``).
     name:
         Label used in results.
 
-    The per-bank device models (storage and command logs) are
-    :attr:`devices`, indexed by bank.
+    Each bank's memory is a plain dict, :attr:`storage` (indexed by
+    bank, keyed by local word), and :attr:`logs` holds its command-log
+    slot.  Only a reference system builds device models
+    (:attr:`devices`) and bank controllers (:attr:`banks`).
     """
 
     def __init__(
         self,
         params: Optional[SystemParams] = None,
-        device_factory: Optional[Callable[[SystemParams], object]] = None,
+        memory: str = "sdram",
         name: str = "pva-sdram",
         interleave: Optional[InterleaveScheme] = None,
     ):
         self.params = params or SystemParams()
         self.name = name
-        if device_factory is None:
-            device_factory = lambda p: SDRAMDevice(
-                p.sdram, bus_turnaround=p.bus_turnaround
+        if memory not in _DEVICE_MODELS:
+            raise ConfigurationError(
+                f"memory must be one of {tuple(_DEVICE_MODELS)}, "
+                f"got {memory!r}"
             )
+        self.memory = memory
         if interleave is not None and (
             interleave.num_banks != self.params.num_banks
         ):
@@ -560,7 +576,6 @@ class PVAMemorySystem:
             if self.interleave is not None
             else None
         )
-        self._device_factory = device_factory
         self._pla = shared_k1_pla(self.params.num_banks)
         #: Channel/rank-aware decode of the word-interleaved topology
         #: (None under a non-word interleave scheme, which predates the
@@ -573,28 +588,39 @@ class PVAMemorySystem:
         self.reset()
 
     def reset(self) -> None:
-        """Discard all device contents and statistics, returning the
-        system to its just-constructed state.  Idempotent.  Builds the
-        devices and the bank side ``sim_mode`` names, which owns all
-        other bank state (the fast automaton raises
-        :class:`~repro.errors.ConfigurationError` on unmodelled devices).
+        """Discard all memory contents and statistics, returning the
+        system to its just-constructed state.  Idempotent.  Makes each
+        bank's storage dict and (empty) command-log slot, and the bank
+        side ``sim_mode`` names over them, which owns all other bank
+        state.
         """
         #: Set while a run is inside the kernel loop; still set after a
         #: run that raised (a watchdog timeout, say), whose banks hold
         #: half-applied work until :meth:`reset`.
         self._unfinished = False
         params = self.params
-        self.devices = [
-            self._device_factory(params) for _ in range(params.num_banks)
+        self.storage: List[Dict[int, int]] = [
+            {} for _ in range(params.num_banks)
         ]
+        self.logs: List = [None] * params.num_banks
         if params.sim_mode == "fast":
-            self._bank_side = SoaBankAutomaton(self.devices, params, self._pla)
+            self._bank_side = SoaBankAutomaton(
+                self.storage, self.logs, params, self._pla, self.memory
+            )
         else:
+            model = _DEVICE_MODELS[self.memory]
+            timing = getattr(params, self.memory)
             self._bank_side = _BankComponent(
                 [
-                    BankController(bank, params, device, self._pla)
-                    for bank, device in enumerate(self.devices)
-                ]
+                    BankController(
+                        bank,
+                        params,
+                        model(timing, params.bus_turnaround, storage),
+                        self._pla,
+                    )
+                    for bank, storage in enumerate(self.storage)
+                ],
+                self.logs,
             )
 
     @property
@@ -603,22 +629,25 @@ class PVAMemorySystem:
         has them (a fast system raises AttributeError)."""
         return self._bank_side.banks
 
+    @property
+    def devices(self) -> List[Union[SDRAMDevice, SRAMDevice]]:
+        """The device models, indexed by bank, each over its bank's
+        :attr:`storage`: only a reference system has them (a fast system
+        raises AttributeError)."""
+        return self._bank_side.devices
+
     def attach_command_logs(self):
         """Attach a :class:`~repro.sim.trace_log.CommandLog` to every
-        bank's device and return them (indexed by bank number).
+        bank and return them (indexed by bank number).
 
         Call before :meth:`run`; the logs then capture the full SDRAM
         command stream of every later run, one logic-analyzer trace per
-        device.
+        bank.
         """
         from repro.sim.trace_log import CommandLog
 
-        logs = []
-        for device in self.devices:
-            log = CommandLog()
-            device.log = log
-            logs.append(log)
-        return logs
+        self.logs[:] = [CommandLog() for _ in self.logs]
+        return list(self.logs)
 
     # ----------------------------------------------------------------- #
     # Functional memory access (test setup / verification)
@@ -647,12 +676,12 @@ class PVAMemorySystem:
     def poke(self, address: int, value: int) -> None:
         """Write one word directly into the backing storage."""
         bank, local = self._locate(address)
-        self.devices[bank].poke(local, value)
+        self.storage[bank][local] = value
 
     def peek(self, address: int) -> int:
         """Read one word directly from the backing storage."""
         bank, local = self._locate(address)
-        return self.devices[bank].peek(local)
+        return self.storage[bank].get(local, 0)
 
     # ----------------------------------------------------------------- #
     # Trace execution

@@ -68,7 +68,12 @@ class SDRAMDevice:
     #: instead of isinstance tests; the SRAM model sets it False).
     has_rows = True
 
-    def __init__(self, timing: SDRAMTiming, bus_turnaround: int = 1):
+    def __init__(
+        self,
+        timing: SDRAMTiming,
+        bus_turnaround: int = 1,
+        storage: Optional[Dict[int, int]] = None,
+    ):
         self.timing = timing
         self.bus_turnaround = bus_turnaround
         self.banks: List[InternalBank] = [
@@ -86,9 +91,9 @@ class SDRAMDevice:
         # Shared data-pin state.
         self._last_column_cycle = -10
         self._last_was_write: Optional[bool] = None
-        # Functional storage, keyed by local word index (the fast
-        # backend's bank automaton reads and writes it in place).
-        self.storage: Dict[int, int] = {}
+        # Functional storage, keyed by local word index (a PVA system
+        # passes in the bank's own dict).
+        self.storage: Dict[int, int] = {} if storage is None else storage
         self.reads = 0
         self.writes = 0
         self.turnarounds = 0
@@ -111,14 +116,6 @@ class SDRAMDevice:
         """Direction of the most recent data transfer on the pins (None
         before any transfer) — input to the scheduler's polarity rule."""
         return self._last_was_write
-
-    @property
-    def schedule_geometry(self):
-        """Hashable descriptor of :meth:`locate`'s mapping, used as part
-        of the broadcast-time hit-table memo key
-        (:mod:`repro.pva.schedule`).  ``("rot", row_bits, ib_bits)``:
-        consecutive rows rotate internal banks."""
-        return ("rot", self._row_bits, self._ib_bits)
 
     def locate(self, local_word: int) -> Location:
         """Map a local word index to (internal bank, row, column).
@@ -157,24 +154,6 @@ class SDRAMDevice:
         return self.banks[loc.internal_bank].can_column(
             cycle, loc.row
         ) and self.data_pins_ready(cycle, is_write)
-
-    def can_activate(self, local_word: int, cycle: int) -> bool:
-        loc = self.locate(local_word)
-        return self.banks[loc.internal_bank].can_activate(cycle)
-
-    def can_precharge(self, internal_bank: int, cycle: int) -> bool:
-        return self.banks[internal_bank].can_precharge(cycle)
-
-    def row_is_open_for(self, local_word: int) -> bool:
-        """Is the row containing ``local_word`` currently open?"""
-        loc = self.locate(local_word)
-        return self.banks[loc.internal_bank].open_row == loc.row
-
-    def conflicting_row_open(self, local_word: int) -> bool:
-        """Is a *different* row open in this word's internal bank?"""
-        loc = self.locate(local_word)
-        open_row = self.banks[loc.internal_bank].open_row
-        return open_row is not None and open_row != loc.row
 
     @property
     def next_refresh_cycle(self) -> Optional[int]:

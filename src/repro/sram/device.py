@@ -1,17 +1,18 @@
 """Idealized SRAM bank module (section 6.1).
 
 "Based on static RAM, this system incurs no precharge or RAS latencies:
-all memory accesses take a single cycle."  The device exposes the same
-scoreboard interface as :class:`~repro.sdram.device.SDRAMDevice` so the PVA
-bank controllers drive either interchangeably; row-management queries
-report "always open" and the only structural constraint left is the shared
-data pins (one access per cycle, with turnaround on direction reversal so
-the comparison isolates DRAM-specific overheads, not bus physics).
+all memory accesses take a single cycle."  The reference backend's bank
+controllers drive it through the calls they make of
+:class:`~repro.sdram.device.SDRAMDevice` (``locate``, ``can_column``,
+``column_at``); ``has_rows = False`` skips their row pass, and the only
+structural constraint left is the shared data pins (one access per
+cycle, with turnaround on direction reversal so the comparison isolates
+DRAM-specific overheads, not bus physics).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.params import SRAMTiming
@@ -39,12 +40,17 @@ class SRAMDevice:
 
     has_rows = False
 
-    def __init__(self, timing: Optional[SRAMTiming] = None, bus_turnaround: int = 1):
+    def __init__(
+        self,
+        timing: Optional[SRAMTiming] = None,
+        bus_turnaround: int = 1,
+        storage: Optional[Dict[int, int]] = None,
+    ):
         self.timing = timing or SRAMTiming()
         self.bus_turnaround = bus_turnaround
         self._last_column_cycle = -10
         self._last_was_write: Optional[bool] = None
-        self.storage = {}
+        self.storage: Dict[int, int] = {} if storage is None else storage
         self.reads = 0
         self.writes = 0
         self.turnarounds = 0
@@ -58,12 +64,6 @@ class SRAMDevice:
         """Direction of the most recent data transfer on the pins."""
         return self._last_was_write
 
-    @property
-    def schedule_geometry(self):
-        """Hit-table geometry descriptor (see
-        :mod:`repro.pva.schedule`): one flat always-open row."""
-        return ("flat",)
-
     # --- geometry: a single flat "row" ------------------------------- #
 
     def locate(self, local_word: int) -> Location:
@@ -72,9 +72,6 @@ class SRAMDevice:
             loc = Location(internal_bank=0, row=0, column=local_word)
             self._loc_cache[local_word] = loc
         return loc
-
-    def open_row(self, internal_bank: int) -> Optional[int]:
-        return 0
 
     # --- scoreboard --------------------------------------------------- #
 
@@ -87,18 +84,6 @@ class SRAMDevice:
 
     def can_column(self, local_word: int, cycle: int, is_write: bool) -> bool:
         return self.data_pins_ready(cycle, is_write)
-
-    def can_activate(self, local_word: int, cycle: int) -> bool:
-        return False  # nothing to activate
-
-    def can_precharge(self, internal_bank: int, cycle: int) -> bool:
-        return False  # nothing to precharge
-
-    def row_is_open_for(self, local_word: int) -> bool:
-        return True
-
-    def conflicting_row_open(self, local_word: int) -> bool:
-        return False
 
     # --- commands ------------------------------------------------------ #
 

@@ -19,10 +19,11 @@ from repro.baselines.pva_sram import make_pva_sram
 from repro.core.firsthit import hit_count
 from repro.explore import DEFAULT_SPEC, enumerate_candidates
 from repro.kernels import alignment_by_name, build_trace, kernel_by_name
-from repro.params import ROW_POLICIES, SDRAMTiming, SystemParams
+from repro.params import SystemParams
 from repro.pva.system import PVAMemorySystem
 from repro.types import AccessType, ExplicitCommand, Vector, VectorCommand
-from repro.workloads.random_traces import RandomTraceConfig, random_trace
+
+from ..strategies import random_systems
 
 PROTO = SystemParams()
 
@@ -89,28 +90,6 @@ def mixed_traces(draw):
     )
     trace = draw(st.lists(st.one_of(vectors, explicits), max_size=24))
     return SystemParams(num_banks=num_banks), trace
-
-
-@st.composite
-def random_systems(draw):
-    """A random system (2..64 banks on 1..4 channels, any row policy,
-    refresh off, short or long) and a random program for it: vector
-    commands with or without explicit ones, full or partial lines."""
-    num_banks = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
-    params = SystemParams(
-        num_banks=num_banks,
-        num_channels=draw(
-            st.sampled_from([c for c in (1, 2, 4) if c <= num_banks])
-        ),
-        row_policy=draw(st.sampled_from(ROW_POLICIES)),
-        sdram=SDRAMTiming(refresh_interval=draw(st.sampled_from([0, 97, 780]))),
-    )
-    config = RandomTraceConfig(
-        commands=draw(st.integers(1, 8)),
-        explicit_fraction=draw(st.sampled_from([0.0, 0.25])),
-        full_lines=draw(st.booleans()),
-    )
-    return params, random_trace(draw(st.integers(0, 2**32 - 1)), params, config)
 
 
 def _assert_bound_holds_on_both_backends(params, trace):

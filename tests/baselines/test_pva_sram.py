@@ -18,7 +18,9 @@ class TestPVASRAM:
         system = make_pva_sram()
         assert isinstance(system, PVAMemorySystem)
         assert system.name == "pva-sram"
-        assert not any(device.has_rows for device in system.devices)
+        assert system.memory == "sram"
+        reference = make_pva_sram(SystemParams(sim_mode="reference"))
+        assert not any(device.has_rows for device in reference.devices)
 
     def test_no_activates_ever(self):
         system = make_pva_sram()
@@ -52,7 +54,23 @@ class TestPVASRAM:
         )
 
     def test_custom_access_latency(self):
-        slow = make_pva_sram(sram_timing=SRAMTiming(access_cycles=3))
+        slow = make_pva_sram(SystemParams(sram=SRAMTiming(access_cycles=3)))
         fast = make_pva_sram()
         trace = [cmd(0, 16)]
         assert slow.run(trace).cycles >= fast.run(trace).cycles
+
+    def test_sram_timing_field_times_both_backends(self):
+        """``SystemParams.sram`` times the SRAM banks under either
+        backend: a longer access makes a read-bound trace slower, and
+        the two backends agree on every result field."""
+        trace = [cmd(2048 * i, 16) for i in range(4)]
+        cycles = []
+        for sram in (SRAMTiming(), SRAMTiming(access_cycles=3)):
+            reference, fast = (
+                make_pva_sram(SystemParams(sim_mode=mode, sram=sram)).run(trace)
+                for mode in ("reference", "fast")
+            )
+            assert fast == reference, sram
+            cycles.append(fast.cycles)
+        default, slow = cycles
+        assert slow > default

@@ -2,13 +2,15 @@
 *observationally equivalent* to a flat reference memory executing the same
 command stream in program order — for arbitrary mixes of base-stride and
 explicit scatter/gather commands, including overlapping vectors and
-read-after-write chains."""
+read-after-write chains, on random systems under both backends and both
+bank memories."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.pva_sram import make_pva_sram
-from repro.params import SDRAMTiming, SystemParams
+from repro.params import ROW_POLICIES, SIM_MODES, SDRAMTiming, SystemParams
 from repro.pva.system import PVAMemorySystem
 from repro.types import (
     AccessType,
@@ -16,6 +18,8 @@ from repro.types import (
     Vector,
     VectorCommand,
 )
+
+from ..strategies import random_params
 
 SMALL = SystemParams(
     num_banks=4,
@@ -98,40 +102,67 @@ def reference_execute(trace, initial):
     return read_lines, memory
 
 
-def run_and_compare(system_factory, trace):
+def run_and_compare(params, trace, memory="sdram"):
+    """Run ``trace`` on a fresh ``memory`` system under each backend;
+    both must gather the program-order lines and leave its image."""
     initial = {a: a * 7 + 3 for a in range(0, ADDRESS_SPACE, 13)}
-    system = system_factory()
-    for a, value in initial.items():
-        system.poke(a, value)
-    result = system.run(trace, capture_data=True)
     expected_lines, expected_memory = reference_execute(trace, initial)
-    assert result.read_lines == expected_lines
-    for a, value in expected_memory.items():
-        assert system.peek(a) == value, a
-    return result
+    for mode in SIM_MODES:
+        system = PVAMemorySystem(
+            dataclasses.replace(params, sim_mode=mode), memory=memory
+        )
+        for a, value in initial.items():
+            system.poke(a, value)
+        result = system.run(trace, capture_data=True)
+        assert result.read_lines == expected_lines, mode
+        for a, value in expected_memory.items():
+            assert system.peek(a) == value, (mode, a)
+
+
+@st.composite
+def random_cases(draw):
+    """A random system (2..64 banks, channels, row policy, refresh) and
+    a program for it.  Rows shrink with the bank count so that each
+    bank's share of the address space spans four rows per internal
+    bank, as on a 4-bank system with 64-word rows: the programs meet
+    row conflicts at every bank count (at the default 512-word rows
+    they would meet none)."""
+    params = draw(random_params())
+    rows = ADDRESS_SPACE // params.num_banks // 16
+    params = dataclasses.replace(
+        params, sdram=dataclasses.replace(params.sdram, row_words=rows)
+    )
+    return params, draw(traces(params))
 
 
 class TestObservationalEquivalence:
-    @given(trace=traces(SMALL))
+    @given(case=random_cases())
     @settings(max_examples=60, deadline=None)
-    def test_sdram_system(self, trace):
-        run_and_compare(lambda: PVAMemorySystem(SMALL), trace)
+    def test_sdram_system(self, case):
+        run_and_compare(*case)
 
-    @given(trace=traces(SMALL))
+    @given(case=random_cases())
     @settings(max_examples=40, deadline=None)
-    def test_sram_system(self, trace):
-        run_and_compare(lambda: make_pva_sram(SMALL), trace)
+    def test_sram_system(self, case):
+        run_and_compare(*case, memory="sram")
 
-    @given(trace=traces(SMALL))
+    @given(case=random_cases())
     @settings(max_examples=25, deadline=None)
-    def test_row_policies_are_functionally_identical(self, trace):
+    def test_row_policies_are_functionally_identical(self, case):
         """Row management changes timing, never data."""
-        import dataclasses
+        params, trace = case
+        for policy in ROW_POLICIES:
+            run_and_compare(
+                dataclasses.replace(params, row_policy=policy), trace
+            )
 
-        baseline = run_and_compare(lambda: PVAMemorySystem(SMALL), trace)
-        for policy in ("close", "open", "history"):
-            params = dataclasses.replace(SMALL, row_policy=policy)
-            run_and_compare(lambda: PVAMemorySystem(params), trace)
+    @pytest.mark.slow
+    @given(
+        case=random_cases(), memory=st.sampled_from(("sdram", "sram"))
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_random_systems_long(self, case, memory):
+        run_and_compare(*case, memory=memory)
 
 
 class TestWAWOrdering:
@@ -166,8 +197,6 @@ class TestWAWOrdering:
         "policy", ("paper", "close", "open", "history")
     )
     def test_all_row_policies(self, policy):
-        import dataclasses
-
         params = dataclasses.replace(SMALL, row_policy=policy)
         system = PVAMemorySystem(params)
         system.run(self.TRACE, capture_data=True)
@@ -175,10 +204,6 @@ class TestWAWOrdering:
         assert system.peek(308) == 0
 
     def test_all_sim_modes(self):
-        import dataclasses
-
-        from repro.params import SIM_MODES
-
         for mode in SIM_MODES:
             params = dataclasses.replace(
                 SMALL, row_policy="open", sim_mode=mode

@@ -43,7 +43,7 @@ class TestBlockInterleave:
             system.poke(address, address * 2)
             bank = scheme.bank_of(address)
             local = scheme.local_word(address)
-            assert system.devices[bank].peek(local) == address * 2
+            assert system.storage[bank][local] == address * 2
             assert system.peek(address) == address * 2
 
     def test_element_partition_across_banks(self):

@@ -35,6 +35,7 @@ from repro.pva.schedule import (
     clear_schedule_cache,
     pairs_schedule,
     schedule_cache_info,
+    schedule_geometry,
 )
 from repro.sdram.device import SDRAMDevice
 from repro.sram.device import SRAMDevice
@@ -108,7 +109,7 @@ def _assert_slice(table, bank, reference):
 def _assert_matches_reference(vector, num_banks, device):
     table = broadcast_schedules(
         vector.base, vector.stride, vector.length, num_banks,
-        device.schedule_geometry,
+        schedule_geometry(device.timing),
     )
     assert len(table.offsets) == num_banks + 1
     total = sum(
@@ -136,7 +137,7 @@ def _snooped(addresses, num_banks):
 
 def _assert_explicit_matches(addresses, num_banks, device):
     per_bank = _snooped(addresses, num_banks)
-    table = pairs_schedule(per_bank, device.schedule_geometry)
+    table = pairs_schedule(per_bank, schedule_geometry(device.timing))
     assert len(table.offsets) == num_banks + 1
     total = 0
     for bank, pairs in enumerate(per_bank):
@@ -240,7 +241,7 @@ def test_schedule_agrees_with_pla_ownership():
         vector = Vector(base=35, stride=stride, length=32)
         table = broadcast_schedules(
             vector.base, stride, vector.length, num_banks,
-            device.schedule_geometry,
+            schedule_geometry(device.timing),
         )
         for bank in range(num_banks):
             start, end = table.offsets[bank], table.offsets[bank + 1]
@@ -257,7 +258,7 @@ def test_schedule_agrees_with_pla_ownership():
 
 def test_flat_geometry_decodes_to_single_row():
     device = SRAMDevice()
-    table = broadcast_schedules(0, 3, 16, 4, device.schedule_geometry)
+    table = broadcast_schedules(0, 3, 16, 4, schedule_geometry(device.timing))
     start, end = table.offsets[1], table.offsets[2]
     assert end - start == 4
     assert set(table.ibanks) == {0}
@@ -269,7 +270,7 @@ def test_flat_geometry_decodes_to_single_row():
 def test_pairs_schedule_decodes_pairs_in_order():
     device = _device_for(4, internal_banks=2, row_words=16)
     per_bank = [(), ((3, 0), (19, 1), (16, 2), (700, 3)), ()]
-    table = pairs_schedule(per_bank, device.schedule_geometry)
+    table = pairs_schedule(per_bank, schedule_geometry(device.timing))
     assert table.offsets == (0, 0, 4, 4)
     assert table.local_words == (3, 19, 16, 700)
     assert table.indices == (0, 1, 2, 3)
@@ -277,7 +278,7 @@ def test_pairs_schedule_decodes_pairs_in_order():
         loc = device.locate(word)
         assert table.ibanks[j] == loc.internal_bank
         assert table.rows[j] == loc.row
-    empty = pairs_schedule([(), ()], device.schedule_geometry)
+    empty = pairs_schedule([(), ()], schedule_geometry(device.timing))
     assert empty.offsets == (0, 0, 0)
     assert len(empty) == 0
 
@@ -287,7 +288,7 @@ def test_repeated_words_keep_index_order_inside_their_bank():
     in their bank's slice in index order, as one same-row run."""
     device = _device_for(4, internal_banks=2, row_words=16)
     addresses = (9, 4, 9, 17, 4, 9)
-    table = pairs_schedule(_snooped(addresses, 4), device.schedule_geometry)
+    table = pairs_schedule(_snooped(addresses, 4), schedule_geometry(device.timing))
     assert table.offsets == (0, 2, 6, 6, 6)
     assert table.indices == (1, 4, 0, 2, 3, 5)
     assert table.local_words == (1, 1, 2, 2, 4, 2)
@@ -302,7 +303,7 @@ class TestRunSegmentation:
     same-(internal bank, row) span ends, never past its bank's slice."""
 
     def _table(self, pairs):
-        geometry = SDRAMDevice(SystemParams().sdram).schedule_geometry
+        geometry = schedule_geometry(SystemParams().sdram)
         # Bank 0 owns nothing, bank 1 owns ``pairs``: the runs must be
         # positioned in the shared table, not from zero.
         return pairs_schedule(((), tuple(pairs)), geometry)
@@ -355,7 +356,7 @@ class TestRunSegmentation:
 
 def test_memoized_schedules_are_immutable_and_unaliased():
     device = _device_for(16)
-    geometry = device.schedule_geometry
+    geometry = schedule_geometry(device.timing)
     table = broadcast_schedules(0, 19, 32, 16, geometry)
     assert broadcast_schedules(0, 19, 32, 16, geometry) is table  # hit
     vector = Vector(base=0, stride=19, length=32)
@@ -377,7 +378,7 @@ def test_schedule_cache_is_lru_bounded_and_clearable():
     for num_banks in (16, 4):
         # An entry weighs its elements plus its bank offsets.
         weight = 4 + num_banks
-        geometry = _device_for(num_banks).schedule_geometry
+        geometry = schedule_geometry(_device_for(num_banks).timing)
         for base in range(SCHEDULE_CACHE_ELEMENTS // weight + 8):
             broadcast_schedules(base, 1, 4, num_banks, geometry)
         info = schedule_cache_info()
@@ -388,7 +389,7 @@ def test_schedule_cache_is_lru_bounded_and_clearable():
     hits = schedule_cache_info().hits
     broadcast_schedules(SCHEDULE_CACHE_ELEMENTS // 8 + 7, 1, 4, 4, geometry)
     assert schedule_cache_info().hits == hits + 1
-    broadcast_schedules(0, 1, 4, 16, _device_for(16).schedule_geometry)
+    broadcast_schedules(0, 1, 4, 16, schedule_geometry(_device_for(16).timing))
     assert schedule_cache_info().hits == hits + 1
     clear_caches()
     assert schedule_cache_info().currsize == 0
@@ -406,7 +407,7 @@ def test_clear_caches_resets_pla_memo():
 
 
 def test_degenerate_stride_hits_base_bank_only():
-    geometry = _device_for(8).schedule_geometry
+    geometry = schedule_geometry(_device_for(8).timing)
     for stride in (8, 16, 24):
         table = broadcast_schedules(5, stride, 7, 8, geometry)
         assert table.offsets == (0, 0, 0, 0, 0, 0, 7, 7, 7)

@@ -3,16 +3,15 @@
 The differential suites (tests/sim/test_*_equivalence.py) prove the
 fast backend end-to-end; these tests pin the pieces in isolation — the
 min-reduction next-event bound, the broadcast memo's lifecycle and
-immutability, the systems the automaton refuses to model, the queueing
-math on degenerate element patterns (stride-0/1 equivalents, single
-bank, non-power-of-two bank subsets the automaton itself never
+immutability, the bank memories a PVA system refuses to model, the
+queueing math on degenerate element patterns (stride-0/1 equivalents,
+single bank, non-power-of-two bank subsets the automaton itself never
 rejects), the rule that a fast system's automaton is the only owner of
-its bank state (no bank-controller graph is ever built), and that a
-finished run leaves no reference cycle behind.
+its bank state (no bank-controller graph and no device model is ever
+built), and that a finished run leaves no reference cycle behind.
 """
 
 from dataclasses import replace
-from itertools import count
 from types import SimpleNamespace
 
 import pytest
@@ -28,10 +27,13 @@ from repro.pva.schedule import (
     broadcast_schedules,
     clear_schedule_cache,
     pairs_schedule,
+    schedule_geometry,
 )
 from repro.pva.soa import SoaBankAutomaton, soa_cache_info
 from repro.pva.system import PVAMemorySystem
+from repro.sdram.bank import InternalBank
 from repro.sdram.device import SDRAMDevice
+from repro.sdram.restimer import Restimer
 from repro.sim.events import HORIZON
 from repro.sram.device import SRAMDevice
 from repro.types import AccessType, Vector, VectorCommand
@@ -39,8 +41,8 @@ from repro.types import AccessType, Vector, VectorCommand
 
 def _automaton(params=None, banks=None):
     """A fresh automaton, bound to a stub front end and bus, over a
-    just-built pva-sdram system's devices (optionally a subset — the
-    automaton accepts any bank count)."""
+    just-built pva-sdram system's storage and log slots (optionally a
+    subset — the automaton accepts any bank count)."""
     params = params or SystemParams(sim_mode="fast")
     system = build_system("pva-sdram", params)
     front = SimpleNamespace(
@@ -51,8 +53,10 @@ def _automaton(params=None, banks=None):
         next_issue_allowed=0,
     )
     bus = SimpleNamespace(busy_until=0)
-    devices = system.devices if banks is None else system.devices[:banks]
-    soa = SoaBankAutomaton(devices, params, system._pla)
+    n = params.num_banks if banks is None else banks
+    soa = SoaBankAutomaton(
+        system.storage[:n], system.logs[:n], params, system._pla, "sdram"
+    )
     soa.bind(front, bus)
     return soa
 
@@ -180,8 +184,7 @@ class TestBroadcastMemo:
     def test_memo_returns_shared_tuple(self):
         clear_schedule_cache()
         params = SystemParams()
-        system = build_system("pva-sdram", params)
-        geometry = system.devices[0].schedule_geometry
+        geometry = schedule_geometry(params.sdram)
         first = broadcast_schedules(0, 19, 64, params.num_banks, geometry)
         again = broadcast_schedules(0, 19, 64, params.num_banks, geometry)
         assert first is again
@@ -201,16 +204,16 @@ class TestBroadcastMemo:
         assert soa_cache_info().currsize >= 1
         # Snapshot the cached table's contents, run again, compare: the
         # automaton must treat the shared tables as read-only.
-        system = build_system("pva-sdram", params)
-        geometry = system.devices[0].schedule_geometry
         vector = trace[0].vector
+        hits = soa_cache_info().hits
         table = broadcast_schedules(
             vector.base,
             vector.stride,
             vector.length,
             params.num_banks,
-            geometry,
+            schedule_geometry(params.sdram),
         )
+        assert soa_cache_info().hits == hits + 1  # the run's own table
         fields = HitTable.__slots__
         snapshot = [getattr(table, field) for field in fields]
         simulate(trace, params, system="pva-sdram")
@@ -218,8 +221,7 @@ class TestBroadcastMemo:
 
     def test_clear_caches_drops_soa_memo(self):
         params = SystemParams()
-        system = build_system("pva-sdram", params)
-        geometry = system.devices[0].schedule_geometry
+        geometry = schedule_geometry(params.sdram)
         broadcast_schedules(0, 5, 16, params.num_banks, geometry)
         assert soa_cache_info().currsize >= 1
         clear_caches()
@@ -233,39 +235,14 @@ def _copy_trace(params):
 
 
 class TestUnmodelledSystems:
-    """sim_mode="fast" never falls back: a system the automaton does
-    not model raises ConfigurationError when it is built."""
+    """A PVA system models two bank memories, SDRAM and SRAM, under both
+    backends: any other ``memory`` raises ConfigurationError when the
+    system is built, never falls back."""
 
-    def test_custom_device_model_raises(self):
-        class Custom(SDRAMDevice):
-            pass
-
-        def factory(p):
-            return Custom(p.sdram, bus_turnaround=p.bus_turnaround)
-
-        params = SystemParams(sim_mode="fast")
-        with pytest.raises(ConfigurationError, match='sim_mode="reference"'):
-            PVAMemorySystem(params, device_factory=factory)
-        # The reference backend drives any device model, and this one
-        # behaves exactly like the stock SDRAM.
-        reference = replace(params, sim_mode="reference")
-        trace = _copy_trace(reference)
-        stock = build_system("pva-sdram", reference).run(trace)
-        system = PVAMemorySystem(reference, device_factory=factory)
-        assert system.run(trace).cycles == stock.cycles
-
-    def test_mixed_device_models_raise(self):
-        banks = count()
-
-        def factory(p):
-            # Bank 0 gets an SRAM, every other bank the stock SDRAM.
-            if next(banks) == 0:
-                return SRAMDevice()
-            return SDRAMDevice(p.sdram)
-
-        params = SystemParams(sim_mode="fast")
-        with pytest.raises(ConfigurationError, match="one device model"):
-            PVAMemorySystem(params, device_factory=factory)
+    def test_unknown_memory_raises(self):
+        for mode in ("reference", "fast"):
+            with pytest.raises(ConfigurationError, match="memory must be"):
+                PVAMemorySystem(SystemParams(sim_mode=mode), memory="dram")
 
     def test_logged_run_records_its_commands(self):
         params = SystemParams(sim_mode="fast")
@@ -370,6 +347,42 @@ class TestOneOwner:
         assert built == reference.banks
         assert len(built) == params.num_banks
 
+    def test_fast_system_builds_no_device_model(self, monkeypatch):
+        built = {}
+        for model in (SDRAMDevice, SRAMDevice, InternalBank, Restimer):
+            built[model] = []
+
+            def spy(self, *args, _model=model, _init=model.__init__, **kwargs):
+                built[_model].append(self)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(model, "__init__", spy)
+        params = SystemParams(sim_mode="fast")
+        trace = _copy_trace(params)
+        for name in ("pva-sdram", "pva-sram"):
+            system = build_system(name, params)
+            system.run(trace)
+            system.run(trace, capture_data=True)
+            system.attach_command_logs()
+            system.run(trace)
+            system.reset()
+            system.run(trace)
+            assert not any(built.values()), name
+            with pytest.raises(AttributeError):
+                system.devices
+        # The spies do see a reference system build one device per
+        # bank, each over the system's own storage dict.
+        reference = replace(params, sim_mode="reference")
+        for name, model in (("pva-sdram", SDRAMDevice), ("pva-sram", SRAMDevice)):
+            system = build_system(name, reference)
+            assert built[model] == system.devices
+            assert len(system.devices) == params.num_banks
+            for bank, device in enumerate(system.devices):
+                assert device.storage is system.storage[bank]
+        assert len(built[InternalBank]) == (
+            params.num_banks * params.sdram.internal_banks
+        )
+
     def test_reset_builds_the_bank_side_of_the_current_mode(self):
         system = build_system(
             "pva-sdram", SystemParams(sim_mode="reference")
@@ -378,6 +391,7 @@ class TestOneOwner:
         system.params = replace(system.params, sim_mode="fast")
         system.reset()
         assert not hasattr(system, "banks")
+        assert not hasattr(system, "devices")
         assert system.run(_copy_trace(system.params)).cycles > 0
 
 

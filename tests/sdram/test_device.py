@@ -38,7 +38,7 @@ class TestGeometry:
 
 class TestTiming:
     def test_full_read_sequence(self, device):
-        assert device.can_activate(0, 0)
+        assert device.banks[device.locate(0).internal_bank].can_activate(0)
         device.activate(0, 0)
         assert not device.can_column(0, 1, is_write=False)
         assert device.can_column(0, 2, is_write=False)
@@ -97,11 +97,13 @@ class TestTiming:
 
     def test_conflicting_row_open(self, device):
         device.activate(0, 0)
-        # word 2048 is internal bank 0, row 1.
-        assert device.conflicting_row_open(2048)
-        assert not device.conflicting_row_open(5)
-        assert device.row_is_open_for(5)
-        assert not device.row_is_open_for(2048)
+        # word 2048 is internal bank 0, row 1; word 5 sits on row 0.
+        conflict = device.locate(2048)
+        hit = device.locate(5)
+        assert conflict.internal_bank == hit.internal_bank == 0
+        open_row = device.open_row(0)
+        assert open_row is not None and open_row != conflict.row
+        assert open_row == hit.row
 
 
 class TestStorage:

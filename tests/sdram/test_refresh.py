@@ -38,8 +38,9 @@ class TestDeviceRefresh:
         assert device.open_row(0) == 0
         assert device.maybe_refresh(100)
         assert device.open_row(0) is None
-        assert not device.can_activate(0, 105)
-        assert device.can_activate(0, 108)
+        bank = device.banks[device.locate(0).internal_bank]
+        assert not bank.can_activate(105)
+        assert bank.can_activate(108)
 
     def test_refresh_embeds_precharge(self):
         """A refreshed bank needs no extra t_rp before reopening."""

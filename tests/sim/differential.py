@@ -103,10 +103,9 @@ class RunLoopSpy:
 
 
 def _memory_image(instance):
-    devices = getattr(instance, "devices", None)
-    if devices is None:
-        return dict(instance._storage)
-    return [dict(device.storage) for device in devices]
+    if isinstance(instance, PVAMemorySystem):
+        return [dict(bank) for bank in instance.storage]
+    return dict(instance._storage)
 
 
 def _run(mode, system, params, traces, capture_data, interleave, logs):

@@ -1,6 +1,8 @@
 """Tests for the SDRAM command log: both the log object itself and the
 sequences it captures from real runs."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.params import SDRAMTiming, SystemParams
@@ -101,8 +103,18 @@ class TestCapturedSequences:
         )
 
     def test_log_detached_by_default(self):
-        system = PVAMemorySystem(SMALL)
-        assert all(device.log is None for device in system.devices)
+        assert PVAMemorySystem(SMALL).logs == [None] * SMALL.num_banks
+        # A reference run hands each device its bank's empty slot.
+        reference = PVAMemorySystem(replace(SMALL, sim_mode="reference"))
+        reference.run(
+            [
+                VectorCommand(
+                    vector=Vector(base=0, stride=1, length=8),
+                    access=AccessType.READ,
+                )
+            ]
+        )
+        assert all(device.log is None for device in reference.devices)
 
     def test_row_conflict_shows_precharge_or_ap(self):
         """Two requests to conflicting rows of the same internal bank must
