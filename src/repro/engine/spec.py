@@ -21,7 +21,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.kernels import alignment_by_name, build_trace, kernel_by_name
 from repro.config import CONFIG_SCHEMA_VERSION
@@ -115,25 +115,42 @@ def default_salt() -> str:
     return f"repro-{__version__}/schema-{CACHE_SCHEMA_VERSION}"
 
 
+#: Types :func:`canonical` returns as they are (exact types: an enum
+#: that subclasses ``int`` or ``str`` still reduces to its value).
+_PLAIN = frozenset((type(None), bool, int, float, str))
+#: Field names per dataclass type, read once per type.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
 def canonical(obj):
     """Reduce a spec object to JSON-serializable primitives, stably.
 
-    Dataclasses become ``{field: value}`` dicts (field order is class
+    Plain values come back as they are, tuples and lists become lists,
+    dataclasses become ``{field: value}`` dicts (field order is class
     definition order, but the JSON encoder sorts keys anyway), enums
-    become their values, tuples become lists.
+    become their values.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+    kind = type(obj)
+    if kind in _PLAIN:
+        return obj
+    if kind is tuple or kind is list:
+        return [
+            item if type(item) in _PLAIN else canonical(item) for item in obj
+        ]
+    names = _FIELD_NAMES.get(kind)
+    if names is None and dataclasses.is_dataclass(kind):
+        names = _FIELD_NAMES[kind] = tuple(
+            f.name for f in dataclasses.fields(kind)
+        )
+    if names is not None:
+        return {name: canonical(getattr(obj, name)) for name in names}
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, (list, tuple)):
         return [canonical(item) for item in obj]
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in sorted(obj.items())}
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if isinstance(obj, (bool, int, float, str)):
         return obj
     raise TypeError(
         f"cannot canonicalize {type(obj).__name__!r} for cache keying"

@@ -63,7 +63,6 @@ class AccessScheduler:
     plus the policy logic that drives the memory device."""
 
     __slots__ = (
-        "params",
         "device",
         "bank",
         "window",
@@ -79,7 +78,6 @@ class AccessScheduler:
     )
 
     def __init__(self, params: SystemParams, device, bank: int):
-        self.params = params
         self.device = device
         self.bank = bank
         self.window: List[VectorContext] = []  # oldest first
@@ -265,7 +263,7 @@ class AccessScheduler:
             txn_id,
             is_write,
             index,
-            data_cycle if not is_write else cycle + self.params.sdram.t_wr,
+            data_cycle,
             read_value,
             auto_precharge,
             completed,

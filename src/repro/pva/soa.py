@@ -34,8 +34,8 @@ through broadcasts (input, applied at the front end's call cycle) and
 column issues reported into the front end's transaction table (output:
 element counts, the last data cycle and, for ``capture_data`` reads, the
 gathered values; the automaton keeps no staging slots of its own).  Each
-:meth:`SoaBankAutomaton.tick` therefore processes a whole *batch* of
-bank events ahead of kernel time, up to
+:meth:`SoaBankAutomaton.tick` therefore walks every due bank, in one
+loop, through a whole *batch* of its events ahead of kernel time, up to
 
 ``h = max(cycle + 1, bus.busy_until, front.next_issue_allowed)``
 
@@ -72,22 +72,27 @@ pins down):
    strictly past its events (``h`` of the previous batches is a lower
    bound on the call cycle), so the FIFO/window/idle state the broadcast
    observes equals the object model's.
-5. *Ledger.*  Per-bank busy/stalled/idle counters are settled span-wise:
-   action cycles are busy, quiet spans are stalled iff the FIFO or
-   window was non-empty after the preceding action (``pending``),
-   exactly the reference bank component's classification.
-   :meth:`SoaBankAutomaton.account` closes them at the run's total
-   cycle count for the kernel's ``finalize``.
+5. *Ledger.*  Each bank books busy and idle cycles only: every action
+   adds its cost to busy, and a bank whose FIFO and window empty opens
+   an idle span that lasts until a broadcast queues work for it (a
+   refresh inside the span is busy).  Every other cycle is stalled, so
+   :meth:`SoaBankAutomaton.account` returns ``stalled = total - busy -
+   idle`` at the run's total cycle count: exactly the reference bank
+   component's classification.
 
 **Column issues.**  A probe that fires no row operation issues ``run >=
 1`` columns of one vector context, one per cycle, through one tail.  A
 *burst* is the ``run > 1`` case: when every in-flight context sits on
 its open row and the oldest one can issue, that context's same-row run
 issues at once, capped by ``h``, the refresh deadline and the FIFO
-head's ready cycle; otherwise the polarity walk picks one column.  The
-auto-precharge is ManageRow (:meth:`SoaBankAutomaton._decide_ap`)
-evaluated at the run's last column, the only one that can close the
-row.
+head's ready cycle; otherwise the polarity walk picks one column.
+Only the policies that cannot close a row inside a run burst: ``paper``
+(ManageRow keeps a row open while a same-row hit is ahead), ``open``
+and a rowless SRAM.  ``open`` and ``close`` have a fixed auto-precharge
+answer (never, always) and no per-column state, so the walk never asks
+them; ``paper`` evaluates ManageRow (:meth:`SoaBankAutomaton._decide_ap`)
+at the run's last column, the only one that can close the row, and
+``history``, which learns from every access, is asked at every column.
 
 **Command logs.**  When a bank's log slot holds a
 :class:`~repro.sim.trace_log.CommandLog`, the walk records each
@@ -111,7 +116,7 @@ from repro.pva.schedule import (
     schedule_cache_info,
     schedule_geometry,
 )
-from repro.pva.rowpolicy import PaperPolicy, make_row_policy
+from repro.pva.rowpolicy import make_row_policy
 from repro.sdram.commands import SDRAMCommand
 from repro.sdram.devstats import DeviceStats
 from repro.sim.events import HORIZON
@@ -140,6 +145,11 @@ C_END = 6
 C_ISSUED = 10
 C_FIB = 11
 C_FROW = 12
+
+#: The auto-precharge answer of each row policy that has a fixed one:
+#: open never closes a row and close always does, whatever the predict
+#: lines say, and neither keeps per-column state.
+_FIXED_AP = {"open": False, "close": True}
 
 # Request-FIFO entry layout (replaces repro.pva.request.BCRequest), a
 # tuple read by number:
@@ -181,6 +191,8 @@ class SoaBankAutomaton:
         if self.has_rows:
             timing = params.sdram
             self.nib = timing.internal_banks
+            #: Cycles from a write column to its data landing.
+            self.t_wr = timing.t_wr
             self.t_rcd = timing.t_rcd
             self.t_rp = timing.t_rp
             self.t_rfc = timing.t_rfc
@@ -191,15 +203,11 @@ class SoaBankAutomaton:
             timing = params.sram
             self.nib = 1
             self.t_rcd = self.t_rp = self.t_rfc = 0
-            self.read_lat = timing.access_cycles
+            self.read_lat = self.t_wr = timing.access_cycles
             self.refresh_interval = 0
             col_mask = -1  # the SRAM logs the whole local word
         #: Logged column address: ``local_word & col_mask``.
         self.col_mask = col_mask
-        #: The scheduler stamps write data cycles with the *SDRAM* write
-        #: recovery even when the memory is SRAM (see
-        #: AccessScheduler._issue_column) — mirror that exactly.
-        self.t_wr = params.sdram.t_wr
         self.ta = params.bus_turnaround
         self.fifo_depth = params.request_fifo_depth
         self.max_ctx = params.num_vector_contexts
@@ -238,14 +246,17 @@ class SoaBankAutomaton:
         # -- mutable structures ----------------------------------------
         self._rqf: List[deque] = [deque() for _ in range(n)]
         self._win: List[list] = [[] for _ in range(n)]
-        self.policies = [
-            make_row_policy(params.row_policy, nib) for _ in range(n)
-        ]
-        self.paper = [type(p) is PaperPolicy for p in self.policies]
-        self.predict = [
-            p.autoprecharge_predict if type(p) is PaperPolicy else None
-            for p in self.policies
-        ]
+        policy = params.row_policy
+        self.policies = [make_row_policy(policy, nib) for _ in range(n)]
+        self.paper = policy == "paper"
+        #: ManageRow's autoprecharge predictor bits, per bank.
+        if self.paper:
+            self.predict = [p.autoprecharge_predict for p in self.policies]
+        #: The walk's answer when it need not ask the policy (a rowless
+        #: SRAM never auto-precharges), else None.
+        self.fixed_ap = _FIXED_AP.get(policy) if self.has_rows else False
+        #: Same-row runs burst unless the policy may close a row early.
+        self.burst = self.paper or self.fixed_ap is False
         #: Per bank and internal bank: the row of the last activate
         #: (predictor training) and whether it is still unread.
         self.lrs = [[None] * nib for _ in range(n)]
@@ -262,12 +273,11 @@ class SoaBankAutomaton:
         self.fully_issued = front.fully_issued
         self.ncmds = len(front.commands)
         self.bound = array("q", self.nr)  # next-event candidate
-        # -- attribution ledger ----------------------------------------
+        # -- attribution ledger: busy and idle; the rest is stalled ----
         self.busy_c = array("q", bytes(8 * n))
-        self.stalled_c = array("q", bytes(8 * n))
         self.idle_c = array("q", bytes(8 * n))
-        self.acct = array("q", bytes(8 * n))  # settled-to cycle
-        self.pending = [False] * n  # rqf/window non-empty after acct
+        #: Start of the bank's open idle span, -1 while work is queued.
+        self.idle_since = array("q", bytes(8 * n))
 
     def unbind(self) -> None:
         """End a run: drop the front end and bus, so the system keeps no
@@ -298,11 +308,27 @@ class SoaBankAutomaton:
     # ------------------------------------------------------------- #
 
     def tick(self, cycle: int) -> bool:
-        """Run every bank's event batch up to the broadcast horizon.
+        """Walk every bank whose next-event candidate lies below the
+        broadcast horizon ``h`` up to (but excluding) ``h``, in one loop
+        with every shared array held in a local, and leave ``bound[b]``
+        at each bank's next candidate.  Returns True iff any event (even
+        one ahead of kernel time) was processed: run-ahead mutates
+        completion-visible state, so the kernel's bound cache must be
+        voided.
 
-        Returns True iff any event (even one ahead of kernel time) was
-        processed — run-ahead mutates completion-visible state, so the
-        kernel's bound cache must be voided.
+        The loop fuses BankController.tick's refresh and dequeue, the
+        scheduler's row pass and column issue, and the next-event bound:
+        a failing probe accumulates the cycle each blocked timer frees,
+        so it costs one walk, not two, and after an action the next
+        probe lands on the action's floor (``t + cost``).  A burst is
+        exact when the policy allows it, every in-flight context sits on
+        its open row and the oldest one can issue: no row operation can
+        fire before its same-row run ends (row ops need a row mismatch,
+        and contexts only move when they issue), the oldest context
+        matches the pin polarity every cycle, and the object model
+        provably issues one of its columns per cycle.  A capped run still
+        has same-row hits ahead, so only a run's last column can close
+        its row.
         """
         front = self.front
         if front.next_cmd < self.ncmds:
@@ -317,10 +343,329 @@ class SoaBankAutomaton:
             h = HORIZON
         acted = False
         bound = self.bound
-        run_bank = self._run_bank
+        nr = self.nr
+        rqfs = self._rqf
+        wins = self._win
+        storages = self.storage
+        logs = self.logs
+        orow = self.orow
+        act = self.act
+        col = self.col
+        pre = self.pre
+        busy_c = self.busy_c
+        idle_since = self.idle_since
+        last_col_a = self.last_col
+        last_dir_a = self.last_dir
+        has_rows = self.has_rows
+        nib = self.nib
+        max_ctx = self.max_ctx
+        ta = self.ta
+        t_wr = self.t_wr
+        t_rp = self.t_rp
+        t_rcd = self.t_rcd
+        fixed_ap = self.fixed_ap
+        burst = self.burst
+        # Only ManageRow on SDRAM trains on a request's first operation.
+        issued = not (self.paper and has_rows)
+        outstanding = self.outstanding
+        fully_issued = self.fully_issued
         for b in range(self.n):
-            if bound[b] < h and run_bank(b, cycle, h):
-                acted = True
+            t = bound[b]
+            if t >= h:
+                continue
+            rqf = rqfs[b]
+            win = wins[b]
+            base_u = b * nib
+            storage = storages[b]
+            log = logs[b]
+            while True:
+                deadline = nr[b]
+                if not rqf and not win:
+                    # Only the refresh deadline can act, and with no
+                    # pending work it may not run ahead of kernel time:
+                    # the object model's run can exit before a tail
+                    # refresh ever fires.
+                    if deadline > cycle:
+                        bound[b] = deadline
+                        break
+                    t = deadline
+                elif t >= h:
+                    bound[b] = t
+                    break
+                if t >= deadline:
+                    # Auto-refresh consumes its cycle before any
+                    # scheduler work, exactly at the deadline
+                    # (BankController.tick checks maybe_refresh first and
+                    # the kernel always visits the deadline cycle).
+                    self._do_refresh(b, deadline)
+                    acted = True
+                    t = deadline + 1
+                    continue
+                # ---- one probed cycle: BankController.tick sans refresh
+                # ``nb`` accumulates the next-event bound along every
+                # *failing* branch (the candidate cycle each blocked
+                # timer frees); an action discards it for the floor.
+                progressed = False
+                nwin = len(win)
+                nb = deadline
+                if rqf and nwin < max_ctx:
+                    ready = rqf[0][0]
+                    if ready <= t:
+                        head = rqf.popleft()
+                        table = head[4]
+                        first = head[5]
+                        win.append(
+                            # VectorContext.__init__, cursor mode.
+                            [
+                                table.local_words,
+                                table.indices,
+                                table.ibanks,
+                                table.rows,
+                                table.run_end,
+                                first,
+                                head[6],
+                                head[1],
+                                head[2],
+                                head[3],
+                                issued,
+                                table.ibanks[first],
+                                table.rows[first],
+                            ]
+                        )
+                        progressed = True
+                        nwin += 1
+                    elif ready < nb:
+                        nb = ready
+                cost = 0
+                if nwin:
+                    # -- row pass (AccessScheduler._try_row_operation),
+                    #    also deciding burst eligibility: every context
+                    #    on its open row means no row op can preempt.
+                    all_open = True
+                    if has_rows:
+                        position = 0
+                        for vc in win:
+                            pos = vc[5]
+                            ib = vc[2][pos]
+                            row = vc[3][pos]
+                            u = base_u + ib
+                            open_row = orow[u]
+                            if open_row == row:
+                                position += 1
+                                continue
+                            all_open = False
+                            if open_row >= 0:
+                                if position != 0 and self._hits_open(
+                                    win, vc, ib, open_row
+                                ):
+                                    position += 1
+                                    continue
+                                x = pre[u]
+                                if t >= x:
+                                    # precharge: InternalBank._close(t)
+                                    orow[u] = -1
+                                    release = t + t_rp
+                                    if release > act[u]:
+                                        act[u] = release
+                                    self.ib_pre[u] += 1
+                                    if log is not None:
+                                        log.record(
+                                            CommandEvent(
+                                                cycle=t,
+                                                command=SDRAMCommand.PRECHARGE,
+                                                internal_bank=ib,
+                                            )
+                                        )
+                                    cost = 1
+                                    break
+                                if x < nb:
+                                    nb = x
+                            else:
+                                x = act[u]
+                                if t >= x:
+                                    if not vc[10]:
+                                        self._note_first(b, vc, ib)
+                                    orow[u] = row
+                                    hold = t + t_rcd
+                                    if hold > col[u]:
+                                        col[u] = hold
+                                    if hold > pre[u]:
+                                        pre[u] = hold
+                                    self.lrs[b][ib] = row
+                                    self.asc[b][ib] = True
+                                    self.ib_act[u] += 1
+                                    if log is not None:
+                                        log.record(
+                                            CommandEvent(
+                                                cycle=t,
+                                                command=SDRAMCommand.ACTIVATE,
+                                                internal_bank=ib,
+                                                row=row,
+                                            )
+                                        )
+                                    cost = 1
+                                    break
+                                if x < nb:
+                                    nb = x
+                            position += 1
+                    if cost == 0:
+                        # -- pick what to issue: ``run`` columns of the
+                        #    context at ``position`` in the window.
+                        last_col = last_col_a[b]
+                        last_dir = last_dir_a[b]
+                        vc = win[0]
+                        pos = vc[5]
+                        w = vc[8]
+                        position = 0
+                        run = 0
+                        if (
+                            burst
+                            and all_open
+                            and t > last_col
+                            and (
+                                last_dir < 0
+                                or w == last_dir
+                                or t >= last_col + 1 + ta
+                            )
+                            and (not has_rows or t >= col[base_u + vc[2][pos]])
+                        ):
+                            # -- burst: the oldest context's same-row run
+                            run = vc[4][pos] - pos
+                            cap = h - t
+                            if deadline - t < cap:
+                                cap = deadline - t
+                            if rqf and nwin < max_ctx:
+                                # The object model dequeues the next FIFO
+                                # head at its ready cycle (>= t+1: at
+                                # most one dequeue per cycle, and this
+                                # cycle's already happened).
+                                slack = rqf[0][0] - t
+                                if slack < 1:
+                                    slack = 1
+                                if slack < cap:
+                                    cap = slack
+                            if run > cap:
+                                run = cap
+                        else:
+                            # -- polarity walk (AccessScheduler._try_column):
+                            #    at most one column; blocked open-row
+                            #    contexts feed the bound.
+                            for vc in win:
+                                w = vc[8]
+                                matches = last_dir < 0 or w == last_dir
+                                if not matches and position != 0:
+                                    # A polarity reversal pends upstream.
+                                    break
+                                pins = last_col + 1
+                                if not matches:
+                                    pins += ta
+                                pos = vc[5]
+                                if has_rows:
+                                    u = base_u + vc[2][pos]
+                                    if orow[u] == vc[3][pos]:
+                                        x = col[u]
+                                        if pins > x:
+                                            x = pins
+                                        if t >= x:
+                                            run = 1
+                                            break
+                                        if x < nb:
+                                            nb = x
+                                elif t >= pins:
+                                    run = 1
+                                    break
+                                elif pins < nb:
+                                    nb = pins
+                                if not matches:
+                                    break
+                                position += 1
+                        if run:
+                            # -- issue (AccessScheduler._issue_column +
+                            #    device.column_at + note_issue, fused):
+                            #    one column per cycle from t to ``end``
+                            if has_rows:
+                                ib = vc[2][pos]
+                                row = vc[3][pos]
+                            else:
+                                ib = row = 0
+                            if not vc[10]:
+                                self._note_first(b, vc, ib)
+                            stop = pos + run
+                            end = t + run - 1
+                            ap = fixed_ap
+                            if ap is None:
+                                ap = self._decide_ap(b, vc, stop - 1, ib, row, win)
+                            if last_dir >= 0 and w != last_dir:
+                                self.turnarounds[b] += 1
+                            last_col_a[b] = end
+                            last_dir_a[b] = w
+                            if has_rows:
+                                u = base_u + ib
+                                hold = end + 1 + t_wr if w else end + 1
+                                if hold > pre[u]:
+                                    pre[u] = hold
+                                if ap:
+                                    orow[u] = -1
+                                    release = hold + t_rp
+                                    if release > act[u]:
+                                        act[u] = release
+                                    self.ib_ap[u] += 1
+                            local_words = vc[0]
+                            indices = vc[1]
+                            if w:
+                                line = vc[9]
+                                for k in range(pos, stop):
+                                    storage[local_words[k]] = line[indices[k]]
+                                self.writes[b] += run
+                                data_cycle = end + t_wr
+                            else:
+                                self.reads[b] += run
+                                data_cycle = end + self.read_lat
+                            if log is not None:
+                                self._log_columns(
+                                    log, t, w, ib, row, local_words[pos:stop], ap
+                                )
+                            txn = outstanding.get(vc[7])
+                            if txn is None:
+                                raise ProtocolError(
+                                    f"bank {b} issued for unknown "
+                                    f"transaction {vc[7]}"
+                                )
+                            gathered = txn.line
+                            if gathered is not None:
+                                get = storage.get
+                                for k in range(pos, stop):
+                                    gathered[indices[k]] = get(local_words[k], 0)
+                            txn.done += run
+                            if data_cycle > txn.last_data_cycle:
+                                txn.last_data_cycle = data_cycle
+                            if txn.done >= txn.expected:
+                                fully_issued.append(txn)
+                            vc[5] = stop
+                            if stop == vc[6]:
+                                del win[position]
+                            cost = run
+                if cost or progressed:
+                    # -- action tail: book the cost busy; a bank left
+                    #    with no work opens an idle span.
+                    if cost == 0:
+                        cost = 1
+                    busy_c[b] += cost
+                    acted = True
+                    # After a burst of `cost` columns the cursor only
+                    # clears the run at t + cost — nothing (in particular
+                    # no row operation for the next element) may fire
+                    # inside it.
+                    floor = t + cost
+                    if not rqf and not win:
+                        idle_since[b] = floor
+                    if floor >= h:
+                        bound[b] = floor
+                        break
+                    t = floor
+                    continue
+                # ---- failed probe: jump to the accumulated bound ------
+                t = nb if nb > t else t + 1
         return acted
 
     def next_event_cycle(self, cycle: int) -> int:
@@ -329,382 +674,22 @@ class SoaBankAutomaton:
         return target if target > cycle else cycle
 
     def account(self, total_cycles: int) -> Dict[str, ComponentCycles]:
-        """Close every bank's busy/stalled/idle ledger at
-        ``total_cycles`` and return the ``bank-*`` entries."""
+        """Close every bank's open idle span at ``total_cycles`` and
+        return the ``bank-*`` entries; every cycle neither busy nor idle
+        was stalled."""
         out: Dict[str, ComponentCycles] = {}
         for b in range(self.n):
-            self._settle(b, total_cycles)
-            self.acct[b] = total_cycles
+            busy = self.busy_c[b]
+            idle = self.idle_c[b]
+            since = self.idle_since[b]
+            if 0 <= since < total_cycles:
+                idle += total_cycles - since
             out[f"bank-{b}"] = ComponentCycles(
-                busy=self.busy_c[b],
-                stalled=self.stalled_c[b],
-                idle=self.idle_c[b],
+                busy=busy,
+                stalled=total_cycles - busy - idle,
+                idle=idle,
             )
         return out
-
-    # ------------------------------------------------------------- #
-    # Batch stepping
-    # ------------------------------------------------------------- #
-
-    def _settle(self, b: int, upto: int) -> None:
-        """Attribute the quiet span ``[acct, upto)``: stalled while work
-        was pending after the last action, idle otherwise."""
-        acct = self.acct[b]
-        if upto > acct:
-            if self.pending[b]:
-                self.stalled_c[b] += upto - acct
-            else:
-                self.idle_c[b] += upto - acct
-
-    def _run_bank(self, b: int, now: int, h: int) -> bool:
-        """Process bank ``b``'s events from its stored candidate up to
-        (but excluding) ``h``; leave ``bound[b]`` at the next candidate.
-        Returns True iff any event was processed.
-
-        This is the fused hot loop: BankController.tick's refresh and
-        dequeue, the scheduler's row pass, its column issue and the
-        next-event bound inlined with every array held in a local.  Two
-        load-bearing fusions:
-
-        * The next-event bound is accumulated *during* a failing probe
-          (every blocked candidate records the cycle its timer frees)
-          instead of by a separate scan, so a failed probe costs one
-          walk, not two; after an action the next probe simply lands on
-          the action's floor (``t + cost``).
-        * A column issue covers ``run >= 1`` columns, one per cycle.  It
-          is a **burst** (``run > 1``) when every in-flight context sits
-          on its open row and the oldest one can issue: then no row
-          operation can fire before its same-row run ends (row ops need
-          a row mismatch, and contexts only move when they issue), the
-          oldest context matches the pin polarity every cycle, and the
-          object model provably issues one of its columns per cycle.
-          The run is capped at the batch horizon ``h``, the refresh
-          deadline and the FIFO head's ready cycle.  Otherwise the
-          polarity walk picks one column.  Both take one issue tail,
-          whose auto-precharge is ManageRow evaluated at the run's last
-          column — the only column of a burst that can close the row (a
-          capped run still has same-row hits ahead, so it stays open).
-        """
-        bound = self.bound
-        nr = self.nr
-        rqf = self._rqf[b]
-        win = self._win[b]
-        orow = self.orow
-        act = self.act
-        col = self.col
-        pre = self.pre
-        busy_c = self.busy_c
-        stalled_c = self.stalled_c
-        idle_c = self.idle_c
-        acct = self.acct
-        pending = self.pending
-        last_col_a = self.last_col
-        last_dir_a = self.last_dir
-        has_rows = self.has_rows
-        max_ctx = self.max_ctx
-        ta = self.ta
-        t_wr = self.t_wr
-        t_rp = self.t_rp
-        t_rcd = self.t_rcd
-        base_u = b * self.nib
-        burst_ok = self.paper[b] or not has_rows
-        storage = self.storage[b]
-        log = self.logs[b]
-        outstanding = self.outstanding
-        fully_issued = self.fully_issued
-        processed = False
-        t = bound[b]
-        while True:
-            deadline = nr[b]
-            if not rqf and not win:
-                # Only the refresh deadline can act, and with no pending
-                # work it may not run ahead of kernel time: the object
-                # model's run can exit before a tail refresh ever fires.
-                if deadline > now:
-                    bound[b] = deadline
-                    return processed
-                t = deadline
-            elif t >= h:
-                bound[b] = t
-                return processed
-            if t >= deadline:
-                # Auto-refresh consumes its cycle before any scheduler
-                # work, exactly at the deadline (BankController.tick
-                # checks maybe_refresh first and the kernel always
-                # visits the deadline cycle).
-                self._do_refresh(b, deadline)
-                processed = True
-                t = deadline + 1
-                continue
-            # ---- one probed cycle: BankController.tick sans refresh --
-            # ``nb`` accumulates the next-event bound along every
-            # *failing* branch (the candidate cycle each blocked timer
-            # frees); an action discards it in favour of the floor.
-            progressed = False
-            nwin = len(win)
-            nb = deadline
-            if rqf and nwin < max_ctx:
-                ready = rqf[0][0]
-                if ready <= t:
-                    head = rqf.popleft()
-                    table = head[4]
-                    first = head[5]
-                    win.append(
-                        # VectorContext.__init__, cursor mode.
-                        [
-                            table.local_words,
-                            table.indices,
-                            table.ibanks,
-                            table.rows,
-                            table.run_end,
-                            first,
-                            head[6],
-                            head[1],
-                            head[2],
-                            head[3],
-                            False,
-                            table.ibanks[first],
-                            table.rows[first],
-                        ]
-                    )
-                    progressed = True
-                    nwin += 1
-                elif ready < nb:
-                    nb = ready
-            cost = 0
-            if nwin:
-                # -- row pass (AccessScheduler._try_row_operation),
-                #    also deciding burst eligibility: every context on
-                #    its open row means no row op can preempt a burst.
-                all_open = True
-                if has_rows:
-                    position = 0
-                    for vc in win:
-                        pos = vc[5]
-                        ib = vc[2][pos]
-                        row = vc[3][pos]
-                        u = base_u + ib
-                        open_row = orow[u]
-                        if open_row == row:
-                            position += 1
-                            continue
-                        all_open = False
-                        if open_row >= 0:
-                            if position != 0 and self._hits_open(
-                                win, vc, ib, open_row
-                            ):
-                                position += 1
-                                continue
-                            x = pre[u]
-                            if t >= x:
-                                # precharge: InternalBank._close(t)
-                                orow[u] = -1
-                                release = t + t_rp
-                                if release > act[u]:
-                                    act[u] = release
-                                self.ib_pre[u] += 1
-                                if log is not None:
-                                    log.record(
-                                        CommandEvent(
-                                            cycle=t,
-                                            command=SDRAMCommand.PRECHARGE,
-                                            internal_bank=ib,
-                                        )
-                                    )
-                                cost = 1
-                                break
-                            if x < nb:
-                                nb = x
-                        else:
-                            x = act[u]
-                            if t >= x:
-                                if not vc[10]:
-                                    self._note_first(b, vc, ib)
-                                orow[u] = row
-                                hold = t + t_rcd
-                                if hold > col[u]:
-                                    col[u] = hold
-                                if hold > pre[u]:
-                                    pre[u] = hold
-                                self.lrs[b][ib] = row
-                                self.asc[b][ib] = True
-                                self.ib_act[u] += 1
-                                if log is not None:
-                                    log.record(
-                                        CommandEvent(
-                                            cycle=t,
-                                            command=SDRAMCommand.ACTIVATE,
-                                            internal_bank=ib,
-                                            row=row,
-                                        )
-                                    )
-                                cost = 1
-                                break
-                            if x < nb:
-                                nb = x
-                        position += 1
-                if cost == 0:
-                    # -- pick what to issue: ``run`` columns of the
-                    #    context at ``position`` in the window.
-                    last_col = last_col_a[b]
-                    last_dir = last_dir_a[b]
-                    vc = win[0]
-                    pos = vc[5]
-                    w = vc[8]
-                    position = 0
-                    run = 0
-                    if (
-                        burst_ok
-                        and all_open
-                        and t > last_col
-                        and (
-                            last_dir < 0
-                            or w == last_dir
-                            or t >= last_col + 1 + ta
-                        )
-                        and (not has_rows or t >= col[base_u + vc[2][pos]])
-                    ):
-                        # -- burst: the oldest context's same-row run --
-                        run = vc[4][pos] - pos
-                        cap = h - t
-                        if deadline - t < cap:
-                            cap = deadline - t
-                        if rqf and nwin < max_ctx:
-                            # The object model dequeues the next FIFO
-                            # head at its ready cycle (>= t+1: at most
-                            # one dequeue per cycle, and this cycle's
-                            # already happened).
-                            slack = rqf[0][0] - t
-                            if slack < 1:
-                                slack = 1
-                            if slack < cap:
-                                cap = slack
-                        if run > cap:
-                            run = cap
-                    else:
-                        # -- polarity walk (AccessScheduler._try_column):
-                        #    at most one column; blocked open-row
-                        #    contexts feed the bound.
-                        for vc in win:
-                            w = vc[8]
-                            matches = last_dir < 0 or w == last_dir
-                            if not matches and position != 0:
-                                # A polarity reversal pends upstream.
-                                break
-                            pins = (
-                                last_col + 1 if matches else last_col + 1 + ta
-                            )
-                            pos = vc[5]
-                            if has_rows:
-                                u = base_u + vc[2][pos]
-                                if orow[u] == vc[3][pos]:
-                                    x = col[u]
-                                    if pins > x:
-                                        x = pins
-                                    if t >= x:
-                                        run = 1
-                                        break
-                                    if x < nb:
-                                        nb = x
-                            elif t >= pins:
-                                run = 1
-                                break
-                            elif pins < nb:
-                                nb = pins
-                            if not matches:
-                                break
-                            position += 1
-                    if run:
-                        # -- issue (AccessScheduler._issue_column +
-                        #    device.column_at + note_issue, fused): one
-                        #    column per cycle from t to ``end`` ---------
-                        if has_rows:
-                            ib = vc[2][pos]
-                            row = vc[3][pos]
-                        else:
-                            ib = row = 0
-                        if not vc[10]:
-                            self._note_first(b, vc, ib)
-                        stop = pos + run
-                        end = t + run - 1
-                        ap = has_rows and self._decide_ap(
-                            b, vc, stop - 1, ib, row, win
-                        )
-                        if last_dir >= 0 and w != last_dir:
-                            self.turnarounds[b] += 1
-                        last_col_a[b] = end
-                        last_dir_a[b] = w
-                        if has_rows:
-                            u = base_u + ib
-                            hold = end + 1 + t_wr if w else end + 1
-                            if hold > pre[u]:
-                                pre[u] = hold
-                            if ap:
-                                orow[u] = -1
-                                release = hold + t_rp
-                                if release > act[u]:
-                                    act[u] = release
-                                self.ib_ap[u] += 1
-                        local_words = vc[0]
-                        indices = vc[1]
-                        if w:
-                            line = vc[9]
-                            for k in range(pos, stop):
-                                storage[local_words[k]] = line[indices[k]]
-                            self.writes[b] += run
-                            data_cycle = end + t_wr
-                        else:
-                            self.reads[b] += run
-                            data_cycle = end + self.read_lat
-                        if log is not None:
-                            self._log_columns(
-                                log, t, w, ib, row, local_words[pos:stop], ap
-                            )
-                        txn = outstanding.get(vc[7])
-                        if txn is None:
-                            raise ProtocolError(
-                                f"bank {b} issued for unknown "
-                                f"transaction {vc[7]}"
-                            )
-                        gathered = txn.line
-                        if gathered is not None:
-                            get = storage.get
-                            for k in range(pos, stop):
-                                gathered[indices[k]] = get(local_words[k], 0)
-                        txn.done += run
-                        if data_cycle > txn.last_data_cycle:
-                            txn.last_data_cycle = data_cycle
-                        if txn.done >= txn.expected:
-                            fully_issued.append(txn)
-                        vc[10] = True
-                        vc[5] = stop
-                        if stop == vc[6]:
-                            del win[position]
-                        cost = run
-            if cost or progressed:
-                a = acct[b]
-                if t > a:
-                    if pending[b]:
-                        stalled_c[b] += t - a
-                    else:
-                        idle_c[b] += t - a
-                if cost == 0:
-                    cost = 1
-                busy_c[b] += cost
-                acct[b] = t + cost
-                pending[b] = True if rqf or win else False
-                processed = True
-                # After a burst of `cost` columns the cursor only clears
-                # the run at t + cost — nothing (in particular no row
-                # operation for the next element) may fire inside it.
-                floor = t + cost
-                if floor >= h:
-                    bound[b] = floor
-                    return True
-                t = floor
-                continue
-            # ---- failed probe: jump to the accumulated bound ---------
-            t = nb if nb > t else t + 1
 
     def _log_columns(
         self,
@@ -735,14 +720,15 @@ class SoaBankAutomaton:
             )
 
     def _do_refresh(self, b: int, cycle: int) -> None:
-        """SDRAMDevice.maybe_refresh at ``cycle``: settle the ledger up
-        to it and book the refresh cycle busy, then close every row,
-        block activates for ``t_rfc`` and advance the deadline.  The
-        bank's ``pending`` flag stands: it already says whether work is
-        queued."""
-        self._settle(b, cycle)
+        """SDRAMDevice.maybe_refresh at ``cycle``: book the refresh
+        cycle busy (cutting it out of an open idle span), then close
+        every row, block activates for ``t_rfc`` and advance the
+        deadline."""
         self.busy_c[b] += 1
-        self.acct[b] = cycle + 1
+        since = self.idle_since[b]
+        if since >= 0:
+            self.idle_c[b] += cycle - since
+            self.idle_since[b] = cycle + 1
         orow = self.orow
         act = self.act
         release = cycle + self.t_rfc
@@ -754,30 +740,28 @@ class SoaBankAutomaton:
         self.nr[b] = cycle + self.refresh_interval
 
     def _note_first(self, b: int, vc: list, internal_bank: int) -> None:
-        """AccessScheduler._note_first_operation: train the predictor on
-        a request's very first operation."""
-        row_continues = self.lrs[b][vc[C_FIB]] == vc[C_FROW]
-        if self.paper[b]:
-            self.predict[b][internal_bank] = not row_continues
-        else:
-            self.policies[b].note_first_operation(
-                internal_bank, row_continues
-            )
+        """AccessScheduler._note_first_operation: train ManageRow's
+        predictor on a request's very first operation (no other policy
+        learns from it, so their contexts start with the flag set)."""
+        self.predict[b][internal_bank] = (
+            self.lrs[b][vc[C_FIB]] != vc[C_FROW]
+        )
         vc[C_ISSUED] = True
 
     def _decide_ap(
         self, b: int, vc: list, pos: int, internal_bank: int, row: int, win: list
     ) -> bool:
         """AccessScheduler._decide_auto_precharge (the ManageRow lines)
-        for ``vc``'s column at ``pos``; the self-term reads the
-        precomputed run end instead of decoding the next address live.
+        for ``vc``'s column at ``pos`` under the paper and history
+        policies; the self-term reads the precomputed run end instead of
+        decoding the next address live.
 
-        Every other context still sits where it was, so a burst asks
-        once, at its last column: each column before it has a same-row
-        hit ahead and keeps the row open, and the paper policy has no
-        per-column state beyond ``asc``."""
+        Every other context still sits where it was, so a paper-policy
+        burst asks once, at its last column: each column before it has a
+        same-row hit ahead and keeps the row open, and the paper policy
+        has no per-column state beyond ``asc``."""
         asc = self.asc[b]
-        paper = self.paper[b]
+        paper = self.paper
         if not paper:
             self.policies[b].observe_access(
                 internal_bank, not asc[internal_bank]
@@ -928,15 +912,14 @@ class SoaBankAutomaton:
         power_of_two: Optional[bool],
     ) -> int:
         """Common broadcast tail, every bank that owns elements in turn:
-        run the FHP/FHC ready-cycle pipeline, append the FIFO entry and
-        maintain the ledger and the next-event bound.  Returns the
-        summed element count."""
+        run the FHP/FHC ready-cycle pipeline, append the FIFO entry,
+        close the bank's idle span and lower its next-event bound.
+        Returns the summed element count."""
         offsets = table.offsets
         rqfs = self._rqf
         wins = self._win
         bound = self.bound
-        acct = self.acct
-        pending = self.pending
+        idle_since = self.idle_since
         idle_c = self.idle_c
         calc_busy = self.calc_busy
         fifo_depth = self.fifo_depth
@@ -975,15 +958,14 @@ class SoaBankAutomaton:
                 calc_busy[b] = finish
                 ready = finish if (bypass and idle) else finish + 1
             rqf.append((ready, txn_id, iw, write_line, table, start, end))
-            if not pending[b]:
+            since = idle_since[b]
+            if since >= 0:
                 # The bank shows "stalled" from the broadcast call cycle
                 # on (a reference bank, ticked after the front end, sees
                 # the FIFO entry that same cycle); before it, idle.
-                a = acct[b]
-                if call_cycle > a:
-                    idle_c[b] += call_cycle - a
-                    acct[b] = call_cycle
-                pending[b] = True
+                if call_cycle > since:
+                    idle_c[b] += call_cycle - since
+                idle_since[b] = -1
             if len(rqf) == 1 and len(win) < max_ctx and ready < bound[b]:
                 bound[b] = ready
             total += expected

@@ -216,7 +216,8 @@ class SDRAMDevice:
 
         Returns ``(data_cycle, read_value)``: for reads, the cycle the
         datum appears on the pins (``cycle + cas_latency``) and the stored
-        value; for writes, the cycle the datum is consumed and ``None``.
+        value; for writes, the cycle the write recovers (``cycle +
+        t_wr``) and ``None``.
         """
         loc = self.locate(local_word)
         return self.column_at(
@@ -270,21 +271,13 @@ class SDRAMDevice:
                 raise SchedulingError("write column issued without data")
             self.storage[local_word] = value
             self.writes += 1
-            return cycle, None
+            return cycle + self.timing.t_wr, None
         self.reads += 1
         return cycle + self.timing.cas_latency, self.storage.get(local_word, 0)
 
     # ----------------------------------------------------------------- #
-    # Functional access & statistics
+    # Statistics
     # ----------------------------------------------------------------- #
-
-    def peek(self, local_word: int) -> int:
-        """Read storage directly (no timing)."""
-        return self.storage.get(local_word, 0)
-
-    def poke(self, local_word: int, value: int) -> None:
-        """Write storage directly (no timing) — test/benchmark setup."""
-        self.storage[local_word] = value
 
     def stats(self) -> DeviceStats:
         return DeviceStats(

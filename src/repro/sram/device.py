@@ -125,7 +125,7 @@ class SRAMDevice:
                 raise SchedulingError("write issued without data")
             self.storage[local_word] = value
             self.writes += 1
-            return cycle, None
+            return cycle + self.timing.access_cycles, None
         self.reads += 1
         return cycle + self.timing.access_cycles, self.storage.get(
             local_word, 0
@@ -147,13 +147,7 @@ class SRAMDevice:
             local_word, cycle, is_write, auto_precharge=auto_precharge, value=value
         )
 
-    # --- functional access & statistics -------------------------------- #
-
-    def peek(self, local_word: int) -> int:
-        return self.storage.get(local_word, 0)
-
-    def poke(self, local_word: int, value: int) -> None:
-        self.storage[local_word] = value
+    # --- statistics ---------------------------------------------------- #
 
     def stats(self) -> DeviceStats:
         return DeviceStats(

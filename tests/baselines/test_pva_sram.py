@@ -1,7 +1,9 @@
 """Tests for the PVA-SRAM comparison system (section 6.1)."""
 
+from dataclasses import replace
+
 from repro.baselines.pva_sram import make_pva_sram
-from repro.params import SRAMTiming, SystemParams
+from repro.params import SDRAMTiming, SRAMTiming, SystemParams
 from repro.pva.system import PVAMemorySystem
 from repro.types import AccessType, Vector, VectorCommand
 
@@ -74,3 +76,28 @@ class TestPVASRAM:
             cycles.append(fast.cycles)
         default, slow = cycles
         assert slow > default
+
+    def test_sram_timing_times_writes_not_sdram_recovery(self):
+        """Write data lands ``sram.access_cycles`` after the column on
+        the SRAM banks under either backend; the SDRAM write recovery
+        ``sdram.t_wr`` times nothing here."""
+        trace = [
+            VectorCommand(
+                vector=Vector(base=2048 * i, stride=16, length=32),
+                access=AccessType.WRITE,
+            )
+            for i in range(4)
+        ]
+        cases = (
+            (SystemParams(), 147),
+            (SystemParams(sdram=SDRAMTiming(t_wr=4)), 147),
+            (SystemParams(sram=SRAMTiming(access_cycles=3)), 149),
+            (SystemParams(sram=SRAMTiming(access_cycles=4)), 150),
+        )
+        for params, cycles in cases:
+            reference, fast = (
+                make_pva_sram(replace(params, sim_mode=mode)).run(trace)
+                for mode in ("reference", "fast")
+            )
+            assert fast == reference, params
+            assert fast.cycles == cycles, params

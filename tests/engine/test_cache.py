@@ -18,7 +18,7 @@ from repro.engine import (
     point_key,
 )
 from repro.params import SDRAMTiming, SystemParams
-from repro.types import AccessType, Vector, VectorCommand
+from repro.types import AccessType, ExplicitCommand, Vector, VectorCommand
 
 from .injectors import CacheCorruptor
 
@@ -139,6 +139,44 @@ def test_command_trace_label_is_cosmetic():
         trace=CommandTraceSpec(commands=(command,), label="two"),
     )
     assert point_key(a, "s") == point_key(b, "s")
+
+
+def test_pinned_point_keys():
+    """The literal keys of a command trace mixing a vector command that
+    carries data, an explicit command and both access types, and of a
+    kernel-trace point: any change to the key material (not only to
+    its determinism) moves them and orphans every cached result."""
+    commands = (
+        VectorCommand(
+            vector=Vector(base=3, stride=2, length=4),
+            access=AccessType.WRITE,
+            tag="w",
+            data=(7, 8, 9, 10),
+        ),
+        ExplicitCommand(
+            addresses=(5, 21, 6), access=AccessType.READ, broadcast_cycles=2
+        ),
+        VectorCommand(
+            vector=Vector(base=64, stride=19, length=2), access=AccessType.READ
+        ),
+    )
+    mixed = ExperimentPoint(
+        system="pva-sdram",
+        trace=CommandTraceSpec(commands=commands, label="mixed"),
+        params=SystemParams(row_policy="open"),
+    )
+    kernel = ExperimentPoint(
+        system="pva-sram",
+        trace=KernelTraceSpec(
+            kernel="saxpy", stride=19, alignment="element", elements=128
+        ),
+    )
+    assert point_key(mixed, "pinned") == (
+        "68dc18220d1fa79443637769e086b9b14a8ffbd38b976718e4e30c19ccd0fb67"
+    )
+    assert point_key(kernel, "pinned") == (
+        "a9a90efce340ace97103707a350fbf08e7c91ead3b0a564c2628cfe3e65937eb"
+    )
 
 
 def test_canonical_rejects_unkeyable_objects():

@@ -98,8 +98,7 @@ class TestPipeline:
 
     def test_read_data_routed_to_staging(self):
         bc = make_bc()
-        for local, value in ((0, 11), (1, 22)):
-            bc.device.poke(local, value)
+        bc.device.storage.update({0: 11, 1: 22})
         v = Vector(base=0, stride=4, length=2)  # global 0, 4 -> local 0, 1
         bc.broadcast(0, v, False, 0)
         issued = drive(bc, 20)
@@ -109,8 +108,7 @@ class TestPipeline:
 
     def test_explicit_broadcast(self):
         bc = make_bc()
-        bc.device.poke(10, 5)
-        bc.device.poke(2, 6)
+        bc.device.storage.update({10: 5, 2: 6})
         # Addresses 40 and 8 belong to bank 0 (mod 4), locals 10 and 2.
         count = bc.broadcast_explicit(
             0, addresses=(40, 9, 8), is_write=False, cycle=0

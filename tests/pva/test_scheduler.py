@@ -71,7 +71,7 @@ class TestSingleRequest:
         last_commit = issued[-1][1].data_cycle
         assert bc.write_complete(0, last_commit)
         # The data actually landed in storage (local words 0..3).
-        assert [bc.device.peek(i) for i in range(4)] == [50, 51, 52, 53]
+        assert [bc.device.storage[i] for i in range(4)] == [50, 51, 52, 53]
 
     def test_non_power_of_two_pays_fhc_latency(self):
         bc_pow2 = make_bc()

@@ -160,9 +160,11 @@ class TestQueueMath:
     def test_pending_ledger_settles_idle_up_to_call_cycle(self):
         soa = _automaton()
         soa.broadcast_pairs(0, _only(0, ((3, 0),)), False, 9, None, None, 9)
-        assert soa.pending[0]
+        # Idle from the run's start to the call cycle, then no open idle
+        # span: the bank is stalled until it acts.
         assert soa.idle_c[0] == 9
-        assert soa.acct[0] == 9
+        assert soa.idle_since[0] == -1
+        assert soa.idle_since[1] == 0
 
     def test_explicit_broadcast_builds_one_table_for_all_banks(self):
         soa = _automaton()

@@ -124,10 +124,17 @@ class TestStorage:
         with pytest.raises(SchedulingError):
             device.column(3, 2, is_write=True, value=None)
 
-    def test_peek_poke(self, device):
-        device.poke(100, 7)
-        assert device.peek(100) == 7
-        assert device.peek(101) == 0
+    def test_columns_use_the_given_storage(self):
+        """The device reads and writes the dict it was built over (the
+        system's per-bank storage); a write's data cycle is its write
+        recovery, ``t_wr`` after the column."""
+        storage = {100: 7}
+        device = SDRAMDevice(TIMING, bus_turnaround=1, storage=storage)
+        device.activate(0, 0)
+        assert device.column(100, 2, is_write=False) == (4, 7)
+        assert device.column(101, 3, is_write=False) == (5, 0)
+        assert device.column(102, 5, is_write=True, value=9) == (6, None)
+        assert storage == {100: 7, 102: 9}
 
     def test_stats_aggregation(self, device):
         device.activate(0, 0)

@@ -36,11 +36,14 @@ class TestSRAM:
 
     def test_storage(self, device):
         device.column(7, 0, is_write=True, value=11)
-        device.poke(8, 22)
-        assert device.peek(7) == 11
-        assert device.peek(8) == 22
+        device.storage[8] = 22
+        assert device.storage == {7: 11, 8: 22}
         _, value = device.column(7, 3, is_write=True, value=12)
-        assert device.peek(7) == 12
+        assert device.storage[7] == 12
+
+    def test_write_data_lands_after_the_access_time(self):
+        device = SRAMDevice(SRAMTiming(access_cycles=3), bus_turnaround=1)
+        assert device.column(7, 0, is_write=True, value=11) == (3, None)
 
     def test_write_requires_data(self, device):
         with pytest.raises(SchedulingError):

@@ -27,6 +27,7 @@ from repro.errors import ConfigurationError
 from repro.interleave.schemes import InterleaveScheme
 from repro.kernels import ALIGNMENTS, KERNELS
 from repro.params import SDRAMTiming, SystemParams
+from repro.pva.rowpolicy import ClosePolicy, OpenPolicy
 from repro.types import AccessType, ExplicitCommand, Vector, VectorCommand
 
 from .differential import (
@@ -179,15 +180,42 @@ def test_non_power_of_two_internal_banks_unconstructible():
 
 @pytest.mark.parametrize("policy", ROW_POLICIES)
 def test_row_policies(paths, policy):
-    """The walk issues whole same-row runs as bursts only under the
-    paper policy; every other policy takes one column per probe and
-    asks the policy object for each auto-precharge decision."""
+    """The walk issues whole same-row runs as bursts under the paper
+    and open policies, which cannot close a row before its run ends;
+    close and history take one column per probe.  Open and close
+    answer every auto-precharge with a fixed decision, and history is
+    asked at every column."""
     params = SystemParams(
         row_policy=policy, sdram=SDRAMTiming(refresh_interval=700)
     )
     for kernel, stride in (("saxpy", 19), ("scale", 1), ("swap", 4)):
         trace = kernel_trace(params, kernel, stride, elements=128)
         assert_equivalent(paths, "pva-sdram", params, trace)
+
+
+@pytest.mark.parametrize("policy", (OpenPolicy, ClosePolicy), ids=["open", "close"])
+def test_fixed_answer_policies_are_never_asked(paths, monkeypatch, policy):
+    """Open never closes a row and close always does, so the fast walk
+    uses that answer and never calls their ``decide``; the reference
+    asks at every column, and the two backends still agree."""
+    asked = []
+    decide = policy.decide
+
+    def spy(self, *args, **kwargs):
+        asked.append(args or kwargs)
+        return decide(self, *args, **kwargs)
+
+    monkeypatch.setattr(policy, "decide", spy)
+    params = SystemParams(
+        row_policy=policy.name, sdram=SDRAMTiming(refresh_interval=700)
+    )
+    traces = [kernel_trace(params, "saxpy", 19, elements=128), SCATTER_GATHER]
+    fast = build_system("pva-sdram", replace(params, sim_mode="fast"))
+    for trace in traces:
+        fast.run(trace)
+    assert asked == []
+    assert_equivalent(paths, "pva-sdram", params, *traces)
+    assert asked
 
 
 def test_multichannel(paths):
