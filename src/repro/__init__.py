@@ -7,7 +7,7 @@ The library provides:
   word-interleaved memories, the general cache-line-interleave algorithm,
   PLA implementation models and SplitVector;
 * a cycle-level simulator of the PVA memory controller (``repro.pva``)
-  over parametric SDRAM/SRAM device models;
+  over one parametric bank device model for SDRAM and SRAM;
 * the paper's comparison systems (``repro.baselines``), kernels and trace
   generation (``repro.kernels``), and the experiment harness
   (``repro.experiments``) regenerating every figure and table;

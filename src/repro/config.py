@@ -167,6 +167,20 @@ class SDRAMTiming:
                 f"row_words must be a power of two, got {self.row_words}"
             )
 
+    #: Rows open and close: the bank has internal banks with row
+    #: buffers, restimers and refresh.
+    has_rows = True
+
+    @property
+    def read_latency(self) -> int:
+        """Cycles from a read column to its datum on the pins."""
+        return self.cas_latency
+
+    @property
+    def write_latency(self) -> int:
+        """Cycles from a write column to its data landing."""
+        return self.t_wr
+
     @property
     def row_miss_penalty(self) -> int:
         """Cycles added by a row conflict versus an open-row hit."""
@@ -180,9 +194,20 @@ class SRAMTiming:
 
     access_cycles: int = 1
 
+    #: No rows: every local word is its own column, and only the shared
+    #: data pins constrain an access.
+    has_rows = False
+
     def __post_init__(self) -> None:
         if self.access_cycles < 1:
             raise ConfigurationError("access_cycles must be >= 1")
+
+    @property
+    def read_latency(self) -> int:
+        """Cycles from an access to its data, read or write."""
+        return self.access_cycles
+
+    write_latency = read_latency
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Ties together the parallelizing logic (FirstHit Predict, Request FIFO /
 Register File, FirstHit Calculate), the access scheduler with its vector
-contexts, and the staging units.  Each BC owns one memory device (SDRAM
-module or idealized SRAM) and is driven by the PVA front end:
+contexts, and the staging units.  Each BC owns one memory device (a
+:class:`~repro.sdram.device.BankDevice`, SDRAM module or idealized SRAM)
+and is driven by the PVA front end:
 
 * :meth:`broadcast` — the BC's view of a VEC_READ / VEC_WRITE on the bus;
 * :meth:`tick` — one clock of scheduler work, returning any column
@@ -68,9 +69,7 @@ class BankController:
         #: Refresh is consulted per tick only when the device actually
         #: schedules refreshes (None-ness of next_refresh_cycle is fixed
         #: at construction).
-        self._check_refresh = (
-            device.has_rows and device.next_refresh_cycle is not None
-        )
+        self._check_refresh = device.next_refresh_cycle is not None
 
     # ----------------------------------------------------------------- #
     # Bus-side interface

@@ -54,7 +54,6 @@ from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.pla import shared_k1_pla
-from repro.params import SRAMTiming
 
 __all__ = [
     "HitTable",
@@ -81,10 +80,11 @@ _GEOM_FLAT = "flat"
 def schedule_geometry(timing) -> Tuple:
     """The hashable descriptor of how a bank's memory decodes a local
     word, part of the broadcast memo key: ``("rot", row_bits, ib_bits)``
-    for :class:`~repro.params.SDRAMTiming`, whose consecutive rows rotate
-    internal banks (see ``SDRAMDevice.locate``), and ``("flat",)`` for
-    :class:`~repro.params.SRAMTiming`, one always-open row."""
-    if isinstance(timing, SRAMTiming):
+    for a timing record with rows (:class:`~repro.params.SDRAMTiming`),
+    whose consecutive rows rotate internal banks (see
+    ``BankDevice.locate``), and ``("flat",)`` for a rowless one
+    (:class:`~repro.params.SRAMTiming`), one always-open row."""
+    if not timing.has_rows:
         return (_GEOM_FLAT,)
     return (
         _GEOM_ROTATED,
@@ -145,7 +145,7 @@ def _table(
     kind = geometry[0]
     if kind == _GEOM_ROTATED:
         # SDRAM: consecutive rows rotate internal banks
-        # (see SDRAMDevice.locate).  A row-sequence number names one
+        # (see BankDevice.locate).  A row-sequence number names one
         # (internal bank, row) pair, so runs are equal-sequence spans.
         row_bits, ib_bits = geometry[1], geometry[2]
         ib_mask = (1 << ib_bits) - 1

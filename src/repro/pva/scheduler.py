@@ -81,7 +81,7 @@ class AccessScheduler:
         self.device = device
         self.bank = bank
         self.window: List[VectorContext] = []  # oldest first
-        num_ib = params.sdram.internal_banks if device.has_rows else 1
+        num_ib = device.internal_banks
         self.policy = make_row_policy(params.row_policy, num_ib)
         self._last_row_seen: List[Optional[int]] = [None] * num_ib
         self._activated_since_column = [False] * num_ib

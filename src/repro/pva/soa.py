@@ -22,11 +22,12 @@ bank.  This module models the same banks as one table-driven automaton:
 **Ownership.**  A fast :class:`~repro.pva.system.PVAMemorySystem` builds
 the automaton over its per-bank storage dicts, which the walk writes in
 place, and its command-log slots; it builds no device model.  The
-automaton takes every timing from ``params.sdram`` (``memory="sdram"``)
-or ``params.sram`` (``memory="sram"``), and owns all other bank state
-and keeps it across runs: open rows, restimer deadlines, pin state,
-refresh deadlines, FHC occupancy, row-policy and predictor state, and
-the device counters.  Each run binds its front end and bus
+automaton takes every timing from its memory's record (``params.sdram``
+or ``params.sram``, whose ``has_rows`` says whether rows, internal banks
+and refresh exist), and owns all other bank state and keeps it across
+runs: open rows, restimer deadlines, pin state, refresh deadlines, FHC
+occupancy, the row-policy state its policy reads, and the device
+counters.  Each run binds its front end and bus
 (:meth:`SoaBankAutomaton.bind`) and drops them on every exit.
 
 **Run-ahead batching.**  Banks interact with the rest of the system only
@@ -97,7 +98,7 @@ at the run's last column, the only one that can close the row, and
 **Command logs.**  When a bank's log slot holds a
 :class:`~repro.sim.trace_log.CommandLog`, the walk records each
 PRECHARGE, ACTIVATE and READ/WRITE(_AP) it issues with the fields the
-device models write (a burst logs one column per cycle, only its last
+device model writes (a burst logs one column per cycle, only its last
 carrying the auto-precharge); an unlogged run pays one ``is not None``
 test per walk action.
 """
@@ -116,7 +117,7 @@ from repro.pva.schedule import (
     schedule_cache_info,
     schedule_geometry,
 )
-from repro.pva.rowpolicy import make_row_policy
+from repro.pva.rowpolicy import HistoryPolicy
 from repro.sdram.commands import SDRAMCommand
 from repro.sdram.devstats import DeviceStats
 from repro.sim.events import HORIZON
@@ -180,32 +181,29 @@ class SoaBankAutomaton:
 
     name = "banks"
 
-    def __init__(self, storage, logs, params, pla, memory: str):
+    def __init__(self, storage, logs, params, pla, timing):
         n = len(storage)
         self.n = n
         self.storage = storage
         self.logs = logs
         self.front = self.bus = None
 
-        self.has_rows = memory == "sdram"
+        self.read_lat = timing.read_latency
+        #: Cycles from a write column to its data landing.
+        self.t_wr = timing.write_latency
+        self.has_rows = timing.has_rows
         if self.has_rows:
-            timing = params.sdram
             self.nib = timing.internal_banks
-            #: Cycles from a write column to its data landing.
-            self.t_wr = timing.t_wr
             self.t_rcd = timing.t_rcd
             self.t_rp = timing.t_rp
             self.t_rfc = timing.t_rfc
-            self.read_lat = timing.cas_latency
             self.refresh_interval = timing.refresh_interval
             col_mask = timing.row_words - 1
         else:
-            timing = params.sram
             self.nib = 1
             self.t_rcd = self.t_rp = self.t_rfc = 0
-            self.read_lat = self.t_wr = timing.access_cycles
             self.refresh_interval = 0
-            col_mask = -1  # the SRAM logs the whole local word
+            col_mask = -1  # a rowless memory logs the whole local word
         #: Logged column address: ``local_word & col_mask``.
         self.col_mask = col_mask
         self.ta = params.bus_turnaround
@@ -247,20 +245,25 @@ class SoaBankAutomaton:
         self._rqf: List[deque] = [deque() for _ in range(n)]
         self._win: List[list] = [[] for _ in range(n)]
         policy = params.row_policy
-        self.policies = [make_row_policy(policy, nib) for _ in range(n)]
         self.paper = policy == "paper"
-        #: ManageRow's autoprecharge predictor bits, per bank.
-        if self.paper:
-            self.predict = [p.autoprecharge_predict for p in self.policies]
         #: The walk's answer when it need not ask the policy (a rowless
-        #: SRAM never auto-precharges), else None.
+        #: memory never auto-precharges), else None: ``_decide_ap`` asks
+        #: ManageRow or the history predictor, and only then is there
+        #: row-policy state to keep.
         self.fixed_ap = _FIXED_AP.get(policy) if self.has_rows else False
         #: Same-row runs burst unless the policy may close a row early.
         self.burst = self.paper or self.fixed_ap is False
-        #: Per bank and internal bank: the row of the last activate
-        #: (predictor training) and whether it is still unread.
-        self.lrs = [[None] * nib for _ in range(n)]
-        self.asc = [[False] * nib for _ in range(n)]
+        if self.fixed_ap is None:
+            #: Per bank and internal bank: is the last activated row
+            #: still unread?
+            self.asc = [[False] * nib for _ in range(n)]
+            if self.paper:
+                #: ManageRow's autoprecharge predictor bits, and the row
+                #: of the last activate it trains on.
+                self.predict = [[False] * nib for _ in range(n)]
+                self.lrs = [[None] * nib for _ in range(n)]
+            else:
+                self.policies = [HistoryPolicy(nib) for _ in range(n)]
 
     def bind(self, front, bus) -> None:
         """Start a run: attach its front end and bus, and open a fresh
@@ -365,8 +368,9 @@ class SoaBankAutomaton:
         t_rcd = self.t_rcd
         fixed_ap = self.fixed_ap
         burst = self.burst
+        paper = self.paper
         # Only ManageRow on SDRAM trains on a request's first operation.
-        issued = not (self.paper and has_rows)
+        issued = not (paper and has_rows)
         outstanding = self.outstanding
         fully_issued = self.fully_issued
         for b in range(self.n):
@@ -491,8 +495,10 @@ class SoaBankAutomaton:
                                         col[u] = hold
                                     if hold > pre[u]:
                                         pre[u] = hold
-                                    self.lrs[b][ib] = row
-                                    self.asc[b][ib] = True
+                                    if fixed_ap is None:
+                                        self.asc[b][ib] = True
+                                        if paper:
+                                            self.lrs[b][ib] = row
                                     self.ib_act[u] += 1
                                     if log is not None:
                                         log.record(
@@ -702,8 +708,8 @@ class SoaBankAutomaton:
         auto_precharge: bool,
     ) -> None:
         """Record columns to ``words`` issued one per cycle from ``t``,
-        as ``SDRAMDevice.column_at`` (or ``SRAMDevice.column``) logs
-        them; only the last carries the auto-precharge."""
+        as ``BankDevice.column_at`` logs them; only the last carries the
+        auto-precharge."""
         plain = SDRAMCommand.column(w)
         closing = SDRAMCommand.column(w, auto_precharge)
         mask = self.col_mask
@@ -720,7 +726,7 @@ class SoaBankAutomaton:
             )
 
     def _do_refresh(self, b: int, cycle: int) -> None:
-        """SDRAMDevice.maybe_refresh at ``cycle``: book the refresh
+        """BankDevice.maybe_refresh at ``cycle``: book the refresh
         cycle busy (cutting it out of an open idle span), then close
         every row, block activates for ``t_rfc`` and advance the
         deadline."""

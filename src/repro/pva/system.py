@@ -19,11 +19,13 @@ BCs reverses.
 
 The system owns each bank's memory (a plain ``storage`` dict) and
 command-log slot.  The banks sit behind one *bank side*, built with the
-system over them: the reference object graph (:class:`_BankComponent`,
-whose SDRAM or SRAM device models read and write the same dicts) or the
-fast automaton (:class:`~repro.pva.soa.SoaBankAutomaton`, which builds
-no device model).  Each owns its banks' timing state across runs and
-answers the same calls, so nothing else asks which backend runs.
+system over them from the memory's timing record (``params.sdram`` or
+``params.sram``): the reference object graph (:class:`_BankComponent`,
+whose :class:`~repro.sdram.device.BankDevice` models read and write the
+same dicts) or the fast automaton
+(:class:`~repro.pva.soa.SoaBankAutomaton`, which builds no device
+model).  Each owns its banks' timing state across runs and answers the
+same calls, so nothing else asks which backend runs.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from repro.params import SystemParams
 from repro.bus.vector_bus import VectorBus
 from repro.pva.bank_controller import BankController
 from repro.pva.soa import SoaBankAutomaton
-from repro.sdram.device import DeviceStats, SDRAMDevice
-from repro.sram.device import SRAMDevice
+from repro.sdram.device import BankDevice, DeviceStats
 from repro.sim.events import HORIZON
 from repro.sim.kernel import SimKernel
 from repro.sim.runner import Watchdog
@@ -51,9 +52,9 @@ from repro.types import AccessType, ExplicitCommand, VectorCommand
 
 AnyCommand = Union[VectorCommand, ExplicitCommand]
 
-#: The reference backend's device model for each bank memory
-#: technology; its timing is the ``SystemParams`` field of that name.
-_DEVICE_MODELS = {"sdram": SDRAMDevice, "sram": SRAMDevice}
+#: The bank memory technologies, each timed by the ``SystemParams``
+#: field of its name.
+_MEMORIES = ("sdram", "sram")
 
 
 def _command_words(command: AnyCommand) -> frozenset:
@@ -551,10 +552,9 @@ class PVAMemorySystem:
     ):
         self.params = params or SystemParams()
         self.name = name
-        if memory not in _DEVICE_MODELS:
+        if memory not in _MEMORIES:
             raise ConfigurationError(
-                f"memory must be one of {tuple(_DEVICE_MODELS)}, "
-                f"got {memory!r}"
+                f"memory must be one of {_MEMORIES}, got {memory!r}"
             )
         self.memory = memory
         if interleave is not None and (
@@ -590,9 +590,9 @@ class PVAMemorySystem:
     def reset(self) -> None:
         """Discard all memory contents and statistics, returning the
         system to its just-constructed state.  Idempotent.  Makes each
-        bank's storage dict and (empty) command-log slot, and the bank
-        side ``sim_mode`` names over them, which owns all other bank
-        state.
+        bank's storage dict and (empty) command-log slot, and over them
+        the bank side ``sim_mode`` names, built from the memory's timing
+        record, which owns all other bank state.
         """
         #: Set while a run is inside the kernel loop; still set after a
         #: run that raised (a watchdog timeout, say), whose banks hold
@@ -603,19 +603,18 @@ class PVAMemorySystem:
             {} for _ in range(params.num_banks)
         ]
         self.logs: List = [None] * params.num_banks
+        timing = getattr(params, self.memory)
         if params.sim_mode == "fast":
             self._bank_side = SoaBankAutomaton(
-                self.storage, self.logs, params, self._pla, self.memory
+                self.storage, self.logs, params, self._pla, timing
             )
         else:
-            model = _DEVICE_MODELS[self.memory]
-            timing = getattr(params, self.memory)
             self._bank_side = _BankComponent(
                 [
                     BankController(
                         bank,
                         params,
-                        model(timing, params.bus_turnaround, storage),
+                        BankDevice(timing, params.bus_turnaround, storage),
                         self._pla,
                     )
                     for bank, storage in enumerate(self.storage)
@@ -630,7 +629,7 @@ class PVAMemorySystem:
         return self._bank_side.banks
 
     @property
-    def devices(self) -> List[Union[SDRAMDevice, SRAMDevice]]:
+    def devices(self) -> List[BankDevice]:
         """The device models, indexed by bank, each over its bank's
         :attr:`storage`: only a reference system has them (a fast system
         raises AttributeError)."""

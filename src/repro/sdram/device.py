@@ -1,11 +1,20 @@
-"""One SDRAM bank module: internal banks, shared data pins, storage.
+"""One bank module, SDRAM or SRAM: internal banks, shared data pins,
+storage.
 
 The prototype's memory is 16 such modules, each a 32-bit wide SDRAM bank
-(two Micron x16 parts) with four internal banks.  The device model:
+(two Micron x16 parts) with four internal banks.  The PVA-SRAM
+comparison system (section 6.1) puts the same controller over banks that
+"incur no precharge or RAS latencies": the same module with its row
+machinery removed.  So one device class models both, driven by the
+bank's timing record (:class:`~repro.params.SDRAMTiming` or
+:class:`~repro.params.SRAMTiming`, whose ``has_rows`` says which).  The
+device model:
 
 * maps a *local word index* (the bank-controller address space) to
-  ``(internal bank, row, column)``;
-* enforces per-internal-bank timing via :class:`~repro.sdram.bank.InternalBank`;
+  ``(internal bank, row, column)``; a rowless memory decodes every word
+  to its own column of internal bank 0, row 0;
+* enforces per-internal-bank timing via :class:`~repro.sdram.bank.InternalBank`
+  and runs auto-refresh, when the memory has rows;
 * enforces the shared data-pin constraints: one CAS per cycle, plus a
   one-cycle bus turnaround whenever the data direction reverses
   (section 5.2.5);
@@ -19,17 +28,17 @@ the behaviour the access scheduler's heuristics exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import SchedulingError
-from repro.params import SDRAMTiming
+from repro.params import SDRAMTiming, SRAMTiming
 from repro.sdram.bank import InternalBank
 from repro.sdram.commands import SDRAMCommand
 from repro.sdram.devstats import DeviceStats
 from repro.sim.trace_log import CommandEvent
 
-__all__ = ["Location", "DeviceStats", "SDRAMDevice"]
+__all__ = ["Location", "DeviceStats", "BankDevice"]
 
 
 @dataclass(frozen=True)
@@ -41,11 +50,14 @@ class Location:
     column: int
 
 
-class SDRAMDevice:
-    """A 32-bit-wide SDRAM bank module with ``internal_banks`` row buffers."""
+class BankDevice:
+    """A 32-bit-wide bank module: ``internal_banks`` row buffers when its
+    timing has rows, else one rowless uniform-access memory."""
 
     __slots__ = (
         "timing",
+        "has_rows",
+        "internal_banks",
         "bus_turnaround",
         "banks",
         "_ib_mask",
@@ -64,25 +76,33 @@ class SDRAMDevice:
         "refreshes",
     )
 
-    #: Marks this device as having row state (the scheduler checks this
-    #: instead of isinstance tests; the SRAM model sets it False).
-    has_rows = True
-
     def __init__(
         self,
-        timing: SDRAMTiming,
+        timing: Union[SDRAMTiming, SRAMTiming],
         bus_turnaround: int = 1,
         storage: Optional[Dict[int, int]] = None,
     ):
         self.timing = timing
+        self.has_rows = timing.has_rows
         self.bus_turnaround = bus_turnaround
-        self.banks: List[InternalBank] = [
-            InternalBank(i, timing) for i in range(timing.internal_banks)
-        ]
-        self._ib_mask = timing.internal_banks - 1
-        self._ib_bits = timing.internal_banks.bit_length() - 1
-        self._row_mask = timing.row_words - 1
-        self._row_bits = timing.row_words.bit_length() - 1
+        if self.has_rows:
+            nib = timing.internal_banks
+            self.internal_banks = nib
+            self.banks: List[InternalBank] = [
+                InternalBank(i, timing) for i in range(nib)
+            ]
+            self._ib_mask = nib - 1
+            self._ib_bits = nib.bit_length() - 1
+            self._row_mask = timing.row_words - 1
+            self._row_bits = timing.row_words.bit_length() - 1
+            refresh = timing.refresh_interval
+        else:
+            # Rowless: every word is its own column of internal bank 0,
+            # row 0, and no row buffer, restimer or refresh constrains it.
+            self.internal_banks = 1
+            self.banks = []
+            self._row_mask = -1
+            refresh = 0
         #: locate() memo — the mapping is pure, and the scheduler asks
         #: for the same handful of in-flight words every cycle, so
         #: caching the frozen Location wins back the dataclass
@@ -102,9 +122,7 @@ class SDRAMDevice:
         self.log = None
         # Auto-refresh bookkeeping (section 2.2: DRAM charge leaks and
         # every row must be refreshed periodically).
-        self._next_refresh = (
-            timing.refresh_interval if timing.refresh_interval > 0 else None
-        )
+        self._next_refresh = refresh if refresh > 0 else None
         self.refreshes = 0
 
     # ----------------------------------------------------------------- #
@@ -125,11 +143,15 @@ class SDRAMDevice:
         """
         loc = self._loc_cache.get(local_word)
         if loc is None:
-            column = local_word & self._row_mask
-            row_seq = local_word >> self._row_bits
-            internal_bank = row_seq & self._ib_mask
-            row = row_seq >> self._ib_bits
-            loc = Location(internal_bank=internal_bank, row=row, column=column)
+            if self.has_rows:
+                row_seq = local_word >> self._row_bits
+                loc = Location(
+                    internal_bank=row_seq & self._ib_mask,
+                    row=row_seq >> self._ib_bits,
+                    column=local_word & self._row_mask,
+                )
+            else:
+                loc = Location(internal_bank=0, row=0, column=local_word)
             self._loc_cache[local_word] = loc
         return loc
 
@@ -150,10 +172,11 @@ class SDRAMDevice:
         return True
 
     def can_column(self, local_word: int, cycle: int, is_write: bool) -> bool:
-        loc = self.locate(local_word)
-        return self.banks[loc.internal_bank].can_column(
-            cycle, loc.row
-        ) and self.data_pins_ready(cycle, is_write)
+        if self.has_rows:
+            loc = self.locate(local_word)
+            if not self.banks[loc.internal_bank].can_column(cycle, loc.row):
+                return False
+        return self.data_pins_ready(cycle, is_write)
 
     @property
     def next_refresh_cycle(self) -> Optional[int]:
@@ -215,9 +238,9 @@ class SDRAMDevice:
         """Issue one CAS to ``local_word``.
 
         Returns ``(data_cycle, read_value)``: for reads, the cycle the
-        datum appears on the pins (``cycle + cas_latency``) and the stored
-        value; for writes, the cycle the write recovers (``cycle +
-        t_wr``) and ``None``.
+        datum appears on the pins (``cycle`` plus the timing's
+        ``read_latency``) and the stored value; for writes, the cycle the
+        write data lands (plus its ``write_latency``) and ``None``.
         """
         loc = self.locate(local_word)
         return self.column_at(
@@ -248,7 +271,8 @@ class SDRAMDevice:
                 f"data pins busy at cycle {cycle} "
                 f"(last column at {self._last_column_cycle})"
             )
-        self.banks[internal_bank].column(cycle, is_write, auto_precharge)
+        if self.has_rows:
+            self.banks[internal_bank].column(cycle, is_write, auto_precharge)
         if (
             self._last_was_write is not None
             and self._last_was_write != is_write
@@ -271,9 +295,9 @@ class SDRAMDevice:
                 raise SchedulingError("write column issued without data")
             self.storage[local_word] = value
             self.writes += 1
-            return cycle + self.timing.t_wr, None
+            return cycle + self.timing.write_latency, None
         self.reads += 1
-        return cycle + self.timing.cas_latency, self.storage.get(local_word, 0)
+        return cycle + self.timing.read_latency, self.storage.get(local_word, 0)
 
     # ----------------------------------------------------------------- #
     # Statistics

@@ -1,4 +1,4 @@
-"""Device operation counters, shared by the SDRAM and SRAM models.
+"""Device operation counters of a bank device, SDRAM or SRAM.
 
 Lives in its own leaf module so that result types
 (:mod:`repro.sim.stats`) can import it without pulling in the full device

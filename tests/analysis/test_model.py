@@ -93,14 +93,18 @@ def mixed_traces(draw):
 
 
 def _assert_bound_holds_on_both_backends(params, trace):
-    """Neither backend beats the analytic bound, and they agree."""
+    """On both bank memories, neither backend beats the analytic bound,
+    and they agree."""
     bound = pva_lower_bound(trace, params)
-    reference = PVAMemorySystem(replace(params, sim_mode="reference")).run(trace)
-    fast = PVAMemorySystem(replace(params, sim_mode="fast")).run(trace)
-    assert bound <= reference.cycles
-    assert bound <= fast.cycles
-    assert fast.cycles == reference.cycles
-    assert fast.attribution == reference.attribution
+    for memory in ("sdram", "sram"):
+        reference, fast = (
+            PVAMemorySystem(replace(params, sim_mode=mode), memory=memory).run(trace)
+            for mode in ("reference", "fast")
+        )
+        assert bound <= reference.cycles, memory
+        assert bound <= fast.cycles, memory
+        assert fast.cycles == reference.cycles, memory
+        assert fast.attribution == reference.attribution, memory
 
 
 class TestBoundOnRandomSystems:

@@ -121,12 +121,12 @@ def run_and_compare(params, trace, memory="sdram"):
 
 @st.composite
 def random_cases(draw):
-    """A random system (2..64 banks, channels, row policy, refresh) and
-    a program for it.  Rows shrink with the bank count so that each
-    bank's share of the address space spans four rows per internal
-    bank, as on a 4-bank system with 64-word rows: the programs meet
-    row conflicts at every bank count (at the default 512-word rows
-    they would meet none)."""
+    """A random system (2..64 banks, channels, row policy, both
+    memories' timings) and a program for it.  Rows shrink with the bank
+    count so that each bank's share of the address space spans sixteen
+    rows, as on a 4-bank system with 64-word rows: the programs meet
+    row conflicts at every bank count (at 512-word rows they would meet
+    none)."""
     params = draw(random_params())
     rows = ADDRESS_SPACE // params.num_banks // 16
     params = dataclasses.replace(

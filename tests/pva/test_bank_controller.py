@@ -6,7 +6,7 @@ from repro.core.pla import K1PLA
 from repro.errors import CapacityError
 from repro.params import SDRAMTiming, SystemParams
 from repro.pva.bank_controller import BankController
-from repro.sdram.device import SDRAMDevice
+from repro.sdram.device import BankDevice
 from repro.types import Vector
 
 PARAMS = SystemParams(
@@ -17,7 +17,7 @@ PARAMS = SystemParams(
 
 
 def make_bc(params=PARAMS):
-    device = SDRAMDevice(params.sdram, bus_turnaround=params.bus_turnaround)
+    device = BankDevice(params.sdram, bus_turnaround=params.bus_turnaround)
     return BankController(0, params, device, K1PLA(params.num_banks))
 
 

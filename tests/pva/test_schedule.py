@@ -28,7 +28,7 @@ from repro.api import clear_caches
 from repro.core.firsthit import bank_subvector, first_hit, next_hit
 from repro.core.pla import shared_k1_pla
 from repro.kernels import ALIGNMENTS
-from repro.params import SIM_MODES, SDRAMTiming, SystemParams
+from repro.params import SIM_MODES, SDRAMTiming, SRAMTiming, SystemParams
 from repro.pva.schedule import (
     SCHEDULE_CACHE_ELEMENTS,
     broadcast_schedules,
@@ -37,8 +37,7 @@ from repro.pva.schedule import (
     schedule_cache_info,
     schedule_geometry,
 )
-from repro.sdram.device import SDRAMDevice
-from repro.sram.device import SRAMDevice
+from repro.sdram.device import BankDevice
 from repro.types import Vector
 
 
@@ -154,7 +153,7 @@ def _assert_explicit_matches(addresses, num_banks, device):
 
 def _device_for(num_banks, internal_banks=4, row_words=64):
     timing = SDRAMTiming(internal_banks=internal_banks, row_words=row_words)
-    return SDRAMDevice(timing)
+    return BankDevice(timing)
 
 
 STRIDES = [1, 2, 3, 4, 7, 8, 13, 16, 19, 24, 32, 48, 63]
@@ -163,7 +162,7 @@ STRIDES = [1, 2, 3, 4, 7, 8, 13, 16, 19, 24, 32, 48, 63]
 @pytest.mark.parametrize("num_banks", [1, 2, 8, 16, 64])
 @pytest.mark.parametrize("stride", STRIDES)
 def test_schedule_matches_incremental_walk(num_banks, stride):
-    for device in (_device_for(num_banks), SRAMDevice()):
+    for device in (_device_for(num_banks), BankDevice(SRAMTiming())):
         for alignment in ALIGNMENTS:
             params = SystemParams(num_banks=num_banks)
             base = 96 + alignment.offset(1, params)
@@ -174,7 +173,7 @@ def test_schedule_matches_incremental_walk(num_banks, stride):
 @pytest.mark.parametrize("num_banks", [1, 2, 16, 64])
 def test_explicit_table_matches_snooped_pairs(num_banks):
     rng = random.Random(num_banks)
-    for device in (_device_for(num_banks, row_words=16), SRAMDevice()):
+    for device in (_device_for(num_banks, row_words=16), BankDevice(SRAMTiming())):
         for _ in range(10):
             addresses = [
                 rng.randrange(0, 1 << 12) for _ in range(rng.randrange(1, 48))
@@ -184,12 +183,12 @@ def test_explicit_table_matches_snooped_pairs(num_banks):
 
 def _fuzzed_device(rng):
     if rng.random() < 0.2:
-        return SRAMDevice()
+        return BankDevice(SRAMTiming())
     timing = SDRAMTiming(
         internal_banks=rng.choice([1, 2, 4, 8]),
         row_words=rng.choice([16, 64, 512]),
     )
-    return SDRAMDevice(timing)
+    return BankDevice(timing)
 
 
 @pytest.mark.slow
@@ -257,7 +256,7 @@ def test_schedule_agrees_with_pla_ownership():
 
 
 def test_flat_geometry_decodes_to_single_row():
-    device = SRAMDevice()
+    device = BankDevice(SRAMTiming())
     table = broadcast_schedules(0, 3, 16, 4, schedule_geometry(device.timing))
     start, end = table.offsets[1], table.offsets[2]
     assert end - start == 4
@@ -414,12 +413,11 @@ def test_degenerate_stride_hits_base_bank_only():
         assert table.indices == tuple(range(7))
 
 
-def test_precompute_toggle_is_cycle_exact():
-    """Toggling schedule precomputation is cycle-exact: the fast backend
-    reads the closed-form tables, the reference backend expands
-    FirstHit/NextHit live, and both give bit-identical RunResults
-    (cycles, latencies, device stats and attribution) — the table is
-    a representation change, not a timing change."""
+def test_reference_and_fast_are_cycle_exact():
+    """The fast backend reads the closed-form tables and the reference
+    backend expands FirstHit/NextHit live, and both give bit-identical
+    RunResults (cycles, latencies, device stats and attribution) — the
+    table is a representation change, not a timing change."""
     from repro.kernels import alignment_by_name, build_trace, kernel_by_name
     from repro.pva.system import PVAMemorySystem
 

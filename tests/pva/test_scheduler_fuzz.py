@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.pla import K1PLA
 from repro.params import SDRAMTiming, SystemParams
 from repro.pva.bank_controller import BankController
-from repro.sdram.device import SDRAMDevice
+from repro.sdram.device import BankDevice
 from repro.types import Vector
 
 PARAMS = SystemParams(
@@ -35,7 +35,7 @@ PLA = K1PLA(PARAMS.num_banks)
 def run_stream(seed, requests):
     """Feed ``requests`` = [(arrival_gap, vector, is_write)] into one BC
     and drive it dry; return the issued column records."""
-    device = SDRAMDevice(PARAMS.sdram, bus_turnaround=PARAMS.bus_turnaround)
+    device = BankDevice(PARAMS.sdram, bus_turnaround=PARAMS.bus_turnaround)
     bc = BankController(0, PARAMS, device, PLA)
     issued = []
     cycle = 0
@@ -128,7 +128,7 @@ class TestFuzz:
 def test_mixed_direction_never_reorders_same_address():
     """Directed case: write then read of the same words always returns
     the written data (RAW through the scheduler)."""
-    device = SDRAMDevice(PARAMS.sdram, bus_turnaround=1)
+    device = BankDevice(PARAMS.sdram, bus_turnaround=1)
     bc = BankController(0, PARAMS, device, PLA)
     v = Vector(base=0, stride=4, length=8)  # all elements in bank 0
     line = tuple(range(500, 508))

@@ -22,6 +22,12 @@ from repro.kernels import build_trace, kernel_by_name
 from repro.params import SystemParams
 from repro.pva import system as system_module
 from repro.pva.bank_controller import BankController
+from repro.pva.rowpolicy import (
+    ClosePolicy,
+    HistoryPolicy,
+    OpenPolicy,
+    PaperPolicy,
+)
 from repro.pva.schedule import (
     HitTable,
     broadcast_schedules,
@@ -32,10 +38,9 @@ from repro.pva.schedule import (
 from repro.pva.soa import SoaBankAutomaton, soa_cache_info
 from repro.pva.system import PVAMemorySystem
 from repro.sdram.bank import InternalBank
-from repro.sdram.device import SDRAMDevice
+from repro.sdram.device import BankDevice
 from repro.sdram.restimer import Restimer
 from repro.sim.events import HORIZON
-from repro.sram.device import SRAMDevice
 from repro.types import AccessType, Vector, VectorCommand
 
 
@@ -55,7 +60,7 @@ def _automaton(params=None, banks=None):
     bus = SimpleNamespace(busy_until=0)
     n = params.num_banks if banks is None else banks
     soa = SoaBankAutomaton(
-        system.storage[:n], system.logs[:n], params, system._pla, "sdram"
+        system.storage[:n], system.logs[:n], params, system._pla, params.sdram
     )
     soa.bind(front, bus)
     return soa
@@ -351,7 +356,7 @@ class TestOneOwner:
 
     def test_fast_system_builds_no_device_model(self, monkeypatch):
         built = {}
-        for model in (SDRAMDevice, SRAMDevice, InternalBank, Restimer):
+        for model in (BankDevice, InternalBank, Restimer):
             built[model] = []
 
             def spy(self, *args, _model=model, _init=model.__init__, **kwargs):
@@ -373,17 +378,58 @@ class TestOneOwner:
             with pytest.raises(AttributeError):
                 system.devices
         # The spies do see a reference system build one device per
-        # bank, each over the system's own storage dict.
+        # bank, each over the system's own storage dict and timed by its
+        # memory's record; only the SDRAM devices build internal banks.
         reference = replace(params, sim_mode="reference")
-        for name, model in (("pva-sdram", SDRAMDevice), ("pva-sram", SRAMDevice)):
+        for name, timing in (
+            ("pva-sdram", params.sdram),
+            ("pva-sram", params.sram),
+        ):
+            del built[BankDevice][:]
             system = build_system(name, reference)
-            assert built[model] == system.devices
+            assert built[BankDevice] == system.devices
             assert len(system.devices) == params.num_banks
             for bank, device in enumerate(system.devices):
                 assert device.storage is system.storage[bank]
+                assert device.timing is timing
         assert len(built[InternalBank]) == (
             params.num_banks * params.sdram.internal_banks
         )
+
+    def test_fast_system_builds_only_the_policy_state_its_walk_reads(
+        self, monkeypatch
+    ):
+        """Only the history policy is asked through policy objects, one
+        per bank; the paper policy's predictor lives in the automaton,
+        open and close have fixed answers, and a rowless memory never
+        auto-precharges."""
+        built = []
+        for policy in (PaperPolicy, ClosePolicy, OpenPolicy, HistoryPolicy):
+            def spy(self, *args, _init=policy.__init__, **kwargs):
+                built.append(type(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(policy, "__init__", spy)
+        trace = _copy_trace(SystemParams())
+        for row_policy in ("paper", "open", "close", "history"):
+            params = SystemParams(sim_mode="fast", row_policy=row_policy)
+            for name in ("pva-sdram", "pva-sram"):
+                expected = []
+                if name == "pva-sdram" and row_policy == "history":
+                    expected = [HistoryPolicy] * params.num_banks
+                del built[:]
+                system = build_system(name, params)
+                system.run(trace)
+                assert built == expected, (name, row_policy)
+                del built[:]
+                system.reset()
+                system.run(trace)
+                assert built == expected, (name, row_policy)
+        # The spies do see the reference scheduler build one per bank.
+        del built[:]
+        reference = SystemParams(sim_mode="reference", row_policy="history")
+        build_system("pva-sram", reference)
+        assert built == [HistoryPolicy] * reference.num_banks
 
     def test_reset_builds_the_bank_side_of_the_current_mode(self):
         system = build_system(

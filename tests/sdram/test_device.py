@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.params import SDRAMTiming
-from repro.sdram.device import SDRAMDevice
+from repro.sdram.device import BankDevice
 
 TIMING = SDRAMTiming(
     t_rcd=2, cas_latency=2, t_rp=2, t_wr=1, internal_banks=4, row_words=512
@@ -13,7 +13,7 @@ TIMING = SDRAMTiming(
 
 @pytest.fixture
 def device():
-    return SDRAMDevice(TIMING, bus_turnaround=1)
+    return BankDevice(TIMING, bus_turnaround=1)
 
 
 class TestGeometry:
@@ -129,7 +129,7 @@ class TestStorage:
         system's per-bank storage); a write's data cycle is its write
         recovery, ``t_wr`` after the column."""
         storage = {100: 7}
-        device = SDRAMDevice(TIMING, bus_turnaround=1, storage=storage)
+        device = BankDevice(TIMING, bus_turnaround=1, storage=storage)
         device.activate(0, 0)
         assert device.column(100, 2, is_write=False) == (4, 7)
         assert device.column(101, 3, is_write=False) == (5, 0)

@@ -5,19 +5,19 @@ import pytest
 from repro.kernels import build_trace, kernel_by_name
 from repro.params import SDRAMTiming, SystemParams
 from repro.pva.system import PVAMemorySystem
-from repro.sdram.device import SDRAMDevice
+from repro.sdram.device import BankDevice
 from repro.types import AccessType, Vector, VectorCommand
 
 
 class TestDeviceRefresh:
     def test_disabled_by_default(self):
-        device = SDRAMDevice(SDRAMTiming())
+        device = BankDevice(SDRAMTiming())
         assert not device.maybe_refresh(10_000)
         assert device.refreshes == 0
 
     def test_refresh_fires_on_schedule(self):
         timing = SDRAMTiming(refresh_interval=100, t_rfc=8)
-        device = SDRAMDevice(timing)
+        device = BankDevice(timing)
         assert not device.maybe_refresh(50)
         assert device.maybe_refresh(100)
         assert device.refreshes == 1
@@ -26,14 +26,14 @@ class TestDeviceRefresh:
         assert device.refreshes == 2
 
     def test_deadline_advances_one_interval_per_refresh(self):
-        device = SDRAMDevice(SDRAMTiming(refresh_interval=100))
+        device = BankDevice(SDRAMTiming(refresh_interval=100))
         assert device.next_refresh_cycle == 100
         assert device.maybe_refresh(100)
         assert device.next_refresh_cycle == 200
 
     def test_refresh_closes_rows_and_blocks_activates(self):
         timing = SDRAMTiming(refresh_interval=100, t_rfc=8)
-        device = SDRAMDevice(timing)
+        device = BankDevice(timing)
         device.activate(0, 0)
         assert device.open_row(0) == 0
         assert device.maybe_refresh(100)
@@ -45,7 +45,7 @@ class TestDeviceRefresh:
     def test_refresh_embeds_precharge(self):
         """A refreshed bank needs no extra t_rp before reopening."""
         timing = SDRAMTiming(refresh_interval=100, t_rfc=8, t_rp=2)
-        device = SDRAMDevice(timing)
+        device = BankDevice(timing)
         device.activate(0, 0)
         device.maybe_refresh(100)
         device.activate(0, 100 + timing.t_rfc)  # no TimingViolation

@@ -1,15 +1,16 @@
-"""Tests for the idealized SRAM device (section 6.1)."""
+"""Tests for the rowless bank device: the idealized SRAM of section 6.1,
+built from an ``SRAMTiming``."""
 
 import pytest
 
 from repro.errors import SchedulingError
 from repro.params import SRAMTiming
-from repro.sram.device import SRAMDevice
+from repro.sdram.device import BankDevice
 
 
 @pytest.fixture
 def device():
-    return SRAMDevice(SRAMTiming(access_cycles=1), bus_turnaround=1)
+    return BankDevice(SRAMTiming(access_cycles=1), bus_turnaround=1)
 
 
 class TestSRAM:
@@ -42,7 +43,7 @@ class TestSRAM:
         assert device.storage[7] == 12
 
     def test_write_data_lands_after_the_access_time(self):
-        device = SRAMDevice(SRAMTiming(access_cycles=3), bus_turnaround=1)
+        device = BankDevice(SRAMTiming(access_cycles=3), bus_turnaround=1)
         assert device.column(7, 0, is_write=True, value=11) == (3, None)
 
     def test_write_requires_data(self, device):

@@ -30,7 +30,7 @@ from dataclasses import replace
 
 from repro.api import available_systems, build_system
 from repro.kernels import ALIGNMENTS, build_trace, kernel_by_name
-from repro.params import SDRAMTiming, SystemParams
+from repro.params import SDRAMTiming, SRAMTiming, SystemParams
 from repro.pva import system as system_module
 from repro.pva.system import PVAMemorySystem
 from repro.sim.kernel import SimKernel
@@ -232,8 +232,8 @@ def random_trace(rng):
 
 
 def random_params(rng):
-    """Randomized timings, policies, refresh cadences that can expire
-    mid-chain, and context and FIFO depths."""
+    """Randomized timings of both bank memories, policies, refresh
+    cadences that can expire mid-chain, and context and FIFO depths."""
     max_transactions = rng.randint(1, 8)
     return SystemParams(
         num_banks=rng.choice([1, 2, 4, 8, 16]),
@@ -255,5 +255,6 @@ def random_params(rng):
             refresh_interval=rng.choice([0, 40, 150, 700]),
             t_rfc=rng.randint(2, 10),
         ),
+        sram=SRAMTiming(access_cycles=rng.randint(1, 4)),
     )
 

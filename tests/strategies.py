@@ -4,14 +4,16 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.params import ROW_POLICIES, SDRAMTiming, SystemParams
+from repro.params import ROW_POLICIES, SDRAMTiming, SRAMTiming, SystemParams
 from repro.workloads.random_traces import RandomTraceConfig, random_trace
 
 
 @st.composite
 def random_params(draw):
     """A random system: 2..64 banks on 1..4 channels, any row policy,
-    refresh off, short or long."""
+    and random timings for both bank memories: every SDRAM field within
+    its validation (refresh off, short or long) and an SRAM access time
+    of one to four cycles."""
     num_banks = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
     return SystemParams(
         num_banks=num_banks,
@@ -19,7 +21,17 @@ def random_params(draw):
             st.sampled_from([c for c in (1, 2, 4) if c <= num_banks])
         ),
         row_policy=draw(st.sampled_from(ROW_POLICIES)),
-        sdram=SDRAMTiming(refresh_interval=draw(st.sampled_from([0, 97, 780]))),
+        sdram=SDRAMTiming(
+            t_rcd=draw(st.integers(1, 4)),
+            cas_latency=draw(st.integers(1, 4)),
+            t_rp=draw(st.integers(1, 4)),
+            t_wr=draw(st.integers(0, 3)),
+            internal_banks=draw(st.sampled_from([1, 2, 4, 8])),
+            row_words=draw(st.sampled_from([16, 64, 512])),
+            refresh_interval=draw(st.sampled_from([0, 97, 780])),
+            t_rfc=draw(st.integers(1, 10)),
+        ),
+        sram=SRAMTiming(access_cycles=draw(st.integers(1, 4))),
     )
 
 

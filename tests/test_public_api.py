@@ -48,6 +48,5 @@ class TestExports:
         import repro.pva
         import repro.sdram
         import repro.sim
-        import repro.sram
         import repro.vm
         import repro.workloads
