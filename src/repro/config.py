@@ -63,12 +63,19 @@ __all__ = [
     "log2_exact",
 ]
 
-#: Version stamp of the canonical config document (and, by adoption, of
-#: the engine cache schema).  v4: nested device/topology documents —
-#: ``sram`` timing and channel/rank geometry join the schema; the legacy
-#: ``time_skip``/``precompute`` aliases leave it.  v5: ``"window"`` joins
-#: the ``sim_mode`` ladder.  v6: the ladder collapses to ``"reference"``/``"fast"`` (default
-#: ``"fast"``) — every stored mode label changes meaning.
+#: Version stamp of the canonical config document.  The engine adopts it
+#: twice: in the salt of every point key
+#: (:data:`repro.engine.spec.CACHE_SCHEMA_VERSION`) and as the stamp on
+#: every stored result (:data:`repro.engine.cache.SCHEMA_VERSION`).
+#: History: v2: point keys canonicalize the ``precompute`` parameter and
+#: stored documents carry ``schema_version``.  v3: keys canonicalize the
+#: resolved ``sim_mode`` label and documents record the producing mode.
+#: v4: nested device/topology documents — ``sram`` timing and
+#: channel/rank geometry join the identity, the legacy
+#: ``time_skip``/``precompute`` aliases leave it, and documents carry
+#: ``config``/``config_key``.  v5: ``"window"`` joins the ``sim_mode``
+#: ladder.  v6: the ladder collapses to ``"reference"``/``"fast"``
+#: (default ``"fast"``) — every stored mode label changes meaning.
 CONFIG_SCHEMA_VERSION = 6
 
 #: The two simulation backends.  Both are bit-exact with each other

@@ -35,24 +35,17 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Union
 
+from repro.config import CONFIG_SCHEMA_VERSION
 from repro.errors import CacheIntegrityError
 
 __all__ = ["ResultCache", "SCHEMA_VERSION"]
 
-#: Document-format version stamped into every stored entry.  Bumped when
-#: the stored fields change meaning (version 2: point keys canonicalize
-#: the ``precompute`` system parameter; version 3: keys canonicalize the
-#: resolved ``sim_mode`` label and documents record the producing mode).
-#: Entries stamped differently — or not at all — are recomputed rather
-#: than reinterpreted, even if a key collision ever served one across
-#: versions.  Version 4: keys and documents adopt the canonical
-#: ``SystemParams.to_dict()`` config document (channel/rank topology and
-#: ``sram`` timing join the identity) and documents carry
-#: ``config``/``config_key``.  Version 5: ``sim_mode="window"`` joins
-#: the ladder — documents record the producing mode, so widening the
-#: enum invalidates stored entries.  Version 6: the ladder collapses to
-#: ``"reference"``/``"fast"``, so every recorded mode label changes.
-SCHEMA_VERSION = 6
+#: Document-format version stamped into every stored entry: the config
+#: schema (:data:`repro.config.CONFIG_SCHEMA_VERSION`, which keeps the
+#: history).  Entries stamped differently — or not at all — are
+#: recomputed rather than reinterpreted, even if a key collision ever
+#: served one across versions.
+SCHEMA_VERSION = CONFIG_SCHEMA_VERSION
 
 
 def _valid_document(document) -> bool:

@@ -40,19 +40,9 @@ __all__ = [
     "build_point_trace",
 ]
 
-#: Bump when the simulator's timing semantics or the key layout change:
-#: the salt folds this into every key, invalidating stale cache entries.
-#: Version 2: SystemParams grew ``precompute`` (canonicalized into every
-#: point key) and documents carry ``schema_version``.
-#: Version 3: SystemParams grew ``sim_mode`` (the resolved backend label
-#: lands in every point key through the params canonicalization) and
-#: cached documents record the producing mode.
-#: Version 4: the key adopts the canonical ``SystemParams.to_dict()``
-#: document (:data:`repro.config.CONFIG_SCHEMA_VERSION`) — nested
-#: topology/sdram/sram sub-documents, channel/rank geometry and ``sram``
-#: timing join the identity; the legacy boolean aliases leave it — and
-#: cached documents carry ``config``/``config_key``.
-#: Versions 5 and 6 follow the config schema's ``sim_mode`` changes.
+#: The salt folds this into every point key, so bumping
+#: :data:`repro.config.CONFIG_SCHEMA_VERSION` (which keeps the history)
+#: invalidates every stale cache entry.
 CACHE_SCHEMA_VERSION = CONFIG_SCHEMA_VERSION
 
 

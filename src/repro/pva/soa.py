@@ -41,8 +41,8 @@ loop, through a whole *batch* of its events ahead of kernel time, up to
 ``h = max(cycle + 1, bus.busy_until, front.next_issue_allowed)``
 
 (or unbounded once the command trace is drained) — a proven lower bound
-on the next broadcast call cycle, because the front end ticks first in
-registration order and both terms are monotone and only front-mutated.
+on the next broadcast call cycle, because the front end's issue phase
+ticks first and both terms are monotone and only front-mutated.
 Within ``[bound, h)`` nothing external can change a bank's inputs, so
 replaying its event chain early is exact.
 
@@ -173,10 +173,10 @@ class SoaBankAutomaton:
 
     ``storage`` and ``logs`` are the system's per-bank memory dicts and
     command-log slots (``None``: unlogged), read in place, so a log
-    attached between runs records the next one.  Each run registers the
-    automaton with the kernel, between :meth:`bind` and :meth:`unbind`,
-    as a single component that reports the sixteen ``bank-*`` ledger
-    entries.
+    attached between runs records the next one.  Each run hands the
+    automaton to the kernel, between :meth:`bind` and :meth:`unbind`,
+    as its single ``banks`` component, which reports the sixteen
+    ``bank-*`` ledger entries.
     """
 
     name = "banks"

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.decode import TopologyDecoder
@@ -101,12 +102,17 @@ def _check_complete(txn: _Transaction, event: str) -> None:
 
 
 class _FrontEnd:
-    """The PVA front end as a kernel component: transaction-id releases
-    plus the one-bus-action-per-cycle arbitration between staging
-    transfers and new command broadcasts.  Owns the shared per-run
-    bookkeeping the bank and completion components report into, and
-    reports the vector bus's ledger entry: the bus never acts on its
-    own, it carries what the front end schedules."""
+    """The PVA front end, owner of every transaction from issue to
+    retirement (section 5.2.6).
+
+    Its issue phase (:meth:`tick`, the kernel's ``front-end``) releases
+    transaction ids and arbitrates the one bus action per cycle between
+    staging transfers and new command broadcasts.  Its completion phase
+    (:meth:`retire`, ticked after the banks as the kernel's
+    ``completion``) watches the wired-OR transaction-complete lines.  It
+    owns the id pool, the transaction table the banks report into and
+    both phases' ledgers, and reports the vector bus's ledger entry: the
+    bus never acts on its own, it carries what the front end schedules."""
 
     name = "front-end"
 
@@ -125,7 +131,7 @@ class _FrontEnd:
         self.free_ids: Deque[int] = deque(range(self.max_transactions))
         self.outstanding: Dict[int, _Transaction] = {}
         #: Transactions whose last element has issued, awaiting their
-        #: last data cycle (appended by the banks, read by completion).
+        #: last data cycle (appended by the banks, read by :meth:`retire`).
         self.fully_issued: List[_Transaction] = []
         self.stage_queue: Deque[_Transaction] = deque()
         #: (cycle, txn_id) in release order: STAGE_READ transfers
@@ -148,9 +154,9 @@ class _FrontEnd:
         # most once per trace index, only when a hazard check needs it).
         self._waw_words: frozenset = frozenset()
         self._waw_cmd = -1
-        #: The front end's ledger (pending: work remains) and the
-        #: completion unit's (pending: a transaction is outstanding).
-        #: Each component marks the other's where it changes that state.
+        #: The issue phase's ledger (pending: work remains) and the
+        #: completion phase's (pending: a transaction is outstanding).
+        #: Each phase marks the other's where it changes that state.
         self.ledger = SpanLedger()
         self.completion_ledger = SpanLedger()
 
@@ -256,54 +262,35 @@ class _FrontEnd:
                     if isinstance(command, ExplicitCommand)
                     else 1
                 )
+                is_write = command.access is AccessType.WRITE
                 expected = _command_length(command)
-                if command.access is AccessType.READ:
-                    # A multi-cycle broadcast (explicit address
-                    # stream) only finishes delivering addresses on
-                    # its last bus cycle; the banks cannot act on the
-                    # command before then.
-                    self.system._broadcast(
-                        txn_id, command, cycle + request_cycles - 1, None, cycle
-                    )
-                    self.bus.broadcast_request(cycle, request_cycles)
-                    self.outstanding[txn_id] = _Transaction(
-                        txn_id=txn_id,
-                        trace_index=self.next_cmd,
-                        is_write=False,
-                        issue_cycle=cycle,
-                        expected=expected,
-                        line=(
-                            [0] * expected
-                            if self.read_lines is not None
-                            else None
-                        ),
-                    )
-                else:
+                txn = _Transaction(
+                    txn_id, self.next_cmd, is_write, cycle, expected
+                )
+                if is_write:
                     # STAGE_WRITE command + data cycles, then the
                     # VEC_WRITE (or explicit-address) broadcast.
-                    line = self.system._write_line(command)
-                    vec_write_cycle = self.bus.stage_write(
-                        cycle, request_cycles
-                    )
-                    # As for reads: the banks see the command once the
-                    # last broadcast cycle has delivered the final
-                    # addresses, so a write cannot commit while its
-                    # address stream is still on the bus.
-                    self.system._broadcast(
-                        txn_id,
-                        command,
-                        vec_write_cycle + request_cycles - 1,
-                        line,
-                        cycle,
-                    )
-                    self.outstanding[txn_id] = _Transaction(
-                        txn_id=txn_id,
-                        trace_index=self.next_cmd,
-                        is_write=True,
-                        issue_cycle=cycle,
-                        expected=expected,
-                        words=self._words_for_next(command),
-                    )
+                    write_line = self.system._write_line(command)
+                    request_cycle = self.bus.stage_write(cycle, request_cycles)
+                    txn.words = self._words_for_next(command)
+                else:
+                    write_line = None
+                    request_cycle = cycle
+                    self.bus.broadcast_request(cycle, request_cycles)
+                    if self.read_lines is not None:
+                        txn.line = [0] * expected
+                # A multi-cycle broadcast (explicit address stream) only
+                # finishes delivering addresses on its last bus cycle:
+                # the banks cannot act on the command before then, so a
+                # write cannot commit while its addresses are on the bus.
+                self.system._broadcast(
+                    txn_id,
+                    command,
+                    request_cycle + request_cycles - 1,
+                    write_line,
+                    cycle,
+                )
+                self.outstanding[txn_id] = txn
                 self.completion_ledger.mark(cycle, True)
                 self.next_cmd += 1
                 self.next_issue_allowed = cycle + self.issue_interval
@@ -341,6 +328,50 @@ class _FrontEnd:
                 target = gate
         return target
 
+    def retire(self, cycle: int) -> bool:
+        """The completion phase: retire the transactions whose banks
+        have all reported and whose last data cycle has passed.  The
+        banks hand over each transaction as its last element issues
+        (:attr:`fully_issued`), so a tick reads only those.  Ticked
+        after the banks, so a completion lands in the cycle of the final
+        column issue."""
+        pending = self.fully_issued
+        # Allocation-free fast path for the common nothing-completes
+        # cycle.
+        for txn in pending:
+            if cycle >= txn.last_data_cycle:
+                break
+        else:
+            return False
+        due = [txn for txn in pending if cycle >= txn.last_data_cycle]
+        pending[:] = [txn for txn in pending if cycle < txn.last_data_cycle]
+        # Same-cycle completions retire in trace order.
+        due.sort(key=lambda txn: txn.trace_index)
+        for txn in due:
+            if not txn.is_write:
+                self.stage_queue.append(txn)
+                continue
+            _check_complete(txn, "write retirement")
+            self.bank_side.retire_write(txn.txn_id)
+            self.free_ids.append(txn.txn_id)
+            self.latencies[txn.trace_index] = cycle + 1 - txn.issue_cycle
+            del self.outstanding[txn.txn_id]
+            self.end_cycle = max(self.end_cycle, cycle + 1)
+        self.completion_ledger.act(cycle, bool(self.outstanding))
+        # A write retirement can leave the front end with no work.
+        self.ledger.mark(cycle, self.work_remains())
+        return True
+
+    def retire_bound(self, cycle: int) -> int:
+        """The completion phase's bound: a fully-issued transaction
+        completes once its last data cycle passes.  Staged reads are the
+        bus's problem, bounded by :meth:`next_event_cycle`."""
+        target = HORIZON
+        for txn in self.fully_issued:
+            if txn.last_data_cycle < target:
+                target = txn.last_data_cycle
+        return target
+
     def account(self, total_cycles: int) -> Dict[str, ComponentCycles]:
         # Every transfer starts on a free bus and ends by the run's last
         # cycle, so the bus is busy for exactly its occupancy count.
@@ -349,6 +380,11 @@ class _FrontEnd:
             self.name: self.ledger.close(total_cycles),
             "vector-bus": ComponentCycles(busy=busy, idle=total_cycles - busy),
         }
+
+    def account_completion(
+        self, total_cycles: int
+    ) -> Dict[str, ComponentCycles]:
+        return {"completion": self.completion_ledger.close(total_cycles)}
 
 
 class _BankComponent:
@@ -462,64 +498,6 @@ class _BankComponent:
             total.writes += stats.writes
             total.turnarounds += stats.turnarounds
         return total
-
-
-class _CompletionUnit:
-    """The front end's view of the wired-OR transaction-complete line
-    (section 5.2.6): retires transactions whose banks have all reported
-    and whose last data cycle has passed.  The banks hand over each
-    transaction as its last element issues (``front.fully_issued``), so
-    a tick reads only those.  Ticks after the banks so a completion
-    lands in the same cycle as the final column issue, exactly as the
-    monolithic loop ordered it."""
-
-    name = "completion"
-
-    def __init__(self, front: _FrontEnd):
-        self.front = front
-        self.ledger = front.completion_ledger
-
-    def tick(self, cycle: int) -> bool:
-        pending = self.front.fully_issued
-        # Allocation-free fast path for the common nothing-completes
-        # cycle.
-        for txn in pending:
-            if cycle >= txn.last_data_cycle:
-                break
-        else:
-            return False
-        front = self.front
-        due = [txn for txn in pending if cycle >= txn.last_data_cycle]
-        pending[:] = [txn for txn in pending if cycle < txn.last_data_cycle]
-        # Same-cycle completions retire in trace order.
-        due.sort(key=lambda txn: txn.trace_index)
-        for txn in due:
-            if not txn.is_write:
-                front.stage_queue.append(txn)
-                continue
-            _check_complete(txn, "write retirement")
-            front.bank_side.retire_write(txn.txn_id)
-            front.free_ids.append(txn.txn_id)
-            front.latencies[txn.trace_index] = cycle + 1 - txn.issue_cycle
-            del front.outstanding[txn.txn_id]
-            front.end_cycle = max(front.end_cycle, cycle + 1)
-        self.ledger.act(cycle, bool(front.outstanding))
-        # A write retirement can leave the front end with no work.
-        front.ledger.mark(cycle, front.work_remains())
-        return True
-
-    def next_event_cycle(self, cycle: int) -> int:
-        # A fully-issued transaction completes once its last data cycle
-        # passes.  Staged reads are the bus's problem, bounded by the
-        # front end.
-        target = HORIZON
-        for txn in self.front.fully_issued:
-            if txn.last_data_cycle < target:
-                target = txn.last_data_cycle
-        return target
-
-    def account(self, total_cycles: int) -> Dict[str, ComponentCycles]:
-        return {self.name: self.ledger.close(total_cycles)}
 
 
 class PVAMemorySystem:
@@ -693,14 +671,14 @@ class PVAMemorySystem:
     ) -> RunResult:
         """Execute a command trace; return cycle counts and statistics.
 
-        The run is driven by the shared simulation kernel
-        (:class:`repro.sim.kernel.SimKernel`): the front end, the bank
+        A :class:`repro.sim.kernel.SimKernel` drives three clocked
+        components, in this order: the front end's issue phase, the bank
         side (the object graph under ``reference``, one automaton for
-        every bank under ``fast``) and the completion unit register as
-        clocked components, and the kernel owns watchdog probing and the
-        next-event advance.  Each component settles its own
-        cycle-attribution ledger (the front end also the vector bus's);
-        the kernel merges them into :attr:`RunResult.attribution`.
+        every bank under ``fast``) and the front end's completion phase.
+        The kernel owns watchdog probing and the next-event advance.
+        Each component settles its own cycle-attribution ledger (the
+        front end also the vector bus's); after the loop the run merges
+        them, in component order, into :attr:`RunResult.attribution`.
 
         A run on a system whose previous run raised (a watchdog
         timeout, say) raises :class:`~repro.errors.ConfigurationError`
@@ -721,10 +699,18 @@ class PVAMemorySystem:
         bus = VectorBus(self.params)
         front = _FrontEnd(self, commands, bus, capture_data)
         bank_side = self._bank_side
-        kernel = SimKernel(watchdog=Watchdog(len(commands), system=self.name))
-        kernel.register(front)
-        kernel.register(bank_side)
-        kernel.register(_CompletionUnit(front))
+        # The completion phase holds no logic of its own: the kernel
+        # ticks the front end's retire step after the banks.
+        completion = SimpleNamespace(
+            name="completion",
+            tick=front.retire,
+            next_event_cycle=front.retire_bound,
+            account=front.account_completion,
+        )
+        components = [front, bank_side, completion]
+        kernel = SimKernel(
+            components, watchdog=Watchdog(len(commands), system=self.name)
+        )
         self._unfinished = True
         bank_side.bind(front, bus)
         try:
@@ -734,6 +720,9 @@ class PVAMemorySystem:
         self._unfinished = False
 
         total_cycles = max(front.end_cycle, exit_cycle)
+        attribution: Dict[str, ComponentCycles] = {}
+        for component in components:
+            attribution.update(component.account(total_cycles))
         device_stats = bank_side.device_stats()
         reads = sum(1 for c in commands if c.access is AccessType.READ)
         writes = len(commands) - reads
@@ -756,7 +745,7 @@ class PVAMemorySystem:
             device=device_stats,
             bus=bus.stats,
             command_latencies=front.latencies,
-            attribution=kernel.finalize(total_cycles),
+            attribution=attribution,
         )
         if front.read_lines is not None:
             result.read_lines = [

@@ -25,8 +25,8 @@ The contract every bound must honour:
 * :data:`HORIZON` means "no self-timed event pending": the component
   can only be re-enabled by another component's action.
 
-Bounds come from the PVA front end, its completion unit and the bank
-automaton of ``sim_mode="fast"`` (:mod:`repro.pva.soa`).  The
+Bounds come from the PVA front end's issue and completion phases and the
+bank automaton of ``sim_mode="fast"`` (:mod:`repro.pva.soa`).  The
 bank-controller object graph keeps none: its bank component bounds the
 loop at the current cycle, so under ``sim_mode="reference"`` the loop
 visits every cycle.  The differential suites

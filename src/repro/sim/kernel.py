@@ -1,12 +1,12 @@
-"""The shared clocked-component simulation kernel.
+"""The PVA run loop over clocked components.
 
-A PVA memory system decomposes itself into :class:`ClockedComponent`\\ s
-(the front end, the banks and a completion unit) and hands them to a
-:class:`SimKernel`, which owns the one run loop:
+A PVA memory system hands a :class:`SimKernel` its three phases as
+:class:`ClockedComponent`\\ s — the front end's issue, the bank side and
+the front end's completion — and the kernel runs the one loop:
 
 1. ``watchdog.check(cycle)`` once per iteration;
-2. tick every component in registration order; each returns an *acted*
-   flag — did it change observable state this cycle?
+2. tick every component in list order; each returns an *acted* flag —
+   did it change observable state this cycle?
 3. advance time: one cycle after an acted iteration, otherwise jump to
    the minimum of every component's ``next_event_cycle`` lower bound,
    capped at the watchdog's cycle limit so a deadlocked run still
@@ -30,16 +30,20 @@ its cycles went — *busy* (it acted), *stalled* (it had pending work but
 could not act), *idle* (nothing to do) — at the cycles where that
 classification changes (:class:`~repro.sim.stats.SpanLedger`).  No
 state changes inside a jumped span, so a ledger is invariant under
-jumps.  :meth:`SimKernel.finalize` closes every ledger at the run's
-total cycle count, which can lie past the loop's exit when a data
-transfer outlives it, and merges them in registration order.
+jumps.  The kernel keeps no ledger: after the loop the system closes
+each component's at the run's total cycle count (which can lie past the
+loop's exit when a data transfer outlives it) with ``account`` and
+merges the entries in component order.
+
+:meth:`SimKernel.run` reads :attr:`SimKernel._components` when it is
+called, so a tracer may swap the list for stand-ins between
+construction and the run (perfbench's per-layer tracer does).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
+from typing import Callable, Dict, Iterable, Protocol, runtime_checkable
 
-from repro.errors import ConfigurationError
 from repro.sim.events import HORIZON
 from repro.sim.runner import Watchdog
 from repro.sim.stats import ComponentCycles
@@ -52,7 +56,7 @@ class ClockedComponent(Protocol):
     """One clocked piece of a memory system, driven by the kernel.
 
     ``name``
-        Unique label of the component in the kernel's registry.
+        Label of the component (a tracer maps its layers by it).
     ``tick(cycle)``
         One cycle of work.  Returns True iff the component changed
         observable state — the kernel may only jump ahead after an
@@ -84,50 +88,31 @@ class ClockedComponent(Protocol):
 
 
 class SimKernel:
-    """The canonical run loop over a registry of clocked components.
+    """The run loop over a fixed list of clocked components.
 
     Parameters
     ----------
+    components:
+        The components, in tick order.
     watchdog:
         The run's :class:`~repro.sim.runner.Watchdog`; checked once per
         loop iteration, and its cycle limit caps every jump.
     """
 
-    def __init__(self, *, watchdog: Watchdog):
+    def __init__(
+        self, components: Iterable[ClockedComponent], *, watchdog: Watchdog
+    ):
         self.watchdog = watchdog
-        self._components: List[ClockedComponent] = []
-        self._names: set = set()
-        self.cycle = 0
-        self._ledger: Optional[Dict[str, ComponentCycles]] = None
-        self._finalized_to: Optional[int] = None
-
-    def register(self, component: ClockedComponent) -> ClockedComponent:
-        """Add a component; tick order is registration order."""
-        name = getattr(component, "name", None)
-        if not name:
-            raise ConfigurationError(
-                f"component {component!r} has no usable name"
-            )
-        if name in self._names:
-            raise ConfigurationError(
-                f"component name {name!r} registered twice"
-            )
-        self._names.add(name)
-        self._components.append(component)
-        return component
+        self._components = list(components)
 
     def run(self, done: Callable[[], bool]) -> int:
-        """Drive all registered components until ``done()``; return the
+        """Drive the components from cycle 0 until ``done()``; return the
         final cycle (the first cycle value at which ``done`` held)."""
-        if not self._components:
-            raise ConfigurationError(
-                "SimKernel.run called with no registered components"
-            )
         components = self._components
         watchdog = self.watchdog
-        cycle = self.cycle
+        cycle = 0
         # Hot-loop locals: bound methods resolved once, indexed by
-        # registration position.
+        # list position.
         positions = range(len(components))
         ticks = [component.tick for component in components]
         bounds = [component.next_event_cycle for component in components]
@@ -169,33 +154,4 @@ class SimKernel:
             cache_valid = True
             target = watchdog.clamp_skip(target)
             cycle = target if target > cycle else cycle + 1
-        self.cycle = cycle
         return cycle
-
-    def finalize(self, total_cycles: int) -> Dict[str, ComponentCycles]:
-        """Close every component's ledger at ``total_cycles`` and return
-        their entries merged in registration order.  Idempotent for a
-        fixed ``total_cycles``."""
-        if self._finalized_to is None:
-            if total_cycles < self.cycle:
-                raise ConfigurationError(
-                    f"finalize({total_cycles}) below the kernel's final "
-                    f"cycle {self.cycle}"
-                )
-            ledger: Dict[str, ComponentCycles] = {}
-            for component in self._components:
-                for name, entry in component.account(total_cycles).items():
-                    if name in ledger:
-                        raise ConfigurationError(
-                            f"{component.name}: ledger entry {name!r} "
-                            f"reported twice"
-                        )
-                    ledger[name] = entry
-            self._ledger = ledger
-            self._finalized_to = total_cycles
-        elif total_cycles != self._finalized_to:
-            raise ConfigurationError(
-                f"kernel already finalized at {self._finalized_to} cycles; "
-                f"cannot re-finalize at {total_cycles}"
-            )
-        return dict(self._ledger)

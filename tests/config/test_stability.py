@@ -8,6 +8,7 @@ caches), never by accident.
 """
 
 from repro.config import CONFIG_SCHEMA_VERSION
+from repro.engine.cache import SCHEMA_VERSION as CACHE_STAMP
 from repro.engine.spec import CACHE_SCHEMA_VERSION
 from repro.params import SystemParams
 
@@ -37,7 +38,10 @@ def test_schema_version_is_six():
 
 
 def test_engine_cache_schema_tracks_config_schema():
+    # The point-key salt and the stamp on stored documents both adopt
+    # the config schema, so one bump retires every stale entry.
     assert CACHE_SCHEMA_VERSION == CONFIG_SCHEMA_VERSION
+    assert CACHE_STAMP == CONFIG_SCHEMA_VERSION
 
 
 def test_document_shape_is_nested_and_sorted():

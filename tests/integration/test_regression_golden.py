@@ -105,7 +105,7 @@ PINNED_LEDGERS = {
             (24, 761, 0),
         ),
     ),
-    # A throttled front end: the completion unit and the banks go idle
+    # A throttled front end: the completion phase and the banks go idle
     # between commands.
     "copy-19-issue-interval": (
         "copy", 19, "pva-sdram", False, {"issue_interval": 256}, {},

@@ -110,16 +110,16 @@ class TestTransactionChecks:
     @pytest.fixture
     def overcount(self, monkeypatch):
         """Corrupt each fully-issued transaction's done count before the
-        completion unit reads it, as if a bank reported one element
-        too many."""
-        tick = system_module._CompletionUnit.tick
+        front end's completion phase reads it, as if a bank reported one
+        element too many."""
+        retire = system_module._FrontEnd.retire
 
         def corrupt(self, cycle):
-            for txn in self.front.fully_issued:
+            for txn in self.fully_issued:
                 txn.done = txn.expected + 1
-            return tick(self, cycle)
+            return retire(self, cycle)
 
-        monkeypatch.setattr(system_module._CompletionUnit, "tick", corrupt)
+        monkeypatch.setattr(system_module._FrontEnd, "retire", corrupt)
 
     @pytest.mark.parametrize("capture", [False, True])
     def test_overcounted_read_raises_at_stage_read(self, overcount, capture):

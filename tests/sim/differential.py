@@ -83,9 +83,9 @@ class Metronome:
 
 class RunLoopSpy:
     """Record how every PVA kernel advances (``"jump"`` or ``"tick"``).
-    With :attr:`force_tick` set, every kernel registers a
-    :class:`Metronome` and visits every cycle whatever the backend — the
-    automata must not care."""
+    With :attr:`force_tick` set, every kernel gets a :class:`Metronome`
+    as its last component and visits every cycle whatever the backend —
+    the automata must not care."""
 
     def __init__(self, monkeypatch):
         self.loops = []
@@ -93,11 +93,11 @@ class RunLoopSpy:
         spy = self
 
         class Kernel(SimKernel):
-            def __init__(self, *, watchdog):
-                super().__init__(watchdog=watchdog)
+            def __init__(self, components, *, watchdog):
                 spy.loops.append("tick" if spy.force_tick else "jump")
                 if spy.force_tick:
-                    self.register(Metronome())
+                    components = [*components, Metronome()]
+                super().__init__(components, watchdog=watchdog)
 
         monkeypatch.setattr(system_module, "SimKernel", Kernel)
 

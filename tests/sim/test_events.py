@@ -1,7 +1,7 @@
 """Unit tests for the next-event time-skip lower bounds.
 
-The fast backend's bounds come from the front end, the completion unit
-and the bank automaton; the object graph keeps none, so under the
+The fast backend's bounds come from the front end's issue and
+completion phases and the bank automaton; the object graph keeps none, so under the
 reference backend the kernel visits every cycle, and the serial
 baselines need no bounds at all.  These tests pin the vector bus's
 bound: clamped to ``>= cycle`` and equal to the bus's own busy-until

@@ -1,16 +1,22 @@
-"""Unit tests for the shared clocked-component simulation kernel.
+"""Unit tests for the PVA run loop over clocked components.
 
 Tests parametrized over ``metronome`` run each case twice: with the
 kernel free to jump idle cycles, and with a
-:class:`~tests.sim.differential.Metronome` registered, which makes it
-visit every cycle.
+:class:`~tests.sim.differential.Metronome` among its components, which
+makes it visit every cycle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
-from repro.errors import ConfigurationError, SimulationTimeout
+from repro.api import build_system
+from repro.errors import SimulationTimeout
+from repro.kernels import build_trace, kernel_by_name
+from repro.params import SystemParams
 from repro.sim.events import HORIZON
 from repro.sim.kernel import SimKernel
 from repro.sim.runner import SimulationLimits, Watchdog
@@ -57,42 +63,28 @@ def _watchdog(budget=4096):
     )
 
 
-def _kernel(metronome, budget=4096, watchdog=None):
-    kernel = SimKernel(watchdog=watchdog or _watchdog(budget))
+def _kernel(components, metronome, budget=4096, watchdog=None):
     if metronome:
-        kernel.register(Metronome())
-    return kernel
+        components = [Metronome(), *components]
+    return SimKernel(components, watchdog=watchdog or _watchdog(budget))
+
+
+def _account(kernel, total_cycles):
+    """Merge every component's ledger entries in component order, as
+    :meth:`repro.pva.system.PVAMemorySystem.run` does after its loop."""
+    ledger = {}
+    for component in kernel._components:
+        ledger.update(component.account(total_cycles))
+    return ledger
 
 
 def _run(schedules, metronome):
-    kernel = _kernel(metronome)
     pulses = [
-        kernel.register(Pulse(f"pulse-{i}", schedule))
-        for i, schedule in enumerate(schedules)
+        Pulse(f"pulse-{i}", schedule) for i, schedule in enumerate(schedules)
     ]
+    kernel = _kernel(pulses, metronome)
     exit_cycle = kernel.run(lambda: all(p.done() for p in pulses))
     return kernel, pulses, exit_cycle
-
-
-class TestRegistry:
-    def test_nameless_component_rejected(self):
-        kernel = SimKernel(watchdog=_watchdog())
-
-        class Nameless:
-            name = ""
-
-        with pytest.raises(ConfigurationError):
-            kernel.register(Nameless())
-
-    def test_duplicate_name_rejected(self):
-        kernel = SimKernel(watchdog=_watchdog())
-        kernel.register(Pulse("dup", [1]))
-        with pytest.raises(ConfigurationError):
-            kernel.register(Pulse("dup", [2]))
-
-    def test_run_without_components_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimKernel(watchdog=_watchdog()).run(lambda: True)
 
 
 class TestLoopEquivalence:
@@ -108,8 +100,8 @@ class TestLoopEquivalence:
         assert [p.fired for p in skip_pulses] == [
             p.fired for p in tick_pulses
         ]
-        assert skip_kernel.finalize(skip_exit) == tick_kernel.finalize(
-            tick_exit
+        assert _account(skip_kernel, skip_exit) == _account(
+            tick_kernel, tick_exit
         )
 
     def test_gating_spares_tick_calls_in_both_modes(self):
@@ -125,7 +117,7 @@ class TestLoopEquivalence:
     def test_ledger_buckets_sum_to_exit_cycle(self):
         for metronome in (False, True):
             kernel, _, exit_cycle = _run(self.SCHEDULES, metronome)
-            for entry in kernel.finalize(exit_cycle).values():
+            for entry in _account(kernel, exit_cycle).values():
                 assert entry.total == exit_cycle
 
     def test_passive_component_never_wakes_the_kernel(self):
@@ -141,9 +133,8 @@ class TestLoopEquivalence:
             def account(self, total_cycles):
                 return {}
 
-        kernel = SimKernel(watchdog=_watchdog())
-        pulse = kernel.register(Pulse("pulse", [9]))
-        kernel.register(Passive())
+        pulse = Pulse("pulse", [9])
+        kernel = SimKernel([pulse, Passive()], watchdog=_watchdog())
         exit_cycle = kernel.run(pulse.done)
         assert exit_cycle == 10
         # The pulse visited far fewer than 10 cycles: the passive
@@ -157,8 +148,7 @@ class TestWatchdog:
         """A done() that never holds must raise SimulationTimeout even
         when every bound is HORIZON — the jump target is capped at the
         watchdog's cycle limit."""
-        kernel = _kernel(metronome, budget=64)
-        kernel.register(Pulse("stuck", []))
+        kernel = _kernel([Pulse("stuck", [])], metronome, budget=64)
         with pytest.raises(SimulationTimeout):
             kernel.run(lambda: False)
 
@@ -197,43 +187,27 @@ class TestWatchdog:
             system="test",
             limits=SimulationLimits(max_cycles_per_command=64),
         )
-        kernel = _kernel(metronome, watchdog=dog)
-        kernel.register(Pulse("stuck", []))
+        kernel = _kernel([Pulse("stuck", [])], metronome, watchdog=dog)
         with pytest.raises(SimulationTimeout):
             kernel.run(lambda: False)
         assert dog.last_checked == dog.cycle_limit + 1
 
 
 class TestFinalize:
+    """Finalizing a run closes every ledger at the run's total."""
+
     def test_tail_padding_completes_the_ledger(self):
         """Each component closes its own ledger at the run's total,
         which may lie past the loop's exit."""
         kernel, _, exit_cycle = _run([[3]], False)
-        ledger = kernel.finalize(exit_cycle + 10)
+        ledger = _account(kernel, exit_cycle + 10)
         entry = ledger["pulse-0"]
         assert entry.total == exit_cycle + 10
         assert entry.idle >= 10  # the padded tail is post-work idle
 
-    def test_idempotent_for_fixed_total(self):
-        kernel, _, exit_cycle = _run([[3]], False)
-        first = kernel.finalize(exit_cycle + 5)
-        second = kernel.finalize(exit_cycle + 5)
-        assert first == second
-
-    def test_conflicting_totals_rejected(self):
-        kernel, _, exit_cycle = _run([[3]], False)
-        kernel.finalize(exit_cycle + 5)
-        with pytest.raises(ConfigurationError):
-            kernel.finalize(exit_cycle + 6)
-
-    def test_total_below_exit_cycle_rejected(self):
-        kernel, _, exit_cycle = _run([[3]], False)
-        with pytest.raises(ConfigurationError):
-            kernel.finalize(exit_cycle - 1)
-
     def test_ledger_values_are_component_cycles(self):
         kernel, _, exit_cycle = _run([[3]], True)
-        ledger = kernel.finalize(exit_cycle)
+        ledger = _account(kernel, exit_cycle)
         assert all(
             isinstance(entry, ComponentCycles) for entry in ledger.values()
         )
@@ -266,27 +240,17 @@ class Duo:
 
 class TestSelfAccounting:
     def test_finalize_merges_component_ledger(self):
-        """Entries merge in registration order, each as its component
+        """Entries merge in component order, each as its component
         reported it; a component's own name need not be an entry."""
         for metronome in (False, True):
-            kernel = _kernel(metronome)
-            first = kernel.register(Pulse("first", [2]))
-            duo = kernel.register(Duo([1, 5]))
-            kernel.register(Pulse("last", [3]))
+            first, duo = Pulse("first", [2]), Duo([1, 5])
+            kernel = _kernel([first, duo, Pulse("last", [3])], metronome)
             exit_cycle = kernel.run(duo.done)
-            ledger = kernel.finalize(exit_cycle + 3)
+            ledger = _account(kernel, exit_cycle + 3)
             assert list(ledger) == ["first", "part-a", "part-b", "last"]
             assert ledger["first"] == first.ledger.close(exit_cycle + 3)
             assert ledger["part-a"] == ComponentCycles(busy=exit_cycle + 3)
             assert ledger["part-b"] == ComponentCycles(idle=exit_cycle + 3)
-
-    def test_duplicate_entry_rejected_at_finalize(self):
-        kernel = SimKernel(watchdog=_watchdog())
-        duo = kernel.register(Duo([1]))
-        kernel.register(Pulse("part-a", [2]))
-        exit_cycle = kernel.run(duo.done)
-        with pytest.raises(ConfigurationError):
-            kernel.finalize(exit_cycle)
 
 
 class TestSpanLedger:
@@ -298,3 +262,58 @@ class TestSpanLedger:
         ledger.mark(5, True)  # later in cycle 5: work again
         ledger.mark(8, False)  # 6-7 stalled
         assert ledger.close(10) == ComponentCycles(busy=2, stalled=4, idle=4)
+
+
+class TestTracerContract:
+    """What perfbench's per-layer tracer (``perfbench/trace.py``) relies
+    on: it wraps ``SimKernel.run`` on the class, swaps the instance's
+    ``_components`` for stand-ins that wrap each component's ``tick``,
+    ``next_event_cycle`` and ``account`` between construction and the
+    loop, and maps its layers by the components' names."""
+
+    @pytest.mark.parametrize("sim_mode", ["reference", "fast"])
+    @pytest.mark.parametrize("system", ["pva-sdram", "pva-sram"])
+    def test_swapped_components_are_ticked(
+        self, monkeypatch, system, sim_mode
+    ):
+        params = SystemParams(sim_mode=sim_mode)
+        trace = build_trace(
+            kernel_by_name("saxpy"), stride=19, params=params, elements=256
+        )
+        untraced = build_system(system, params).run(trace)
+        names = []
+        calls = Counter()
+        run = SimKernel.run
+
+        def spy(component):
+            def wrap(role):
+                method = getattr(component, role)
+
+                def call(*args):
+                    calls[component.name, role] += 1
+                    return method(*args)
+
+                return call
+
+            names.append(component.name)
+            return SimpleNamespace(
+                name=component.name,
+                tick=wrap("tick"),
+                next_event_cycle=wrap("next_event_cycle"),
+                account=wrap("account"),
+            )
+
+        def traced_run(kernel, done):
+            components = kernel._components
+            kernel._components = [spy(c) for c in components]
+            try:
+                return run(kernel, done)
+            finally:
+                kernel._components = components
+
+        monkeypatch.setattr(SimKernel, "run", traced_run)
+        assert build_system(system, params).run(trace) == untraced
+        assert names == ["front-end", "banks", "completion"]
+        for name in names:
+            assert calls[name, "tick"] > 0
+            assert calls[name, "next_event_cycle"] > 0

@@ -110,7 +110,7 @@ def test_repeated_words_in_one_command(paths):
 def test_same_cycle_completions_retire_in_trace_order(paths, capture_data):
     """Both reads' data lands in cycle 13, but the younger one's last
     element issues on a lower-numbered bank, so the banks hand it to
-    the completion unit first.  The reads must still stage, and so
+    the completion phase first.  The reads must still stage, and so
     return, in trace order."""
     trace = [
         ExplicitCommand(
