@@ -8,47 +8,12 @@ power-of-two cliffs — while the conventional system's cost climbs with
 the raw stride."""
 
 from benchmarks.conftest import run_once
-from repro.baselines.cacheline_serial import CacheLineSerialSDRAM
-from repro.core.decode import decompose_stride
-from repro.experiments.report import format_table
-from repro.kernels import build_trace, kernel_by_name
-from repro.params import SystemParams
-from repro.pva import PVAMemorySystem
+from repro.experiments.grid import stride_sweep
 
 
 def test_extended_stride_sweep(benchmark, write_artifact):
-    params = SystemParams()
-
-    def build():
-        rows = []
-        for stride in range(1, 33):
-            trace = build_trace(
-                kernel_by_name("scale"),
-                stride=stride,
-                params=params,
-                elements=512,
-            )
-            pva = PVAMemorySystem(params).run(trace).cycles
-            serial = CacheLineSerialSDRAM(params).run(trace).cycles
-            rows.append(
-                (
-                    stride,
-                    decompose_stride(stride, params.num_banks).banks_hit,
-                    pva,
-                    serial,
-                    f"{serial / pva:.1f}x",
-                )
-            )
-        return rows
-
-    rows = run_once(benchmark, build)
-    write_artifact(
-        "extended_stride_sweep.txt",
-        format_table(
-            ("stride", "banks hit", "pva cycles", "cacheline cycles", "speedup"),
-            rows,
-        ),
-    )
+    rows, text = run_once(benchmark, stride_sweep)
+    write_artifact("extended_stride_sweep.txt", text)
 
     by_stride = {r[0]: r for r in rows}
     # Equal parallelism class => equal PVA cost: all odd strides match.

@@ -77,7 +77,7 @@ class SerialSystem:
                     f"base-stride vector commands, not "
                     f"{type(command).__name__}"
                 )
-        watchdog = Watchdog(len(commands), system=self.name)
+        watchdog = Watchdog(len(commands), self.params, system=self.name)
         storage = self._storage
         bus = BusStats()
         read_lines = [] if capture_data else None

@@ -71,6 +71,7 @@ from repro.experiments.grid import (
     EVAL_STRIDES,
     run_grid,
     run_point,
+    stride_sweep,
 )
 from repro.experiments.report import format_table
 from repro.kernels import ALIGNMENTS, alignment_by_name
@@ -481,40 +482,12 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.api import simulate
-    from repro.core.decode import decompose_stride
-    from repro.kernels import build_trace, kernel_by_name
-
-    params = SystemParams()
-    rows = []
     try:
-        for stride in range(1, args.max_stride + 1):
-            trace = build_trace(
-                kernel_by_name(args.kernel),
-                stride=stride,
-                params=params,
-                elements=args.elements,
-            )
-            pva = simulate(trace, params, system="pva-sdram").cycles
-            serial = simulate(trace, params, system="cacheline-serial").cycles
-            rows.append(
-                (
-                    stride,
-                    decompose_stride(stride, params.num_banks).banks_hit,
-                    pva,
-                    serial,
-                    f"{serial / pva:.1f}x",
-                )
-            )
+        _, text = stride_sweep(args.kernel, args.max_stride, args.elements)
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    print(
-        format_table(
-            ("stride", "banks hit", "pva", "cacheline-serial", "speedup"),
-            rows,
-        )
-    )
+    print(text)
     return 0
 
 

@@ -81,8 +81,8 @@ class CapacityError(ReproError):
 
 
 class SimulationTimeout(ReproError):
-    """A simulation watchdog tripped: the run exceeded its cycle budget
-    or wall-clock deadline.
+    """A simulation watchdog tripped: the run exceeded its cycle budget,
+    which its trace length and ``issue_interval`` set.
 
     Raised by :class:`repro.sim.runner.Watchdog` from inside the run
     loop of every memory system, so an infinite-loop scheduler bug (or a

@@ -8,6 +8,7 @@ from repro.experiments.grid import (
     GridResults,
     run_grid,
     run_point,
+    stride_sweep,
 )
 from repro.experiments.figures import (
     figure7,
@@ -33,6 +34,7 @@ __all__ = [
     "GridResults",
     "run_grid",
     "run_point",
+    "stride_sweep",
     "figure7",
     "figure8",
     "figure9",

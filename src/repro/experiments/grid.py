@@ -3,7 +3,8 @@
 240 data points per memory system: eight access patterns (six kernels plus
 the unrolled copy2/scale2), six strides {1, 2, 4, 8, 16, 19}, and five
 relative vector alignments.  ``run_grid`` executes any sub-grid and returns
-a :class:`GridResults` that the figure generators slice.
+a :class:`GridResults` that the figure generators slice, and
+``stride_sweep`` fills in the curve between the six sample strides.
 
 Execution goes through the parallel experiment engine
 (:class:`repro.engine.ExperimentEngine`): pass
@@ -24,8 +25,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api import available_systems, system_entry
+from repro.core.decode import decompose_stride
 from repro.engine import ExperimentEngine, ExperimentPoint, KernelTraceSpec
 from repro.errors import ConfigurationError
+from repro.experiments.report import format_table
 from repro.kernels import ALIGNMENTS, Alignment
 from repro.params import SystemParams
 
@@ -37,6 +40,7 @@ __all__ = [
     "GridResults",
     "run_point",
     "run_grid",
+    "stride_sweep",
 ]
 
 #: The six strides of the evaluation.
@@ -224,3 +228,31 @@ def run_grid(
             name
         ] = count
     return results
+
+
+def stride_sweep(
+    kernel: str = "scale", max_stride: int = 32, elements: int = 512
+) -> Tuple[List[Tuple], str]:
+    """PVA-SDRAM against cache-line serial at every stride from 1 to
+    ``max_stride``, under the first alignment; returns ``(rows, text)``.
+
+    The defaults are the sweep ``results/extended_stride_sweep.txt``
+    records, which ``python -m repro sweep`` prints.
+    """
+    grid = run_grid(
+        kernels=(kernel,),
+        strides=range(1, max_stride + 1),
+        alignments=ALIGNMENTS[:1],
+        elements=elements,
+        systems=("pva-sdram", "cacheline-serial"),
+    )
+    rows: List[Tuple] = []
+    for stride in grid.strides:
+        cycles = grid.point(kernel, stride, ALIGNMENTS[0].name)
+        pva, serial = cycles["pva-sdram"], cycles["cacheline-serial"]
+        banks = decompose_stride(stride, grid.params.num_banks).banks_hit
+        rows.append((stride, banks, pva, serial, f"{serial / pva:.1f}x"))
+    headers = (
+        "stride", "banks hit", "pva cycles", "cacheline cycles", "speedup"
+    )
+    return rows, format_table(headers, rows)

@@ -708,9 +708,8 @@ class PVAMemorySystem:
             account=front.account_completion,
         )
         components = [front, bank_side, completion]
-        kernel = SimKernel(
-            components, watchdog=Watchdog(len(commands), system=self.name)
-        )
+        watchdog = Watchdog(len(commands), self.params, system=self.name)
+        kernel = SimKernel(components, watchdog=watchdog)
         self._unfinished = True
         bank_side.bind(front, bus)
         try:

@@ -4,13 +4,7 @@ PVA unit and all baseline systems."""
 
 from repro.sim.stats import BusStats, ComponentCycles, RunResult, SpanLedger
 from repro.sim.kernel import ClockedComponent, SimKernel
-from repro.sim.runner import (
-    MemorySystem,
-    SimulationLimits,
-    Watchdog,
-    active_limits,
-    simulation_limits,
-)
+from repro.sim.runner import MemorySystem, Watchdog
 
 __all__ = [
     "BusStats",
@@ -20,8 +14,5 @@ __all__ = [
     "SimKernel",
     "SpanLedger",
     "MemorySystem",
-    "SimulationLimits",
     "Watchdog",
-    "active_limits",
-    "simulation_limits",
 ]

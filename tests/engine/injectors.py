@@ -61,13 +61,17 @@ class RaisingSystem:
 
 class CycleBurnerSystem:
     """A memory system that never finishes: it spins the simulated clock
-    until the watchdog's cycle budget (``4096 x len(trace)`` ticks, a few
-    milliseconds of host time) raises :class:`SimulationTimeout`."""
+    until the watchdog's cycle budget for ``params`` (``4096 x
+    len(trace)`` ticks on an unthrottled front end, a few milliseconds
+    of host time) raises :class:`SimulationTimeout`."""
 
     name = "cycle-burner"
 
+    def __init__(self, params):
+        self.params = params
+
     def run(self, commands: Sequence, capture_data: bool = False) -> RunResult:
-        watchdog = Watchdog(len(commands), system=self.name)
+        watchdog = Watchdog(len(commands), self.params, system=self.name)
         cycle = 0
         while True:  # SimulationTimeout is the only exit
             watchdog.check(cycle)
@@ -148,7 +152,7 @@ def fault_systems(tmp_path):
     """
     factories = {
         "raising": lambda params: RaisingSystem(),
-        "burner": lambda params: CycleBurnerSystem(),
+        "burner": CycleBurnerSystem,
         "killer-once": lambda params: WorkerKillerSystem(
             build_system("pva-sdram", params),
             marker=tmp_path / "killer.fired",

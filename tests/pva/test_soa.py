@@ -444,7 +444,7 @@ class TestOneOwner:
 
 
 class TestNoReferenceCycles:
-    def test_fast_run_leaves_nothing_for_the_cyclic_gc(self):
+    def test_fast_run_leaves_nothing_for_the_cyclic_gc(self, monkeypatch):
         """Every fast system graph (devices, automaton, and each run's
         front end, bus and kernel) is freed by reference counting: the
         automaton holds no reference back to the kernel, and it drops
@@ -452,8 +452,8 @@ class TestNoReferenceCycles:
         raised one included."""
         import gc
 
+        import repro.sim.runner
         from repro.errors import SimulationTimeout
-        from repro.sim import simulation_limits
 
         params = SystemParams(sim_mode="fast")
         trace = build_trace(
@@ -471,9 +471,9 @@ class TestNoReferenceCycles:
             system.attach_command_logs()
             system.run(trace)
             system.run(trace)
-            with simulation_limits(max_cycles_per_command=1):
-                with pytest.raises(SimulationTimeout):
-                    system.run(trace)
+            monkeypatch.setattr(repro.sim.runner, "CYCLES_PER_COMMAND", 1)
+            with pytest.raises(SimulationTimeout):
+                system.run(trace)
             del system
             assert gc.collect() == 0
         finally:

@@ -19,7 +19,7 @@ from repro.kernels import build_trace, kernel_by_name
 from repro.params import SystemParams
 from repro.sim.events import HORIZON
 from repro.sim.kernel import SimKernel
-from repro.sim.runner import SimulationLimits, Watchdog
+from repro.sim.runner import Watchdog
 from repro.sim.stats import ComponentCycles, SpanLedger
 
 from .differential import Metronome
@@ -56,11 +56,9 @@ class Pulse:
 
 
 def _watchdog(budget=4096):
-    return Watchdog(
-        1,
-        system="test",
-        limits=SimulationLimits(max_cycles_per_command=budget),
-    )
+    dog = Watchdog(1, SystemParams(), system="test")
+    dog.cycle_limit = budget
+    return dog
 
 
 def _kernel(components, metronome, budget=4096, watchdog=None):
@@ -182,11 +180,8 @@ class TestWatchdog:
                 self.last_checked = cycle
                 super().check(cycle)
 
-        dog = Recording(
-            1,
-            system="test",
-            limits=SimulationLimits(max_cycles_per_command=64),
-        )
+        dog = Recording(1, SystemParams(), system="test")
+        dog.cycle_limit = 64
         kernel = _kernel([Pulse("stuck", [])], metronome, watchdog=dog)
         with pytest.raises(SimulationTimeout):
             kernel.run(lambda: False)

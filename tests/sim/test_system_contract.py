@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro.sim.runner
 from repro.api import available_systems, build_system
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.kernels import build_trace, kernel_by_name
 from repro.params import SystemParams
-from repro.sim import simulation_limits
 
 ALL_SYSTEMS = available_systems()
 
@@ -64,7 +64,9 @@ class TestSystemContract:
         assert set(summary) == set(result.attribution)
 
     @pytest.mark.parametrize("sim_mode", ["reference", "fast"])
-    def test_honors_watchdog(self, system, prototype_params, sim_mode):
+    def test_honors_watchdog(
+        self, system, prototype_params, sim_mode, monkeypatch
+    ):
         """An impossibly small cycle budget must surface as a contained
         SimulationTimeout under both backends — never a hang.  A serial
         baseline checks the budget at each command's start cycle."""
@@ -72,9 +74,9 @@ class TestSystemContract:
 
         params = replace(prototype_params, sim_mode=sim_mode)
         trace = _trace(params)
-        with simulation_limits(max_cycles_per_command=1):
-            with pytest.raises(SimulationTimeout):
-                build_system(system, params).run(trace)
+        monkeypatch.setattr(repro.sim.runner, "CYCLES_PER_COMMAND", 1)
+        with pytest.raises(SimulationTimeout):
+            build_system(system, params).run(trace)
 
     def test_reset_is_idempotent(self, system, prototype_params):
         """reset() restores a just-built system, and resetting twice is
@@ -108,7 +110,9 @@ class TestSystemContract:
 
 @pytest.mark.parametrize("sim_mode", ["reference", "fast"])
 @pytest.mark.parametrize("system", ["pva-sdram", "pva-sram"])
-def test_run_after_timeout_needs_reset(system, prototype_params, sim_mode):
+def test_run_after_timeout_needs_reset(
+    system, prototype_params, sim_mode, monkeypatch
+):
     """A timed-out run leaves the banks holding half-applied work, so
     the next run on the same system raises until reset(); after it the
     run equals a fresh system's.  (The serial baselines keep no state
@@ -118,7 +122,8 @@ def test_run_after_timeout_needs_reset(system, prototype_params, sim_mode):
     params = replace(prototype_params, sim_mode=sim_mode)
     trace = _trace(params)
     instance = build_system(system, params)
-    with simulation_limits(max_cycles_per_command=1):
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.sim.runner, "CYCLES_PER_COMMAND", 1)
         with pytest.raises(SimulationTimeout):
             instance.run(trace)
     with pytest.raises(ConfigurationError, match=r"reset\(\)"):
@@ -129,11 +134,11 @@ def test_run_after_timeout_needs_reset(system, prototype_params, sim_mode):
 
 @pytest.mark.parametrize("sim_mode", ["reference", "fast"])
 @pytest.mark.parametrize("system", ["cacheline-serial", "gathering-serial"])
-def test_serial_timeout_rule(system, sim_mode):
+def test_serial_timeout_rule(system, sim_mode, monkeypatch):
     """A serial run raises SimulationTimeout exactly when its last
-    command would start past ``len(trace) * max_cycles_per_command``:
-    each command starts the cycle its predecessor ends, and the budget
-    caps start cycles, so a run may end past it."""
+    command would start past ``len(trace) * CYCLES_PER_COMMAND``: each
+    command starts the cycle its predecessor ends, and the budget caps
+    start cycles, so a run may end past it."""
     params = SystemParams(sim_mode=sim_mode)
     trace = _trace(params, "saxpy", stride=19)
     total = build_system(system, params).run(trace).cycles
@@ -142,12 +147,12 @@ def test_serial_timeout_rule(system, sim_mode):
     assert total > len(trace) * edge  # that run ends past its budget
     for budget in range(max(1, edge - 3), edge + 4):
         limit = len(trace) * budget
-        with simulation_limits(max_cycles_per_command=budget):
-            instance = build_system(system, params)
-            if last_start > limit:
-                with pytest.raises(
-                    SimulationTimeout, match=f"exceeded {limit} cycles"
-                ):
-                    instance.run(trace)
-            else:
-                assert instance.run(trace).cycles == total
+        monkeypatch.setattr(repro.sim.runner, "CYCLES_PER_COMMAND", budget)
+        instance = build_system(system, params)
+        if last_start > limit:
+            with pytest.raises(
+                SimulationTimeout, match=f"exceeded {limit} cycles"
+            ):
+                instance.run(trace)
+        else:
+            assert instance.run(trace).cycles == total

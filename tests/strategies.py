@@ -11,9 +11,10 @@ from repro.workloads.random_traces import RandomTraceConfig, random_trace
 @st.composite
 def random_params(draw):
     """A random system: 2..64 banks on 1..4 channels, any row policy,
-    and random timings for both bank memories: every SDRAM field within
-    its validation (refresh off, short or long) and an SRAM access time
-    of one to four cycles."""
+    a front end that issues every cycle or is throttled by
+    ``issue_interval``, and random timings for both bank memories:
+    every SDRAM field within its validation (refresh off, short or
+    long) and an SRAM access time of one to four cycles."""
     num_banks = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
     return SystemParams(
         num_banks=num_banks,
@@ -21,6 +22,7 @@ def random_params(draw):
             st.sampled_from([c for c in (1, 2, 4) if c <= num_banks])
         ),
         row_policy=draw(st.sampled_from(ROW_POLICIES)),
+        issue_interval=draw(st.sampled_from([0, 0, 5, 17])),
         sdram=SDRAMTiming(
             t_rcd=draw(st.integers(1, 4)),
             cas_latency=draw(st.integers(1, 4)),

@@ -110,10 +110,13 @@ class TestRaiseSites:
         with self._raises(errors.CapacityError):
             unit.open(1, expected=4)
 
-    def test_simulation_timeout_from_watchdog(self):
-        from repro.sim.runner import SimulationLimits, Watchdog
+    def test_simulation_timeout_from_watchdog(self, monkeypatch):
+        import repro.sim.runner
+        from repro.params import SystemParams
+        from repro.sim.runner import Watchdog
 
-        dog = Watchdog(1, limits=SimulationLimits(max_cycles_per_command=4))
+        monkeypatch.setattr(repro.sim.runner, "CYCLES_PER_COMMAND", 4)
+        dog = Watchdog(1, SystemParams(), system="test")
         with self._raises(errors.SimulationTimeout):
             dog.check(5)
 
