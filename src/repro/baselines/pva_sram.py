@@ -10,10 +10,9 @@ harness reports the min and max over relative alignments, matching the
 Because the factory returns a real :class:`~repro.pva.system.PVAMemorySystem`
 (just with SRAM bank memory, ``memory="sram"``, timed by
 ``params.sram``), the variant runs on the shared simulation kernel like
-PVA-SDRAM: ``python -m repro bench`` reports it with the same
-reference-vs-fast timings and per-component cycle-attribution breakdown,
-and it honours ``reset()``/``capture_data`` under the common
-:class:`~repro.sim.runner.MemorySystem` contract.
+PVA-SDRAM: it has the same two backends and per-component
+cycle-attribution breakdown, and it honours ``reset()``/``capture_data``
+under the common :class:`~repro.sim.runner.MemorySystem` contract.
 """
 
 from __future__ import annotations

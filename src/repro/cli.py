@@ -17,11 +17,6 @@ Subcommands
     banks).
 ``complexity``
     Print the Table 1 complexity comparison.
-``bench``
-    Time the reference backend against the fast one on the two PVA
-    systems, over the stride-19 grid slice and a throttled-front-end
-    scenario, and write ``BENCH_sim.json`` (``--quick`` for the CI
-    smoke workload).
 ``explore``
     Sweep ``SystemParams`` axes, prune designs with analytic lower
     bounds, and print the cycles-vs-complexity Pareto frontier.
@@ -38,7 +33,9 @@ command with its own exception, a dead worker process with
 ``PointFailedError``, and a runaway simulation is stopped by the
 simulation watchdog (``SimulationTimeout``).  Corrupt entries in a
 ``--cache`` directory are moved to its ``quarantine/`` subdirectory and
-re-simulated; the ``[engine]`` line counts them.
+re-simulated; the ``[engine]`` line counts them.  An invalid
+configuration (a non-positive stride, element count or ``--max-stride``)
+prints one ``error:`` line and exits 2.
 
 Examples::
 
@@ -55,7 +52,6 @@ import sys
 from typing import List, Optional
 
 from repro.api import available_systems
-from repro.bench import BENCH_SYSTEMS
 from repro.engine import EngineHooks, ExperimentEngine
 from repro.errors import ConfigurationError
 from repro.experiments.ablations import (
@@ -113,8 +109,7 @@ class _MetricsLine(EngineHooks):
         )
         if metrics.component_cycles:
             # Collapse the per-bank components into one aggregate line
-            # item; the full per-bank ledger stays in summary() and the
-            # bench report.
+            # item; the full per-bank ledger stays in summary().
             collapsed: dict = {}
             for name, buckets in metrics.component_cycles.items():
                 label = "banks" if name.startswith("bank-") else name
@@ -233,58 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "complexity", help="print the Table 1 complexity comparison"
-    )
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help=(
-            "time the reference backend against the fast one on the "
-            "stride-19 grid slice"
-        ),
-    )
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke workload: two kernels, one alignment",
-    )
-    bench_parser.add_argument("--elements", type=int, default=1024)
-    bench_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="measurements per (system, mode); the best is kept",
-    )
-    bench_parser.add_argument(
-        "--out",
-        default="BENCH_sim.json",
-        metavar="FILE",
-        help="JSON report path ('' to skip writing)",
-    )
-    bench_parser.add_argument(
-        "--system",
-        action="append",
-        choices=BENCH_SYSTEMS,
-        help="PVA system(s) to benchmark (default: both)",
-    )
-    bench_parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "exit non-zero unless the fast backend is at least X times "
-            "faster than the reference backend timed in the same run"
-        ),
-    )
-    bench_parser.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        metavar="FILE",
-        help=(
-            "append a one-line summary record per published run "
-            "('' to skip; only written when --out is non-empty)"
-        ),
     )
 
     explore_parser = sub.add_parser(
@@ -414,17 +357,13 @@ def _cmd_info() -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     alignment = alignment_by_name(args.alignment)
     systems = tuple(args.system) if args.system else available_systems()
-    try:
-        cycles = run_point(
-            args.kernel,
-            stride=args.stride,
-            alignment=alignment,
-            elements=args.elements,
-            systems=systems,
-        )
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    cycles = run_point(
+        args.kernel,
+        stride=args.stride,
+        alignment=alignment,
+        elements=args.elements,
+        systems=systems,
+    )
     baseline = min(cycles.values())
     rows = [
         (name, count, f"{count / baseline:.2f}x")
@@ -447,18 +386,14 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         else None
     )
     systems = tuple(args.system) if args.system else available_systems()
-    try:
-        grid = run_grid(
-            kernels=kernels,
-            strides=strides,
-            alignments=alignments,
-            elements=args.elements,
-            systems=systems,
-            engine=_engine_from(args),
-        )
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    grid = run_grid(
+        kernels=kernels,
+        strides=strides,
+        alignments=alignments,
+        elements=args.elements,
+        systems=systems,
+        engine=_engine_from(args),
+    )
     headers = ("kernel", "stride", "alignment") + tuple(grid.systems)
     rows = [
         (kernel, stride, alignment)
@@ -482,52 +417,48 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        _, text = stride_sweep(args.kernel, args.max_stride, args.elements)
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    _, text = stride_sweep(args.kernel, args.max_stride, args.elements)
     print(text)
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "info":
-        return _cmd_info()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "grid":
-        return _cmd_grid(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "ablation":
-        return _cmd_ablation(args)
-    if args.command == "complexity":
-        print(complexity_table(SystemParams()))
-        return 0
-    if args.command == "bench":
-        from repro.bench import main as bench_main
+    try:
+        if args.command == "info":
+            return _cmd_info()
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "grid":
+            return _cmd_grid(args)
+        if args.command == "figure":
+            return _cmd_figure(args)
+        if args.command == "ablation":
+            return _cmd_ablation(args)
+        if args.command == "complexity":
+            print(complexity_table(SystemParams()))
+            return 0
+        if args.command == "explore":
+            from repro.explore import main as explore_main
 
-        return bench_main(args)
-    if args.command == "explore":
-        from repro.explore import main as explore_main
+            return explore_main(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+        if args.command == "all":
+            from repro.experiments.report_all import generate_all
 
-        return explore_main(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "all":
-        from repro.experiments.report_all import generate_all
-
-        engine = _engine_from(args)
-        written = generate_all(
-            out_dir=args.out,
-            elements=args.elements,
-            progress=print,
-            engine=engine,
-        )
-        print(f"{len(written)} artifacts in {args.out}/")
-        return 0
+            engine = _engine_from(args)
+            written = generate_all(
+                out_dir=args.out,
+                elements=args.elements,
+                progress=print,
+                engine=engine,
+            )
+            print(f"{len(written)} artifacts in {args.out}/")
+            return 0
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -18,7 +18,7 @@ and it owns the **canonical serialization**:
 :meth:`SystemParams.to_dict` / :meth:`SystemParams.from_dict` round-trip
 exactly (the geometry nests as a ``topology`` sub-document), and
 :meth:`SystemParams.config_key` is a stable content hash used by the
-engine result cache and the bench reports.  Bumping
+engine result cache and the explore reports.  Bumping
 :data:`CONFIG_SCHEMA_VERSION` is the single switch that retires every
 stale cached document.
 
@@ -513,7 +513,7 @@ class SystemParams:
 
     def config_key(self) -> str:
         """Stable SHA-256 content address of the canonical document —
-        the identity the engine cache and bench reports key on."""
+        the identity the engine cache and explore reports key on."""
         payload = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )

@@ -239,6 +239,10 @@ def stride_sweep(
     The defaults are the sweep ``results/extended_stride_sweep.txt``
     records, which ``python -m repro sweep`` prints.
     """
+    if max_stride < 1:
+        raise ConfigurationError(
+            f"max_stride must be positive, got {max_stride}"
+        )
     grid = run_grid(
         kernels=(kernel,),
         strides=range(1, max_stride + 1),

@@ -112,6 +112,17 @@ class SweepSpec:
                 f"explore needs a PVA system (the analytic lower bound "
                 f"models the vector bus), got {self.system!r}"
             )
+        # A JSON spec can carry any type, and a bool is an int.
+        for name, kind, noun in (
+            ("stride", int, "an integer"),
+            ("elements", int, "an integer"),
+            ("prune_slack", (int, float), "a number"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{name} must be {noun}, got {value!r}"
+                )
         if self.stride <= 0:
             raise ConfigurationError(
                 f"stride must be positive, got {self.stride}"
@@ -419,7 +430,7 @@ def main(args) -> int:
     try:
         spec = _spec_from_args(args)
         report = run_explore(spec, engine=_engine_from(args))
-    except (ConfigurationError, OSError, json.JSONDecodeError) as error:
+    except (OSError, json.JSONDecodeError) as error:
         import sys
 
         print(f"error: {error}", file=sys.stderr)

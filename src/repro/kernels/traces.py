@@ -165,6 +165,8 @@ def build_trace(
     alignment = alignment or ALIGNMENTS[0]
     if stride <= 0:
         raise ConfigurationError(f"stride must be positive, got {stride}")
+    if elements < 1:
+        raise ConfigurationError(f"elements must be positive, got {elements}")
     chunk = params.cache_line_words
     if elements % chunk:
         raise ConfigurationError(

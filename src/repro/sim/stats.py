@@ -34,7 +34,8 @@ class ComponentCycles:
     * **idle** — it had nothing to do.
 
     The invariant ``busy + stalled + idle == RunResult.cycles`` holds for
-    every registered component; the bench harness cross-checks it.
+    every registered component; the differential harness
+    (``tests/sim/differential.py``) checks it on every run it compares.
     """
 
     busy: int = 0

@@ -1,10 +1,10 @@
 """Cross-release stability of the canonical configuration identity.
 
-``config_key()`` addresses the engine's on-disk result cache and links
-bench documents across processes, so the prototype's
-key is pinned here verbatim: it may only change together with a
-deliberate ``CONFIG_SCHEMA_VERSION`` bump (which is what retires stale
-caches), never by accident.
+``config_key()`` addresses the engine's on-disk result cache and labels
+every explore report's points, so the prototype's key is pinned here
+verbatim: it may only change together with a deliberate
+``CONFIG_SCHEMA_VERSION`` bump (which is what retires stale caches),
+never by accident.
 """
 
 from repro.config import CONFIG_SCHEMA_VERSION

@@ -19,9 +19,10 @@ one fresh system object (several traces run back to back on it), and
 asserts they agree on every :class:`~repro.sim.stats.RunResult` field —
 total cycles, per-command latencies, device and bus statistics, captured
 payloads, the per-component attribution ledger — on the memory image the
-runs leave behind and on any logged command streams.  The spy installed
-by :func:`spy_on_bank_paths` checks that every fast PVA system built
-the SoA automaton as its bank side.
+runs leave behind and on any logged command streams.  It also asserts
+that every component's busy + stalled + idle sums to the run's cycles.
+The spy installed by :func:`spy_on_bank_paths` checks that every fast
+PVA system built the SoA automaton as its bank side.
 """
 
 from __future__ import annotations
@@ -131,14 +132,15 @@ def assert_equivalent(
     logs=False,
 ):
     """Run ``traces`` under both backends; assert equal results, memory
-    image and command logs, and that fast took the expected path.
-    Returns the reference results."""
+    image and command logs, ledgers that sum to each run's cycles, and
+    that fast took the expected path.  Returns the reference results."""
     reference = _run(
         "reference", system, params, traces, capture_data, interleave, logs
     )
     del paths[:]
     fast = _run("fast", system, params, traces, capture_data, interleave, logs)
     for ref, got in zip(reference[0], fast[0]):
+        assert ref.attribution_consistent(), (system, ref.attribution_summary())
         assert got.cycles == ref.cycles, (system, ref.cycles, got.cycles)
         assert got.attribution == ref.attribution, system
         assert got == ref, system

@@ -132,6 +132,27 @@ class TestCommands:
         assert main(["sweep", "--elements", "65"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--elements", "0"],
+            ["grid", "--elements", "-32", "--kernel", "copy", "--stride", "1",
+             "--alignment", "aligned", "--system", "pva-sdram"],
+            ["figure", "9", "--elements", "0"],
+            ["sweep", "--elements", "0"],
+            ["all", "--elements", "0"],
+            ["sweep", "--max-stride", "0"],
+        ],
+        ids=["run", "grid", "figure", "sweep", "all", "sweep-max-stride"],
+    )
+    def test_non_positive_sizes_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_grid_reports_quarantined_cache_entries(self, tmp_path, capsys):
         """A torn cache entry is moved to quarantine/, re-simulated, and
         counted on the [engine] line."""

@@ -39,6 +39,22 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError):
             SweepSpec(axes={"num_banks": [8]}, prune_slack=-0.1)
 
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            {"elements": "64"},
+            {"stride": 2.5},
+            {"prune_slack": "x"},
+            {"elements": True},
+            {"stride": True},
+        ],
+        ids=["elements-str", "stride-float", "slack-str", "elements-bool",
+             "stride-bool"],
+    )
+    def test_mistyped_workload_fields_rejected(self, workload):
+        with pytest.raises(ConfigurationError):
+            SweepSpec.from_dict({"axes": {"num_banks": [8]}, **workload})
+
     def test_unknown_spec_key_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepSpec.from_dict({"axes": {"num_banks": [8]}, "turbo": True})
