@@ -23,11 +23,9 @@ Quick start::
     result = simulate(trace, params, system="pva-sdram")
     print(result.cycles, result.summary())
 
-Memory-system classes are no longer exported from the top level: build
+Memory-system classes are not exported from the top level: build
 systems through :func:`repro.api.build_system` / :func:`repro.api.simulate`
-(or import a class from its home module, e.g. ``repro.pva``).  The old
-top-level names were deprecated in favour of the facade and now raise
-:class:`~repro.errors.ReproError` naming the replacement.
+(or import a class from its home module, e.g. ``repro.pva``).
 """
 
 from repro.api import (
@@ -55,34 +53,6 @@ from repro.types import AccessType, Vector, VectorCommand
 from repro.vm import MMCTLB, PageMapping
 
 __version__ = "1.0.0"
-
-#: Construction paths removed after their deprecation period: top-level
-#: access raises a ReproError pointing at the repro.api facade (and the
-#: class's home module for callers that need the type itself).
-_REMOVED_CONSTRUCTORS = {
-    "PVAMemorySystem": ("repro.pva", 'build_system("pva-sdram", params)'),
-    "CacheLineSerialSDRAM": (
-        "repro.baselines",
-        'build_system("cacheline-serial", params)',
-    ),
-    "GatheringSerialSDRAM": (
-        "repro.baselines",
-        'build_system("gathering-serial", params)',
-    ),
-    "make_pva_sram": ("repro.baselines", 'build_system("pva-sram", params)'),
-}
-
-
-def __getattr__(name):
-    if name in _REMOVED_CONSTRUCTORS:
-        module_name, replacement = _REMOVED_CONSTRUCTORS[name]
-        raise ReproError(
-            f"{name} is no longer exported from the top-level repro "
-            f"package; use repro.api: {replacement} (or import the "
-            f"class from {module_name} directly)"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "AccessType",

@@ -1,7 +1,6 @@
 """Closed-form performance models used to sanity-check the simulators."""
 
 from repro.analysis.model import (
-    available_parallelism,
     bus_bound_cycles,
     cacheline_serial_cycles,
     gathering_serial_cycles,
@@ -10,7 +9,6 @@ from repro.analysis.model import (
 )
 
 __all__ = [
-    "available_parallelism",
     "bus_bound_cycles",
     "cacheline_serial_cycles",
     "gathering_serial_cycles",

@@ -18,24 +18,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.decode import decompose_stride
 from repro.core.pla import shared_k1_pla
 from repro.params import SystemParams
 from repro.types import ExplicitCommand, VectorCommand
 
 __all__ = [
-    "available_parallelism",
     "bus_bound_cycles",
     "per_bank_column_bound",
     "pva_lower_bound",
     "cacheline_serial_cycles",
     "gathering_serial_cycles",
 ]
-
-
-def available_parallelism(stride: int, num_banks: int) -> int:
-    """Banks a stride can keep busy: ``M / 2**s`` (section 6.3.1)."""
-    return decompose_stride(stride, num_banks).banks_hit
 
 
 def bus_bound_cycles(

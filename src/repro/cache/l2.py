@@ -36,16 +36,6 @@ class CacheStats:
     #: accounting).
     words_used: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
     def utilization(self, line_words: int) -> float:
         """Fraction of fetched words the processor actually used —
         chapter 1's 'poor cache utilization' number."""

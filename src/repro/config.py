@@ -15,29 +15,27 @@ fields cover
 * the ``sim_mode`` backend selector (``"reference"`` or ``"fast"``),
 
 and it owns the **canonical serialization**:
-:meth:`SystemParams.to_dict` / :meth:`SystemParams.from_dict` round-trip
-exactly (the geometry nests as a ``topology`` sub-document), and
-:meth:`SystemParams.config_key` is a stable content hash used by the
-engine result cache and the explore reports.  Bumping
-:data:`CONFIG_SCHEMA_VERSION` is the single switch that retires every
-stale cached document.
+:meth:`SystemParams.to_dict` writes the configuration document (the
+geometry nests as a ``topology`` sub-document), and
+:meth:`SystemParams.config_key` is its stable content hash, used by the
+engine result cache and the explore reports.  Nothing reads a document
+back.  Bumping :data:`CONFIG_SCHEMA_VERSION` is the single switch that
+retires every stale cached document.
 
-Topology addressing
--------------------
-Word addresses are bank-interleaved exactly as before: the low
-``log2(total_banks)`` bits of a word address select the bank.  Within
-the bank index, the low ``log2(num_channels)`` bits name the channel
-(channel-interleaved word addressing: consecutive words alternate
-channels), the next ``log2(ranks_per_channel)`` bits name the rank on
-that channel, and the remaining bits the bank within the rank.  Ranks
+Topology
+--------
+Word addresses are bank-interleaved: the low ``log2(num_banks)`` bits
+of a word address select the bank, whatever the channel and rank
+counts.  No simulation step reads a channel or rank coordinate.  Ranks
 are organizational (electrical load / capacity) and share the channel's
 timing; channels each carry their own 8-byte-per-cycle data path, so a
 cache line staged to the CPU splits evenly across channels —
 ``channel_stage_cycles == stage_cycles // num_channels`` data cycles of
-occupancy per channel.  Because every vector broadcast addresses all
-banks and the staging split is uniform, the channels advance in
-lock-step and one bus timeline models all of them; this is what keeps
-both ``sim_mode`` backends bit-identical for multi-channel configs.
+occupancy per channel, the only effect a channel has.  Because every
+vector broadcast addresses all banks and the staging split is uniform,
+the channels advance in lock-step and one bus timeline models all of
+them; this is what keeps both ``sim_mode`` backends bit-identical for
+multi-channel configs.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
-from typing import Any, Dict, Mapping, Type, TypeVar
+from typing import Any, Dict
 
 from repro.errors import ConfigurationError
 from repro.types import WORD_BYTES
@@ -188,11 +186,6 @@ class SDRAMTiming:
         """Cycles from a write column to its data landing."""
         return self.t_wr
 
-    @property
-    def row_miss_penalty(self) -> int:
-        """Cycles added by a row conflict versus an open-row hit."""
-        return self.t_rp + self.t_rcd
-
 
 @dataclass(frozen=True)
 class SRAMTiming:
@@ -223,9 +216,8 @@ class Topology:
 
     The default ``1 x 1 x 16`` reproduces the paper's prototype exactly:
     one channel, one rank, sixteen word-interleaved banks.  All three
-    dimensions must be powers of two so the bank index of a word address
-    stays a contiguous low bit-field (see the module docstring for the
-    bit layout).
+    dimensions must be powers of two, so every rank hosts a power-of-two
+    share of the banks.
     """
 
     num_channels: int = 1
@@ -239,49 +231,6 @@ class Topology:
                 raise ConfigurationError(
                     f"{name} must be a power of two, got {value!r}"
                 )
-
-    @property
-    def total_banks(self) -> int:
-        """Banks across the whole system — the interleave factor."""
-        return self.num_channels * self.ranks_per_channel * self.banks_per_rank
-
-    @property
-    def channel_bits(self) -> int:
-        return log2_exact(self.num_channels, "num_channels")
-
-    @property
-    def rank_bits(self) -> int:
-        return log2_exact(self.ranks_per_channel, "ranks_per_channel")
-
-    def channel_of_bank(self, bank: int) -> int:
-        """Channel serving system-wide bank index ``bank`` (the low bits
-        of the bank index: word-interleave alternates channels)."""
-        return bank & (self.num_channels - 1)
-
-    def rank_of_bank(self, bank: int) -> int:
-        """Rank (within its channel) of system-wide bank index ``bank``."""
-        return (bank >> self.channel_bits) & (self.ranks_per_channel - 1)
-
-    def bank_within_rank(self, bank: int) -> int:
-        """Position of system-wide bank index ``bank`` inside its rank."""
-        return bank >> (self.channel_bits + self.rank_bits)
-
-
-_D = TypeVar("_D")
-
-
-def _sub_from_dict(cls: Type[_D], doc: Any, what: str) -> _D:
-    """Build a nested config dataclass from a plain mapping, rejecting
-    unknown keys (missing keys take their defaults)."""
-    if not isinstance(doc, Mapping):
-        raise ConfigurationError(
-            f"{what} must be a mapping of field names, got {type(doc).__name__}"
-        )
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigurationError(f"unknown {what} keys: {unknown}")
-    return cls(**dict(doc))
 
 
 def _fields_dict(value: Any) -> Dict[str, Any]:
@@ -338,8 +287,8 @@ class SystemParams:
     issue_interval: int = 0
     #: Simulation backend — one of :data:`SIM_MODES`.
     sim_mode: str = "fast"
-    #: Memory channels; the bank-select bits of a word address are
-    #: channel-interleaved (see the module docstring).
+    #: Memory channels, each staging its share of a cache line (see
+    #: the module docstring).
     num_channels: int = 1
     #: Ranks per channel (organizational: capacity, not timing).
     ranks_per_channel: int = 1
@@ -476,40 +425,6 @@ class SystemParams:
                     value = _fields_dict(value)
                 doc[f.name] = value
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "SystemParams":
-        """Rebuild a :class:`SystemParams` from :meth:`to_dict` output.
-
-        Unknown keys are rejected (typo safety); missing keys take their
-        defaults; a present ``schema_version`` must match.
-        """
-        if not isinstance(doc, Mapping):
-            raise ConfigurationError(
-                f"config document must be a mapping, got {type(doc).__name__}"
-            )
-        doc = dict(doc)
-        version = doc.pop("schema_version", CONFIG_SCHEMA_VERSION)
-        if version != CONFIG_SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"config schema_version {version!r} is not the supported "
-                f"{CONFIG_SCHEMA_VERSION}"
-            )
-        allowed = {"topology"} | {
-            f.name for f in fields(cls) if f.name not in _TOPOLOGY_FIELDS
-        }
-        unknown = sorted(set(doc) - allowed)
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {unknown}")
-        for name, sub_cls in (("sdram", SDRAMTiming), ("sram", SRAMTiming)):
-            if name in doc:
-                doc[name] = _sub_from_dict(sub_cls, doc[name], name)
-        if "topology" in doc:
-            topology = _sub_from_dict(Topology, doc.pop("topology"), "topology")
-            doc["num_banks"] = topology.total_banks
-            doc["num_channels"] = topology.num_channels
-            doc["ranks_per_channel"] = topology.ranks_per_channel
-        return cls(**doc)
 
     def config_key(self) -> str:
         """Stable SHA-256 content address of the canonical document —

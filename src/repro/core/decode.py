@@ -13,18 +13,15 @@ that are multiples of ``2**s``) and the revisit period
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from repro.config import Topology
 from repro.errors import ConfigurationError, VectorSpecError
 from repro.params import is_power_of_two, log2_exact
 
 __all__ = [
-    "BankCoordinates",
     "BankDecoder",
     "StrideDecomposition",
-    "TopologyDecoder",
     "decompose_stride",
 ]
 
@@ -89,64 +86,6 @@ class BankDecoder:
         """Offset of ``address`` within its interleave block
         (the paper's ``theta`` for the vector base)."""
         return address & (self.block_words - 1)
-
-
-@dataclass(frozen=True)
-class BankCoordinates:
-    """Full physical decode of one word address: which channel, which
-    rank on that channel, which bank within the rank, and the word's
-    index in that bank's local storage."""
-
-    bank: int
-    channel: int
-    rank: int
-    bank_in_rank: int
-    local_word: int
-
-
-@dataclass(frozen=True)
-class TopologyDecoder:
-    """Channel/rank-aware address decode over a word-interleaved system.
-
-    The system-wide bank index is the plain bit-select of
-    :class:`BankDecoder`; the :class:`~repro.config.Topology` then splits
-    that index into (channel, rank, bank-within-rank): the low channel
-    bits alternate consecutive words across channels (channel-interleaved
-    word addressing), the next bits pick the rank, the top bits the bank
-    inside the rank.
-    """
-
-    topology: Topology
-    block_words: int = 1
-    banks: BankDecoder = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "banks",
-            BankDecoder(
-                num_banks=self.topology.total_banks,
-                block_words=self.block_words,
-            ),
-        )
-
-    def bank_of(self, address: int) -> int:
-        return self.banks.bank_of(address)
-
-    def channel_of(self, address: int) -> int:
-        """Channel serving ``address`` — the low bits of its bank index."""
-        return self.topology.channel_of_bank(self.banks.bank_of(address))
-
-    def coordinates(self, address: int) -> BankCoordinates:
-        """Decode ``address`` into full physical coordinates."""
-        bank = self.banks.bank_of(address)
-        return BankCoordinates(
-            bank=bank,
-            channel=self.topology.channel_of_bank(bank),
-            rank=self.topology.rank_of_bank(bank),
-            bank_in_rank=self.topology.bank_within_rank(bank),
-            local_word=self.banks.local_word(address),
-        )
 
 
 @dataclass(frozen=True)

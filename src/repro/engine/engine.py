@@ -311,16 +311,3 @@ class ExperimentEngine:
                 for process in list(executor._processes.values()):
                     process.terminate()
             executor.shutdown(cancel_futures=True)
-
-    # ------------------------------------------------------------- #
-    # Convenience
-    # ------------------------------------------------------------- #
-
-    def run_one(self, point: ExperimentPoint) -> int:
-        """Execute a single point (through cache and hooks) and return
-        its cycle count; a failing point raises like :meth:`run`."""
-        return self.run([point])[0]
-
-    def key_of(self, point: ExperimentPoint) -> str:
-        """The content address this engine uses for ``point``."""
-        return point_key(point, self.salt)

@@ -63,18 +63,6 @@ FIGURE7_KERNELS: Tuple[str, ...] = ("copy", "copy2", "saxpy", "scale")
 FIGURE8_KERNELS: Tuple[str, ...] = ("scale2", "swap", "tridiag", "vaxpy")
 
 
-def __getattr__(name: str):
-    if name == "SYSTEMS":
-        from repro.errors import ReproError
-
-        raise ReproError(
-            "repro.experiments.grid.SYSTEMS has been removed; use the "
-            "repro.api registry (available_systems / build_system / "
-            "register_system) instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class GridResults:
     """Cycle counts for every executed (kernel, stride, alignment, system).

@@ -404,9 +404,17 @@ def _spec_from_args(args) -> SweepSpec:
             ("line_words", "cache_line_words"),
         ):
             values = getattr(args, flag, None)
-            if values:
-                axes[axis] = [int(v) for v in values.split(",")]
-        if getattr(args, "row_policy", None):
+            if values is not None:
+                axes[axis] = []
+                for entry in values.split(","):
+                    try:
+                        axes[axis].append(int(entry))
+                    except ValueError:
+                        raise ConfigurationError(
+                            f"--{flag.replace('_', '-')}: {entry!r} is "
+                            "not an integer"
+                        ) from None
+        if getattr(args, "row_policy", None) is not None:
             axes["row_policy"] = args.row_policy.split(",")
         base = SweepSpec(axes=axes) if axes else DEFAULT_SPEC
     overrides = {}

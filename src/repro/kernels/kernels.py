@@ -64,18 +64,6 @@ class Kernel:
                     f"{access.array!r}"
                 )
 
-    @property
-    def commands_per_block(self) -> int:
-        return len(self.pattern)
-
-    @property
-    def reads_per_block(self) -> int:
-        return sum(1 for a in self.pattern if a.access is AccessType.READ)
-
-    @property
-    def writes_per_block(self) -> int:
-        return sum(1 for a in self.pattern if a.access is AccessType.WRITE)
-
 
 def _k(name, arrays, pattern, unroll=1, description=""):
     return Kernel(

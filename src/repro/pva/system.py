@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.decode import TopologyDecoder
 from repro.core.pla import shared_k1_pla
 from repro.errors import ConfigurationError, ProtocolError, VectorSpecError
 from repro.interleave.logical import LogicalBankView
@@ -555,14 +554,6 @@ class PVAMemorySystem:
             else None
         )
         self._pla = shared_k1_pla(self.params.num_banks)
-        #: Channel/rank-aware decode of the word-interleaved topology
-        #: (None under a non-word interleave scheme, which predates the
-        #: topology layer and stays single-channel).
-        self.decoder: Optional[TopologyDecoder] = (
-            TopologyDecoder(self.params.topology)
-            if self.interleave is None
-            else None
-        )
         self.reset()
 
     def reset(self) -> None:
@@ -638,17 +629,6 @@ class PVAMemorySystem:
             )
         bank = address & (self.params.num_banks - 1)
         return bank, address >> self.params.bank_bits
-
-    def locate(self, address: int):
-        """Full physical decode of ``address`` — the system-wide bank
-        plus its (channel, rank, bank-within-rank) coordinates.  Only
-        defined for the word-interleaved topology path."""
-        if self.decoder is None:
-            raise ConfigurationError(
-                "locate() needs the word-interleaved topology decoder; "
-                "this system runs a custom interleave scheme"
-            )
-        return self.decoder.coordinates(address)
 
     def poke(self, address: int, value: int) -> None:
         """Write one word directly into the backing storage."""

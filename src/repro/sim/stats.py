@@ -49,14 +49,6 @@ class ComponentCycles:
     def as_dict(self) -> Dict[str, int]:
         return {"busy": self.busy, "stalled": self.stalled, "idle": self.idle}
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "ComponentCycles":
-        return cls(
-            busy=int(data.get("busy", 0)),
-            stalled=int(data.get("stalled", 0)),
-            idle=int(data.get("idle", 0)),
-        )
-
 
 class SpanLedger:
     """One component's busy/stalled/idle ledger, settled span by span.
@@ -155,19 +147,6 @@ class RunResult:
             return 0.0
         return self.cycles / self.commands
 
-    def speedup_over(self, other: "RunResult") -> float:
-        """How much faster this run is than ``other`` (ratio of cycles)."""
-        if self.cycles == 0:
-            raise ZeroDivisionError("run completed in zero cycles")
-        return other.cycles / self.cycles
-
-    def normalized_to(self, baseline: "RunResult") -> float:
-        """Execution time of this run as a fraction of ``baseline`` —
-        the paper's bar annotations (1.0 == 100%)."""
-        if baseline.cycles == 0:
-            raise ZeroDivisionError("baseline completed in zero cycles")
-        return self.cycles / baseline.cycles
-
     def attribution_consistent(self) -> bool:
         """Does every component's busy/stalled/idle split sum to the
         run's total cycle count?  Vacuously True without attribution."""
@@ -184,17 +163,6 @@ class RunResult:
         return {
             name: entry.as_dict()
             for name, entry in self.attribution.items()
-        }
-
-    def latency_summary(self) -> Optional[Dict[str, float]]:
-        """Min/mean/max per-command latency, when recorded."""
-        if not self.command_latencies:
-            return None
-        latencies = self.command_latencies
-        return {
-            "min": min(latencies),
-            "mean": round(sum(latencies) / len(latencies), 2),
-            "max": max(latencies),
         }
 
     def summary(self) -> Dict[str, float]:

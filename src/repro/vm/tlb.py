@@ -125,6 +125,3 @@ class MMCTLB:
             if page.contains(vaddr):
                 return page.translate(vaddr), page.page_words
         raise TLBMissError(f"virtual word address {vaddr} is not mapped")
-
-    def __len__(self) -> int:
-        return len(self._pages)

@@ -1,24 +1,9 @@
-"""Workload generators beyond the paper's six kernels: matrix-walk
-patterns (the applications the introduction motivates) and seeded random
-command streams for stress testing."""
+"""Workload generators beyond the paper's six kernels: seeded random
+command streams, the programs the oracles draw."""
 
-from repro.workloads.matrix import (
-    MatrixLayout,
-    column_walk,
-    diagonal_walk,
-    matrix_vector_by_diagonals,
-    row_walk,
-    transpose,
-)
 from repro.workloads.random_traces import RandomTraceConfig, random_trace
 
 __all__ = [
-    "MatrixLayout",
-    "row_walk",
-    "column_walk",
-    "diagonal_walk",
-    "transpose",
-    "matrix_vector_by_diagonals",
     "RandomTraceConfig",
     "random_trace",
 ]

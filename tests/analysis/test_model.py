@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.model import (
-    available_parallelism,
     bus_bound_cycles,
     cacheline_serial_cycles,
     gathering_serial_cycles,
@@ -16,6 +15,7 @@ from repro.analysis.model import (
 from repro.baselines.cacheline_serial import CacheLineSerialSDRAM
 from repro.baselines.gathering_serial import GatheringSerialSDRAM
 from repro.baselines.pva_sram import make_pva_sram
+from repro.core.decode import decompose_stride
 from repro.core.firsthit import hit_count
 from repro.explore import DEFAULT_SPEC, enumerate_candidates
 from repro.kernels import alignment_by_name, build_trace, kernel_by_name
@@ -122,10 +122,11 @@ class TestBoundOnRandomSystems:
 
 class TestParallelism:
     def test_section_631_values(self):
-        assert available_parallelism(1, 16) == 16
-        assert available_parallelism(4, 16) == 4
-        assert available_parallelism(16, 16) == 1
-        assert available_parallelism(19, 16) == 16
+        """Banks a stride can keep busy: ``M / 2**s`` (section 6.3.1)."""
+        assert decompose_stride(1, 16).banks_hit == 16
+        assert decompose_stride(4, 16).banks_hit == 4
+        assert decompose_stride(16, 16).banks_hit == 1
+        assert decompose_stride(19, 16).banks_hit == 16
 
 
 class TestBaselineFormulas:

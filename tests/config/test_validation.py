@@ -110,37 +110,3 @@ class TestDeviceTimingRules:
     def test_sram_rules(self):
         with pytest.raises(ConfigurationError):
             SRAMTiming(access_cycles=0)
-
-
-class TestDocumentRules:
-    def test_unknown_top_level_key_rejected(self):
-        doc = SystemParams().to_dict()
-        doc["turbo"] = True
-        with pytest.raises(ConfigurationError):
-            SystemParams.from_dict(doc)
-
-    def test_unknown_nested_key_rejected(self):
-        doc = SystemParams().to_dict()
-        doc["sdram"]["t_magic"] = 1
-        with pytest.raises(ConfigurationError):
-            SystemParams.from_dict(doc)
-        doc = SystemParams().to_dict()
-        doc["topology"]["num_dimms"] = 2
-        with pytest.raises(ConfigurationError):
-            SystemParams.from_dict(doc)
-
-    def test_schema_version_mismatch_rejected(self):
-        doc = SystemParams().to_dict()
-        doc["schema_version"] = 3
-        with pytest.raises(ConfigurationError):
-            SystemParams.from_dict(doc)
-
-    def test_non_dict_sub_document_rejected(self):
-        doc = SystemParams().to_dict()
-        doc["sdram"] = "fast"
-        with pytest.raises(ConfigurationError):
-            SystemParams.from_dict(doc)
-
-    def test_non_dict_document_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SystemParams.from_dict("prototype")

@@ -1,4 +1,4 @@
-"""The repro.api facade: registry, simulate(), and removed-shim errors."""
+"""The repro.api facade: registry, simulate() and top-level exports."""
 
 import warnings
 
@@ -13,7 +13,7 @@ from repro.api import (
     system_entry,
     unregister_system,
 )
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.kernels import build_trace, kernel_by_name
 from repro.params import SystemParams
 
@@ -97,34 +97,9 @@ def test_top_level_reexports():
     assert repro.available_systems is available_systems
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "PVAMemorySystem",
-        "CacheLineSerialSDRAM",
-        "GatheringSerialSDRAM",
-        "make_pva_sram",
-    ],
-)
-def test_removed_constructor_shims_raise(name):
-    with pytest.raises(ReproError) as excinfo:
-        getattr(repro, name)
-    # The error points at the facade replacement.
-    assert "build_system" in str(excinfo.value)
-    assert name not in repro.__all__
-
-
 def test_unknown_top_level_name_still_attribute_error():
     with pytest.raises(AttributeError):
         repro.definitely_not_a_name
-
-
-def test_removed_grid_systems_mapping_raises():
-    import repro.experiments.grid as grid_module
-
-    with pytest.raises(ReproError) as excinfo:
-        grid_module.SYSTEMS
-    assert "available_systems" in str(excinfo.value)
 
 
 def test_home_module_imports_stay_warning_free():

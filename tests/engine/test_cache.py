@@ -348,7 +348,7 @@ class TestQuarantine:
         points = [_point(), _point(stride=19)]
         cold = ExperimentEngine(cache_dir=tmp_path).run(points)
         warm = ExperimentEngine(cache_dir=tmp_path)
-        key = warm.key_of(points[1])
+        key = point_key(points[1], warm.salt)
         CacheCorruptor(warm.cache).torn_entry(key)
         assert warm.run(points) == cold
         assert warm.metrics.simulated == 1

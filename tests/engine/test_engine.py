@@ -9,6 +9,7 @@ from repro.engine import (
     ExperimentPoint,
     KernelTraceSpec,
     execute_point,
+    point_key,
 )
 from repro.engine.engine import _CHUNKS_PER_WORKER
 from repro.experiments.grid import EVAL_KERNELS, run_grid
@@ -113,10 +114,10 @@ def test_params_change_invalidates_cache(tmp_path):
         params=SystemParams(sdram=SDRAMTiming(cas_latency=3)),
     )
     engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-    engine.run_one(base)
-    engine.run_one(slower)
+    engine.run([base])
+    engine.run([slower])
     # Distinct content addresses: the second run must simulate, not hit.
-    assert engine.key_of(base) != engine.key_of(slower)
+    assert point_key(base, engine.salt) != point_key(slower, engine.salt)
     assert engine.metrics.cache_hits == 0
     assert engine.metrics.simulated == 2
 
@@ -124,11 +125,11 @@ def test_params_change_invalidates_cache(tmp_path):
 def test_salt_change_invalidates_cache(tmp_path):
     point = _points()[0]
     a = ExperimentEngine(jobs=1, cache_dir=tmp_path, salt="v1")
-    a.run_one(point)
+    a.run([point])
     b = ExperimentEngine(jobs=1, cache_dir=tmp_path, salt="v2")
-    b.run_one(point)
+    b.run([point])
     assert b.metrics.cache_hits == 0
-    assert a.key_of(point) != b.key_of(point)
+    assert point_key(point, a.salt) != point_key(point, b.salt)
 
 
 def test_in_batch_coalescing():
@@ -175,7 +176,7 @@ def test_unknown_kernel_raises():
         trace=KernelTraceSpec(kernel="nope", stride=1, elements=64),
     )
     with pytest.raises(ConfigurationError):
-        ExperimentEngine(jobs=1).run_one(bogus)
+        ExperimentEngine(jobs=1).run([bogus])
 
 
 class TestSimThroughputMetrics:

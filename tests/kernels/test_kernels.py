@@ -39,13 +39,19 @@ class TestTable2:
     def test_scale_read_modify_write(self):
         k = kernel_by_name("scale")
         assert k.arrays == ("x",)
-        assert k.reads_per_block == 1
-        assert k.writes_per_block == 1
+        assert [(a.array, a.access) for a in k.pattern] == [
+            ("x", AccessType.READ),
+            ("x", AccessType.WRITE),
+        ]
 
     def test_swap_touches_both_arrays_both_ways(self):
         k = kernel_by_name("swap")
-        assert k.reads_per_block == 2
-        assert k.writes_per_block == 2
+        assert [(a.array, a.access) for a in k.pattern] == [
+            ("x", AccessType.READ),
+            ("y", AccessType.READ),
+            ("x", AccessType.WRITE),
+            ("y", AccessType.WRITE),
+        ]
 
     def test_tridiag_has_shifted_x_read(self):
         """x[i-1] appears as a read at element offset -1 (Livermore 5)."""
@@ -59,8 +65,12 @@ class TestTable2:
 
     def test_vaxpy_three_reads_one_write(self):
         k = kernel_by_name("vaxpy")
-        assert k.reads_per_block == 3
-        assert k.writes_per_block == 1
+        assert [(a.array, a.access) for a in k.pattern] == [
+            ("a", AccessType.READ),
+            ("x", AccessType.READ),
+            ("y", AccessType.READ),
+            ("y", AccessType.WRITE),
+        ]
 
     def test_unrolled_variants(self):
         assert kernel_by_name("copy2").unroll == 2
@@ -90,4 +100,4 @@ class TestKernelValidation:
             )
 
     def test_commands_per_block(self):
-        assert kernel_by_name("tridiag").commands_per_block == 4
+        assert len(kernel_by_name("tridiag").pattern) == 4

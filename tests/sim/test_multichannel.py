@@ -1,7 +1,7 @@
 """Multi-channel topologies across every backend and baseline.
 
-The topology generalization (channel-interleaved word addressing, line
-transfers split evenly across channels) must behave identically in both
+The topology generalization (line transfers split evenly across
+channels, the only effect a channel has) must behave identically in both
 ``sim_mode`` backends, on plain, ``capture_data`` and logged runs alike —
 they share one bus-occupancy model — and the analytic formulas must keep
 predicting the serial baselines exactly.

@@ -52,19 +52,6 @@ class TestRunResult:
     def test_cycles_per_command_empty(self):
         assert make_result(0, commands=0).cycles_per_command == 0.0
 
-    def test_speedup_over(self):
-        fast = make_result(100)
-        slow = make_result(300)
-        assert fast.speedup_over(slow) == 3.0
-        assert slow.speedup_over(fast) == pytest.approx(1 / 3)
-
-    def test_speedup_zero_cycles(self):
-        with pytest.raises(ZeroDivisionError):
-            make_result(0).speedup_over(make_result(10))
-
-    def test_normalized_to(self):
-        assert make_result(150).normalized_to(make_result(100)) == 1.5
-
     def test_summary_fields(self):
         summary = make_result(100).summary()
         assert summary["system"] == "pva-sdram"

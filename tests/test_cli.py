@@ -142,8 +142,13 @@ class TestCommands:
             ["sweep", "--elements", "0"],
             ["all", "--elements", "0"],
             ["sweep", "--max-stride", "0"],
+            ["explore", "--banks", "x"],
+            ["explore", "--fifo", ""],
         ],
-        ids=["run", "grid", "figure", "sweep", "all", "sweep-max-stride"],
+        ids=[
+            "run", "grid", "figure", "sweep", "all", "sweep-max-stride",
+            "explore-banks", "explore-empty-fifo",
+        ],
     )
     def test_non_positive_sizes_exit_2(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

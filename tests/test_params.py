@@ -35,9 +35,6 @@ class TestSDRAMTiming:
         assert timing.internal_banks == 4
         assert timing.row_words == 512
 
-    def test_row_miss_penalty(self):
-        assert SDRAMTiming().row_miss_penalty == 4
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SDRAMTiming(t_rcd=0)
@@ -158,7 +155,6 @@ class TestSystemParams:
         assert topo.num_channels == 2
         assert topo.ranks_per_channel == 2
         assert topo.banks_per_rank == 4
-        assert topo.total_banks == 16
 
 
 class TestSimMode:

@@ -1,6 +1,7 @@
 """Public-API surface checks."""
 
 import pathlib
+import re
 
 import repro
 
@@ -17,22 +18,18 @@ class TestExports:
         text = pyproject.read_text()
         assert f'version = "{repro.__version__}"' in text
 
-    def test_quickstart_snippet(self):
-        """The README's quickstart must keep working verbatim."""
-        from repro import (
-            SystemParams,
-            build_trace,
-            kernel_by_name,
-            simulate,
-        )
-
-        params = SystemParams()
-        trace = build_trace(
-            kernel_by_name("copy"), stride=4, params=params, elements=64
-        )
-        result = simulate(trace, params, system="pva-sdram")
-        assert result.cycles > 0
-        assert "cycles" in result.summary()
+    def test_quickstart_snippet(self, capsys):
+        """The README's quickstart must keep working verbatim: its python
+        blocks run in one namespace and print the pinned numbers."""
+        readme = pathlib.Path(repro.__file__).resolve().parents[2] / "README.md"
+        section = readme.read_text().split("\n## Quickstart\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+        assert blocks
+        namespace = {}
+        for block in blocks:
+            exec(block, namespace)
+        assert capsys.readouterr().out.startswith("1205 24320 ")
 
     def test_subpackages_importable(self):
         import repro.analysis
