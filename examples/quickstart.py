@@ -27,7 +27,7 @@ def main() -> None:
     params = SystemParams()  # the paper's prototype (section 5.1)
     print("Prototype configuration:")
     for key, value in params.describe().items():
-        print(f"  {key:>20} = {value}")
+        print(f"  {key:>22} = {value}")
     print()
 
     kernel = kernel_by_name("copy")

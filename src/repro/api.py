@@ -47,27 +47,7 @@ __all__ = [
     "unregister_system",
     "build_system",
     "simulate",
-    "clear_caches",
 ]
-
-
-def clear_caches() -> None:
-    """Release every process-wide simulation memo.
-
-    Two live today: the compiled FirstHit PLAs
-    (:func:`repro.core.pla.shared_k1_pla`) and the hit tables of strided
-    broadcasts (:func:`repro.pva.schedule.broadcast_schedules`, bounded
-    in table elements and bank offsets).  Both are pure value caches —
-    dropping them can never change results, only cost the next call a
-    recompute — so this is safe at any point.  Both memos are
-    LRU-bounded, so calling it is never needed for correctness or to cap
-    memory; it is for callers that want the memory back now.
-    """
-    from repro.core.pla import shared_k1_pla
-    from repro.pva.schedule import clear_schedule_cache
-
-    shared_k1_pla.cache_clear()
-    clear_schedule_cache()
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ The comparison quantifies both halves of the paper's motivation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.cache.l2 import L2Cache
 from repro.params import SystemParams
@@ -80,18 +80,6 @@ class CacheFrontEnd:
                     )
                 )
         return commands
-
-    def drain(self) -> List[VectorCommand]:
-        """Flush dirty lines at the end of a region of interest."""
-        line_words = self.cache.line_words
-        return [
-            VectorCommand(
-                vector=Vector(base=base, stride=1, length=line_words),
-                access=AccessType.WRITE,
-                tag=f"flush[{base}]",
-            )
-            for base in self.cache.flush()
-        ]
 
     # ----------------------------------------------------------------- #
     # Convenience generators

@@ -15,7 +15,7 @@ the numbers `utilization()` reports.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
@@ -143,18 +143,6 @@ class L2Cache:
             line.dirty = True
         ways[tag] = line
         return False, writeback
-
-    def flush(self) -> List[int]:
-        """Write back every dirty line; return their base addresses."""
-        writebacks: List[int] = []
-        for set_index, ways in enumerate(self._sets):
-            for tag, line in ways.items():
-                if line.dirty:
-                    line_address = tag * self.num_sets + set_index
-                    writebacks.append(line_address << self._line_bits)
-                    line.dirty = False
-                    self.stats.writebacks += 1
-        return writebacks
 
     def contains(self, address: int) -> bool:
         _, set_index, tag = self._locate(address)

@@ -34,8 +34,8 @@ command with its own exception, a dead worker process with
 simulation watchdog (``SimulationTimeout``).  Corrupt entries in a
 ``--cache`` directory are moved to its ``quarantine/`` subdirectory and
 re-simulated; the ``[engine]`` line counts them.  An invalid
-configuration (a non-positive stride, element count or ``--max-stride``)
-prints one ``error:`` line and exits 2.
+configuration (a non-positive stride, element count, ``--max-stride``
+or ``--jobs``) prints one ``error:`` line and exits 2.
 
 Examples::
 
@@ -256,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore_parser.add_argument(
         "--channels", default=None, metavar="LIST",
         help="comma-separated num_channels values",
-    )
-    explore_parser.add_argument(
-        "--ranks", default=None, metavar="LIST",
-        help="comma-separated ranks_per_channel values",
     )
     explore_parser.add_argument(
         "--contexts", default=None, metavar="LIST",

@@ -6,36 +6,35 @@ object: :class:`SystemParams` (the coreblocks-style *generation
 parameters* idiom: one params object handed to every unit).  Its flat
 fields cover
 
+* the geometry: ``num_banks`` word-interleaved banks spread over
+  ``num_channels`` channels,
 * device timing — :class:`SDRAMTiming` / :class:`SRAMTiming`,
-* the channel x rank x bank geometry (``num_banks``, ``num_channels``,
-  ``ranks_per_channel``, derived once as a :class:`Topology`),
 * the bank-controller microarchitecture knobs (vector contexts, FIFO
   depth, bypass paths, FirstHit-Calculate latency),
 * the scheduler's ``row_policy``, and
 * the ``sim_mode`` backend selector (``"reference"`` or ``"fast"``),
 
 and it owns the **canonical serialization**:
-:meth:`SystemParams.to_dict` writes the configuration document (the
-geometry nests as a ``topology`` sub-document), and
+:meth:`SystemParams.to_dict` writes the configuration document (one
+entry per field, the two timing records as sub-documents), and
 :meth:`SystemParams.config_key` is its stable content hash, used by the
 engine result cache and the explore reports.  Nothing reads a document
 back.  Bumping :data:`CONFIG_SCHEMA_VERSION` is the single switch that
 retires every stale cached document.
 
-Topology
+Channels
 --------
 Word addresses are bank-interleaved: the low ``log2(num_banks)`` bits
-of a word address select the bank, whatever the channel and rank
-counts.  No simulation step reads a channel or rank coordinate.  Ranks
-are organizational (electrical load / capacity) and share the channel's
-timing; channels each carry their own 8-byte-per-cycle data path, so a
-cache line staged to the CPU splits evenly across channels —
-``channel_stage_cycles == stage_cycles // num_channels`` data cycles of
-occupancy per channel, the only effect a channel has.  Because every
-vector broadcast addresses all banks and the staging split is uniform,
-the channels advance in lock-step and one bus timeline models all of
-them; this is what keeps both ``sim_mode`` backends bit-identical for
-multi-channel configs.
+of a word address select the bank, whatever the channel count.  No
+simulation step reads a channel coordinate.  Channels each carry their
+own 8-byte-per-cycle data path, so a cache line staged to the CPU
+splits evenly across channels — ``channel_stage_cycles ==
+stage_cycles // num_channels`` data cycles of occupancy per channel,
+the only effect a channel has.  Because every vector broadcast
+addresses all banks and the staging split is uniform, the channels
+advance in lock-step and one bus timeline models all of them; this is
+what keeps both ``sim_mode`` backends bit-identical for multi-channel
+configs.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ __all__ = [
     "SIM_MODES",
     "SRAMTiming",
     "SystemParams",
-    "Topology",
     "is_power_of_two",
     "log2_exact",
 ]
@@ -74,7 +72,10 @@ __all__ = [
 #: ``config``/``config_key``.  v5: ``"window"`` joins the ``sim_mode``
 #: ladder.  v6: the ladder collapses to ``"reference"``/``"fast"``
 #: (default ``"fast"``) — every stored mode label changes meaning.
-CONFIG_SCHEMA_VERSION = 6
+#: v7: the document is flat — ``num_banks`` and ``num_channels`` are
+#: top-level fields, and ``ranks_per_channel`` leaves with the
+#: ``topology`` sub-document that carried it.
+CONFIG_SCHEMA_VERSION = 7
 
 #: The two simulation backends.  Both are bit-exact with each other
 #: (``RunResult`` equality is held by the differential suites
@@ -210,36 +211,9 @@ class SRAMTiming:
     write_latency = read_latency
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Channel / rank / bank geometry of the memory system.
-
-    The default ``1 x 1 x 16`` reproduces the paper's prototype exactly:
-    one channel, one rank, sixteen word-interleaved banks.  All three
-    dimensions must be powers of two, so every rank hosts a power-of-two
-    share of the banks.
-    """
-
-    num_channels: int = 1
-    ranks_per_channel: int = 1
-    banks_per_rank: int = 16
-
-    def __post_init__(self) -> None:
-        for name in ("num_channels", "ranks_per_channel", "banks_per_rank"):
-            value = getattr(self, name)
-            if not is_power_of_two(value):
-                raise ConfigurationError(
-                    f"{name} must be a power of two, got {value!r}"
-                )
-
-
 def _fields_dict(value: Any) -> Dict[str, Any]:
     return {f.name: getattr(value, f.name) for f in fields(value)}
 
-
-#: The fields the canonical document nests under ``topology``, which
-#: stores ``banks_per_rank`` in place of the total ``num_banks``.
-_TOPOLOGY_FIELDS = ("num_banks", "num_channels", "ranks_per_channel")
 
 #: Annotation -> the type a field must hold (``bool`` is an ``int``
 #: subclass, so ``__post_init__`` rejects it on int fields explicitly).
@@ -259,18 +233,21 @@ class SystemParams:
     outstanding transactions, and bank controllers with 4 vector
     contexts.
 
-    ``num_banks`` is the **total** bank count across the whole topology;
-    with ``num_channels``/``ranks_per_channel`` above one it must be an
-    exact multiple so every rank hosts a power-of-two bank count
-    (``banks_per_rank = num_banks // (channels * ranks)``).
+    ``num_banks`` is the **total** bank count across all channels, and
+    ``num_channels`` must divide it.
     """
 
     num_banks: int = 16
+    #: Memory channels, each staging its share of a cache line (see
+    #: the module docstring).
+    num_channels: int = 1
     cache_line_words: int = 32
     max_transactions: int = 8
     num_vector_contexts: int = 4
     request_fifo_depth: int = 8
     sdram: SDRAMTiming = field(default_factory=SDRAMTiming)
+    #: Timing of the idealized SRAM device used by the PVA-SRAM system.
+    sram: SRAMTiming = field(default_factory=SRAMTiming)
     #: Cycles the FirstHit-Calculate multiply-add needs for a non-power-of-
     #: two stride (29.5 ns FPGA critical path -> 2 cycles at 100 MHz).
     fhc_latency: int = 2
@@ -287,13 +264,6 @@ class SystemParams:
     issue_interval: int = 0
     #: Simulation backend — one of :data:`SIM_MODES`.
     sim_mode: str = "fast"
-    #: Memory channels, each staging its share of a cache line (see
-    #: the module docstring).
-    num_channels: int = 1
-    #: Ranks per channel (organizational: capacity, not timing).
-    ranks_per_channel: int = 1
-    #: Timing of the idealized SRAM device used by the PVA-SRAM system.
-    sram: SRAMTiming = field(default_factory=SRAMTiming)
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -305,19 +275,17 @@ class SystemParams:
                 raise ConfigurationError(
                     f"{f.name} must be of type {kind.__name__}, got {value!r}"
                 )
-        # The channel and rank checks come first: the divisibility check
-        # below divides by their product.
-        for name in ("num_banks", "num_channels", "ranks_per_channel"):
+        # The channel check comes first: the divisibility check below
+        # divides by it.
+        for name in ("num_banks", "num_channels"):
             value = getattr(self, name)
             if not is_power_of_two(value):
                 raise ConfigurationError(
                     f"{name} must be a power of two, got {value!r}"
                 )
-        ways = self.num_channels * self.ranks_per_channel
-        if self.num_banks % ways != 0:
+        if self.num_banks % self.num_channels != 0:
             raise ConfigurationError(
-                "channel/rank select bits overflow the bank bits: "
-                f"num_channels*ranks_per_channel={ways} does not divide "
+                f"num_channels={self.num_channels} does not divide "
                 f"num_banks={self.num_banks}"
             )
         if not is_power_of_two(self.cache_line_words):
@@ -368,16 +336,6 @@ class SystemParams:
     # frozen dataclasses allow and equality/hash ignore.
 
     @cached_property
-    def topology(self) -> Topology:
-        """The channel x rank x bank-per-rank geometry."""
-        ways = self.num_channels * self.ranks_per_channel
-        return Topology(
-            num_channels=self.num_channels,
-            ranks_per_channel=self.ranks_per_channel,
-            banks_per_rank=self.num_banks // ways,
-        )
-
-    @cached_property
     def bank_bits(self) -> int:
         """``m`` such that ``num_banks == 2**m`` (cached: read on every
         broadcast and local-address computation)."""
@@ -410,20 +368,14 @@ class SystemParams:
     def to_dict(self) -> Dict[str, Any]:
         """The canonical, JSON-ready document for this configuration.
 
-        Nested and complete: every field appears (no drift-prone
-        hand-listing), the geometry as the ``topology`` sub-document and
-        the device timings as their own, stamped with
-        :data:`CONFIG_SCHEMA_VERSION`.
+        Complete by construction: one entry per field (no drift-prone
+        hand-listing), the device timings as their own sub-documents,
+        stamped with :data:`CONFIG_SCHEMA_VERSION`.
         """
         doc: Dict[str, Any] = {"schema_version": CONFIG_SCHEMA_VERSION}
         for f in fields(self):
-            if f.name == "num_banks":
-                doc["topology"] = _fields_dict(self.topology)
-            elif f.name not in _TOPOLOGY_FIELDS:
-                value = getattr(self, f.name)
-                if is_dataclass(value):
-                    value = _fields_dict(value)
-                doc[f.name] = value
+            value = getattr(self, f.name)
+            doc[f.name] = _fields_dict(value) if is_dataclass(value) else value
         return doc
 
     def config_key(self) -> str:
@@ -437,25 +389,18 @@ class SystemParams:
     def describe(self) -> Dict[str, object]:
         """Flat summary used by reports and benchmarks.
 
-        Derived by flattening the canonical :meth:`to_dict` document —
-        every config field appears exactly once (so the summary can
-        never silently omit a knob) plus the derived geometry values
-        reports rely on.
+        The canonical :meth:`to_dict` document, flattened — a timing
+        record's fields read ``sdram.t_rcd`` — so the summary can never
+        silently omit a knob, plus the derived staging cycles reports
+        rely on.
         """
-        doc = self.to_dict()
-        flat: Dict[str, object] = {
-            "sim_mode": doc["sim_mode"],
-            "num_banks": self.num_banks,
-        }
-        flat.update(doc["topology"])
-        for name, value in doc.items():
-            if not isinstance(value, dict) and name not in (
-                "schema_version",
-                "sim_mode",
-            ):
+        flat: Dict[str, object] = {}
+        for name, value in self.to_dict().items():
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    flat[f"{name}.{key}"] = item
+            else:
                 flat[name] = value
-        flat.update(doc["sdram"])
-        flat["sram_access_cycles"] = doc["sram"]["access_cycles"]
         flat["stage_cycles"] = self.stage_cycles
         flat["channel_stage_cycles"] = self.channel_stage_cycles
         return flat

@@ -134,8 +134,7 @@ def shared_k1_pla(num_banks: int) -> K1PLA:
     experiment engine.
 
     LRU-bounded (legal bank counts are powers of two, so 32 entries
-    cover every geometry up to 2**32 banks) and released by
-    :func:`repro.api.clear_caches`.
+    cover every geometry up to 2**32 banks).
     """
     return K1PLA(num_banks)
 

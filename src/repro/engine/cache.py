@@ -158,17 +158,3 @@ class ResultCache:
     def __len__(self) -> int:
         return sum(1 for _ in self._entries())
 
-    def clear(self) -> int:
-        """Delete every entry; return the number removed.
-
-        Only entry files are touched; stray files are left alone so a
-        mis-pointed cache directory cannot lose unrelated data.
-        """
-        removed = 0
-        for path in self._entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed

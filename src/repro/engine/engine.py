@@ -50,7 +50,11 @@ from repro.engine.spec import (
     default_salt,
     point_key,
 )
-from repro.errors import IncompleteBatchError, PointFailedError
+from repro.errors import (
+    ConfigurationError,
+    IncompleteBatchError,
+    PointFailedError,
+)
 
 __all__ = ["ExperimentEngine", "execute_point", "execute_point_timed"]
 
@@ -137,9 +141,10 @@ class ExperimentEngine:
     hooks:
         An :class:`EngineHooks` implementation receiving per-point
         outcomes and batch summaries.
-    salt:
-        Cache-key salt; defaults to the library version plus the engine
-        schema version, so upgrading either invalidates stale entries.
+
+    Cache keys are salted with :func:`~repro.engine.spec.default_salt`
+    (the library version plus the engine schema version), so upgrading
+    either invalidates stale entries.
     """
 
     def __init__(
@@ -148,12 +153,13 @@ class ExperimentEngine:
         jobs: int = 1,
         cache_dir=None,
         hooks: Optional[EngineHooks] = None,
-        salt: Optional[str] = None,
     ):
-        self.jobs = max(1, int(jobs))
+        if jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.hooks = hooks if hooks is not None else EngineHooks()
-        self.salt = salt if salt is not None else default_salt()
+        self.salt = default_salt()
         self.metrics = EngineMetrics(jobs=self.jobs)
 
     # ------------------------------------------------------------- #

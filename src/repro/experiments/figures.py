@@ -16,7 +16,7 @@ printable table.  Conventions follow the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.engine import ExperimentEngine
 from repro.errors import ConfigurationError
@@ -48,9 +48,6 @@ class FigureSeries:
     headers: Tuple[str, ...]
     rows: List[Tuple]
     text: str
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"== {self.name} ==\n{self.text}"
 
 
 def _stride_panel(

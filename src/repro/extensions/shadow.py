@@ -133,9 +133,6 @@ class ShadowSpace:
             f"shadow address {shadow_address} is not mapped by any region"
         )
 
-    def translate(self, shadow_address: int) -> int:
-        return self.region_of(shadow_address).translate(shadow_address)
-
     def fill_commands(
         self,
         shadow_base: int,
@@ -156,6 +153,3 @@ class ShadowSpace:
             )
             address += line
         return commands
-
-    def __len__(self) -> int:
-        return len(self._regions)

@@ -12,7 +12,6 @@ from repro.config import (
     SIM_MODES,
     SRAMTiming,
     SystemParams,
-    Topology,
     is_power_of_two,
     log2_exact,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "SIM_MODES",
     "SRAMTiming",
     "SystemParams",
-    "Topology",
     "is_power_of_two",
     "log2_exact",
 ]

@@ -41,8 +41,8 @@ engine's result cache: the key is the full value tuple, never an object
 identity, and the table is immutable (tuples only), so two vectors can
 share a table but can never alias mutable state.  The memo is
 LRU-bounded in table elements and bank offsets (long-lived engine
-workers sweep thousands of distinct vectors) and hooked into
-:func:`repro.api.clear_caches`.  :func:`pairs_schedule` builds the
+workers sweep thousands of distinct vectors) and dropped by
+:func:`clear_schedule_cache`.  :func:`pairs_schedule` builds the
 tables of explicit and interleaved commands, once per command and
 unmemoized.
 """
@@ -128,9 +128,6 @@ class HitTable:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HitTable(elements={len(self)}, banks={len(self.offsets) - 1})"
 
 
 def _table(
@@ -284,6 +281,6 @@ def schedule_cache_info() -> CacheInfo:
 
 
 def clear_schedule_cache() -> None:
-    """Drop every memoized table (see :func:`repro.api.clear_caches`)."""
+    """Drop every memoized table and reset the memo's statistics."""
     _memo.clear()
     _memo_stats[:] = [0, 0, 0]

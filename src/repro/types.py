@@ -13,8 +13,8 @@ Conventions
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import VectorSpecError
 
@@ -45,9 +45,6 @@ class AccessType(enum.Enum):
     @property
     def is_write(self) -> bool:
         return self is AccessType.WRITE
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -167,10 +164,6 @@ class VectorCommand:
     @property
     def is_write(self) -> bool:
         return self.access.is_write
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        label = f"[{self.tag}] " if self.tag else ""
-        return f"{label}{self.access.value.upper()} {self.vector}"
 
 
 @dataclass(frozen=True)

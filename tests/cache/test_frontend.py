@@ -30,16 +30,14 @@ class TestFeed:
         # Two elements per 32-word line -> one fill per 2 accesses.
         assert len(commands) == 32
 
-    def test_write_allocate_and_drain(self):
+    def test_write_allocate(self):
         frontend = CacheFrontEnd(PROTO)
         accesses = CacheFrontEnd.strided_loop(
             base=0, stride=1, length=32, is_write=True
         )
         commands = frontend.feed(accesses)
         assert len(commands) == 1  # the allocate fill
-        drained = frontend.drain()
-        assert len(drained) == 1
-        assert drained[0].access is AccessType.WRITE
+        assert commands[0].access is AccessType.READ
 
     def test_eviction_emits_writeback_before_fill(self):
         cache = L2Cache(total_words=64, associativity=1, line_words=32)

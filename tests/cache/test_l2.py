@@ -74,15 +74,6 @@ class TestBasicBehaviour:
         _, writeback = cache.access(32)
         assert writeback is None
 
-    def test_flush(self):
-        cache = small_cache()
-        cache.access(0, is_write=True)
-        cache.access(64, is_write=True)
-        cache.access(128)
-        writebacks = cache.flush()
-        assert sorted(writebacks) == [0, 64]
-        assert cache.flush() == []  # now clean
-
 
 class TestPollutionAccounting:
     def test_unit_stride_full_utilization(self):

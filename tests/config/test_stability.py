@@ -13,9 +13,9 @@ from repro.engine.spec import CACHE_SCHEMA_VERSION
 from repro.params import SystemParams
 
 #: sha256 of the prototype's canonical sorted-key JSON document under
-#: schema version 6.
+#: schema version 7.
 PROTOTYPE_CONFIG_KEY = (
-    "4c61434a24e1b4747af429ecde7f646264f98648e74336059f76a47bb63a163c"
+    "3a19a9b80d4757b3176000a67dcbab6eec3057a53570f09a12256f9d49fc0881"
 )
 
 
@@ -32,9 +32,9 @@ def test_environment_does_not_change_identity(monkeypatch):
     assert params.config_key() == PROTOTYPE_CONFIG_KEY
 
 
-def test_schema_version_is_six():
-    assert CONFIG_SCHEMA_VERSION == 6
-    assert SystemParams().to_dict()["schema_version"] == 6
+def test_schema_version_is_seven():
+    assert CONFIG_SCHEMA_VERSION == 7
+    assert SystemParams().to_dict()["schema_version"] == 7
 
 
 def test_engine_cache_schema_tracks_config_schema():
@@ -48,7 +48,8 @@ def test_document_shape_is_nested_and_sorted():
     doc = SystemParams().to_dict()
     assert set(doc) == {
         "schema_version",
-        "topology",
+        "num_banks",
+        "num_channels",
         "sdram",
         "sram",
         "cache_line_words",
@@ -62,8 +63,5 @@ def test_document_shape_is_nested_and_sorted():
         "issue_interval",
         "sim_mode",
     }
-    assert doc["topology"] == {
-        "num_channels": 1,
-        "ranks_per_channel": 1,
-        "banks_per_rank": 16,
-    }
+    assert doc["num_banks"] == 16 and doc["num_channels"] == 1
+    assert doc["sram"] == {"access_cycles": 1}

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.config import SDRAMTiming, SRAMTiming, Topology
+from repro.config import SDRAMTiming, SRAMTiming
 from repro.errors import ConfigurationError
 from repro.params import SystemParams
 
@@ -12,23 +12,15 @@ from repro.params import SystemParams
 class TestTopologyRules:
     def test_channels_must_be_a_power_of_two(self):
         with pytest.raises(ConfigurationError):
-            Topology(num_channels=3)
-
-    def test_ranks_must_be_a_power_of_two(self):
+            SystemParams(num_channels=3)
         with pytest.raises(ConfigurationError):
-            Topology(ranks_per_channel=0)
+            SystemParams(num_channels=0)
 
-    def test_banks_per_rank_must_be_a_power_of_two(self):
-        with pytest.raises(ConfigurationError):
-            Topology(banks_per_rank=12)
-
-    def test_channel_rank_bits_must_fit_the_bank_bits(self):
-        # 32 channel/rank ways over 16 total banks: the select bits
-        # overlap — SystemParams rejects before building a Topology.
-        with pytest.raises(ConfigurationError):
+    def test_channels_must_divide_the_banks(self):
+        with pytest.raises(ConfigurationError, match="does not divide"):
             SystemParams(num_banks=16, num_channels=32)
-        with pytest.raises(ConfigurationError):
-            SystemParams(num_banks=16, num_channels=4, ranks_per_channel=8)
+        # One bank per channel is the limit.
+        assert SystemParams(num_banks=4, num_channels=4).num_channels == 4
 
     def test_channels_cannot_outnumber_stage_cycles(self):
         with pytest.raises(ConfigurationError):

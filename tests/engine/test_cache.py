@@ -172,10 +172,10 @@ def test_pinned_point_keys():
         ),
     )
     assert point_key(mixed, "pinned") == (
-        "68dc18220d1fa79443637769e086b9b14a8ffbd38b976718e4e30c19ccd0fb67"
+        "db57b2f162ac1587842b0f4fdb5a00a93c3687075e00fe33d9b865829874d272"
     )
     assert point_key(kernel, "pinned") == (
-        "a9a90efce340ace97103707a350fbf08e7c91ead3b0a564c2628cfe3e65937eb"
+        "e38f9181df10f1d93e386395feda1b479a50079911379b7c84177e1f1ee7e355"
     )
 
 
@@ -192,8 +192,6 @@ def test_cache_roundtrip(tmp_path):
     assert key in cache
     assert cache.get(key)["cycles"] == 145
     assert len(cache) == 1
-    assert cache.clear() == 1
-    assert cache.get(key) is None
 
 
 def test_cache_corrupt_entry_is_a_miss(tmp_path):
@@ -248,25 +246,14 @@ class TestPutValidation:
 
 
 class TestPollutedDirectory:
-    """Maintenance paths skip stray files, so a polluted cache
-    directory cannot crash (or be damaged by) __len__/clear."""
-
-    def _polluted(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("ab" + "0" * 62, {"cycles": 145})
-        strays = CacheCorruptor(cache).strays()
-        return cache, strays
+    """Entry walks skip stray files, so a polluted cache directory
+    cannot crash __len__ or be mistaken for entries."""
 
     def test_len_counts_entries_only(self, tmp_path):
-        cache, _ = self._polluted(tmp_path)
+        cache = ResultCache(tmp_path)
+        cache.put("ab" + "0" * 62, {"cycles": 145})
+        CacheCorruptor(cache).strays()
         assert len(cache) == 1
-
-    def test_clear_removes_entries_and_spares_strays(self, tmp_path):
-        cache, strays = self._polluted(tmp_path)
-        assert cache.clear() == 1
-        assert len(cache) == 0
-        for stray in strays:
-            assert stray.exists()
 
     def test_corrupted_entries_are_misses(self, tmp_path):
         cache = ResultCache(tmp_path)

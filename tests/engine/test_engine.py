@@ -122,11 +122,15 @@ def test_params_change_invalidates_cache(tmp_path):
     assert engine.metrics.simulated == 2
 
 
-def test_salt_change_invalidates_cache(tmp_path):
+def test_salt_change_invalidates_cache(tmp_path, monkeypatch):
+    import repro
+
     point = _points()[0]
-    a = ExperimentEngine(jobs=1, cache_dir=tmp_path, salt="v1")
+    a = ExperimentEngine(jobs=1, cache_dir=tmp_path)
     a.run([point])
-    b = ExperimentEngine(jobs=1, cache_dir=tmp_path, salt="v2")
+    # A new library version salts every key anew.
+    monkeypatch.setattr(repro, "__version__", repro.__version__ + "+next")
+    b = ExperimentEngine(jobs=1, cache_dir=tmp_path)
     b.run([point])
     assert b.metrics.cache_hits == 0
     assert point_key(point, a.salt) != point_key(point, b.salt)

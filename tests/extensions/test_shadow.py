@@ -78,11 +78,12 @@ class TestShadowSpace:
         space.configure(
             ShadowRegion(shadow_base=64, target_base=1, stride=2, length=64)
         )
-        assert len(space) == 2
+        assert space.region_of(0).target_base == 0
+        assert space.region_of(64).target_base == 1
 
     def test_unmapped_address(self):
         with pytest.raises(AddressError):
-            ShadowSpace().translate(0)
+            ShadowSpace().region_of(0)
 
     def test_dense_shadow_read_gathers_strided_data(self):
         """The end-to-end story: the processor reads the shadow region

@@ -17,14 +17,13 @@ Three obligations:
   same-row run partition.
 * **Memo hygiene** — memoized tables are immutable and never alias
   mutable state between vectors; the memo is LRU-bounded in table
-  elements plus bank offsets and cleared by ``repro.api.clear_caches``.
+  elements plus bank offsets and cleared by ``clear_schedule_cache``.
 """
 
 import random
 
 import pytest
 
-from repro.api import clear_caches
 from repro.core.firsthit import bank_subvector, first_hit, next_hit
 from repro.core.pla import shared_k1_pla
 from repro.kernels import ALIGNMENTS
@@ -390,19 +389,10 @@ def test_schedule_cache_is_lru_bounded_and_clearable():
     assert schedule_cache_info().hits == hits + 1
     broadcast_schedules(0, 1, 4, 16, schedule_geometry(_device_for(16).timing))
     assert schedule_cache_info().hits == hits + 1
-    clear_caches()
+    clear_schedule_cache()
     assert schedule_cache_info().currsize == 0
     broadcast_schedules(0, 1, 32, 4, geometry)
     assert schedule_cache_info().currsize == 32 + 4
-
-
-def test_clear_caches_resets_pla_memo():
-    clear_caches()
-    assert shared_k1_pla.cache_info().currsize == 0
-    shared_k1_pla(16)
-    assert shared_k1_pla.cache_info().currsize == 1
-    clear_caches()
-    assert shared_k1_pla.cache_info().currsize == 0
 
 
 def test_degenerate_stride_hits_base_bank_only():

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.api import build_system, clear_caches
+from repro.api import build_system
 from repro.errors import ConfigurationError
 from repro.kernels import build_trace, kernel_by_name
 from repro.params import SystemParams
@@ -231,7 +231,7 @@ class TestBroadcastMemo:
         geometry = schedule_geometry(params.sdram)
         broadcast_schedules(0, 5, 16, params.num_banks, geometry)
         assert soa_cache_info().currsize >= 1
-        clear_caches()
+        clear_schedule_cache()
         assert soa_cache_info().currsize == 0
 
 

@@ -25,7 +25,7 @@ from .differential import assert_equivalent, spy_on_bank_paths
 MULTI_CHANNEL_PARAMS = (
     SystemParams(num_channels=2),
     SystemParams(num_channels=4),
-    SystemParams(num_channels=2, ranks_per_channel=2),
+    SystemParams(num_banks=4, num_channels=4),
     SystemParams(num_banks=8, num_channels=2, cache_line_words=16),
 )
 

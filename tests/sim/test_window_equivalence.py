@@ -219,7 +219,7 @@ def test_fixed_answer_policies_are_never_asked(paths, monkeypatch, policy):
 
 
 def test_multichannel(paths):
-    params = SystemParams(num_channels=2, ranks_per_channel=2)
+    params = SystemParams(num_channels=2)
     for system in PVA_SYSTEMS:
         assert_equivalent(paths, system, params, kernel_trace(params, "saxpy"))
 

@@ -29,29 +29,28 @@ class TestCommands:
         rows = [tuple(line.split()) for line in lines[2:]]
         # Every describe() key, in order: a reordered or dropped row fails.
         assert rows == [
-            ("sim_mode", "fast"),
+            ("schema_version", "7"),
             ("num_banks", "16"),
             ("num_channels", "1"),
-            ("ranks_per_channel", "1"),
-            ("banks_per_rank", "16"),
             ("cache_line_words", "32"),
             ("max_transactions", "8"),
             ("num_vector_contexts", "4"),
             ("request_fifo_depth", "8"),
+            ("sdram.t_rcd", "2"),
+            ("sdram.cas_latency", "2"),
+            ("sdram.t_rp", "2"),
+            ("sdram.t_wr", "1"),
+            ("sdram.internal_banks", "4"),
+            ("sdram.row_words", "512"),
+            ("sdram.refresh_interval", "0"),
+            ("sdram.t_rfc", "8"),
+            ("sram.access_cycles", "1"),
             ("fhc_latency", "2"),
             ("bus_turnaround", "1"),
             ("bypass_paths", "True"),
             ("row_policy", "paper"),
             ("issue_interval", "0"),
-            ("t_rcd", "2"),
-            ("cas_latency", "2"),
-            ("t_rp", "2"),
-            ("t_wr", "1"),
-            ("internal_banks", "4"),
-            ("row_words", "512"),
-            ("refresh_interval", "0"),
-            ("t_rfc", "8"),
-            ("sram_access_cycles", "1"),
+            ("sim_mode", "fast"),
             ("stage_cycles", "16"),
             ("channel_stage_cycles", "16"),
         ]
@@ -144,14 +143,27 @@ class TestCommands:
             ["sweep", "--max-stride", "0"],
             ["explore", "--banks", "x"],
             ["explore", "--fifo", ""],
+            ["grid", "--jobs", "0"],
+            ["ablation", "bypass", "--jobs", "-3"],
+            ["explore", "--quick", "--prune-slack", "nan"],
+            ["explore", "--stride", "0"],
+            ["explore", "--elements", "0"],
+            ["explore", "--spec", "missing.json"],
+            ["explore", "--spec", "invalid.json"],
+            ["explore", "--spec", "list.json"],
         ],
         ids=[
             "run", "grid", "figure", "sweep", "all", "sweep-max-stride",
-            "explore-banks", "explore-empty-fifo",
+            "explore-banks", "explore-empty-fifo", "grid-jobs-0",
+            "ablation-negative-jobs", "explore-nan-slack", "explore-stride",
+            "explore-elements", "explore-missing-spec",
+            "explore-invalid-json-spec", "explore-list-spec",
         ],
     )
     def test_non_positive_sizes_exit_2(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "invalid.json").write_text("{")
+        (tmp_path / "list.json").write_text("[]")
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

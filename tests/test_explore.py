@@ -38,6 +38,12 @@ class TestSweepSpec:
     def test_negative_slack_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepSpec(axes={"num_banks": [8]}, prune_slack=-0.1)
+        # NaN is not negative either, but it fails every bound test and
+        # so turns pruning off; a JSON spec may carry it.
+        with pytest.raises(ConfigurationError):
+            SweepSpec.from_dict(
+                json.loads('{"axes": {"num_banks": [8]}, "prune_slack": NaN}')
+            )
 
     @pytest.mark.parametrize(
         "workload",
@@ -174,7 +180,7 @@ class TestExploreCLI:
         )
         assert main(["explore", "--spec", str(spec_path)]) == 0
 
-    def test_axis_flags_build_a_sweep(self):
+    def test_axis_flags_build_a_sweep(self, capsys):
         assert (
             main(
                 [
@@ -183,16 +189,22 @@ class TestExploreCLI:
                     "8,16",
                     "--contexts",
                     "1,4",
+                    "--row-policy",
+                    "paper,close",
                     "--kernel",
                     "copy",
                     "--stride",
                     "1",
                     "--elements",
                     "64",
+                    "--prune-slack",
+                    "0.1",
                 ]
             )
             == 0
         )
+        out = capsys.readouterr().out
+        assert "row_policy" in out and "8 enumerated" in out
 
     def test_unreachable_gate_fails_cleanly(self):
         code = main(

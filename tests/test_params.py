@@ -101,7 +101,7 @@ class TestSystemParams:
         description = SystemParams().describe()
         assert description["num_banks"] == 16
         assert description["stage_cycles"] == 16
-        assert description["t_rcd"] == 2
+        assert description["sdram.t_rcd"] == 2
 
     def test_describe_covers_every_config_knob(self):
         """The summary is derived from the canonical to_dict() — the
@@ -112,13 +112,11 @@ class TestSystemParams:
             "bypass_paths": True,
             "bus_turnaround": 1,
             "issue_interval": 0,
-            "t_wr": 1,
-            "refresh_interval": 0,
-            "t_rfc": 8,
+            "sdram.t_wr": 1,
+            "sdram.refresh_interval": 0,
+            "sdram.t_rfc": 8,
             "num_channels": 1,
-            "ranks_per_channel": 1,
-            "banks_per_rank": 16,
-            "sram_access_cycles": 1,
+            "sram.access_cycles": 1,
             "channel_stage_cycles": 16,
         }.items():
             assert description[key] == value, key
@@ -137,9 +135,7 @@ class TestSystemParams:
         with pytest.raises(ConfigurationError):
             SystemParams(num_channels=3)
         with pytest.raises(ConfigurationError):
-            SystemParams(ranks_per_channel=0)
-        with pytest.raises(ConfigurationError):
-            # 32 channel/rank ways cannot fit in 16 banks.
+            # 32 channels cannot divide 16 banks.
             SystemParams(num_banks=16, num_channels=32)
         with pytest.raises(ConfigurationError):
             # 8 channels cannot split an 8-word line's 4 stage cycles.
@@ -149,12 +145,6 @@ class TestSystemParams:
         assert SystemParams().channel_stage_cycles == 16
         assert SystemParams(num_channels=2).channel_stage_cycles == 8
         assert SystemParams(num_channels=4).channel_stage_cycles == 4
-
-    def test_topology_property(self):
-        topo = SystemParams(num_channels=2, ranks_per_channel=2).topology
-        assert topo.num_channels == 2
-        assert topo.ranks_per_channel == 2
-        assert topo.banks_per_rank == 4
 
 
 class TestSimMode:
