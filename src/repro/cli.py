@@ -100,6 +100,7 @@ class _MetricsLine(EngineHooks):
         print(
             f"[engine] {metrics.points_done} points "
             f"({metrics.simulated} simulated, "
+            f"{metrics.coalesced} coalesced, {metrics.merged} merged, "
             f"cache hit rate {metrics.cache_hit_rate:.0%}) "
             f"in {metrics.elapsed_seconds:.2f}s — "
             f"{metrics.points_per_second:.1f} points/s, "

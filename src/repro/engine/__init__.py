@@ -5,17 +5,20 @@ memory systems x eight kernels x six strides x five alignments (section
 6.2).  This package executes any such batch through one engine:
 
 * :class:`~repro.engine.engine.ExperimentEngine` — cache lookup, then
-  in-batch coalescing, then inline execution (``jobs=1``) or a worker
-  pool fed in submission order (``jobs=N``), with identical results at
-  any job count;
+  in-batch coalescing, then a merge by trace class (points whose traces
+  differ only in which rows they use simulate once, and the engine
+  remembers each class's result for its lifetime), then inline
+  execution (``jobs=1``) or a worker pool fed in submission order
+  (``jobs=N``), with identical results at any job count;
 * :class:`~repro.engine.cache.ResultCache` — a content-addressed on-disk
   cache keyed by a stable hash of the point spec, its
   :class:`~repro.params.SystemParams` and a code-version salt, so
   repeated figure/ablation runs replay from disk; corrupt entries are
   quarantined and recomputed;
 * :class:`~repro.engine.metrics.EngineHooks` — progress callbacks
-  carrying per-point cycle counts and running points/sec + cache
-  hit-rate metrics.
+  carrying per-point cycle counts (and whether each was cached,
+  coalesced or merged) and running points/sec + cache hit-rate
+  metrics.
 
 Failures are loud: the first failing point raises its own exception, a
 dead worker raises :class:`~repro.errors.PointFailedError`, and the

@@ -3,7 +3,7 @@
 ``ExperimentEngine.run`` takes a batch of :class:`ExperimentPoint` specs
 and returns their cycle counts **in submission order**, regardless of
 how many worker processes execute them, so ``jobs=1`` and ``jobs=N``
-produce identical output.  A batch takes three steps:
+produce identical output.  A batch takes four steps:
 
 1. **Result cache** — with a ``cache_dir``, each point's content address
    (:func:`repro.engine.spec.point_key`) is looked up first; warm runs of
@@ -13,12 +13,22 @@ produce identical output.  A batch takes three steps:
 2. **Coalescing** — identical points inside one batch (the grid runner
    submits alignment-free baselines once per alignment) share a single
    execution.
-3. **Execution** — the remaining unique points run inline (``jobs=1``)
-   or on a ``concurrent.futures.ProcessPoolExecutor`` fed as one chunked
-   ``map`` in submission order.  Workers rebuild trace and system from
-   the spec, so no simulator state crosses the process boundary; the
-   fork start method is preferred (cheap, inherits ``sys.path``) with
-   spawn as the portable fallback.
+3. **Merging by trace class** — each remaining point's trace is built,
+   keyed by its system's ``class_key``
+   (:meth:`repro.pva.system.PVAMemorySystem.class_key`: traces that
+   differ only in which rows they use share a key) and dropped.  Points
+   whose system, params and key agree form one class; a point whose
+   system keys no traces is a class of its own, under its point key.
+   The engine remembers each class's result for its lifetime, so only
+   the first point of a class never seen before is simulated; every
+   other member takes that result (``merged``) and still gets its own
+   cache entry.
+4. **Execution** — the representatives run inline (``jobs=1``) or on a
+   ``concurrent.futures.ProcessPoolExecutor`` fed as one chunked ``map``
+   in submission order.  Workers rebuild trace and system from the
+   spec, so no simulator state crosses the process boundary; the fork
+   start method is preferred (cheap, inherits ``sys.path``) with spawn
+   as the portable fallback.
 
 Failures are loud.  The first failing point in submission order raises
 its original exception at any job count.  A worker that dies (killed or
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 import signal
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api import build_system
 from repro.engine.cache import ResultCache
@@ -54,6 +64,7 @@ from repro.errors import (
     ConfigurationError,
     IncompleteBatchError,
     PointFailedError,
+    ReproError,
 )
 
 __all__ = ["ExperimentEngine", "execute_point", "execute_point_timed"]
@@ -145,6 +156,10 @@ class ExperimentEngine:
     Cache keys are salted with :func:`~repro.engine.spec.default_salt`
     (the library version plus the engine schema version), so upgrading
     either invalidates stale entries.
+
+    Each instance remembers the result of every class it simulated
+    (see the module docstring), so a later batch on the same engine
+    re-simulates none of them; a fresh engine starts empty.
     """
 
     def __init__(
@@ -161,6 +176,11 @@ class ExperimentEngine:
         self.hooks = hooks if hooks is not None else EngineHooks()
         self.salt = default_salt()
         self.metrics = EngineMetrics(jobs=self.jobs)
+        #: Trace class (:meth:`_trace_class`) -> its representative's
+        #: ``(cycles, attribution)``, for the engine's lifetime.
+        self._classes: Dict[
+            Hashable, Tuple[int, Optional[Dict[str, Dict[str, int]]]]
+        ] = {}
 
     # ------------------------------------------------------------- #
     # Execution
@@ -217,45 +237,79 @@ class ExperimentEngine:
             waiting[key] = [index]
             pending.append((key, point))
 
-        # Execute the unique misses; each result reaches the cache
-        # before the next one is taken.
+        def deliver(key, cycles, seconds, attribution, merged=False):
+            """Cache one key's result and hand it to every index waiting
+            on it: the first is simulated or merged, the rest are its
+            coalesced twins.  A merged key records no seconds."""
+            indices = waiting.pop(key)
+            if self.cache is not None:
+                point = points[indices[0]]
+                self.cache.put(
+                    key,
+                    {
+                        "cycles": cycles,
+                        "sim_seconds": seconds,
+                        "attribution": attribution,
+                        "sim_mode": point.params.sim_mode,
+                        "config": point.params.to_dict(),
+                        "config_key": point.params.config_key(),
+                        "point": point.describe(),
+                    },
+                )
+            metrics.merged += merged
+            for position, index in enumerate(indices):
+                results[index] = cycles
+                metrics.points_done += 1
+                self.hooks.point_done(
+                    PointOutcome(
+                        index,
+                        points[index],
+                        cycles,
+                        cached=False,
+                        coalesced=position > 0,
+                        merged=merged and position == 0,
+                        sim_seconds=seconds,
+                        attribution=attribution,
+                    ),
+                    metrics,
+                )
+
+        # One representative per trace class, in submission order.  The
+        # other members wait on it, or take a class an earlier batch
+        # simulated at once.
+        #: class -> the keys merged into its representative
+        followers: Dict[Hashable, List[str]] = {}
+        #: representative key -> its class
+        class_of: Dict[str, Hashable] = {}
+        representatives: List[Tuple[str, ExperimentPoint]] = []
         try:
-            for key, point, cycles, seconds, attribution in self._execute(
-                pending
+            for key, point in pending:
+                trace_class = self._trace_class(key, point)
+                known = self._classes.get(trace_class)
+                if known is not None:
+                    deliver(key, known[0], None, known[1], merged=True)
+                elif trace_class in followers:
+                    followers[trace_class].append(key)
+                else:
+                    followers[trace_class] = []
+                    class_of[key] = trace_class
+                    representatives.append((key, point))
+
+            # Execute the representatives; each result reaches the
+            # cache, and its class's members, before the next one is
+            # taken.
+            for key, _, cycles, seconds, attribution in self._execute(
+                representatives
             ):
-                if self.cache is not None:
-                    self.cache.put(
-                        key,
-                        {
-                            "cycles": cycles,
-                            "sim_seconds": seconds,
-                            "attribution": attribution,
-                            "sim_mode": point.params.sim_mode,
-                            "config": point.params.to_dict(),
-                            "config_key": point.params.config_key(),
-                            "point": point.describe(),
-                        },
-                    )
-                indices = waiting.pop(key)
                 metrics.simulated += 1
                 metrics.simulated_cycles += cycles
                 metrics.sim_seconds += seconds
                 metrics.record_attribution(attribution)
-                for position, index in enumerate(indices):
-                    results[index] = cycles
-                    metrics.points_done += 1
-                    self.hooks.point_done(
-                        PointOutcome(
-                            index,
-                            points[index],
-                            cycles,
-                            cached=False,
-                            coalesced=position > 0,
-                            sim_seconds=seconds,
-                            attribution=attribution,
-                        ),
-                        metrics,
-                    )
+                deliver(key, cycles, seconds, attribution)
+                trace_class = class_of[key]
+                self._classes[trace_class] = (cycles, attribution)
+                for member in followers[trace_class]:
+                    deliver(member, cycles, None, attribution, merged=True)
         finally:
             metrics.elapsed_seconds += time.perf_counter() - started
             if self.cache is not None:
@@ -272,10 +326,31 @@ class ExperimentEngine:
         self.hooks.batch_complete(metrics)
         return results  # type: ignore[return-value]
 
+    def _trace_class(self, key: str, point: ExperimentPoint) -> Hashable:
+        """The class ``point`` merges by: ``(system, params, class key)``
+        when its system keys traces, else its own point ``key``.  The
+        trace is built, keyed and dropped here.  A point whose system or
+        trace cannot be built is a class of its own too: its execution
+        raises the error, in submission order."""
+        try:
+            class_key = getattr(
+                build_system(point.system, point.params), "class_key", None
+            )
+            digest = (
+                class_key(build_point_trace(point))
+                if class_key is not None
+                else None
+            )
+        except ReproError:
+            digest = None
+        if digest is None:
+            return key
+        return (point.system, point.params, digest)
+
     def _execute(
         self, pending: List[Tuple[str, ExperimentPoint]]
     ) -> Iterator[_Outcome]:
-        """Yield one outcome per unique point, in submission order."""
+        """Yield one outcome per representative, in submission order."""
         workers = min(self.jobs, len(pending))
         if workers <= 1:
             for key, point in pending:

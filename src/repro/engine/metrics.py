@@ -29,12 +29,18 @@ class PointOutcome:
     coalesced: bool = False  #: shared another identical point's execution
     #: Host wall-clock seconds the executing worker spent simulating this
     #: point (shared by coalesced twins; stored value for cache hits;
-    #: None for entries written before the field existed).
+    #: None for merged points, which ran nothing, and for entries written
+    #: before the field existed).
     sim_seconds: Optional[float] = None
     #: Per-component cycle attribution of the run (component name ->
     #: {"busy", "stalled", "idle"}), as recorded by the simulation
     #: kernel; None for cache entries written before the field existed.
     attribution: Optional[Dict[str, Dict[str, int]]] = None
+    #: Took the result of an equivalent point's simulation: one of the
+    #: same trace class (same system and params, a trace differing only
+    #: in which rows it uses) in this batch, or one this engine ran in
+    #: an earlier batch.
+    merged: bool = False
 
 
 @dataclass
@@ -46,6 +52,7 @@ class EngineMetrics:
     cache_hits: int = 0
     simulated: int = 0  #: unique simulations actually executed
     coalesced: int = 0  #: points served by an identical in-batch point
+    merged: int = 0  #: points served by their trace class's simulation
     elapsed_seconds: float = 0.0
     jobs: int = 1
     simulated_cycles: int = 0  #: simulated cycles across unique executions
@@ -84,8 +91,9 @@ class EngineMetrics:
     @property
     def sim_cycles_per_second(self) -> float:
         """Simulated-cycles-per-host-second throughput over the unique
-        executions (cache hits and coalesced twins cost no sim time, so
-        they are excluded from both numerator and denominator)."""
+        executions (cache hits, coalesced twins and merged points cost no
+        sim time, so they are excluded from both numerator and
+        denominator)."""
         if self.sim_seconds <= 0:
             return 0.0
         return self.simulated_cycles / self.sim_seconds
@@ -96,6 +104,7 @@ class EngineMetrics:
             "simulated": self.simulated,
             "cache_hits": self.cache_hits,
             "coalesced": self.coalesced,
+            "merged": self.merged,
             "cache_hit_rate": round(self.cache_hit_rate, 3),
             "points_per_second": round(self.points_per_second, 1),
             "elapsed_seconds": round(self.elapsed_seconds, 3),

@@ -17,6 +17,10 @@ The serial baselines are alignment-independent (their cost model sees only
 addresses-per-command), so they are evaluated once per (kernel, stride)
 and shared across alignments — expressed by submitting those points with
 the grid's first alignment and letting the engine coalesce duplicates.
+The PVA points are submitted at every alignment; the engine simulates
+one per trace class (``aligned`` and ``row-conflict`` differ by whole
+row periods, and the single-array kernels build one trace at every
+alignment), so the default grid runs 336 of its 960 cells.
 """
 
 from __future__ import annotations
@@ -158,7 +162,8 @@ def run_grid(
     Fresh memory-system instances are built per point, so points are
     independent and safely parallelizable; the alignment-free serial
     baselines are submitted under the grid's first alignment, so the
-    engine computes them once per (kernel, stride) and shares the result.
+    engine computes them once per (kernel, stride) and shares the result,
+    and PVA points whose traces differ only in rows share a simulation.
 
     Points run on ``engine`` (share one, with its pool, cache and
     metrics, across several grids); the default is a private inline

@@ -433,6 +433,11 @@ def main(args) -> int:
     """Entry point for the ``explore`` subcommand (parser in cli.py)."""
     from repro.cli import _engine_from
 
+    min_prune = getattr(args, "min_prune_fraction", None)
+    if min_prune is not None and not 0.0 <= min_prune <= 1.0:  # NaN too
+        raise ConfigurationError(
+            f"--min-prune-fraction must be in [0, 1], got {min_prune}"
+        )
     try:
         spec = _spec_from_args(args)
         report = run_explore(spec, engine=_engine_from(args))
@@ -448,7 +453,6 @@ def main(args) -> int:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"report written to {out}")
-    min_prune = getattr(args, "min_prune_fraction", None)
     if min_prune is not None and report["prune_fraction"] < min_prune:
         import sys
 

@@ -49,16 +49,19 @@ unmemoized.
 
 from __future__ import annotations
 
+import hashlib
 from collections import namedtuple
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.pla import shared_k1_pla
+from repro.types import AccessType, ExplicitCommand
 
 __all__ = [
     "HitTable",
     "broadcast_schedules",
     "schedule_geometry",
+    "trace_class_key",
     "pairs_schedule",
     "schedule_cache_info",
     "clear_schedule_cache",
@@ -91,6 +94,54 @@ def schedule_geometry(timing) -> Tuple:
         timing.row_words.bit_length() - 1,
         timing.internal_banks.bit_length() - 1,
     )
+
+
+def trace_class_key(commands, num_banks: int, geometry: Tuple) -> str:
+    """SHA-256 digest of a word-interleaved trace's symmetry class.
+
+    Let ``P`` be the decode period: ``num_banks << (row_bits +
+    ib_bits)`` under a ``("rot", ...)`` geometry, ``num_banks`` under
+    ``("flat",)``.  A word's bank, internal bank and column depend only
+    on ``addr % P``; its row (its local word, when rowless) is its
+    *block* ``addr // P``, which the model only compares for equality.
+    Blocks are replaced by their rank of first use, so traces that
+    differ by an injective block relabeling that keeps each vector's
+    blocks consecutive share a key, and simulate alike (the argument is
+    in ``docs/ALGORITHMS.md``; ``tests/sim/test_symmetry.py`` is its
+    oracle).
+
+    A vector command contributes its access, stride, length, ``base %
+    P`` and the ranks of blocks ``base // P`` to ``last // P``; an
+    explicit command its access, ``broadcast_cycles`` and ``(addr % P,
+    rank)`` per address.  Write data and tags do not time anything and
+    are left out.
+    """
+    shift = num_banks.bit_length() - 1
+    if geometry[0] == _GEOM_ROTATED:
+        shift += geometry[1] + geometry[2]
+    mask = (1 << shift) - 1
+    ranks: Dict[int, int] = {}
+    rank = ranks.setdefault
+    digest = hashlib.sha256()
+    for command in commands:
+        # One bracketed list per command, opened by a tag (kind and
+        # access): the concatenation is self-delimiting, and no more
+        # than one command's encoding is alive at a time.
+        write = 1 if command.access is AccessType.WRITE else 0
+        if isinstance(command, ExplicitCommand):
+            encoded = [2 + write, command.broadcast_cycles]
+            for address in command.addresses:
+                encoded += (address & mask, rank(address >> shift, len(ranks)))
+        else:
+            vector = command.vector
+            base, stride, length = vector.base, vector.stride, vector.length
+            first = base >> shift
+            last = (base + stride * (length - 1)) >> shift
+            encoded = [write, stride, length, base & mask]
+            for block in range(first, last + 1):
+                encoded.append(rank(block, len(ranks)))
+        digest.update(str(encoded).encode())
+    return digest.hexdigest()
 
 
 class HitTable:

@@ -42,6 +42,7 @@ from repro.interleave.schemes import InterleaveScheme
 from repro.params import SystemParams
 from repro.bus.vector_bus import VectorBus
 from repro.pva.bank_controller import BankController
+from repro.pva.schedule import schedule_geometry, trace_class_key
 from repro.pva.soa import SoaBankAutomaton
 from repro.sdram.device import BankDevice, DeviceStats
 from repro.sim.events import HORIZON
@@ -643,6 +644,21 @@ class PVAMemorySystem:
     # ----------------------------------------------------------------- #
     # Trace execution
     # ----------------------------------------------------------------- #
+
+    def class_key(self, commands: Sequence[AnyCommand]) -> Optional[str]:
+        """The digest of ``commands``' symmetry class on this system
+        (:func:`repro.pva.schedule.trace_class_key`): two traces with
+        equal keys give equal results on a fresh system (cycles,
+        attribution, latencies, device and bus statistics).  None under
+        a cache-line or block interleave, whose decode the key does not
+        model."""
+        if self.interleave is not None:
+            return None
+        return trace_class_key(
+            commands,
+            self.params.num_banks,
+            schedule_geometry(getattr(self.params, self.memory)),
+        )
 
     def run(
         self,

@@ -282,3 +282,142 @@ class TestSimThroughputMetrics:
         results = engine.run(_points())
         assert engine.metrics.simulated_cycles == sum(results)
         assert engine.metrics.sim_seconds > 0
+
+
+def _alignment_points(
+    systems=("pva-sdram", "pva-sram"),
+    kernels=("copy", "scale", "swap", "vaxpy"),
+    strides=(1, 19),
+    sim_mode="fast",
+):
+    """Five-alignment grid points at a small size, so that many PVA
+    traces differ only in which rows they use."""
+    from repro.kernels import ALIGNMENTS
+    from repro.params import SystemParams
+
+    params = SystemParams(sim_mode=sim_mode)
+    return [
+        ExperimentPoint(
+            system=system,
+            trace=KernelTraceSpec(
+                kernel=kernel,
+                stride=stride,
+                alignment=alignment.name,
+                elements=64,
+            ),
+            params=params,
+        )
+        for kernel in kernels
+        for stride in strides
+        for alignment in ALIGNMENTS
+        for system in systems
+    ]
+
+
+class TestTraceClassMerge:
+    """Points whose traces differ only in which rows they use simulate
+    once per (system, params, class key)."""
+
+    def test_merged_grid_matches_execute_point(self):
+        points = _alignment_points()
+        engine = ExperimentEngine(jobs=1)
+        assert engine.run(points) == [execute_point(p) for p in points]
+        metrics = engine.metrics
+        assert metrics.merged > 0
+        assert metrics.simulated + metrics.merged == len(points)
+
+    def test_merged_outcomes_carry_their_fields(self):
+        points = _alignment_points()
+        recorder = Recorder()
+        engine = ExperimentEngine(jobs=2, hooks=recorder)
+        engine.run(points)
+        merged = [o for o in recorder.outcomes if o.merged]
+        simulated = [o for o in recorder.outcomes if not o.merged]
+        assert len(merged) == engine.metrics.merged > 0
+        assert len(simulated) == engine.metrics.simulated
+        for outcome in merged:
+            assert not outcome.cached and not outcome.coalesced
+            assert outcome.sim_seconds is None
+            assert outcome.attribution
+            assert outcome.cycles == execute_point(outcome.point)
+        assert all(o.sim_seconds is not None for o in simulated)
+        # Only representatives count toward simulation totals.
+        assert engine.metrics.simulated_cycles == sum(
+            o.cycles for o in simulated
+        )
+        expected = {}
+        for outcome in simulated:
+            for name, buckets in outcome.attribution.items():
+                entry = expected.setdefault(
+                    name, {"busy": 0, "stalled": 0, "idle": 0}
+                )
+                for bucket in entry:
+                    entry[bucket] += buckets[bucket]
+        assert engine.metrics.component_cycles == expected
+        assert engine.metrics.summary()["merged"] == len(merged)
+
+    def test_warm_replay_of_merged_batch_hits_cache(self, tmp_path):
+        points = _alignment_points()
+        cold = ExperimentEngine(jobs=1, cache_dir=tmp_path)
+        cold_results = cold.run(points)
+        assert cold.metrics.merged > 0
+        recorder = Recorder()
+        warm = ExperimentEngine(jobs=1, cache_dir=tmp_path, hooks=recorder)
+        assert warm.run(points) == cold_results
+        assert warm.metrics.cache_hit_rate == 1.0
+        assert warm.metrics.simulated == warm.metrics.merged == 0
+        # A merged point's entry records no simulation time of its own.
+        assert sum(o.sim_seconds is None for o in recorder.outcomes) == (
+            cold.metrics.merged
+        )
+
+    def test_reference_backend_forms_the_same_classes(self):
+        def merged_indices(sim_mode):
+            recorder = Recorder()
+            points = _alignment_points(
+                kernels=("copy", "scale"), sim_mode=sim_mode
+            )
+            ExperimentEngine(jobs=1, hooks=recorder).run(points)
+            return sorted(o.index for o in recorder.outcomes if o.merged)
+
+        fast = merged_indices("fast")
+        assert fast
+        assert merged_indices("reference") == fast
+
+    def test_classes_are_remembered_across_batches(self):
+        """Two batches with equivalent points simulate once, on one
+        engine; a fresh engine starts with no classes."""
+        aligned, row_conflict = (
+            ExperimentPoint(
+                system="pva-sdram",
+                trace=KernelTraceSpec(
+                    kernel="copy", stride=1, alignment=name, elements=64
+                ),
+            )
+            for name in ("aligned", "row-conflict")
+        )
+        recorder = Recorder()
+        engine = ExperimentEngine(jobs=1, hooks=recorder)
+        first = engine.run([aligned])
+        second = engine.run([row_conflict])
+        assert second == first
+        assert engine.metrics.simulated == 1
+        assert engine.metrics.merged == 1
+        assert recorder.outcomes[-1].merged
+        fresh = ExperimentEngine(jobs=1)
+        fresh.run([row_conflict])
+        assert fresh.metrics.simulated == 1
+
+    def test_repeated_points_are_remembered_across_batches(self):
+        """A system that keys no traces merges nothing, but a point it
+        ran in an earlier batch is not simulated again."""
+        points = _alignment_points(
+            systems=("cacheline-serial",), kernels=("copy",), strides=(4,)
+        )
+        engine = ExperimentEngine(jobs=1)
+        engine.run(points)
+        assert engine.metrics.simulated == len(points)
+        assert engine.metrics.merged == 0
+        engine.run(points)
+        assert engine.metrics.simulated == len(points)
+        assert engine.metrics.merged == len(points)

@@ -71,6 +71,22 @@ class TestRaiseMode:
         with _within_wall_clock_bound(), pytest.raises(InjectedFault):
             engine.run(points)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unbuildable_point_fails_in_submission_order(
+        self, fault_systems, jobs
+    ):
+        """A point whose trace cannot be built fails at its turn, not
+        while the engine keys the batch's traces: the earlier failing
+        point's exception is the one raised."""
+        engine = ExperimentEngine(jobs=jobs)
+        points = [
+            _point("pva-sdram"),
+            _point(fault_systems["raising"]),
+            _point("pva-sdram", kernel="nope"),
+        ]
+        with _within_wall_clock_bound(), pytest.raises(InjectedFault):
+            engine.run(points)
+
     def test_dead_worker_raises_point_failed_error(self, fault_systems):
         """A worker killed mid-batch (``os._exit``, like the OOM killer)
         fails the batch at once with PointFailedError, chained from the

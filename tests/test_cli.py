@@ -151,6 +151,8 @@ class TestCommands:
             ["explore", "--spec", "missing.json"],
             ["explore", "--spec", "invalid.json"],
             ["explore", "--spec", "list.json"],
+            ["explore", "--quick", "--min-prune-fraction", "nan"],
+            ["explore", "--quick", "--min-prune-fraction", "1.5"],
         ],
         ids=[
             "run", "grid", "figure", "sweep", "all", "sweep-max-stride",
@@ -158,6 +160,7 @@ class TestCommands:
             "ablation-negative-jobs", "explore-nan-slack", "explore-stride",
             "explore-elements", "explore-missing-spec",
             "explore-invalid-json-spec", "explore-list-spec",
+            "explore-nan-min-prune", "explore-min-prune-above-1",
         ],
     )
     def test_non_positive_sizes_exit_2(self, argv, tmp_path, monkeypatch, capsys):
@@ -192,6 +195,22 @@ class TestCommands:
         assert "1 quarantined" in captured.err
         quarantine = tmp_path / ResultCache.QUARANTINE_DIR
         assert (quarantine / f"{entry.name}.quarantined").exists()
+
+    def test_grid_reports_merged_points(self, capsys):
+        """``aligned`` and ``row-conflict`` place the arrays whole row
+        periods apart, so each PVA point of one alignment merges into
+        the other's class, and the [engine] line counts it."""
+        argv = [
+            "grid", "--kernel", "copy", "--stride", "1", "--stride", "19",
+            "--alignment", "aligned", "--alignment", "row-conflict",
+            "--elements", "64",
+        ]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        (line,) = [line for line in err.splitlines() if "simulated" in line]
+        merged = int(line.split(" merged")[0].rsplit(" ", 1)[-1])
+        assert merged > 0
+        assert "coalesced" in line
 
     def test_all_artifacts(self, tmp_path, capsys):
         assert main(
